@@ -10,29 +10,22 @@ The scenarios, all over one shared graph holding labelled communities
   edge); the distance-aware oracle now lets the N-1 non-owning queries
   decline the whole stream, so routed flush cost should stay ~flat here
   too — the paper's flagship IncBMatch semantics;
-- ``bounded-shared``: the same N bound-2 patterns in ``landmark`` mode
-  under ``distance_scope='shared'`` vs ``'per-query'`` — the per-query
-  path maintains N private landmark indexes (distance upkeep ~linear in
-  N), the shared substrate maintains ONE (upkeep ~flat in N).  The table
-  reports flush time and the number of structure-level update
-  applications per scope;
+- ``bounded-shared``: the ``bounded`` scenario in ``landmark`` mode —
+  every pool query leases the pool substrate's ONE landmark index while
+  the naive loop maintains one per pattern; the table adds the
+  substrate's structure-level update applications per flush
+  (``upkeep``), which stay flat in N;
 - ``overlap``: N simulation queries over only k << N *distinct*
   predicate sets (query i reuses partition i % k's pattern), driven by a
-  mixed stream of attribute flips and edge churn, under
-  ``eligibility_scope='shared'`` vs ``'per-query'``.  The shared
-  eligibility substrate interns each distinct predicate once and updates
-  one member set per node event, so predicate evaluations per flush stay
-  ~flat as N grows; the per-query scope re-evaluates per query and grows
-  linearly.  The table reports flush time and predicate evaluations per
-  scope;
+  mixed stream of attribute flips and edge churn.  The eligibility
+  substrate evaluates each distinct atom once per node event however
+  many queries use it, so per-flush atom evaluations must be non-zero
+  and *exactly* flat in N once all k patterns are registered — the
+  scenario enforces it and fails otherwise;
 - ``overlap-atoms``: N conjunction queries whose predicates are all
-  drawn from one fixed 6-atom vocabulary (18 distinct conjunctions),
-  under the same scope split.  The substrate's *atom tier* evaluates
-  each distinct atom once per node event regardless of how many
-  conjunctions compose it, so shared-scope per-flush atom evaluations
-  must be *exactly* flat in N once the vocabulary is interned — the
-  scenario enforces equality and fails otherwise; per-query scope
-  re-evaluates whole conjunctions per query (~linear in N);
+  drawn from one fixed 6-atom vocabulary (18 distinct conjunctions) —
+  the same atom-evaluation gate from N = 3 on, where the vocabulary is
+  fully interned, however many distinct conjunctions compose it;
 - ``shared-plan``: N bound-2 two-leg patterns drawn from only 4 distinct
   *leg vocabularies* (query i re-spells partition ``i % 4``'s pattern
   with its own node names), under ``plan_scope='shared'`` vs
@@ -43,7 +36,7 @@ The scenarios, all over one shared graph holding labelled communities
   N >= 4, and (at N >= 16, above the noise floor) that the shared flush
   beats the per-query flush outright;
 - ``reach-oracle``: interval-mode routing cost dict vs columnar backend
-  plus oracle-consult accounting on ``*``-bound patterns;
+  plus (ungated) oracle-consult accounting on ``*``-bound patterns;
 - ``kernels``: the numpy kernel layer raced against its pure-Python
   twins on the two bulk hot paths it vectorizes — full-column atom
   sweeps (first-lease eligibility builds) and SCC-interval oracle
@@ -159,12 +152,10 @@ SCENARIOS = {
 
 def run_pool(
     graph, scenario, num_patterns, updates, distance_mode,
-    distance_scope="shared", pattern_fn=None, graph_backend=None,
+    pattern_fn=None, graph_backend=None,
 ):
     spec = SCENARIOS[scenario]
-    pool = MatcherPool(
-        graph, distance_scope=distance_scope, graph_backend=graph_backend
-    )
+    pool = MatcherPool(graph, graph_backend=graph_backend)
     for i in range(num_patterns):
         pool.register(
             (pattern_fn or spec["pattern"])(i),
@@ -178,11 +169,15 @@ def run_pool(
     return elapsed, pool, report
 
 
-def run_naive(base, scenario, num_patterns, updates, pattern_fn=None):
+def run_naive(
+    base, scenario, num_patterns, updates, pattern_fn=None, **index_kwargs
+):
     """One independent incremental index per pattern, each fed everything."""
     spec = SCENARIOS[scenario]
     indexes = [
-        spec["naive_index"]((pattern_fn or spec["pattern"])(i), base.copy())
+        spec["naive_index"](
+            (pattern_fn or spec["pattern"])(i), base.copy(), **index_kwargs
+        )
         for i in range(num_patterns)
     ]
     start = time.perf_counter()
@@ -192,11 +187,17 @@ def run_naive(base, scenario, num_patterns, updates, pattern_fn=None):
     return elapsed, indexes
 
 
-def run_scenario(scenario, sizes, graph, updates, reps, distance_mode):
-    print(f"\n== scenario: {scenario} "
-          f"({'distance_mode=' + distance_mode if scenario == 'bounded' else 'eq-key routed'}) ==")
+def run_scenario(
+    scenario, sizes, graph, updates, reps, distance_mode, label=None
+):
+    """Pool flush vs the naive loop; ``upkeep`` counts the distance
+    substrate's structure-level update applications in the flush."""
+    bounded = scenario == "bounded"
+    naive_kwargs = {"distance_mode": distance_mode} if bounded else {}
+    print(f"\n== scenario: {label or scenario} "
+          f"({'distance_mode=' + distance_mode if bounded else 'eq-key routed'}) ==")
     print(f"{'N':>4} {'pool ms':>10} {'naive ms':>10} {'speedup':>9} "
-          f"{'routed':>7} {'skipped':>8}")
+          f"{'routed':>7} {'skipped':>8} {'upkeep':>7}")
     ok = True
     results = []
     pool_times = {}
@@ -209,7 +210,9 @@ def run_scenario(scenario, sizes, graph, updates, reps, distance_mode):
                 graph.copy(), scenario, n, updates, distance_mode
             )
             pool_times_n.append(t)
-            t, indexes = run_naive(graph, scenario, n, updates)
+            t, indexes = run_naive(
+                graph, scenario, n, updates, **naive_kwargs
+            )
             naive_times_n.append(t)
         pool_t = statistics.median(pool_times_n)
         naive_t = statistics.median(naive_times_n)
@@ -224,9 +227,11 @@ def run_scenario(scenario, sizes, graph, updates, reps, distance_mode):
                 )
                 ok = False
         speedup = naive_t / pool_t if pool_t > 0 else float("inf")
+        upkeep = pool.substrate.stats.structure_batches
         print(
             f"{n:>4} {pool_t * 1e3:>10.2f} {naive_t * 1e3:>10.2f} "
-            f"{speedup:>8.1f}x {report.routed:>7} {report.skipped:>8}"
+            f"{speedup:>8.1f}x {report.routed:>7} {report.skipped:>8} "
+            f"{upkeep:>7}"
         )
         results.append(
             {
@@ -236,6 +241,7 @@ def run_scenario(scenario, sizes, graph, updates, reps, distance_mode):
                 "speedup": round(speedup, 2),
                 "routed": report.routed,
                 "skipped": report.skipped,
+                "upkeep": upkeep,
             }
         )
     lo, hi = min(sizes), max(sizes)
@@ -249,93 +255,6 @@ def run_scenario(scenario, sizes, graph, updates, reps, distance_mode):
         "reps": reps,
         "results": results,
         "growth_factor": round(growth, 3),
-    }
-
-
-def run_shared_substrate_scenario(sizes, graph, updates, reps):
-    """Shared vs per-query distance structures, landmark mode.
-
-    Per-query scope maintains one landmark index per registered pattern
-    (every net edge repairs N vector sets); shared scope leases ONE from
-    the pool substrate.  'upkeep' counts structure-level update
-    applications (observer syncs + substrate syncs) — the quantity the
-    substrate amortizes across the pool.
-    """
-    print(
-        "\n== scenario: bounded-shared "
-        "(landmark mode, shared vs per-query distance structures) =="
-    )
-    print(
-        f"{'N':>4} {'shared ms':>10} {'perq ms':>10} {'perq/shared':>12} "
-        f"{'shared upkeep':>14} {'perq upkeep':>12}"
-    )
-    ok = True
-    results = []
-    times = {"shared": {}, "per-query": {}}
-    for n in sizes:
-        row = {"n": n}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            scope_times = []
-            pool = None
-            for _ in range(reps):
-                t, pool, _ = run_pool(
-                    graph.copy(), "bounded", n, updates, "landmark", scope
-                )
-                scope_times.append(t)
-            times[scope][n] = statistics.median(scope_times)
-            pools[scope] = pool
-            upkeep = (
-                pool.stats.observer_batches
-                + pool.substrate.stats.structure_batches
-            )
-            key = "shared" if scope == "shared" else "per_query"
-            row[f"{key}_ms"] = round(times[scope][n] * 1e3, 3)
-            row[f"{key}_upkeep"] = upkeep
-        # Correctness: both scopes must match the naive per-pattern result.
-        _, indexes = run_naive(graph, "bounded", n, updates)
-        for i, idx in enumerate(indexes):
-            expect = as_pairs(idx.matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH bounded-shared scope={scope} N={n} "
-                        f"pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
-        ratio = (
-            times["per-query"][n] / times["shared"][n]
-            if times["shared"][n] > 0
-            else float("inf")
-        )
-        row["per_query_over_shared"] = round(ratio, 2)
-        print(
-            f"{n:>4} {row['shared_ms']:>10.2f} {row['per_query_ms']:>10.2f} "
-            f"{ratio:>11.1f}x {row['shared_upkeep']:>14} "
-            f"{row['per_query_upkeep']:>12}"
-        )
-        results.append(row)
-    lo, hi = min(sizes), max(sizes)
-    growth = {
-        scope: (
-            times[scope][hi] / times[scope][lo]
-            if times[scope][lo] > 0
-            else 0.0
-        )
-        for scope in times
-    }
-    print(
-        f"distance-upkeep flush cost grew {growth['shared']:.2f}x (shared) "
-        f"vs {growth['per-query']:.2f}x (per-query) "
-        f"from N={lo} to N={hi} ({hi // lo}x more bounded queries)"
-    )
-    return ok, {
-        "sizes": sizes,
-        "reps": reps,
-        "results": results,
-        "growth_factor_shared": round(growth["shared"], 3),
-        "growth_factor_per_query": round(growth["per-query"], 3),
     }
 
 
@@ -368,124 +287,107 @@ def overlap_stream(graph, k, num_ops, seed=13):
     return ops
 
 
-def run_overlap_pool(graph, n, k, ops, eligibility_scope):
-    """One pool flush over the op stream; returns (elapsed, evals, pool)."""
-    pool = MatcherPool(graph, eligibility_scope=eligibility_scope)
+def run_overlap_pool(graph, n, ops, pattern_fn):
+    """One pool flush over a mixed node/edge op stream; returns
+    ``(elapsed, atom_evals, pool)`` with atom evaluations counted over the
+    flush alone (registration's first-lease sweeps excluded)."""
+    pool = MatcherPool(graph)
     for i in range(n):
-        pool.register(sim_pattern(i % k), semantics="simulation", name=f"p{i}")
+        pool.register(pattern_fn(i), semantics="simulation", name=f"p{i}")
     for op in ops:
         if op[0] == "node":
             pool.queue_node(op[1], **op[2])
         else:
             pool.queue(op[1])
-    before = predmod.evaluation_count()
+    before = predmod.atom_evaluation_count()
     start = time.perf_counter()
     pool.flush()
     elapsed = time.perf_counter() - start
-    evals = predmod.evaluation_count() - before
-    return elapsed, evals, pool
+    return elapsed, predmod.atom_evaluation_count() - before, pool
 
 
-def run_overlap_naive(base, k, ops):
-    """One independent SimulationIndex per *distinct* pattern, fed the
-    stream in flush order (node ops first, then the coalesced edge batch)
-    — the correctness oracle for both eligibility scopes."""
-    indexes = [SimulationIndex(sim_pattern(i), base.copy()) for i in range(k)]
+def run_overlap_naive(base, patterns, ops):
+    """One independent SimulationIndex per pattern, fed the stream in
+    flush order (node ops first, then the coalesced edge batch) — the
+    baseline and correctness oracle; returns ``(elapsed, indexes)``."""
+    indexes = [SimulationIndex(p, base.copy()) for p in patterns]
+    edge_ops = [op[1] for op in ops if op[0] == "edge"]
+    start = time.perf_counter()
     for idx in indexes:
         for op in ops:
             if op[0] == "node":
                 idx.update_node_attrs(op[1], **op[2])
-        idx.apply_batch([op[1] for op in ops if op[0] == "edge"])
-    return indexes
+        idx.apply_batch(edge_ops)
+    return time.perf_counter() - start, indexes
 
 
-def run_overlap_scenario(sizes, graph, reps, num_ops, k=4):
-    """Shared vs per-query predicate eligibility, N queries over k << N
-    distinct predicate sets.
+def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
+                         flat_from):
+    """N simulation queries over a fixed predicate vocabulary, pool vs
+    naive loop, under a mixed attribute-flip / edge-churn op stream.
 
-    'evals' counts Predicate.satisfied_by applications during the flush:
-    the shared eligibility substrate evaluates each distinct predicate
-    once per node event (~flat in N for fixed k); per-query scope pays
-    per registered query (~linear in N).
+    'atom evals' counts ``Atom.satisfied_by`` applications during the
+    pool flush.  The eligibility substrate evaluates each distinct atom
+    once per node event however many queries use it, so from
+    ``flat_from`` queries on (every atom of the vocabulary interned) the
+    count is a function of the op stream alone.  Hard gate: it is
+    non-zero and exactly equal across every N >= ``flat_from``.
     """
-    k = min(k, max(sizes))
-    print(
-        f"\n== scenario: overlap "
-        f"(N simulation queries over {k} distinct predicate sets, "
-        f"shared vs per-query eligibility) =="
-    )
-    print(
-        f"{'N':>4} {'shared ms':>10} {'perq ms':>10} {'perq/shared':>12} "
-        f"{'shared evals':>13} {'perq evals':>11}"
-    )
+    print(f"\n== scenario: {name} ({what}; pool vs naive loop) ==")
+    print(f"{'N':>4} {'pool ms':>10} {'naive ms':>10} {'speedup':>9} "
+          f"{'atom evals':>11}")
     ok = True
     results = []
-    times = {"shared": {}, "per-query": {}}
-    evals = {"shared": {}, "per-query": {}}
-    ops = overlap_stream(graph, k, num_ops)
     for n in sizes:
-        row = {"n": n}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            scope_times = []
-            scope_evals = pool = None
-            for _ in range(reps):
-                t, e, pool = run_overlap_pool(graph.copy(), n, k, ops, scope)
-                scope_times.append(t)
-                scope_evals = e
-            times[scope][n] = statistics.median(scope_times)
-            evals[scope][n] = scope_evals
-            pools[scope] = pool
-            key = "shared" if scope == "shared" else "per_query"
-            row[f"{key}_ms"] = round(times[scope][n] * 1e3, 3)
-            row[f"{key}_evals"] = scope_evals
-        # Correctness: both scopes must match the naive per-pattern result.
-        naive = run_overlap_naive(graph, k, ops)
-        for i in range(n):
-            expect = as_pairs(naive[i % k].matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH overlap scope={scope} N={n} pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
-        ratio = (
-            times["per-query"][n] / times["shared"][n]
-            if times["shared"][n] > 0
-            else float("inf")
-        )
-        row["per_query_over_shared"] = round(ratio, 2)
+        pool_times, naive_times = [], []
+        for _ in range(reps):
+            t, evals, pool = run_overlap_pool(
+                graph.copy(), n, ops, pattern_fn
+            )
+            pool_times.append(t)
+            t, naive = run_overlap_naive(
+                graph, [pattern_fn(i) for i in range(n)], ops
+            )
+            naive_times.append(t)
+        for i, idx in enumerate(naive):
+            if as_pairs(pool.query(f"p{i}").matches()) != as_pairs(
+                idx.matches()
+            ):
+                print(f"MISMATCH {name} N={n} pattern {i}", file=sys.stderr)
+                ok = False
+        pool_t = statistics.median(pool_times)
+        naive_t = statistics.median(naive_times)
+        speedup = naive_t / pool_t if pool_t > 0 else float("inf")
         print(
-            f"{n:>4} {row['shared_ms']:>10.2f} {row['per_query_ms']:>10.2f} "
-            f"{ratio:>11.1f}x {row['shared_evals']:>13} "
-            f"{row['per_query_evals']:>11}"
+            f"{n:>4} {pool_t * 1e3:>10.2f} {naive_t * 1e3:>10.2f} "
+            f"{speedup:>8.1f}x {evals:>11}"
         )
-        results.append(row)
-    hi = max(sizes)
-    # Until N >= k the pool holds fewer than k distinct patterns, so the
-    # interned-predicate count itself still grows; the flat-in-N claim
-    # starts at full predicate diversity.
-    lo = min((n for n in sizes if n >= k), default=min(sizes))
-    eval_growth = {
-        scope: (evals[scope][hi] / evals[scope][lo] if evals[scope][lo] else 0.0)
-        for scope in evals
-    }
-    print(
-        f"predicate evaluations per flush grew "
-        f"{eval_growth['shared']:.2f}x (shared) vs "
-        f"{eval_growth['per-query']:.2f}x (per-query) "
-        f"from N={lo} to N={hi} ({max(1, hi // lo)}x more queries, "
-        f"{k} distinct predicate sets)"
-    )
+        results.append(
+            {
+                "n": n,
+                "pool_ms": round(pool_t * 1e3, 3),
+                "naive_ms": round(naive_t * 1e3, 3),
+                "speedup": round(speedup, 2),
+                "atom_evals": evals,
+            }
+        )
+    gated = {r["n"]: r["atom_evals"] for r in results if r["n"] >= flat_from}
+    evals_flat = len(set(gated.values())) == 1 and all(gated.values())
+    if not evals_flat:
+        print(
+            f"FLATNESS VIOLATION {name}: per-flush atom evaluations must be "
+            f"non-zero and equal for every N >= {flat_from}: {gated}",
+            file=sys.stderr,
+        )
+        ok = False
+    print(f"atom evaluations per flush non-zero and exactly flat for "
+          f"N >= {flat_from}: {evals_flat}")
     return ok, {
         "sizes": sizes,
         "reps": reps,
-        "distinct_patterns": k,
-        "eval_growth_from": lo,
+        "flat_from": flat_from,
         "results": results,
-        "eval_growth_shared": round(eval_growth["shared"], 3),
-        "eval_growth_per_query": round(eval_growth["per-query"], 3),
+        "atom_evals_flat": evals_flat,
     }
 
 
@@ -545,145 +447,6 @@ def overlap_atoms_stream(graph, num_ops, seed=17):
             op = insert(v, w) if rng.random() < 0.6 else delete(v, w)
             ops.append(("edge", op))
     return ops
-
-
-def run_overlap_atoms_pool(graph, n, ops, eligibility_scope):
-    """One flush; returns (elapsed, atom_evals, substrate_evals, pool)."""
-    pool = MatcherPool(graph, eligibility_scope=eligibility_scope)
-    for i in range(n):
-        pool.register(
-            overlap_atoms_pattern(i), semantics="simulation", name=f"p{i}"
-        )
-    for op in ops:
-        if op[0] == "node":
-            pool.queue_node(op[1], **op[2])
-        else:
-            pool.queue(op[1])
-    before = predmod.atom_evaluation_count()
-    sub_before = pool.eligibility.stats.atom_evals
-    start = time.perf_counter()
-    pool.flush()
-    elapsed = time.perf_counter() - start
-    atom_evals = predmod.atom_evaluation_count() - before
-    substrate_evals = pool.eligibility.stats.atom_evals - sub_before
-    return elapsed, atom_evals, substrate_evals, pool
-
-
-def run_overlap_atoms_scenario(sizes, graph, reps, num_ops):
-    """Shared vs per-query eligibility, N conjunction queries over a fixed
-    6-atom vocabulary (18 distinct conjunctions).
-
-    'atom evals' counts Atom.satisfied_by applications during the flush.
-    The two-tier substrate evaluates each *atom* once per node event —
-    for n >= 3 (vocabulary fully interned) shared-scope counts must be
-    exactly equal across all N, which this scenario enforces.  Per-query
-    scope re-evaluates whole conjunctions per registered query (~linear
-    in N).
-    """
-    sizes = sorted({max(3, n) for n in sizes})
-    print(
-        "\n== scenario: overlap-atoms "
-        "(N conjunction queries over a fixed 6-atom vocabulary, "
-        "shared vs per-query eligibility) =="
-    )
-    print(
-        f"{'N':>4} {'conjs':>6} {'shared ms':>10} {'perq ms':>10} "
-        f"{'perq/shared':>12} {'shared atoms':>13} {'perq atoms':>11}"
-    )
-    ok = True
-    results = []
-    times = {"shared": {}, "per-query": {}}
-    atom_evals = {"shared": {}, "per-query": {}}
-    ops = overlap_atoms_stream(graph, num_ops)
-    for n in sizes:
-        row = {"n": n, "conjunctions": min(n, 18)}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            scope_times = []
-            scope_evals = sub_evals = pool = None
-            for _ in range(reps):
-                t, e, se, pool = run_overlap_atoms_pool(
-                    graph.copy(), n, ops, scope
-                )
-                scope_times.append(t)
-                scope_evals, sub_evals = e, se
-            times[scope][n] = statistics.median(scope_times)
-            atom_evals[scope][n] = scope_evals
-            pools[scope] = pool
-            key = "shared" if scope == "shared" else "per_query"
-            row[f"{key}_ms"] = round(times[scope][n] * 1e3, 3)
-            row[f"{key}_atom_evals"] = scope_evals
-            if scope == "shared":
-                row["shared_substrate_atom_evals"] = sub_evals
-        # Correctness: both scopes must match the naive per-pattern result
-        # (patterns repeat with period 18 over the fixed vocabulary).
-        naive = [
-            SimulationIndex(overlap_atoms_pattern(i), graph.copy())
-            for i in range(min(n, 18))
-        ]
-        for idx in naive:
-            for op in ops:
-                if op[0] == "node":
-                    idx.update_node_attrs(op[1], **op[2])
-            idx.apply_batch([op[1] for op in ops if op[0] == "edge"])
-        for i in range(n):
-            expect = as_pairs(naive[i % 18].matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH overlap-atoms scope={scope} N={n} "
-                        f"pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
-        ratio = (
-            times["per-query"][n] / times["shared"][n]
-            if times["shared"][n] > 0
-            else float("inf")
-        )
-        row["per_query_over_shared"] = round(ratio, 2)
-        print(
-            f"{n:>4} {row['conjunctions']:>6} {row['shared_ms']:>10.2f} "
-            f"{row['per_query_ms']:>10.2f} {ratio:>11.1f}x "
-            f"{row['shared_atom_evals']:>13} {row['per_query_atom_evals']:>11}"
-        )
-        results.append(row)
-    # The headline property is a hard gate, not a trend: with the 6-atom
-    # vocabulary fully interned (every size here is >= 3), shared-scope
-    # per-flush atom evaluations are a function of the op stream alone.
-    shared_counts = sorted(set(atom_evals["shared"].values()))
-    if len(shared_counts) != 1:
-        print(
-            f"FLATNESS VIOLATION overlap-atoms: shared-scope atom "
-            f"evaluations vary with N: { {n: atom_evals['shared'][n] for n in sizes} }",
-            file=sys.stderr,
-        )
-        ok = False
-    lo, hi = min(sizes), max(sizes)
-    eval_growth = {
-        scope: (
-            atom_evals[scope][hi] / atom_evals[scope][lo]
-            if atom_evals[scope][lo]
-            else 0.0
-        )
-        for scope in atom_evals
-    }
-    print(
-        f"atom evaluations per flush grew {eval_growth['shared']:.2f}x "
-        f"(shared, exactly flat enforced) vs "
-        f"{eval_growth['per-query']:.2f}x (per-query) "
-        f"from N={lo} to N={hi} (6 atoms, 18 distinct conjunctions)"
-    )
-    return ok, {
-        "sizes": sizes,
-        "reps": reps,
-        "atom_vocabulary": 6,
-        "distinct_conjunctions": 18,
-        "results": results,
-        "shared_exactly_flat": len(shared_counts) == 1,
-        "atom_eval_growth_shared": round(eval_growth["shared"], 3),
-        "atom_eval_growth_per_query": round(eval_growth["per-query"], 3),
-    }
 
 
 # Minimum dict-backend flush time (ms, min-of-k) for a reach-oracle race
@@ -886,12 +649,12 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
     }
 
 
-def run_reach_oracle_scenario(sizes, graph, updates, reps):
+def run_reach_oracle_scenario(sizes, graph, updates, reps, gate_race=True):
     """SCC-interval oracle routing + columnar id-space kernels, two legs.
 
     **Backend race (bound-2 patterns, ``interval`` mode).** The flush's
     dominant term in interval mode is pool-level: the oracle labelling is
-    rebuilt after net insertions and the per-query source closures are
+    rebuilt after net insertions and the shared source closures are
     re-derived from it.  The columnar backend runs that rebuild with
     id-space kernels (Tarjan/condensation over slot ids, fused
     neighbourhood balls), so its flush must be *cheaper* than the dict
@@ -900,12 +663,11 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
     routing-cost baseline the oracle competes with.
 
     **Consult accounting (``*``-bound patterns, ``interval`` mode).**
-    Unbounded legs are the ones the oracle answers exactly.  The gate
-    ``consults_sublinear`` checks that oracle consults per flush stay
-    below the pool-wide eligible-set population: interval routing asks
-    about *endpoints* (two closure-membership tests per pattern edge, plus
-    exact ``reachable()`` calls for deletion suspects), never about every
-    eligible node the way a per-node scan would.
+    Unbounded legs are the ones the oracle answers exactly.  The
+    labelling's ``consults`` / ``rebuilds`` / ``fallbacks`` counters and
+    the pool-wide eligible-set population are reported, not gated: routing
+    goes through ``ReachClosure`` membership, which the consult counter
+    does not see, so a gate over it would pass vacuously.
 
     Both legs gate correctness against naive per-pattern indexes.
 
@@ -917,7 +679,10 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
     takes at least ``RACE_GATE_FLOOR_MS`` — below that the whole flush is
     timer jitter and a verdict either way would be noise, so such rows
     are reported ungated (``columnar_wins`` is ``None`` when no row
-    qualifies, e.g. at smoke-test scale).
+    qualifies).  Smoke runs pass ``gate_race=False`` and always report the
+    race ungated: smoke graphs are too small for the columnar kernels to
+    pay off (columnar loses ~0.5-0.9x there on constant overheads), so on
+    a slow host whose flushes cross the floor the gate could only fail.
     """
     print(
         "\n== scenario: reach-oracle "
@@ -1010,14 +775,12 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
             f"{consults:>9} {eligible:>9} {per_flush:>8.1f}"
         )
         results.append(row)
-    gated = [r for r in results if r["dict_ms"] >= RACE_GATE_FLOOR_MS]
+    gated = [
+        r for r in results
+        if gate_race and r["dict_ms"] >= RACE_GATE_FLOOR_MS
+    ]
     columnar_wins = (
         all(r["dict_over_columnar"] > 1.0 for r in gated) if gated else None
-    )
-    consults_sublinear = all(
-        r["consults_per_flush"] < r["eligible_members"]
-        for r in results
-        if r["eligible_members"]
     )
     lo, hi = min(sizes), max(sizes)
     growth = {
@@ -1031,8 +794,7 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
     print(
         f"interval flush cost grew {growth['dict']:.2f}x (dict) vs "
         f"{growth['columnar']:.2f}x (columnar) from N={lo} to N={hi}; "
-        f"columnar_wins={columnar_wins} "
-        f"consults_sublinear={consults_sublinear}"
+        f"columnar_wins={columnar_wins}"
     )
     if columnar_wins is False:
         print(
@@ -1043,16 +805,9 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
         ok = False
     elif columnar_wins is None:
         print(
-            f"reach-oracle: race ungated (all dict flushes under "
-            f"{RACE_GATE_FLOOR_MS}ms — noise-dominated at this scale)"
+            f"reach-oracle: race ungated (smoke run, or all dict flushes "
+            f"under {RACE_GATE_FLOOR_MS}ms — noise-dominated at this scale)"
         )
-    if not consults_sublinear:
-        print(
-            "reach-oracle: oracle consults per flush not sublinear in "
-            "eligible-set population",
-            file=sys.stderr,
-        )
-        ok = False
     return ok, {
         "sizes": sizes,
         "reps": reps,
@@ -1060,7 +815,6 @@ def run_reach_oracle_scenario(sizes, graph, updates, reps):
         "growth_dict": round(growth["dict"], 3),
         "growth_columnar": round(growth["columnar"], 3),
         "columnar_wins": columnar_wins,
-        "consults_sublinear": consults_sublinear,
     }
 
 
@@ -1502,7 +1256,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.tiny:
-        sizes = [1, 2, 4]
+        # Two sizes at or above every flatness gate's threshold (4), so
+        # the smoke run can catch a count that grows with N.
+        sizes = [1, 2, 4, 8]
         cluster_size = args.cluster_size or 12
         num_updates = args.updates or 20
         reps = args.reps or 2
@@ -1541,19 +1297,28 @@ def main(argv=None) -> int:
     }
     for scenario in scenarios:
         if scenario == "bounded-shared":
-            # N private landmark indexes get expensive fast; a capped size
-            # sweep already exposes the linear-vs-flat upkeep contrast.
+            # The naive loop's N private landmark indexes get expensive
+            # fast; a capped size sweep already shows the flat upkeep.
             shared_sizes = [n for n in sizes if n <= 16] or sizes[:1]
-            s_ok, s_doc = run_shared_substrate_scenario(
-                shared_sizes, graph, updates, reps
+            s_ok, s_doc = run_scenario(
+                "bounded", shared_sizes, graph, updates, reps, "landmark",
+                label="bounded-shared",
             )
         elif scenario == "overlap":
+            k = min(4, max(sizes))
             s_ok, s_doc = run_overlap_scenario(
-                sizes, graph, reps, num_updates
+                "overlap",
+                f"N simulation queries over {k} distinct predicate sets",
+                sizes, graph, reps, overlap_stream(graph, k, num_updates),
+                lambda i, k=k: sim_pattern(i % k), flat_from=k,
             )
         elif scenario == "overlap-atoms":
-            s_ok, s_doc = run_overlap_atoms_scenario(
-                sizes, graph, reps, num_updates
+            s_ok, s_doc = run_overlap_scenario(
+                "overlap-atoms",
+                "N conjunction queries over a fixed 6-atom vocabulary",
+                sorted({max(3, n) for n in sizes}), graph, reps,
+                overlap_atoms_stream(graph, num_updates),
+                overlap_atoms_pattern, flat_from=3,
             )
         elif scenario == "shared-plan":
             # Per-query bounded indexes get expensive fast (that is the
@@ -1568,7 +1333,7 @@ def main(argv=None) -> int:
             # contrast is already decisive on a capped size sweep.
             reach_sizes = [n for n in sizes if n <= 16] or sizes[:1]
             s_ok, s_doc = run_reach_oracle_scenario(
-                reach_sizes, graph, updates, reps
+                reach_sizes, graph, updates, reps, gate_race=not args.tiny
             )
         elif scenario == "kernels":
             s_ok, s_doc = run_kernels_scenario(sizes, cluster_size, reps)

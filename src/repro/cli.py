@@ -135,21 +135,6 @@ def main(argv=None) -> int:
         "(default) or interned-id columnar",
     )
     pool.add_argument(
-        "--distance-scope",
-        default="shared",
-        choices=["shared", "per-query"],
-        help="bounded-query distance structures: one pool-level substrate "
-        "shared by every query (default) or a private structure per query",
-    )
-    pool.add_argument(
-        "--eligibility-scope",
-        default="shared",
-        choices=["shared", "per-query"],
-        help="predicate-eligibility sets: one pool-level substrate with a "
-        "set per distinct predicate shared by every query (default) or a "
-        "private candidate-set copy per query",
-    )
-    pool.add_argument(
         "--plan-scope",
         default="per-query",
         choices=["shared", "per-query"],
@@ -212,8 +197,6 @@ def main(argv=None) -> int:
 def _routing_class(query) -> str:
     if query.planned:
         return "planned"
-    if query.routes_all_edges:
-        return "wildcard-edge"
     if query.distance_routed:
         return "distance"
     return "endpoint"
@@ -235,8 +218,6 @@ def _run_pool(args) -> int:
     def make_pool() -> MatcherPool:
         pool = MatcherPool(
             load_graph(args.graph),
-            distance_scope=args.distance_scope,
-            eligibility_scope=args.eligibility_scope,
             plan_scope=args.plan_scope,
             graph_backend=args.graph_backend,
             window=args.window,
@@ -260,8 +241,6 @@ def _run_pool(args) -> int:
 
     pool = make_pool()
     output = {
-        "distance_scope": args.distance_scope,
-        "eligibility_scope": args.eligibility_scope,
         "plan_scope": args.plan_scope,
         "graph_backend": pool.graph_backend,
         "queries": {

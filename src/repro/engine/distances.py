@@ -1,18 +1,17 @@
 """Pool-level shared distance structures for bounded continuous queries.
 
-Before this module existed, every bounded query in a
-:class:`~repro.engine.pool.MatcherPool` owned a private distance structure
-(landmark vectors, an all-pairs matrix, or an eligible-ball summary) and
-the pool fed **every** net edge update to **every** such query — the
-upkeep that distance-aware routing saves at the pair level was paid right
-back N times over at the structure level.  This is the "one maintained
-auxiliary structure, many queries answered from it" shape of answering
-queries under updates (Berkholz et al.): the substrate owns
+A private distance structure per bounded query (landmark vectors, an
+all-pairs matrix, ball unions) would make the pool feed **every** net
+edge update to **every** such query — the upkeep that distance-aware
+routing saves at the pair level paid right back N times over at the
+structure level.  This is the "one maintained auxiliary structure, many
+queries answered from it" shape of answering queries under updates
+(Berkholz et al.): every bounded query in a
+:class:`~repro.engine.pool.MatcherPool` leases from one substrate, which
+owns
 
 - at most **one** :class:`~repro.landmarks.vector.LandmarkIndex` per pool
-  (``distance_mode='landmark'`` queries all read the same vectors; their
-  per-query :class:`~repro.landmarks.vector.EligibleLegMinima` caches are
-  cheap views over it);
+  (``distance_mode='landmark'`` queries all read the same vectors);
 - at most **one** :class:`~repro.graphs.distance.DistanceMatrix` per pool
   (``'matrix'`` queries share the rows for suspect rechecks);
 - a registry of **stratified**
@@ -36,8 +35,8 @@ queries under updates (Berkholz et al.): the substrate owns
   same-predicate landmark queries share one minima refresh per flush
   instead of paying O(|eligible|·|lm|) each.
 
-Every structure is leased with a refcount: registering a bounded query in
-shared scope acquires leases, unregistering releases them, and a structure
+Every structure is leased with a refcount: registering a bounded query
+acquires leases, unregistering releases them, and a structure
 whose refcount reaches zero is dropped so the pool stops paying its
 upkeep.  The pool syncs the substrate **once per flush phase** — node
 events flow through the eligibility index (whose listeners update ball
@@ -52,10 +51,6 @@ When the shared landmark index outgrows its
 :class:`~repro.landmarks.selection.LandmarkBudget` (``InsLM`` growth is
 monotone), the pool triggers a ``BatchLM`` re-selection at the end of the
 flush via :meth:`SharedDistanceSubstrate.enforce_lm_budget`.
-
-Per-query structures remain available (``distance_scope='per-query'``) as
-a fallback path, which the differential fuzz harness pits against this
-substrate flush for flush.
 """
 
 from __future__ import annotations
@@ -432,7 +427,7 @@ class SharedDistanceSubstrate:
         budget (invoked by the pool at the end of a flush).
 
         The rebuild bumps the landmark version, so every version-keyed
-        cache (the shared leg minima, per-query minima) refreshes lazily
+        cache (the shared leg minima) refreshes lazily
         on its next consult; correctness is unaffected either way.
         Returns whether a rebuild happened.
         """

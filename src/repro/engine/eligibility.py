@@ -40,14 +40,12 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
   and the shared landmark leg-minima cache), in set-already-mutated order,
   so every downstream structure sees each flip exactly once.
 
-The pool invokes :meth:`observe_node_added` / :meth:`observe_attr_change`
-once per node event during flush phase A, batches the returned *flips*
-(gained/lost predicate verdicts) across the whole flush, and routes one
-repair pass to exactly the queries whose patterns use a flipped predicate.
-
-``eligibility_scope='per-query'`` (pool- or per-register) keeps the
-private-copy fallback, which the differential fuzz harness pits against
-this substrate flush for flush.
+Every query registered with the pool leases its candidate sets here;
+there is no private-copy path inside a pool (standalone indexes still
+compute their own sets).  The pool hands each flush's node events to
+:meth:`observe_events` in one batch during flush phase A, gets back the
+net *flips* (gained/lost predicate verdicts), and routes one repair pass
+to exactly the queries whose patterns use a flipped predicate.
 """
 
 from __future__ import annotations

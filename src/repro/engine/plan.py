@@ -386,12 +386,19 @@ class PlannedQuery(ContinuousQuery):
         self,
         name: str,
         pattern: Pattern,
-        graph: DiGraph,
+        pool,
         semantics: str,
         adapter: PlanAdapter,
     ) -> None:
         self._adapter = adapter
-        super().__init__(name, pattern, graph, semantics=semantics)
+        super().__init__(
+            name,
+            pattern,
+            pool.graph,
+            semantics=semantics,
+            substrate=pool.substrate,
+            eligibility=pool.eligibility,
+        )
 
     def _build_index(
         self, pattern, graph, semantics, distance_mode, max_embeddings,
@@ -473,7 +480,7 @@ class SharedPlan:
         join.leases += 1
         adapter = PlanAdapter(self, join, canon.renaming)
         join.consumers.append(adapter)
-        query = PlannedQuery(name, pattern, self.pool.graph, semantics, adapter)
+        query = PlannedQuery(name, pattern, self.pool, semantics, adapter)
         adapter.query = query
         return query
 

@@ -11,8 +11,8 @@ against one evolving graph).  Per flush the pool:
    insert/delete pair of the same edge costs nothing anywhere;
 2. routes every surviving update through the
    :class:`~repro.engine.router.UpdateRouter` to the subset of queries
-   whose candidate space it can touch — eq-keys and endpoint predicates
-   for simulation/iso/bound-1 queries, the per-query ``can_affect_edge``
+   whose candidate space it can touch — eq-keys and shared-set endpoint
+   confirms for simulation/iso/bound-1 queries, the ``can_affect_edge``
    distance oracle for bound-k queries — so queries outside the subset do
    **zero** repair work;
 3. mutates the shared graph exactly once, invoking each routed query's
@@ -23,23 +23,18 @@ against one evolving graph).  Per flush the pool:
 4. pops each touched query's match delta and publishes it to the query's
    change feeds.
 
-Distance structures for bounded queries default to the pool-level
-:class:`~repro.engine.distances.SharedDistanceSubstrate`
-(``distance_scope='shared'``): one landmark index / matrix / ball-field
-set per pool, synced exactly once per flush phase however many queries
-lease it.  ``distance_scope='per-query'`` (pool- or query-level) keeps
-the private-structure fallback, whose upkeep the flush pays once per
-observing query.
-
-Predicate eligibility likewise defaults to the pool-level
-:class:`~repro.engine.eligibility.SharedEligibilityIndex`
-(``eligibility_scope='shared'``): one version-counted eligible-node set
-per *distinct* predicate, updated once per node event, with queries
-leasing read-views — so per-flush predicate evaluations scale with
-distinct predicates, not pool size.  Node events then route as predicate
-*flips* (:meth:`UpdateRouter.route_flips`) instead of per-query predicate
-re-evaluation.  ``eligibility_scope='per-query'`` keeps the private
-candidate-set fallback.
+Every registered query reads one set of pool-level auxiliary structures
+(the "one maintained structure per sub-formula" shape of answering
+queries under updates).  Predicate eligibility lives in the
+:class:`~repro.engine.eligibility.SharedEligibilityIndex`: one
+version-counted eligible-node set per *distinct* predicate, updated once
+per node event, with queries leasing read-views — so per-flush predicate
+evaluations scale with distinct atoms, not pool size, and node events
+route as predicate *flips* (:meth:`UpdateRouter.route_flips`).  Bounded
+queries lease their distance structures from the
+:class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
+index / matrix / interval oracle / ball-field set per pool, synced
+exactly once per flush phase however many queries lease it.
 
 A pool constructed with ``window=...`` (or fed per-insert ``ttl``
 overrides) is **temporal**: every inserted edge is stamped with a logical
@@ -60,6 +55,7 @@ view over a one-query pool, so both paths share this plumbing.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -76,21 +72,30 @@ from .plan import SharedPlan
 from .query import ContinuousQuery
 from .router import UpdateRouter
 
-DISTANCE_SCOPES = ("shared", "per-query")
-ELIGIBILITY_SCOPES = ("shared", "per-query")
 PLAN_SCOPES = ("shared", "per-query")
 
 
-def _check_scope(
-    scope: str,
-    name: str = "distance_scope",
-    allowed: Tuple[str, ...] = DISTANCE_SCOPES,
-) -> str:
-    if scope not in allowed:
+def _check_scope(scope: str) -> str:
+    if scope not in PLAN_SCOPES:
         raise ValueError(
-            f"{name} must be one of {allowed}, got {scope!r}"
+            f"plan_scope must be one of {PLAN_SCOPES}, got {scope!r}"
         )
     return scope
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Reject NaN and infinities: NaN slips past every ``<``/``<=`` guard
+    (all its comparisons are false) and would poison pool time."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_lifetime(name: str, value: Optional[float]) -> None:
+    """A window or TTL, when given, is a finite positive duration."""
+    if value is not None:
+        _check_finite(name, value)
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
 class PoolStats:
@@ -103,7 +108,6 @@ class PoolStats:
         "attr_updates",
         "routed_pairs",
         "skipped_pairs",
-        "observer_batches",
         "view_repairs",
         "join_repairs",
         "join_pair_updates",
@@ -123,10 +127,6 @@ class PoolStats:
         self.attr_updates = 0
         self.routed_pairs = 0
         self.skipped_pairs = 0
-        # Per-query distance-structure syncs paid by the observers path
-        # (one per observing query per edge batch); the shared substrate's
-        # counterpart is SubstrateStats.structure_batches.
-        self.observer_batches = 0
         # Shared-plan counters.  view_repairs counts views with a
         # nonempty pair delta per flush — the quantity that must scale
         # with *distinct legs*, not registered queries; join_repairs /
@@ -190,14 +190,13 @@ class MatcherPool:
     def __init__(
         self,
         graph: DiGraph,
-        distance_scope: str = "shared",
-        eligibility_scope: str = "shared",
         plan_scope: str = "per-query",
         lm_budget: Optional[LandmarkBudget] = None,
         graph_backend: Optional[str] = None,
         window: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
+        _check_lifetime("window", window)
         # ``graph_backend`` selects the storage backend every consumer in
         # this pool runs on: ``'dict'`` (plain DiGraph) or ``'columnar'``
         # (dense-id columns; see graphs/columnar.py).  The input graph is
@@ -212,19 +211,10 @@ class MatcherPool:
         self.graph = graph
         self.graph_backend = type(graph).backend_name()
         self.stats = PoolStats()
-        # One distance structure per (graph, distance_mode), leased by all
-        # bounded queries registered with scope 'shared' (the default) and
-        # synced exactly once per flush phase below.  'per-query' queries
-        # keep owning private structures (the observers path).
-        self.distance_scope = _check_scope(distance_scope)
         # One eligible-node set per distinct predicate, leased by every
-        # query registered with eligibility scope 'shared' (the default)
-        # and by the distance substrate's ball fields / leg minima.  The
-        # index always exists — even an all-per-query pool needs it for
-        # shared distance structures' member sets.
-        self.eligibility_scope = _check_scope(
-            eligibility_scope, "eligibility_scope", ELIGIBILITY_SCOPES
-        )
+        # query and by the distance substrate's ball fields / leg minima;
+        # one distance structure per (graph, distance_mode), leased by all
+        # bounded queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)
         self.substrate = SharedDistanceSubstrate(
             graph, eligibility=self.eligibility, lm_budget=lm_budget
@@ -234,7 +224,7 @@ class MatcherPool:
         # interned leg views and join their match relations from the
         # views' deltas instead of owning private indexes.  The default
         # is 'per-query' — sharing is opt-in per pool or per register.
-        self.plan_scope = _check_scope(plan_scope, "plan_scope", PLAN_SCOPES)
+        self.plan_scope = _check_scope(plan_scope)
         self.plan = SharedPlan(self)
         self._router = UpdateRouter()
         self._queries: Dict[str, ContinuousQuery] = {}
@@ -248,8 +238,6 @@ class MatcherPool:
         # it.  Expiry bookkeeping is a stamp map plus a lazy min-heap
         # (stale heap entries — stamp refreshed or edge deleted — are
         # skipped at pop time instead of being removed eagerly).
-        if window is not None and window <= 0:
-            raise ValueError(f"window must be > 0, got {window!r}")
         self.window = window
         self._clock = clock
         self._now: float = clock() if clock is not None else 0.0
@@ -289,6 +277,7 @@ class MatcherPool:
                 "pool time follows the supplied clock; advance() is only "
                 "for logical-clock pools"
             )
+        _check_finite("ts", ts)
         if ts < self._now:
             raise ValueError(
                 f"cannot advance pool time backwards: now={self._now}, "
@@ -307,32 +296,26 @@ class MatcherPool:
         name: Optional[str] = None,
         distance_mode: str = "bfs",
         max_embeddings: Optional[int] = None,
-        distance_scope: Optional[str] = None,
-        eligibility_scope: Optional[str] = None,
         plan_scope: Optional[str] = None,
         ttl: Optional[float] = None,
     ) -> ContinuousQuery:
         """Register a standing query; its index is built immediately.
 
         Pending (unflushed) updates are flushed first so the new index is
-        born consistent with every already-registered query.
-        ``distance_scope`` / ``eligibility_scope`` override the pool
-        defaults for this query: ``'shared'`` leases distance structures /
-        eligible sets from the pool substrates, ``'per-query'`` owns
-        private ones.  ``plan_scope='shared'`` rewrites the query against
-        the pool's multi-query plan (interned leg views + shared joins;
-        see :mod:`repro.engine.plan`) — on that path the query's match
-        relation lives in a shared join, whose views always use the
-        pool's substrate and eligibility, so the distance/eligibility
-        scope overrides do not apply.  Isomorphism queries are not
-        plannable and silently take the per-query path.
+        born consistent with every already-registered query.  The index
+        leases its eligible sets from the pool's eligibility substrate
+        and, for bounded semantics, its distance structures from the
+        pool's distance substrate.  ``plan_scope='shared'`` rewrites the
+        query against the pool's multi-query plan (interned leg views +
+        shared joins; see :mod:`repro.engine.plan`) — on that path the
+        query's match relation lives in a shared join.  Isomorphism
+        queries are not plannable and silently take the per-query path.
 
         ``ttl`` gives the query itself a lifetime: once pool time passes
         ``now + ttl`` the next flush auto-unregisters it (leases released,
         feeds closed) before doing any other work.
         """
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be > 0, got {ttl!r}")
+        _check_lifetime("ttl", ttl)
         if self._pending_edges or self._pending_nodes:
             self.flush()
         if name is None:
@@ -342,9 +325,7 @@ class MatcherPool:
             name = f"q{n}"
         if name in self._queries:
             raise ValueError(f"query name {name!r} already registered")
-        pscope = _check_scope(
-            plan_scope or self.plan_scope, "plan_scope", PLAN_SCOPES
-        )
+        pscope = _check_scope(plan_scope or self.plan_scope)
         if pscope == "shared" and self.plan.plannable(semantics):
             query = self.plan.build_query(
                 name, pattern, semantics, distance_mode
@@ -353,18 +334,6 @@ class MatcherPool:
                 query.expires_at = self._now + ttl
             self._queries[name] = query
             return query
-        scope = _check_scope(distance_scope or self.distance_scope)
-        substrate = (
-            self.substrate
-            if scope == "shared" and semantics == "bounded"
-            else None
-        )
-        escope = _check_scope(
-            eligibility_scope or self.eligibility_scope,
-            "eligibility_scope",
-            ELIGIBILITY_SCOPES,
-        )
-        eligibility = self.eligibility if escope == "shared" else None
         query = ContinuousQuery(
             name,
             pattern,
@@ -372,8 +341,8 @@ class MatcherPool:
             semantics=semantics,
             distance_mode=distance_mode,
             max_embeddings=max_embeddings,
-            substrate=substrate,
-            eligibility=eligibility,
+            substrate=self.substrate,
+            eligibility=self.eligibility,
         )
         if ttl is not None:
             query.expires_at = self._now + ttl
@@ -439,8 +408,9 @@ class MatcherPool:
                     "ts/ttl apply to insertions only; "
                     f"got a {update.op!r} update for {update.edge!r}"
                 )
-            if ttl is not None and ttl <= 0:
-                raise ValueError(f"ttl must be > 0, got {ttl!r}")
+            if ts is not None:
+                _check_finite("ts", ts)
+            _check_lifetime("ttl", ttl)
         if update.op == "insert" and (self.temporal or ttl is not None):
             self._pending_stamps[update.edge] = (ts, ttl)
         self._pending_edges.append(update)
@@ -583,52 +553,25 @@ class MatcherPool:
         plan_flips: List[Tuple[Predicate, Node, bool]] = []
 
         # ---- Phase A: node additions / attribute merges ----------------
-        # Per-query-eligibility queries route by predicate re-evaluation
-        # (legacy stages), once per node event; shared-eligibility queries
-        # route by the flips the substrate reports.  Node events are
-        # collected across the whole batch and handed to the substrate as
-        # ONE ``observe_events`` call *after* the per-event loop: the
+        # Node events are collected across the whole batch and handed to
+        # the eligibility substrate as ONE ``observe_events`` call: the
         # substrate evaluates each distinct atom column-major over all its
         # touched nodes (vectorized on the columnar backend), diffing
         # final verdicts against pre-batch posting sets — which yields the
         # net flips per (predicate, node) directly, transient flip pairs
-        # never materializing.  Deferring observation past the legacy
-        # repairs is sound because phase A performs no edge edits: legacy
-        # repairs consult attr-independent distance structures and their
-        # own private eligible sets, never the shared postings.  The net
-        # flips are then delivered as ONE routing + repair pass per flush:
-        # the sets are final by then, so batched repair reaches the same
-        # fixpoint as the per-event interleaving, without per-event
-        # routing overhead.  Fresh (edge-less) phase-A nodes ride the same
-        # batch: their gains are exactly the predicates they satisfy, and
-        # index adoption from final sets is equivalent to per-event
-        # apply_node_added.
+        # never materializing.  The net flips are then delivered as ONE
+        # routing + repair pass per flush: the sets are final by then, so
+        # batched repair reaches the same fixpoint as the per-event
+        # interleaving, without per-event routing overhead.  Fresh
+        # (edge-less) phase-A nodes ride the same batch: their gains are
+        # exactly the predicates they satisfy, and index adoption from
+        # final sets is equivalent to per-event apply_node_added.
         report.attr_ops = len(node_ops)
-        legacy_scope = sum(1 for q in routed_pop if not q.shared_eligibility)
-        flip_scope = len(routed_pop) - legacy_scope
         events: List[Tuple[Node, Optional[Iterable[str]], bool]] = []
         for v, attrs in node_ops:
-            if self.graph.has_node(v):
-                old = dict(self.graph.attrs(v))
-                merged = dict(old)
-                merged.update(attrs)
-                legacy = self._router.route_attr_change(
-                    old, merged, attrs.keys()
-                )
-                self.graph.add_node(v, **attrs)
-                events.append((v, list(attrs.keys()), False))
-                for q in legacy:
-                    q.apply_attr_update(v, attrs)
-                    touched[id(q)] = q
-            else:
-                self.graph.add_node(v, **attrs)
-                events.append((v, None, True))
-                legacy = self._router.route_node(self.graph.attrs(v))
-                for q in legacy:
-                    q.apply_node_added(v, attrs)
-                    touched[id(q)] = q
-            report.routed += len(legacy)
-            report.skipped += legacy_scope - len(legacy)
+            is_new = not self.graph.has_node(v)
+            self.graph.add_node(v, **attrs)
+            events.append((v, None if is_new else list(attrs), is_new))
         net_flips = (
             self.eligibility.observe_events(events) if events else []
         )
@@ -644,10 +587,10 @@ class MatcherPool:
                 q.apply_eligibility_flip_batch(by_node)
                 touched[id(q)] = q
             report.routed += len(flipped)
-            report.skipped += flip_scope - len(flipped)
-        elif node_ops and flip_scope:
+            report.skipped += len(routed_pop) - len(flipped)
+        elif node_ops:
             # The batch decision still happened: no flips, nobody routed.
-            report.skipped += flip_scope
+            report.skipped += len(routed_pop)
 
         # ---- Phase B: coalesce edge updates ----------------------------
         net = net_updates(self.graph, edge_ops)
@@ -655,17 +598,11 @@ class MatcherPool:
         self.stats.net_edge_updates += len(net)
         deletions = [u.edge for u in net if u.op == "delete"]
         insertions = [u.edge for u in net if u.op == "insert"]
-        # Queries whose distance structures (landmark vectors, matrix,
-        # eligible-ball summary) must see every net edge update — cheap
-        # structure upkeep, distinct from routed pair-level repair.
-        observers = [
-            q for q in self._queries.values() if q.observes_all_edges
-        ]
 
         # ---- Phase C: deletions (route -> prep -> edit -> observe ->
         # repair).  Routing and prep consult the *pre-edit* graph and
-        # distance structures: a broken pair's old witness path decomposes
-        # over pre-deletion distances.
+        # substrate: a broken pair's old witness path decomposes over
+        # pre-deletion distances.
         routed_dels: Dict[
             int, Tuple[ContinuousQuery, List[Tuple[Node, Node]]]
         ] = {}
@@ -689,14 +626,11 @@ class MatcherPool:
             self.graph.remove_edge(v, w)
         if deletions:
             self.substrate.observe_deleted(deletions)
-            self.stats.observer_batches += len(observers)
-            for q in observers:
-                q.observe_deletions(deletions)
         for q, prep in prepared:
             q.repair_deletions(prep)
 
         # ---- Phase D: insertions (edit -> observe -> route -> repair ->
-        # fresh nodes).  Routing happens *after* the edit and structure
+        # fresh nodes).  Routing happens *after* the edit and substrate
         # observation so the distance oracle sees the whole batch — a
         # witness path may thread several same-flush insertions.
         fresh_nodes: List[Node] = []
@@ -712,8 +646,7 @@ class MatcherPool:
         # flip listeners pin them) for its routing verdicts on this very
         # batch to be sound.  An attribute-less node gains exactly the
         # trivial predicates, so the union is the same for every fresh
-        # node; it drives the shared-eligibility wildcard announcements
-        # below.
+        # node; it drives the wildcard announcements below.
         fresh_gains: Set[Predicate] = set()
         for node in fresh_nodes:
             gains = self.eligibility.observe_node_added(node)
@@ -721,9 +654,6 @@ class MatcherPool:
             plan_flips.extend((p, node, g) for p, g in gains)
         if insertions:
             self.substrate.observe_inserted(insertions)
-            self.stats.observer_batches += len(observers)
-            for q in observers:
-                q.observe_insertions(insertions)
         routed_ins: Dict[
             int, Tuple[ContinuousQuery, List[Tuple[Node, Node]]]
         ] = {}
@@ -742,13 +672,13 @@ class MatcherPool:
         for q, edges in routed_ins.values():
             q.repair_insertions(edges)
         # Fresh attribute-less endpoints can still match wildcard (TRUE)
-        # predicates — e.g. a childless or single-node pattern — so they
-        # are announced after edge repair (registration is idempotent).
-        # One routing decision covers the whole fresh-node set, so it is
-        # counted once per flush, not once per node.
+        # predicates — e.g. a childless or single-node pattern — so the
+        # queries using a gained predicate are announced after edge repair
+        # (registration is idempotent).  One routing decision covers the
+        # whole fresh-node set, so it is counted once per flush, not once
+        # per node.
         if fresh_nodes:
-            wildcard_queries = self._router.route_node({})
-            wildcard_queries += self._router.route_flips(fresh_gains)
+            wildcard_queries = self._router.route_flips(fresh_gains)
             for node in fresh_nodes:
                 for q in wildcard_queries:
                     q.apply_node_added(node, {})
@@ -838,8 +768,8 @@ class MatcherPool:
         return dict(self._edge_stamps)
 
     def rebuild_counters(self) -> Dict[str, int]:
-        """Cumulative full-structure rebuild counts across every substrate
-        this pool maintains — shared and per-query alike.
+        """Cumulative full-structure rebuild counts of the pool's distance
+        substrate, plus their ``total``.
 
         The temporal test suites snapshot this around an expiry flush to
         assert bulk expiry rides the decremental repair paths: ball
@@ -848,12 +778,6 @@ class MatcherPool:
         them rebuild from scratch.
         """
         counters = dict(self.substrate.rebuild_counters())
-        per_query = 0
-        for q in list(self._queries.values()) + self.plan.views():
-            counts = getattr(q.index, "structure_rebuilds", None)
-            if counts is not None:
-                per_query += counts()
-        counters["per_query_rebuilds"] = per_query
         counters["total"] = sum(counters.values())
         return counters
 

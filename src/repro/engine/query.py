@@ -38,18 +38,19 @@ def build_index(
     semantics: str,
     distance_mode: str = "bfs",
     max_embeddings: Optional[int] = None,
-    substrate=None,
-    eligibility=None,
+    *,
+    substrate,
+    eligibility,
 ):
-    """Validate and build the incremental index for one query.
+    """Validate and build the incremental index for one pool query.
 
-    ``substrate`` (a :class:`~repro.engine.distances.SharedDistanceSubstrate`)
-    makes a bounded index lease its distance structures from the pool
-    instead of owning them; other semantics ignore it.  ``eligibility``
-    (a :class:`~repro.engine.eligibility.SharedEligibilityIndex`) makes
-    any index lease its per-pattern-node eligible sets from the pool —
-    one shared member set per distinct predicate — instead of owning and
-    re-evaluating private copies.
+    Every index leases its per-pattern-node eligible sets from
+    ``eligibility`` (the pool's
+    :class:`~repro.engine.eligibility.SharedEligibilityIndex`: one shared
+    member set per distinct predicate), and a bounded index leases its
+    distance structures from ``substrate`` (the pool's
+    :class:`~repro.engine.distances.SharedDistanceSubstrate`); the other
+    semantics have no distance structures and ignore it.
     """
     if semantics not in SEMANTICS:
         raise ValueError(
@@ -95,8 +96,9 @@ class ContinuousQuery:
         semantics: str = "bounded",
         distance_mode: str = "bfs",
         max_embeddings: Optional[int] = None,
-        substrate=None,
-        eligibility=None,
+        *,
+        substrate,
+        eligibility,
         internal: bool = False,
     ) -> None:
         self.name = name
@@ -118,38 +120,25 @@ class ContinuousQuery:
         self._feeds: List[ChangeFeed] = []
         self.last_delta: Optional[MatchDelta] = None
         # --- routing signature -----------------------------------------
-        self._node_preds: List[Predicate] = [
+        # Node events route as predicate *flips* (the eligibility
+        # substrate evaluates each distinct predicate once and tells the
+        # router which verdicts changed), and endpoint confirms are
+        # member-set lookups on the shared sets.
+        self.predicates: FrozenSet[Predicate] = frozenset(
             pattern.predicate(u) for u in pattern.nodes()
-        ]
-        self._edge_pred_pairs: List[Tuple[Predicate, Predicate]] = [
-            (pattern.predicate(u), pattern.predicate(u2))
-            for u, u2 in pattern.edges()
-        ]
-        # --- shared-eligibility signature ------------------------------
-        # With a pool eligibility substrate, node events route as
-        # predicate *flips* (the substrate evaluates each distinct
-        # predicate once and tells the router which verdicts changed), and
-        # endpoint confirms become member-set lookups; the legacy
-        # per-query predicate evaluation paths stay for per-query scope.
-        self.shared_eligibility: bool = eligibility is not None
-        self.predicates: FrozenSet[Predicate] = frozenset(self._node_preds)
+        )
         self._nodes_by_pred: Dict[Predicate, List[PatternNode]] = {}
         for u in pattern.nodes():
             self._nodes_by_pred.setdefault(pattern.predicate(u), []).append(u)
-        self._edge_member_pairs: List[Tuple[Set[Node], Set[Node]]] = []
-        if eligibility is not None:
-            # The index's leases keep these entries alive for the query's
-            # lifetime; build_index ran above, so they all exist.
-            self._edge_member_pairs = [
-                (
-                    eligibility.entry(pu).members,
-                    eligibility.entry(pw).members,
-                )
-                for pu, pw in self._edge_pred_pairs
-            ]
-        self.attr_names: FrozenSet[str] = frozenset(
-            atom.attribute for pred in self._node_preds for atom in pred.atoms
-        )
+        # The index's leases keep these entries alive for the query's
+        # lifetime; the index was built above, so they all exist.
+        self._edge_member_pairs: List[Tuple[Set[Node], Set[Node]]] = [
+            (
+                eligibility.entry(pattern.predicate(u)).members,
+                eligibility.entry(pattern.predicate(u2)).members,
+            )
+            for u, u2 in pattern.edges()
+        ]
         # One representative equality atom per predicate: a node can only
         # satisfy the predicate if its attrs contain that (attr, value)
         # item, so indexing one atom yields a sound candidate superset.
@@ -157,7 +146,7 @@ class ContinuousQuery:
         # routing is invariant under predicate atom order.
         eq_keys: Set[EqKey] = set()
         wildcard = False
-        for pred in self._node_preds:
+        for pred in self.predicates:
             eq_atoms = [a for a in pred.atoms if a.op == "="]
             if eq_atoms:
                 rep = min(eq_atoms, key=lambda a: (a.attribute, repr(a.value)))
@@ -167,29 +156,14 @@ class ContinuousQuery:
         self.eq_keys: FrozenSet[EqKey] = frozenset(eq_keys)
         self.wildcard_node: bool = wildcard
         # --- edge-routing class ------------------------------------------
-        # A TRUE predicate makes brand-new (attribute-less) nodes eligible
-        # mid-flush, which no *per-query* pre-computed ball can anticipate
-        # — without a substrate such bounded queries keep observing every
-        # edge.  With a shared substrate the pool announces fresh nodes to
-        # the shared ball fields before insertion routing, so even
-        # trivial-predicate queries are soundly distance-routed.  All
-        # other bound>1 (or *) queries are distance-routed through the
-        # index's can_affect_edge oracle; bound-1 patterns stay
-        # endpoint-routed.
-        bounded = isinstance(self.index, BoundedSimulationIndex)
-        shared = bounded and self.index.substrate is not None
-        # The index's flag is the single source of truth: it also picks
-        # the can_affect_edge oracle branch, and the two must agree.
-        trivial_pred = bounded and self.index.has_trivial_pred
-        needs_distance = bounded and self.index.distance_routed()
-        self.routes_all_edges: bool = (
-            needs_distance and trivial_pred and not shared
-        )
-        self.distance_routed: bool = needs_distance and (
-            not trivial_pred or shared
-        )
-        self.observes_all_edges: bool = (
-            bounded and self.index.needs_edge_observation()
+        # Bounded queries with a bound > 1 (or *) are distance-routed
+        # through the index's can_affect_edge oracle — trivial-predicate
+        # ones included, since the pool announces fresh nodes to the
+        # shared ball fields before insertion routing.  Bound-1 patterns
+        # stay endpoint-routed.
+        self.distance_routed: bool = (
+            isinstance(self.index, BoundedSimulationIndex)
+            and self.index.distance_routed()
         )
         # --- delta bookkeeping -----------------------------------------
         if isinstance(self.index, IsoIndex):
@@ -345,56 +319,26 @@ class ContinuousQuery:
     # ------------------------------------------------------------------
     # Routing predicates (consulted by UpdateRouter)
     # ------------------------------------------------------------------
-    def touches_edge(
-        self,
-        v_attrs: Mapping[str, Any],
-        w_attrs: Mapping[str, Any],
-        v: Optional[Node] = None,
-        w: Optional[Node] = None,
-    ) -> bool:
-        """Can an edge between nodes with these attrs affect this query?
+    def touches_edge(self, v: Node, w: Node) -> bool:
+        """Can an edge (v, w) affect this query through its endpoints?
 
-        Endpoint-attribute stage only; distance-routed queries are
-        additionally consulted through :meth:`can_affect_edge`.  With a
-        shared eligibility substrate and endpoint ids supplied, the
-        confirm is a pair of member-set lookups on the shared sets (no
-        predicate re-evaluation) — sound either way, since the substrate
-        keeps the sets mirroring predicate truth through flush phase A
-        before any edge is routed.
+        Endpoint stage only; distance-routed queries are additionally
+        consulted through :meth:`can_affect_edge`.  A pair of member-set
+        lookups on the shared eligible sets per pattern edge — sound
+        because the substrate keeps the sets mirroring predicate truth
+        through flush phase A, before any edge is routed.
         """
-        if self.routes_all_edges:
-            return True
-        if self._edge_member_pairs and v is not None and w is not None:
-            return any(
-                v in src and w in tgt
-                for src, tgt in self._edge_member_pairs
-            )
         return any(
-            pu.satisfied_by(v_attrs) and pw.satisfied_by(w_attrs)
-            for pu, pw in self._edge_pred_pairs
+            v in src and w in tgt for src, tgt in self._edge_member_pairs
         )
 
     def can_affect_edge(self, v: Node, w: Node) -> bool:
         """Distance-aware oracle: can an edge update (v, w) touch a pair?
 
         Only meaningful for ``distance_routed`` queries; backed by the
-        bounded index's maintained distance structure (eligible-ball
-        summary / landmark vectors / matrix rows).
+        pool substrate's shared ball fields / leg minima / reach closures.
         """
         return self.index.can_affect_edge(v, w)
-
-    def touches_node(self, attrs: Mapping[str, Any]) -> bool:
-        """Can a node with these attrs be eligible for any pattern node?"""
-        return any(p.satisfied_by(attrs) for p in self._node_preds)
-
-    def touches_attr_change(
-        self, old_attrs: Mapping[str, Any], new_attrs: Mapping[str, Any]
-    ) -> bool:
-        """Does the old->new attr change flip any predicate's verdict?"""
-        return any(
-            p.satisfied_by(old_attrs) != p.satisfied_by(new_attrs)
-            for p in self._node_preds
-        )
 
     # ------------------------------------------------------------------
     # Repair delegation (invoked by the pool; graph already mutated
@@ -405,20 +349,6 @@ class ContinuousQuery:
         if isinstance(self.index, BoundedSimulationIndex):
             return self.index.prepare_deleted_edges(edges)
         return edges
-
-    def observe_deletions(self, edges: List[Tuple[Node, Node]]) -> None:
-        """Sync distance structures with ALL net deletions (post-edit).
-
-        Structure upkeep only — pair repair happens in
-        :meth:`repair_deletions` for the routed subset.
-        """
-        if isinstance(self.index, BoundedSimulationIndex):
-            self.index.observe_deleted_edges(edges)
-
-    def observe_insertions(self, edges: List[Tuple[Node, Node]]) -> None:
-        """Sync distance structures with ALL net insertions (post-edit)."""
-        if isinstance(self.index, BoundedSimulationIndex):
-            self.index.observe_inserted_edges(edges)
 
     def repair_deletions(self, prepared) -> None:
         self.index.repair_deleted_edges(prepared)
@@ -432,10 +362,6 @@ class ContinuousQuery:
             self.index.update_node_attrs(v, **dict(attrs))
         else:
             self.index.add_node(v, **dict(attrs))
-
-    def apply_attr_update(self, v: Node, attrs: Mapping[str, Any]) -> None:
-        """Node ``v``'s attributes changed (already merged into the graph)."""
-        self.index.update_node_attrs(v, **dict(attrs))
 
     def apply_eligibility_flips(self, v: Node, flips) -> None:
         """Shared-eligibility repair: the substrate flipped some predicate
@@ -468,6 +394,21 @@ class ContinuousQuery:
                 events.append((v, gained, lost))
         if events:
             self.index.apply_eligibility_flip_batch(events)
+
+    # Attribute changes arrive as eligibility flips and the pool substrate
+    # observes edge batches, so nothing calls these.  The names stay solely
+    # because the end-to-end benchmark's tracer (benchmarks/e2e/spans.py)
+    # looks them up on the class.
+    def observe_deletions(self, *args, **kwargs):
+        raise RuntimeError("observe_deletions was removed")
+
+    def observe_insertions(self, *args, **kwargs):
+        raise RuntimeError("observe_insertions was removed")
+
+    def apply_attr_update(self, *args, **kwargs):
+        raise RuntimeError(
+            "apply_attr_update was removed; use apply_eligibility_flip_batch"
+        )
 
     def __repr__(self) -> str:
         return (

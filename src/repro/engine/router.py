@@ -16,27 +16,20 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   an edge between unlabeled nodes can shorten or break a witness path, so
   endpoint attributes alone are unsound — instead each such query's
   :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge` oracle
-  (eligible-ball summary / landmark vectors / matrix rows) proves or
-  refutes relevance per edge;
-- bounded queries with a trivial (``TRUE``) node predicate — for which a
-  brand-new attribute-less node is instantly eligible — observe every
-  edge via the wildcard-edge bucket *only* in per-query distance scope;
-  with a shared substrate the pool announces fresh nodes to the shared
-  ball fields before insertion routing, so even those queries are
-  soundly distance-routed;
-- attribute updates route by attribute *name*: merging attributes no
-  predicate mentions cannot change any eligibility;
-- queries leasing the pool's shared eligibility substrate route node
-  events by predicate **flips** instead: the substrate evaluates each
-  distinct predicate once per event, and :meth:`route_flips` selects
-  exactly the queries whose patterns use a flipped predicate — the
-  attr-name stage, ``touches_node``, and ``touches_attr_change`` predicate
-  re-evaluations are skipped for them entirely.
+  (the pool substrate's ball fields / leg minima / reach closures) proves
+  or refutes relevance per edge.  Trivial-(``TRUE``)-predicate queries
+  are distance-routed too: the pool announces fresh nodes to the
+  substrate before insertion routing, so a brand-new attribute-less node
+  is already a ball-field source when the oracle rules;
+- node events route by predicate **flips**: the pool's eligibility
+  substrate evaluates each distinct predicate once per event, and
+  :meth:`route_flips` selects exactly the queries whose patterns use a
+  flipped predicate.
 
 Edge routing is therefore three-staged: eq-key candidate lookup, endpoint
-predicate confirm (``touches_edge`` — member-set lookups under shared
-eligibility), and the distance oracle for distance-routed queries.
-Queries that fail every stage do **zero** work for the update.
+confirm (``touches_edge`` — member-set lookups on the shared eligible
+sets), and the distance oracle for distance-routed queries.  Queries that
+fail every stage do **zero** work for the update.
 """
 
 from __future__ import annotations
@@ -55,14 +48,9 @@ class UpdateRouter:
         self._order: Dict[int, int] = {}  # registration order for stable output
         self._next_rank = 0
         self._eq: Dict[EqKey, Set[int]] = {}
-        self._by_attr: Dict[str, Set[int]] = {}
         self._wild_node: Set[int] = set()
-        self._wild_edge: Set[int] = set()
         self._dist: Set[int] = set()
-        # Shared-eligibility queries, indexed by interned predicate for
-        # flip routing; they are excluded from the legacy attr-name and
-        # node-predicate stages.
-        self._flip_routed: Set[int] = set()
+        # Queries indexed by interned predicate, for flip routing.
         self._by_pred: Dict[Predicate, Set[int]] = {}
 
     def __len__(self) -> int:
@@ -75,21 +63,14 @@ class UpdateRouter:
         self._next_rank += 1
         for key in query.eq_keys:
             self._eq.setdefault(key, set()).add(qid)
-        if query.shared_eligibility:
-            self._flip_routed.add(qid)
-            for pred in query.predicates:
-                # Unsatisfiable conjunctions never flip (the substrate
-                # keeps them as empty, upkeep-free sets), so they consume
-                # no routing bucket either.
-                if not pred.is_unsatisfiable():
-                    self._by_pred.setdefault(pred, set()).add(qid)
-        else:
-            for name in query.attr_names:
-                self._by_attr.setdefault(name, set()).add(qid)
+        for pred in query.predicates:
+            # Unsatisfiable conjunctions never flip (the substrate keeps
+            # them as empty, upkeep-free sets), so they consume no routing
+            # bucket either.
+            if not pred.is_unsatisfiable():
+                self._by_pred.setdefault(pred, set()).add(qid)
         if query.wildcard_node:
             self._wild_node.add(qid)
-        if query.routes_all_edges:
-            self._wild_edge.add(qid)
         if query.distance_routed:
             self._dist.add(qid)
 
@@ -105,21 +86,13 @@ class UpdateRouter:
                 bucket.discard(qid)
                 if not bucket:
                     del self._eq[key]
-        for name in query.attr_names:
-            bucket = self._by_attr.get(name)
-            if bucket is not None:
-                bucket.discard(qid)
-                if not bucket:
-                    del self._by_attr[name]
         for pred in query.predicates:
             bucket = self._by_pred.get(pred)
             if bucket is not None:
                 bucket.discard(qid)
                 if not bucket:
                     del self._by_pred[pred]
-        self._flip_routed.discard(qid)
         self._wild_node.discard(qid)
-        self._wild_edge.discard(qid)
         self._dist.discard(qid)
 
     # ------------------------------------------------------------------
@@ -154,30 +127,26 @@ class UpdateRouter:
     ) -> List[ContinuousQuery]:
         """Queries an edge update between ``v`` and ``w`` can affect.
 
-        Three stages:
+        Two stages:
 
         1. eq-key candidate lookup on both endpoints' attrs, confirmed by
-           the endpoint predicate pairing (``touches_edge``) — sound and
-           complete for simulation/isomorphism semantics and bound-1
-           bounded patterns (an edge only enters their bookkeeping when
-           its endpoints can play adjacent pattern nodes);
-        2. the wildcard-edge bucket (trivial-predicate bounded queries);
-        3. for distance-routed queries not already selected, the
-           per-query ``can_affect_edge`` oracle — an endpoint-predicate
-           pairing (a possible direct pair) also routes them without an
-           oracle consult.
+           the endpoint pairing (``touches_edge``) — sound and complete
+           for simulation/isomorphism semantics and bound-1 bounded
+           patterns (an edge only enters their bookkeeping when its
+           endpoints can play adjacent pattern nodes);
+        2. for distance-routed queries not already selected, the
+           ``can_affect_edge`` oracle — an endpoint pairing (a possible
+           direct pair) also routes them without an oracle consult.
 
-        Callers must time the call against the query's distance
+        Callers must time the call against the pool's distance
         structures: pre-edit for deletions, post-``observe`` for
         insertions (see :meth:`MatcherPool.flush`).
         """
         cands = self._node_candidates(v_attrs) & self._node_candidates(w_attrs)
-        selected = set(self._wild_edge)
+        selected: Set[int] = set()
         for qid in cands:
-            if qid in selected:
-                continue
             q = self._queries[qid]
-            if q.touches_edge(v_attrs, w_attrs, v, w):
+            if q.touches_edge(v, w):
                 selected.add(qid)
             elif qid in self._dist and q.can_affect_edge(v, w):
                 selected.add(qid)
@@ -189,47 +158,10 @@ class UpdateRouter:
                     selected.add(qid)
         return self._sorted(selected)
 
-    def route_node(self, attrs: Mapping[str, Any]) -> List[ContinuousQuery]:
-        """Per-query-eligibility queries for which a (new) node with these
-        attrs is eligible.
-
-        Shared-eligibility queries are excluded — the pool routes them
-        through :meth:`route_flips` with the gains the substrate reported
-        for the node, so their predicates are never re-evaluated here.
-        """
-        return [
-            q
-            for q in self._sorted(
-                self._node_candidates(attrs) - self._flip_routed
-            )
-            if q.touches_node(attrs)
-        ]
-
-    def route_attr_change(
-        self,
-        old_attrs: Mapping[str, Any],
-        new_attrs: Mapping[str, Any],
-        changed_names,
-    ) -> List[ContinuousQuery]:
-        """Per-query-eligibility queries whose eligibility the old->new
-        attr merge can flip (shared-eligibility queries route through
-        :meth:`route_flips` instead)."""
-        cands: Set[int] = set()
-        for name in changed_names:
-            bucket = self._by_attr.get(name)
-            if bucket:
-                cands.update(bucket)
-        return [
-            q
-            for q in self._sorted(cands)
-            if q.touches_attr_change(old_attrs, new_attrs)
-        ]
-
     def route_flips(
         self, predicates: Iterable[Predicate]
     ) -> List[ContinuousQuery]:
-        """Shared-eligibility queries whose patterns use a flipped
-        predicate.
+        """Queries whose patterns use a flipped predicate.
 
         The substrate already evaluated each distinct predicate exactly
         once for the node event; this stage is pure dict lookups, so the
@@ -242,3 +174,12 @@ class UpdateRouter:
             if bucket:
                 selected.update(bucket)
         return self._sorted(selected)
+
+    # Node events route only through route_flips.  These two names stay
+    # solely because the end-to-end benchmark's tracer
+    # (benchmarks/e2e/spans.py) looks them up on the class.
+    def route_node(self, *args, **kwargs):
+        raise RuntimeError("route_node was removed; use route_flips")
+
+    def route_attr_change(self, *args, **kwargs):
+        raise RuntimeError("route_attr_change was removed; use route_flips")

@@ -1,11 +1,12 @@
-"""Stateful differential fuzzer: shared substrates ≡ per-query ≡ batch.
+"""Stateful differential fuzzer: two shared-substrate pools ≡ batch.
 
-Two :class:`~repro.engine.pool.MatcherPool` instances — one in
-``distance_scope='shared'`` (the pool-level
-:class:`~repro.engine.distances.SharedDistanceSubstrate`), one in
-``'per-query'`` (private distance structures, the fallback path) — are
-driven through the *same* seeded random op sequence: edge insert/delete
-churn, brand-new labelled nodes, attribute flips (label *and* numeric
+Two :class:`~repro.engine.pool.MatcherPool` instances — both leasing every
+query's eligible sets from the pool's
+:class:`~repro.engine.eligibility.SharedEligibilityIndex` and every
+bounded query's distance structures from its
+:class:`~repro.engine.distances.SharedDistanceSubstrate` — are driven
+through the *same* seeded random op sequence: edge insert/delete churn,
+brand-new labelled nodes, attribute flips (label *and* numeric
 ``score``) that gain/lose eligibility mid-stream — including for
 conjunction predicates like ``label = A & score > 1`` whose canonical
 interning the eligibility substrate relies on.  All conjunctions draw
@@ -13,73 +14,71 @@ from one tiny shared atom vocabulary (3 label-eq × 3 score atoms), so
 distinct predicates overlap on atoms and the atom-tier posting sets are
 multiply leased; a few are trivially unsatisfiable (two different
 label-eq atoms) and must stay upkeep-free without perturbing sibling
-conjunctions on the same atoms.  The stream also wires attribute-less fresh
-nodes wired mid-flush, and query register/unregister mid-stream (which
+conjunctions on the same atoms.  The stream also wires attribute-less
+fresh nodes mid-flush, and query register/unregister mid-stream (which
 exercises substrate lease/release and structure drop/rebuild).  Queries
 mix all three semantics — mostly bounded (the distance substrate's
 clients) with simulation and isomorphism blended in — so every index
-family's shared-eligibility paths (flip adoption, withdrawal cascades,
-embedding re-anchoring) run under the same churn.
+family's flip adoption, withdrawal cascades and embedding re-anchoring
+run under the same churn.
 
-The sweep runs once per ``(distance mode × eligibility scope × graph
-backend × kernel mode)``: the shared-distance pool takes the
-parametrized ``eligibility_scope`` and ``graph backend`` while the
-per-query-distance pool takes the *opposite* of each, so all four
-(distance, eligibility) scope combinations are differentially exercised
-across the two scope values — and every sequence is simultaneously a
-dict ≡ columnar backend differential, because the two pools run the
-same op stream on opposite storage layouts and their graphs are
-asserted equal (via the backend-generic ``DiGraph.__eq__``) after every
-flush.  The ``REPRO_KERNELS`` sweep makes each of those sequences also
-a kernel differential: under ``numpy`` the columnar-backed pool runs
-the vectorized atom/BFS/condensation kernels while the dict-backed pool
-runs the pure-Python twins over the identical op stream, so the
-per-flush cross-pool equality checks gate numpy ≡ python equivalence
-end to end (under ``python`` both pools run the twins).  Distance modes
-cover all four structures, including the SCC-interval reachability
-oracle (``mode='interval'``).  After every flush, each registered
-query's match set under both pools must equal a from-scratch batch
-recomputation (:func:`~repro.matching.bounded.bounded_match`) on the
-current graph, and the eligibility member sets, ball fields, and leased
-minima must pass their exactness invariants.  ``check_oracles`` probes
-``can_affect_edge`` over every node pair at quiescence: exact for the
-radius-capped modes, and — after forcing a clean labelling — exact
-against the *reachability* ground truth for interval mode (whose
-routing answer is by design the radius-free over-approximation).
+The sweep runs once per ``(distance mode × plan scope × graph backend ×
+kernel mode)``.  The first pool takes the parametrized plan scope and
+graph backend, its twin the *opposite* of each: every sequence pits
+per-query indexes against the shared multi-query plan's leg views and
+joins (both reading the same substrates), and is simultaneously a dict ≡
+columnar backend differential — the two pools run the same op stream on
+opposite storage layouts and their graphs are asserted equal (via the
+backend-generic ``DiGraph.__eq__``) after every flush.  The
+``REPRO_KERNELS`` sweep makes each of those sequences also a kernel
+differential: under ``numpy`` the columnar-backed pool runs the
+vectorized atom/BFS/condensation kernels while the dict-backed pool runs
+the pure-Python twins over the identical op stream (under ``python``
+both pools run the twins).  Distance modes cover all four structures,
+including the SCC-interval reachability oracle (``mode='interval'``).
+After every flush, each registered query's match set under both pools
+must equal a from-scratch batch recomputation
+(:func:`~repro.matching.bounded.bounded_match`) on the current graph,
+and the eligibility member sets, ball fields, and leased minima must pass
+their exactness invariants.  ``check_oracles`` probes ``can_affect_edge``
+of every distance-routed query and leg view over every node pair at
+quiescence: exact for the radius-capped modes, and — after forcing a
+clean labelling — exact against the *reachability* ground truth for
+interval mode (whose routing answer is by design the radius-free
+over-approximation).
 
 All randomness flows from ``random.Random`` seeds derived from a pinned
 base, so every failure message names the exact seed that replays it:
 
     SHARED_SUBSTRATE_SEQUENCES=1 PYTHONPATH=src python -m pytest \
-        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared]"
+        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared-dict-python]"
 
-then rerun ``_run_sequence(<seed>, "<mode>", "<eligibility scope>")``
-from a REPL, or simply re-run the test — the sweep is deterministic end
-to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES`` (default 200 sequences
-per (distance mode × eligibility scope)).
+then rerun ``_run_sequence(<seed>, "<mode>", "<plan scope>",
+"<backend>")`` from a REPL, or simply re-run the test — the sweep is
+deterministic end to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES``
+(default 200 sequences per parametrization).
 
 Mutation-tested: the sweep (at its default scale) catches each of these
-bugs injected one at a time into the new eligibility substrate —
-(1) ``observe_attr_change`` forgetting to notify loss listeners (ball
-sources never unpin), (2) ``observe_attr_change`` reporting a loss flip
-without removing the member (set/report desync, caught by the member
-invariants), (3) ``route_flips`` dropping lost-only flips (demotions
-never routed), (4) incsim's shared-layer adoption skipping the
-support-counter init (KeyError / drift on later cascades), and (5) the
-pool announcing fresh-node gains only *after* insertion routing
-(trivial-predicate balls lack the pinned distance-0 sources when the
-oracle rules on the very batch that wired them, so same-flush witness
-paths are declined), and (6) the atom tier's ``_reconcile`` deriving a
-conjunction's membership from its *first* atom's posting set alone
-(sibling atoms ignored — overlapping conjunctions diverge as soon as
-one shared atom flips while another still fails), and (7) the interval
-reachability oracle notified of insertions via ``notify_edges_deleted``
-(insert-staleness: new edges fall under the tolerated-deletion budget
-instead of forcing the rebuild, so the closures miss freshly created
-reachability and routing falsely declines edges — caught by the
-pre-rebuild soundness pass in ``check_oracles``, in both the
-substrate's ``observe_inserted`` and the per-query
-``observe_inserted_edges``).
+bugs injected one at a time into the substrates —
+(1) the eligibility substrate's batch reconcile forgetting to notify loss
+listeners (ball sources never unpin), (2) the reconcile reporting a loss
+flip without removing the member (set/report desync, caught by the
+member invariants), (3) the pool routing only the predicates with a
+*gained* flip (demotions never routed), (4) incsim's shared-layer
+adoption skipping the support-counter init (KeyError / drift on later
+cascades), (5) the pool announcing fresh-node gains only *after*
+insertion routing (trivial-predicate balls lack the pinned distance-0
+sources when the oracle rules on the very batch that wired them, so
+same-flush witness paths are declined), (6) the atom tier's reconcile
+deriving a conjunction's membership from its *first* atom's posting set
+alone (sibling atoms ignored — overlapping conjunctions diverge as soon
+as one shared atom flips while another still fails), and (7) the
+substrate's ``observe_inserted`` notifying the interval reachability
+oracle via ``notify_edges_deleted`` (insert-staleness: new edges fall
+under the tolerated-deletion budget instead of forcing the rebuild, so
+the closures miss freshly created reachability and routing falsely
+declines edges — caught by the pre-rebuild soundness pass in
+``check_oracles``).
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 
 MODES = ["bfs", "landmark", "matrix", "interval"]
-ELIGIBILITY_SCOPES = ["shared", "per-query"]
+PLAN_SCOPES = ["shared", "per-query"]
 GRAPH_BACKENDS = ["dict", "columnar"]
 KERNEL_MODES = (
     ["numpy", "python"] if kernels.numpy_available() else ["python"]
@@ -132,7 +131,8 @@ ATOM_VOCAB_SCORE = [Atom("score", op, 1) for op in (">", ">=", "<")]
 
 
 def _random_predicate(rng: random.Random) -> Predicate:
-    """~1 in 3 trivial (TRUE, routing-soundness is scope-dependent), else
+    """~1 in 3 trivial (TRUE, routed only thanks to the fresh-node
+    announcement), else
     a conjunction over the small shared atom vocabulary — spelled in
     random conjunct order, so structurally-equal predicates exercise the
     canonical interning, and overlapping ones exercise atom-tier sharing.
@@ -175,25 +175,24 @@ class _Harness:
         self,
         seed: int,
         mode: str,
-        escope: str = "shared",
+        plan_scope: str = "shared",
         backend: str = "dict",
     ) -> None:
         self.rng = random.Random(seed)
         self.mode = mode
         base = _random_graph(self.rng)
-        other = "per-query" if escope == "shared" else "shared"
-        # The two pools always run on *opposite* graph backends, so every
-        # sequence is also a dict ≡ columnar differential: the graph
-        # equality in check() compares across backends, and every index
-        # family runs its whole op stream on both storage layouts.
+        # The twin runs the opposite plan scope on the *opposite* graph
+        # backend, so every sequence is also a dict ≡ columnar
+        # differential: the graph equality in check() compares across
+        # backends, and every index family runs its whole op stream on
+        # both storage layouts.
+        other_scope = "per-query" if plan_scope == "shared" else "shared"
         other_backend = "columnar" if backend == "dict" else "dict"
-        self.shared = MatcherPool(
-            base.copy(), distance_scope="shared", eligibility_scope=escope,
-            graph_backend=backend,
+        self.first = MatcherPool(
+            base.copy(), plan_scope=plan_scope, graph_backend=backend
         )
-        self.per_query = MatcherPool(
-            base.copy(), distance_scope="per-query", eligibility_scope=other,
-            graph_backend=other_backend,
+        self.twin = MatcherPool(
+            base.copy(), plan_scope=other_scope, graph_backend=other_backend
         )
         self.patterns = {}
         self._counter = 0
@@ -202,13 +201,13 @@ class _Harness:
             self.register()
 
     def pools(self):
-        return (self.shared, self.per_query)
+        return (self.first, self.twin)
 
     def register(self) -> None:
         """Mostly bounded queries (the distance substrate's clients), with
         a mix of simulation and isomorphism so every index family's
-        shared-eligibility paths (flip adoption, withdrawal cascades,
-        embedding re-anchoring) run under the same op stream."""
+        eligibility paths (flip adoption, withdrawal cascades, embedding
+        re-anchoring) run under the same op stream."""
         roll = self.rng.random()
         if roll < 0.6:
             semantics = "bounded"
@@ -239,8 +238,8 @@ class _Harness:
     def step(self) -> None:
         """Queue one random op batch into both pools, then flush both."""
         rng = self.rng
-        nodes = sorted(self.shared.graph.nodes(), key=repr)
-        edges = sorted(self.shared.graph.edges(), key=repr)
+        nodes = sorted(self.first.graph.nodes(), key=repr)
+        edges = sorted(self.first.graph.edges(), key=repr)
         for _ in range(rng.randint(0, 5)):
             roll = rng.random()
             if roll < 0.28 and edges:
@@ -281,16 +280,17 @@ class _Harness:
                     attrs["score"] = rng.choice(SCORES)
                 for pool in self.pools():
                     pool.queue_node(v, **attrs)
-        self.shared.flush()
-        self.per_query.flush()
+        for pool in self.pools():
+            pool.flush()
 
     def check(self) -> None:
-        assert self.shared.graph == self.per_query.graph, "graph divergence"
+        graph = self.first.graph
+        assert graph == self.twin.graph, "graph divergence"
         for name, (semantics, pattern) in sorted(self.patterns.items()):
             if semantics == "isomorphism":
                 truth_embs = {
                     frozenset(e.items())
-                    for e in iter_embeddings(pattern, self.shared.graph)
+                    for e in iter_embeddings(pattern, graph)
                 }
                 for pool in self.pools():
                     got = {
@@ -299,38 +299,30 @@ class _Harness:
                     }
                     assert got == truth_embs, (
                         f"embedding mismatch for {name} "
-                        f"(scope={pool.distance_scope}): "
+                        f"({_tag(pool)}): "
                         f"extra={got - truth_embs} "
                         f"missing={truth_embs - got}"
                     )
                 continue
             if semantics == "simulation":
-                truth = as_pairs(
-                    totalize(maximum_simulation(pattern, self.shared.graph))
-                )
+                truth = as_pairs(totalize(maximum_simulation(pattern, graph)))
             else:
-                truth = as_pairs(
-                    totalize(bounded_match(pattern, self.shared.graph))
+                truth = as_pairs(totalize(bounded_match(pattern, graph)))
+            for pool in self.pools():
+                got = as_pairs(pool.query(name).matches())
+                assert got == truth, (
+                    f"match mismatch for {name} ({_tag(pool)}): "
+                    f"extra={got - truth} missing={truth - got}"
                 )
-            got_shared = as_pairs(self.shared.query(name).matches())
-            got_per_query = as_pairs(self.per_query.query(name).matches())
-            assert got_shared == truth, (
-                f"shared-substrate mismatch for {name}: "
-                f"extra={got_shared - truth} missing={truth - got_shared}"
-            )
-            assert got_per_query == truth, (
-                f"per-query mismatch for {name}: "
-                f"extra={got_per_query - truth} "
-                f"missing={truth - got_per_query}"
-            )
         for pool in self.pools():
             pool.substrate.check_invariants()
             pool.eligibility.check_invariants()
 
     def check_oracles(self) -> None:
-        """At quiescence every distance-routed oracle must agree with the
-        textbook check on the current graph: some eligible source within
-        r possibly-empty hops of x AND y within r hops of some eligible
+        """At quiescence every distance-routed oracle — of a per-query
+        index or of a plan leg view — must agree with the textbook check
+        on the current graph: some eligible source within r
+        possibly-empty hops of x AND y within r hops of some eligible
         target, for some pattern edge.  (Mid-flush the oracle may lag by
         design — deletions consult pre-edit state — but between flushes
         exact structures admit no slack, so a stale minima cache or ball
@@ -339,7 +331,7 @@ class _Harness:
         """
         from repro.graphs.traversal import bfs_distances
 
-        graph = self.shared.graph
+        graph = self.first.graph
         nodes = sorted(graph.nodes(), key=repr)
         fwd = {v: bfs_distances(graph, v) for v in nodes}
 
@@ -348,14 +340,12 @@ class _Harness:
             return d is not None and (r is None or d <= r)
 
         interval = self.mode == "interval"
-        for name, (semantics, pattern) in sorted(self.patterns.items()):
-            if semantics != "bounded":
-                continue
-            for pool in self.pools():
-                q = pool.query(name)
+        for pool in self.pools():
+            routed = [q for q in pool.queries() if not q.planned]
+            for q in routed + pool.plan.views():
                 if not q.distance_routed:
                     continue
-                idx = q.index
+                name, pattern, idx = q.name, q.pattern, q.index
                 edges = [
                     (u, u2, pattern.bound(u, u2)) for u, u2 in pattern.edges()
                 ]
@@ -379,7 +369,7 @@ class _Harness:
                             if reach_truth:
                                 assert idx.can_affect_edge(x, y), (
                                     f"unsound interval routing for {name} "
-                                    f"(scope={pool.distance_scope}): "
+                                    f"({_tag(pool)}): "
                                     f"can_affect_edge({x!r}, {y!r}) is "
                                     f"False but the pair is reachable "
                                     f"through eligible endpoints"
@@ -414,8 +404,7 @@ class _Harness:
                         got = idx.can_affect_edge(x, y)
                         assert got == truth, (
                             f"oracle drift for {name} "
-                            f"(scope={pool.distance_scope}, "
-                            f"mode={self.mode}): "
+                            f"({_tag(pool)}, mode={self.mode}): "
                             f"can_affect_edge({x!r}, {y!r}) = {got}, "
                             f"ground truth {truth}"
                         )
@@ -423,18 +412,21 @@ class _Harness:
     def check_deep(self) -> None:
         """Pair-graph / counter drift checks — pricier, run on a sample of
         steps (isomorphism indexes have no structural invariants)."""
-        for name in self.patterns:
-            for pool in self.pools():
-                index = pool.query(name).index
-                check = getattr(index, "check_invariants", None)
+        for pool in self.pools():
+            for q in pool.queries() + pool.plan.views():
+                check = getattr(q.index, "check_invariants", None)
                 if check is not None:
                     check()
 
 
+def _tag(pool: MatcherPool) -> str:
+    return f"plan_scope={pool.plan_scope}, backend={pool.graph_backend}"
+
+
 def _run_sequence(
-    seed: int, mode: str, escope: str = "shared", backend: str = "dict"
+    seed: int, mode: str, plan_scope: str = "shared", backend: str = "dict"
 ) -> None:
-    harness = _Harness(seed, mode, escope, backend)
+    harness = _Harness(seed, mode, plan_scope, backend)
     for step in range(FLUSHES):
         roll = harness.rng.random()
         if roll < 0.15:
@@ -450,23 +442,24 @@ def _run_sequence(
 
 @pytest.mark.parametrize("kernels_mode", KERNEL_MODES)
 @pytest.mark.parametrize("backend", GRAPH_BACKENDS)
-@pytest.mark.parametrize("escope", ELIGIBILITY_SCOPES)
+@pytest.mark.parametrize("plan_scope", PLAN_SCOPES)
 @pytest.mark.parametrize("mode", MODES)
 def test_shared_substrate_differential_fuzz(
-    mode, escope, backend, kernels_mode, monkeypatch
+    mode, plan_scope, backend, kernels_mode, monkeypatch
 ):
     monkeypatch.setenv("REPRO_KERNELS", kernels_mode)
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, mode, escope, backend)
+            _run_sequence(seed, mode, plan_scope, backend)
         except AssertionError as exc:
             raise AssertionError(
                 f"differential fuzz failure: mode={mode!r} "
-                f"eligibility_scope={escope!r} backend={backend!r} "
+                f"plan_scope={plan_scope!r} backend={backend!r} "
                 f"kernels={kernels_mode!r} seed={seed} — replay with "
                 f"REPRO_KERNELS={kernels_mode} "
-                f"_run_sequence({seed}, {mode!r}, {escope!r}, {backend!r})"
+                f"_run_sequence({seed}, {mode!r}, {plan_scope!r}, "
+                f"{backend!r})"
             ) from exc
 
 
@@ -477,7 +470,7 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
     registration."""
     rng = random.Random(BASE_SEED)
     g = _random_graph(rng)
-    pool = MatcherPool(g, distance_scope="shared")
+    pool = MatcherPool(g)
     p = Pattern.from_spec(
         {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
     )

@@ -352,15 +352,6 @@ class TestPoolIntegration:
         assert q1.index.eligible["x"] is q2.index.eligible["x"]
         assert pool.eligibility.num_entries() == 2
 
-    def test_per_query_scope_keeps_private_sets(self):
-        g = _graph()
-        pool = MatcherPool(g, eligibility_scope="per-query")
-        p = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
-        q1 = pool.register(p, semantics="simulation", name="q1")
-        q2 = pool.register(p, semantics="simulation", name="q2")
-        assert q1.index.eligible["x"] is not q2.index.eligible["x"]
-        assert pool.eligibility.num_entries() == 0
-
     def test_unregister_releases_leases(self):
         g = _graph()
         pool = MatcherPool(g)
@@ -390,20 +381,6 @@ class TestPoolIntegration:
         assert any(emb["y"] == 2 for emb in qi.embeddings())
         pool.update_node_attrs(3, label="C")  # loses y for node 3
         pool.eligibility.check_invariants()
-
-    def test_scope_override_per_register(self):
-        g = _graph()
-        pool = MatcherPool(g, eligibility_scope="shared")
-        p = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
-        q1 = pool.register(p, semantics="simulation", name="q1")
-        q2 = pool.register(
-            p, semantics="simulation", name="q2",
-            eligibility_scope="per-query",
-        )
-        assert q1.shared_eligibility and not q2.shared_eligibility
-        # Both repair identically through a flip.
-        pool.update_node_attrs(2, label="B")
-        assert q1.matches() == q2.matches()
 
     def test_fresh_wired_node_reaches_shared_sets_before_routing(self):
         g = _graph()

@@ -108,16 +108,7 @@ class TestRouting:
         q = pool.register(p, semantics="bounded", name="b")
         assert isinstance(q.index, BoundedSimulationIndex)
         assert q.distance_routed
-        # Shared scope (the default): the pool substrate absorbs edge
-        # batches once, so the query itself observes nothing.
-        assert not q.observes_all_edges
-        assert not q.routes_all_edges
-        # The per-query fallback keeps the private-observer contract.
-        pq = pool.register(
-            p, semantics="bounded", name="b_pq", distance_scope="per-query"
-        )
-        assert pq.observes_all_edges
-        pool.unregister(pq)
+        assert q.index.substrate is pool.substrate
         # A 2-hop path through an unlabeled midpoint must be observed
         # even though neither endpoint satisfies any predicate.
         pool.apply([delete("a1", "b1")])
@@ -173,7 +164,7 @@ class TestRouting:
             {"x": "label = A1", "y": "label = B1"}, [("x", "y", 1)]
         )
         q = pool.register(p, semantics="bounded")
-        assert not q.routes_all_edges
+        assert not q.distance_routed
         report = pool.apply([insert("a2", "b2"), delete("a2", "b2")])
         assert report.routed == 0
         assert q.matches()["x"] == {"a1"}
@@ -279,24 +270,18 @@ class TestCoalescing:
 
 class TestDistanceModes:
     @pytest.mark.parametrize("mode", ["landmark", "matrix"])
-    @pytest.mark.parametrize("scope", ["shared", "per-query"])
     def test_bounded_distance_structures_track_pool_flushes(
-        self, mode, scope, friendfeed_pattern, friendfeed_graph
+        self, mode, friendfeed_pattern, friendfeed_graph
     ):
         from repro.matching.bounded import bounded_match
         from repro.matching.relation import totalize
 
-        pool = MatcherPool(friendfeed_graph, distance_scope=scope)
+        pool = MatcherPool(friendfeed_graph)
         q = pool.register(
             friendfeed_pattern, semantics="bounded", distance_mode=mode
         )
-        if scope == "per-query":
-            # Private aux structures see every edge themselves.
-            assert q.observes_all_edges
-        else:
-            # The pool substrate absorbs each batch once instead.
-            assert not q.observes_all_edges
-            assert q.index.substrate is pool.substrate
+        # The pool substrate absorbs each edge batch once for every query.
+        assert q.index.substrate is pool.substrate
         assert q.distance_routed  # pair repair gated by the oracle
         pool.apply([insert("Don", "Pat"), insert("Pat", "Don")])
         pool.apply([delete("Ann", "Pat"), insert("Don", "Tom")])
@@ -321,11 +306,9 @@ class TestSharedSubstrate:
         for n in ("z1", "z2", "z3"):
             g.add_node(n, label="Z")
         g.add_edge("z1", "z2")
-        pool = MatcherPool(g, distance_scope="shared")
+        pool = MatcherPool(g)
         q = pool.register(self.trivial_pattern(), semantics="bounded", name="t")
         assert q.distance_routed
-        assert not q.routes_all_edges
-        assert not q.observes_all_edges
         # Far-away churn is declined by the shared ball (z2/z3 are more
         # than 1 hop from any eligible source of x).
         report = pool.apply([insert("z2", "z3")])
@@ -343,7 +326,7 @@ class TestSharedSubstrate:
 
         g = DiGraph()
         g.add_node("a1", label="A1")
-        pool = MatcherPool(g, distance_scope="shared")
+        pool = MatcherPool(g)
         q = pool.register(self.trivial_pattern(), semantics="bounded", name="t")
         pattern = q.pattern
         report = pool.apply([insert("a1", "n1"), insert("n1", "n2")])
@@ -356,22 +339,8 @@ class TestSharedSubstrate:
         q.index.check_invariants()
         pool.substrate.check_invariants()
 
-    def test_trivial_predicate_query_still_observes_everything_per_query(self):
-        """The regression half: without a substrate no per-query ball can
-        anticipate fresh-node eligibility, so the wildcard-edge bucket
-        stays (and stays correct)."""
-        g = DiGraph()
-        g.add_node("a1", label="A1")
-        pool = MatcherPool(g, distance_scope="per-query")
-        q = pool.register(self.trivial_pattern(), semantics="bounded", name="t")
-        assert q.routes_all_edges
-        assert not q.distance_routed
-        pool.apply([insert("a1", "n1"), insert("n1", "n2")])
-        assert q.matches()["x"] == {"a1"}
-        assert {"n1", "n2"} <= q.matches()["y"]
-
     def test_landmark_structure_is_shared_across_queries(self):
-        pool = MatcherPool(two_cluster_graph(), distance_scope="shared")
+        pool = MatcherPool(two_cluster_graph())
         p1 = Pattern.from_spec(
             {"x": "label = A1", "y": "label = B1"}, [("x", "y", 2)]
         )
@@ -392,7 +361,7 @@ class TestSharedSubstrate:
         assert pool.substrate.landmark_index() is None
 
     def test_identical_pattern_edges_share_one_ball_field_pair(self):
-        pool = MatcherPool(two_cluster_graph(), distance_scope="shared")
+        pool = MatcherPool(two_cluster_graph())
         p = Pattern.from_spec(
             {"x": "label = A1", "y": "label = B1"}, [("x", "y", 2)]
         )
@@ -405,26 +374,6 @@ class TestSharedSubstrate:
         assert live["fields"] == 2       # one src + one tgt field ...
         assert live["field_leases"] == 4  # ... leased by both queries
         assert qa.matches() == qb.matches()
-
-    def test_mixed_scopes_coexist_in_one_pool(self):
-        from repro.matching.bounded import bounded_match
-        from repro.matching.relation import totalize
-
-        pool = MatcherPool(two_cluster_graph(), distance_scope="shared")
-        p = Pattern.from_spec(
-            {"x": "label = A1", "y": "label = B1"}, [("x", "y", 2)]
-        )
-        shared_q = pool.register(p, semantics="bounded", name="s")
-        private_q = pool.register(
-            p, semantics="bounded", name="p", distance_scope="per-query"
-        )
-        assert shared_q.index.substrate is pool.substrate
-        assert private_q.index.substrate is None
-        assert private_q.observes_all_edges
-        pool.apply([delete("a1", "b1"), insert("a2", "b1")])
-        truth = as_pairs(totalize(bounded_match(p, pool.graph)))
-        assert as_pairs(shared_q.matches()) == truth
-        assert as_pairs(private_q.matches()) == truth
 
 
 class TestSharedGraphConsistency:

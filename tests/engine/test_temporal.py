@@ -109,6 +109,74 @@ class TestIntakeValidation:
             pool.register(_pattern(), semantics="bounded", ttl=0.0)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTimes:
+    """NaN passes every ``<``/``<=`` guard (its comparisons are all
+    false) and an infinite time never expires or expires everything, so
+    each time input must be rejected before the pool changes at all."""
+
+    @staticmethod
+    def _live_pool():
+        pool = MatcherPool(_graph(), window=10.0)
+        pool.register(_pattern(), semantics="bounded", name="q")
+        pool.advance(2.0)
+        pool.apply([insert("a", "b")])
+        pool.queue(insert("b", "c"), ttl=3.0)
+        return pool
+
+    @staticmethod
+    def _state(pool):
+        return (
+            pool.live_edge_stamps(),
+            sorted(pool._expiry_heap),
+            dict(pool._pending_stamps),
+            pool.now,
+            pool.pending,
+            [q.name for q in pool.queries()],
+        )
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_window_rejected(self, value):
+        with pytest.raises(ValueError):
+            MatcherPool(_graph(), window=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_register_ttl_rejected(self, value):
+        pool = self._live_pool()
+        before = self._state(pool)
+        with pytest.raises(ValueError):
+            pool.register(_pattern(), semantics="bounded", ttl=value)
+        assert self._state(pool) == before
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_queue_ttl_rejected(self, value):
+        pool = self._live_pool()
+        before = self._state(pool)
+        with pytest.raises(ValueError):
+            pool.queue(insert("a", "c"), ttl=value)
+        assert self._state(pool) == before
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_queue_ts_rejected(self, value):
+        pool = self._live_pool()
+        before = self._state(pool)
+        with pytest.raises(ValueError):
+            pool.queue(insert("a", "c"), ts=value)
+        with pytest.raises(ValueError):
+            pool.apply([insert("c", "a")], ts=value)
+        assert self._state(pool) == before
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_advance_rejected(self, value):
+        pool = self._live_pool()
+        before = self._state(pool)
+        with pytest.raises(ValueError):
+            pool.advance(value)
+        assert self._state(pool) == before
+
+
 class TestBulkExpiry:
     def test_expiry_fires_only_at_flush(self):
         pool = MatcherPool(_graph(), window=5.0)
@@ -252,8 +320,7 @@ class TestCountersAndInvariants:
         )
         counters = pool.rebuild_counters()
         assert set(counters) >= {
-            "lm_rebuilds", "reach_rebuilds", "field_rebuilds",
-            "per_query_rebuilds", "total",
+            "lm_rebuilds", "reach_rebuilds", "field_rebuilds", "total",
         }
         assert counters["total"] == sum(
             v for k, v in counters.items() if k != "total"

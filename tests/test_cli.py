@@ -169,29 +169,6 @@ class TestPoolCli:
             == 2
         )
 
-    def test_distance_scope_flag(
-        self, pool_files, tmp_path, capsys, friendfeed_pattern
-    ):
-        graph, _, _, updates = pool_files
-        bounded = tmp_path / "bounded.json"
-        save_pattern(friendfeed_pattern, bounded)
-        for scope, lm_leases in (("shared", 1), ("per-query", 0)):
-            assert (
-                main([
-                    "pool", "--graph", graph,
-                    "--patterns", str(bounded),
-                    "--semantics", "bounded",
-                    "--distance-mode", "landmark",
-                    "--distance-scope", scope,
-                    "--updates", updates,
-                ])
-                == 0
-            )
-            out = json.loads(capsys.readouterr().out)
-            assert out["distance_scope"] == scope
-            assert out["shared_structures"]["landmark"] == lm_leases
-            assert out["queries"]["bounded"]["routing"] == "distance"
-
     def test_graph_backend_flag(
         self, pool_files, tmp_path, capsys, friendfeed_pattern
     ):
