@@ -61,7 +61,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.columnar import as_backend
 from ..graphs.digraph import DiGraph, Node
-from ..incremental.types import Update, delete, insert, net_updates
+from ..incremental.types import (
+    Update,
+    delete,
+    insert,
+    net_updates,
+    validate_update,
+)
 from ..landmarks.selection import LandmarkBudget
 from ..patterns.pattern import Pattern
 from ..patterns.predicate import Predicate
@@ -96,6 +102,22 @@ def _check_lifetime(name: str, value: Optional[float]) -> None:
         _check_finite(name, value)
         if value <= 0:
             raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
+def _check_node_id(v: Any) -> None:
+    try:
+        hash(v)
+    except TypeError:
+        raise TypeError(f"node ids must be hashable, got {v!r}") from None
+
+
+def _check_update(update: Update) -> None:
+    """Reject an update a flush could not apply — an unknown op or an
+    unhashable endpoint — before it is buffered, so a bad op can never
+    half-apply a flush."""
+    validate_update(update)
+    _check_node_id(update.source)
+    _check_node_id(update.target)
 
 
 class PoolStats:
@@ -402,6 +424,7 @@ class MatcherPool:
         same edge overwrites the pending stamp (last write wins, matching
         :func:`~repro.incremental.types.net_updates`).
         """
+        _check_update(update)
         if ts is not None or ttl is not None:
             if update.op != "insert":
                 raise ValueError(
@@ -421,7 +444,15 @@ class MatcherPool:
         ts: Optional[float] = None,
         ttl: Optional[float] = None,
     ) -> None:
+        """Buffer a batch of edge updates; nothing is buffered if any of
+        them is malformed (see :meth:`queue`)."""
+        updates = list(updates)
+        for u in updates:
+            _check_update(u)
         if ts is not None or ttl is not None or self.temporal:
+            if ts is not None:
+                _check_finite("ts", ts)
+            _check_lifetime("ttl", ttl)
             for u in updates:
                 self.queue(
                     u,
@@ -432,7 +463,9 @@ class MatcherPool:
             self._pending_edges.extend(updates)
 
     def queue_node(self, v: Node, **attrs: Any) -> None:
-        """Buffer a node addition / attribute merge for the next flush."""
+        """Buffer a node addition / attribute merge for the next flush
+        (an unhashable node id is rejected before anything is buffered)."""
+        _check_node_id(v)
         self._pending_nodes.append((v, dict(attrs)))
 
     @property
@@ -603,24 +636,11 @@ class MatcherPool:
         # repair).  Routing and prep consult the *pre-edit* graph and
         # substrate: a broken pair's old witness path decomposes over
         # pre-deletion distances.
-        routed_dels: Dict[
-            int, Tuple[ContinuousQuery, List[Tuple[Node, Node]]]
-        ] = {}
-        for v, w in deletions:
-            qs = self._router.route_edge(
-                v, w, self.graph.attrs(v), self.graph.attrs(w)
-            )
-            for q in qs:
-                entry = routed_dels.get(id(q))
-                if entry is None:
-                    entry = routed_dels[id(q)] = (q, [])
-                entry[1].append((v, w))
-                touched[id(q)] = q
-            report.routed += len(qs)
-            report.skipped += len(routed_pop) - len(qs)
         prepared = [
             (q, q.prepare_deletions(edges))
-            for q, edges in routed_dels.values()
+            for q, edges in self._route_edges(
+                deletions, len(routed_pop), report, touched
+            )
         ]
         for v, w in deletions:
             self.graph.remove_edge(v, w)
@@ -654,22 +674,9 @@ class MatcherPool:
             plan_flips.extend((p, node, g) for p, g in gains)
         if insertions:
             self.substrate.observe_inserted(insertions)
-        routed_ins: Dict[
-            int, Tuple[ContinuousQuery, List[Tuple[Node, Node]]]
-        ] = {}
-        for v, w in insertions:
-            qs = self._router.route_edge(
-                v, w, self.graph.attrs(v), self.graph.attrs(w)
-            )
-            for q in qs:
-                entry = routed_ins.get(id(q))
-                if entry is None:
-                    entry = routed_ins[id(q)] = (q, [])
-                entry[1].append((v, w))
-                touched[id(q)] = q
-            report.routed += len(qs)
-            report.skipped += len(routed_pop) - len(qs)
-        for q, edges in routed_ins.values():
+        for q, edges in self._route_edges(
+            insertions, len(routed_pop), report, touched
+        ):
             q.repair_insertions(edges)
         # Fresh attribute-less endpoints can still match wildcard (TRUE)
         # predicates — e.g. a childless or single-node pattern — so the
@@ -712,6 +719,31 @@ class MatcherPool:
         self.substrate.enforce_lm_budget()
         self._flushed_at = self._now
         return report
+
+    def _route_edges(
+        self,
+        edges: List[Tuple[Node, Node]],
+        population: int,
+        report: FlushReport,
+        touched: Dict[int, ContinuousQuery],
+    ) -> List[Tuple[ContinuousQuery, List[Tuple[Node, Node]]]]:
+        """Route each edge, grouping the edges per routed query (keyed by
+        ``id()``, as in ``touched``) and counting routed and skipped
+        (query, edge) pairs against a population of ``population``."""
+        routed: Dict[int, Tuple[ContinuousQuery, List[Tuple[Node, Node]]]] = {}
+        for v, w in edges:
+            qs = self._router.route_edge(
+                v, w, self.graph.attrs(v), self.graph.attrs(w)
+            )
+            for q in qs:
+                entry = routed.get(id(q))
+                if entry is None:
+                    entry = routed[id(q)] = (q, [])
+                entry[1].append((v, w))
+                touched[id(q)] = q
+            report.routed += len(qs)
+            report.skipped += population - len(qs)
+        return list(routed.values())
 
     # ------------------------------------------------------------------
     # Temporal bookkeeping

@@ -346,9 +346,7 @@ class ContinuousQuery:
     # ------------------------------------------------------------------
     def prepare_deletions(self, edges: List[Tuple[Node, Node]]):
         """Pre-deletion prep; call BEFORE the pool removes the edges."""
-        if isinstance(self.index, BoundedSimulationIndex):
-            return self.index.prepare_deleted_edges(edges)
-        return edges
+        return self.index.prepare_deleted_edges(edges)
 
     def repair_deletions(self, prepared) -> None:
         self.index.repair_deleted_edges(prepared)
@@ -358,23 +356,12 @@ class ContinuousQuery:
 
     def apply_node_added(self, v: Node, attrs: Mapping[str, Any]) -> None:
         """A node appeared in the shared graph (attrs already applied)."""
-        if isinstance(self.index, IsoIndex):
-            self.index.update_node_attrs(v, **dict(attrs))
-        else:
-            self.index.add_node(v, **dict(attrs))
+        self.index.add_node(v, **dict(attrs))
 
     def apply_eligibility_flips(self, v: Node, flips) -> None:
-        """Shared-eligibility repair: the substrate flipped some predicate
-        verdicts for ``v`` (sets already mutated); resolve the flipped
-        predicates to this pattern's nodes and repair the index without
-        re-evaluating anything."""
-        gained: List[PatternNode] = []
-        lost: List[PatternNode] = []
-        for pred, is_gain in flips:
-            for u in self._nodes_by_pred.get(pred, ()):
-                (gained if is_gain else lost).append(u)
-        if gained or lost:
-            self.index.apply_eligibility_flips(v, gained, lost)
+        """One node's flips: :meth:`apply_eligibility_flip_batch` for a
+        batch of one."""
+        self.apply_eligibility_flip_batch({v: flips})
 
     def apply_eligibility_flip_batch(
         self, by_node: Mapping[Node, List]

@@ -26,6 +26,16 @@ a data edge changes.
   suspect source, or landmark / matrix distance queries depending on
   ``distance_mode``).
 
+Both directions are implemented once, as the repair methods the pool
+runs around its shared graph: ``prepare_deleted_edges`` before the edit
+and ``repair_deleted_edges`` after it, ``repair_inserted_edges``, and
+``apply_eligibility_flip_batch`` for attribute changes.  The standalone
+``insert_edge``/``delete_edge``/``apply_batch``/``update_node_attrs`` are
+drivers over them (:class:`~repro.incremental.drivers.StandaloneDriver`):
+a unit update is a batch of one, and the distance structures a
+standalone index owns are synced by one helper,
+:meth:`BoundedSimulationIndex._sync_own_structures`.
+
 ``distance_mode``:
 
 - ``'bfs'``       — rechecks by grouped bounded BFS (default IncBMatch);
@@ -73,6 +83,7 @@ from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Bound, Pattern, PatternNode
 from ..patterns.predicate import Predicate
 from .delta import DeltaLog
+from .drivers import StandaloneDriver
 from .incsim import IncStats, SimulationIndex
 from .types import Update, delete as upd_delete, insert as upd_insert, net_updates
 
@@ -90,7 +101,7 @@ def _layered_pattern(pattern: Pattern) -> Pattern:
     return layered
 
 
-class BoundedSimulationIndex:
+class BoundedSimulationIndex(StandaloneDriver):
     """Maximum bounded simulation maintained under edge updates."""
 
     def __init__(
@@ -112,14 +123,15 @@ class BoundedSimulationIndex:
         # the routing-oracle ball fields are leased per (predicate,
         # radius, direction), and the *pool* keeps every shared structure
         # in sync.  A substrate-backed index must therefore be driven
-        # through the pool's prepare/repair entry points, not the raw
-        # insert_edge/delete_edge/apply_batch unit paths.
+        # through the pool's prepare/repair entry points, not the
+        # standalone insert_edge/delete_edge/apply_batch drivers (which
+        # sync only structures the index owns).
         self.substrate = substrate
         # A pool-level SharedEligibilityIndex (engine.eligibility): the
         # per-pattern-node eligible sets become leased read-views of one
         # shared member set per distinct predicate.  The substrate
         # mutates them; attribute churn arrives as resolved flips
-        # (apply_eligibility_flips), never via update_node_attrs.
+        # (apply_eligibility_flip_batch), never via update_node_attrs.
         self._eligibility = eligibility
         self._bounds: Dict[PatternEdge, Bound] = {
             (u, u2): pattern.bound(u, u2) for u, u2 in pattern.edges()
@@ -323,27 +335,28 @@ class BoundedSimulationIndex:
         return self._lm
 
     # ------------------------------------------------------------------
-    # Node registration
+    # Node registration and eligibility repair
     # ------------------------------------------------------------------
     def add_node(self, v: Node, **attrs) -> None:
         self.graph.add_node(v, **attrs)
         self._register_node(v)
 
     def _register_node(self, v: Node) -> None:
-        if self._eligibility is not None:
-            # Shared sets: membership is already current (the substrate
-            # evaluated each distinct predicate once for the whole pool);
-            # adopt layers whose pair node this index has not wired yet.
+        """Adopt the layers ``v`` is eligible for but not wired into yet.
+
+        A standalone index evaluates the node's predicates first; a leased
+        index reads membership off the shared sets (the substrate
+        evaluated each distinct predicate once for the whole pool).
+        """
+        if self._eligibility is None:
+            attrs = self.graph.attrs(v)
             for u in self.pattern.nodes():
-                if v in self.eligible[u] and not self._adopted(u, v):
-                    self._adopt(u, v)
-            return
-        attrs = self.graph.attrs(v)
+                if v not in self.eligible[u] and self.pattern.predicate(
+                    u
+                ).satisfied_by(attrs):
+                    self.eligible[u].add(v)
         for u in self.pattern.nodes():
-            if v in self.eligible[u]:
-                continue
-            if self.pattern.predicate(u).satisfied_by(attrs):
-                self.eligible[u].add(v)
+            if v in self.eligible[u] and not self._adopted(u, v):
                 self._adopt(u, v)
 
     def _adopted(self, u: PatternNode, v: Node) -> bool:
@@ -351,73 +364,26 @@ class BoundedSimulationIndex:
 
         The inner index's eligible set is the marker (pair-graph node
         presence alone would lie after a retire, which leaves the orphaned
-        pair node in the graph).  In per-query mode adoption coincides
-        with ``v in self.eligible[u]``; with shared sets a member may
-        predate this index's sight of it.
+        pair node in the graph).  Eligibility membership alone does not
+        say: a flip or a fresh node reaches the eligible set before the
+        index wires it.
         """
         return (u, v) in self._inner.eligible[u]
 
     def _adopt(self, u: PatternNode, v: Node) -> None:
         self._inner.add_node((u, v), **{LAYER_ATTR: u})
 
-    def update_node_attrs(self, v: Node, **attrs) -> None:
-        """Change ``v``'s attributes and repair the match.
-
-        Eligibility per pattern node is re-evaluated: a lost layer retires
-        the pair node (its pair edges are deleted with the usual cascade);
-        a gained layer materializes the node's pairs in both directions and
-        feeds them to the inner incremental simulation.
-        """
-        if self._eligibility is not None:
-            raise RuntimeError(
-                "a shared-eligibility BoundedSimulationIndex receives "
-                "attribute changes as resolved flips "
-                "(apply_eligibility_flips), driven by the pool"
-            )
-        if v not in self.graph:
-            self.add_node(v, **attrs)
-            return
-        self.graph.add_node(v, **attrs)
-        node_attrs = self.graph.attrs(v)
-        gained: List[PatternNode] = []
-        lost: List[PatternNode] = []
-        for u in self.pattern.nodes():
-            ok = self.pattern.predicate(u).satisfied_by(node_attrs)
-            was = v in self.eligible[u]
-            if ok and not was:
-                gained.append(u)
-            elif not ok and was:
-                lost.append(u)
-        for u in lost:
-            self.eligible[u].remove(v)
-        for u in gained:
-            self.eligible[u].add(v)
-        self._apply_layer_flips(v, gained, lost)
-
-    def apply_eligibility_flips(
-        self,
-        v: Node,
-        gained: List[PatternNode],
-        lost: List[PatternNode],
-    ) -> None:
-        """Repair after the shared substrate flipped ``v``'s eligibility.
-
-        The leased sets are already mutated and the flipped predicates
-        already resolved to pattern nodes, so no predicate is evaluated:
-        lost layers retire their pair nodes (with the usual pair-edge
-        cascade), gained layers materialize their pairs in both
-        directions.
-        """
-        self.apply_eligibility_flip_batch([(v, gained, lost)])
-
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
     ) -> None:
-        """Repair after the substrate flipped eligibility for a whole
-        flush's node events at once (sets already final, flips netted per
-        (predicate, node) by the pool).
+        """Repair after eligibility flipped for a batch of node events
+        (one ``(node, gained layers, lost layers)`` triple per event; the
+        eligible sets already final, flips netted per (predicate, node)).
 
+        No predicate is evaluated here: lost layers retire their pair
+        nodes (with the usual pair-edge cascade), gained layers
+        materialize their pairs in both directions.
         All losses across the batch retire first (their pair edges in one
         inner batch), then **all** gains adopt before any pair
         materialization — the final shared sets may pair a gained node
@@ -479,53 +445,6 @@ class BoundedSimulationIndex:
         if inserts:
             self._apply_pair_batch(inserts)
 
-    def _apply_layer_flips(
-        self, v: Node, gained: List[PatternNode], lost: List[PatternNode]
-    ) -> None:
-        """Pair-level repair for per-layer eligibility flips of ``v``.
-
-        Expects ``self.eligible`` to reflect the flips already (whether
-        mutated here in per-query mode or by the substrate in shared
-        mode) and ``gained``/``lost`` to name exactly the layers whose
-        adoption state must change.
-        """
-        pair_updates: List[Update] = []
-        for u in lost:
-            pv = (u, v)
-            for child in list(self._pair_graph.children(pv)):
-                pair_updates.append(upd_delete(pv, child))
-            for parent in list(self._pair_graph.parents(pv)):
-                pair_updates.append(upd_delete(parent, pv))
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-        # Retire after the edges are gone so leaf-layer matches drop too.
-        for u in lost:
-            self._inner.retire_node((u, v))
-        if not gained:
-            return
-        inserts: List[Update] = []
-        # Register all gained layers first so pairs between two layers
-        # gained in the same call (e.g. via a pattern self-cycle) are seen.
-        for u in gained:
-            self._adopt(u, v)
-        for u in gained:
-            # Outgoing pairs: targets within bound of v, per edge from u.
-            for u2 in self.pattern.children(u):
-                bound = self._bounds[(u, u2)]
-                ball = descendants_within(self.graph, v, bound)
-                for c, d in ball.items():
-                    if c in self.eligible[u2] and (bound is None or d <= bound):
-                        inserts.append(upd_insert((u, v), (u2, c)))
-            # Incoming pairs: sources reaching v, per edge into u.
-            for u0 in self.pattern.parents(u):
-                bound = self._bounds[(u0, u)]
-                ball = ancestors_within(self.graph, v, bound)
-                for a, d in ball.items():
-                    if a in self.eligible[u0] and (bound is None or d <= bound):
-                        inserts.append(upd_insert((u0, a), (u, v)))
-        if inserts:
-            self._apply_pair_batch(inserts)
-
     # ------------------------------------------------------------------
     # Distance-structure maintenance helpers
     # ------------------------------------------------------------------
@@ -554,22 +473,11 @@ class BoundedSimulationIndex:
 
     def _pairs_created_by_insert(
         self,
-        x: Node,
-        y: Node,
         bins: Dict[Bound, Dict[Node, int]],
         bouts: Dict[Bound, Dict[Node, int]],
-        pending_deletes: Optional[Set[Tuple[Tuple, Tuple]]] = None,
     ) -> List[Update]:
-        """Pair insertions unlocked by data edge (x, y) — balls are on the
-        graph that already contains the edge.
-
-        ``pending_deletes`` holds pair edges scheduled for removal in the
-        same batch but not yet applied to the pair graph: a pair that is
-        still present *and* pending deletion must be re-emitted so the
-        deletion and the re-insertion cancel (the pair genuinely survives
-        the batch).
-        """
-        pending = pending_deletes or ()
+        """Pair insertions unlocked by an inserted data edge — ``bins`` /
+        ``bouts`` are its balls on the graph that already contains it."""
         out: List[Update] = []
         for (u, u2), bound in self._bounds.items():
             bin_ball = bins[bound]
@@ -585,7 +493,7 @@ class BoundedSimulationIndex:
                     if bound is not None and da + 1 + bout_ball[c] > bound:
                         continue
                     pc = (u2, c)
-                    if not self._pair_graph.has_edge(pa, pc) or (pa, pc) in pending:
+                    if not self._pair_graph.has_edge(pa, pc):
                         out.append(upd_insert(pa, pc))
         return out
 
@@ -688,138 +596,6 @@ class BoundedSimulationIndex:
                 if d is None or (bound is not None and d > bound):
                     out.append(upd_delete((u, a), (u2, c)))
         return out
-
-    def _pairs_broken_by_delete(
-        self,
-        x: Node,
-        y: Node,
-        bins: Dict[Bound, Dict[Node, int]],
-        bouts: Dict[Bound, Dict[Node, int]],
-    ) -> List[Update]:
-        """Pair deletions caused by removing a single edge (x, y)."""
-        suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-        self._collect_suspects(bins, bouts, suspects)
-        return self._recheck_suspects(suspects)
-
-    def _matrix_insert(self, x: Node, y: Node) -> None:
-        """Min-plus update of the all-pairs matrix for an inserted edge."""
-        assert self._matrix is not None
-        self._matrix.apply_insert(x, y)
-
-    def _matrix_delete(self, edges: List[Tuple[Node, Node]]) -> None:
-        assert self._matrix is not None
-        self._matrix.apply_deletions(edges)
-
-    # ------------------------------------------------------------------
-    # IncBMatch+ / IncBMatch- : unit updates
-    # ------------------------------------------------------------------
-    def insert_edge(self, x: Node, y: Node) -> bool:
-        """IncBMatch+: insert data edge (x, y) and repair the match."""
-        self.graph.add_node(x)
-        self.graph.add_node(y)
-        self._register_node(x)
-        self._register_node(y)
-        if not self.graph.add_edge(x, y):
-            return False
-        if self._lm is not None:
-            self._lm.insert_edge(x, y)
-        if self._matrix is not None:
-            self._matrix_insert(x, y)
-        if self._reach is not None and not self._reach_leased:
-            self._reach.notify_edges_inserted()
-        bins, bouts = self._balls_around(x, y)
-        pair_updates = self._pairs_created_by_insert(x, y, bins, bouts)
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-        return True
-
-    def delete_edge(self, x: Node, y: Node) -> bool:
-        """IncBMatch-: delete data edge (x, y) and repair the match."""
-        if not self.graph.has_edge(x, y):
-            return False
-        bins, bouts = self._balls_around(x, y)  # pre-deletion balls
-        self.graph.remove_edge(x, y)
-        if self._lm is not None:
-            self._lm.delete_edge(x, y)
-        if self._matrix is not None:
-            self._matrix_delete([(x, y)])
-        if self._reach is not None and not self._reach_leased:
-            self._reach.notify_edges_deleted()
-        pair_updates = self._pairs_broken_by_delete(x, y, bins, bouts)
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-        return True
-
-    # ------------------------------------------------------------------
-    # IncBMatch : batch updates
-    # ------------------------------------------------------------------
-    def apply_batch(self, updates: Iterable[Update]) -> None:
-        """IncBMatch: one deletion phase, one insertion phase, one pair-level
-        IncMatch pass (which itself applies minDelta at the pair level)."""
-        updates = list(updates)
-        self.stats.original_updates += len(updates)
-        net = net_updates(self.graph, updates)
-        self.stats.reduced_updates += len(net)
-        deletions = [u for u in net if u.op == "delete"]
-        insertions = [u for u in net if u.op == "insert"]
-        pair_updates: List[Update] = []
-
-        # Phase D: balls on the pre-deletion graph, then edit, then recheck.
-        del_balls = [
-            (u.source, u.target, *self._balls_around(u.source, u.target))
-            for u in deletions
-        ]
-        for u in deletions:
-            self.graph.remove_edge(u.source, u.target)
-        if deletions:
-            if self._lm is not None:
-                self._lm.apply_batch(deleted=[u.edge for u in deletions])
-            if self._matrix is not None:
-                self._matrix_delete([u.edge for u in deletions])
-            if self._reach is not None and not self._reach_leased:
-                self._reach.notify_edges_deleted(len(deletions))
-        suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-        for x, y, bins, bouts in del_balls:
-            self._collect_suspects(bins, bouts, suspects)
-        if suspects:
-            pair_updates.extend(self._recheck_suspects(suspects))
-
-        # Phase I: apply all insertions first so balls see the final graph.
-        for u in insertions:
-            self.graph.add_node(u.source)
-            self.graph.add_node(u.target)
-            self._register_node(u.source)
-            self._register_node(u.target)
-            self.graph.add_edge(u.source, u.target)
-        if insertions:
-            if self._lm is not None:
-                self._lm.apply_batch(inserted=[u.edge for u in insertions])
-            if self._matrix is not None:
-                for u in insertions:
-                    self._matrix.apply_insert(u.source, u.target)
-            if self._reach is not None and not self._reach_leased:
-                self._reach.notify_edges_inserted(len(insertions))
-        pending = {
-            (pu.source, pu.target) for pu in pair_updates if pu.op == "delete"
-        }
-        for u in insertions:
-            bins, bouts = self._balls_around(u.source, u.target)
-            pair_updates.extend(
-                self._pairs_created_by_insert(
-                    u.source, u.target, bins, bouts, pending_deletes=pending
-                )
-            )
-
-        if pair_updates:
-            self._apply_pair_batch(pair_updates)
-
-    def apply_batch_naive(self, updates: Iterable[Update]) -> None:
-        """Unit-at-a-time processing (the IncBMatch_n-style baseline)."""
-        for u in updates:
-            if u.op == "insert":
-                self.insert_edge(u.source, u.target)
-            else:
-                self.delete_edge(u.source, u.target)
 
     # ------------------------------------------------------------------
     # Distance-aware routing oracle (MatcherPool plumbing)
@@ -979,29 +755,31 @@ class BoundedSimulationIndex:
         return False
 
     # ------------------------------------------------------------------
-    # Shared-graph repair (MatcherPool plumbing)
+    # IncBMatch- / IncBMatch+: repair after the graph was edited
     # ------------------------------------------------------------------
     def prepare_deleted_edges(
         self, edges: Iterable[Tuple[Node, Node]]
     ) -> List[Tuple]:
-        """Phase-D prep: balls on the *pre-deletion* graph.
+        """Deletion prep: balls on the *pre-deletion* graph.
 
-        Must be called before the pool removes the edges; the returned
-        token is handed back to :meth:`repair_deleted_edges`.
+        Must be called before the edges are removed; the returned token
+        is handed back to :meth:`repair_deleted_edges`.
         """
-        return [(x, y, *self._balls_around(x, y)) for x, y in edges]
+        return [self._balls_around(x, y) for x, y in edges]
 
     def repair_deleted_edges(self, prepared: List[Tuple]) -> None:
-        """IncBMatch- for edges already removed from the shared graph.
+        """IncBMatch- for edges already removed from the graph: suspects
+        from the pre-deletion balls, rechecked on the current graph.
 
         Distance structures are **not** synced here — the pool feeds every
         net deletion to its substrate first (routed edges are a subset, so
-        syncing here would double-apply).
+        syncing here would double-apply); the standalone driver syncs its
+        own in :meth:`_sync_own_structures`.
         """
         if not prepared:
             return
         suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-        for _, _, bins, bouts in prepared:
+        for bins, bouts in prepared:
             self._collect_suspects(bins, bouts, suspects)
         if suspects:
             pair_updates = self._recheck_suspects(suspects)
@@ -1009,11 +787,11 @@ class BoundedSimulationIndex:
                 self._apply_pair_batch(pair_updates)
 
     def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncBMatch+ for edges already present in the shared graph.
+        """IncBMatch+ for edges already added to the graph: pairs newly
+        within bound through each edge, from balls on the final graph.
 
-        Distance structures are **not** synced here — the pool feeds every
-        net insertion to its substrate before routing (so the oracle sees
-        the whole batch).
+        Distance structures are **not** synced here (see
+        :meth:`repair_deleted_edges`).
         """
         edges = list(edges)
         if not edges:
@@ -1023,12 +801,39 @@ class BoundedSimulationIndex:
             self._register_node(y)
         pair_updates: List[Update] = []
         for x, y in edges:
-            bins, bouts = self._balls_around(x, y)
             pair_updates.extend(
-                self._pairs_created_by_insert(x, y, bins, bouts)
+                self._pairs_created_by_insert(*self._balls_around(x, y))
             )
         if pair_updates:
             self._apply_pair_batch(pair_updates)
+
+    def _sync_own_structures(
+        self, deleted: List[Tuple[Node, Node]], inserted: List[Tuple[Node, Node]]
+    ) -> None:
+        """Standalone upkeep of the distance structures this index owns
+        (one ``IncLM`` batch, min-plus matrix updates, interval staleness
+        notes) after an edge batch was applied; leased structures are the
+        pool's to sync."""
+        if self.substrate is not None:
+            return
+        if self._lm is not None:
+            self._lm.apply_batch(inserted=inserted, deleted=deleted)
+        if self._matrix is not None:
+            if deleted:
+                self._matrix.apply_deletions(deleted)
+            for x, y in inserted:
+                self._matrix.apply_insert(x, y)
+        if self._reach is not None:
+            self._reach.notify_edges_deleted(len(deleted))
+            self._reach.notify_edges_inserted(len(inserted))
+
+    def apply_batch(self, updates: Iterable[Update]) -> None:
+        """IncBMatch: the batch is netted, then one deletion phase and one
+        insertion phase, each one pair-level IncMatch pass."""
+        updates = list(updates)
+        net = self._drive(updates)
+        self.stats.original_updates += len(updates)
+        self.stats.reduced_updates += len(net)
 
     # ------------------------------------------------------------------
     # Invariants (tests)

@@ -11,7 +11,17 @@ that cannot have changed:
 - an inserted data edge can only create embeddings that *use* it, so the
   search is re-run anchored on the new edge (each pattern edge is pinned to
   the new data edge in turn and VF2 completes the mapping) — correct, but
-  with the exponential worst case the theorem promises.
+  with the exponential worst case the theorem promises;
+- a node whose predicate verdicts flip loses the embeddings mapping a
+  lost pattern node to it, and gains those found by a search anchored
+  on it at each gained pattern node.
+
+These are the repair methods the pool drives around its shared graph.
+The standalone ``insert_edge``/``delete_edge``/``apply_batch``/
+``update_node_attrs`` are drivers over them
+(:class:`~repro.incremental.drivers.StandaloneDriver`): a unit update is
+a batch of one.  :class:`LocalizedIsoIndex` only narrows the graph the
+anchored search explores.
 
 ``IsoIndex`` is the comparison point the experiments use to show why the
 simulation family is the practical choice on evolving graphs.
@@ -25,7 +35,7 @@ from ..graphs.digraph import DiGraph, Node
 from ..matching.isomorphism import Embedding, iter_embeddings
 from ..patterns.pattern import Pattern, PatternError, PatternNode
 from .delta import DeltaLog
-from .types import Update
+from .drivers import StandaloneDriver
 
 EdgeKey = Tuple[Node, Node]
 EmbKey = FrozenSet[Tuple[PatternNode, Node]]
@@ -52,7 +62,7 @@ def _undirected_ball(graph: DiGraph, sources, radius: int):
     return seen
 
 
-class IsoIndex:
+class IsoIndex(StandaloneDriver):
     """The set ``Miso(P, G)`` maintained under edge updates."""
 
     def __init__(
@@ -71,7 +81,7 @@ class IsoIndex:
         # verdicts are read off the shared member sets (one evaluation per
         # distinct predicate per pool) instead of re-evaluated here, and
         # attribute churn arrives as resolved flips
-        # (apply_eligibility_flips) rather than update_node_attrs.
+        # (apply_eligibility_flip_batch) rather than update_node_attrs.
         self._eligibility = eligibility
         self._elig_views: Dict[PatternNode, Any] = {}
         if eligibility is not None:
@@ -82,13 +92,7 @@ class IsoIndex:
         self._embeddings: Dict[EmbKey, Embedding] = {}
         self._by_edge: Dict[EdgeKey, Set[EmbKey]] = {}
         self.delta = DeltaLog()
-        for emb in iter_embeddings(pattern, graph):
-            self._store(emb)
-            if (
-                max_embeddings is not None
-                and len(self._embeddings) >= max_embeddings
-            ):
-                break
+        self._store_until_full(iter_embeddings(pattern, graph))
         # The initial embedding set is state, not change.
         self.delta.clear()
 
@@ -146,31 +150,32 @@ class IsoIndex:
         )
 
     # ------------------------------------------------------------------
-    # Incremental updates
+    # Repair after the graph was edited
     # ------------------------------------------------------------------
-    def delete_edge(self, v: Node, w: Node) -> bool:
-        """Drop the embeddings whose image used (v, w)."""
-        if not self.graph.remove_edge(v, w):
-            return False
-        for key in list(self._by_edge.get((v, w), ())):
-            self._discard(key)
+    def _full(self) -> bool:
+        return (
+            self.max_embeddings is not None
+            and len(self._embeddings) >= self.max_embeddings
+        )
+
+    def _store_until_full(self, embeddings: Iterable[Embedding]) -> bool:
+        """Store ``embeddings`` until the cap is reached; False once it is."""
+        for emb in embeddings:
+            self._store(emb)
+            if self._full():
+                return False
         return True
 
-    def insert_edge(self, v: Node, w: Node) -> bool:
-        """Search for embeddings anchored on the new edge (v, w)."""
-        self.graph.add_node(v)
-        self.graph.add_node(w)
-        if not self.graph.add_edge(v, w):
-            return False
-        self._search_anchored(v, w)
-        return True
+    def _search_space(self, v: Node, w: Node) -> DiGraph:
+        """The graph an anchored search on edge (v, w) explores."""
+        return self.graph
 
     def _search_anchored(self, v: Node, w: Node) -> None:
+        """Embeddings using edge (v, w): each pattern edge is pinned to it
+        in turn and VF2 completes the mapping."""
+        graph = self._search_space(v, w)
         for u1, u2 in self.pattern.edges():
-            if (
-                self.max_embeddings is not None
-                and len(self._embeddings) >= self.max_embeddings
-            ):
+            if self._full():
                 return
             if u1 == u2:
                 if v != w:
@@ -180,76 +185,38 @@ class IsoIndex:
                 if v == w:
                     continue  # injectivity forbids mapping two nodes to one
                 seed = {u1: v, u2: w}
-            for emb in iter_embeddings(self.pattern, self.graph, partial=seed):
-                self._store(emb)
-                if (
-                    self.max_embeddings is not None
-                    and len(self._embeddings) >= self.max_embeddings
-                ):
-                    return
+            if not self._store_until_full(
+                iter_embeddings(self.pattern, graph, partial=seed)
+            ):
+                return
 
-    def _satisfies(self, u: PatternNode, v: Node, attrs) -> bool:
-        """Predicate verdict for ``v`` at pattern node ``u`` — a shared
-        member-set lookup when leased, a predicate evaluation otherwise."""
-        if self._eligibility is not None:
-            return v in self._elig_views[u].members
-        return self.pattern.predicate(u).satisfied_by(attrs)
+    def repair_deleted_edges(self, edges: Iterable[EdgeKey]) -> None:
+        """Drop the embeddings whose image used an edge already removed
+        from the graph (their posting lists)."""
+        for edge in edges:
+            for key in list(self._by_edge.get(edge, ())):
+                self._discard(key)
 
-    def update_node_attrs(self, v: Node, **attrs) -> None:
-        """Change ``v``'s attributes and repair the embedding set.
-
-        Embeddings whose image of some pattern node no longer satisfies its
-        predicate are dropped; fresh embeddings that map a pattern node to
-        ``v`` are found by anchored search on ``v``.
-        """
-        self.graph.add_node(v, **attrs)
-        node_attrs = self.graph.attrs(v)
-        # Drop embeddings that stop satisfying a predicate at v.
-        for key in list(self._embeddings):
-            emb = self._embeddings[key]
-            for u, node in emb.items():
-                if node == v and not self._satisfies(u, v, node_attrs):
-                    self._discard(key)
-                    break
-        # Anchor a search at every pattern node v could now play.
-        for u in self.pattern.nodes():
-            if not self._satisfies(u, v, node_attrs):
-                continue
-            for emb in iter_embeddings(self.pattern, self.graph, partial={u: v}):
-                self._store(emb)
-                if (
-                    self.max_embeddings is not None
-                    and len(self._embeddings) >= self.max_embeddings
-                ):
-                    return
-
-    def apply_eligibility_flips(
-        self,
-        v: Node,
-        gained: Iterable[PatternNode],
-        lost: Iterable[PatternNode],
-    ) -> None:
-        """Repair after the shared substrate flipped ``v``'s eligibility.
-
-        A lost layer invalidates exactly the embeddings mapping that
-        pattern node to ``v``; a gained layer can only create embeddings
-        that map it to ``v``, found by anchored search.  Layers whose
-        verdict did not flip need no work: the graph's edges are
-        unchanged, so their embedding sets through ``v`` are unchanged.
-        """
-        self.apply_eligibility_flip_batch([(v, list(gained), list(lost))])
+    def repair_inserted_edges(self, edges: Iterable[EdgeKey]) -> None:
+        """Anchored search on edges already present in the graph."""
+        for v, w in edges:
+            if self.graph.has_edge(v, w):
+                self._search_anchored(v, w)
 
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
     ) -> None:
-        """Repair after the substrate flipped eligibility for a whole
-        flush's node events at once (sets already final, flips netted).
+        """Repair after predicate verdicts flipped for a batch of node
+        events (one ``(node, gained, lost)`` triple per event; flips
+        netted, the graph's edges unchanged).
 
-        One scan drops every embedding invalidated by any loss in the
-        batch, then each gain anchor-searches — against the final graph
-        and final shared sets, so per-event interleaving is immaterial
-        (anchored search reads only current truth).
+        A lost pattern node invalidates exactly the embeddings mapping it
+        to the node — one scan drops them for the whole batch.  A gained
+        one can only create embeddings that map it to the node, found by
+        a search anchored there — against the final graph, so per-event
+        interleaving is immaterial.  Pattern nodes whose verdict did not
+        flip need no work.
         """
         lost_pairs = {
             (u, v) for v, _gained, lost in events for u in lost
@@ -261,15 +228,58 @@ class IsoIndex:
                     self._discard(key)
         for v, gained, _lost in events:
             for u in gained:
-                for emb in iter_embeddings(
-                    self.pattern, self.graph, partial={u: v}
+                if not self._store_until_full(
+                    iter_embeddings(self.pattern, self.graph, partial={u: v})
                 ):
-                    self._store(emb)
-                    if (
-                        self.max_embeddings is not None
-                        and len(self._embeddings) >= self.max_embeddings
-                    ):
-                        return
+                    return
+
+    # ------------------------------------------------------------------
+    # Node events
+    # ------------------------------------------------------------------
+    def _verdicts(self, v: Node) -> List[PatternNode]:
+        """Pattern nodes whose predicate ``v`` satisfies — a shared
+        member-set lookup when leased, a predicate evaluation otherwise."""
+        if v not in self.graph:
+            return []
+        if self._eligibility is not None:
+            return [
+                u for u in self.pattern.nodes()
+                if v in self._elig_views[u].members
+            ]
+        attrs = self.graph.attrs(v)
+        return [
+            u for u in self.pattern.nodes()
+            if self.pattern.predicate(u).satisfied_by(attrs)
+        ]
+
+    def add_node(self, v: Node, **attrs) -> None:
+        """Register a (possibly new) node: every pattern node it satisfies
+        counts as gained (a pool announces fresh nodes this way)."""
+        self.graph.add_node(v, **attrs)
+        self.apply_eligibility_flip_batch([(v, self._verdicts(v), [])])
+
+    def update_node_attrs(self, v: Node, **attrs) -> None:
+        """Change ``v``'s attributes and repair the embedding set: the
+        verdicts before and after the change give the flips, repaired by
+        :meth:`apply_eligibility_flip_batch` as a batch of one event."""
+        if self._eligibility is not None:
+            raise RuntimeError(
+                "a shared-eligibility IsoIndex receives attribute changes "
+                "as resolved flips (apply_eligibility_flip_batch), driven "
+                "by the pool"
+            )
+        before = self._verdicts(v)
+        self.graph.add_node(v, **attrs)
+        after = self._verdicts(v)
+        self.apply_eligibility_flip_batch(
+            [
+                (
+                    v,
+                    [u for u in after if u not in before],
+                    [u for u in before if u not in after],
+                )
+            ]
+        )
 
     def release(self) -> None:
         """Release shared-eligibility leases (pool unregister); idempotent."""
@@ -279,39 +289,6 @@ class IsoIndex:
             self._eligibility.release(self.pattern.predicate(u))
         self._eligibility = None
         self._elig_views = {}
-
-    def apply_batch(self, updates: Iterable[Update]) -> None:
-        """Deletions drop postings; insertions anchor-search afterwards."""
-        updates = list(updates)
-        inserted: List[EdgeKey] = []
-        for upd in updates:
-            if upd.op == "delete":
-                if self.graph.remove_edge(upd.source, upd.target):
-                    for key in list(self._by_edge.get(upd.edge, ())):
-                        self._discard(key)
-            else:
-                self.graph.add_node(upd.source)
-                self.graph.add_node(upd.target)
-                if self.graph.add_edge(upd.source, upd.target):
-                    inserted.append(upd.edge)
-        for v, w in inserted:
-            if self.graph.has_edge(v, w):
-                self._search_anchored(v, w)
-
-    # ------------------------------------------------------------------
-    # Shared-graph repair (MatcherPool plumbing)
-    # ------------------------------------------------------------------
-    def repair_deleted_edges(self, edges: Iterable[EdgeKey]) -> None:
-        """Drop posting lists for edges already removed from the graph."""
-        for edge in edges:
-            for key in list(self._by_edge.get(edge, ())):
-                self._discard(key)
-
-    def repair_inserted_edges(self, edges: Iterable[EdgeKey]) -> None:
-        """Anchored re-search on edges already present in the graph."""
-        for v, w in edges:
-            if self.graph.has_edge(v, w):
-                self._search_anchored(v, w)
 
 
 class LocalizedIsoIndex(IsoIndex):
@@ -337,27 +314,7 @@ class LocalizedIsoIndex(IsoIndex):
         self.radius = radius
         super().__init__(pattern, graph, max_embeddings=max_embeddings)
 
-    def _search_anchored(self, v, w):
-        ball = _undirected_ball(self.graph, (v, w), self.radius)
-        local = self.graph.subgraph(ball)
-        for u1, u2 in self.pattern.edges():
-            if (
-                self.max_embeddings is not None
-                and len(self._embeddings) >= self.max_embeddings
-            ):
-                return
-            if u1 == u2:
-                if v != w:
-                    continue
-                seed = {u1: v}
-            else:
-                if v == w:
-                    continue
-                seed = {u1: v, u2: w}
-            for emb in iter_embeddings(self.pattern, local, partial=seed):
-                self._store(emb)
-                if (
-                    self.max_embeddings is not None
-                    and len(self._embeddings) >= self.max_embeddings
-                ):
-                    return
+    def _search_space(self, v: Node, w: Node) -> DiGraph:
+        return self.graph.subgraph(
+            _undirected_ball(self.graph, (v, w), self.radius)
+        )

@@ -6,21 +6,27 @@ structures of the paper — ``match()``, ``candt()``, and per-(pattern-edge,
 node) support counters (the "local information": how many children of a
 candidate currently match the target pattern node).
 
-Algorithms implemented on top of the counters:
+Each paper algorithm has one implementation, run on edits already made
+to the graph (the pool's shared graph or this index's own):
 
-- ``delete_edge``  — **IncMatch-** (unit deletion, general patterns,
-  O(|AFF|)): deleting an ss edge may zero a support counter; demotions
-  cascade to graph parents.
-- ``insert_edge``  — **IncMatch+dag** (worklist promotion, complete for DAG
-  patterns) and **IncMatch+** (general patterns: the worklist plays
-  ``propCS``, and a bottom-up pass over the pattern condensation performs
-  the coinductive ``propCC`` refinement of Fig. 9).
-- ``apply_batch``  — **IncMatch** (batch updates): the ``minDelta``
-  reduction cancels and drops irrelevant updates, all edits are applied to
-  the counters at once, then one demotion cascade and one promotion pass
-  run.
-- ``apply_batch_naive`` — **IncMatch_n**, the paper's naive baseline that
-  feeds unit updates one at a time.
+- ``repair_deleted_edges`` — **IncMatch-** (O(|AFF|)): deleting an ss
+  edge may zero a support counter; demotions cascade to graph parents.
+- ``repair_inserted_edges`` — **IncMatch+dag** (worklist promotion,
+  complete for DAG patterns) and **IncMatch+** (general patterns: the
+  worklist plays ``propCS``, and a bottom-up pass over the pattern
+  condensation performs the coinductive ``propCC`` refinement of Fig. 9).
+- ``apply_eligibility_flip_batch`` — attribute changes, resolved to
+  gained/lost pattern nodes: gains adopt, losses demote with the cascade.
+
+The standalone entry points are drivers over them
+(:class:`~repro.incremental.drivers.StandaloneDriver`).  ``apply_batch``
+is **IncMatch** (batch updates): the ``minDelta`` cancellation nets the
+batch, then the deletions are removed and repaired in one demotion
+cascade and the insertions added and repaired in one promotion pass.
+A unit update is a batch of one: ``insert_edge``/``delete_edge`` run
+the same path, and ``apply_batch_naive`` (**IncMatch_n**, the paper's
+naive baseline) feeds the updates one at a time.  ``update_node_attrs``
+re-evaluates one node's predicates and repairs the flips.
 
 The central invariant (checked by the test suite): a predicate-eligible
 node is in ``match(u)`` iff every outgoing pattern edge has support
@@ -30,7 +36,7 @@ node is in ``match(u)`` iff every outgoing pattern edge has support
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.scc import condensation, strongly_connected_components
@@ -38,6 +44,7 @@ from ..patterns.pattern import Pattern, PatternError, PatternNode
 from ..matching.relation import MatchRelation, copy_relation, totalize
 from ..matching.simulation import candidate_sets, maximum_simulation
 from .delta import DeltaLog
+from .drivers import StandaloneDriver
 from .types import Update, net_updates
 
 PatternEdge = Tuple[PatternNode, PatternNode]
@@ -54,7 +61,6 @@ class IncStats:
         "candidates_examined",
         "original_updates",
         "reduced_updates",
-        "skipped_updates",
     )
 
     def __init__(self) -> None:
@@ -67,13 +73,12 @@ class IncStats:
         self.candidates_examined = 0
         self.original_updates = 0
         self.reduced_updates = 0
-        self.skipped_updates = 0
 
     def aff_size(self) -> int:
         return self.promotions + self.demotions + self.counter_updates
 
 
-class SimulationIndex:
+class SimulationIndex(StandaloneDriver):
     """Maximum graph simulation maintained under edge updates.
 
     ``eligibility`` (a pool-level
@@ -84,7 +89,7 @@ class SimulationIndex:
     queries read it.  A leased index never evaluates predicates or
     mutates the sets itself — the substrate mutates them before the pool
     invokes the repair entry points, and attribute-driven eligibility
-    changes arrive through :meth:`apply_eligibility_flips` (already
+    changes arrive through :meth:`apply_eligibility_flip_batch` (already
     resolved to gained/lost pattern nodes) rather than
     :meth:`update_node_attrs`.
     """
@@ -185,7 +190,7 @@ class SimulationIndex:
         return self._cnt.get((u, u2, v), 0)
 
     # ------------------------------------------------------------------
-    # Node registration (updates may reference fresh nodes)
+    # Node registration and eligibility repair
     # ------------------------------------------------------------------
     def add_node(self, v: Node, **attrs) -> None:
         """Register a (possibly new) node, re-evaluating its predicates.
@@ -205,75 +210,52 @@ class SimulationIndex:
     def _register_node(self, v: Node) -> bool:
         """Wire a node's eligibility into candt/counters; True iff unseen.
 
-        Per-query mode evaluates the node's predicates once; shared mode
-        reads membership off the leased sets (the substrate evaluated each
-        distinct predicate once for the whole pool) and adopts layers the
-        index has not wired yet.
+        A standalone index evaluates the node's predicates once; a leased
+        index reads membership off the shared sets (the substrate
+        evaluated each distinct predicate once for the whole pool).
+        Either way the layers the index has not wired yet are adopted.
         """
         if v in self._registered:
             return False
         self._registered.add(v)
-        if self._eligibility is not None:
-            self._adopt_layers(
-                v,
-                [
+        if self._eligibility is None:
+            attrs = self.graph.attrs(v)
+            for u in self.pattern.nodes():
+                if v not in self.eligible[u] and self.pattern.predicate(
                     u
-                    for u in self.pattern.nodes()
-                    if v in self.eligible[u] and not self._adopted(u, v)
-                ],
-            )
-            return True
-        attrs = self.graph.attrs(v)
-        for u in self.pattern.nodes():
-            if v in self.eligible[u]:
-                continue
-            if self.pattern.predicate(u).satisfied_by(attrs):
-                self.eligible[u].add(v)
-                self._adopt_candidate(u, v)
+                ).satisfied_by(attrs):
+                    self.eligible[u].add(v)
+        self._adopt(
+            [
+                (u, v)
+                for u in self.pattern.nodes()
+                if v in self.eligible[u] and not self._adopted(u, v)
+            ]
+        )
         return True
 
     def _adopted(self, u: PatternNode, v: Node) -> bool:
         """Has this index wired ``v`` into layer ``u``'s bookkeeping?
 
-        In per-query mode adoption coincides with eligibility membership;
-        with shared sets a member may predate this index's sight of it.
+        Eligibility membership alone does not say: a flip or a fresh node
+        reaches the eligible set before the index wires it.
         """
         return v in self.match[u] or v in self.candt[u]
 
-    def _adopt_candidate(self, u: PatternNode, v: Node) -> bool:
-        """Add an eligible node to candt, compute its counters, and promote
-        it immediately when every obligation is already met (a node
-        matching a childless pattern node is a match right away;
-        _promote_node also fixes up its parents' counters).  Returns
-        whether it was promoted."""
-        self.candt[u].add(v)
-        supported = True
-        for u2 in self.pattern.children(u):
-            c = 0
-            for w in self.graph.children(v):
-                if w in self.match[u2]:
-                    c += 1
-            self._cnt[(u, u2, v)] = c
-            if c == 0:
-                supported = False
-        if supported:
-            self._promote_node(u, v)
-        return supported
+    def _adopt(self, pairs: List[Tuple[PatternNode, Node]]) -> bool:
+        """Two-phase adoption of eligible ``(layer, node)`` pairs.
 
-    def _adopt_layers(self, v: Node, layers: List[PatternNode]) -> bool:
-        """Two-phase adoption of ``v`` into several layers at once.
-
-        With shared eligible sets every gained layer's membership is
-        already visible, so a promotion during layer A's adoption walks
-        parent counters that mention layer B — all counters must exist
-        before any promotion runs.  Phase 1 wires candt and counters for
-        every layer; phase 2 promotes the supported ones (a promotion's
-        counter bumps then land on initialized keys).  Returns whether
-        anything was promoted; promotions unlocked *across* the adopted
-        layers are the caller's trailing sweep's job, exactly as in the
-        per-query path.
+        Every pair's eligibility is already visible, so a promotion during
+        one pair's adoption walks parent counters that may mention
+        another pair — all counters must exist before any promotion runs.
+        Phase 1 adds each pair to candt and computes its support counters;
+        phase 2 promotes the supported ones (a promotion's counter bumps
+        then land on initialized keys; a node matching a childless
+        pattern node is promoted right away).  Returns whether anything
+        was promoted; promotions unlocked *across* the adopted pairs are
+        the caller's trailing sweep's job.
         """
-        for u in layers:
+        for u, v in pairs:
             self.candt[u].add(v)
             for u2 in self.pattern.children(u):
                 c = 0
@@ -282,7 +264,7 @@ class SimulationIndex:
                         c += 1
                 self._cnt[(u, u2, v)] = c
         promoted = False
-        for u in layers:
+        for u, v in pairs:
             if v in self.candt[u] and all(
                 self._cnt[(u, u2, v)] >= 1
                 for u2 in self.pattern.children(u)
@@ -291,119 +273,40 @@ class SimulationIndex:
                 promoted = True
         return promoted
 
-    def update_node_attrs(self, v: Node, **attrs) -> None:
-        """Change ``v``'s attributes and repair the match.
-
-        The paper motivates incremental matching with users who "edit
-        [their] profile": a predicate can start or stop holding, so ``v``
-        may gain or lose eligibility per pattern node.  Lost eligibility
-        forces demotions (with the usual cascade); gained eligibility adds
-        a candidate and runs a promotion pass.
-        """
-        if self._eligibility is not None:
-            raise RuntimeError(
-                "a shared-eligibility SimulationIndex receives attribute "
-                "changes as resolved flips (apply_eligibility_flips), "
-                "driven by the pool"
-            )
-        if v not in self.graph:
-            self.add_node(v, **attrs)
-            return
-        self.graph.add_node(v, **attrs)
-        self._registered.add(v)
-        node_attrs = self.graph.attrs(v)
-        gained = []
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for u in self.pattern.nodes():
-            ok = self.pattern.predicate(u).satisfied_by(node_attrs)
-            if ok and v not in self.eligible[u]:
-                gained.append(u)
-            elif not ok and v in self.eligible[u]:
-                self._withdraw(u, v, queue)
-        self._demote_cascade(queue)
-        promoted = False
-        for u in gained:
-            self.eligible[u].add(v)
-            if self._adopt_candidate(u, v):
-                promoted = True
-        if gained and (promoted or self._has_cycles):
-            # New candidacy can unlock further promotions (or coinductive
-            # SCC promotions); one sweep settles everything.
-            self._promote_sweep()
-
-    def apply_eligibility_flips(
-        self,
-        v: Node,
-        gained: Iterable[PatternNode],
-        lost: Iterable[PatternNode],
-    ) -> None:
-        """Repair after the shared substrate flipped ``v``'s eligibility.
-
-        The leased sets are already mutated and the flipped predicates
-        already resolved to this pattern's nodes (by
-        :meth:`ContinuousQuery.apply_eligibility_flips`), so no predicate
-        is evaluated here: gained layers adopt, lost layers demote with
-        the usual cascade, and a promotion pass settles the gains.
-
-        Gains are adopted *before* the losses cascade — the shared sets
-        already contain ``v`` for the gained layers, and a demotion
-        cascade reaching ``v`` through a graph cycle reads those sets to
-        find support counters, so the counters must exist by then.  The
-        ordering is otherwise equivalent: demotions can never enable a
-        promotion, so the closing sweep sees the same fixpoint the
-        legacy lost-then-gained order reaches.
-        """
-        self.apply_eligibility_flip_batch([(v, list(gained), list(lost))])
-
     def apply_eligibility_flip_batch(
         self,
         events: List[Tuple[Node, List[PatternNode], List[PatternNode]]],
     ) -> None:
-        """Repair after the substrate flipped eligibility for a whole
-        flush's node events at once (one ``(node, gained layers, lost
-        layers)`` triple per event; sets already final, flips netted per
-        (predicate, node) by the pool).
+        """Repair after eligibility flipped for a batch of node events
+        (one ``(node, gained layers, lost layers)`` triple per event; the
+        eligible sets already final, flips netted per (predicate, node)).
 
-        Counter wiring must complete for **every** gained (layer, node)
-        pair across the batch before any promotion or demotion runs: the
-        final shared sets may already contain same-batch gains, and both
-        :meth:`_promote_node`'s counter bumps and the demote cascade
+        No predicate is evaluated here: gained layers adopt, lost layers
+        demote with the usual cascade, and a promotion pass settles the
+        gains.  Counter wiring must complete for **every** gained (layer,
+        node) pair across the batch before any promotion or demotion
+        runs: the final sets may already contain same-batch gains, and
+        both :meth:`_promote_node`'s counter bumps and the demote cascade
         index the counter of any eligible parent.  So the batch runs in
-        phases — (1) wire candt and support counters for all gains,
-        (2) promote the supported gains, (3) withdraw all losses into one
-        demote cascade, (4) one closing promotion sweep — generalizing
-        the single-event two-phase adoption to the whole batch.
+        phases — (1)+(2) :meth:`_adopt` every gain, (3) withdraw all
+        losses into one demote cascade, (4) one closing promotion sweep.
+        Demotions can never enable a promotion, so adopting first reaches
+        the same fixpoint as a losses-first order.
         """
-        adoptions: List[Tuple[Node, List[PatternNode]]] = []
+        adopt: List[Tuple[PatternNode, Node]] = []
         for v, gained, _lost in events:
             self._registered.add(v)
-            adopt = [u for u in gained if not self._adopted(u, v)]
-            if adopt:
-                for u in adopt:
-                    self.candt[u].add(v)
-                    for u2 in self.pattern.children(u):
-                        c = 0
-                        for w in self.graph.children(v):
-                            if w in self.match[u2]:
-                                c += 1
-                        self._cnt[(u, u2, v)] = c
-                adoptions.append((v, adopt))
-        promoted = False
-        for v, adopt in adoptions:
-            for u in adopt:
-                if v in self.candt[u] and all(
-                    self._cnt[(u, u2, v)] >= 1
-                    for u2 in self.pattern.children(u)
-                ):
-                    self._promote_node(u, v)
-                    promoted = True
+            adopt.extend((u, v) for u in gained if not self._adopted(u, v))
+        promoted = self._adopt(adopt)
         queue: Deque[Tuple[PatternNode, Node]] = deque()
         for v, _gained, lost in events:
             for u in lost:
                 if self._adopted(u, v):
-                    self._withdraw(u, v, queue, mutate_eligible=False)
+                    self._withdraw(u, v, queue)
         self._demote_cascade(queue)
-        if adoptions and (promoted or self._has_cycles):
+        if adopt and (promoted or self._has_cycles):
+            # New candidacy can unlock further promotions (or coinductive
+            # SCC promotions); one sweep settles everything.
             self._promote_sweep()
 
     def retire_node(self, v: Node) -> None:
@@ -418,54 +321,38 @@ class SimulationIndex:
             raise RuntimeError(
                 "cannot retire nodes from shared eligible sets"
             )
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for u in self.pattern.nodes():
-            if v in self.eligible[u]:
-                self._withdraw(u, v, queue)
-        self._demote_cascade(queue)
-
-    def _withdraw(
-        self, u: PatternNode, v: Node, queue, mutate_eligible: bool = True
-    ) -> None:
-        """Remove ``v`` from ``u``'s candt/match sets (and, unless the
-        eligible set is substrate-owned and already updated, from
-        eligible), seeding the demote queue with parents that lose
-        support."""
-        if v in self.match[u]:
-            self.match[u].remove(v)
-            self.delta.remove((u, v))
-            self.stats.demotions += 1
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(v):
-                    if p in self.eligible[u0]:
-                        key = (u0, u, p)
-                        self._cnt[key] -= 1
-                        self.stats.counter_updates += 1
-                        if self._cnt[key] == 0 and p in self.match[u0]:
-                            queue.append((u0, p))
-        self.candt[u].discard(v)
-        if mutate_eligible:
+        lost = [u for u in self.pattern.nodes() if v in self.eligible[u]]
+        for u in lost:
             self.eligible[u].remove(v)
+        self.apply_eligibility_flip_batch([(v, [], lost)])
+
+    def _withdraw(self, u: PatternNode, v: Node, queue) -> None:
+        """Unwire ``v`` from layer ``u`` after it left ``u``'s eligible
+        set: drop it from candt/match and its counters, seeding the demote
+        queue with parents that lose support."""
+        if v in self.match[u]:
+            self._demote_node(u, v, queue)
+        self.candt[u].discard(v)
         for u2 in self.pattern.children(u):
             self._cnt.pop((u, u2, v), None)
 
     # ------------------------------------------------------------------
-    # IncMatch-: unit deletion
+    # IncMatch-: deletions
     # ------------------------------------------------------------------
-    def delete_edge(self, v: Node, w: Node) -> bool:
-        """Delete data edge (v, w) and repair the match (IncMatch-)."""
-        if not self.graph.remove_edge(v, w):
-            return False
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for u, u2 in self.pattern.edges():
-            if v in self.eligible[u] and w in self.match[u2]:
-                key = (u, u2, v)
-                self._cnt[key] -= 1
-                self.stats.counter_updates += 1
-                if self._cnt[key] == 0 and v in self.match[u]:
-                    queue.append((u, v))
-        self._demote_cascade(queue)
-        return True
+    def _demote_node(self, u: PatternNode, v: Node, queue) -> None:
+        """Remove the match ``(u, v)``; parents whose support towards
+        ``u`` drops to zero join the demote queue."""
+        self.match[u].remove(v)
+        self.delta.remove((u, v))
+        self.stats.demotions += 1
+        for u0 in self.pattern.parents(u):
+            for p in self.graph.parents(v):
+                if p in self.eligible[u0]:
+                    key = (u0, u, p)
+                    self._cnt[key] -= 1
+                    self.stats.counter_updates += 1
+                    if self._cnt[key] == 0 and p in self.match[u0]:
+                        queue.append((u0, p))
 
     def _demote_cascade(self, queue: Deque[Tuple[PatternNode, Node]]) -> None:
         while queue:
@@ -476,44 +363,27 @@ class SimulationIndex:
                 self._cnt[(u, u2, v)] >= 1 for u2 in self.pattern.children(u)
             ):
                 continue  # support restored meanwhile
-            self.match[u].remove(v)
             self.candt[u].add(v)
-            self.delta.remove((u, v))
-            self.stats.demotions += 1
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(v):
-                    if p in self.eligible[u0]:
-                        key = (u0, u, p)
-                        self._cnt[key] -= 1
-                        self.stats.counter_updates += 1
-                        if self._cnt[key] == 0 and p in self.match[u0]:
-                            queue.append((u0, p))
+            self._demote_node(u, v, queue)
+
+    def repair_deleted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
+        """IncMatch- for edges already removed from the graph: deleting an
+        ss edge may zero a support counter; demotions cascade to graph
+        parents."""
+        queue: Deque[Tuple[PatternNode, Node]] = deque()
+        for v, w in edges:
+            for u, u2 in self.pattern.edges():
+                if v in self.eligible[u] and w in self.match[u2]:
+                    key = (u, u2, v)
+                    self._cnt[key] -= 1
+                    self.stats.counter_updates += 1
+                    if self._cnt[key] == 0 and v in self.match[u]:
+                        queue.append((u, v))
+        self._demote_cascade(queue)
 
     # ------------------------------------------------------------------
-    # IncMatch+ / IncMatch+dag: unit insertion
+    # IncMatch+ / IncMatch+dag: insertions
     # ------------------------------------------------------------------
-    def insert_edge(self, v: Node, w: Node) -> bool:
-        """Insert data edge (v, w) and repair the match (IncMatch+)."""
-        self.graph.add_node(v)
-        self.graph.add_node(w)
-        self._register_node(v)
-        self._register_node(w)
-        if not self.graph.add_edge(v, w):
-            return False
-        needs_worklist, needs_scc = self._insert_bookkeeping(v, w)
-        if needs_scc or (needs_worklist and self._has_cycles):
-            # Cyclic patterns: worklist promotions may unlock coinductive
-            # SCC promotions, so run the full propCS+propCC sweep.
-            self._promote_sweep()
-        elif needs_worklist:
-            seeds = [
-                (u, v)
-                for u, u2 in self.pattern.edges()
-                if v in self.candt[u] and w in self.match[u2]
-            ]
-            self._promote_worklist(deque(seeds))
-        return True
-
     def _insert_bookkeeping(self, v: Node, w: Node) -> Tuple[bool, bool]:
         """Counter updates for a fresh edge; returns (cs touched, cc-in-SCC
         touched) — the triggers of Prop. 5.2."""
@@ -618,8 +488,59 @@ class SimulationIndex:
                     if v not in self.match[u]:
                         self._promote_node(u, v)
 
+    def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
+        """IncMatch+ for edges already added to the graph: the worklist
+        (IncMatch+dag) when only cs pairs changed on a DAG pattern,
+        otherwise one propCS + propCC sweep.
+
+        Endpoints the index has never evaluated are registered first;
+        their counters are computed against the *current* graph (all batch
+        edges included), so explicit bookkeeping is only performed for
+        edges whose endpoints were both already registered.
+        """
+        edges = list(edges)
+        fresh: Set[Node] = set()
+        reg_promoted: List[Tuple[PatternNode, Node]] = []
+        for v, w in edges:
+            for node in (v, w):
+                if self._register_node(node):
+                    fresh.add(node)
+                    for u in self.pattern.nodes():
+                        if node in self.match[u]:
+                            reg_promoted.append((u, node))
+        needs_worklist = bool(reg_promoted)
+        needs_scc = False
+        for v, w in edges:
+            if v in fresh or w in fresh:
+                continue  # registration already counted this edge
+            cs, cc_scc = self._insert_bookkeeping(v, w)
+            needs_worklist = needs_worklist or cs
+            needs_scc = needs_scc or cc_scc
+        if fresh and self._has_cycles:
+            # A fresh candidate may complete an intra-SCC cycle through
+            # pre-existing edges the bookkeeping above never sees.
+            needs_scc = True
+        if needs_scc or (needs_worklist and self._has_cycles):
+            self._promote_sweep()
+            return
+        if not needs_worklist:
+            return
+        seeds: Deque[Tuple[PatternNode, Node]] = deque()
+        for v, w in edges:
+            for u, u2 in self.pattern.edges():
+                if v in self.candt[u] and w in self.match[u2]:
+                    seeds.append((u, v))
+        # Nodes promoted during registration may unlock their parents
+        # through edges outside this batch.
+        for u, z in reg_promoted:
+            for u0 in self.pattern.parents(u):
+                for p in self.graph.parents(z):
+                    if p in self.candt[u0]:
+                        seeds.append((u0, p))
+        self._promote_worklist(seeds)
+
     # ------------------------------------------------------------------
-    # IncMatch: batch updates with minDelta
+    # minDelta and the IncMatch batch driver
     # ------------------------------------------------------------------
     def min_delta(self, updates: Iterable[Update]) -> List[Update]:
         """The minDelta reduction (Section 5.2) *without* applying anything.
@@ -672,126 +593,12 @@ class SimulationIndex:
         return relevant
 
     def apply_batch(self, updates: Iterable[Update]) -> None:
-        """IncMatch: minDelta + one demotion cascade + one promotion pass."""
+        """IncMatch: the minDelta cancellation nets the batch, then one
+        demotion cascade and one promotion pass."""
         updates = list(updates)
+        net = self._drive(updates)
         self.stats.original_updates += len(updates)
-        net = net_updates(self.graph, updates)
         self.stats.reduced_updates += len(net)
-        demote_queue: Deque[Tuple[PatternNode, Node]] = deque()
-        needs_worklist = False
-        needs_scc = False
-        worklist_seeds: List[Tuple[PatternNode, Node]] = []
-        for upd in net:
-            v, w = upd.edge
-            if upd.op == "insert":
-                self.graph.add_node(v)
-                self.graph.add_node(w)
-                self._register_node(v)
-                self._register_node(w)
-                self.graph.add_edge(v, w)
-                cs, cc_scc = self._insert_bookkeeping(v, w)
-                if cs:
-                    needs_worklist = True
-                    for u, u2 in self.pattern.edges():
-                        if v in self.candt[u] and w in self.match[u2]:
-                            worklist_seeds.append((u, v))
-                if cc_scc:
-                    needs_scc = True
-            else:
-                if not self.graph.remove_edge(v, w):
-                    self.stats.skipped_updates += 1
-                    continue
-                for u, u2 in self.pattern.edges():
-                    if v in self.eligible[u] and w in self.match[u2]:
-                        key = (u, u2, v)
-                        self._cnt[key] -= 1
-                        self.stats.counter_updates += 1
-                        if self._cnt[key] == 0 and v in self.match[u]:
-                            demote_queue.append((u, v))
-        self._demote_cascade(demote_queue)
-        if needs_scc or (needs_worklist and self._has_cycles):
-            self._promote_sweep()
-        elif needs_worklist:
-            self._promote_worklist(deque(worklist_seeds))
-
-    def apply_batch_naive(self, updates: Iterable[Update]) -> None:
-        """IncMatch_n: process unit updates one at a time (the baseline)."""
-        for upd in updates:
-            if upd.op == "insert":
-                self.insert_edge(upd.source, upd.target)
-            else:
-                self.delete_edge(upd.source, upd.target)
-
-    # ------------------------------------------------------------------
-    # Shared-graph repair (MatcherPool plumbing)
-    # ------------------------------------------------------------------
-    # When several indexes share one DiGraph, the pool mutates the graph
-    # exactly once per flush and then asks each routed index to repair
-    # itself.  These entry points therefore assume the edits are already
-    # in (or out of) the graph, unlike insert_edge/delete_edge/apply_batch
-    # which perform the edit themselves.
-
-    def repair_deleted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncMatch- for edges already removed from the shared graph."""
-        queue: Deque[Tuple[PatternNode, Node]] = deque()
-        for v, w in edges:
-            for u, u2 in self.pattern.edges():
-                if v in self.eligible[u] and w in self.match[u2]:
-                    key = (u, u2, v)
-                    self._cnt[key] -= 1
-                    self.stats.counter_updates += 1
-                    if self._cnt[key] == 0 and v in self.match[u]:
-                        queue.append((u, v))
-        self._demote_cascade(queue)
-
-    def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncMatch+ for edges already present in the shared graph.
-
-        Endpoints the index has never evaluated are registered first;
-        their counters are computed against the *current* graph (all batch
-        edges included), so explicit bookkeeping is only performed for
-        edges whose endpoints were both already registered.
-        """
-        edges = list(edges)
-        fresh: Set[Node] = set()
-        reg_promoted: List[Tuple[PatternNode, Node]] = []
-        for v, w in edges:
-            for node in (v, w):
-                if self._register_node(node):
-                    fresh.add(node)
-                    for u in self.pattern.nodes():
-                        if node in self.match[u]:
-                            reg_promoted.append((u, node))
-        needs_worklist = bool(reg_promoted)
-        needs_scc = False
-        for v, w in edges:
-            if v in fresh or w in fresh:
-                continue  # registration already counted this edge
-            cs, cc_scc = self._insert_bookkeeping(v, w)
-            needs_worklist = needs_worklist or cs
-            needs_scc = needs_scc or cc_scc
-        if fresh and self._has_cycles:
-            # A fresh candidate may complete an intra-SCC cycle through
-            # pre-existing edges the unit path never sees.
-            needs_scc = True
-        if needs_scc or (needs_worklist and self._has_cycles):
-            self._promote_sweep()
-            return
-        if not needs_worklist:
-            return
-        seeds: Deque[Tuple[PatternNode, Node]] = deque()
-        for v, w in edges:
-            for u, u2 in self.pattern.edges():
-                if v in self.candt[u] and w in self.match[u2]:
-                    seeds.append((u, v))
-        # Nodes promoted during registration may unlock their parents
-        # through edges outside this batch.
-        for u, z in reg_promoted:
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(z):
-                    if p in self.candt[u0]:
-                        seeds.append((u0, p))
-        self._promote_worklist(seeds)
 
     def release(self) -> None:
         """Release shared-eligibility leases (pool unregister); idempotent.

@@ -4,20 +4,21 @@ The docstrings of all three incremental indexes promise the same central
 invariant — after any update stream, the maintained result equals a batch
 recomputation on the current graph.  Unit tests pin single scenarios; this
 module sweeps the invariant across random multi-flush update streams for
-every semantics, both through the raw indexes (``apply_batch``) and
-through the shared-graph :class:`~repro.engine.pool.MatcherPool` plumbing
-(routing + phased repair), which must agree with them pair for pair.
+every semantics, both through the raw indexes (``apply_batch``, and every
+standalone entry point mixed in one stream) and through the shared-graph
+:class:`~repro.engine.pool.MatcherPool` plumbing (routing + phased
+repair), which must agree with them pair for pair.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import MatcherPool
 from repro.incremental.incbsim import BoundedSimulationIndex
-from repro.incremental.inciso import IsoIndex
+from repro.incremental.inciso import IsoIndex, LocalizedIsoIndex
 from repro.incremental.incsim import SimulationIndex
 from repro.matching.bounded import bounded_match
 from repro.matching.isomorphism import iter_embeddings
@@ -98,6 +99,125 @@ def test_iso_stream_matches_batch(data):
     for _ in range(FLUSHES):
         idx.apply_batch(data.draw(update_batches(graph, max_updates=6)))
         assert_iso_consistent(pattern, graph, idx.embeddings())
+
+
+# ----------------------------------------------------------------------
+# Raw indexes: every standalone entry point mixed in one stream
+# ----------------------------------------------------------------------
+STEPS = 10
+# Two labels keep most nodes eligible, so streams this short still build
+# and break witness paths (attribute flips draw from all of LABELS, so a
+# node can also fall out of every predicate).
+DENSE = LABELS[:2]
+STANDALONE = [
+    "simulation",
+    "bounded-bfs",
+    "bounded-landmark",
+    "bounded-matrix",
+    "bounded-interval",
+    "iso",
+    "iso-localized",
+]
+
+
+def _weakly_connected(pattern):
+    nodes = list(pattern.nodes())
+    seen = {nodes[0]}
+    frontier = [nodes[0]]
+    while frontier:
+        u = frontier.pop()
+        for w in list(pattern.children(u)) + list(pattern.parents(u)):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(nodes)
+
+
+def _standalone_index(kind, data, graph):
+    """(index, check) for one standalone index kind; ``check``
+    compares the index with from-scratch recomputation."""
+    if kind.startswith("bounded"):
+        pattern = data.draw(small_patterns(max_nodes=3, labels=DENSE))
+        idx = BoundedSimulationIndex(
+            pattern, graph, distance_mode=kind.split("-")[1]
+        )
+
+        def check():
+            assert_bounded_consistent(pattern, graph, idx.matches())
+            idx.check_invariants()
+
+        return idx, check
+    pattern = data.draw(
+        small_patterns(
+            max_nodes=3, labels=DENSE, max_bound=1, allow_star=False
+        )
+    )
+    if kind == "simulation":
+        idx = SimulationIndex(pattern, graph)
+
+        def check():
+            assert_simulation_consistent(pattern, graph, idx.matches())
+            idx.check_invariants()
+
+        return idx, check
+    if kind == "iso-localized":
+        # The default radius is exact only for weakly connected patterns.
+        assume(_weakly_connected(pattern))
+        idx = LocalizedIsoIndex(pattern, graph)
+    else:
+        idx = IsoIndex(pattern, graph)
+
+    def check():
+        assert_iso_consistent(pattern, graph, idx.embeddings())
+
+    return idx, check
+
+
+@pytest.mark.parametrize("kind", STANDALONE)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_standalone_entry_points_match_batch(kind, data):
+    """Unit ``insert_edge``/``delete_edge``, ``apply_batch``,
+    ``apply_batch_naive`` and ``update_node_attrs`` (on existing and fresh
+    nodes) interleaved in one stream; every step is checked against
+    from-scratch recomputation, and the unit entry points must report
+    whether the graph changed."""
+    graph = data.draw(small_graphs(max_nodes=6, labels=DENSE))
+    idx, check = _standalone_index(kind, data, graph)
+    next_node = 100
+    for _ in range(STEPS):
+        nodes = sorted(graph.nodes())
+        step = data.draw(
+            st.sampled_from(["insert", "delete", "batch", "naive", "attrs"])
+        )
+        if step in ("insert", "delete"):
+            # Endpoints may be fresh (insert) or the edge absent (delete).
+            endpoints = nodes + [next_node]
+            if step == "delete" and graph.num_edges() and data.draw(
+                st.booleans()
+            ):
+                v, w = data.draw(st.sampled_from(sorted(graph.edges())))
+            else:
+                v = data.draw(st.sampled_from(endpoints))
+                w = data.draw(st.sampled_from(endpoints))
+            had = graph.has_edge(v, w)
+            if step == "insert":
+                assert idx.insert_edge(v, w) == (not had)
+            else:
+                assert idx.delete_edge(v, w) == had
+            assert graph.has_edge(v, w) == (step == "insert")
+        elif step == "batch":
+            idx.apply_batch(data.draw(update_batches(graph, max_updates=6)))
+        elif step == "naive":
+            idx.apply_batch_naive(
+                data.draw(update_batches(graph, max_updates=6))
+            )
+        else:
+            v = data.draw(st.sampled_from(nodes + [next_node]))
+            idx.update_node_attrs(v, label=data.draw(st.sampled_from(LABELS)))
+        if next_node in graph:
+            next_node += 1
+        check()
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.engine import MatcherPool
 from repro.graphs.digraph import DiGraph
 from repro.incremental.incbsim import BoundedSimulationIndex
-from repro.incremental.types import delete, insert
+from repro.incremental.types import Update, delete, insert
 from repro.matching.relation import as_pairs
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.pattern import Pattern, PatternError
@@ -211,6 +211,94 @@ class TestRouting:
         # A brand-new, attribute-less endpoint still matches TRUE.
         pool.apply([insert("seed", "novel")])
         assert q.matches()["any"] == {"seed", "novel"}
+
+
+class TestIntakeValidation:
+    """A malformed op is rejected when it is queued, with nothing
+    buffered, so it can never half-apply a later flush."""
+
+    @staticmethod
+    def _pool(**kwargs):
+        g = DiGraph()
+        g.add_node(1, label="A")
+        g.add_node(2, label="B")
+        g.add_edge(1, 2)
+        pool = MatcherPool(g, **kwargs)
+        q = pool.register(
+            Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")]),
+            semantics="simulation",
+        )
+        return pool, q
+
+    @staticmethod
+    def _state(pool, q):
+        return (
+            {v: dict(pool.graph.attrs(v)) for v in pool.graph.nodes()},
+            set(pool.graph.edges()),
+            {p: set(pool.eligibility.entry(p).members) for p in q.predicates},
+            q.matches(),
+            pool.pending,
+        )
+
+    def test_unhashable_node_id_rejected_by_queue_node(self):
+        pool, q = self._pool()
+        pool.queue_node(1, label="Z")
+        before = self._state(pool, q)
+        with pytest.raises(TypeError):
+            pool.queue_node([9], label="A")
+        assert self._state(pool, q) == before
+        pool.flush()
+        # The valid op applies whole: graph, eligibility and match agree.
+        assert pool.graph.attrs(1)["label"] == "Z"
+        label_a = q.pattern.predicate("x")
+        assert 1 not in pool.eligibility.entry(label_a).members
+        assert q.matches() == {"x": set(), "y": set()}
+
+    def test_unknown_op_rejected_by_queue(self):
+        pool, q = self._pool()
+        pool.queue_node(1, label="Z")
+        pool.queue(insert(2, 1))
+        before = self._state(pool, q)
+        flushes = pool.stats.flushes
+        with pytest.raises(ValueError):
+            pool.queue(Update("upsert", 1, 3))
+        assert self._state(pool, q) == before
+        pool.flush()
+        assert pool.stats.flushes == flushes + 1
+        assert pool.graph.has_edge(2, 1)
+        assert pool.graph.attrs(1)["label"] == "Z"
+
+    def test_unhashable_endpoint_rejected_by_queue(self):
+        pool, q = self._pool()
+        before = self._state(pool, q)
+        with pytest.raises(TypeError):
+            pool.queue(insert(1, {"not": "hashable"}))
+        assert self._state(pool, q) == before
+
+    @pytest.mark.parametrize("window", [None, 10.0])
+    def test_queue_updates_buffers_nothing_on_a_bad_op(self, window):
+        # window=None takes the extend fast path; a temporal pool queues
+        # one update at a time.
+        pool, q = self._pool(window=window)
+        before = self._state(pool, q)
+        batch = [delete(1, 2), insert(2, 1), Update("upsert", 1, 2)]
+        with pytest.raises(ValueError):
+            pool.queue_updates(iter(batch))
+        with pytest.raises(TypeError):
+            pool.queue_updates([delete(1, 2), insert([1], 2)])
+        assert self._state(pool, q) == before
+        pool.flush()
+        assert self._state(pool, q) == before
+
+    def test_queue_updates_checks_times_before_buffering(self):
+        # The delete ahead of the stamped insert must not be buffered.
+        pool, q = self._pool(window=10.0)
+        before = self._state(pool, q)
+        with pytest.raises(ValueError):
+            pool.queue_updates(
+                [delete(1, 2), insert(2, 1)], ts=float("nan")
+            )
+        assert self._state(pool, q) == before
 
 
 class TestCoalescing:
