@@ -30,22 +30,27 @@ owns
   registry of :class:`~repro.graphs.reachability.ReachClosure` caches
   keyed by ``(predicate, direction)``, each refreshed at most once per
   flush per labelling version so routing consults are O(1);
-- one :class:`~repro.landmarks.vector.EligibleLegMinima` cache keyed by
-  **interned predicate** (effectively ``(predicate, lm-version)``) so
-  same-predicate landmark queries share one minima refresh per flush
-  instead of paying O(|eligible|·|lm|) each.
+- the **legs** of each routed edge, ``landmark`` mode's routing oracle:
+  for an edge ``(x, y)`` and leg radius ``r``, the radius-``r`` backward
+  BFS from ``x`` and forward BFS from ``y`` on the current graph (the
+  paper's Section 6 locality argument: a bound-``r + 1`` pair gained or
+  lost through the edge decomposes over them).  They are memoized per
+  ``(x, y, r)`` until the next edge batch is observed, so every landmark
+  query consulted on one edge shares one BFS pair; nothing is leased.
 
-Every structure is leased with a refcount: registering a bounded query
+Every other structure is leased with a refcount: registering a bounded query
 acquires leases, unregistering releases them, and a structure
 whose refcount reaches zero is dropped so the pool stops paying its
 upkeep.  The pool syncs the substrate **once per flush phase** — node
 events flow through the eligibility index (whose listeners update ball
-sources and leg minima), ``observe_deleted`` runs after the shared graph
-drops a deletion batch, and ``observe_inserted`` after an insertion batch
-lands (and *before* insertion routing, which is what makes routing
-trivial-``TRUE``-predicate bounded queries through the shared ball sound:
-a brand-new attribute-less node is already a pinned distance-0 source when
-the routing oracle is consulted).
+sources), ``observe_deleted`` runs after the shared graph drops a
+deletion batch, and ``observe_inserted`` after an insertion batch lands
+(and *before* insertion routing, which is what makes routing
+trivial-``TRUE``-predicate bounded queries sound: a brand-new
+attribute-less node is already a member of the ``TRUE`` set, hence a
+pinned distance-0 ball source, when the routing oracle is consulted).
+Both clear the memoized legs: deletion routing reads legs of the
+pre-edit graph, insertion routing legs of the graph after the batch.
 
 When the shared landmark index outgrows its
 :class:`~repro.landmarks.selection.LandmarkBudget` (``InsLM`` growth is
@@ -55,20 +60,23 @@ flush via :meth:`SharedDistanceSubstrate.enforce_lm_budget`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
 from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
+from ..graphs.traversal import bfs_distances
 from ..incremental.ballsummary import BallField
 from ..landmarks.selection import LandmarkBudget
-from ..landmarks.vector import EligibleLegMinima, LandmarkIndex
+from ..landmarks.vector import LandmarkIndex
 from ..patterns.predicate import Predicate
 from .eligibility import SharedEligibilityIndex
 
 # One stratified field per (predicate, direction); radii are lease-tracked.
 FieldKey = Tuple[Predicate, bool]
 ClosureKey = Tuple[Predicate, bool]
+# (backward ball of x, forward ball of y): node -> possibly-empty-path hops.
+Legs = Tuple[Dict[Node, int], Dict[Node, int]]
 
 
 def _effective_cap(radii: Dict[Optional[int], int]) -> Optional[int]:
@@ -148,12 +156,9 @@ class SharedDistanceSubstrate:
         self._reach_refs = 0
         # (predicate, reverse) -> [ReachClosure, refcount, listener].
         self._closures: Dict[ClosureKey, List[Any]] = {}
-        # Shared leg minima (landmark-mode routing oracle): one cache
-        # entry per (predicate, lm-version), member sets leased from the
-        # eligibility index.  predicate -> [refcount, listener token].
-        self._minima: Optional[EligibleLegMinima] = None
-        self._minima_sets: Dict[Predicate, Set[Node]] = {}
-        self._minima_refs: Dict[Predicate, List[Any]] = {}
+        # Landmark-mode routing legs, memoized per (x, y, radius) until
+        # the next observed edge batch.
+        self._legs: Dict[Tuple[Node, Node, Optional[int]], Legs] = {}
 
     # ------------------------------------------------------------------
     # Leases
@@ -166,7 +171,6 @@ class SharedDistanceSubstrate:
         """
         if self._lm is None:
             self._lm = LandmarkIndex(self._graph, strategy=strategy)
-            self._minima = EligibleLegMinima(self._lm, self._minima_sets)
             self.stats.lm_builds += 1
         self._lm_refs += 1
         return self._lm
@@ -175,55 +179,28 @@ class SharedDistanceSubstrate:
         self._lm_refs -= 1
         if self._lm_refs <= 0:
             self._lm = None
-            self._minima = None
             self._lm_refs = 0
 
-    def lease_leg_minima(self, predicate: Predicate) -> None:
-        """Acquire the shared leg-minima member set for ``predicate``.
+    def legs(self, x: Node, y: Node, radius: Optional[int]) -> Legs:
+        """The two legs of a witness path through the edge ``(x, y)``.
 
-        Landmark-mode bounded queries lease one per distinct pattern-node
-        predicate; the minima cache entry is keyed by the predicate and
-        checked against the landmark version, so however many
-        same-predicate queries consult it, one O(|members|·|lm|) refresh
-        per flush serves them all.
+        Every node within ``radius`` possibly-empty hops *of* ``x``
+        (backward BFS, ``x`` itself at 0) and *from* ``y`` (forward BFS,
+        ``y`` at 0) on the current graph; ``radius is None`` is plain
+        reachability.  A pattern edge with bound ``radius + 1`` can gain
+        or lose a pair through ``(x, y)`` only if the first leg meets its
+        source's eligible set and the second its target's.  Memoized per
+        ``(x, y, radius)`` until the next ``observe_*`` call, so the
+        landmark queries consulted on one edge share one BFS pair.
         """
-        entry = self._minima_refs.get(predicate)
-        if entry is not None:
-            entry[0] += 1
-            return
-        eset = self._eligibility.lease(predicate)
-        self._minima_sets[predicate] = eset.members
-        token = self._eligibility.add_listener(
-            predicate,
-            lambda v, p=predicate: self._minima_note(p, v, gained=True),
-            lambda v, p=predicate: self._minima_note(p, v, gained=False),
-        )
-        self._minima_refs[predicate] = [1, token]
-
-    def release_leg_minima(self, predicate: Predicate) -> None:
-        entry = self._minima_refs.get(predicate)
-        if entry is None:
-            return
-        entry[0] -= 1
-        if entry[0] <= 0:
-            del self._minima_refs[predicate]
-            del self._minima_sets[predicate]
-            self._eligibility.remove_listener(predicate, entry[1])
-            self._eligibility.release(predicate)
-            if self._minima is not None:
-                self._minima.drop(predicate)
-
-    def _minima_note(self, predicate: Predicate, v: Node, gained: bool) -> None:
-        if self._minima is None:
-            return
-        if gained:
-            self._minima.note_gained(predicate, v)
-        else:
-            self._minima.note_lost(predicate, v)
-
-    def leg_minima(self) -> Optional[EligibleLegMinima]:
-        """The shared (predicate, lm-version)-keyed leg-minima cache."""
-        return self._minima
+        key = (x, y, radius)
+        legs = self._legs.get(key)
+        if legs is None:
+            legs = self._legs[key] = (
+                bfs_distances(self._graph, x, radius, reverse=True),
+                bfs_distances(self._graph, y, radius),
+            )
+        return legs
 
     def lease_matrix(self) -> DistanceMatrix:
         """Acquire the pool-wide all-pairs matrix (built on first lease)."""
@@ -376,6 +353,7 @@ class SharedDistanceSubstrate:
         over each live structure, however many queries lease it."""
         if not edges:
             return
+        self._legs.clear()
         self.stats.edge_batches += 1
         if self._lm is not None:
             self._lm.apply_batch(deleted=edges)
@@ -399,6 +377,7 @@ class SharedDistanceSubstrate:
         """
         if not edges:
             return
+        self._legs.clear()
         self.stats.edge_batches += 1
         if self._lm is not None:
             self._lm.apply_batch(inserted=edges)
@@ -418,18 +397,18 @@ class SharedDistanceSubstrate:
             self.stats.structure_batches += 1
 
     # Node events (additions, attribute flips) flow through the pool's
-    # SharedEligibilityIndex: its listeners pin/unpin ball-field sources
-    # and merge/invalidate leg minima, so the substrate needs no node
-    # observation entry points of its own.
+    # SharedEligibilityIndex: its listeners pin/unpin ball-field sources,
+    # and legs are pure graph distances read against the live member
+    # sets, so the substrate needs no node observation entry points of
+    # its own.
 
     def enforce_lm_budget(self) -> bool:
         """``BatchLM`` re-selection when ``InsLM`` growth exceeds the
         budget (invoked by the pool at the end of a flush).
 
-        The rebuild bumps the landmark version, so every version-keyed
-        cache (the shared leg minima) refreshes lazily
-        on its next consult; correctness is unaffected either way.
-        Returns whether a rebuild happened.
+        Routing reads the legs, not the vectors, so only the suspect
+        rechecks see the re-selected landmarks.  Returns whether a
+        rebuild happened.
         """
         if self._lm is None or not self.lm_budget.exceeded(self._lm):
             return False
@@ -483,7 +462,6 @@ class SharedDistanceSubstrate:
             "field_radii": sum(len(e[3]) for e in self._fields.values()),
             "closures": len(self._closures),
             "closure_leases": sum(e[1] for e in self._closures.values()),
-            "minima_keys": len(self._minima_refs),
         }
 
     # ------------------------------------------------------------------
@@ -491,8 +469,8 @@ class SharedDistanceSubstrate:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Leased member sets must mirror predicate satisfaction (checked
-        by the eligibility substrate); fields must be exact; the shared
-        minima must read live leased sets only."""
+        by the eligibility substrate); fields must be exact and, like the
+        reach closures, read live leased sets only."""
         self._eligibility.check_invariants()
         for (predicate, _reverse), entry in self._fields.items():
             field = entry[0]
@@ -511,12 +489,6 @@ class SharedDistanceSubstrate:
             assert eset is not None and eset.members is entry[0].members, (
                 f"reach closure for {predicate!r} detached from the "
                 f"eligibility substrate"
-            )
-        for predicate in self._minima_refs:
-            eset = self._eligibility.entry(predicate)
-            assert eset is not None and eset.members is self._minima_sets[predicate], (
-                f"leg-minima member set for {predicate!r} detached from "
-                f"the eligibility substrate"
             )
 
     def __repr__(self) -> str:

@@ -37,8 +37,9 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
   no reconciliation, nothing to maintain;
 - membership flips notify registered **listeners** (the distance
   substrate's :class:`~repro.incremental.ballsummary.BallField` sources
-  and the shared landmark leg-minima cache), in set-already-mutated order,
-  so every downstream structure sees each flip exactly once.
+  and :class:`~repro.graphs.reachability.ReachClosure` caches), in
+  set-already-mutated order, so every downstream structure sees each flip
+  exactly once.
 
 Every query registered with the pool leases its candidate sets here;
 there is no private-copy path inside a pool (standalone indexes still
@@ -135,7 +136,7 @@ class EligibleSet:
     ``members`` is the live set — the intersection of ``atom_entries``
     posting sets, maintained incrementally; **only** the owning
     :class:`SharedEligibilityIndex` mutates it (in place: downstream
-    aliases — ball-field source sets, leg-minima caches, the queries'
+    aliases — ball-field source sets, reach closures, the queries'
     edge-routing pairs — hold the *object*, never a copy).  ``version``
     bumps on every membership change — an introspection/change-detection
     counter (surfaced via ``live_entries``) for consumers that poll rather

@@ -41,7 +41,7 @@ overrides) is **temporal**: every inserted edge is stamped with a logical
 (or caller-supplied) timestamp, and each flush begins by retiring every
 out-of-window edge in ONE coalesced deletion batch that rides the normal
 pre-edit deletion phase — so eligibility posting sets, ball fields,
-landmark minima, the interval oracle, and shared-plan views all absorb a
+landmark vectors, the interval oracle, and shared-plan views all absorb a
 single netted decremental batch per flush instead of N scattered deletes.
 Expiry deletes are queued *before* user updates, so re-inserting an
 expired edge within the same flush nets to zero graph work and simply
@@ -234,7 +234,7 @@ class MatcherPool:
         self.graph_backend = type(graph).backend_name()
         self.stats = PoolStats()
         # One eligible-node set per distinct predicate, leased by every
-        # query and by the distance substrate's ball fields / leg minima;
+        # query and by the distance substrate's ball fields / closures;
         # one distance structure per (graph, distance_mode), leased by all
         # bounded queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)

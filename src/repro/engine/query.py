@@ -159,7 +159,7 @@ class ContinuousQuery:
         # Bounded queries with a bound > 1 (or *) are distance-routed
         # through the index's can_affect_edge oracle — trivial-predicate
         # ones included, since the pool announces fresh nodes to the
-        # shared ball fields before insertion routing.  Bound-1 patterns
+        # eligibility substrate before insertion routing.  Bound-1 patterns
         # stay endpoint-routed.
         self.distance_routed: bool = (
             isinstance(self.index, BoundedSimulationIndex)
@@ -336,7 +336,7 @@ class ContinuousQuery:
         """Distance-aware oracle: can an edge update (v, w) touch a pair?
 
         Only meaningful for ``distance_routed`` queries; backed by the
-        pool substrate's shared ball fields / leg minima / reach closures.
+        pool substrate's shared ball fields / edge legs / reach closures.
         """
         return self.index.can_affect_edge(v, w)
 

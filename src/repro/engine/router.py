@@ -16,11 +16,11 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   an edge between unlabeled nodes can shorten or break a witness path, so
   endpoint attributes alone are unsound — instead each such query's
   :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge` oracle
-  (the pool substrate's ball fields / leg minima / reach closures) proves
+  (the pool substrate's ball fields / edge legs / reach closures) proves
   or refutes relevance per edge.  Trivial-(``TRUE``)-predicate queries
   are distance-routed too: the pool announces fresh nodes to the
   substrate before insertion routing, so a brand-new attribute-less node
-  is already a ball-field source when the oracle rules;
+  is already a ``TRUE`` member when the oracle rules;
 - node events route by predicate **flips**: the pool's eligibility
   substrate evaluates each distinct predicate once per event, and
   :meth:`route_flips` selects exactly the queries whose patterns use a

@@ -63,9 +63,11 @@ its suspect rechecks read.  A pool-registered index receives the pool's
 structures are **leased** from it and the pool keeps them in sync once
 per flush for every leasing query.  The distance-aware routing oracle
 (:meth:`can_affect_edge`) exists only for pool routing and reads only
-substrate structures: the shared leg minima in ``landmark`` mode (one
-O(|lm|) early-exit scan per pattern edge), the reach closures in
-``interval`` mode, and the shared ball fields otherwise.
+substrate structures: the edge's two legs in ``landmark`` mode (the
+backward/forward balls of the insertion and deletion cases above, one
+memoized BFS pair per edge and radius shared by every landmark query),
+the reach closures in ``interval`` mode, and the shared ball fields in
+``bfs`` and ``matrix`` modes.
 """
 
 from __future__ import annotations
@@ -120,12 +122,12 @@ class BoundedSimulationIndex(StandaloneDriver):
         self.distance_mode = distance_mode
         # A pool-level SharedDistanceSubstrate (engine.distances).  When
         # set, the landmark index / matrix are leased rather than owned,
-        # the routing-oracle ball fields are leased per (predicate,
-        # radius, direction), and the *pool* keeps every shared structure
-        # in sync.  A substrate-backed index must therefore be driven
-        # through the pool's prepare/repair entry points, not the
-        # standalone insert_edge/delete_edge/apply_batch drivers (which
-        # sync only structures the index owns).
+        # the bfs/matrix routing-oracle ball fields are leased per
+        # (predicate, radius, direction), and the *pool* keeps every
+        # shared structure in sync.  A substrate-backed index must
+        # therefore be driven through the pool's prepare/repair entry
+        # points, not the standalone insert_edge/delete_edge/apply_batch
+        # drivers (which sync only structures the index owns).
         self.substrate = substrate
         # A pool-level SharedEligibilityIndex (engine.eligibility): the
         # per-pattern-node eligible sets become leased read-views of one
@@ -166,26 +168,9 @@ class BoundedSimulationIndex(StandaloneDriver):
             Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]]
         ] = None
         self._closure_keys: List[Tuple[Predicate, bool]] = []
-        # Substrate leg-minima leases (landmark mode): distinct predicates
-        # whose shared member minima this index's oracle reads.
-        self._minima_keys: List[Predicate] = []
-        # Trivial-predicate landmark queries route through the shared ball
-        # fields (see _routes_via_shared_fields).
-        self.has_trivial_pred = any(
-            pattern.predicate(u).is_trivial() for u in pattern.nodes()
-        )
         if distance_mode == "landmark":
             if substrate is not None:
                 self._lm = substrate.lease_landmarks(strategy=landmark_strategy)
-                # The leg minima are hoisted to the substrate, keyed by
-                # (predicate, lm-version): same-predicate landmark queries
-                # share one minima refresh per flush instead of one per
-                # query.  Lease the member sets the oracle will read.
-                for u in pattern.nodes():
-                    pred = pattern.predicate(u)
-                    if pred not in self._minima_keys:
-                        self._minima_keys.append(pred)
-                        substrate.lease_leg_minima(pred)
             else:
                 self._lm = LandmarkIndex(graph, strategy=landmark_strategy)
         elif distance_mode == "matrix":
@@ -210,12 +195,12 @@ class BoundedSimulationIndex(StandaloneDriver):
                 )
                 self._closure_keys.extend((src_key, tgt_key))
             self._reach_closures = closures
-        # Shared ball fields are leased eagerly when this index's routing
-        # oracle will read them (build cost belongs to registration, not
-        # to the first flush that happens to consult the oracle).
+        # The bfs/matrix routing oracle reads shared ball fields, leased
+        # eagerly (build cost belongs to registration, not to the first
+        # flush that happens to consult the oracle).
         if (
             substrate is not None
-            and self._routes_via_shared_fields()
+            and distance_mode in ("bfs", "matrix")
             and self.distance_routed()
         ):
             self._ensure_shared_fields()
@@ -621,17 +606,6 @@ class BoundedSimulationIndex(StandaloneDriver):
     def reachability_index(self) -> Optional[IntervalReachabilityIndex]:
         return self._reach
 
-    def _routes_via_shared_fields(self) -> bool:
-        """Does the routing oracle read the substrate's shared ball fields
-        (vs the landmark minima / reach closures)?  Single predicate for
-        the eager-lease decision and the can_affect_edge branch.  Interval
-        mode never does: its closures handle trivial predicates soundly (a
-        fresh node is announced to the eligibility substrate — hence a
-        closure member — before insertion routing)."""
-        return self.distance_mode != "interval" and (
-            self.distance_mode != "landmark" or self.has_trivial_pred
-        )
-
     def _ensure_shared_fields(
         self,
     ) -> Dict[PatternEdge, Tuple[BallField, BallField]]:
@@ -670,9 +644,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         if self._lm is not None:
             self.substrate.release_landmarks()
             self._lm = None
-        for pred in self._minima_keys:
-            self.substrate.release_leg_minima(pred)
-        self._minima_keys = []
         if self._matrix is not None:
             self.substrate.release_matrix()
             self._matrix = None
@@ -705,16 +676,18 @@ class BoundedSimulationIndex(StandaloneDriver):
         insertion batch (so same-batch edges are already reflected) —
         mirroring the ``prepare_deletions`` two-phase dance.
 
-        Backing store: in ``landmark`` mode, the substrate's
-        :class:`~repro.landmarks.vector.EligibleLegMinima` cache keyed by
-        ``(predicate, lm-version)`` makes each consult one O(|lm|)
-        early-exit scan (same-predicate queries share one minima refresh
-        per flush); ``bfs`` and ``matrix`` modes read the shared ball
-        fields.  Trivial-(TRUE)-predicate queries always go through the
-        shared fields: the pool announces fresh nodes to the substrate
-        before insertion routing, so a brand-new attribute-less node is
-        already a pinned distance-0 source when this oracle runs — the one
-        case the landmark minima cannot anticipate.
+        Backing store: in ``landmark`` mode, the edge's two legs from the
+        substrate (:meth:`SharedDistanceSubstrate.legs`: the radius-``k-1``
+        backward BFS from ``x`` and forward BFS from ``y``, memoized per
+        edge and radius, so every landmark query consulted on the edge
+        shares one BFS pair); a pattern edge ``(u, u2)`` routes when the
+        ``x`` leg meets ``eligible[u]`` and the ``y`` leg meets
+        ``eligible[u2]``.  ``bfs`` and ``matrix`` modes read the shared
+        ball fields instead.  Both are sound for trivial-(TRUE)-predicate
+        queries: the pool announces fresh nodes to the eligibility
+        substrate before insertion routing, so a brand-new attribute-less
+        node is already a ``TRUE`` member (and a pinned distance-0 ball
+        source) when this oracle runs.
 
         In ``interval`` mode the consult is two O(1) closure-membership
         tests per pattern edge: ``x`` reachable from an eligible source
@@ -735,13 +708,14 @@ class BoundedSimulationIndex(StandaloneDriver):
                 if src.contains(x) and tgt.contains(y):
                     return True
             return False
-        if not self._routes_via_shared_fields():
-            minima = self.substrate.leg_minima()
+        if self.distance_mode == "landmark":
+            legs = self.substrate.legs
             for (u, u2), bound in self._bounds.items():
-                r = None if bound is None else bound - 1
-                if minima.reaches_within(
-                    self.pattern.predicate(u), x, r
-                ) and minima.reached_within(self.pattern.predicate(u2), y, r):
+                back, fwd = legs(x, y, None if bound is None else bound - 1)
+                # isdisjoint probes the larger side from the smaller.
+                if not back.keys().isdisjoint(
+                    self.eligible[u]
+                ) and not fwd.keys().isdisjoint(self.eligible[u2]):
                     return True
             return False
         fields = self._ensure_shared_fields()

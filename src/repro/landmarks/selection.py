@@ -10,6 +10,7 @@ high-degree nodes.  Both selectors are provided.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Set
 
 from ..graphs.digraph import DiGraph, Node
@@ -92,14 +93,17 @@ class LandmarkBudget:
     ``max(floor, slack * selected_size)``, a ``BatchLM`` re-selection
     (:meth:`LandmarkIndex.rebuild`) is due.  ``floor`` keeps tiny graphs
     from rebuilding constantly; ``slack`` trades rebuild frequency
-    against vector bloat.  The rebuild bumps the index version, so every
-    version-keyed cache (leg minima) refreshes lazily — correctness is
-    unaffected either way, only space and per-consult cost.
+    against vector bloat.  Correctness is unaffected either way, only
+    space and per-recheck cost.  Both must be finite: a NaN ``slack``
+    would make the limit ``floor`` (a rebuild on every flush), and a NaN
+    or infinite ``floor`` would switch the budget off.
     """
 
     def __init__(self, slack: float = 2.0, floor: int = 16) -> None:
-        if slack < 1.0:
-            raise ValueError(f"slack must be >= 1.0, got {slack}")
+        if not (math.isfinite(slack) and slack >= 1.0):
+            raise ValueError(f"slack must be finite and >= 1.0, got {slack}")
+        if not (math.isfinite(floor) and floor >= 0):
+            raise ValueError(f"floor must be finite and >= 0, got {floor}")
         self.slack = slack
         self.floor = floor
 

@@ -51,10 +51,6 @@ class LandmarkIndex:
         self._strategy = strategy
         self._fwd: Dict[Node, DynamicSSSP] = {}  # dist(lm -> v): distvt column
         self._bwd: Dict[Node, DynamicSSSP] = {}  # dist(v -> lm): distvf column
-        # Bumped on every structural change (edge repair, landmark growth,
-        # rebuild); version-keyed caches such as :class:`EligibleLegMinima`
-        # use it to invalidate lazily.
-        self.version = 0
         if landmarks is None:
             landmarks = select_landmarks(graph, strategy)
         for lm in landmarks:
@@ -79,7 +75,6 @@ class LandmarkIndex:
             return
         self._fwd[v] = DynamicSSSP(self._graph, v, reverse=False)
         self._bwd[v] = DynamicSSSP(self._graph, v, reverse=True)
-        self.version += 1
 
     def add_landmark(self, v: Node) -> None:
         """Extend the vector by one landmark (full BFS both directions)."""
@@ -152,26 +147,6 @@ class LandmarkIndex:
                 return True
         return False
 
-    def leg_within(self, v: Node, w: Node, radius: Optional[int]) -> bool:
-        """Early-exit check on *possibly-empty* paths: ``d(v, w) <= radius``.
-
-        The legs of a witness path around an updated edge may be empty
-        (``d(v, v) == 0``), unlike the nonempty-path semantics of
-        :meth:`within` — this is what the distance-aware routing oracle of
-        ``IncBMatch`` needs.  ``radius is None`` means plain reachability.
-        """
-        if v == w:
-            return v in self._graph
-        if radius is None:
-            return self.dist(v, w) != INF
-        for lm, fwd in self._fwd.items():
-            to_lm = self._bwd[lm].dist(v)
-            if to_lm > radius:
-                continue
-            if to_lm + fwd.dist(w) <= radius:
-                return True
-        return False
-
     def ball_out(self, v: Node, k: Optional[int]) -> Dict[Node, int]:
         """Bounded forward ball; BFS is used directly (k is small)."""
         return descendants_within(self._graph, v, k)
@@ -195,7 +170,6 @@ class LandmarkIndex:
             sssp.on_insert(x, y)
         for sssp in self._bwd.values():
             sssp.on_insert(x, y)
-        self.version += 1
 
     def delete_edge(self, x: Node, y: Node) -> None:
         """``DelLM``: repair after deleting (x, y); landmarks never shrink
@@ -204,7 +178,6 @@ class LandmarkIndex:
             sssp.on_delete(x, y)
         for sssp in self._bwd.values():
             sssp.on_delete(x, y)
-        self.version += 1
 
     def apply_batch(
         self,
@@ -224,8 +197,6 @@ class LandmarkIndex:
             sssp.on_batch(inserted, deleted)
         for sssp in self._bwd.values():
             sssp.on_batch(inserted, deleted)
-        if inserted or deleted:
-            self.version += 1
 
     def rebuild(self) -> None:
         """``BatchLM``: recompute the landmark set and all vectors."""
@@ -235,7 +206,6 @@ class LandmarkIndex:
         for lm in landmarks:
             self._add(lm)
         self.selected_size = len(self._fwd)
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Introspection for experiments
@@ -251,128 +221,3 @@ class LandmarkIndex:
             s.stats.reset()
         for s in self._bwd.values():
             s.stats.reset()
-
-
-class EligibleLegMinima:
-    """Per-landmark minima over keyed member sets: O(|lm|) leg checks.
-
-    The naive witness-leg consult of the distance-aware routing oracle asks
-    "is some member of a set within ``r`` possibly-empty hops of ``node``?"
-    by scanning the member set with one vector query each —
-    O(|members| * |lm|) per consult.  Since ``min_e d(e, node) =
-    min_lm (min_e d(e, lm) + d(lm, node))`` for ``node`` outside the member
-    set (every nonempty shortest path crosses a landmark when ``lm`` covers
-    the edges), precomputing ``min_e d(e, lm)`` and ``min_e d(lm, e)`` per
-    landmark collapses the consult to a single O(|lm|) early-exit scan.
-
-    ``members_of`` maps opaque hashable keys to live member sets.  A
-    per-query :class:`~repro.incremental.incbsim.BoundedSimulationIndex`
-    keys by *pattern node* over its private eligible sets; the pool-level
-    :class:`~repro.engine.distances.SharedDistanceSubstrate` keys by
-    **interned predicate** over the shared eligibility member sets — the
-    cache entry is then effectively keyed ``(predicate, lm-version)``, so
-    however many same-predicate landmark queries the pool holds, one
-    O(|members| * |lm|) refresh per flush serves them all.
-
-    The minima are cached per key and checked against
-    :attr:`LandmarkIndex.version`, so one refresh per key per *flush*
-    amortizes over every per-edge consult in that flush.  Membership gains
-    merge in O(|lm|); losses invalidate the key (the departed member may
-    have been the minimum).
-    """
-
-    def __init__(
-        self, lm: LandmarkIndex, members_of: Dict[Node, set]
-    ) -> None:
-        self._lm = lm
-        self._eligible = members_of
-        # key -> (lm.version, {lm: min d(member, lm)}, {lm: min d(lm, member)})
-        self._cache: Dict[Node, Tuple[int, Dict[Node, float], Dict[Node, float]]] = {}
-        # Full O(|members| * |lm|) cache refreshes performed — the
-        # quantity the substrate-level (predicate, lm-version) keying
-        # amortizes across same-predicate queries.
-        self.refreshes = 0
-
-    def _entry(
-        self, layer: Node
-    ) -> Tuple[int, Dict[Node, float], Dict[Node, float]]:
-        version = self._lm.version
-        cached = self._cache.get(layer)
-        if cached is not None and cached[0] == version:
-            return cached
-        self.refreshes += 1
-        members = self._eligible[layer]
-        to_lm: Dict[Node, float] = {}
-        from_lm: Dict[Node, float] = {}
-        for lm, fwd in self._lm._fwd.items():
-            bwd = self._lm._bwd[lm]
-            best_to: float = INF
-            best_from: float = INF
-            for v in members:
-                d = bwd.dist(v)
-                if d < best_to:
-                    best_to = d
-                d = fwd.dist(v)
-                if d < best_from:
-                    best_from = d
-            to_lm[lm] = best_to
-            from_lm[lm] = best_from
-        entry = (version, to_lm, from_lm)
-        self._cache[layer] = entry
-        return entry
-
-    def note_gained(self, layer: Node, v: Node) -> None:
-        """``v`` joined ``eligible[layer]``: O(|lm|) min-merge if cached."""
-        cached = self._cache.get(layer)
-        if cached is None or cached[0] != self._lm.version:
-            return  # next consult refreshes anyway
-        _, to_lm, from_lm = cached
-        for lm, fwd in self._lm._fwd.items():
-            d = self._lm._bwd[lm].dist(v)
-            if d < to_lm.get(lm, INF):
-                to_lm[lm] = d
-            d = fwd.dist(v)
-            if d < from_lm.get(lm, INF):
-                from_lm[lm] = d
-
-    def note_lost(self, layer: Node, v: Node) -> None:
-        """``v`` left the key's member set: its minima may have been tight."""
-        self._cache.pop(layer, None)
-
-    def drop(self, layer: Node) -> None:
-        """Forget a key entirely (its member set is being unleased)."""
-        self._cache.pop(layer, None)
-
-    def reaches_within(
-        self, layer: Node, node: Node, radius: Optional[int]
-    ) -> bool:
-        """Is some member of ``eligible[layer]`` within ``radius``
-        possibly-empty hops *of* ``node`` (member -> node)?"""
-        if node in self._eligible[layer]:
-            return True
-        _, to_lm, _ = self._entry(layer)
-        for lm, fwd in self._lm._fwd.items():
-            t = to_lm[lm]
-            if radius is not None and t > radius:
-                continue
-            total = t + fwd.dist(node)
-            if total != INF and (radius is None or total <= radius):
-                return True
-        return False
-
-    def reached_within(
-        self, layer: Node, node: Node, radius: Optional[int]
-    ) -> bool:
-        """Does ``node`` reach some member of ``eligible[layer]`` within
-        ``radius`` possibly-empty hops (node -> member)?"""
-        if node in self._eligible[layer]:
-            return True
-        _, _, from_lm = self._entry(layer)
-        for lm in self._lm._fwd:
-            f = from_lm[lm]
-            if radius is not None and f > radius:
-                continue
-            total = self._lm._bwd[lm].dist(node) + f
-            if total != INF and (radius is None or total <= radius):
-                return True
-        return False

@@ -39,8 +39,8 @@ including the SCC-interval reachability oracle (``mode='interval'``).
 After every flush, each registered query's match set under both pools
 must equal a from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
-and the eligibility member sets, ball fields, and leased minima must pass
-their exactness invariants.  ``check_oracles`` probes ``can_affect_edge``
+and the eligibility member sets and ball fields must pass their
+exactness invariants.  ``check_oracles`` probes ``can_affect_edge``
 of every distance-routed query and leg view over every node pair at
 quiescence: exact for the radius-capped modes, and — after forcing a
 clean labelling — exact against the *reachability* ground truth for
@@ -325,7 +325,7 @@ class _Harness:
         possibly-empty hops of x AND y within r hops of some eligible
         target, for some pattern edge.  (Mid-flush the oracle may lag by
         design — deletions consult pre-edit state — but between flushes
-        exact structures admit no slack, so a stale minima cache or ball
+        exact structures admit no slack, so a stale memoized leg or ball
         field surfaces here even when no match pair happens to depend on
         the mis-routed edge.)
         """
@@ -483,9 +483,8 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
     assert live["reach"] == 0
     assert live["fields"] == 0
     assert live["closures"] == 0
-    assert live["minima_keys"] == 0
     # Eligibility entries die with their last lease too (the query's
-    # candidate views and the substrate's field/minima members).
+    # candidate views and the substrate's field/closure members).
     assert pool.eligibility.num_entries() == 0
     # Mutate while nothing leases, then re-register: index must be built
     # on the current graph and stay correct through further flushes.

@@ -388,34 +388,48 @@ class TestSharedSubstrate:
         # x must reach SOME node (any attrs) within 2 hops.
         return Pattern.from_spec({"x": "label = A1", "y": None}, [("x", "y", 2)])
 
-    def test_trivial_predicate_query_is_distance_routed_in_shared_scope(self):
+    @pytest.mark.parametrize("mode", ["bfs", "landmark"])
+    def test_trivial_predicate_query_is_distance_routed_in_shared_scope(
+        self, mode
+    ):
         g = DiGraph()
         g.add_node("a1", label="A1")
         for n in ("z1", "z2", "z3"):
             g.add_node(n, label="Z")
         g.add_edge("z1", "z2")
         pool = MatcherPool(g)
-        q = pool.register(self.trivial_pattern(), semantics="bounded", name="t")
+        q = pool.register(
+            self.trivial_pattern(), semantics="bounded", name="t",
+            distance_mode=mode,
+        )
         assert q.distance_routed
-        # Far-away churn is declined by the shared ball (z2/z3 are more
-        # than 1 hop from any eligible source of x).
+        # Far-away churn is declined by the shared ball / the edge's legs
+        # (z2/z3 are more than 1 hop from any eligible source of x).
         report = pool.apply([insert("z2", "z3")])
         assert report.routed == 0
         assert report.skipped == 1
         report = pool.apply([delete("z2", "z3")])
         assert report.routed == 0
 
-    def test_trivial_predicate_fresh_node_wiring_is_caught_in_shared_scope(self):
-        """The soundness half: a brand-new attribute-less endpoint becomes
-        a pinned source of the TRUE field before insertion routing, so
-        same-flush wiring through it must be routed and matched."""
+    @pytest.mark.parametrize("mode", ["bfs", "landmark"])
+    def test_trivial_predicate_fresh_node_wiring_is_caught_in_shared_scope(
+        self, mode
+    ):
+        """The soundness half: a brand-new attribute-less endpoint joins
+        the TRUE member set (a pinned source of the TRUE field in ``bfs``
+        mode, a member the edge's legs meet in ``landmark`` mode) before
+        insertion routing, so same-flush wiring through it must be routed
+        and matched."""
         from repro.matching.bounded import bounded_match
         from repro.matching.relation import totalize
 
         g = DiGraph()
         g.add_node("a1", label="A1")
         pool = MatcherPool(g)
-        q = pool.register(self.trivial_pattern(), semantics="bounded", name="t")
+        q = pool.register(
+            self.trivial_pattern(), semantics="bounded", name="t",
+            distance_mode=mode,
+        )
         pattern = q.pattern
         report = pool.apply([insert("a1", "n1"), insert("n1", "n2")])
         assert "t" in report.deltas
@@ -447,6 +461,64 @@ class TestSharedSubstrate:
         pool.unregister(q2)
         assert pool.substrate.live_structures()["landmark"] == 0
         assert pool.substrate.landmark_index() is None
+
+    def test_landmark_legs_are_computed_once_per_edge_and_graph_state(
+        self, monkeypatch
+    ):
+        """Every landmark query consulted on an edge reads one memoized
+        BFS pair per (edge, radius) and graph state: 8 queries cost the
+        substrate exactly the BFS calls 1 query does, flush by flush, and
+        no landmark query leases a ball field."""
+        from repro.engine import distances
+
+        calls = []
+        real_bfs = distances.bfs_distances
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return real_bfs(*args, **kwargs)
+
+        monkeypatch.setattr(distances, "bfs_distances", spy)
+        batches = [
+            [insert("z0", "z1"), insert("z1", "z2"), insert("a0", "z0")],
+            # z0->z1's legs on this graph state are still memoized from
+            # the last insertion routing; z2->c1 is new.
+            [delete("z0", "z1"), insert("z2", "c1")],
+            [delete("z1", "z2"), delete("a0", "z0")],
+        ]
+        per_flush = {}
+        for n_queries in (1, 8):
+            g = DiGraph()
+            for i in range(8):
+                g.add_node(f"a{i}", label=f"A{i}")
+                g.add_node(f"c{i}", label=f"C{i}")
+                g.add_edge(f"a{i}", f"c{i}")
+            for n in range(3):
+                g.add_node(f"z{n}", label="Z")
+            pool = MatcherPool(g)
+            for i in range(n_queries):
+                pool.register(
+                    Pattern.from_spec(
+                        {"x": f"label = A{i}", "y": f"label = C{i}"},
+                        [("x", "y", 2)],
+                    ),
+                    semantics="bounded", name=f"q{i}",
+                    distance_mode="landmark",
+                )
+            counts = []
+            for batch in batches:
+                before = len(calls)
+                report = pool.apply(batch)
+                counts.append(len(calls) - before)
+                # No edge pairs endpoints of one query: every query asked
+                # the oracle about every edge.
+                assert report.routed + report.skipped == n_queries * len(
+                    batch
+                )
+            assert pool.substrate.live_structures()["fields"] == 0
+            per_flush[n_queries] = counts
+        # One backward and one forward BFS per edge per graph state.
+        assert per_flush[1] == per_flush[8] == [6, 2, 4]
 
     def test_identical_pattern_edges_share_one_ball_field_pair(self):
         pool = MatcherPool(two_cluster_graph())

@@ -93,9 +93,24 @@ class TestLandmarkBudget:
 
         return LandmarkIndex(cycle_graph(n)), cycle_graph(n)
 
-    def test_rejects_sub_one_slack(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slack": 0.5},
+            {"slack": float("nan")},
+            {"slack": float("inf")},
+            {"floor": float("nan")},
+            {"floor": float("inf")},
+            {"floor": -1},
+        ],
+        ids=["sub-one-slack", "nan-slack", "inf-slack", "nan-floor",
+             "inf-floor", "negative-floor"],
+    )
+    def test_rejects_invalid_budget(self, kwargs):
+        # A NaN slack makes the limit ``floor`` (BatchLM on every flush of
+        # a pool past it); a NaN or infinite floor switches the budget off.
         with pytest.raises(ValueError):
-            LandmarkBudget(slack=0.5)
+            LandmarkBudget(**kwargs)
 
     def test_not_exceeded_at_baseline(self):
         lm, _ = self._index()
