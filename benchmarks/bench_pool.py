@@ -9,12 +9,14 @@ The scenarios, all over one shared graph holding labelled communities
   router dumped into the wildcard-edge bucket (every query observed every
   edge); the distance-aware oracle now lets the N-1 non-owning queries
   decline the whole stream, so routed flush cost should stay ~flat here
-  too — the paper's flagship IncBMatch semantics;
+  too — the paper's flagship IncBMatch semantics.  Its ``upkeep``
+  column is 0: ``bfs`` mode maintains no distance structure (routing
+  and repair read the substrate's memoized edge legs);
 - ``bounded-shared``: the ``bounded`` scenario in ``landmark`` mode —
   every pool query leases the pool substrate's ONE landmark index while
-  the naive loop maintains one per pattern; the table adds the
-  substrate's structure-level update applications per flush
-  (``upkeep``), which stay flat in N;
+  the naive loop maintains one per pattern; the ``upkeep`` column counts
+  the substrate's landmark-index batches per flush, which stay flat in
+  N;
 - ``overlap``: N simulation queries over only k << N *distinct*
   predicate sets (query i reuses partition i % k's pattern), driven by a
   mixed stream of attribute flips and edge churn.  The eligibility

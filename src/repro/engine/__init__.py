@@ -7,8 +7,9 @@
   signature, and a match-delta change feed;
 - :class:`UpdateRouter` — the label/predicate-keyed routing index;
 - :class:`SharedDistanceSubstrate` — pool-level shared distance
-  structures (landmark vectors / matrix / ball fields) leased by bounded
-  queries so upkeep is paid once per pool, not once per query;
+  structures (landmark vectors / matrix / interval labelling) leased by
+  bounded queries so upkeep is paid once per pool, not once per query,
+  and the memoized edge legs their routing and repair share;
 - :class:`SharedEligibilityIndex` — pool-level predicate-eligibility
   substrate, two-tiered: one posting set per distinct *atom* (evaluated
   once per node event pool-wide) composed into one eligible-node set per

@@ -27,19 +27,16 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
   against the sibling atoms' sets instead of re-evaluating the
   conjunction;
 - consumers hold refcounted **leases**; a set whose last lease is released
-  is dropped so the pool stops paying its upkeep — *unless* flip listeners
-  remain attached, in which case the entry is kept alive so a later
-  re-lease finds every downstream hook still wired.  Unbalanced releases
+  is dropped so the pool stops paying its upkeep.  Unbalanced releases
   (double-release, never-leased release) raise
   :class:`EligibilityLeaseError` instead of silently corrupting refcounts;
 - a :meth:`~repro.patterns.predicate.Predicate.is_unsatisfiable`
   conjunction short-circuits to an empty, upkeep-free set: no atom leases,
   no reconciliation, nothing to maintain;
-- membership flips notify registered **listeners** (the distance
-  substrate's :class:`~repro.incremental.ballsummary.BallField` sources
-  and :class:`~repro.graphs.reachability.ReachClosure` caches), in
-  set-already-mutated order, so every downstream structure sees each flip
-  exactly once.
+- every membership change bumps the set's ``version``, so a downstream
+  cache over a leased set (the distance substrate's
+  :class:`~repro.graphs.reachability.ReachClosure`) compares versions
+  instead of subscribing to flips.
 
 Every query registered with the pool leases its candidate sets here;
 there is no private-copy path inside a pool (standalone indexes still
@@ -51,13 +48,11 @@ to exactly the queries whose patterns use a flipped predicate.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..patterns.predicate import Atom, Predicate, note_atom_evaluations
 
-# (on_gain, on_loss) callbacks invoked after the member set was mutated.
-Listener = Tuple[Callable[[Node], None], Callable[[Node], None]]
 # One membership flip: (predicate, gained?) — False means lost.
 Flip = Tuple[Predicate, bool]
 # One batched flip: (predicate, node, gained?) — see ``observe_events``.
@@ -136,12 +131,10 @@ class EligibleSet:
     ``members`` is the live set — the intersection of ``atom_entries``
     posting sets, maintained incrementally; **only** the owning
     :class:`SharedEligibilityIndex` mutates it (in place: downstream
-    aliases — ball-field source sets, reach closures, the queries'
-    edge-routing pairs — hold the *object*, never a copy).  ``version``
-    bumps on every membership change — an introspection/change-detection
-    counter (surfaced via ``live_entries``) for consumers that poll rather
-    than subscribe; the current downstream caches are push-invalidated
-    through the flip ``listeners`` instead.
+    aliases — reach closures, the queries' edge-routing pairs — hold the
+    *object*, never a copy).  ``version`` bumps on every membership
+    change: the reach closures cache against it, and ``live_entries``
+    surfaces it.
 
     ``atom_entries`` is empty for the trivial (TRUE) predicate — every
     node is a member — and for unsatisfiable conjunctions — no node ever
@@ -155,7 +148,6 @@ class EligibleSet:
         "attr_names",
         "version",
         "refs",
-        "listeners",
     )
 
     def __init__(
@@ -174,7 +166,6 @@ class EligibleSet:
         self.attr_names = frozenset(a.attribute for a in predicate.atoms)
         self.version = 0
         self.refs = 0
-        self.listeners: List[Listener] = []
 
     def __contains__(self, v: Node) -> bool:
         return v in self.members
@@ -276,27 +267,20 @@ class SharedEligibilityIndex:
         }
 
     def release(self, predicate: Predicate) -> None:
-        """Release one lease; the entry dies with its last lease *unless*
-        flip listeners remain attached (they keep it alive so a later
-        re-lease finds them still wired).
+        """Release one lease; the entry dies with its last lease.
 
-        Raises :class:`EligibilityLeaseError` on a never-leased predicate
-        or on more releases than leases — both indicate a consumer
-        lifecycle bug that would otherwise drop sets other holders still
-        read.
+        Raises :class:`EligibilityLeaseError` on a predicate with no live
+        lease — never leased, or released more times than leased — a
+        consumer lifecycle bug that would otherwise drop sets other
+        holders still read.
         """
         entry = self._entries.get(predicate)
         if entry is None:
             raise EligibilityLeaseError(
                 f"release of never-leased predicate {predicate!r}"
             )
-        if entry.refs <= 0:
-            raise EligibilityLeaseError(
-                f"unbalanced release of {predicate!r}: "
-                "already at zero leases (kept alive by listeners)"
-            )
         entry.refs -= 1
-        if entry.refs == 0 and not entry.listeners:
+        if entry.refs == 0:
             self._drop(entry)
 
     def _drop(self, entry: EligibleSet) -> None:
@@ -314,40 +298,6 @@ class SharedEligibilityIndex:
             self._trivial.remove(entry)
 
     # ------------------------------------------------------------------
-    # Flip listeners
-    # ------------------------------------------------------------------
-    def add_listener(
-        self,
-        predicate: Predicate,
-        on_gain: Callable[[Node], None],
-        on_loss: Callable[[Node], None],
-    ) -> Listener:
-        """Register membership-flip callbacks on a *leased* predicate.
-
-        Callbacks run after the member set is mutated (the contract of
-        :meth:`BallField.source_gained` / ``source_lost``).  Returns the
-        token to pass to :meth:`remove_listener`.  Listeners keep the
-        entry alive across a refcount zero, so release/re-lease cycles
-        cannot silently unhook downstream structures.
-        """
-        entry = self._entries[predicate]
-        token: Listener = (on_gain, on_loss)
-        entry.listeners.append(token)
-        return token
-
-    def remove_listener(self, predicate: Predicate, token: Listener) -> None:
-        entry = self._entries.get(predicate)
-        if entry is not None:
-            try:
-                entry.listeners.remove(token)
-            except ValueError:
-                return
-            if entry.refs <= 0 and not entry.listeners:
-                # The last listener was the only thing keeping a
-                # zero-lease entry alive.
-                self._drop(entry)
-
-    # ------------------------------------------------------------------
     # Observation (invoked by the pool during flush phase A, post-edit)
     # ------------------------------------------------------------------
     def observe_node_added(self, v: Node) -> List[Flip]:
@@ -357,8 +307,8 @@ class SharedEligibilityIndex:
         posts the satisfied ones, and reconciles only the dependent
         conjunction views.  Returns the gains; a fresh attribute-less node
         gains exactly the trivial (TRUE) predicates, which is what makes
-        routing such nodes' edges through shared ball fields sound (the
-        pool announces them before insertion routing).
+        routing such nodes' edges through their legs sound (the pool
+        announces them before insertion routing).
         """
         return [
             (p, gained)
@@ -398,7 +348,6 @@ class SharedEligibilityIndex:
         ``(predicate, node, gained)`` triples are the **net** verdict
         flips across the batch — at most one per (predicate, node), with
         transient gain/loss pairs inside the batch never materializing.
-        Listeners fire once per net flip, after the member set mutated.
         """
         # Fold duplicate events into one touched-name set per node
         # (None = evaluate all atoms); fresh nodes also gain the trivial
@@ -471,8 +420,8 @@ class SharedEligibilityIndex:
         self, affected: Dict[int, Dict[Node, None]]
     ) -> List[EventFlip]:
         """Re-derive membership of each affected (entry, node) pair from
-        the atoms' (already updated) posting sets, fire listeners in
-        set-already-mutated order, and return the flips.
+        the atoms' (already updated) posting sets, mutate the member sets
+        (bumping their versions), and return the flips.
 
         Iterates ``_entries`` in interning order so flip order is
         deterministic per batch.  Unsatisfiable entries are never wired to
@@ -494,14 +443,10 @@ class SharedEligibilityIndex:
                     entry.members.add(v)
                     entry.version += 1
                     flips.append((predicate, v, True))
-                    for on_gain, _ in entry.listeners:
-                        on_gain(v)
                 elif was and not now:
                     entry.members.remove(v)
                     entry.version += 1
                     flips.append((predicate, v, False))
-                    for _, on_loss in entry.listeners:
-                        on_loss(v)
         self.stats.flips += len(flips)
         return flips
 
@@ -518,12 +463,11 @@ class SharedEligibilityIndex:
         return len(self._atoms)
 
     def live_entries(self) -> Dict[str, Dict[str, int]]:
-        """Per interned predicate: lease count, member count, listeners."""
+        """Per interned predicate: lease count, member count, version."""
         return {
             repr(predicate): {
                 "refs": entry.refs,
                 "members": len(entry.members),
-                "listeners": len(entry.listeners),
                 "version": entry.version,
             }
             for predicate, entry in self._entries.items()
@@ -557,9 +501,7 @@ class SharedEligibilityIndex:
                 f"eligibility drift for {predicate!r}: "
                 f"{entry.members ^ true_members}"
             )
-            assert entry.refs > 0 or entry.listeners, (
-                f"zombie entry for {predicate!r}"
-            )
+            assert entry.refs > 0, f"zombie entry for {predicate!r}"
             if entry.atom_entries:
                 view = set.intersection(
                     *(ae.members for ae in entry.atom_entries)

@@ -17,7 +17,7 @@ against one evolving graph).  Per flush the pool:
    **zero** repair work;
 3. mutates the shared graph exactly once, invoking each routed query's
    repair entry points around the edit (bounded simulation needs its
-   pre-deletion balls, so deletions are prepared before the edit, and
+   pre-deletion legs, so deletions are prepared before the edit, and
    deletion routing consults the pre-edit distance structures while
    insertion routing runs after they observe the whole batch);
 4. pops each touched query's match delta and publishes it to the query's
@@ -33,15 +33,16 @@ evaluations scale with distinct atoms, not pool size, and node events
 route as predicate *flips* (:meth:`UpdateRouter.route_flips`).  Bounded
 queries lease their distance structures from the
 :class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
-index / matrix / interval oracle / ball-field set per pool, synced
-exactly once per flush phase however many queries lease it.
+index / matrix / interval oracle per pool, synced exactly once per flush
+phase however many queries lease it, plus one memoized pair of edge legs
+per (edge, radius) that routing and repair share.
 
 A pool constructed with ``window=...`` (or fed per-insert ``ttl``
 overrides) is **temporal**: every inserted edge is stamped with a logical
 (or caller-supplied) timestamp, and each flush begins by retiring every
 out-of-window edge in ONE coalesced deletion batch that rides the normal
-pre-edit deletion phase — so eligibility posting sets, ball fields,
-landmark vectors, the interval oracle, and shared-plan views all absorb a
+pre-edit deletion phase — so eligibility posting sets, landmark vectors,
+the matrix, the interval oracle, and shared-plan views all absorb a
 single netted decremental batch per flush instead of N scattered deletes.
 Expiry deletes are queued *before* user updates, so re-inserting an
 expired edge within the same flush nets to zero graph work and simply
@@ -61,6 +62,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.columnar import as_backend
 from ..graphs.digraph import DiGraph, Node
+from ..incremental.incbsim import DISTANCE_MODES
 from ..incremental.types import (
     Update,
     delete,
@@ -234,7 +236,7 @@ class MatcherPool:
         self.graph_backend = type(graph).backend_name()
         self.stats = PoolStats()
         # One eligible-node set per distinct predicate, leased by every
-        # query and by the distance substrate's ball fields / closures;
+        # query and by the distance substrate's reach closures;
         # one distance structure per (graph, distance_mode), leased by all
         # bounded queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)
@@ -336,7 +338,15 @@ class MatcherPool:
         ``ttl`` gives the query itself a lifetime: once pool time passes
         ``now + ttl`` the next flush auto-unregisters it (leases released,
         feeds closed) before doing any other work.
+
+        An unknown ``distance_mode`` is rejected whatever the semantics,
+        before anything is flushed or leased.
         """
+        if distance_mode not in DISTANCE_MODES:
+            raise ValueError(
+                f"distance_mode must be one of {DISTANCE_MODES}, "
+                f"got {distance_mode!r}"
+            )
         _check_lifetime("ttl", ttl)
         if self._pending_edges or self._pending_nodes:
             self.flush()
@@ -661,12 +671,12 @@ class MatcherPool:
                     fresh_nodes.append(node)
             self.graph.add_edge(v, w)
         # Fresh endpoints must reach the eligibility substrate BEFORE the
-        # insertion batch is observed and routed: a trivial-(TRUE)-
-        # predicate field needs them as pinned distance-0 sources (the
-        # flip listeners pin them) for its routing verdicts on this very
-        # batch to be sound.  An attribute-less node gains exactly the
-        # trivial predicates, so the union is the same for every fresh
-        # node; it drives the wildcard announcements below.
+        # insertion batch is routed: a trivial-(TRUE)-predicate query's
+        # legs must meet them as members (each sits at distance 0 of its
+        # own leg) for its routing verdicts on this very batch to be
+        # sound.  An attribute-less node gains exactly the trivial
+        # predicates, so the union is the same for every fresh node; it
+        # drives the wildcard announcements below.
         fresh_gains: Set[Predicate] = set()
         for node in fresh_nodes:
             gains = self.eligibility.observe_node_added(node)
@@ -804,10 +814,9 @@ class MatcherPool:
         substrate, plus their ``total``.
 
         The temporal test suites snapshot this around an expiry flush to
-        assert bulk expiry rides the decremental repair paths: ball
-        fields shrink, landmark vectors apply deletion batches, the
-        interval oracle tolerates deletions under its budget, and none of
-        them rebuild from scratch.
+        assert bulk expiry rides the decremental repair paths: landmark
+        vectors apply deletion batches, the interval oracle tolerates
+        deletions under its budget, and neither does a full rebuild.
         """
         counters = dict(self.substrate.rebuild_counters())
         counters["total"] = sum(counters.values())

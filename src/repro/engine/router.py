@@ -16,9 +16,11 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   an edge between unlabeled nodes can shorten or break a witness path, so
   endpoint attributes alone are unsound — instead each such query's
   :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge` oracle
-  (the pool substrate's ball fields / edge legs / reach closures) proves
-  or refutes relevance per edge.  Trivial-(``TRUE``)-predicate queries
-  are distance-routed too: the pool announces fresh nodes to the
+  proves or refutes relevance per edge from the pool substrate: the
+  edge's memoized legs (``bfs``/``landmark``/``matrix``; the same BFS
+  pair the routed queries' repair then reads) or the reach closures
+  (``interval``).  Trivial-(``TRUE``)-predicate queries are
+  distance-routed too: the pool announces fresh nodes to the eligibility
   substrate before insertion routing, so a brand-new attribute-less node
   is already a ``TRUE`` member when the oracle rules;
 - node events route by predicate **flips**: the pool's eligibility

@@ -18,11 +18,11 @@ by a dense integer id per node:
 
 Consumers written against the public ``DiGraph`` API — the incremental
 matchers, ``SharedEligibilityIndex``, ``SharedDistanceSubstrate``,
-``BallField``, ``LandmarkIndex`` — run unchanged on either backend.
-Id-space accessors (:meth:`node_id`, :meth:`children_ids`,
-:meth:`parents_ids`, :meth:`attr_column`) are exposed for structures that
-want to do their bookkeeping in dense-int space (see
-``incremental/ballsummary.py``).
+``LandmarkIndex`` — run unchanged on either backend.  Id-space accessors
+(:meth:`node_id`, :meth:`children_ids`, :meth:`parents_ids`,
+:meth:`attr_column`) are exposed for structures that want to do their
+bookkeeping in dense-int space; the traversal helpers in
+``graphs/traversal.py`` reach the id-space BFS through duck-typed hooks.
 
 The same attribute **aliasing hazard** documented on ``DiGraph`` applies
 here: :meth:`ColumnarDiGraph.attrs` returns a live mapping view backed by

@@ -33,7 +33,8 @@ soundness direction of staleness:
 :meth:`closure_components` turns an eligible-node set into the set of
 condensation components it reaches (or that reach it), making per-edge
 routing consults O(1) set-membership — sublinear in the eligible set —
-once a closure is cached per flush (see ``engine/distances.py``).
+once a :class:`ReachClosure` caches it against the labelling version and
+the member set's version (see ``engine/distances.py``).
 """
 
 from __future__ import annotations
@@ -351,8 +352,11 @@ class ReachClosure:
     eligible-member set.
 
     Wraps :meth:`IntervalReachabilityIndex.closure_components` over a
-    *live* member set (the owner mutates it and calls :meth:`mark_dirty`),
-    recomputing at most once per index version or membership change —
+    *live* member set: ``eligible`` is any object exposing ``members``
+    (mutated in place by its owner) and a ``version`` counter its owner
+    bumps on every membership change, such as a leased
+    :class:`~repro.engine.eligibility.EligibleSet`.  The closure
+    recomputes at most once per (labelling version, member-set version),
     so per-edge routing consults are O(1) membership tests, sublinear in
     the eligible set.
 
@@ -360,27 +364,20 @@ class ReachClosure:
     ``reverse=True`` answers "does ``x`` reach some member".
     """
 
-    __slots__ = ("_reach", "members", "reverse", "_comps", "_version", "_dirty")
+    __slots__ = ("_reach", "eligible", "reverse", "_comps", "_stamp")
 
     def __init__(
         self,
         reach: IntervalReachabilityIndex,
-        members: Set[Node],
+        eligible,
         reverse: bool = False,
     ) -> None:
         self._reach = reach
-        self.members = members
+        self.eligible = eligible
         self.reverse = reverse
-        self._comps: Optional[Set[int]] = None
-        self._version = -1
-        self._dirty = True
-
-    def mark_dirty(self) -> None:
-        """The member set changed; recompute on the next consult."""
-        self._dirty = True
-
-    def refresh_count(self) -> int:  # pragma: no cover - debugging aid
-        return self._version
+        self._comps: Set[int] = set()
+        # (labelling version, member-set version) _comps was computed at.
+        self._stamp: Optional[Tuple[int, int]] = None
 
     def contains(self, node: Node) -> bool:
         """May ``node`` be reached from (``reverse``: reach) a member?
@@ -390,13 +387,16 @@ class ReachClosure:
         """
         reach = self._reach
         reach.refresh_for_routing()
-        if self._dirty or self._comps is None or self._version != reach.version:
-            self._comps = reach.closure_components(self.members, self.reverse)
-            self._version = reach.version
-            self._dirty = False
+        eligible = self.eligible
+        stamp = (reach.version, eligible.version)
+        if stamp != self._stamp:
+            self._comps = reach.closure_components(
+                eligible.members, self.reverse
+            )
+            self._stamp = stamp
         c = reach.component_of(node)
         if c is None:
             # Unknown to the labelling: a fresh edge-less node.  It routes
             # iff it is itself a member (empty-path reachability).
-            return node in self.members
+            return node in eligible.members
         return c in self._comps

@@ -10,11 +10,13 @@ nonempty-path distances (a path must have length >= 1, so the distance from
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .digraph import DiGraph, Node
 
 INF = float("inf")
+# (backward ball of x, forward ball of y): node -> possibly-empty-path hops.
+Legs = Tuple[Dict[Node, int], Dict[Node, int]]
 
 
 def bfs_distances(
@@ -47,6 +49,22 @@ def bfs_distances(
                 dist[w] = d + 1
                 queue.append(w)
     return dist
+
+
+def edge_legs(graph: DiGraph, x: Node, y: Node, radius: Optional[int]) -> Legs:
+    """The two legs of a witness path through the edge ``(x, y)``.
+
+    Every node within ``radius`` possibly-empty hops *of* ``x`` (backward
+    BFS, ``x`` itself at 0) and *from* ``y`` (forward BFS, ``y`` at 0);
+    ``radius is None`` is plain reachability.  A bound-``radius + 1``
+    pair gained or lost through the edge decomposes over them (paper
+    Section 6), so they are both IncBMatch's repair balls and its
+    routing test.
+    """
+    return (
+        bfs_distances(graph, x, radius, reverse=True),
+        bfs_distances(graph, y, radius),
+    )
 
 
 def descendants_within(graph: DiGraph, source: Node, k: Optional[int]) -> Dict[Node, int]:

@@ -1,6 +1,5 @@
 """Incremental matching: IncMatch, IncBMatch, IncIsoMat, HORNSAT baseline."""
 
-from .ballsummary import BallField
 from .affected import (
     AffReport,
     measure_incbsim,
@@ -40,7 +39,6 @@ __all__ = [
     "IncStats",
     "SimulationIndex",
     "BoundedSimulationIndex",
-    "BallField",
     "HornSimulation",
     "IsoIndex",
     "classify_pair",

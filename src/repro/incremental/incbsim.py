@@ -19,9 +19,10 @@ a data edge changes.
   shortest path through ``(x, y)``, so it decomposes as
   ``d(a, x) + 1 + d(y, c) <= k`` with both legs avoiding ``(x, y)``; the
   legs come from one backward ball around ``x`` and one forward ball around
-  ``y`` of radius ``k - 1`` (per distinct bound).
+  ``y`` of radius ``k - 1`` (per distinct bound) — the edge's *legs*,
+  :func:`~repro.graphs.traversal.edge_legs`.
 - **Deletion** of ``(x, y)``: a broken pair's old path decomposes the same
-  way *on the pre-deletion graph*, so suspects are collected from balls
+  way *on the pre-deletion graph*, so suspects are collected from legs
   computed before the edit and rechecked afterwards (one bounded BFS per
   suspect source, or landmark / matrix distance queries depending on
   ``distance_mode``).
@@ -58,16 +59,16 @@ standalone index owns are synced by one helper,
   force a rebuild).
 
 A standalone index owns the landmark index / matrix / interval oracle
-its suspect rechecks read.  A pool-registered index receives the pool's
+its suspect rechecks read, and computes each edge's legs itself.  A
+pool-registered index receives the pool's
 :class:`~repro.engine.distances.SharedDistanceSubstrate` instead: the
 structures are **leased** from it and the pool keeps them in sync once
-per flush for every leasing query.  The distance-aware routing oracle
-(:meth:`can_affect_edge`) exists only for pool routing and reads only
-substrate structures: the edge's two legs in ``landmark`` mode (the
-backward/forward balls of the insertion and deletion cases above, one
-memoized BFS pair per edge and radius shared by every landmark query),
-the reach closures in ``interval`` mode, and the shared ball fields in
-``bfs`` and ``matrix`` modes.
+per flush for every leasing query, and the legs come from the
+substrate's memo (:meth:`SharedDistanceSubstrate.legs`), so routing and
+every routed query's repair on one edge share one BFS pair per radius.
+The distance-aware routing oracle (:meth:`can_affect_edge`) exists only
+for pool routing and reads only substrate structures: the reach
+closures in ``interval`` mode, the memoized legs in every other mode.
 """
 
 from __future__ import annotations
@@ -77,9 +78,14 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
 from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
-from ..graphs.traversal import INF, ancestors_within, descendants_within
+from ..graphs.traversal import (
+    INF,
+    Legs,
+    ancestors_within,
+    descendants_within,
+    edge_legs,
+)
 from ..landmarks.vector import LandmarkIndex
-from .ballsummary import BallField
 from ..matching.relation import MatchRelation, totalize
 from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Bound, Pattern, PatternNode
@@ -91,6 +97,7 @@ from .types import Update, delete as upd_delete, insert as upd_insert, net_updat
 
 PatternEdge = Tuple[PatternNode, PatternNode]
 LAYER_ATTR = "__layer__"
+DISTANCE_MODES = ("bfs", "landmark", "matrix", "interval")
 
 
 def _layered_pattern(pattern: Pattern) -> Pattern:
@@ -115,16 +122,15 @@ class BoundedSimulationIndex(StandaloneDriver):
         substrate=None,
         eligibility=None,
     ) -> None:
-        if distance_mode not in ("bfs", "landmark", "matrix", "interval"):
+        if distance_mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance_mode {distance_mode!r}")
         self.pattern = pattern
         self.graph = graph
         self.distance_mode = distance_mode
         # A pool-level SharedDistanceSubstrate (engine.distances).  When
-        # set, the landmark index / matrix are leased rather than owned,
-        # the bfs/matrix routing-oracle ball fields are leased per
-        # (predicate, radius, direction), and the *pool* keeps every
-        # shared structure in sync.  A substrate-backed index must
+        # set, the landmark index / matrix / interval oracle are leased
+        # rather than owned, edge legs are read from its memo, and the pool
+        # keeps every shared structure in sync.  A substrate-backed index must
         # therefore be driven through the pool's prepare/repair entry
         # points, not the standalone insert_edge/delete_edge/apply_batch
         # drivers (which sync only structures the index owns).
@@ -154,10 +160,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         self._pair_delta: Optional[DeltaLog] = None
         self._lm: Optional[LandmarkIndex] = None
         self._matrix: Optional[DistanceMatrix] = None
-        # Routing oracle: pattern edge -> (src, tgt) leased BallField,
-        # plus the exact lease keys so release() returns what was taken.
-        self._shared_fields: Optional[Dict[PatternEdge, Tuple[BallField, BallField]]] = None
-        self._field_keys: List[Tuple] = []
         # Interval mode: SCC-interval reachability oracle, leased with one
         # source closure per (predicate, direction) under a substrate; a
         # standalone index owns the oracle (built lazily on the first
@@ -195,15 +197,6 @@ class BoundedSimulationIndex(StandaloneDriver):
                 )
                 self._closure_keys.extend((src_key, tgt_key))
             self._reach_closures = closures
-        # The bfs/matrix routing oracle reads shared ball fields, leased
-        # eagerly (build cost belongs to registration, not to the first
-        # flush that happens to consult the oracle).
-        if (
-            substrate is not None
-            and distance_mode in ("bfs", "matrix")
-            and self.distance_routed()
-        ):
-            self._ensure_shared_fields()
 
     # ------------------------------------------------------------------
     # Pair graph construction
@@ -436,24 +429,24 @@ class BoundedSimulationIndex(StandaloneDriver):
     def _distinct_bounds(self) -> Set[Bound]:
         return set(self._bounds.values())
 
+    def _legs(self, x: Node, y: Node, bound: Bound) -> Legs:
+        """The edge's legs at radius ``bound - 1`` (a leg of a path
+        through the edge): read from the substrate's memo in a pool,
+        computed directly by a standalone index."""
+        radius = None if bound is None else bound - 1
+        if self.substrate is not None:
+            return self.substrate.legs(x, y, radius)
+        return edge_legs(self.graph, x, y, radius)
+
     def _balls_around(
         self, x: Node, y: Node
     ) -> Tuple[Dict[Bound, Dict[Node, int]], Dict[Bound, Dict[Node, int]]]:
-        """Backward balls at x and forward balls at y, per distinct bound.
-
-        Radius is ``bound - 1`` (a leg of a path through the edge); the
-        anchor itself is included at distance 0.
-        """
+        """Backward balls at x and forward balls at y, per distinct bound:
+        the edge's legs (anchors at distance 0), read-only."""
         bins: Dict[Bound, Dict[Node, int]] = {}
         bouts: Dict[Bound, Dict[Node, int]] = {}
         for bound in self._distinct_bounds():
-            radius = None if bound is None else bound - 1
-            bin_ball = dict(ancestors_within(self.graph, x, radius))
-            bin_ball[x] = 0
-            bout_ball = dict(descendants_within(self.graph, y, radius))
-            bout_ball[y] = 0
-            bins[bound] = bin_ball
-            bouts[bound] = bout_ball
+            bins[bound], bouts[bound] = self._legs(x, y, bound)
         return bins, bouts
 
     def _pairs_created_by_insert(
@@ -606,29 +599,6 @@ class BoundedSimulationIndex(StandaloneDriver):
     def reachability_index(self) -> Optional[IntervalReachabilityIndex]:
         return self._reach
 
-    def _ensure_shared_fields(
-        self,
-    ) -> Dict[PatternEdge, Tuple[BallField, BallField]]:
-        """Lease the substrate's (src, tgt) ball pair per pattern edge.
-
-        Queries whose pattern edges agree on (predicate, radius,
-        direction) end up reading the same field objects — that is the
-        pool-level amortization.
-        """
-        if self._shared_fields is None:
-            fields: Dict[PatternEdge, Tuple[BallField, BallField]] = {}
-            for (u, u2), bound in self._bounds.items():
-                r = None if bound is None else bound - 1
-                src_key = (self.pattern.predicate(u), r, False)
-                tgt_key = (self.pattern.predicate(u2), r, True)
-                fields[(u, u2)] = (
-                    self.substrate.lease_field(*src_key),
-                    self.substrate.lease_field(*tgt_key),
-                )
-                self._field_keys.extend((src_key, tgt_key))
-            self._shared_fields = fields
-        return self._shared_fields
-
     def release(self) -> None:
         """Release every substrate lease (pool unregister).
 
@@ -647,10 +617,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         if self._matrix is not None:
             self.substrate.release_matrix()
             self._matrix = None
-        for key in self._field_keys:
-            self.substrate.release_field(*key)
-        self._field_keys = []
-        self._shared_fields = None
         for key in self._closure_keys:
             self.substrate.release_reach_closure(*key)
         self._closure_keys = []
@@ -676,24 +642,25 @@ class BoundedSimulationIndex(StandaloneDriver):
         insertion batch (so same-batch edges are already reflected) —
         mirroring the ``prepare_deletions`` two-phase dance.
 
-        Backing store: in ``landmark`` mode, the edge's two legs from the
-        substrate (:meth:`SharedDistanceSubstrate.legs`: the radius-``k-1``
-        backward BFS from ``x`` and forward BFS from ``y``, memoized per
-        edge and radius, so every landmark query consulted on the edge
-        shares one BFS pair); a pattern edge ``(u, u2)`` routes when the
-        ``x`` leg meets ``eligible[u]`` and the ``y`` leg meets
-        ``eligible[u2]``.  ``bfs`` and ``matrix`` modes read the shared
-        ball fields instead.  Both are sound for trivial-(TRUE)-predicate
-        queries: the pool announces fresh nodes to the eligibility
-        substrate before insertion routing, so a brand-new attribute-less
-        node is already a ``TRUE`` member (and a pinned distance-0 ball
-        source) when this oracle runs.
+        Backing store: in ``bfs``, ``landmark`` and ``matrix`` mode, the
+        edge's two legs from the substrate
+        (:meth:`SharedDistanceSubstrate.legs`: the radius-``k-1`` backward
+        BFS from ``x`` and forward BFS from ``y``, memoized per edge and
+        radius, so every query consulted on the edge — and every routed
+        query's repair — shares one BFS pair); a pattern edge ``(u, u2)``
+        routes when the ``x`` leg meets ``eligible[u]`` and the ``y`` leg
+        meets ``eligible[u2]``.  That is sound for trivial-(TRUE)-
+        predicate queries: the pool announces fresh nodes to the
+        eligibility substrate before insertion routing, so a brand-new
+        attribute-less node is already a ``TRUE`` member when this oracle
+        runs.  A ``*`` bound pays a full reachability BFS pair per
+        consulted edge; ``interval`` mode is the O(1) route for those.
 
         In ``interval`` mode the consult is two O(1) closure-membership
         tests per pattern edge: ``x`` reachable from an eligible source
         and ``y`` reaching an eligible target.  Reachability ignores the
-        bounds, so this branch over-approximates the ball oracles for
-        finite bounds — still sound (``False`` remains a proof), and the
+        bounds, so this branch over-approximates the legs for finite
+        bounds — still sound (``False`` remains a proof), and the
         tolerated-deletion staleness of the underlying labelling only ever
         widens it.
         """
@@ -708,23 +675,12 @@ class BoundedSimulationIndex(StandaloneDriver):
                 if src.contains(x) and tgt.contains(y):
                     return True
             return False
-        if self.distance_mode == "landmark":
-            legs = self.substrate.legs
-            for (u, u2), bound in self._bounds.items():
-                back, fwd = legs(x, y, None if bound is None else bound - 1)
-                # isdisjoint probes the larger side from the smaller.
-                if not back.keys().isdisjoint(
-                    self.eligible[u]
-                ) and not fwd.keys().isdisjoint(self.eligible[u2]):
-                    return True
-            return False
-        fields = self._ensure_shared_fields()
-        for edge, bound in self._bounds.items():
-            r = None if bound is None else bound - 1
-            src, tgt = fields[edge]
-            # Stratified consult: the shared field may be capped higher
-            # (another lease's stratum); read our own radius.
-            if src.within(x, r) and tgt.within(y, r):
+        for (u, u2), bound in self._bounds.items():
+            back, fwd = self._legs(x, y, bound)
+            # isdisjoint probes the larger side from the smaller.
+            if not back.keys().isdisjoint(
+                self.eligible[u]
+            ) and not fwd.keys().isdisjoint(self.eligible[u2]):
                 return True
         return False
 
@@ -734,7 +690,7 @@ class BoundedSimulationIndex(StandaloneDriver):
     def prepare_deleted_edges(
         self, edges: Iterable[Tuple[Node, Node]]
     ) -> List[Tuple]:
-        """Deletion prep: balls on the *pre-deletion* graph.
+        """Deletion prep: legs on the *pre-deletion* graph.
 
         Must be called before the edges are removed; the returned token
         is handed back to :meth:`repair_deleted_edges`.
@@ -743,7 +699,7 @@ class BoundedSimulationIndex(StandaloneDriver):
 
     def repair_deleted_edges(self, prepared: List[Tuple]) -> None:
         """IncBMatch- for edges already removed from the graph: suspects
-        from the pre-deletion balls, rechecked on the current graph.
+        from the pre-deletion legs, rechecked on the current graph.
 
         Distance structures are **not** synced here — the pool feeds every
         net deletion to its substrate first (routed edges are a subset, so
@@ -762,7 +718,7 @@ class BoundedSimulationIndex(StandaloneDriver):
 
     def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
         """IncBMatch+ for edges already added to the graph: pairs newly
-        within bound through each edge, from balls on the final graph.
+        within bound through each edge, from legs on the final graph.
 
         Distance structures are **not** synced here (see
         :meth:`repair_deleted_edges`).

@@ -39,10 +39,10 @@ including the SCC-interval reachability oracle (``mode='interval'``).
 After every flush, each registered query's match set under both pools
 must equal a from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
-and the eligibility member sets and ball fields must pass their
-exactness invariants.  ``check_oracles`` probes ``can_affect_edge``
-of every distance-routed query and leg view over every node pair at
-quiescence: exact for the radius-capped modes, and — after forcing a
+and the eligibility member sets must pass their exactness invariants.
+``check_oracles`` probes ``can_affect_edge`` of every distance-routed
+query and leg view over every node pair at quiescence: exact for the
+modes routed by the edge legs, and — after forcing a
 clean labelling — exact against the *reachability* ground truth for
 interval mode (whose routing answer is by design the radius-free
 over-approximation).
@@ -60,25 +60,27 @@ deterministic end to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES``
 
 Mutation-tested: the sweep (at its default scale) catches each of these
 bugs injected one at a time into the substrates —
-(1) the eligibility substrate's batch reconcile forgetting to notify loss
-listeners (ball sources never unpin), (2) the reconcile reporting a loss
-flip without removing the member (set/report desync, caught by the
-member invariants), (3) the pool routing only the predicates with a
-*gained* flip (demotions never routed), (4) incsim's shared-layer
-adoption skipping the support-counter init (KeyError / drift on later
-cascades), (5) the pool announcing fresh-node gains only *after*
-insertion routing (trivial-predicate balls lack the pinned distance-0
-sources when the oracle rules on the very batch that wired them, so
-same-flush witness paths are declined), (6) the atom tier's reconcile
-deriving a conjunction's membership from its *first* atom's posting set
-alone (sibling atoms ignored — overlapping conjunctions diverge as soon
-as one shared atom flips while another still fails), and (7) the
-substrate's ``observe_inserted`` notifying the interval reachability
-oracle via ``notify_edges_deleted`` (insert-staleness: new edges fall
-under the tolerated-deletion budget instead of forcing the rebuild, so
-the closures miss freshly created reachability and routing falsely
-declines edges — caught by the pre-rebuild soundness pass in
-``check_oracles``).
+(1) ``ReachClosure`` ignoring the member-set version (interval routing
+keeps a closure over members that have since flipped), (2) the
+reconcile reporting a loss flip without removing the member (set/report
+desync, caught by the member invariants), (3) the pool routing only the
+predicates with a *gained* flip (demotions never routed), (4) incsim's
+shared-layer adoption skipping the support-counter init (KeyError /
+drift on later cascades), (5) the pool announcing fresh-node gains only
+*after* insertion routing (a trivial-predicate query's legs meet no
+``TRUE`` member at the fresh endpoint when the oracle rules on the very
+batch that wired it, so same-flush witness paths are declined), (6) the
+atom tier's reconcile deriving a conjunction's membership from its
+*first* atom's posting set alone (sibling atoms ignored — overlapping
+conjunctions diverge as soon as one shared atom flips while another
+still fails), (7) the substrate's ``observe_inserted`` notifying the
+interval reachability oracle via ``notify_edges_deleted``
+(insert-staleness: new edges fall under the tolerated-deletion budget
+instead of forcing the rebuild, so the closures miss freshly created
+reachability and routing falsely declines edges — caught by the
+pre-rebuild soundness pass in ``check_oracles``), and (8)/(9) the
+memoized edge legs surviving ``observe_deleted`` / ``observe_inserted``
+(routing and repair read legs of a graph state that no longer exists).
 """
 
 from __future__ import annotations
@@ -325,9 +327,9 @@ class _Harness:
         possibly-empty hops of x AND y within r hops of some eligible
         target, for some pattern edge.  (Mid-flush the oracle may lag by
         design — deletions consult pre-edit state — but between flushes
-        exact structures admit no slack, so a stale memoized leg or ball
-        field surfaces here even when no match pair happens to depend on
-        the mis-routed edge.)
+        exact structures admit no slack, so a stale memoized leg surfaces
+        here even when no match pair happens to depend on the mis-routed
+        edge.)
         """
         from repro.graphs.traversal import bfs_distances
 
@@ -481,10 +483,9 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
     assert live["landmark"] == 0
     assert live["matrix"] == 0
     assert live["reach"] == 0
-    assert live["fields"] == 0
     assert live["closures"] == 0
     # Eligibility entries die with their last lease too (the query's
-    # candidate views and the substrate's field/closure members).
+    # candidate views and the substrate's closure members).
     assert pool.eligibility.num_entries() == 0
     # Mutate while nothing leases, then re-register: index must be built
     # on the current graph and stay correct through further flushes.

@@ -88,61 +88,34 @@ class TestLeaseLifecycle:
         idx.release(pred)
         with pytest.raises(EligibilityLeaseError, match="never-leased"):
             idx.release(pred)  # entry already dropped
-        # With a listener keeping the zero-ref entry alive, over-release
-        # must raise instead of driving refs negative.
-        entry = idx.lease(pred)
-        token = idx.add_listener(pred, lambda v: None, lambda v: None)
-        idx.release(pred)
-        assert idx.entry(pred) is entry  # kept alive by the listener
-        with pytest.raises(EligibilityLeaseError, match="unbalanced"):
-            idx.release(pred)
-        idx.remove_listener(pred, token)
         assert idx.entry(pred) is None
 
-    def test_listeners_keep_entry_alive_across_release_and_relense(self):
-        g = _graph()
-        idx = SharedEligibilityIndex(g)
-        pred = parse_predicate("label = A")
-        entry = idx.lease(pred)
-        seen = []
-        idx.add_listener(
-            pred, lambda v: seen.append(("gain", v)),
-            lambda v: seen.append(("loss", v)),
-        )
-        idx.release(pred)
-        # The listener keeps the entry (and its members object) alive...
-        assert idx.num_entries() == 1
-        release = idx.lease(pred)
-        assert release is entry
-        assert release.members is entry.members
-        # ...and still fires after the release/re-lease cycle.
-        g.add_node(3, label="A")
-        idx.observe_attr_change(3)
-        assert seen == [("gain", 3)]
-        idx.check_invariants()
-
-    def test_distance_substrate_listener_survives_release_relense(self):
-        """Regression: releasing+re-leasing a predicate another consumer
-        holds must not unhook the distance substrate's ball-field
-        listener."""
+    def test_distance_substrate_closure_survives_release_relense(self):
+        """Regression: another consumer leasing and releasing the
+        predicate a reach closure reads must not leave the closure stale:
+        the closure's own lease keeps the member set, and the version
+        counter it caches against, alive."""
         g = _graph()
         idx = SharedEligibilityIndex(g)
         substrate = SharedDistanceSubstrate(g, eligibility=idx)
-        pred = parse_predicate("label = A")
-        field = substrate.lease_field(pred, 1, False)
-        assert 3 in field  # one hop out from source 2
+        pred = parse_predicate("label = B")
+        substrate.lease_reachability()
+        closure = substrate.lease_reach_closure(pred, True)
+        assert closure.contains(1)  # 1 -> 2 -> 3 reaches the member 3
         # A second consumer leases and releases the same predicate.
         idx.lease(pred)
         idx.release(pred)
-        # The field's listener must still see flips: node 2 loses label A.
-        g.add_node(2, label="C")
-        idx.observe_attr_change(2)
-        assert 2 not in field.sources
-        g.add_node(2, label="A")
-        idx.observe_attr_change(2)
-        assert 2 in field.sources
+        # The closure must still see flips: node 3 loses label B...
+        g.add_node(3, label="C")
+        idx.observe_attr_change(3)
+        assert not closure.contains(1)
+        # ...and gains it back.
+        g.add_node(3, label="B")
+        idx.observe_attr_change(3)
+        assert closure.contains(1)
         substrate.check_invariants()
-        substrate.release_field(pred, 1, False)
+        substrate.release_reach_closure(pred, True)
+        substrate.release_reachability()
         assert idx.num_entries() == 0
 
 
@@ -253,59 +226,24 @@ class TestObservation:
         assert len(flips) == 3  # but every dependent view flipped
         idx.check_invariants()
 
-    def test_listeners_fire_after_mutation(self):
-        g = _graph()
-        idx = SharedEligibilityIndex(g)
-        pred = parse_predicate("label = A")
-        entry = idx.lease(pred)
-        seen = []
-        token = idx.add_listener(
-            pred,
-            lambda v: seen.append(("gain", v, v in entry.members)),
-            lambda v: seen.append(("loss", v, v in entry.members)),
-        )
-        g.add_node(3, label="A")
-        idx.observe_attr_change(3)
-        g.add_node(3, label="C")
-        idx.observe_attr_change(3)
-        assert seen == [("gain", 3, True), ("loss", 3, False)]
-        idx.remove_listener(pred, token)
-        g.add_node(3, label="A")
-        idx.observe_attr_change(3)
-        assert len(seen) == 2
-
     def test_listener_exactly_once_for_conjunctions_sharing_an_atom(self):
         """One node event flipping two conjunctions that share an atom
-        must deliver exactly one callback per (conjunction, flip), with
-        the member sets already mutated (set-already-mutated contract)."""
+        must report exactly one flip per conjunction."""
         g = _graph()
         idx = SharedEligibilityIndex(g)
         pa = parse_predicate("label = A")
         pc = parse_predicate("label = A & age > 25")
-        ea, ec = idx.lease(pa), idx.lease(pc)
-        seen = []
-        idx.add_listener(
-            pa,
-            lambda v: seen.append(("a+", v, v in ea.members)),
-            lambda v: seen.append(("a-", v, v in ea.members)),
-        )
-        idx.add_listener(
-            pc,
-            lambda v: seen.append(("c+", v, v in ec.members)),
-            lambda v: seen.append(("c-", v, v in ec.members)),
-        )
+        idx.lease(pa)
+        idx.lease(pc)
         # Node 3 (label B, age 40) becomes label A: ONE event, BOTH
-        # conjunctions gain — one callback each, own set already mutated.
+        # conjunctions gain — one flip each.
         g.add_node(3, label="A")
         flips = idx.observe_attr_change(3)
-        assert sorted(seen) == [("a+", 3, True), ("c+", 3, True)]
         assert dict(flips) == {pa: True, pc: True}
         assert len(flips) == 2
         # And back: both lose in one event, again exactly once each.
-        seen.clear()
         g.add_node(3, label="B")
         flips = idx.observe_attr_change(3)
-        assert sorted(seen) == [("a-", 3, False), ("c-", 3, False)]
         assert dict(flips) == {pa: False, pc: False}
         assert len(flips) == 2
         idx.check_invariants()
@@ -315,21 +253,11 @@ class TestObservation:
         idx = SharedEligibilityIndex(g)
         pa = parse_predicate("label = A")
         pc = parse_predicate("label = A & age > 25")
-        ea, ec = idx.lease(pa), idx.lease(pc)
-        seen = []
-        idx.add_listener(
-            pa, lambda v: seen.append(("a+", v in ea.members)),
-            lambda v: seen.append(("a-", None)),
-        )
-        idx.add_listener(
-            pc, lambda v: seen.append(("c+", v in ec.members)),
-            lambda v: seen.append(("c-", None)),
-        )
+        idx.lease(pa)
+        idx.lease(pc)
         g.add_node(9, label="A", age=30)
         flips = idx.observe_node_added(9)
-        # Exactly one gain per dependent conjunction, post-mutation, in
-        # interning order.
-        assert seen == [("a+", True), ("c+", True)]
+        # Exactly one gain per dependent conjunction, in interning order.
         assert flips == [(pa, True), (pc, True)]
 
     def test_check_invariants_catches_drift(self):

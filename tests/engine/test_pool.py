@@ -75,6 +75,45 @@ class TestRegistration:
         assert report.deltas == {}
         assert not feed.drain()
 
+    @pytest.mark.parametrize("semantics", ["bounded", "simulation"])
+    @pytest.mark.parametrize("plan_scope", ["shared", "per-query"])
+    def test_unknown_distance_mode_rejected_before_anything_is_leased(
+        self, plan_scope, semantics
+    ):
+        g = DiGraph()
+        for v, label in [(1, "A"), (2, "M"), (3, "B"), (4, "B")]:
+            g.add_node(v, label=label)
+        g.add_edge(1, 2)
+        g.add_edge(2, 3)
+        pool = MatcherPool(g, plan_scope=plan_scope)
+        bound = 2 if semantics == "bounded" else 1
+
+        def pattern(source_label):
+            return Pattern.from_spec(
+                {"x": f"label = {source_label}", "y": "label = B"},
+                [("x", "y", bound)],
+            )
+
+        pool.register(pattern("M"), semantics=semantics, name="kept")
+        pool.queue(insert(3, 4))
+
+        def snapshot():
+            return (
+                pool.eligibility.live_entries(),
+                pool.substrate.live_structures(),
+                pool.plan.num_joins(),
+                pool.plan.num_views(),
+                len(pool),
+                pool.pending,
+            )
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="distance_mode"):
+            pool.register(
+                pattern("A"), semantics=semantics, distance_mode="bogus"
+            )
+        assert snapshot() == before
+
 
 class TestRouting:
     def test_updates_route_only_to_affected_pattern(self):
@@ -462,78 +501,87 @@ class TestSharedSubstrate:
         assert pool.substrate.live_structures()["landmark"] == 0
         assert pool.substrate.landmark_index() is None
 
+    @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
     def test_landmark_legs_are_computed_once_per_edge_and_graph_state(
-        self, monkeypatch
+        self, mode, monkeypatch
     ):
-        """Every landmark query consulted on an edge reads one memoized
-        BFS pair per (edge, radius) and graph state: 8 queries cost the
-        substrate exactly the BFS calls 1 query does, flush by flush, and
-        no landmark query leases a ball field."""
+        """Routing and every routed query's repair read one memoized BFS
+        pair per (edge, radius) and graph state: 8 queries routed on the
+        same edges cost exactly the BFS calls 1 query does, flush by
+        flush."""
         from repro.engine import distances
+        from repro.graphs import traversal
+        from repro.incremental import incbsim
+        from repro.matching.bounded import bounded_match
+        from repro.matching.relation import totalize
 
+        # Count every outermost BFS helper call, wherever it was
+        # imported (nested helper calls are part of the same BFS).
         calls = []
-        real_bfs = distances.bfs_distances
+        depth = [0]
 
-        def spy(*args, **kwargs):
-            calls.append(args[1])
-            return real_bfs(*args, **kwargs)
+        def spying(fn):
+            def spy(*args, **kwargs):
+                if not depth[0]:
+                    calls.append(fn.__name__)
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return spy
 
-        monkeypatch.setattr(distances, "bfs_distances", spy)
+        for module in (traversal, incbsim, distances):
+            for name in (
+                "bfs_distances", "ancestors_within", "descendants_within",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(
+                        module, name, spying(getattr(traversal, name))
+                    )
+        # Two components a -> z1 -> z2 -> c and a2 -> z3 -> z4 -> c2: the
+        # middle edge of each is routed (A one hop before it, C one hop
+        # after) but lies on no bound-2 witness path, so no deletion
+        # leaves a suspect to recheck.
         batches = [
-            [insert("z0", "z1"), insert("z1", "z2"), insert("a0", "z0")],
-            # z0->z1's legs on this graph state are still memoized from
-            # the last insertion routing; z2->c1 is new.
-            [delete("z0", "z1"), insert("z2", "c1")],
-            [delete("z1", "z2"), delete("a0", "z0")],
+            [insert("a", "z1"), insert("z1", "z2"), insert("z2", "c"),
+             insert("a2", "z3"), insert("z3", "z4"), insert("z4", "c2")],
+            # z1->z2's legs on this graph state are still memoized from
+            # the last insertion routing; a->z0->c wires a new pair.
+            [delete("z1", "z2"), insert("a", "z0"), insert("z0", "c")],
+            [delete("z3", "z4")],
         ]
+        routed_edges = [2, 3, 1]
+        pattern = Pattern.from_spec(
+            {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
+        )
         per_flush = {}
         for n_queries in (1, 8):
             g = DiGraph()
-            for i in range(8):
-                g.add_node(f"a{i}", label=f"A{i}")
-                g.add_node(f"c{i}", label=f"C{i}")
-                g.add_edge(f"a{i}", f"c{i}")
-            for n in range(3):
+            for v, label in [("a", "A"), ("a2", "A"), ("c", "C"),
+                             ("c2", "C")]:
+                g.add_node(v, label=label)
+            for n in range(5):
                 g.add_node(f"z{n}", label="Z")
             pool = MatcherPool(g)
-            for i in range(n_queries):
+            queries = [
                 pool.register(
-                    Pattern.from_spec(
-                        {"x": f"label = A{i}", "y": f"label = C{i}"},
-                        [("x", "y", 2)],
-                    ),
-                    semantics="bounded", name=f"q{i}",
-                    distance_mode="landmark",
+                    pattern, semantics="bounded", name=f"q{i}",
+                    distance_mode=mode,
                 )
+                for i in range(n_queries)
+            ]
             counts = []
-            for batch in batches:
+            for batch, routed in zip(batches, routed_edges):
                 before = len(calls)
                 report = pool.apply(batch)
                 counts.append(len(calls) - before)
-                # No edge pairs endpoints of one query: every query asked
-                # the oracle about every edge.
-                assert report.routed + report.skipped == n_queries * len(
-                    batch
-                )
-            assert pool.substrate.live_structures()["fields"] == 0
+                assert report.routed == n_queries * routed
+            truth = as_pairs(totalize(bounded_match(pattern, pool.graph)))
+            assert all(as_pairs(q.matches()) == truth for q in queries)
             per_flush[n_queries] = counts
         # One backward and one forward BFS per edge per graph state.
-        assert per_flush[1] == per_flush[8] == [6, 2, 4]
-
-    def test_identical_pattern_edges_share_one_ball_field_pair(self):
-        pool = MatcherPool(two_cluster_graph())
-        p = Pattern.from_spec(
-            {"x": "label = A1", "y": "label = B1"}, [("x", "y", 2)]
-        )
-        qa = pool.register(p, semantics="bounded", name="qa")
-        qb = pool.register(p, semantics="bounded", name="qb")
-        # Fields are leased eagerly at registration; churn that only the
-        # oracle can decline keeps them exercised.
-        pool.apply([insert("b2", "a2")])
-        live = pool.substrate.live_structures()
-        assert live["fields"] == 2       # one src + one tgt field ...
-        assert live["field_leases"] == 4  # ... leased by both queries
-        assert qa.matches() == qb.matches()
+        assert per_flush[1] == per_flush[8] == [12, 4, 2]
 
 
 class TestSharedGraphConsistency:

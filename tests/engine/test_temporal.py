@@ -320,7 +320,7 @@ class TestCountersAndInvariants:
         )
         counters = pool.rebuild_counters()
         assert set(counters) >= {
-            "lm_rebuilds", "reach_rebuilds", "field_rebuilds", "total",
+            "lm_rebuilds", "reach_rebuilds", "total",
         }
         assert counters["total"] == sum(
             v for k, v in counters.items() if k != "total"

@@ -8,6 +8,7 @@ insertions force a rebuild), component-closure queries, and the cached
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -119,22 +120,24 @@ class TestClosures:
     def test_reach_closure_tracks_membership_and_graph(self):
         g = _chain_with_cycle()
         r = IntervalReachabilityIndex(g)
-        members = {"b"}
-        cl = ReachClosure(r, members, reverse=False)
+        # An EligibleSet-shaped member set: its owner bumps ``version``
+        # on every membership change.
+        eligible = SimpleNamespace(members={"b"}, version=0)
+        cl = ReachClosure(r, eligible, reverse=False)
         assert cl.contains("e") and not cl.contains("a")
-        members.add("x")
-        cl.mark_dirty()
+        eligible.members.add("x")
+        assert not cl.contains("y")  # cached until the version moves
+        eligible.version += 1
         assert cl.contains("y")
         g.add_edge("e", "a")
         r.notify_edges_inserted()
-        # Version bump on rebuild invalidates the cache without mark_dirty.
+        # Version bump on rebuild invalidates the cache too.
         assert cl.contains("a")
 
     def test_reach_closure_unknown_node_falls_back_to_membership(self):
         g = DiGraph([("a", "b")])
         r = IntervalReachabilityIndex(g)
-        members = {"fresh"}
-        cl = ReachClosure(r, members)
+        cl = ReachClosure(r, SimpleNamespace(members={"fresh"}, version=0))
         # 'fresh' was never labelled: reachable from the member set only
         # via the empty path, i.e. iff it is itself a member.
         assert cl.contains("fresh")

@@ -1,9 +1,13 @@
 """Tests for incremental bounded simulation (IncBMatch, paper Section 6)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from repro.engine import MatcherPool
 from repro.graphs.digraph import DiGraph
+from repro.graphs.traversal import bfs_distances
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match_naive
@@ -222,3 +226,148 @@ def test_all_modes_agree(g, p):
             idx.apply_batch(batch)
         results.append(as_pairs(idx.raw_match_sets()))
     assert results[0] == results[1] == results[2]
+
+
+def chain_graph():
+    """a -> m1 -> m2 -> b, with predicates only matching the ends."""
+    g = DiGraph()
+    g.add_node("a", label="A")
+    g.add_node("b", label="B")
+    g.add_node("m1", label="M")
+    g.add_node("m2", label="M")
+    g.add_edge("a", "m1")
+    g.add_edge("m1", "m2")
+    g.add_edge("m2", "b")
+    return g
+
+
+@pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+def test_oracle_agrees_with_ground_truth(mode):
+    """On a freshly registered pool query the substrate-backed oracle
+    must equal the textbook check: some eligible source within k-1
+    (possibly-empty) hops of x AND y within k-1 hops of some eligible
+    target, for some pattern edge."""
+    rng = random.Random(42)
+    for _ in range(25):
+        n = rng.randint(3, 7)
+        g = DiGraph()
+        for v in range(n):
+            g.add_node(v, label=rng.choice(["A", "B", "M"]))
+        for _ in range(rng.randint(2, 2 * n)):
+            g.add_edge(rng.randrange(n), rng.randrange(n))
+        k = rng.choice([2, 3, None])
+        pattern = Pattern.from_spec(
+            {"x": "label = A", "y": "label = B"},
+            [("x", "y", k)],
+        )
+        pool = MatcherPool(g)
+        q = pool.register(pattern, semantics="bounded", distance_mode=mode)
+        assert q.distance_routed
+        idx = q.index
+        graph = pool.graph
+        r = None if k is None else k - 1
+
+        def leg_ok(src, dst, rad):
+            d = bfs_distances(graph, src).get(dst)
+            return d is not None and (rad is None or d <= rad)
+
+        for x in graph.nodes():
+            for y in graph.nodes():
+                truth = any(
+                    leg_ok(a, x, r) for a in idx.eligible["x"]
+                ) and any(leg_ok(y, c, r) for c in idx.eligible["y"])
+                assert idx.can_affect_edge(x, y) == truth, (mode, k, x, y)
+
+
+def test_standalone_index_has_no_routing_oracle():
+    """The routing oracle reads pool substrate structures only."""
+    pattern = Pattern.from_spec(
+        {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
+    )
+    idx = BoundedSimulationIndex(pattern, chain_graph())
+    with pytest.raises(RuntimeError):
+        idx.can_affect_edge("a", "m1")
+
+
+CHAIN_EDGES = [("a", "m1"), ("m1", "m2"), ("m2", "b")]
+# name -> (labels, edges, bound k of x -> y, probed edge, its verdict
+# before and after, flushes of (edge updates, {node: new label})).
+ORACLE_SITUATIONS = {
+    # A new edge puts c one hop from the source a.
+    "insert-grows": (
+        {"a": "A", "b": "B", "c": "M"}, [], 2, ("c", "b"), False, True,
+        [([insert("a", "c")], {})],
+    ),
+    # m1 becomes a source one hop before m2.
+    "gain-grows": (
+        {"a": "A", "m1": "M", "m2": "M", "b": "B"}, CHAIN_EDGES, 2,
+        ("m2", "b"), False, True, [([], {"m1": "A"})],
+    ),
+    # The only path from the source a into m1 is cut.
+    "deletion-tightens": (
+        {"a": "A", "m1": "M", "m2": "M", "b": "B"}, CHAIN_EDGES, 3,
+        ("m1", "m2"), True, False, [([delete("a", "m1")], {})],
+    ),
+    # m1 stops being the source one hop before m2.
+    "loss-tightens": (
+        {"a": "A", "m1": "A", "m2": "M", "b": "B"}, CHAIN_EDGES, 2,
+        ("m2", "b"), True, False, [([], {"m1": "M"})],
+    ),
+    # Churn in a foreign component is declined both ways and moves
+    # nothing.
+    "far-update-declined": (
+        {"a": "A", "m1": "M", "m2": "M", "b": "B", "p": "Z", "q": "Z"},
+        CHAIN_EDGES + [("p", "q")], 2, ("p", "q"), False, False,
+        [([delete("p", "q")], {}), ([insert("p", "q")], {})],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+@pytest.mark.parametrize("situation", sorted(ORACLE_SITUATIONS))
+def test_oracle_tracks_pool_updates(situation, mode):
+    """The oracle follows edge updates and eligibility flips flushed
+    through the pool, and stays equal to the textbook check after each
+    flush."""
+    labels, edges, k, probe, before, after, flushes = ORACLE_SITUATIONS[
+        situation
+    ]
+    g = DiGraph()
+    for v, label in labels.items():
+        g.add_node(v, label=label)
+    for v, w in edges:
+        g.add_edge(v, w)
+    pool = MatcherPool(g)
+    q = pool.register(
+        Pattern.from_spec(
+            {"x": "label = A", "y": "label = B"}, [("x", "y", k)]
+        ),
+        semantics="bounded", distance_mode=mode,
+    )
+    idx, graph, r = q.index, pool.graph, k - 1
+
+    def assert_textbook():
+        for x in graph.nodes():
+            for y in graph.nodes():
+                truth = any(
+                    bfs_distances(graph, a, r).get(x) is not None
+                    for a in idx.eligible["x"]
+                ) and any(
+                    bfs_distances(graph, y, r).get(c) is not None
+                    for c in idx.eligible["y"]
+                )
+                assert idx.can_affect_edge(x, y) == truth, (x, y)
+
+    assert idx.can_affect_edge(*probe) is before
+    assert_textbook()
+    for updates, relabel in flushes:
+        for v, label in relabel.items():
+            pool.queue_node(v, label=label)
+        report = pool.apply(updates)
+        if situation == "far-update-declined":
+            assert report.routed == 0
+    assert idx.can_affect_edge(*probe) is after
+    assert_textbook()
+    assert as_pairs(q.matches()) == as_pairs(
+        totalize(bounded_match_naive(q.pattern, graph))
+    )
