@@ -270,7 +270,7 @@ def _incbsim_compare(graph: DiGraph, patterns: List, updates: List) -> Row:
         t, _ = timed(lambda: bounded_match(p, g2, oracle=MatrixOracle(g2)))
         t_batch += t
 
-        # Default IncBMatch: grouped bounded rechecks (distance_mode='bfs').
+        # Default IncBMatch: probe rechecks (distance_mode='bfs').
         # The landmark-backed variant is measured in bench_ablations.py —
         # a vertex-cover vector on these dense synthetic graphs holds
         # ~|V|/2 landmarks, so its maintenance dominates at laptop scale.

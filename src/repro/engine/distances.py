@@ -31,7 +31,15 @@ owns
   balls of every bounded query, memoized per ``(x, y, r)`` until the next
   edge batch is observed — so routing and every routed query's repair on
   one edge share one BFS pair per radius; nothing is leased or
-  maintained.
+  maintained;
+- the **probes** of IncBMatch-'s suspect rechecks
+  (:func:`~repro.graphs.traversal.within_probe`): for a suspect source
+  ``a`` and bound ``k``, a lazily expanded BFS from ``a`` on the
+  post-deletion graph that labels only as far as the targets asked so far
+  need, memoized per ``(a, k)`` — so every routed query's recheck in a
+  flush, plan leg views included, extends the same partial BFS instead of
+  running its own full one.  :attr:`SubstrateStats.probe_nodes` counts the
+  nodes they label.
 
 Every other structure is leased with a refcount: registering a bounded query
 acquires leases, unregistering releases them, and a structure
@@ -39,10 +47,14 @@ whose refcount reaches zero is dropped so the pool stops paying its
 upkeep.  The pool syncs the substrate **once per flush phase** —
 ``observe_deleted`` runs after the shared graph drops a deletion batch,
 and ``observe_inserted`` after an insertion batch lands (and *before*
-insertion routing).  Both clear the memoized legs: deletion routing and
-deletion prep read legs of the pre-edit graph, insertion routing and
-repair legs of the graph after the batch.  Node events need no
-observation here: legs are pure graph distances read against the live
+insertion routing).  Both clear the memoized legs and probes: deletion
+routing and deletion prep read legs of the pre-edit graph, insertion
+routing and repair legs of the graph after the batch, and the deletion
+rechecks, which run between ``observe_deleted`` and the insertion batch,
+probes of the post-deletion graph.  A probe expands lazily over the live
+graph, so one that outlived an edge batch would answer from a mix of
+graph states.  Node events need no observation here: legs and probes are
+pure graph distances (a fresh node has no edges), read against the live
 eligible sets, and the closures notice membership changes through the
 sets' versions.
 
@@ -59,7 +71,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
 from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
-from ..graphs.traversal import Legs, edge_legs
+from ..graphs.traversal import Legs, WithinProbe, edge_legs, within_probe
 from ..landmarks.selection import LandmarkBudget
 from ..landmarks.vector import LandmarkIndex
 from ..patterns.predicate import Predicate
@@ -70,7 +82,9 @@ ClosureKey = Tuple[Predicate, bool]
 
 class SubstrateStats:
     """Upkeep counters: how many structure-level update applications the
-    pool paid per flush stream (the quantity sharing amortizes)."""
+    pool paid per flush stream (the quantity sharing amortizes), and the
+    nodes labelled by the suspect-recheck probes (``probe_nodes``, the
+    recheck work sharing amortizes)."""
 
     __slots__ = (
         "lm_builds",
@@ -79,6 +93,7 @@ class SubstrateStats:
         "reach_builds",
         "edge_batches",
         "structure_batches",
+        "probe_nodes",
     )
 
     def __init__(self) -> None:
@@ -91,12 +106,14 @@ class SubstrateStats:
         self.reach_builds = 0
         self.edge_batches = 0
         self.structure_batches = 0
+        self.probe_nodes = 0
 
     def __repr__(self) -> str:
         return (
             f"SubstrateStats(builds={self.lm_builds}+{self.matrix_builds}"
             f"+{self.reach_builds}, edge_batches={self.edge_batches}, "
-            f"structure_batches={self.structure_batches})"
+            f"structure_batches={self.structure_batches}, "
+            f"probe_nodes={self.probe_nodes})"
         )
 
 
@@ -134,6 +151,9 @@ class SharedDistanceSubstrate:
         # Edge legs, memoized per (x, y, radius) until the next observed
         # edge batch.
         self._legs: Dict[Tuple[Node, Node, Optional[int]], Legs] = {}
+        # Suspect-recheck probes, memoized per (source, bound) until the
+        # next observed edge batch.
+        self._probes: Dict[Tuple[Node, Optional[int]], WithinProbe] = {}
 
     # ------------------------------------------------------------------
     # Leases
@@ -174,6 +194,21 @@ class SharedDistanceSubstrate:
         if legs is None:
             legs = self._legs[key] = edge_legs(self._graph, x, y, radius)
         return legs
+
+    def probe(self, a: Node, k: Optional[int]) -> WithinProbe:
+        """The suspect-recheck probe from ``a`` at bound ``k``: its
+        ``reaches(c)`` answers whether a nonempty path of length <= ``k``
+        leads from ``a`` to ``c`` on the current graph, expanding a BFS
+        from ``a`` only as far as the targets asked so far need.  Memoized
+        per ``(a, k)`` until the next ``observe_*`` call, so every routed
+        query's recheck in a flush extends the same partial BFS."""
+        key = (a, k)
+        probe = self._probes.get(key)
+        if probe is None:
+            probe = self._probes[key] = within_probe(
+                self._graph, a, k, self.stats
+            )
+        return probe
 
     def lease_matrix(self) -> DistanceMatrix:
         """Acquire the pool-wide all-pairs matrix (built on first lease)."""
@@ -254,6 +289,7 @@ class SharedDistanceSubstrate:
         if not edges:
             return
         self._legs.clear()
+        self._probes.clear()
         self.stats.edge_batches += 1
         if self._lm is not None:
             self._lm.apply_batch(deleted=edges)
@@ -275,6 +311,7 @@ class SharedDistanceSubstrate:
         if not edges:
             return
         self._legs.clear()
+        self._probes.clear()
         self.stats.edge_batches += 1
         if self._lm is not None:
             self._lm.apply_batch(inserted=edges)

@@ -661,15 +661,12 @@ class ColumnarDiGraph(DiGraph):
     def _ball_within(
         self, anchor: Node, k: Optional[int], reverse: bool
     ) -> Dict[Node, int]:
-        """Fused nonempty-path ball: one id-space BFS serves both the hop
-        distances *and* the shortest cycle through ``anchor``.
-
-        The generic :func:`~repro.graphs.traversal.descendants_within` runs
-        a second (reverse) BFS just to find the cycle.  With dense ids the
-        cycle falls out of the first BFS for free: a cycle through the
-        anchor is ``dist(anchor, p) + 1`` minimized over the anchor's
+        """Id-space hook for :func:`repro.graphs.traversal.descendants_within`
+        and :func:`~repro.graphs.traversal.ancestors_within`: one BFS
+        serves both the hop distances *and* the shortest cycle through
+        ``anchor``, ``dist(anchor, p) + 1`` minimized over the anchor's
         in-neighbours ``p`` (or out-neighbours, for the reverse ball), all
-        of which the forward frontier already labelled.
+        of which the frontier already labelled.
         """
         sid = self._interner._ids.get(anchor)
         if sid is None:
@@ -688,35 +685,26 @@ class ColumnarDiGraph(DiGraph):
                     queue.append(j)
         # Close the cycle: one hop back into the anchor from any labelled
         # node that has an edge to it (its parents in the BFS direction).
-        # A self-loop is a cycle of length 1 unconditionally (the generic
-        # helper reports it before applying the bound filter).
         back = self._osucc if reverse else self._opred
         best: Optional[int] = None
-        if sid in self._osucc[sid]:
-            best = 1
-        else:
-            for p in back[sid]:
-                d = dist.get(p)
-                if d is None:
-                    continue
-                length = d + 1
-                if k is not None and length > k:
-                    continue
-                if best is None or length < best:
-                    best = length
+        for p in back[sid]:
+            d = dist.get(p)
+            if d is not None and (best is None or d + 1 < best):
+                best = d + 1
         nodes = self._interner._nodes
         out = {nodes[i]: d for i, d in dist.items() if i != sid}
-        if best is not None:
+        if best is not None and (k is None or best <= k):
             out[nodes[sid]] = best
         return out
 
-    def _descendants_within(self, source: Node, k: Optional[int]) -> Dict[Node, int]:
-        """Id-space hook for :func:`repro.graphs.traversal.descendants_within`."""
-        return self._ball_within(source, k, reverse=False)
-
-    def _ancestors_within(self, target: Node, k: Optional[int]) -> Dict[Node, int]:
-        """Id-space hook for :func:`repro.graphs.traversal.ancestors_within`."""
-        return self._ball_within(target, k, reverse=True)
+    def _within_probe(
+        self, source: Node, k: Optional[int], stats=None
+    ) -> "_IdWithinProbe":
+        """Id-space hook for :func:`repro.graphs.traversal.within_probe`."""
+        sid = self._interner._ids.get(source)
+        if sid is None:
+            raise GraphError(f"node {source!r} not in graph")
+        return _IdWithinProbe(self, sid, k, stats)
 
     def _shortest_cycle_through(
         self, node: Node, max_len: Optional[int] = None
@@ -1019,6 +1007,71 @@ class ColumnarDiGraph(DiGraph):
                     g._opred[tw][new] = None
             g._num_edges += len(succ)
         return g
+
+
+class _IdWithinProbe:
+    """Id-space twin of :class:`repro.graphs.traversal.WithinProbe`: the
+    same lazily expanded depth-``k - 1`` BFS and last hop over the dense
+    adjacency rows, translating only the asked target to its id."""
+
+    __slots__ = (
+        "_ids", "_osucc", "_opred", "_sid", "_last", "_dist", "_queue",
+        "_cycle", "_stats",
+    )
+
+    def __init__(
+        self, graph: ColumnarDiGraph, sid: int, k: Optional[int], stats=None
+    ) -> None:
+        self._ids = graph._interner._ids
+        self._osucc = graph._osucc
+        self._opred = graph._opred
+        self._sid = sid
+        self._last = None if k is None else k - 1
+        self._dist: Dict[int, int] = {sid: 0}
+        self._queue = deque([sid] if self._last != 0 else ())
+        self._cycle = False
+        self._stats = stats
+        if stats is not None:
+            stats.probe_nodes += 1
+
+    def reaches(self, c: Node) -> bool:
+        """Same contract as
+        :meth:`repro.graphs.traversal.WithinProbe.reaches`."""
+        cid = self._ids.get(c)
+        if cid is None:
+            return False
+        dist = self._dist
+        if cid == self._sid:
+            if self._cycle or self._expand(cid, True):
+                return True
+        elif cid in dist or self._expand(cid, False):
+            return True
+        return not self._opred[cid].keys().isdisjoint(dist.keys())
+
+    def _expand(self, cid: int, is_source: bool) -> bool:
+        dist = self._dist
+        queue = self._queue
+        sid = self._sid
+        osucc = self._osucc
+        last = self._last
+        before = len(dist)
+        found = False
+        while queue:
+            i = queue.popleft()
+            d = dist[i] + 1
+            for j in osucc[i]:
+                if j not in dist:
+                    dist[j] = d
+                    if d != last:
+                        queue.append(j)
+                elif j == sid:
+                    self._cycle = True
+            if self._cycle if is_source else cid in dist:
+                found = True
+                break
+        if self._stats is not None:
+            self._stats.probe_nodes += len(dist) - before
+        return found
 
 
 def as_backend(graph: DiGraph, backend: str) -> DiGraph:

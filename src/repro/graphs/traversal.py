@@ -4,7 +4,9 @@ Bounded simulation repeatedly needs "which nodes lie within ``k`` hops of
 ``v``" — both forward (``desc`` in paper Fig. 3) and backward (``anc``).
 These helpers implement plain and bounded BFS over :class:`DiGraph`, plus
 nonempty-path distances (a path must have length >= 1, so the distance from
-``v`` to itself is the length of the shortest cycle through ``v``).
+``v`` to itself is the length of the shortest cycle through ``v``), and
+:func:`within_probe`, a lazily expanded bounded BFS that answers "is ``c``
+within ``k``?" for one target at a time.
 """
 
 from __future__ import annotations
@@ -67,46 +69,137 @@ def edge_legs(graph: DiGraph, x: Node, y: Node, radius: Optional[int]) -> Legs:
     )
 
 
+def _ball_within(
+    graph: DiGraph, anchor: Node, k: Optional[int], reverse: bool
+) -> Dict[Node, int]:
+    """Nonempty-path ball of ``anchor``: one BFS serves both the hop
+    distances *and* the shortest cycle through ``anchor``, which is
+    ``1 + dist(anchor, p)`` minimized over the anchor's in-neighbours ``p``
+    (out-neighbours for the reverse ball), all labelled by the BFS itself
+    when the cycle fits in ``k``."""
+    # Dense-id backends run the same single BFS in id space.
+    fast = getattr(graph, "_ball_within", None)
+    if fast is not None:
+        return fast(anchor, k, reverse)
+    dist = bfs_distances(graph, anchor, max_depth=k, reverse=reverse)
+    back = graph.children if reverse else graph.parents
+    cycle: Optional[int] = None
+    for p in back(anchor):
+        d = dist.get(p)
+        if d is not None and (cycle is None or d + 1 < cycle):
+            cycle = d + 1
+    del dist[anchor]
+    if cycle is not None and (k is None or cycle <= k):
+        dist[anchor] = cycle
+    return dist
+
+
 def descendants_within(graph: DiGraph, source: Node, k: Optional[int]) -> Dict[Node, int]:
     """Nodes reachable from ``source`` by a *nonempty* path of length <= k.
 
     ``k is None`` means unbounded (the ``*`` edge bound).  The source itself
     appears only if it lies on a cycle of length <= k.
     """
-    # Dense-id backends fuse the distance BFS and the cycle check into a
-    # single id-space pass (the cycle through ``source`` is one hop back
-    # from a node the forward frontier already labelled).
-    fast = getattr(graph, "_descendants_within", None)
-    if fast is not None:
-        return fast(source, k)
-    dist = bfs_distances(graph, source, max_depth=k)
-    out: Dict[Node, int] = {}
-    for node, d in dist.items():
-        if node == source:
-            continue
-        out[node] = d
-    # Nonempty path back to the source: shortest cycle through source.
-    cycle = shortest_cycle_through(graph, source, max_len=k)
-    if cycle is not None:
-        out[source] = cycle
-    return out
+    return _ball_within(graph, source, k, reverse=False)
 
 
 def ancestors_within(graph: DiGraph, target: Node, k: Optional[int]) -> Dict[Node, int]:
     """Nodes that reach ``target`` by a nonempty path of length <= k."""
-    fast = getattr(graph, "_ancestors_within", None)
+    return _ball_within(graph, target, k, reverse=True)
+
+
+class WithinProbe:
+    """Lazily expanded BFS from ``source`` answering :meth:`reaches`: does a
+    *nonempty* path of length <= ``k`` (unbounded if ``None``) lead to
+    ``c``?
+
+    Nodes are labelled only to depth ``k - 1``, and only as far as the
+    targets asked so far need: each :meth:`reaches` resumes the expansion
+    where the last one stopped and stops once its target is decided.  A
+    target labelled at depth ``d >= 1`` is within ``k - 1``.  Once depth
+    ``k - 1`` is complete, an unlabelled target is within ``k`` iff one of
+    its parents is labelled — the last hop, tested from the smaller side;
+    a parent at a lesser depth would already have labelled it.  So the
+    widest layer, depth ``k``, is never expanded.  The source itself is
+    within ``k`` iff a cycle closes through it: an edge back into it seen
+    while expanding, or on the last hop.
+
+    The probe reads the live graph: it is valid until the graph's edges
+    change.  ``stats``, when given, is any object with an int
+    ``probe_nodes`` attribute; every node the probe labels is counted
+    there.
+    """
+
+    __slots__ = (
+        "_source", "_last", "_children", "_parents", "_dist", "_queue",
+        "_cycle", "_stats",
+    )
+
+    def __init__(
+        self, graph: DiGraph, source: Node, k: Optional[int], stats=None
+    ) -> None:
+        self._children = graph.children
+        self._parents = graph.parents
+        self._source = source
+        # Nodes at depth < _last are expanded; None expands everything.
+        self._last = None if k is None else k - 1
+        self._dist: Dict[Node, int] = {source: 0}
+        self._queue = deque([source] if self._last != 0 else ())
+        self._cycle = False
+        self._stats = stats
+        if stats is not None:
+            stats.probe_nodes += 1
+
+    def reaches(self, c: Node) -> bool:
+        """Is ``c`` within ``k`` of the source by a nonempty path?"""
+        dist = self._dist
+        if c == self._source:
+            if self._cycle or self._expand(c, True):
+                return True
+        elif c in dist or self._expand(c, False):
+            return True
+        return not self._parents(c).isdisjoint(dist.keys())
+
+    def _expand(self, c: Node, is_source: bool) -> bool:
+        """Label until ``c`` is decided inside depth ``k - 1`` (True) or
+        depth ``k - 1`` is complete (False)."""
+        dist = self._dist
+        queue = self._queue
+        source = self._source
+        children = self._children
+        last = self._last
+        before = len(dist)
+        found = False
+        while queue:
+            v = queue.popleft()
+            d = dist[v] + 1
+            for w in children(v):
+                if w not in dist:
+                    dist[w] = d
+                    if d != last:
+                        queue.append(w)
+                elif w == source:
+                    self._cycle = True
+            if self._cycle if is_source else c in dist:
+                found = True
+                break
+        if self._stats is not None:
+            self._stats.probe_nodes += len(dist) - before
+        return found
+
+
+def within_probe(
+    graph: DiGraph, source: Node, k: Optional[int], stats=None
+) -> WithinProbe:
+    """A :class:`WithinProbe` from ``source`` at bound ``k``.
+
+    Dense-id backends return an id-space twin with the same
+    ``reaches`` contract (the :func:`bfs_distances` hook pattern).
+    """
+    fast = getattr(graph, "_within_probe", None)
     if fast is not None:
-        return fast(target, k)
-    dist = bfs_distances(graph, target, max_depth=k, reverse=True)
-    out: Dict[Node, int] = {}
-    for node, d in dist.items():
-        if node == target:
-            continue
-        out[node] = d
-    cycle = shortest_cycle_through(graph, target, max_len=k)
-    if cycle is not None:
-        out[target] = cycle
-    return out
+        return fast(source, k, stats)
+    return WithinProbe(graph, source, k, stats)
 
 
 def shortest_cycle_through(

@@ -23,9 +23,11 @@ a data edge changes.
   :func:`~repro.graphs.traversal.edge_legs`.
 - **Deletion** of ``(x, y)``: a broken pair's old path decomposes the same
   way *on the pre-deletion graph*, so suspects are collected from legs
-  computed before the edit and rechecked afterwards (one bounded BFS per
-  suspect source, or landmark / matrix distance queries depending on
-  ``distance_mode``).
+  computed before the edit and rechecked afterwards — by a *probe* per
+  suspect source and bound (:func:`~repro.graphs.traversal.within_probe`:
+  a BFS that expands only until its suspect targets are decided, and
+  never expands the last layer), or by landmark / matrix distance queries
+  depending on ``distance_mode``.
 
 Both directions are implemented once, as the repair methods the pool
 runs around its shared graph: ``prepare_deleted_edges`` before the edit
@@ -39,7 +41,7 @@ standalone index owns are synced by one helper,
 
 ``distance_mode``:
 
-- ``'bfs'``       — rechecks by grouped bounded BFS (default IncBMatch);
+- ``'bfs'``       — rechecks by bounded probes (default IncBMatch);
 - ``'landmark'``  — maintains a :class:`LandmarkIndex` (``IncLM``) and
   answers rechecks from the vectors — the paper's Section 6.3 algorithm;
 - ``'matrix'``    — maintains a full all-pairs matrix (min-plus updates on
@@ -51,9 +53,9 @@ standalone index owns are synced by one helper,
   per-(predicate, direction) :class:`ReachClosure` caches making each
   consult an O(1) component-membership test (sublinear in the eligible
   sets); suspect rechecks use exact reachability for ``*`` bounds when
-  the labelling is clean and grouped bounded BFS otherwise (a dirty
-  labelling never rebuilds just for rechecks — bulk deletion batches
-  such as window expiry stay decremental).  Cheapest upkeep of the four —
+  the labelling is clean and the probes otherwise (a dirty labelling
+  never rebuilds just for rechecks — bulk deletion batches such as window
+  expiry stay decremental).  Cheapest upkeep of the four —
   the labelling rebuilds lazily under a staleness budget that only ever
   errs toward routing *more* edges (deletions tolerated, insertions
   force a rebuild).
@@ -63,9 +65,13 @@ its suspect rechecks read, and computes each edge's legs itself.  A
 pool-registered index receives the pool's
 :class:`~repro.engine.distances.SharedDistanceSubstrate` instead: the
 structures are **leased** from it and the pool keeps them in sync once
-per flush for every leasing query, and the legs come from the
-substrate's memo (:meth:`SharedDistanceSubstrate.legs`), so routing and
-every routed query's repair on one edge share one BFS pair per radius.
+per flush for every leasing query, and the legs and the recheck probes
+come from the substrate's memos (:meth:`SharedDistanceSubstrate.legs`,
+:meth:`SharedDistanceSubstrate.probe`), so routing and every routed
+query's repair on one edge share one BFS pair per radius, and every
+routed query's recheck in a flush extends one partial BFS per suspect
+source and bound.  A standalone index builds the same probes itself,
+shared across its own rechecks of one batch.
 The distance-aware routing oracle (:meth:`can_affect_edge`) exists only
 for pool routing and reads only substrate structures: the reach
 closures in ``interval`` mode, the memoized legs in every other mode.
@@ -81,9 +87,11 @@ from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
 from ..graphs.traversal import (
     INF,
     Legs,
+    WithinProbe,
     ancestors_within,
     descendants_within,
     edge_legs,
+    within_probe,
 )
 from ..landmarks.vector import LandmarkIndex
 from ..matching.relation import MatchRelation, totalize
@@ -438,6 +446,23 @@ class BoundedSimulationIndex(StandaloneDriver):
             return self.substrate.legs(x, y, radius)
         return edge_legs(self.graph, x, y, radius)
 
+    def _probe(
+        self,
+        a: Node,
+        bound: Bound,
+        own: Dict[Tuple[Node, Bound], WithinProbe],
+    ) -> WithinProbe:
+        """The recheck probe from suspect source ``a`` at ``bound``: read
+        from the substrate's memo in a pool, from ``own`` (local to one
+        :meth:`_recheck_suspects` call) for a standalone index."""
+        if self.substrate is not None:
+            return self.substrate.probe(a, bound)
+        key = (a, bound)
+        probe = own.get(key)
+        if probe is None:
+            probe = own[key] = within_probe(self.graph, a, bound)
+        return probe
+
     def _balls_around(
         self, x: Node, y: Node
     ) -> Tuple[Dict[Bound, Dict[Node, int]], Dict[Bound, Dict[Node, int]]]:
@@ -507,17 +532,19 @@ class BoundedSimulationIndex(StandaloneDriver):
         """Pair deletions among ``suspects``, rechecked on the current graph.
 
         With a landmark index / distance matrix each pair is an O(|lm|)
-        early-exit query; otherwise suspects are grouped by source so each
-        source pays a single bounded BFS regardless of how many deleted
-        edges implicated it.  In ``interval`` mode, ``*``-bound pairs ask
-        the reachability oracle exactly when its labelling is clean (each
-        consult is then near-O(1)); a *dirty* labelling would pay a full
-        rebuild just to answer rechecks — ruinous for bulk decremental
-        batches such as sliding-window expiry — so dirty oracles route
-        ``*``-bound suspects through the grouped BFS too (exact on the
-        post-deletion graph) and keep their budgeted lazy-rebuild policy
-        intact.  Finite bounds need true distances, so they always take
-        the grouped BFS.
+        early-exit query.  Otherwise each pair asks the probe of its source
+        and bound (:meth:`_probe`) whether its target is still within
+        bound: the probe's BFS expands only until the targets asked so far
+        are decided, and in a pool every routed query's recheck in the
+        flush extends the same memoized probe.  In ``interval`` mode,
+        ``*``-bound pairs ask the reachability oracle exactly when its
+        labelling is clean (each consult is then near-O(1)); a *dirty*
+        labelling would pay a full rebuild just to answer rechecks —
+        ruinous for bulk decremental batches such as sliding-window expiry
+        — so dirty oracles route ``*``-bound suspects through the probes
+        too (exact on the post-deletion graph) and keep their budgeted
+        lazy-rebuild policy intact.  Finite bounds need true distances, so
+        they always take the probes.
         """
         out: List[Update] = []
         if self.distance_mode == "interval":
@@ -556,22 +583,11 @@ class BoundedSimulationIndex(StandaloneDriver):
                     if not ok:
                         out.append(upd_delete((u, a), (u2, c)))
             return out
-        by_source: Dict[Node, List[Tuple[PatternNode, PatternNode, Bound, Node]]] = {}
+        own: Dict[Tuple[Node, Bound], WithinProbe] = {}
         for (u, u2), pairs in suspects.items():
             bound = self._bounds[(u, u2)]
             for a, c in pairs:
-                by_source.setdefault(a, []).append((u, u2, bound, c))
-        for a, entries in by_source.items():
-            has_star = any(b is None for _, _, b, _ in entries)
-            radius: Bound
-            if has_star:
-                radius = None
-            else:
-                radius = max(b for _, _, b, _ in entries)
-            ball = descendants_within(self.graph, a, radius)
-            for u, u2, bound, c in entries:
-                d = ball.get(c)
-                if d is None or (bound is not None and d > bound):
+                if not self._probe(a, bound, own).reaches(c):
                     out.append(upd_delete((u, a), (u2, c)))
         return out
 

@@ -78,9 +78,12 @@ interval reachability oracle via ``notify_edges_deleted``
 (insert-staleness: new edges fall under the tolerated-deletion budget
 instead of forcing the rebuild, so the closures miss freshly created
 reachability and routing falsely declines edges — caught by the
-pre-rebuild soundness pass in ``check_oracles``), and (8)/(9) the
+pre-rebuild soundness pass in ``check_oracles``), (8)/(9) the
 memoized edge legs surviving ``observe_deleted`` / ``observe_inserted``
-(routing and repair read legs of a graph state that no longer exists).
+(routing and repair read legs of a graph state that no longer exists),
+and (10) the memoized recheck probes surviving ``observe_deleted`` (a
+later flush's rechecks resume a BFS labelled on the previous flush's
+graph and keep pairs whose witness path is gone).
 """
 
 from __future__ import annotations

@@ -583,6 +583,74 @@ class TestSharedSubstrate:
         # One backward and one forward BFS per edge per graph state.
         assert per_flush[1] == per_flush[8] == [12, 4, 2]
 
+    def test_recheck_probes_are_shared_by_every_routed_query(self):
+        """Every routed query's suspect recheck in a flush extends the
+        substrate's one probe per (source, bound): 8 identical queries
+        label exactly the nodes 1 query does, flush by flush."""
+        from repro.matching.bounded import bounded_match
+        from repro.matching.relation import totalize
+
+        pattern = Pattern.from_spec(
+            {"x": "label = A", "y": "label = C"}, [("x", "y", 3)]
+        )
+        # Every deletion leaves the suspect (a, c): it survives the first
+        # two flushes (via z2 -> z3, then via the re-inserted a -> z1) and
+        # breaks in the third.
+        batches = [
+            [delete("a", "z1")],
+            [insert("a", "z1"), delete("z3", "c")],
+            [delete("z1", "c")],
+        ]
+        per_flush = {}
+        for n_queries in (1, 8):
+            g = DiGraph()
+            g.add_node("a", label="A")
+            g.add_node("c", label="C")
+            for n in ("z1", "z2", "z3"):
+                g.add_node(n, label="Z")
+            for v, w in [("a", "z1"), ("z1", "c"), ("a", "z2"),
+                         ("z2", "z3"), ("z3", "c")]:
+                g.add_edge(v, w)
+            pool = MatcherPool(g)
+            queries = [
+                pool.register(pattern, semantics="bounded", name=f"q{i}")
+                for i in range(n_queries)
+            ]
+            counts = []
+            for batch in batches:
+                before = pool.substrate.stats.probe_nodes
+                report = pool.apply(batch)
+                counts.append(pool.substrate.stats.probe_nodes - before)
+                assert report.routed == n_queries * len(batch)
+                truth = as_pairs(totalize(bounded_match(pattern, pool.graph)))
+                assert all(as_pairs(q.matches()) == truth for q in queries)
+            assert as_pairs(queries[0].matches()) == set()
+            per_flush[n_queries] = counts
+        assert all(per_flush[1])
+        assert per_flush[1] == per_flush[8]
+
+    def test_recheck_probes_do_not_outlive_a_deletion_batch(self):
+        """A probe memoized by one flush's rechecks must not answer the
+        next flush's: after a -> m2 goes too, a's stale probe would still
+        find c one hop past m2."""
+        g = DiGraph()
+        g.add_node("a", label="A")
+        g.add_node("c", label="C")
+        for v, w in [("a", "m1"), ("m1", "c"), ("a", "m2"), ("m2", "c")]:
+            g.add_edge(v, w)
+        pool = MatcherPool(g)
+        q = pool.register(
+            Pattern.from_spec(
+                {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
+            ),
+            semantics="bounded",
+            name="q",
+        )
+        pool.apply([delete("a", "m1")])
+        assert as_pairs(q.matches()) == {("x", "a"), ("y", "c")}
+        pool.apply([delete("a", "m2")])
+        assert as_pairs(q.matches()) == set()
+
 
 class TestSharedGraphConsistency:
     def test_many_queries_one_graph_stay_correct(self):

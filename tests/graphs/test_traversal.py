@@ -1,11 +1,16 @@
 """Tests for BFS traversals and nonempty-path distances."""
 
-from hypothesis import given, settings
+from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.graphs.columnar import as_backend
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, cycle_graph
 from repro.graphs.traversal import (
     INF,
+    WithinProbe,
     ancestors_within,
     bfs_distances,
     descendants_within,
@@ -14,6 +19,7 @@ from repro.graphs.traversal import (
     path_distance,
     reachable_set,
     shortest_cycle_through,
+    within_probe,
 )
 from tests.strategies import small_graphs
 
@@ -123,17 +129,65 @@ class TestPathQueries:
         assert reachable_set(g, ["a", "c"]) == {"a", "b", "c", "d"}
 
 
+class TestWithinProbe:
+    def test_stops_once_the_target_is_labelled(self):
+        stats = SimpleNamespace(probe_nodes=0)
+        probe = within_probe(chain(10), 0, 5, stats)
+        assert probe.reaches(1)
+        assert stats.probe_nodes == 2  # the source and its child
+
+    def test_last_hop_never_expands_depth_k(self):
+        stats = SimpleNamespace(probe_nodes=0)
+        probe = within_probe(chain(10), 0, 3, stats)
+        assert probe.reaches(3)
+        assert not probe.reaches(4)
+        assert stats.probe_nodes == 3  # depths 0..2 only
+
+    def test_cycle_through_the_source(self):
+        g = cycle_graph(4)
+        assert not within_probe(g, 0, 3).reaches(0)
+        assert within_probe(g, 0, 4).reaches(0)
+        assert within_probe(g, 0, None).reaches(0)
+        assert within_probe(DiGraph([("a", "a")]), "a", 1).reaches("a")
+
+
+KS = (1, 2, 3, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_within_probe_agrees_with_path_distance(g, rng):
+    """One probe per (source, k) on each backend, its targets asked in a
+    shuffled order interleaved across probes (and asked twice), so
+    answers come from fresh, resumed and finished expansions alike."""
+    columnar = as_backend(g, "columnar")
+    probes = {}
+    for a in g.nodes():
+        for k in KS:
+            probes[("dict", a, k)] = within_probe(g, a, k)
+            probes[("columnar", a, k)] = twin = within_probe(columnar, a, k)
+            assert not isinstance(twin, WithinProbe)
+    asks = [key + (c,) for key in probes for c in g.nodes()] * 2
+    rng.shuffle(asks)
+    for backend, a, k, c in asks:
+        expected = path_distance(g, a, c, k) != INF  # within k when finite
+        assert probes[(backend, a, k)].reaches(c) == expected, (backend, a, k, c)
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_graphs())
 def test_descendants_within_agrees_with_path_distance(g):
-    for v in g.nodes():
-        ball = descendants_within(g, v, 2)
-        for w in g.nodes():
-            d = path_distance(g, v, w, k=2)
-            if d <= 2:
-                assert ball.get(w) == d
-            else:
-                assert w not in ball
+    for k in KS:
+        for v in g.nodes():
+            ball = descendants_within(g, v, k)
+            for w in g.nodes():
+                d = path_distance(g, v, w, k=k)
+                if d != INF:
+                    assert ball.get(w) == d
+                    assert ancestors_within(g, w, k).get(v) == d
+                else:
+                    assert w not in ball
+                    assert v not in ancestors_within(g, w, k)
 
 
 @settings(max_examples=30, deadline=None)
