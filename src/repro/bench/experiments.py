@@ -9,15 +9,18 @@ the same row-dict format as :mod:`repro.bench.figures`.  Run via
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..extensions.distributed import DistributedSimulation
+from ..graphs.digraph import DiGraph
 from ..graphs.generators import synthetic_graph
+from ..graphs.scc import is_dag
 from ..incremental.incbsim import BoundedSimulationIndex
 from ..incremental.incsim import SimulationIndex
 from ..incremental.inciso import IsoIndex, LocalizedIsoIndex
 from ..matching.simulation import maximum_simulation
 from ..patterns.generator import random_pattern
+from ..patterns.pattern import Pattern
 from ..workloads.updates import degree_biased_insertions, mixed_updates
 from .config import get_scale, scaled, timed
 
@@ -53,8 +56,8 @@ def abl_oracle(scale: Optional[float] = None) -> List[Row]:
 
 
 def abl_mindelta(scale: Optional[float] = None) -> List[Row]:
-    """Batch IncMatch (minDelta + single sweep) vs the one-at-a-time loop
-    on redundancy-heavy batches (where cancellation pays)."""
+    """Batch IncMatch (minDelta + one promotion pass) vs the one-at-a-time
+    loop on redundancy-heavy batches (where cancellation pays)."""
     scale = get_scale(scale)
     n = scaled(17_000, scale, minimum=200)
     graph = synthetic_graph(n, 5 * n, seed=3)
@@ -83,21 +86,35 @@ def abl_mindelta(scale: Optional[float] = None) -> List[Row]:
     return rows
 
 
+def scc_ablation_patterns(graph: DiGraph) -> Tuple[Pattern, Pattern]:
+    """A random DAG pattern and the same pattern plus one back edge
+    (last node -> first node), which closes a nontrivial SCC."""
+    dag = random_pattern(
+        graph, 4, 5, preds_per_node=1, max_bound=1, dag=True, seed=23
+    )
+    cyclic = dag.copy()
+    nodes = list(dag.nodes())
+    cyclic.add_edge(nodes[-1], nodes[0], 1)
+    if is_dag(cyclic.graph()):
+        raise ValueError("the back edge closes no cycle in this pattern")
+    return dag, cyclic
+
+
 def abl_scc(scale: Optional[float] = None) -> List[Row]:
-    """DAG fast path (worklist IncMatch+dag) vs the cyclic-pattern sweep."""
+    """IncMatch+ unit insertions on a DAG pattern (every component
+    trivial: promotion is a worklist in topological order) vs the same
+    pattern plus one back edge (a nontrivial SCC: propCC over the
+    affected area)."""
     scale = get_scale(scale)
     n = scaled(17_000, scale, minimum=200)
     graph = synthetic_graph(n, 5 * n, seed=3)
     updates = degree_biased_insertions(graph, max(5, graph.num_edges() // 20), seed=9)
     rows: List[Row] = []
-    for dag in (True, False):
-        pattern = random_pattern(
-            graph, 4, 5, preds_per_node=1, max_bound=1, dag=dag, seed=23
-        )
+    for kind, pattern in zip(("dag", "cyclic"), scc_ablation_patterns(graph)):
         idx = SimulationIndex(pattern, graph.copy())
         t, _ = timed(lambda: idx.apply_batch_naive(updates))
         rows.append({
-            "pattern_kind": "dag" if dag else "cyclic",
+            "pattern_kind": kind,
             "num_updates": len(updates),
             "unit_inserts_s": round(t, 4),
             "candidates_examined": idx.stats.candidates_examined,

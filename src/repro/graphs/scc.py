@@ -2,7 +2,9 @@
 
 Used in three places in the paper:
 
-- ``propCC`` of ``IncMatch+`` processes the SCCs of the *pattern* (Fig. 9);
+- ``IncMatch+`` visits the condensation of the *pattern* sinks first, and
+  its ``propCC`` refines each nontrivial SCC over the backward closure of
+  that SCC's dirty candidates (Fig. 9);
 - ``minDelta`` orders updates with *topological ranks* over the SCC graph
   (Section 5.2, extending simulation ranks of Gentilini et al.);
 - the unboundedness constructions reason about cycles.

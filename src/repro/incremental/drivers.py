@@ -11,6 +11,9 @@ update a batch of one: every edge entry point nets its updates with
 :func:`~.types.net_updates` and then runs the same phases as a pool
 flush — prepare the deletions on the pre-edit graph, remove them, sync
 the index's own structures, repair; add the insertions, sync, repair.
+The node entry points are one path too: ``add_node`` on a node already
+in an index's own graph is an attribute change (``update_node_attrs``),
+and a fresh node is registered by the index's ``_register_node``.
 """
 
 from __future__ import annotations
@@ -79,6 +82,23 @@ class StandaloneDriver:
     ) -> None:
         """Bring structures the index owns up to date with an edge batch
         just applied to the graph (none by default)."""
+
+    def add_node(self, v: Node, **attrs) -> None:
+        """Add ``v`` to the graph, or refresh its attributes, and repair.
+
+        On an index that owns its eligible sets, a node already in the
+        graph is an attribute change: :meth:`update_node_attrs` (the
+        verdicts before and after give the flips, so a predicate that
+        stops holding drops its matches).  A fresh node is registered:
+        every pattern node it satisfies is gained.  A pool-leased index
+        always registers, because the pool announces only fresh nodes to
+        it (attribute changes reach it as resolved flips).
+        """
+        if self._eligibility is None and v in self.graph:
+            self.update_node_attrs(v, **attrs)
+            return
+        self.graph.add_node(v, **attrs)
+        self._register_node(v)
 
     def update_node_attrs(self, v: Node, **attrs) -> None:
         """Change ``v``'s attributes and repair the match.

@@ -33,9 +33,10 @@ Both directions are implemented once, as the repair methods the pool
 runs around its shared graph: ``prepare_deleted_edges`` before the edit
 and ``repair_deleted_edges`` after it, ``repair_inserted_edges``, and
 ``apply_eligibility_flip_batch`` for attribute changes.  The standalone
-``insert_edge``/``delete_edge``/``apply_batch``/``update_node_attrs`` are
-drivers over them (:class:`~repro.incremental.drivers.StandaloneDriver`):
-a unit update is a batch of one, and the distance structures a
+``insert_edge``/``delete_edge``/``apply_batch``/``update_node_attrs``/
+``add_node`` are drivers over them
+(:class:`~repro.incremental.drivers.StandaloneDriver`): a unit update
+is a batch of one, and the distance structures a
 standalone index owns are synced by one helper,
 :meth:`BoundedSimulationIndex._sync_own_structures`.
 
@@ -323,10 +324,6 @@ class BoundedSimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     # Node registration and eligibility repair
     # ------------------------------------------------------------------
-    def add_node(self, v: Node, **attrs) -> None:
-        self.graph.add_node(v, **attrs)
-        self._register_node(v)
-
     def _register_node(self, v: Node) -> None:
         """Adopt the layers ``v`` is eligible for but not wired into yet.
 

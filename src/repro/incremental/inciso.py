@@ -18,7 +18,7 @@ that cannot have changed:
 
 These are the repair methods the pool drives around its shared graph.
 The standalone ``insert_edge``/``delete_edge``/``apply_batch``/
-``update_node_attrs`` are drivers over them
+``update_node_attrs``/``add_node`` are drivers over them
 (:class:`~repro.incremental.drivers.StandaloneDriver`): a unit update is
 a batch of one.  :class:`LocalizedIsoIndex` only narrows the graph the
 anchored search explores.
@@ -252,10 +252,9 @@ class IsoIndex(StandaloneDriver):
             if self.pattern.predicate(u).satisfied_by(attrs)
         ]
 
-    def add_node(self, v: Node, **attrs) -> None:
-        """Register a (possibly new) node: every pattern node it satisfies
-        counts as gained (a pool announces fresh nodes this way)."""
-        self.graph.add_node(v, **attrs)
+    def _register_node(self, v: Node) -> None:
+        """A fresh node (or one the pool announces): every pattern node it
+        satisfies counts as gained."""
         self.apply_eligibility_flip_batch([(v, self._verdicts(v), [])])
 
     def update_node_attrs(self, v: Node, **attrs) -> None:

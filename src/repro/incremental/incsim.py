@@ -11,12 +11,23 @@ to the graph (the pool's shared graph or this index's own):
 
 - ``repair_deleted_edges`` — **IncMatch-** (O(|AFF|)): deleting an ss
   edge may zero a support counter; demotions cascade to graph parents.
-- ``repair_inserted_edges`` — **IncMatch+dag** (worklist promotion,
-  complete for DAG patterns) and **IncMatch+** (general patterns: the
-  worklist plays ``propCS``, and a bottom-up pass over the pattern
-  condensation performs the coinductive ``propCC`` refinement of Fig. 9).
+- ``repair_inserted_edges`` — **IncMatch+**: an insertion propagates only
+  from its triggers (Prop. 5.2) — cs edges, and cc edges inside a pattern
+  SCC — and from the endpoints the batch registers.
 - ``apply_eligibility_flip_batch`` — attribute changes, resolved to
   gained/lost pattern nodes: gains adopt, losses demote with the cascade.
+
+Every gain — a trigger, an adopted (pattern node, data node) pair — ends
+in one promotion pass, :meth:`SimulationIndex._promote`, over the area the
+gains can affect.  Its *seeds* are the pairs whose support may have
+grown.  It visits the pattern condensation sinks first, with a dirty set
+per component: a trivial component promotes its dirty candidates whose
+counters are all ``>= 1`` (``propCS``; on a DAG pattern this is the
+IncMatch+dag worklist, run in topological order), and a nontrivial SCC
+runs the coinductive ``propCC`` refinement of Fig. 9 over the backward
+closure of its dirty candidates only.  Each promotion marks its candidate
+parents dirty in their own, higher, components.  The pass never looks at
+a candidate no seed can reach.
 
 The standalone entry points are drivers over them
 (:class:`~repro.incremental.drivers.StandaloneDriver`).  ``apply_batch``
@@ -26,7 +37,8 @@ cascade and the insertions added and repaired in one promotion pass.
 A unit update is a batch of one: ``insert_edge``/``delete_edge`` run
 the same path, and ``apply_batch_naive`` (**IncMatch_n**, the paper's
 naive baseline) feeds the updates one at a time.  ``update_node_attrs``
-re-evaluates one node's predicates and repairs the flips.
+(and ``add_node`` on a node already in the graph) re-evaluates one
+node's predicates and repairs the flips.
 
 The central invariant (checked by the test suite): a predicate-eligible
 node is in ``match(u)`` iff every outgoing pattern edge has support
@@ -117,12 +129,24 @@ class SimulationIndex(StandaloneDriver):
             for i, comp in enumerate(comps)
             if len(comp) > 1 or pattern.has_edge(comp[0], comp[0])
         }
-        self._has_cycles = bool(self._nontrivial)
         self._scc_edges: Set[PatternEdge] = {
             (u, u2)
             for u, u2 in pattern.edges()
             if comp_of[u] == comp_of[u2]
         }
+        # Pattern parents split by component: a promotion hands off to
+        # the parents in higher components; an SCC's closure walks the
+        # parents inside it.
+        self._parents_in_comp: Dict[PatternNode, List[PatternNode]] = {}
+        self._parents_above: Dict[PatternNode, List[PatternNode]] = {}
+        for u in pattern.nodes():
+            parents = list(pattern.parents(u))
+            self._parents_in_comp[u] = [
+                u0 for u0 in parents if comp_of[u0] == comp_of[u]
+            ]
+            self._parents_above[u] = [
+                u0 for u0 in parents if comp_of[u0] != comp_of[u]
+            ]
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -140,8 +164,9 @@ class SimulationIndex(StandaloneDriver):
         else:
             eligible = candidate_sets(self.pattern, self.graph)
         self.eligible: MatchRelation = eligible
-        # Nodes whose predicates have been evaluated; registration of a
-        # known node is a no-op unless add_node refreshes its attributes.
+        # Nodes whose predicates have been evaluated; registering a known
+        # node is a no-op, except that a leased index's add_node re-reads
+        # the shared sets.
         self._registered = set(self.graph.nodes())
         self.match: MatchRelation = maximum_simulation(
             self.pattern, self.graph, candidates=copy_relation(eligible)
@@ -192,47 +217,44 @@ class SimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     # Node registration and eligibility repair
     # ------------------------------------------------------------------
-    def add_node(self, v: Node, **attrs) -> None:
-        """Register a (possibly new) node, re-evaluating its predicates.
+    def _register_node(self, v: Node) -> None:
+        """Register a node :meth:`add_node` just added, or one the pool
+        announces to a leased index, and promote from the layers it
+        adopts.  A leased index re-reads the shared sets, so a node it
+        knows adopts only the layers it has not wired yet."""
+        self._registered.discard(v)
+        self._promote(self._adopt_unseen([v]))
 
-        If the node was already wired into the graph and its fresh
-        attributes create matches, a full promotion pass propagates them.
-        """
-        self.graph.add_node(v, **attrs)
-        before = self.stats.promotions
-        self._registered.discard(v)  # attributes may have changed
-        self._register_node(v)
-        if self.stats.promotions > before and (
-            self.graph.parents(v) or self.graph.children(v)
-        ):
-            self._promote_sweep()
+    def _adopt_unseen(
+        self, nodes: Iterable[Node]
+    ) -> List[Tuple[PatternNode, Node]]:
+        """Wire the eligibility of the nodes not registered yet into
+        candt/counters, in one :meth:`_adopt`; returns the adopted pairs.
 
-    def _register_node(self, v: Node) -> bool:
-        """Wire a node's eligibility into candt/counters; True iff unseen.
-
-        A standalone index evaluates the node's predicates once; a leased
+        A standalone index evaluates each node's predicates once; a leased
         index reads membership off the shared sets (the substrate
         evaluated each distinct predicate once for the whole pool).
         Either way the layers the index has not wired yet are adopted.
         """
-        if v in self._registered:
-            return False
-        self._registered.add(v)
-        if self._eligibility is None:
-            attrs = self.graph.attrs(v)
-            for u in self.pattern.nodes():
-                if v not in self.eligible[u] and self.pattern.predicate(
-                    u
-                ).satisfied_by(attrs):
-                    self.eligible[u].add(v)
-        self._adopt(
-            [
+        pairs: List[Tuple[PatternNode, Node]] = []
+        for v in nodes:
+            if v in self._registered:
+                continue
+            self._registered.add(v)
+            if self._eligibility is None:
+                attrs = self.graph.attrs(v)
+                for u in self.pattern.nodes():
+                    if v not in self.eligible[u] and self.pattern.predicate(
+                        u
+                    ).satisfied_by(attrs):
+                        self.eligible[u].add(v)
+            pairs.extend(
                 (u, v)
                 for u in self.pattern.nodes()
                 if v in self.eligible[u] and not self._adopted(u, v)
-            ]
-        )
-        return True
+            )
+        self._adopt(pairs)
+        return pairs
 
     def _adopted(self, u: PatternNode, v: Node) -> bool:
         """Has this index wired ``v`` into layer ``u``'s bookkeeping?
@@ -242,7 +264,7 @@ class SimulationIndex(StandaloneDriver):
         """
         return v in self.match[u] or v in self.candt[u]
 
-    def _adopt(self, pairs: List[Tuple[PatternNode, Node]]) -> bool:
+    def _adopt(self, pairs: List[Tuple[PatternNode, Node]]) -> None:
         """Two-phase adoption of eligible ``(layer, node)`` pairs.
 
         Every pair's eligibility is already visible, so a promotion during
@@ -251,9 +273,9 @@ class SimulationIndex(StandaloneDriver):
         Phase 1 adds each pair to candt and computes its support counters;
         phase 2 promotes the supported ones (a promotion's counter bumps
         then land on initialized keys; a node matching a childless
-        pattern node is promoted right away).  Returns whether anything
-        was promoted; promotions unlocked *across* the adopted pairs are
-        the caller's trailing sweep's job.
+        pattern node is promoted right away).  The adopted pairs are the
+        caller's seeds: promotions they unlock elsewhere are the job of
+        its closing :meth:`_promote`.
         """
         for u, v in pairs:
             self.candt[u].add(v)
@@ -263,15 +285,12 @@ class SimulationIndex(StandaloneDriver):
                     if w in self.match[u2]:
                         c += 1
                 self._cnt[(u, u2, v)] = c
-        promoted = False
         for u, v in pairs:
             if v in self.candt[u] and all(
                 self._cnt[(u, u2, v)] >= 1
                 for u2 in self.pattern.children(u)
             ):
                 self._promote_node(u, v)
-                promoted = True
-        return promoted
 
     def apply_eligibility_flip_batch(
         self,
@@ -289,25 +308,26 @@ class SimulationIndex(StandaloneDriver):
         both :meth:`_promote_node`'s counter bumps and the demote cascade
         index the counter of any eligible parent.  So the batch runs in
         phases — (1)+(2) :meth:`_adopt` every gain, (3) withdraw all
-        losses into one demote cascade, (4) one closing promotion sweep.
-        Demotions can never enable a promotion, so adopting first reaches
-        the same fixpoint as a losses-first order.
+        losses into one demote cascade, (4) one promotion pass
+        (:meth:`_promote`) seeded with the adopted pairs.  A seed still
+        a candidate is dirty in its own component; one promoted during
+        adoption (and still a match after the cascade) hands its
+        candidate parents on as dirty.  Demotions can never enable a
+        promotion, so adopting first reaches the same fixpoint as a
+        losses-first order, and the pass needs no seed from the losses.
         """
         adopt: List[Tuple[PatternNode, Node]] = []
         for v, gained, _lost in events:
             self._registered.add(v)
             adopt.extend((u, v) for u in gained if not self._adopted(u, v))
-        promoted = self._adopt(adopt)
+        self._adopt(adopt)
         queue: Deque[Tuple[PatternNode, Node]] = deque()
         for v, _gained, lost in events:
             for u in lost:
                 if self._adopted(u, v):
                     self._withdraw(u, v, queue)
         self._demote_cascade(queue)
-        if adopt and (promoted or self._has_cycles):
-            # New candidacy can unlock further promotions (or coinductive
-            # SCC promotions); one sweep settles everything.
-            self._promote_sweep()
+        self._promote(adopt)
 
     def retire_node(self, v: Node) -> None:
         """Forcibly drop ``v`` from every eligible set (with cascades).
@@ -382,27 +402,28 @@ class SimulationIndex(StandaloneDriver):
         self._demote_cascade(queue)
 
     # ------------------------------------------------------------------
-    # IncMatch+ / IncMatch+dag: insertions
+    # IncMatch+: insertions and the promotion pass
     # ------------------------------------------------------------------
-    def _insert_bookkeeping(self, v: Node, w: Node) -> Tuple[bool, bool]:
-        """Counter updates for a fresh edge; returns (cs touched, cc-in-SCC
-        touched) — the triggers of Prop. 5.2."""
-        cs_touched = False
-        cc_scc_touched = False
+    def _insert_bookkeeping(
+        self, v: Node, w: Node, seeds: List[Tuple[PatternNode, Node]]
+    ) -> None:
+        """Counter updates for a fresh edge; appends its tail to ``seeds``
+        per pattern edge the edge triggers (Prop. 5.2): a cs pair (the
+        tail a candidate, the head a match), or a cc pair inside a
+        pattern SCC."""
         for u, u2 in self.pattern.edges():
             if v in self.eligible[u]:
                 if w in self.match[u2]:
                     self._cnt[(u, u2, v)] += 1
                     self.stats.counter_updates += 1
                     if v in self.candt[u]:
-                        cs_touched = True
+                        seeds.append((u, v))
                 elif (
                     w in self.candt[u2]
                     and v in self.candt[u]
                     and (u, u2) in self._scc_edges
                 ):
-                    cc_scc_touched = True
-        return cs_touched, cc_scc_touched
+                    seeds.append((u, v))
 
     def _promote_node(self, u: PatternNode, v: Node) -> None:
         self.candt[u].remove(v)
@@ -415,129 +436,162 @@ class SimulationIndex(StandaloneDriver):
                     self._cnt[(u0, u, p)] += 1
                     self.stats.counter_updates += 1
 
-    def _promote_worklist(self, queue: Deque[Tuple[PatternNode, Node]]) -> None:
-        """propCS: promote candidates supported by current matches; complete
-        on its own for DAG patterns (IncMatch+dag)."""
-        while queue:
-            u, v = queue.popleft()
-            if v not in self.candt[u]:
-                continue
-            self.stats.candidates_examined += 1
-            if not all(
-                self._cnt[(u, u2, v)] >= 1 for u2 in self.pattern.children(u)
-            ):
-                continue
-            self._promote_node(u, v)
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(v):
-                    if p in self.candt[u0]:
-                        queue.append((u0, p))
+    def _hand_off(
+        self,
+        v: Node,
+        parents: Iterable[PatternNode],
+        dirty: Dict[int, Set[Tuple[PatternNode, Node]]],
+    ) -> None:
+        """Mark dirty, each in its own component, the candidate graph
+        parents of a new match ``v`` in the pattern parents ``parents``."""
+        for u0 in parents:
+            cand = self.candt[u0]
+            found = [(u0, p) for p in self.graph.parents(v) if p in cand]
+            if found:
+                dirty.setdefault(self._comp_of[u0], set()).update(found)
 
-    def _promote_sweep(self) -> None:
-        """propCS + propCC: one bottom-up pass over the pattern condensation.
+    def _promote(self, seeds: Iterable[Tuple[PatternNode, Node]]) -> None:
+        """IncMatch+ promotion (propCS + propCC) over the area ``seeds``
+        can affect.
 
-        Trivial components promote supported candidates directly; nontrivial
-        SCCs run a coinductive assume-refine over match U candt, checking
-        intra-SCC obligations against the assumed sets and extra-SCC
-        obligations against the (already settled) support counters.
+        A seed is a ``(pattern node, data node)`` pair whose support may
+        have grown: an adopted pair, or the tail of an inserted edge that
+        hit a Prop. 5.2 trigger.  A seed still a candidate is dirty in
+        its component; one that is already a match (promoted during
+        adoption) marks its candidate graph parents dirty instead.  The
+        pattern condensation is then visited sinks first, so every
+        component sees the final matches of the components below it:
+
+        - a trivial component promotes each dirty candidate whose
+          counters are all ``>= 1``;
+        - a nontrivial SCC (more than one node, or a self-loop) takes
+          the backward closure of its dirty candidates over candidate
+          edges whose pattern edge stays inside the SCC, and runs the
+          coinductive assume-refine over match ∪ closure (see
+          :meth:`_promote_scc`).
+
+        Every promotion marks its candidate parents in higher components
+        dirty.
+
+        Why the closure is exact: suppose some new matches of a component
+        reach no seed.  Then they use only old edges, old counters and
+        old candidates, so together with the old matches they were
+        already self-supporting before the update, and the old maximum
+        would have held them.  (Every way support can grow is a seed or a
+        hand-off: a new edge into a match is a cs trigger, a new edge
+        between candidates of one SCC a cc trigger, a new candidate an
+        adopted pair, and a new match hands off to its parents.)
+        Induction over the components, sinks first, covers the edges
+        that cross components.  After a flip batch's demote cascade the
+        same holds: the cascade leaves the greatest fixpoint below the
+        old maximum plus the adopted matches, and demotions grow no
+        support.
         """
+        dirty: Dict[int, Set[Tuple[PatternNode, Node]]] = {}
+        for u, v in seeds:
+            if v in self.match[u]:
+                self._hand_off(v, self.pattern.parents(u), dirty)
+            elif v in self.candt[u]:
+                dirty.setdefault(self._comp_of[u], set()).add((u, v))
         for idx, comp in enumerate(self._components):
-            if idx not in self._nontrivial:
-                u = comp[0]
-                for v in list(self.candt[u]):
-                    self.stats.candidates_examined += 1
-                    if all(
-                        self._cnt[(u, u2, v)] >= 1
-                        for u2 in self.pattern.children(u)
-                    ):
-                        self._promote_node(u, v)
+            if not dirty:
+                return
+            pending = dirty.pop(idx, None)
+            if pending is None:
                 continue
-            comp_set = set(comp)
-            assumed: Dict[PatternNode, Set[Node]] = {
-                u: self.match[u] | self.candt[u] for u in comp
-            }
-            changed = True
-            while changed:
-                changed = False
-                for u in comp:
-                    drop: List[Node] = []
-                    for v in assumed[u]:
-                        if v in self.match[u]:
-                            continue  # existing matches stay valid
-                        self.stats.candidates_examined += 1
-                        ok = True
-                        for u2 in self.pattern.children(u):
-                            if u2 in comp_set:
-                                target = assumed[u2]
-                                if not any(
-                                    c in target
-                                    for c in self.graph.children(v)
-                                ):
-                                    ok = False
-                                    break
-                            elif self._cnt[(u, u2, v)] < 1:
-                                ok = False
-                                break
-                        if not ok:
-                            drop.append(v)
-                    if drop:
-                        assumed[u].difference_update(drop)
-                        changed = True
+            if idx in self._nontrivial:
+                self._promote_scc(comp, pending, dirty)
+                continue
+            u = comp[0]
+            children = self.pattern.children(u)
+            for _, v in pending:
+                self.stats.candidates_examined += 1
+                if all(self._cnt[(u, u2, v)] >= 1 for u2 in children):
+                    self._promote_node(u, v)
+                    self._hand_off(v, self._parents_above[u], dirty)
+
+    def _promote_scc(
+        self,
+        comp: List[PatternNode],
+        pending: Set[Tuple[PatternNode, Node]],
+        dirty: Dict[int, Set[Tuple[PatternNode, Node]]],
+    ) -> None:
+        """propCC on one nontrivial SCC, over the backward closure of its
+        dirty candidates.
+
+        The closure holds every candidate that can reach a dirty one over
+        candidate edges whose pattern edge stays inside the SCC.  The
+        refine assumes all of it matches and drops, until nothing
+        changes, each candidate with an unmet obligation: an edge leaving
+        the SCC needs a counter ``>= 1`` (the components below are
+        settled); an edge inside it needs a counter ``>= 1`` or a child
+        still in the closure.  The survivors are promoted, and hand off
+        to their candidate parents outside the SCC — a candidate parent
+        inside it is in the closure, so it was promoted or refuted here.
+        """
+        closure: Dict[PatternNode, Set[Node]] = {u: set() for u in comp}
+        for u, v in pending:
+            closure[u].add(v)
+        stack = list(pending)
+        while stack:
+            u, v = stack.pop()
+            for u0 in self._parents_in_comp[u]:
+                cand = self.candt[u0]
+                seen = closure[u0]
+                for p in self.graph.parents(v):
+                    if p in cand and p not in seen:
+                        seen.add(p)
+                        stack.append((u0, p))
+        changed = True
+        while changed:
+            changed = False
             for u in comp:
-                for v in list(assumed[u]):
-                    if v not in self.match[u]:
-                        self._promote_node(u, v)
+                drop: List[Node] = []
+                for v in closure[u]:
+                    self.stats.candidates_examined += 1
+                    for u2 in self.pattern.children(u):
+                        if self._cnt[(u, u2, v)] >= 1:
+                            continue
+                        if (u, u2) in self._scc_edges:
+                            target = closure[u2]
+                            if any(
+                                c in target for c in self.graph.children(v)
+                            ):
+                                continue
+                        drop.append(v)
+                        break
+                if drop:
+                    closure[u].difference_update(drop)
+                    changed = True
+        for u in comp:
+            for v in closure[u]:
+                self._promote_node(u, v)
+                self._hand_off(v, self._parents_above[u], dirty)
 
     def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
-        """IncMatch+ for edges already added to the graph: the worklist
-        (IncMatch+dag) when only cs pairs changed on a DAG pattern,
-        otherwise one propCS + propCC sweep.
+        """IncMatch+ for edges already added to the graph: one promotion
+        pass (:meth:`_promote`) from the batch's seeds.
 
-        Endpoints the index has never evaluated are registered first;
-        their counters are computed against the *current* graph (all batch
-        edges included), so explicit bookkeeping is only performed for
-        edges whose endpoints were both already registered.
+        Endpoints the index has never evaluated are registered first, in
+        one adoption.  Their counters are computed against the *current*
+        graph (all batch edges included), so their adopted pairs are
+        seeds, and bookkeeping runs only for edges whose endpoints were
+        both registered before; each such edge that hits a Prop. 5.2
+        trigger seeds its tail.
         """
         edges = list(edges)
-        fresh: Set[Node] = set()
-        reg_promoted: List[Tuple[PatternNode, Node]] = []
-        for v, w in edges:
-            for node in (v, w):
-                if self._register_node(node):
-                    fresh.add(node)
-                    for u in self.pattern.nodes():
-                        if node in self.match[u]:
-                            reg_promoted.append((u, node))
-        needs_worklist = bool(reg_promoted)
-        needs_scc = False
+        fresh = dict.fromkeys(
+            node
+            for edge in edges
+            for node in edge
+            if node not in self._registered
+        )
+        seeds = self._adopt_unseen(fresh)
         for v, w in edges:
             if v in fresh or w in fresh:
                 continue  # registration already counted this edge
-            cs, cc_scc = self._insert_bookkeeping(v, w)
-            needs_worklist = needs_worklist or cs
-            needs_scc = needs_scc or cc_scc
-        if fresh and self._has_cycles:
-            # A fresh candidate may complete an intra-SCC cycle through
-            # pre-existing edges the bookkeeping above never sees.
-            needs_scc = True
-        if needs_scc or (needs_worklist and self._has_cycles):
-            self._promote_sweep()
-            return
-        if not needs_worklist:
-            return
-        seeds: Deque[Tuple[PatternNode, Node]] = deque()
-        for v, w in edges:
-            for u, u2 in self.pattern.edges():
-                if v in self.candt[u] and w in self.match[u2]:
-                    seeds.append((u, v))
-        # Nodes promoted during registration may unlock their parents
-        # through edges outside this batch.
-        for u, z in reg_promoted:
-            for u0 in self.pattern.parents(u):
-                for p in self.graph.parents(z):
-                    if p in self.candt[u0]:
-                        seeds.append((u0, p))
-        self._promote_worklist(seeds)
+            self._insert_bookkeeping(v, w, seeds)
+        self._promote(seeds)
 
     # ------------------------------------------------------------------
     # minDelta and the IncMatch batch driver

@@ -178,17 +178,19 @@ def _standalone_index(kind, data, graph):
 @given(st.data())
 def test_standalone_entry_points_match_batch(kind, data):
     """Unit ``insert_edge``/``delete_edge``, ``apply_batch``,
-    ``apply_batch_naive`` and ``update_node_attrs`` (on existing and fresh
-    nodes) interleaved in one stream; every step is checked against
-    from-scratch recomputation, and the unit entry points must report
-    whether the graph changed."""
+    ``apply_batch_naive``, ``update_node_attrs`` and ``add_node`` (both on
+    existing and fresh nodes) interleaved in one stream; every step is
+    checked against from-scratch recomputation, and the unit entry points
+    must report whether the graph changed."""
     graph = data.draw(small_graphs(max_nodes=6, labels=DENSE))
     idx, check = _standalone_index(kind, data, graph)
     next_node = 100
     for _ in range(STEPS):
         nodes = sorted(graph.nodes())
         step = data.draw(
-            st.sampled_from(["insert", "delete", "batch", "naive", "attrs"])
+            st.sampled_from(
+                ["insert", "delete", "batch", "naive", "attrs", "add_node"]
+            )
         )
         if step in ("insert", "delete"):
             # Endpoints may be fresh (insert) or the edge absent (delete).
@@ -214,7 +216,10 @@ def test_standalone_entry_points_match_batch(kind, data):
             )
         else:
             v = data.draw(st.sampled_from(nodes + [next_node]))
-            idx.update_node_attrs(v, label=data.draw(st.sampled_from(LABELS)))
+            entry = (
+                idx.update_node_attrs if step == "attrs" else idx.add_node
+            )
+            entry(v, label=data.draw(st.sampled_from(LABELS)))
         if next_node in graph:
             next_node += 1
         check()

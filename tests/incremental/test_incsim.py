@@ -7,14 +7,17 @@ the index equals a from-scratch batch recomputation on the final graph.
 import pytest
 from hypothesis import given, settings
 
+from repro.engine import MatcherPool
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, synthetic_graph
+from repro.graphs.scc import is_dag
 from repro.incremental.incsim import SimulationIndex
 from repro.incremental.types import delete, insert
 from repro.matching.relation import as_pairs, totalize
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.generator import random_pattern
 from repro.patterns.pattern import Pattern, PatternError
+from repro.patterns.predicate import Predicate
 from repro.workloads.updates import mixed_updates
 from tests.strategies import small_graphs, small_patterns, update_batches
 
@@ -182,6 +185,89 @@ class TestUnitInsertion:
         assert_matches_batch(idx)
 
 
+def two_cycle(predicate=None) -> Pattern:
+    """``u`` and ``w`` each need a child matching the other."""
+    p = Pattern()
+    for u in ("u", "w"):
+        p.add_node(u, predicate or Predicate.label("a"))
+    p.add_edge("u", "w", 1)
+    p.add_edge("w", "u", 1)
+    return p
+
+
+class TestAffectedArea:
+    """IncMatch+ promotes from its seeds, not from every candidate."""
+
+    @staticmethod
+    def chains(n: int, length: int = 4) -> DiGraph:
+        """``n`` disjoint candidate chains ``(i, 0) -> ... -> (i, L - 1)``
+        of ``L = length`` nodes, each below a node ``(i, "top")``."""
+        g = DiGraph()
+        for i in range(n):
+            g.add_node((i, "top"), label="b")
+            for j in range(length):
+                g.add_node((i, j), label="a")
+            g.add_edge((i, "top"), (i, 0))
+            for j in range(length - 1):
+                g.add_edge((i, j), (i, j + 1))
+        return g
+
+    def test_work_is_independent_of_untouched_candidates(self):
+        """The 2-cycle ``u <-> w`` under a parent ``x -> u``: closing one
+        chain promotes its SCC closure, which hands off to its top."""
+        pattern = two_cycle()
+        pattern.add_node("x", Predicate.label("b"))
+        pattern.add_edge("x", "u", 1)
+        examined = []
+        for n in (10, 100):
+            idx = SimulationIndex(pattern, self.chains(n))
+            assert idx.matches() == {"u": set(), "w": set(), "x": set()}
+            idx.insert_edge((0, 3), (0, 0))  # closes chain 0 into a cycle
+            chain0 = {(0, j) for j in range(4)}
+            assert idx.raw_match_sets() == {
+                "u": chain0, "w": chain0, "x": {(0, "top")}
+            }
+            assert idx.stats.promotions == 9
+            examined.append(idx.stats.candidates_examined)
+            assert_matches_batch(idx)
+        assert examined[0] == examined[1]
+
+    def test_fresh_endpoints_close_a_cycle(self):
+        """Both edges have a fresh endpoint, so no bookkeeping sees them:
+        only the fresh endpoint's adopted pairs seed the promotion."""
+        pattern = two_cycle(Predicate.true())
+        batch = [insert("a", "z"), insert("z", "a")]
+        g = DiGraph()
+        g.add_node("a")
+        idx = SimulationIndex(pattern, g)
+        idx.apply_batch(batch)
+        assert idx.raw_match_sets() == {"u": {"a", "z"}, "w": {"a", "z"}}
+        assert_matches_batch(idx)
+        g = DiGraph()
+        g.add_node("a")
+        pool = MatcherPool(g)
+        q = pool.register(pattern, semantics="simulation", name="cycle")
+        pool.apply(batch)
+        assert q.matches() == {"u": {"a", "z"}, "w": {"a", "z"}}
+        q.index.check_invariants()
+
+    def test_fresh_endpoints_adopt_before_promoting(self):
+        """A fresh endpoint promoted on adoption bumps the counter of a
+        fresh parent from the same batch, so every fresh endpoint's
+        counters must exist first."""
+        pattern = Pattern()
+        pattern.add_node("x", Predicate.true())
+        pattern.add_node("y", Predicate.true())
+        pattern.add_edge("x", "y", 1)
+        g = DiGraph()
+        g.add_node("q")
+        pool = MatcherPool(g)
+        q = pool.register(pattern, semantics="simulation", name="leaf")
+        pool.apply([insert("a", "b"), insert("c", "a")])
+        assert q.matches() == {"x": {"a", "c"}, "y": {"a", "b", "c", "q"}}
+        q.index.check_invariants()
+
+
 class TestBatch:
     def test_example_5_5_cancellation(self, friendfeed_graph):
         """Deleting and re-adding ss support for Pat cancels out."""
@@ -259,15 +345,20 @@ class TestDagFastPath:
     def test_dag_insertions_use_worklist(self):
         g = synthetic_graph(40, 90, seed=8)
         p = random_pattern(g, 4, 4, preds_per_node=1, max_bound=1, dag=True, seed=8)
+        assert is_dag(p.graph())
         idx = SimulationIndex(p, g.copy())
-        assert not idx._has_cycles
         for u in mixed_updates(g, 10, 0, seed=9):
             idx.insert_edge(u.source, u.target)
         assert_matches_batch(idx)
 
 
+# The simulation fuzzers below draw pattern self-loops too: a self-loop
+# is a nontrivial pattern SCC of one node.
 @settings(max_examples=40, deadline=None)
-@given(small_graphs(), small_patterns(max_bound=1, allow_star=False))
+@given(
+    small_graphs(),
+    small_patterns(max_bound=1, allow_star=False, self_loops=True),
+)
 def test_random_unit_updates_match_batch(g, p):
     idx = SimulationIndex(p, g.copy())
     for u in mixed_updates(g, 4, 4, seed=21):
@@ -281,7 +372,7 @@ def test_random_unit_updates_match_batch(g, p):
 @settings(max_examples=40, deadline=None)
 @given(
     small_graphs(),
-    small_patterns(max_bound=1, allow_star=False),
+    small_patterns(max_bound=1, allow_star=False, self_loops=True),
 )
 def test_random_batches_match_batch(g, p):
     idx = SimulationIndex(p, g.copy())
@@ -291,7 +382,12 @@ def test_random_batches_match_batch(g, p):
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_graphs(max_nodes=6), small_patterns(max_nodes=3, max_bound=1, allow_star=False))
+@given(
+    small_graphs(max_nodes=6),
+    small_patterns(
+        max_nodes=3, max_bound=1, allow_star=False, self_loops=True
+    ),
+)
 def test_hypothesis_update_batches(g, p):
     """Adversarial batches from the update strategy, incl. duplicates."""
     idx = SimulationIndex(p, g.copy())

@@ -36,8 +36,10 @@ def small_patterns(
     max_bound: int = 3,
     allow_star: bool = True,
     dag: bool = False,
+    self_loops: bool = False,
 ) -> Pattern:
-    """A small pattern over the same label alphabet as small_graphs."""
+    """A small pattern over the same label alphabet as small_graphs;
+    ``self_loops`` lets it draw pattern edges ``(u, u)``."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     p = Pattern()
     for u in range(n):
@@ -46,7 +48,7 @@ def small_patterns(
         (u, w)
         for u in range(n)
         for w in range(n)
-        if u != w and (not dag or u < w)
+        if (u != w or self_loops) and (not dag or u < w)
     ]
     if possible:
         edges = draw(
