@@ -2,25 +2,29 @@
 
 These go beyond the paper's figures: they isolate individual design
 decisions of this implementation (distance backend, minDelta, the DAG fast
-path, distributed partitioning, localized isomorphism) and print series in
-the same row-dict format as :mod:`repro.bench.figures`.  Run via
-``python -m repro.bench --figure abl-oracle`` etc.
+path, the IncLM column gate, distributed partitioning, localized
+isomorphism) and print series in the same row-dict format as
+:mod:`repro.bench.figures`.  Run via ``python -m repro.bench --figure
+abl-oracle`` etc.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..extensions.distributed import DistributedSimulation
-from ..graphs.digraph import DiGraph
+from ..graphs.digraph import DiGraph, Node
 from ..graphs.generators import synthetic_graph
 from ..graphs.scc import is_dag
 from ..incremental.incbsim import BoundedSimulationIndex
 from ..incremental.incsim import SimulationIndex
 from ..incremental.inciso import IsoIndex, LocalizedIsoIndex
+from ..landmarks.vector import LandmarkIndex
 from ..matching.simulation import maximum_simulation
 from ..patterns.generator import random_pattern
 from ..patterns.pattern import Pattern
+from ..workloads.datasets import youtube_like
 from ..workloads.updates import degree_biased_insertions, mixed_updates
 from .config import get_scale, scaled, timed
 
@@ -122,6 +126,79 @@ def abl_scc(scale: Optional[float] = None) -> List[Row]:
     return rows
 
 
+Edge = Tuple[Node, Node]
+
+
+def disjoint_communities(count: int, size: int, seed: int) -> DiGraph:
+    """``count`` disjoint ``synthetic_graph`` communities of ``size``
+    nodes; node ``i`` of community ``c`` is ``c * size + i``."""
+    graph = DiGraph()
+    for c in range(count):
+        part = synthetic_graph(size, 3 * size, seed=seed + c)
+        for v in part.nodes():
+            graph.add_node(c * size + v)
+        for v, w in part.edges():
+            graph.add_edge(c * size + v, c * size + w)
+    return graph
+
+
+def community_batch(
+    graph: DiGraph, size: int, num_updates: int, seed: int
+) -> Tuple[List[Edge], List[Edge]]:
+    """A mixed batch on :func:`disjoint_communities`: half deletions of
+    existing edges, half insertions inside one community each."""
+    rng = random.Random(seed)
+    deleted = rng.sample(sorted(graph.edges()), num_updates // 2)
+    communities = graph.num_nodes() // size
+    inserted: List[Edge] = []
+    while len(inserted) < num_updates - len(deleted):
+        base = rng.randrange(communities) * size
+        v, w = base + rng.randrange(size), base + rng.randrange(size)
+        if v != w and not graph.has_edge(v, w) and (v, w) not in inserted:
+            inserted.append((v, w))
+    return inserted, deleted
+
+
+def abl_lm(scale: Optional[float] = None) -> List[Row]:
+    """IncLM column work: one mixed batch on disjoint communities (each
+    node reaches few landmarks, so few columns can change) vs on a
+    connected youtube-like graph (most columns can)."""
+    scale = get_scale(scale)
+    num_updates = scaled(6_000, scale, minimum=20)
+    size = 20
+    communities = disjoint_communities(
+        scaled(8_000, scale, minimum=8), size, seed=90
+    )
+    youtube = youtube_like(scale)
+    ups = mixed_updates(youtube, num_updates // 2, num_updates // 2, seed=91)
+    batches = (
+        ("communities", communities,
+         community_batch(communities, size, num_updates, seed=92)),
+        ("youtube", youtube,
+         ([u.edge for u in ups if u.op == "insert"],
+          [u.edge for u in ups if u.op == "delete"])),
+    )
+    rows: List[Row] = []
+    for name, graph, (inserted, deleted) in batches:
+        lm = LandmarkIndex(graph)
+        for e in deleted:
+            graph.remove_edge(*e)
+        for e in inserted:
+            graph.add_edge(*e)
+        t, _ = timed(lambda: lm.apply_batch(inserted=inserted, deleted=deleted))
+        rows.append({
+            "graph": name,
+            "nodes": graph.num_nodes(),
+            "num_updates": len(inserted) + len(deleted),
+            "landmarks": len(lm.landmarks()),
+            "columns": 2 * len(lm.landmarks()),
+            "columns_visited": lm.columns_visited,
+            "nodes_touched": lm.nodes_touched(),
+            "inclm_s": round(t, 4),
+        })
+    return rows
+
+
 def abl_distributed(scale: Optional[float] = None) -> List[Row]:
     """Partitioned simulation: rounds/messages vs fragment count."""
     scale = get_scale(scale)
@@ -179,6 +256,7 @@ ABLATIONS: Dict[str, Callable[..., List[Row]]] = {
     "abl-oracle": abl_oracle,
     "abl-mindelta": abl_mindelta,
     "abl-scc": abl_scc,
+    "abl-lm": abl_lm,
     "abl-distributed": abl_distributed,
     "abl-localized-iso": abl_localized_iso,
 }

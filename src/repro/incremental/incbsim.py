@@ -528,20 +528,21 @@ class BoundedSimulationIndex(StandaloneDriver):
     ) -> List[Update]:
         """Pair deletions among ``suspects``, rechecked on the current graph.
 
-        With a landmark index / distance matrix each pair is an O(|lm|)
-        early-exit query.  Otherwise each pair asks the probe of its source
-        and bound (:meth:`_probe`) whether its target is still within
-        bound: the probe's BFS expands only until the targets asked so far
-        are decided, and in a pool every routed query's recheck in the
-        flush extends the same memoized probe.  In ``interval`` mode,
-        ``*``-bound pairs ask the reachability oracle exactly when its
-        labelling is clean (each consult is then near-O(1)); a *dirty*
-        labelling would pay a full rebuild just to answer rechecks —
-        ruinous for bulk decremental batches such as sliding-window expiry
-        — so dirty oracles route ``*``-bound suspects through the probes
-        too (exact on the post-deletion graph) and keep their budgeted
-        lazy-rebuild policy intact.  Finite bounds need true distances, so
-        they always take the probes.
+        With a landmark index each pair scans ``a``'s distance vector (the
+        landmarks ``a`` reaches) until a witness within bound; with a
+        distance matrix it is one lookup.  Otherwise each pair asks the
+        probe of its source and bound (:meth:`_probe`) whether its target
+        is still within bound: the probe's BFS expands only until the
+        targets asked so far are decided, and in a pool every routed
+        query's recheck in the flush extends the same memoized probe.  In
+        ``interval`` mode, ``*``-bound pairs ask the reachability oracle
+        exactly when its labelling is clean (each consult is then
+        near-O(1)); a *dirty* labelling would pay a full rebuild just to
+        answer rechecks — ruinous for bulk decremental batches such as
+        sliding-window expiry — so dirty oracles route ``*``-bound suspects
+        through the probes too (exact on the post-deletion graph) and keep
+        their budgeted lazy-rebuild policy intact.  Finite bounds need true
+        distances, so they always take the probes.
         """
         out: List[Update] = []
         if self.distance_mode == "interval":

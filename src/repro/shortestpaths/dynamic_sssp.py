@@ -6,15 +6,30 @@ distance vectors.  This module is that substrate: it maintains hop
 distances from a fixed source (or *to* a fixed target with ``reverse=True``)
 under edge insertions and deletions, touching only the affected area.
 
-- Insertion is a decrease-only relaxation cascade.
+- Insertion is a decrease-only relaxation cascade.  A source that was not
+  in the graph when the column was built has no entry; the first inserted
+  edge that touches it puts it at distance 0.
 - Deletion runs the two-phase RR algorithm: (1) identify the affected set —
   nodes whose every tight in-edge comes from another affected node; (2)
   recompute the affected set with a Dijkstra seeded from its unaffected
   boundary.
+- A mixed batch repairs its deletions first, on a graph that already holds
+  its insertions, so phase 2 may settle an affected node *below* its old
+  distance through a same-batch inserted edge.  Phase 2 relaxes only inside
+  the affected set, so every node it lowers is handed to the insertion
+  cascade, which carries the decrease to unaffected descendants.
+  :meth:`DynamicSSSP.on_insert` and :meth:`DynamicSSSP.on_delete` are the
+  one-edge case of :meth:`DynamicSSSP.on_batch`.
+
+A column keeps no distance map of its own.  It reads and writes its source's
+entry in a node-major table ``table[v][source]`` holding finite distances
+only: a :class:`~repro.landmarks.vector.LandmarkIndex` shares one table per
+direction among all its columns (the paper's per-node vectors ``distvt`` and
+``distvf``), and a standalone column gets a private table.
 
 All updates assume the underlying graph has **already been mutated**; the
-class only repairs its distance map.  ``stats.nodes_touched`` counts the
-work done, which is how the experiments measure ``|AFF|``.
+class only repairs its distances.  ``stats.nodes_touched`` counts the work
+done, which is how the experiments measure ``|AFF|``.
 """
 
 from __future__ import annotations
@@ -26,6 +41,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..graphs.digraph import DiGraph, Node
 
 INF = float("inf")
+
+# Node-major distance table: ``table[v][source]`` is the finite distance of
+# ``v`` in the column of ``source``; a missing entry means unreachable.
+DistTable = Dict[Node, Dict[Node, int]]
 
 
 class SSSPStats:
@@ -46,161 +65,176 @@ class DynamicSSSP:
     """Hop distances from ``source`` maintained under edge updates.
 
     ``reverse=True`` maintains distances *to* ``source`` instead (BFS over
-    reversed edges) — the ``distvt`` direction of landmark vectors.
+    reversed edges) — the ``distvf`` direction of landmark vectors.
+    ``table`` is the node-major table the column stores its entries in
+    (shared by the columns of one direction of a landmark index); by
+    default the column gets a private one.
     """
 
-    def __init__(self, graph: DiGraph, source: Node, reverse: bool = False) -> None:
+    def __init__(
+        self,
+        graph: DiGraph,
+        source: Node,
+        reverse: bool = False,
+        table: Optional[DistTable] = None,
+    ) -> None:
         self._graph = graph
         self.source = source
         self.reverse = reverse
         self.stats = SSSPStats()
-        self._dist: Dict[Node, int] = {}
-        self._rebuild()
-
-    # -- orientation helpers -------------------------------------------
-    def _out(self, v: Node) -> Iterable[Node]:
-        """Neighbours whose distance may be dist(v) + 1."""
-        return self._graph.parents(v) if self.reverse else self._graph.children(v)
-
-    def _in(self, v: Node) -> Iterable[Node]:
-        """Neighbours that may supply dist(v) = dist(p) + 1."""
-        return self._graph.children(v) if self.reverse else self._graph.parents(v)
+        self._table: DistTable = {} if table is None else table
+        # Neighbours whose distance may be dist(v) + 1, and neighbours that
+        # may supply dist(v) = dist(p) + 1.
+        self._out = graph.parents if reverse else graph.children
+        self._in = graph.children if reverse else graph.parents
+        self._build()
 
     def _orient(self, x: Node, y: Node) -> Tuple[Node, Node]:
         """Map a graph edge (x, y) to (tail, head) in traversal direction."""
         return (y, x) if self.reverse else (x, y)
 
+    def _drop(self, v: Node) -> None:
+        """Remove ``v``'s entry (it became unreachable)."""
+        row = self._table[v]
+        del row[self.source]
+        if not row:
+            del self._table[v]
+
     # -- queries ---------------------------------------------------------
     def dist(self, v: Node) -> float:
-        return self._dist.get(v, INF)
+        row = self._table.get(v)
+        return INF if row is None else row.get(self.source, INF)
 
     def distances(self) -> Dict[Node, int]:
         """Finite distances only; missing nodes are unreachable."""
-        return self._dist
+        s = self.source
+        return {v: row[s] for v, row in self._table.items() if s in row}
 
-    def size_entries(self) -> int:
-        return len(self._dist)
-
-    # -- full rebuild (the batch baseline) -------------------------------
-    def _rebuild(self) -> None:
-        self._dist = {}
+    # -- full build (the batch baseline) ---------------------------------
+    def _build(self) -> None:
+        """BFS level by level, writing each reached node's entry once."""
         if self.source not in self._graph:
             return
-        self._dist[self.source] = 0
-        queue = deque([self.source])
-        while queue:
-            v = queue.popleft()
-            d = self._dist[v]
-            for w in self._out(v):
-                if w not in self._dist:
-                    self._dist[w] = d + 1
-                    queue.append(w)
+        table, s, out = self._table, self.source, self._out
+        seen = {s}
+        level = [s]
+        d = 0
+        while level:
+            nxt = []
+            for v in level:
+                row = table.get(v)
+                if row is None:
+                    table[v] = {s: d}
+                else:
+                    row[s] = d
+                for w in out(v):
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            level = nxt
+            d += 1
 
     def recompute(self) -> None:
         """Recompute from scratch (used by the BatchLM baselines)."""
-        self._rebuild()
+        s = self.source
+        for v in [v for v, row in self._table.items() if s in row]:
+            self._drop(v)
+        self._build()
 
-    # -- insertion: decrease-only cascade --------------------------------
+    # -- single-edge updates: the one-edge case of on_batch ---------------
     def on_insert(self, x: Node, y: Node) -> int:
         """Repair after edge (x, y) was inserted.  Returns #nodes updated."""
-        a, b = self._orient(x, y)
-        da = self._dist.get(a)
-        if a == self.source:
-            da = 0
-            self._dist.setdefault(a, 0)
-        if da is None:
-            return 0
-        updated = 0
-        if self._dist.get(b, INF) > da + 1:
-            self._dist[b] = da + 1
-            updated += 1
-            self.stats.nodes_touched += 1
-            queue = deque([b])
-            while queue:
-                v = queue.popleft()
-                dv = self._dist[v]
-                for w in self._out(v):
-                    self.stats.edges_scanned += 1
-                    if self._dist.get(w, INF) > dv + 1:
-                        self._dist[w] = dv + 1
-                        updated += 1
-                        self.stats.nodes_touched += 1
-                        queue.append(w)
-        return updated
+        return self.on_batch(inserted=((x, y),))
 
-    # -- deletion: two-phase Ramalingam-Reps ------------------------------
     def on_delete(self, x: Node, y: Node) -> int:
         """Repair after edge (x, y) was deleted.  Returns #nodes updated."""
-        _, b = self._orient(x, y)
-        return self._repair([b])
+        return self.on_batch(deleted=((x, y),))
 
-    def _has_support(self, v: Node, affected: Set[Node]) -> bool:
-        """Does v keep a tight in-edge from an unaffected node?"""
-        dv = self._dist.get(v)
-        if dv is None:
-            return True  # already unreachable: nothing to invalidate
-        if v == self.source:
-            return True
-        for p in self._in(v):
-            self.stats.edges_scanned += 1
-            if p in affected:
-                continue
-            dp = self._dist.get(p)
-            if dp is not None and dp + 1 == dv:
-                return True
-        return False
-
-    def _repair(self, seeds: Iterable[Node]) -> int:
+    # -- deletion: two-phase Ramalingam-Reps ------------------------------
+    def _repair(self, seeds: Iterable[Node]) -> Tuple[int, List[Node]]:
+        """RR over the heads of deleted edges.  Returns the number of
+        changed nodes and the affected nodes settled below their old
+        distance (possible only through an edge the distances have not
+        seen yet: a same-batch insertion)."""
+        table, s = self._table, self.source
+        graph, out, in_ = self._graph, self._out, self._in
+        scanned = 0
         # Phase 1: identify the affected set.
         affected: Set[Node] = set()
-        queue = deque(v for v in seeds if v in self._graph)
+        queue = deque(v for v in seeds if v in graph)
         while queue:
             v = queue.popleft()
-            if v in affected or v not in self._dist:
+            if v in affected:
                 continue
-            if self._has_support(v, affected):
+            row = table.get(v)
+            dv = None if row is None else row.get(s)
+            if dv is None or v == s:
+                continue  # unreachable already, or the source itself
+            supported = False
+            for p in in_(v):
+                scanned += 1
+                if p in affected:
+                    continue
+                rp = table.get(p)
+                if rp is not None and rp.get(s) == dv - 1:
+                    supported = True
+                    break
+            if supported:
                 continue
             affected.add(v)
-            self.stats.nodes_touched += 1
-            dv = self._dist[v]
-            for w in self._out(v):
-                if w not in affected and self._dist.get(w) == dv + 1:
-                    queue.append(w)
+            for w in out(v):
+                if w not in affected:
+                    rw = table.get(w)
+                    if rw is not None and rw.get(s) == dv + 1:
+                        queue.append(w)
+        self.stats.nodes_touched += len(affected)
         if not affected:
-            return 0
-        # Phase 2: Dijkstra over the affected set, seeded from its boundary.
-        old = {v: self._dist[v] for v in affected}
-        for v in affected:
-            del self._dist[v]
+            self.stats.edges_scanned += scanned
+            return 0, []
+        # Phase 2: Dijkstra over the affected set, seeded from its
+        # unaffected boundary.  Affected entries keep their old distance
+        # until settled; the ones never settled became unreachable.
         heap: List[Tuple[int, Node]] = []
         best: Dict[Node, int] = {}
         for v in affected:
             b = INF
-            for p in self._in(v):
-                self.stats.edges_scanned += 1
-                dp = self._dist.get(p)
-                if dp is not None and dp + 1 < b:
-                    b = dp + 1
+            for p in in_(v):
+                scanned += 1
+                if p in affected:
+                    continue
+                rp = table.get(p)
+                if rp is not None:
+                    dp = rp.get(s)
+                    if dp is not None and dp + 1 < b:
+                        b = dp + 1
             if b != INF:
-                best[v] = int(b)
-                heapq.heappush(heap, (int(b), v))
+                best[v] = b
+                heapq.heappush(heap, (b, v))
+        settled: Set[Node] = set()
+        lowered: List[Node] = []
         changed = 0
         while heap:
             d, v = heapq.heappop(heap)
-            if v in self._dist or best.get(v) != d:
+            if v in settled or best[v] != d:
                 continue
-            self._dist[v] = d
-            if old.get(v) != d:
+            settled.add(v)
+            row = table[v]
+            if row[s] != d:
                 changed += 1
-            for w in self._out(v):
-                self.stats.edges_scanned += 1
-                if w in affected and w not in self._dist:
+                if d < row[s]:
+                    lowered.append(v)
+                row[s] = d
+            for w in out(v):
+                scanned += 1
+                if w in affected and w not in settled:
                     if best.get(w, INF) > d + 1:
                         best[w] = d + 1
                         heapq.heappush(heap, (d + 1, w))
-        # Nodes left without a distance became unreachable.
-        changed += sum(1 for v in affected if v not in self._dist)
-        return changed
+        self.stats.edges_scanned += scanned
+        for v in affected - settled:
+            self._drop(v)
+            changed += 1
+        return changed, lowered
 
     # -- batch updates -----------------------------------------------------
     def on_batch(
@@ -213,29 +247,47 @@ class DynamicSSSP:
         Deletions are repaired together (one identify + one Dijkstra pass),
         then insertions run one combined decrease cascade — the batching
         that makes ``IncLM`` beat per-update ``InsLM + DelLM`` (Fig. 20(f)).
+        The cascade also starts from every node the deletion pass lowered.
         """
         seeds = [self._orient(x, y)[1] for x, y in deleted]
-        changed = self._repair(seeds) if seeds else 0
-        # Combined decrease pass over all inserted edges.
-        queue: deque = deque()
+        changed, queue = self._repair(seeds) if seeds else (0, [])
+        table, s, out = self._table, self.source, self._out
+        touched = 0
         for x, y in inserted:
             a, b = self._orient(x, y)
-            da = self._dist.get(a)
+            if (a == s or b == s) and s not in table.get(s, ()):
+                table.setdefault(s, {})[s] = 0
+            ra = table.get(a)
+            da = None if ra is None else ra.get(s)
             if da is None:
                 continue
-            if self._dist.get(b, INF) > da + 1:
-                self._dist[b] = da + 1
-                changed += 1
-                self.stats.nodes_touched += 1
-                queue.append(b)
-        while queue:
-            v = queue.popleft()
-            dv = self._dist[v]
-            for w in self._out(v):
-                self.stats.edges_scanned += 1
-                if self._dist.get(w, INF) > dv + 1:
-                    self._dist[w] = dv + 1
-                    changed += 1
-                    self.stats.nodes_touched += 1
-                    queue.append(w)
-        return changed
+            rb = table.get(b)
+            if rb is None:
+                table[b] = {s: da + 1}
+            elif rb.get(s, INF) > da + 1:
+                rb[s] = da + 1
+            else:
+                continue
+            touched += 1
+            queue.append(b)
+        # Combined decrease cascade, FIFO over every lowered node.
+        scanned = 0
+        i = 0
+        while i < len(queue):
+            v = queue[i]
+            i += 1
+            nd = table[v][s] + 1
+            for w in out(v):
+                scanned += 1
+                rw = table.get(w)
+                if rw is None:
+                    table[w] = {s: nd}
+                elif rw.get(s, INF) > nd:
+                    rw[s] = nd
+                else:
+                    continue
+                touched += 1
+                queue.append(w)
+        self.stats.nodes_touched += touched
+        self.stats.edges_scanned += scanned
+        return changed + touched

@@ -12,6 +12,7 @@ def test_registry():
         "abl-oracle",
         "abl-mindelta",
         "abl-scc",
+        "abl-lm",
         "abl-distributed",
         "abl-localized-iso",
     }
@@ -29,6 +30,14 @@ def test_mindelta_reduction_visible():
     for r in rows:
         # The churned batch triples the net updates; cancellation must bite.
         assert r["after_mindelta"] < r["num_updates"]
+
+
+def test_lm_columns_follow_reach():
+    rows = {r["graph"]: r for r in ABLATIONS["abl-lm"](TINY)}
+    share = {g: r["columns_visited"] / r["columns"] for g, r in rows.items()}
+    # Disjoint communities: each node reaches few landmarks, so a batch
+    # can change few columns; the connected graph gates most of them.
+    assert 0 < share["communities"] < 0.5 < share["youtube"] <= 1
 
 
 def test_distributed_single_fragment_no_messages():

@@ -2,10 +2,13 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bench.experiments import disjoint_communities
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, cycle_graph, synthetic_graph
 from repro.graphs.traversal import INF, path_distance
+from repro.landmarks.selection import matching_vertex_cover
 from repro.landmarks.vector import LandmarkIndex
 from repro.workloads.updates import mixed_updates
 from tests.strategies import small_graphs
@@ -15,6 +18,16 @@ def assert_exact(lm: LandmarkIndex, g: DiGraph) -> None:
     for v in g.nodes():
         for w in g.nodes():
             assert lm.pathdist(v, w) == path_distance(g, v, w), (v, w)
+
+
+def vectors(lm: LandmarkIndex):
+    """Every column's entries, both directions, as the two node-major
+    tables: compared whole, they expose column errors the cover masks."""
+    return lm._distvt, lm._distvf
+
+
+def assert_columns_fresh(lm: LandmarkIndex, g: DiGraph) -> None:
+    assert vectors(lm) == vectors(LandmarkIndex(g, landmarks=lm.landmarks()))
 
 
 class TestQueries:
@@ -65,6 +78,8 @@ class TestQueries:
         lm = LandmarkIndex(g, landmarks=[0, 1])
         with pytest.raises(ValueError):
             lm.add_landmark("ghost")
+        with pytest.raises(ValueError):
+            LandmarkIndex(g, landmarks=[0, "ghost"])
 
 
 class TestMaintenance:
@@ -122,6 +137,17 @@ class TestMaintenance:
         lm.apply_batch(inserted=ins, deleted=dels)
         assert_exact(lm, g)
 
+    def test_mixed_batch_lowers_descendants_of_repaired_nodes(self):
+        # One landmark, so no other column masks the s-column's c entry.
+        g = DiGraph([("s", "a"), ("a", "b"), ("b", "c"),
+                     ("s", "x"), ("x", "y"), ("y", "c")])
+        lm = LandmarkIndex(g, landmarks=["s"])
+        g.remove_edge("a", "b")
+        g.add_edge("s", "b")
+        lm.apply_batch(inserted=[("s", "b")], deleted=[("a", "b")])
+        assert lm.within("s", "c", 2)
+        assert_columns_fresh(lm, g)
+
     def test_rebuild_resets_to_fresh_cover(self):
         g = chain(4)
         lm = LandmarkIndex(g)
@@ -141,6 +167,41 @@ class TestMaintenance:
         g.add_edge(0, 3)
         lm.insert_edge(0, 3)
         assert lm.nodes_touched() >= 0
+        lm.within(0, 3, 1)
+        assert lm.columns_visited > 0 and lm.entries_scanned > 0
+        lm.reset_stats()
+        counts = lm.nodes_touched(), lm.columns_visited, lm.entries_scanned
+        assert counts == (0, 0, 0)
+
+
+class TestWorkBound:
+    """IncLM and the rechecks work on the columns and vector entries a
+    change reaches, however many landmarks the rest of the graph holds."""
+
+    @staticmethod
+    def work(k: int):
+        g = disjoint_communities(k, 12, seed=5)
+        lm = LandmarkIndex(g, landmarks=sorted(matching_vertex_cover(g)))
+        # A shortcut inside community 0 (the same one for every k).
+        x, y = next(
+            (v, w) for v in range(12) for w in range(12)
+            if v != w and 2 < path_distance(g, v, w) < INF
+        )
+        lm.reset_stats()
+        g.add_edge(x, y)
+        lm.insert_edge(x, y)
+        assert lm.within(x, y, 1)
+        return (
+            lm.columns_visited, lm.entries_scanned, lm.nodes_touched(),
+            2 * len(lm.landmarks()),
+        )
+
+    def test_counts_follow_the_change_not_the_landmarks(self):
+        *small, small_columns = self.work(4)
+        *large, large_columns = self.work(32)
+        assert large_columns > 4 * small_columns
+        assert small == large
+        assert 0 < small[0] < small_columns // 4
 
 
 @settings(max_examples=25, deadline=None)
@@ -168,3 +229,37 @@ def test_within_agrees_with_pathdist(g):
             for bound in (1, 2, None):
                 expected = truth != INF if bound is None else truth <= bound
                 assert lm.within(v, w, bound) is expected
+
+
+@st.composite
+def graphs_with_batches(draw):
+    """A small graph, whether every node is a landmark, and a few batches
+    of node pairs to toggle (delete if present, else insert)."""
+    g = draw(small_graphs())
+    pairs = [(v, w) for v in g.nodes() for w in g.nodes()]
+    batch = st.lists(st.sampled_from(pairs), max_size=6, unique=True)
+    return g, draw(st.booleans()), draw(st.lists(batch, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_batches())
+def test_mixed_batches_keep_every_column_exact(case):
+    g, all_landmarks, batches = case
+    lm = LandmarkIndex(g, landmarks=list(g.nodes()) if all_landmarks else None)
+    for toggles in batches:
+        ins, dels = [], []
+        for v, w in toggles:
+            if g.has_edge(v, w):
+                g.remove_edge(v, w)
+                dels.append((v, w))
+            else:
+                g.add_edge(v, w)
+                ins.append((v, w))
+        lm.apply_batch(inserted=ins, deleted=dels)
+        assert_columns_fresh(lm, g)
+        for v in g.nodes():
+            for w in g.nodes():
+                truth = path_distance(g, v, w)
+                for bound in (1, 2, 3, None):
+                    expected = truth != INF if bound is None else truth <= bound
+                    assert lm.within(v, w, bound) is expected, (v, w, bound)

@@ -1,5 +1,6 @@
 """Tests for the Ramalingam-Reps dynamic SSSP substrate."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.graphs.digraph import DiGraph
@@ -143,6 +144,18 @@ class TestBatch:
         sssp.on_batch([(1, 2)], [(1, 2)])
         assert_exact(sssp, g)
 
+    def test_mixed_batch_carries_lowered_nodes_to_descendants(self):
+        # Phase 2 settles b at 1 through the same-batch edge s -> b; its
+        # unaffected descendant c must drop from 3 to 2 as well.
+        g = DiGraph([("s", "a"), ("a", "b"), ("b", "c"),
+                     ("s", "x"), ("x", "y"), ("y", "c")])
+        sssp = DynamicSSSP(g, "s")
+        g.remove_edge("a", "b")
+        g.add_edge("s", "b")
+        sssp.on_batch(inserted=[("s", "b")], deleted=[("a", "b")])
+        assert sssp.dist("c") == 2
+        assert_exact(sssp, g)
+
     def test_recompute_matches_incremental(self):
         g = synthetic_graph(30, 70, seed=5)
         sssp = DynamicSSSP(g, 3)
@@ -159,6 +172,30 @@ class TestBatch:
         assert sssp.stats.nodes_touched >= 1
         sssp.stats.reset()
         assert sssp.stats.nodes_touched == 0
+
+
+class TestSourceOutsideGraph:
+    """A column built before its source exists has no entries; the first
+    inserted edge that touches the source puts it at 0, on every path."""
+
+    @pytest.mark.parametrize("reverse, edge, want", [
+        (False, ("src", 1), {"src": 0, 1: 1, 2: 2}),
+        (True, (2, "src"), {"src": 0, 2: 1, 1: 2}),
+        (False, (2, "src"), {"src": 0}),
+        (True, ("src", 1), {"src": 0}),
+    ])
+    @pytest.mark.parametrize("path", ["on_insert", "on_batch"])
+    def test_inserted_edge_brings_source_in_at_zero(self, reverse, edge, want, path):
+        g = DiGraph([(1, 2)])
+        sssp = DynamicSSSP(g, "src", reverse=reverse)
+        assert sssp.distances() == {}
+        g.add_edge(*edge)
+        if path == "on_insert":
+            sssp.on_insert(*edge)
+        else:
+            sssp.on_batch(inserted=[edge])
+        assert sssp.distances() == want
+        assert_exact(sssp, g)
 
 
 @settings(max_examples=30, deadline=None)
