@@ -36,6 +36,8 @@ def abl_oracle(scale: Optional[float] = None) -> List[Row]:
 
     All three produce identical matches (differentially tested); the cost
     of keeping their auxiliary structure current differs sharply.
+    ``pairs_rechecked`` is the bfs index's count of IncBMatch- suspect
+    pairs, which repeats exactly run to run.
     """
     scale = get_scale(scale)
     n = scaled(17_000, scale, minimum=200)
@@ -55,6 +57,8 @@ def abl_oracle(scale: Optional[float] = None) -> List[Row]:
             idx = BoundedSimulationIndex(pattern, graph.copy(), distance_mode=mode)
             t, _ = timed(lambda: idx.apply_batch(updates))
             row[f"{mode}_s"] = round(t, 4)
+            if mode == "bfs":
+                row["pairs_rechecked"] = idx.stats.pairs_rechecked
         rows.append(row)
     return rows
 

@@ -25,13 +25,13 @@ owns
 - the **legs** of each edge (:func:`~repro.graphs.traversal.edge_legs`):
   for an edge ``(x, y)`` and leg radius ``r``, the radius-``r`` backward
   BFS from ``x`` and forward BFS from ``y`` on the current graph (the
-  paper's Section 6 locality argument: a bound-``r + 1`` pair gained or
-  lost through the edge decomposes over them).  They are the routing
-  oracle of ``bfs``, ``landmark`` and ``matrix`` queries *and* the repair
-  balls of every bounded query, memoized per ``(x, y, r)`` until the next
-  edge batch is observed — so routing and every routed query's repair on
-  one edge share one BFS pair per radius; nothing is leased or
-  maintained;
+  paper's Section 6 locality argument: a bound-``r + 1`` pair ``(a, c)``
+  gained or lost through the edge has ``d(a, x) + 1 + d(y, c) <= r + 1``
+  over them).  They are the routing oracle of ``bfs``, ``landmark`` and
+  ``matrix`` queries *and* the repair balls of every bounded query,
+  memoized per ``(x, y, r)`` until the next edge batch is observed — so
+  routing and every routed query's repair on one edge share one BFS pair
+  per radius; nothing is leased or maintained;
 - the **probes** of IncBMatch-'s suspect rechecks
   (:func:`~repro.graphs.traversal.within_probe`): for a suspect source
   ``a`` and bound ``k``, a lazily expanded BFS from ``a`` on the
@@ -182,12 +182,15 @@ class SharedDistanceSubstrate:
         Every node within ``radius`` possibly-empty hops *of* ``x``
         (backward BFS, ``x`` itself at 0) and *from* ``y`` (forward BFS,
         ``y`` at 0) on the current graph; ``radius is None`` is plain
-        reachability.  A pattern edge with bound ``radius + 1`` can gain
-        or lose a pair through ``(x, y)`` only if the first leg meets its
-        source's eligible set and the second its target's.  Memoized per
-        ``(x, y, radius)`` until the next ``observe_*`` call, so routing
-        and every routed query's repair on one edge share one BFS pair;
-        callers must treat the returned maps as read-only.
+        reachability.  A pattern edge with bound ``k = radius + 1`` can
+        gain or lose a pair ``(a, c)`` through ``(x, y)`` only if ``a`` is
+        an eligible source in the first leg, ``c`` an eligible target in
+        the second, and ``d(a, x) + 1 + d(y, c) <= k``.  A finite-radius
+        leg lists its nodes in nondecreasing distance order (see
+        :func:`~repro.graphs.traversal.edge_legs`); an unbounded one may
+        not.  Memoized per ``(x, y, radius)`` until the next ``observe_*``
+        call, so routing and every routed query's repair on one edge share
+        one BFS pair; callers must treat the returned maps as read-only.
         """
         key = (x, y, radius)
         legs = self._legs.get(key)

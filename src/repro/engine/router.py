@@ -19,10 +19,14 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   proves or refutes relevance per edge from the pool substrate: the
   edge's memoized legs (``bfs``/``landmark``/``matrix``; the same BFS
   pair the routed queries' repair then reads) or the reach closures
-  (``interval``).  Trivial-(``TRUE``)-predicate queries are
-  distance-routed too: the pool announces fresh nodes to the eligibility
-  substrate before insertion routing, so a brand-new attribute-less node
-  is already a ``TRUE`` member when the oracle rules;
+  (``interval``).  Over the legs, an edge is routed only when the
+  nearest eligible source before it and the nearest eligible target
+  after it fit a witness within the bound ``k``:
+  ``d(a, x) + 1 + d(y, c) <= k``, the rule repair applies to each pair.
+  Trivial-(``TRUE``)-predicate queries are distance-routed too: the pool
+  announces fresh nodes to the eligibility substrate before insertion
+  routing, so a brand-new attribute-less node is already a ``TRUE``
+  member when the oracle rules;
 - node events route by predicate **flips**: the pool's eligibility
   substrate evaluates each distinct predicate once per event, and
   :meth:`route_flips` selects exactly the queries whose patterns use a

@@ -59,9 +59,14 @@ def edge_legs(graph: DiGraph, x: Node, y: Node, radius: Optional[int]) -> Legs:
     Every node within ``radius`` possibly-empty hops *of* ``x`` (backward
     BFS, ``x`` itself at 0) and *from* ``y`` (forward BFS, ``y`` at 0);
     ``radius is None`` is plain reachability.  A bound-``radius + 1``
-    pair gained or lost through the edge decomposes over them (paper
-    Section 6), so they are both IncBMatch's repair balls and its
-    routing test.
+    pair ``(a, c)`` gained or lost through the edge decomposes over them
+    as ``d(a, x) + 1 + d(y, c) <= radius + 1`` (paper Section 6), so they
+    are both IncBMatch's repair balls and its routing test.
+
+    A finite-radius leg lists its nodes in nondecreasing distance order
+    (BFS discovery order, on every backend), so the first member of a set
+    met in it is the nearest.  An unbounded leg makes no such promise:
+    the numpy CSR kernel returns it in node-id order.
     """
     return (
         bfs_distances(graph, x, radius, reverse=True),

@@ -13,21 +13,27 @@ exactly the paper's ss / cs / cc *pairs* (Table III).  An inner
 insertions and deletions fed to IncMatch+/-/batch.
 
 What remains is distance maintenance: which pairs appear or disappear when
-a data edge changes.
+a data edge changes.  One rule decides it.  A pair ``(a, c)`` under a
+pattern edge of bound ``k`` is touched by the edge ``(x, y)`` only if
+``d(a, x) + 1 + d(y, c) <= k``, read off the edge's *legs*
+(:func:`~repro.graphs.traversal.edge_legs`: the radius-``k - 1``
+backward BFS from ``x`` and forward BFS from ``y``, per distinct bound).
+A ``*`` bound drops the sum test.
 
-- **Insertion** of ``(x, y)``: any pair newly within bound ``k`` has its new
-  shortest path through ``(x, y)``, so it decomposes as
-  ``d(a, x) + 1 + d(y, c) <= k`` with both legs avoiding ``(x, y)``; the
-  legs come from one backward ball around ``x`` and one forward ball around
-  ``y`` of radius ``k - 1`` (per distinct bound) — the edge's *legs*,
-  :func:`~repro.graphs.traversal.edge_legs`.
-- **Deletion** of ``(x, y)``: a broken pair's old path decomposes the same
-  way *on the pre-deletion graph*, so suspects are collected from legs
-  computed before the edit and rechecked afterwards — by a *probe* per
-  suspect source and bound (:func:`~repro.graphs.traversal.within_probe`:
-  a BFS that expands only until its suspect targets are decided, and
-  never expands the last layer), or by landmark / matrix distance queries
-  depending on ``distance_mode``.
+- **Insertion** of ``(x, y)``: a gained pair's new shortest witness runs
+  through some inserted edge, so it satisfies the rule on the legs of the
+  graph after the batch.  Every such pair the pair graph lacks is added.
+- **Deletion** of ``(x, y)``: a broken pair's old shortest witness ran
+  through some deleted edge, so it satisfies the rule on legs computed
+  *before* the edit.  Every such pair the pair graph holds is a suspect,
+  rechecked afterwards — by a *probe* per suspect source and bound
+  (:func:`~repro.graphs.traversal.within_probe`: a BFS that expands only
+  until its suspect targets are decided, and never expands the last
+  layer), or by landmark / matrix distance queries depending on
+  ``distance_mode``.
+- **Routing** (:meth:`BoundedSimulationIndex.can_affect_edge`) applies
+  the rule to the nearest eligible member of each leg, so an edge is
+  routed to a query only if some pair could pass it.
 
 Both directions are implemented once, as the repair methods the pool
 runs around its shared graph: ``prepare_deleted_edges`` before the edit
@@ -80,7 +86,7 @@ closures in ``interval`` mode, the memoized legs in every other mode.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
@@ -460,73 +466,59 @@ class BoundedSimulationIndex(StandaloneDriver):
             probe = own[key] = within_probe(self.graph, a, bound)
         return probe
 
-    def _balls_around(
-        self, x: Node, y: Node
-    ) -> Tuple[Dict[Bound, Dict[Node, int]], Dict[Bound, Dict[Node, int]]]:
-        """Backward balls at x and forward balls at y, per distinct bound:
-        the edge's legs (anchors at distance 0), read-only."""
-        bins: Dict[Bound, Dict[Node, int]] = {}
-        bouts: Dict[Bound, Dict[Node, int]] = {}
-        for bound in self._distinct_bounds():
-            bins[bound], bouts[bound] = self._legs(x, y, bound)
-        return bins, bouts
+    def _legs_per_bound(self, x: Node, y: Node) -> Dict[Bound, Legs]:
+        """The legs of the edge ``(x, y)`` for each distinct bound,
+        read-only."""
+        return {b: self._legs(x, y, b) for b in self._distinct_bounds()}
 
-    def _pairs_created_by_insert(
-        self,
-        bins: Dict[Bound, Dict[Node, int]],
-        bouts: Dict[Bound, Dict[Node, int]],
-    ) -> List[Update]:
-        """Pair insertions unlocked by an inserted data edge — ``bins`` /
-        ``bouts`` are its balls on the graph that already contains it."""
-        out: List[Update] = []
-        for (u, u2), bound in self._bounds.items():
-            bin_ball = bins[bound]
-            bout_ball = bouts[bound]
-            sources = [a for a in bin_ball if a in self.eligible[u]]
-            targets = [c for c in bout_ball if c in self.eligible[u2]]
-            if not sources or not targets:
-                continue
-            for a in sources:
-                da = bin_ball[a]
-                pa = (u, a)
-                for c in targets:
-                    if bound is not None and da + 1 + bout_ball[c] > bound:
-                        continue
-                    pc = (u2, c)
-                    if not self._pair_graph.has_edge(pa, pc):
-                        out.append(upd_insert(pa, pc))
-        return out
+    def _pairs_through(
+        self, legs: Dict[Bound, Legs]
+    ) -> Iterator[Tuple[PatternEdge, Node, Node]]:
+        """Every ``(pattern edge, a, c)`` with a witness through the edge
+        whose legs per bound are ``legs``.
 
-    def _collect_suspects(
-        self,
-        bins: Dict[Bound, Dict[Node, int]],
-        bouts: Dict[Bound, Dict[Node, int]],
-        suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]],
-    ) -> None:
-        """Gather pairs whose old witness path may have used a deleted edge.
+        For a pattern edge ``(u, u2)`` with bound ``k``: ``a`` is a member
+        of ``eligible[u]`` at distance ``da`` in the backward leg, ``c`` a
+        member of ``eligible[u2]`` at ``dc`` in the forward leg, and
+        ``da + 1 + dc <= k`` (no sum test for ``*``).  A finite-radius leg
+        lists its nodes in nondecreasing distance order, so the scan of the
+        targets stops at the first one too far for ``a``.
 
-        ``bins``/``bouts`` were computed on the pre-deletion graph: the old
-        path's prefix/suffix around the deleted edge survives in them, so
-        every broken pair lands in ``suspects``.
+        The rule is exact for both repairs:
+
+        - *Deletion.*  A broken pair's old shortest witness (length
+          ``<= k``) used some deleted edge ``(x, y)``.  Its prefix and
+          suffix bound ``d(a, x)`` and ``d(y, c)`` on the pre-deletion
+          graph, which is the graph :meth:`prepare_deleted_edges` read the
+          legs on.
+        - *Insertion.*  A gained pair's new shortest witness on the final
+          graph uses some inserted edge, since without one it would have
+          existed before the batch.  It decomposes over that edge's legs
+          on the final graph, read after the batch was observed.
         """
-        for (u, u2), bound in self._bounds.items():
-            bin_ball = bins[bound]
-            bout_ball = bouts[bound]
-            bucket = suspects.setdefault((u, u2), set())
-            for a in bin_ball:
-                if a not in self.eligible[u]:
-                    continue
-                pa = (u, a)
-                if pa not in self._pair_graph:
-                    continue
-                for layer, c in self._pair_graph.children(pa):
-                    if layer == u2 and c in bout_ball:
-                        bucket.add((a, c))
+        for edge, bound in self._bounds.items():
+            back, fwd = legs[bound]
+            sources, targets = self.eligible[edge[0]], self.eligible[edge[1]]
+            starts = [(a, da) for a, da in back.items() if a in sources]
+            if not starts:
+                continue
+            ends = [(c, dc) for c, dc in fwd.items() if c in targets]
+            for a, da in starts:
+                room = INF if bound is None else bound - 1 - da
+                for c, dc in ends:
+                    if dc > room:
+                        break
+                    yield edge, a, c
 
     def _recheck_suspects(
         self, suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]]
     ) -> List[Update]:
         """Pair deletions among ``suspects``, rechecked on the current graph.
+
+        The suspects are the pairs :meth:`_pairs_through` yields over the
+        deleted edges' pre-deletion legs that the pair graph holds, with a
+        bucket only under a pattern edge that yielded one;
+        ``stats.pairs_rechecked`` counts them.
 
         With a landmark index each pair scans ``a``'s distance vector (the
         landmarks ``a`` reaches) until a witness within bound; with a
@@ -544,6 +536,7 @@ class BoundedSimulationIndex(StandaloneDriver):
         their budgeted lazy-rebuild policy intact.  Finite bounds need true
         distances, so they always take the probes.
         """
+        self.stats.pairs_rechecked += sum(map(len, suspects.values()))
         out: List[Update] = []
         if self.distance_mode == "interval":
             reach = self._ensure_reach()
@@ -553,8 +546,7 @@ class BoundedSimulationIndex(StandaloneDriver):
             for (u, u2), pairs in suspects.items():
                 bound = self._bounds[(u, u2)]
                 if bound is not None or dirty:
-                    if pairs:
-                        bounded[(u, u2)] = pairs
+                    bounded[(u, u2)] = pairs
                     continue
                 for a, c in pairs:
                     # Pair semantics need a *nonempty* path: for a != c
@@ -661,14 +653,22 @@ class BoundedSimulationIndex(StandaloneDriver):
         (:meth:`SharedDistanceSubstrate.legs`: the radius-``k-1`` backward
         BFS from ``x`` and forward BFS from ``y``, memoized per edge and
         radius, so every query consulted on the edge — and every routed
-        query's repair — shares one BFS pair); a pattern edge ``(u, u2)``
-        routes when the ``x`` leg meets ``eligible[u]`` and the ``y`` leg
-        meets ``eligible[u2]``.  That is sound for trivial-(TRUE)-
-        predicate queries: the pool announces fresh nodes to the
-        eligibility substrate before insertion routing, so a brand-new
-        attribute-less node is already a ``TRUE`` member when this oracle
-        runs.  A ``*`` bound pays a full reachability BFS pair per
-        consulted edge; ``interval`` mode is the O(1) route for those.
+        query's repair — shares one BFS pair).  A pattern edge
+        ``(u, u2)`` with finite bound ``k`` routes when the distance of
+        the nearest ``eligible[u]`` member in the ``x`` leg, plus 1, plus
+        the distance of the nearest ``eligible[u2]`` member in the ``y``
+        leg is at most ``k``: the rule :meth:`_pairs_through` applies to
+        each pair, at its loosest.  If the nearest members miss ``k`` for
+        every pattern edge, no pair meets the rule, so ``False`` is still
+        a proof.  The legs list their nodes in nondecreasing distance
+        order, so the first member met is the nearest.  A ``*`` bound
+        routes when both legs meet their eligible sets, which is exact for
+        it; it pays a full reachability BFS pair per consulted edge, and
+        ``interval`` mode is the O(1) route for those.  Both tests are
+        sound for trivial-(TRUE)-predicate queries: the pool announces
+        fresh nodes to the eligibility substrate before insertion routing,
+        so a brand-new attribute-less node is already a ``TRUE`` member
+        when this oracle runs.
 
         In ``interval`` mode the consult is two O(1) closure-membership
         tests per pattern edge: ``x`` reachable from an eligible source
@@ -691,11 +691,20 @@ class BoundedSimulationIndex(StandaloneDriver):
             return False
         for (u, u2), bound in self._bounds.items():
             back, fwd = self._legs(x, y, bound)
+            sources, targets = self.eligible[u], self.eligible[u2]
             # isdisjoint probes the larger side from the smaller.
-            if not back.keys().isdisjoint(
-                self.eligible[u]
-            ) and not fwd.keys().isdisjoint(self.eligible[u2]):
+            if back.keys().isdisjoint(sources) or fwd.keys().isdisjoint(
+                targets
+            ):
+                continue
+            if bound is None:
                 return True
+            nearest = next(d for a, d in back.items() if a in sources)
+            for c, dc in fwd.items():
+                if nearest + 1 + dc > bound:
+                    break
+                if c in targets:
+                    return True
         return False
 
     # ------------------------------------------------------------------
@@ -703,15 +712,15 @@ class BoundedSimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     def prepare_deleted_edges(
         self, edges: Iterable[Tuple[Node, Node]]
-    ) -> List[Tuple]:
+    ) -> List[Dict[Bound, Legs]]:
         """Deletion prep: legs on the *pre-deletion* graph.
 
         Must be called before the edges are removed; the returned token
         is handed back to :meth:`repair_deleted_edges`.
         """
-        return [self._balls_around(x, y) for x, y in edges]
+        return [self._legs_per_bound(x, y) for x, y in edges]
 
-    def repair_deleted_edges(self, prepared: List[Tuple]) -> None:
+    def repair_deleted_edges(self, prepared: List[Dict[Bound, Legs]]) -> None:
         """IncBMatch- for edges already removed from the graph: suspects
         from the pre-deletion legs, rechecked on the current graph.
 
@@ -720,11 +729,12 @@ class BoundedSimulationIndex(StandaloneDriver):
         syncing here would double-apply); the standalone driver syncs its
         own in :meth:`_sync_own_structures`.
         """
-        if not prepared:
-            return
         suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-        for bins, bouts in prepared:
-            self._collect_suspects(bins, bouts, suspects)
+        has_pair = self._pair_graph.has_edge
+        for legs in prepared:
+            for (u, u2), a, c in self._pairs_through(legs):
+                if has_pair((u, a), (u2, c)):
+                    suspects.setdefault((u, u2), set()).add((a, c))
         if suspects:
             pair_updates = self._recheck_suspects(suspects)
             if pair_updates:
@@ -743,11 +753,13 @@ class BoundedSimulationIndex(StandaloneDriver):
         for x, y in edges:
             self._register_node(x)
             self._register_node(y)
+        has_pair = self._pair_graph.has_edge
         pair_updates: List[Update] = []
         for x, y in edges:
-            pair_updates.extend(
-                self._pairs_created_by_insert(*self._balls_around(x, y))
-            )
+            legs = self._legs_per_bound(x, y)
+            for (u, u2), a, c in self._pairs_through(legs):
+                if not has_pair((u, a), (u2, c)):
+                    pair_updates.append(upd_insert((u, a), (u2, c)))
         if pair_updates:
             self._apply_pair_batch(pair_updates)
 

@@ -64,13 +64,18 @@ CntKey = Tuple[PatternNode, PatternNode, Node]
 
 
 class IncStats:
-    """Work counters: |AFF| proxies and minDelta effectiveness."""
+    """Work counters: |AFF| proxies and minDelta effectiveness.
+
+    ``pairs_rechecked`` counts the suspect pairs IncBMatch- rechecks
+    (bounded indexes only).
+    """
 
     __slots__ = (
         "promotions",
         "demotions",
         "counter_updates",
         "candidates_examined",
+        "pairs_rechecked",
         "original_updates",
         "reduced_updates",
     )
@@ -83,6 +88,7 @@ class IncStats:
         self.demotions = 0
         self.counter_updates = 0
         self.candidates_examined = 0
+        self.pairs_rechecked = 0
         self.original_updates = 0
         self.reduced_updates = 0
 

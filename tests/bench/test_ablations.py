@@ -32,6 +32,13 @@ def test_mindelta_reduction_visible():
         assert r["after_mindelta"] < r["num_updates"]
 
 
+def test_oracle_counts_rechecked_pairs():
+    # CI tables this column parent -> change; an all-zero count would
+    # hide any change to IncBMatch-'s suspect rechecks.
+    rows = ABLATIONS["abl-oracle"](TINY)
+    assert all(r["pairs_rechecked"] > 0 for r in rows)
+
+
 def test_lm_columns_follow_reach():
     rows = {r["graph"]: r for r in ABLATIONS["abl-lm"](TINY)}
     share = {g: r["columns_visited"] / r["columns"] for g, r in rows.items()}

@@ -103,6 +103,7 @@ from repro.matching.relation import as_pairs, totalize
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
+from tests.routing_truth import distances_from_every_node, edge_routes
 
 MODES = ["bfs", "landmark", "matrix", "interval"]
 PLAN_SCOPES = ["shared", "per-query"]
@@ -326,34 +327,24 @@ class _Harness:
     def check_oracles(self) -> None:
         """At quiescence every distance-routed oracle — of a per-query
         index or of a plan leg view — must agree with the textbook check
-        on the current graph: some eligible source within r
-        possibly-empty hops of x AND y within r hops of some eligible
-        target, for some pattern edge.  (Mid-flush the oracle may lag by
-        design — deletions consult pre-edit state — but between flushes
-        exact structures admit no slack, so a stale memoized leg surfaces
-        here even when no match pair happens to depend on the mis-routed
-        edge.)
+        on the current graph: some eligible source a and eligible target
+        c with d(a, x) + 1 + d(y, c) <= k, for some pattern edge
+        (:func:`tests.routing_truth.edge_routes`).  (Mid-flush the oracle
+        may lag by design — deletions consult pre-edit state — but
+        between flushes exact structures admit no slack, so a stale
+        memoized leg surfaces here even when no match pair happens to
+        depend on the mis-routed edge.)
         """
-        from repro.graphs.traversal import bfs_distances
-
         graph = self.first.graph
         nodes = sorted(graph.nodes(), key=repr)
-        fwd = {v: bfs_distances(graph, v) for v in nodes}
-
-        def leg(src, dst, r):
-            d = fwd[src].get(dst)
-            return d is not None and (r is None or d <= r)
-
+        dist = distances_from_every_node(graph)
         interval = self.mode == "interval"
         for pool in self.pools():
             routed = [q for q in pool.queries() if not q.planned]
             for q in routed + pool.plan.views():
                 if not q.distance_routed:
                     continue
-                name, pattern, idx = q.name, q.pattern, q.index
-                edges = [
-                    (u, u2, pattern.bound(u, u2)) for u, u2 in pattern.edges()
-                ]
+                name, idx = q.name, q.index
                 if interval:
                     # Soundness pass FIRST, against whatever labelling the
                     # flush left behind: staleness may only ever widen the
@@ -365,13 +356,7 @@ class _Harness:
                     # rebuild.
                     for x in nodes:
                         for y in nodes:
-                            reach_truth = any(
-                                any(leg(a, x, None) for a in idx.eligible[u])
-                                and any(leg(y, c, None)
-                                        for c in idx.eligible[u2])
-                                for u, u2, b in edges
-                            )
-                            if reach_truth:
+                            if edge_routes(dist, idx, x, y, reachability=True):
                                 assert idx.can_affect_edge(x, y), (
                                     f"unsound interval routing for {name} "
                                     f"({_tag(pool)}): "
@@ -388,24 +373,12 @@ class _Harness:
                             reach.reachable(nodes[0], nodes[0])
                 for x in nodes:
                     for y in nodes:
-                        if interval:
-                            # Interval routing drops the radius caps: it
-                            # answers pure reachability, an over-
-                            # approximation of the bounded truth.
-                            truth = any(
-                                any(leg(a, x, None) for a in idx.eligible[u])
-                                and any(leg(y, c, None)
-                                        for c in idx.eligible[u2])
-                                for u, u2, b in edges
-                            )
-                        else:
-                            truth = any(
-                                any(leg(a, x, None if b is None else b - 1)
-                                    for a in idx.eligible[u])
-                                and any(leg(y, c, None if b is None else b - 1)
-                                        for c in idx.eligible[u2])
-                                for u, u2, b in edges
-                            )
+                        # Interval routing drops the radius caps: it
+                        # answers pure reachability, an over-approximation
+                        # of the bounded truth.
+                        truth = edge_routes(
+                            dist, idx, x, y, reachability=interval
+                        )
                         got = idx.can_affect_edge(x, y)
                         assert got == truth, (
                             f"oracle drift for {name} "

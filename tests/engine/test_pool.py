@@ -539,19 +539,22 @@ class TestSharedSubstrate:
                     monkeypatch.setattr(
                         module, name, spying(getattr(traversal, name))
                     )
-        # Two components a -> z1 -> z2 -> c and a2 -> z3 -> z4 -> c2: the
-        # middle edge of each is routed (A one hop before it, C one hop
-        # after) but lies on no bound-2 witness path, so no deletion
-        # leaves a suspect to recheck.
+        # Two components a -> z1 -> z2 -> c and a2 -> z3 -> z4 -> c2: no
+        # edge of either lies on a bound-2 witness path, so none is
+        # routed, although both legs of each middle edge meet an eligible
+        # node (A one hop before it, C one hop after: 1 + 1 + 1 > 2).
+        # Routing still reads every edge's legs.
         batches = [
             [insert("a", "z1"), insert("z1", "z2"), insert("z2", "c"),
              insert("a2", "z3"), insert("z3", "z4"), insert("z4", "c2")],
             # z1->z2's legs on this graph state are still memoized from
-            # the last insertion routing; a->z0->c wires a new pair.
+            # the last insertion routing; a->z0->c wires a new pair, and
+            # every query is routed on both of its edges and repairs
+            # them from the same legs.
             [delete("z1", "z2"), insert("a", "z0"), insert("z0", "c")],
             [delete("z3", "z4")],
         ]
-        routed_edges = [2, 3, 1]
+        routed_edges = [0, 2, 0]
         pattern = Pattern.from_spec(
             {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
         )
@@ -650,6 +653,67 @@ class TestSharedSubstrate:
         assert as_pairs(q.matches()) == {("x", "a"), ("y", "c")}
         pool.apply([delete("a", "m2")])
         assert as_pairs(q.matches()) == set()
+
+    def test_an_edge_on_no_witness_path_is_neither_routed_nor_rechecked(
+        self,
+    ):
+        """Both legs of z1 -> z2 meet an eligible node (a one hop before
+        it, c one hop after), but a witness through it has 1 + 1 + 1 > 2
+        hops: deleting it routes nothing and labels no probe node, and a
+        standalone index rechecks no pair."""
+        pattern = Pattern.from_spec(
+            {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
+        )
+
+        def graph():
+            g = DiGraph()
+            g.add_node("a", label="A")
+            g.add_node("c", label="C")
+            for v, w in [("a", "z1"), ("z1", "z2"), ("z2", "c"),
+                         ("a", "m"), ("m", "c")]:
+                g.add_edge(v, w)
+            return g
+
+        matched = {("x", "a"), ("y", "c")}
+        pool = MatcherPool(graph())
+        q = pool.register(pattern, semantics="bounded", name="q")
+        before = pool.substrate.stats.probe_nodes
+        report = pool.apply([delete("z1", "z2")])
+        assert report.routed == 0
+        assert pool.substrate.stats.probe_nodes == before
+        assert as_pairs(q.matches()) == matched
+        idx = BoundedSimulationIndex(pattern, graph())
+        idx.delete_edge("z1", "z2")
+        assert idx.stats.pairs_rechecked == 0
+        assert as_pairs(idx.matches()) == matched
+
+    @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+    @pytest.mark.parametrize("gap, routed", [(1, 1), (2, 0)])
+    def test_an_insertion_routes_when_its_witness_fits_the_bound(
+        self, mode, gap, routed
+    ):
+        """Inserting m{gap} -> n closes a -> m1 .. m{gap} -> n -> c, a
+        witness of gap + 2 hops: at exactly the bound 3 the query is
+        routed and gains the pair (a, c); one hop longer both legs still
+        meet an eligible node, but nothing is routed or gained."""
+        g = DiGraph()
+        g.add_node("a", label="A")
+        g.add_node("c", label="C")
+        for v, w in [("a", "m1"), ("m1", "m2"), ("n", "c")]:
+            g.add_edge(v, w)
+        pool = MatcherPool(g)
+        pattern = Pattern.from_spec(
+            {"x": "label = A", "y": "label = C"}, [("x", "y", 3)]
+        )
+        q = pool.register(
+            pattern, semantics="bounded", name="q", distance_mode=mode
+        )
+        report = pool.apply([insert(f"m{gap}", "n")])
+        assert report.routed == routed
+        assert q.index.has_pair(("x", "y"), "a", "c") == bool(routed)
+        assert as_pairs(q.matches()) == (
+            {("x", "a"), ("y", "c")} if routed else set()
+        )
 
 
 class TestSharedGraphConsistency:

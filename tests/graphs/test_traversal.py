@@ -2,9 +2,12 @@
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.distances import SharedDistanceSubstrate
+from repro.graphs import kernels
 from repro.graphs.columnar import as_backend
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, cycle_graph
@@ -14,6 +17,7 @@ from repro.graphs.traversal import (
     ancestors_within,
     bfs_distances,
     descendants_within,
+    edge_legs,
     has_path_of_length_at_most,
     is_reachable,
     path_distance,
@@ -172,6 +176,34 @@ def test_within_probe_agrees_with_path_distance(g, rng):
     for backend, a, k, c in asks:
         expected = path_distance(g, a, c, k) != INF  # within k when finite
         assert probes[(backend, a, k)].reaches(c) == expected, (backend, a, k, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_graphs())
+def test_finite_radius_legs_come_in_nondecreasing_distance_order(g):
+    """Routing takes the first eligible member of a leg as the nearest,
+    so finite-radius legs, from edge_legs and from the substrate's memo,
+    must list their nodes in nondecreasing distance on both backends,
+    with the numpy kernels on and off."""
+    modes = ["python"] + (["numpy"] if kernels.numpy_available() else [])
+    for mode in modes:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_KERNELS", mode)
+            for backend in ("dict", "columnar"):
+                graph = as_backend(g, backend)
+                substrate = SharedDistanceSubstrate(graph)
+                for x in graph.nodes():
+                    for y in graph.nodes():
+                        for radius in (1, 2, 3):
+                            for legs in (
+                                edge_legs(graph, x, y, radius),
+                                substrate.legs(x, y, radius),
+                            ):
+                                for leg in legs:
+                                    dists = list(leg.values())
+                                    assert dists == sorted(dists), (
+                                        mode, backend, x, y, radius,
+                                    )
 
 
 @settings(max_examples=30, deadline=None)

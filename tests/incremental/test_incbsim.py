@@ -7,13 +7,13 @@ from hypothesis import given, settings
 
 from repro.engine import MatcherPool
 from repro.graphs.digraph import DiGraph
-from repro.graphs.traversal import bfs_distances
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match_naive
 from repro.matching.relation import as_pairs, totalize
 from repro.patterns.pattern import Pattern
 from repro.workloads.updates import mixed_updates
+from tests.routing_truth import distances_from_every_node, edge_routes
 from tests.strategies import small_graphs, small_patterns
 
 MODES = ["bfs", "landmark", "matrix"]
@@ -244,9 +244,9 @@ def chain_graph():
 @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
 def test_oracle_agrees_with_ground_truth(mode):
     """On a freshly registered pool query the substrate-backed oracle
-    must equal the textbook check: some eligible source within k-1
-    (possibly-empty) hops of x AND y within k-1 hops of some eligible
-    target, for some pattern edge."""
+    must equal the textbook check: some eligible source a and eligible
+    target c with d(a, x) + 1 + d(y, c) <= k (possibly-empty legs; no sum
+    test for *), for some pattern edge."""
     rng = random.Random(42)
     for _ in range(25):
         n = rng.randint(3, 7)
@@ -265,18 +265,48 @@ def test_oracle_agrees_with_ground_truth(mode):
         assert q.distance_routed
         idx = q.index
         graph = pool.graph
-        r = None if k is None else k - 1
-
-        def leg_ok(src, dst, rad):
-            d = bfs_distances(graph, src).get(dst)
-            return d is not None and (rad is None or d <= rad)
-
+        dist = distances_from_every_node(graph)
         for x in graph.nodes():
             for y in graph.nodes():
-                truth = any(
-                    leg_ok(a, x, r) for a in idx.eligible["x"]
-                ) and any(leg_ok(y, c, r) for c in idx.eligible["y"])
+                truth = edge_routes(dist, idx, x, y)
                 assert idx.can_affect_edge(x, y) == truth, (mode, k, x, y)
+
+
+@pytest.mark.parametrize("mode", MODES + ["interval"])
+def test_pairs_rechecked_counts_the_suspects(mode):
+    """stats.pairs_rechecked counts the suspect pairs IncBMatch-
+    rechecks, in every distance mode; reset() zeroes it."""
+    pattern = Pattern.from_spec(
+        {"x": "label = A", "y": "label = B"}, [("x", "y", 3)]
+    )
+    idx = BoundedSimulationIndex(pattern, chain_graph(), distance_mode=mode)
+    # (a, b) is the one pair through m1 -> m2: 1 + 1 + 1 <= 3.
+    idx.delete_edge("m1", "m2")
+    assert idx.stats.pairs_rechecked == 1
+    assert idx.matches()["x"] == set()
+    idx.insert_edge("m1", "m2")
+    assert idx.stats.pairs_rechecked == 1
+    idx.stats.reset()
+    assert idx.stats.pairs_rechecked == 0
+
+
+def test_interval_deletion_that_suspects_nothing_builds_no_labelling():
+    """A standalone interval index builds its reachability labelling on
+    its first recheck; deleting an edge no pair runs through suspects
+    nothing, so it must build none."""
+    g = DiGraph()
+    for v, label in (("a", "A"), ("c", "C"), ("p", "Z"), ("q", "Z")):
+        g.add_node(v, label=label)
+    g.add_edge("a", "c")
+    g.add_edge("p", "q")
+    pattern = Pattern.from_spec(
+        {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
+    )
+    idx = BoundedSimulationIndex(pattern, g, distance_mode="interval")
+    idx.delete_edge("p", "q")
+    assert idx.reachability_index() is None
+    assert as_pairs(idx.matches()) == {("x", "a"), ("y", "c")}
+    assert_matches_batch(idx)
 
 
 def test_standalone_index_has_no_routing_oracle():
@@ -344,18 +374,13 @@ def test_oracle_tracks_pool_updates(situation, mode):
         ),
         semantics="bounded", distance_mode=mode,
     )
-    idx, graph, r = q.index, pool.graph, k - 1
+    idx, graph = q.index, pool.graph
 
     def assert_textbook():
+        dist = distances_from_every_node(graph)
         for x in graph.nodes():
             for y in graph.nodes():
-                truth = any(
-                    bfs_distances(graph, a, r).get(x) is not None
-                    for a in idx.eligible["x"]
-                ) and any(
-                    bfs_distances(graph, y, r).get(c) is not None
-                    for c in idx.eligible["y"]
-                )
+                truth = edge_routes(dist, idx, x, y)
                 assert idx.can_affect_edge(x, y) == truth, (x, y)
 
     assert idx.can_affect_edge(*probe) is before
