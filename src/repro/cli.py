@@ -138,10 +138,10 @@ def main(argv=None) -> int:
         "--plan-scope",
         default="per-query",
         choices=["shared", "per-query"],
-        help="multi-query plan: 'shared' interns each pattern's legs into "
-        "refcount-leased pool-level views (repaired once per flush) and "
-        "joins query relations from their deltas; 'per-query' (default) "
-        "gives every query a private index",
+        help="multi-query plan: 'shared' interns each distinct pattern "
+        "shape into one refcount-leased pool-level index (repaired once "
+        "per flush) that every same-shape query reads; 'per-query' "
+        "(default) gives every query a private index",
     )
     pool.add_argument(
         "--updates",
@@ -266,7 +266,6 @@ def _run_pool(args) -> int:
     output["shared_structures"]["eligibility_sets"] = (
         pool.eligibility.num_entries()
     )
-    output["shared_structures"]["plan_views"] = pool.plan.num_views()
     output["shared_structures"]["plan_joins"] = pool.plan.num_joins()
     output["shared_structures"]["plan_leases"] = pool.plan.num_leases()
     json.dump(output, sys.stdout, indent=2, default=repr)

@@ -17,10 +17,10 @@
   flip), leased as read-views by queries and by the distance substrate,
   so per-flush atomic evaluations scale with distinct atoms rather than
   distinct conjunctions or pool size;
-- :class:`SharedPlan` — the pool-level multi-query plan: patterns
-  decomposed into canonical-fingerprint-interned leg views whose match
-  relations are maintained once per pool and joined per registered
-  query (``plan_scope='shared'``);
+- :class:`SharedPlan` — the pool-level multi-query plan: one interned
+  index per distinct canonical pattern (and semantics and distance
+  mode), maintained once per pool and read by every same-shape
+  registration through a renaming adapter (``plan_scope='shared'``);
 - :class:`MatchDelta` / :class:`ChangeFeed` — the per-flush diff events
   and their drainable subscriber buffers.
 """
@@ -34,7 +34,7 @@ from .eligibility import (
     SharedEligibilityIndex,
 )
 from .feeds import ChangeFeed, MatchDelta
-from .plan import LegView, PlannedQuery, SharedJoin, SharedPlan
+from .plan import PlannedQuery, SharedJoin, SharedPlan
 from .pool import FlushReport, MatcherPool, PoolStats
 from .query import ContinuousQuery, build_index
 from .router import UpdateRouter
@@ -45,7 +45,6 @@ __all__ = [
     "UpdateRouter",
     "SharedPlan",
     "SharedJoin",
-    "LegView",
     "PlannedQuery",
     "SharedDistanceSubstrate",
     "SubstrateStats",

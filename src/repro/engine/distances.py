@@ -37,8 +37,8 @@ owns
   ``a`` and bound ``k``, a lazily expanded BFS from ``a`` on the
   post-deletion graph that labels only as far as the targets asked so far
   need, memoized per ``(a, k)`` — so every routed query's recheck in a
-  flush, plan leg views included, extends the same partial BFS instead of
-  running its own full one.  :attr:`SubstrateStats.probe_nodes` counts the
+  flush, the shared plan's interned indexes included, extends the same
+  partial BFS instead of running its own full one.  :attr:`SubstrateStats.probe_nodes` counts the
   nodes they label.
 
 Every other structure is leased with a refcount: registering a bounded query

@@ -42,8 +42,9 @@ overrides) is **temporal**: every inserted edge is stamped with a logical
 (or caller-supplied) timestamp, and each flush begins by retiring every
 out-of-window edge in ONE coalesced deletion batch that rides the normal
 pre-edit deletion phase — so eligibility posting sets, landmark vectors,
-the matrix, the interval oracle, and shared-plan views all absorb a
-single netted decremental batch per flush instead of N scattered deletes.
+the matrix, the interval oracle, and the routed indexes (shared-plan
+interned ones included) all absorb a single netted decremental batch per
+flush instead of N scattered deletes.
 Expiry deletes are queued *before* user updates, so re-inserting an
 expired edge within the same flush nets to zero graph work and simply
 refreshes the stamp (the ``minDelta`` cancellation doing double duty).
@@ -123,7 +124,13 @@ def _check_update(update: Update) -> None:
 
 
 class PoolStats:
-    """Cumulative work counters across flushes."""
+    """Cumulative work counters across flushes.
+
+    ``join_repairs`` counts, per flush, the shared plan's interned indexes
+    the flush routed and repaired — each one however many planned queries
+    read it; ``plan_leases`` is an end-of-flush gauge of planned
+    registrations, not cumulative.
+    """
 
     __slots__ = (
         "flushes",
@@ -134,8 +141,6 @@ class PoolStats:
         "skipped_pairs",
         "view_repairs",
         "join_repairs",
-        "join_pair_updates",
-        "plan_views",
         "plan_leases",
         "expired_edges",
         "expired_queries",
@@ -151,15 +156,9 @@ class PoolStats:
         self.attr_updates = 0
         self.routed_pairs = 0
         self.skipped_pairs = 0
-        # Shared-plan counters.  view_repairs counts views with a
-        # nonempty pair delta per flush — the quantity that must scale
-        # with *distinct legs*, not registered queries; join_repairs /
-        # join_pair_updates count per-join delta consumption.  plan_views
-        # and plan_leases are end-of-flush gauges, not cumulative.
+        # Always 0; kept only because benchmarks/e2e/run.py reads it.
         self.view_repairs = 0
         self.join_repairs = 0
-        self.join_pair_updates = 0
-        self.plan_views = 0
         self.plan_leases = 0
         # Temporal counters: edges retired by window/TTL expiry and
         # standing queries auto-unregistered by a register-time TTL.
@@ -244,10 +243,10 @@ class MatcherPool:
             graph, eligibility=self.eligibility, lm_budget=lm_budget
         )
         # The multi-query plan: queries registered with plan_scope
-        # 'shared' (and a plannable semantics) are decomposed into
-        # interned leg views and join their match relations from the
-        # views' deltas instead of owning private indexes.  The default
-        # is 'per-query' — sharing is opt-in per pool or per register.
+        # 'shared' (and a plannable semantics) read one interned index
+        # per distinct pattern shape instead of owning private indexes.
+        # The default is 'per-query' — sharing is opt-in per pool or per
+        # register.
         self.plan_scope = _check_scope(plan_scope)
         self.plan = SharedPlan(self)
         self._router = UpdateRouter()
@@ -330,10 +329,12 @@ class MatcherPool:
         leases its eligible sets from the pool's eligibility substrate
         and, for bounded semantics, its distance structures from the
         pool's distance substrate.  ``plan_scope='shared'`` rewrites the
-        query against the pool's multi-query plan (interned leg views +
-        shared joins; see :mod:`repro.engine.plan`) — on that path the
-        query's match relation lives in a shared join.  Isomorphism
-        queries are not plannable and silently take the per-query path.
+        query against the pool's multi-query plan (see
+        :mod:`repro.engine.plan`): its match relation lives in the one
+        interned index of its canonical pattern, semantics and (for
+        ``bounded``) distance mode, which every same-shape planned
+        registration reads.  Isomorphism queries are not plannable and
+        silently take the per-query path.
 
         ``ttl`` gives the query itself a lifetime: once pool time passes
         ``now + ttl`` the next flush auto-unregisters it (leases released,
@@ -390,13 +391,13 @@ class MatcherPool:
             del self._queries[query.name]
             if not query.planned:
                 self._router.unregister(query)
-            # Planned queries release their join lease here; a join (or
-            # leg view) with no leaseholders left is dropped entirely.
+            # Planned queries release their join lease here; a join with
+            # no leaseholders left is dropped with its interned index.
             query.close()
 
     def _attach_view(self, query: ContinuousQuery) -> None:
-        """Router-register one of the plan's internal leg views so the
-        flush phases repair it like any other query."""
+        """Router-register one of the plan's interned internal queries so
+        the flush phases repair it like any other query."""
         self._router.register(query)
 
     def _detach_view(self, query: ContinuousQuery) -> None:
@@ -582,18 +583,14 @@ class MatcherPool:
                 for e in dead:
                     del stamps[e]
         # Keyed by id(): the routed population mixes user queries with the
-        # plan's internal leg views, whose names live in a separate space.
+        # plan's interned queries, whose names live in a separate space.
         touched: Dict[int, ContinuousQuery] = {}
         # The population the router decides over: non-planned user queries
-        # plus the plan's leg views (planned queries are never routed —
-        # the plan delivers their changes after the views are repaired).
+        # plus the plan's interned queries (planned queries are never
+        # routed — the plan delivers their changes after phase D).
         routed_pop = [
             q for q in self._queries.values() if not q.planned
         ] + self.plan.views()
-        # Net eligibility flips accumulated across phases A and D for the
-        # plan's joins (views repair through normal routing; the joins
-        # additionally need the raw flips to adopt/retire pair nodes).
-        plan_flips: List[Tuple[Predicate, Node, bool]] = []
 
         # ---- Phase A: node additions / attribute merges ----------------
         # Node events are collected across the whole batch and handed to
@@ -619,7 +616,6 @@ class MatcherPool:
             self.eligibility.observe_events(events) if events else []
         )
         if net_flips:
-            plan_flips.extend(net_flips)
             by_node: Dict[Node, List[Tuple[Predicate, bool]]] = {}
             for pred, v, gained in net_flips:
                 by_node.setdefault(v, []).append((pred, gained))
@@ -681,7 +677,6 @@ class MatcherPool:
         for node in fresh_nodes:
             gains = self.eligibility.observe_node_added(node)
             fresh_gains.update(p for p, _ in gains)
-            plan_flips.extend((p, node, g) for p, g in gains)
         if insertions:
             self.substrate.observe_inserted(insertions)
         for q, edges in self._route_edges(
@@ -708,18 +703,18 @@ class MatcherPool:
         # expire_at) and enter the expiry heap.
         self._apply_stamps(net, stamps)
 
-        # ---- Plan delivery: views are fully repaired; drain each view's
-        # pair delta once and patch every join that leases it, so planned
+        # ---- Plan delivery: the interned indexes are fully repaired; move
+        # each one's match delta into its join's history once, so planned
         # queries emit alongside everyone else in phase E.
         if self.plan.active():
-            for q in self.plan.deliver(plan_flips):
+            for q in self.plan.deliver():
                 touched[id(q)] = q
-        self.stats.plan_views = self.plan.num_views()
         self.stats.plan_leases = self.plan.num_leases()
 
         # ---- Phase E: publish match deltas -----------------------------
         for q in touched.values():
             if q.internal:
+                self.stats.join_repairs += 1
                 continue
             report.deltas[q.name] = q.emit_delta(report.seq)
         self.stats.routed_pairs += report.routed

@@ -105,8 +105,8 @@ class ContinuousQuery:
         self.pattern = pattern
         self.graph = graph
         self.semantics = semantics
-        # Internal queries (the plan's leg views) are repaired like any
-        # other query but never emit user-facing deltas.
+        # Internal queries (the plan's interned indexes) are repaired
+        # like any other query but never emit user-facing deltas.
         self.internal = internal
         self.index = self._build_index(
             pattern,

@@ -105,10 +105,9 @@ from ..matching.relation import MatchRelation, totalize
 from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Bound, Pattern, PatternNode
 from ..patterns.predicate import Predicate
-from .delta import DeltaLog
 from .drivers import StandaloneDriver
 from .incsim import IncStats, SimulationIndex
-from .types import Update, delete as upd_delete, insert as upd_insert, net_updates
+from .types import Update, delete as upd_delete, insert as upd_insert
 
 PatternEdge = Tuple[PatternNode, PatternNode]
 LAYER_ATTR = "__layer__"
@@ -169,10 +168,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         self._pair_graph = DiGraph()
         self._build_pair_graph()
         self._inner = SimulationIndex(_layered_pattern(pattern), self._pair_graph)
-        # Opt-in pair-edge change log (enable_pair_delta): the plan layer's
-        # leg views export their relation deltas through it so downstream
-        # joins consume changes instead of re-deriving them.
-        self._pair_delta: Optional[DeltaLog] = None
         self._lm: Optional[LandmarkIndex] = None
         self._matrix: Optional[DistanceMatrix] = None
         # Interval mode: SCC-interval reachability oracle, leased with one
@@ -257,48 +252,6 @@ class BoundedSimulationIndex(StandaloneDriver):
             {(u, v) for (_, (u, v)) in added},
             {(u, v) for (_, (u, v)) in removed},
         )
-
-    def _apply_pair_batch(self, pair_updates: List[Update]) -> None:
-        """Feed pair-graph edits to the inner index, logging net changes
-        when pair-delta export is enabled.
-
-        Netting against the current pair graph before logging is
-        behavior-preserving (the inner index nets internally anyway) and
-        keeps the exported delta exact: a pending-delete-plus-reinsert of
-        a surviving pair cancels out instead of being reported twice.
-        """
-        if self._pair_delta is None:
-            self._inner.apply_batch(pair_updates)
-            return
-        net = net_updates(self._pair_graph, pair_updates)
-        for upd in net:
-            if upd.op == "insert":
-                self._pair_delta.add((upd.source, upd.target))
-            else:
-                self._pair_delta.remove((upd.source, upd.target))
-        self._inner.apply_batch(net)
-
-    def enable_pair_delta(self) -> None:
-        """Start logging net pair-edge changes for :meth:`pop_pair_delta`.
-
-        Consumers (the plan layer's leg views) read the current relation
-        wholesale via :meth:`pair_edges` at attach time, then consume
-        deltas from the next flush on — so enabling starts the log empty.
-        """
-        if self._pair_delta is None:
-            self._pair_delta = DeltaLog()
-
-    def pop_pair_delta(self) -> Tuple[Set[Tuple], Set[Tuple]]:
-        """Net ``(added, removed)`` pair edges ``((u, a), (u2, c))`` since
-        the last pop.  Requires :meth:`enable_pair_delta`."""
-        if self._pair_delta is None:
-            raise RuntimeError("pair-delta export not enabled on this index")
-        added, removed = self._pair_delta.pop()
-        return set(added), set(removed)
-
-    def pair_edges(self) -> Iterable[Tuple[Tuple, Tuple]]:
-        """The current pair relation as ``((u, a), (u2, c))`` edges."""
-        return self._pair_graph.edges()
 
     def candidates(self) -> MatchRelation:
         return {
@@ -399,7 +352,7 @@ class BoundedSimulationIndex(StandaloneDriver):
                 for parent in list(self._pair_graph.parents(pv)):
                     pair_updates.append(upd_delete(parent, pv))
         if pair_updates:
-            self._apply_pair_batch(pair_updates)
+            self._inner.apply_batch(pair_updates)
         # Retire after the edges are gone so leaf-layer matches drop too.
         for v, _gained, lost in events:
             for u in lost:
@@ -432,7 +385,7 @@ class BoundedSimulationIndex(StandaloneDriver):
                         ):
                             inserts.append(upd_insert((u0, a), (u, v)))
         if inserts:
-            self._apply_pair_batch(inserts)
+            self._inner.apply_batch(inserts)
 
     # ------------------------------------------------------------------
     # Distance-structure maintenance helpers
@@ -738,7 +691,7 @@ class BoundedSimulationIndex(StandaloneDriver):
         if suspects:
             pair_updates = self._recheck_suspects(suspects)
             if pair_updates:
-                self._apply_pair_batch(pair_updates)
+                self._inner.apply_batch(pair_updates)
 
     def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
         """IncBMatch+ for edges already added to the graph: pairs newly
@@ -761,7 +714,7 @@ class BoundedSimulationIndex(StandaloneDriver):
                 if not has_pair((u, a), (u2, c)):
                     pair_updates.append(upd_insert((u, a), (u2, c)))
         if pair_updates:
-            self._apply_pair_batch(pair_updates)
+            self._inner.apply_batch(pair_updates)
 
     def _sync_own_structures(
         self, deleted: List[Tuple[Node, Node]], inserted: List[Tuple[Node, Node]]

@@ -161,25 +161,25 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
             if r["n"] >= overlap["flat_from"]
         ]
         assert len(set(gated)) == 1 and gated[0] > 0, (name, gated)
-    # The multi-query plan's headline: per-flush view repairs are
-    # EXACTLY flat in query count once the leg vocabulary is interned
-    # (hard-gated by the scenario — exit code 0 above); the N=16
-    # outright-win race only fires at full scale, so at tiny scale it
-    # must be reported ungated (None), never a fired-and-failed False.
+    # The multi-query plan's headline: per-flush join repairs are
+    # non-zero and EXACTLY flat in query count once every pattern shape
+    # is interned (hard-gated by the scenario — exit code 0 above); the
+    # N=16 outright-win race only fires at full scale, so at tiny scale
+    # it must be reported ungated (None), never a fired-and-failed False.
     plan = doc["scenarios"]["shared-plan"]
     assert plan["results"]
     for row in plan["results"]:
         assert {
             "n", "plan_shared_ms", "plan_per_query_ms",
-            "view_repairs", "plan_views", "plan_joins",
+            "join_repairs", "plan_joins",
         } <= set(row)
-    assert plan["view_repairs_flat"] is True
+    assert plan["join_repairs_flat"] is True
     assert plan["shared_wins"] is not False
     k = plan["leg_vocabularies"]
     plan_repairs = [
-        r["view_repairs"] for r in plan["results"] if r["n"] >= k
+        r["join_repairs"] for r in plan["results"] if r["n"] >= k
     ]
-    assert len(set(plan_repairs)) == 1, plan_repairs
+    assert len(set(plan_repairs)) == 1 and plan_repairs[0] > 0, plan_repairs
     # The interval oracle's headline: the columnar backend wins the
     # flush race (hard-gated by the scenario — exit code 0 above — so
     # here we pin the JSON shape and the gate verdict); oracle consults
@@ -235,6 +235,45 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         r["structure_batches"] for r in temporal["results"] if r["n"] >= 4
     ]
     assert len(set(batches)) == 1, batches
+
+
+@pytest.mark.parametrize("interned", [True, False])
+def test_shared_plan_gate_fails_only_when_nothing_is_interned(
+    interned, monkeypatch
+):
+    """The shared-plan flatness gate can fail: when every registration
+    gets its own intern key, join repairs grow with N and the scenario
+    reports not-ok; with interning it passes on the same inputs."""
+    import importlib.util
+    import itertools
+    from pathlib import Path
+
+    from repro.engine import plan as plan_module
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool",
+        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    if not interned:
+        canonical = plan_module.canonical_pattern
+        fresh = itertools.count()
+
+        def unshared(pattern):
+            canon = canonical(pattern)
+            canon.key = (canon.key, next(fresh))
+            return canon
+
+        monkeypatch.setattr(plan_module, "canonical_pattern", unshared)
+    graph = bench.build_graph(num_clusters=4, cluster_size=6)
+    ok, doc = bench.run_shared_plan_scenario(
+        [4, 8], graph, num_updates=8, reps=1
+    )
+    assert ok is interned
+    assert doc["join_repairs_flat"] is interned
+    joins = {r["n"]: r["plan_joins"] for r in doc["results"]}
+    assert joins == ({4: 4, 8: 4} if interned else {4: 4, 8: 8})
 
 
 def test_compare_bench_trend_accumulates_over_history(tmp_path):

@@ -1,8 +1,9 @@
 """Stateful differential fuzzer: shared plan ≡ per-query ≡ batch.
 
 Two :class:`~repro.engine.pool.MatcherPool` instances — one with
-``plan_scope='shared'`` (patterns decomposed into canonical-fingerprint-
-interned leg views joined per query; see :mod:`repro.engine.plan`), one
+``plan_scope='shared'`` (one canonical-fingerprint-interned index per
+distinct pattern, read by every same-shape query; see
+:mod:`repro.engine.plan`), one
 with ``plan_scope='per-query'`` (every query owns its index, the seed
 path) — are driven through the *same* seeded random op sequence: edge
 churn, fresh attribute-less nodes wired mid-flush, brand-new labelled
@@ -16,7 +17,7 @@ bounded and simulation semantics (both plannable) with occasional
 isomorphism (which silently falls back to the per-query path inside the
 shared-plan pool) and occasional per-register ``plan_scope='per-query'``
 overrides, so planned and unplanned queries coexist in one pool.
-Register/unregister mid-stream exercises view/join drop and rebuild.
+Register/unregister mid-stream exercises join drop and rebuild.
 
 The two pools always run on *opposite* graph backends, so every
 sequence is also a dict ≡ columnar differential; the ``REPRO_KERNELS``
@@ -247,8 +248,9 @@ class _Harness:
         self.per_query.eligibility.check_invariants()
 
     def check_deep(self) -> None:
-        """Join pair graphs must mirror true bounded distances; view and
-        per-query indexes must pass their own structural invariants."""
+        """Interned and per-query indexes must pass their own structural
+        invariants (a bounded index's pair graph mirrors true bounded
+        distances)."""
         for join in self.planned.plan._joins.values():
             join.check_invariants()
         for view in self.planned.plan.views():
@@ -305,7 +307,6 @@ def test_unregister_drops_views_and_reregister_rebuilds():
     pool.apply([insert(0, 1)])
     pool.unregister(q1)
     assert pool.plan.num_joins() == 0
-    assert pool.plan.num_views() == 0
     assert pool.eligibility.num_entries() == 0
     assert not any(pool.substrate.live_structures().values())
     # Mutate while nothing leases, then re-register: the join must be

@@ -25,8 +25,8 @@ run under the same churn.
 The sweep runs once per ``(distance mode × plan scope × graph backend ×
 kernel mode)``.  The first pool takes the parametrized plan scope and
 graph backend, its twin the *opposite* of each: every sequence pits
-per-query indexes against the shared multi-query plan's leg views and
-joins (both reading the same substrates), and is simultaneously a dict ≡
+per-query indexes against the shared multi-query plan's interned
+indexes (both reading the same substrates), and is simultaneously a dict ≡
 columnar backend differential — the two pools run the same op stream on
 opposite storage layouts and their graphs are asserted equal (via the
 backend-generic ``DiGraph.__eq__``) after every flush.  The
@@ -41,7 +41,7 @@ must equal a from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
 and the eligibility member sets must pass their exactness invariants.
 ``check_oracles`` probes ``can_affect_edge`` of every distance-routed
-query and leg view over every node pair at quiescence: exact for the
+query and interned index over every node pair at quiescence: exact for the
 modes routed by the edge legs, and — after forcing a
 clean labelling — exact against the *reachability* ground truth for
 interval mode (whose routing answer is by design the radius-free
@@ -326,7 +326,7 @@ class _Harness:
 
     def check_oracles(self) -> None:
         """At quiescence every distance-routed oracle — of a per-query
-        index or of a plan leg view — must agree with the textbook check
+        index or of a plan-interned one — must agree with the textbook check
         on the current graph: some eligible source a and eligible target
         c with d(a, x) + 1 + d(y, c) <= k, for some pattern edge
         (:func:`tests.routing_truth.edge_routes`).  (Mid-flush the oracle

@@ -45,19 +45,19 @@ class TestInterning:
         pool.register(two_leg_pattern(names=("u", "v", "w")), name="q1")
         assert pool.plan.num_joins() == 1
         assert pool.plan.num_leases() == 2
-        # Two distinct legs: A-2->B and B-2->C.
-        assert pool.plan.num_views() == 2
+        # One interned index serves both spellings.
+        assert len(pool.plan.views()) == 1
 
     def test_shared_legs_across_different_patterns(self):
         pool = shared_pool()
         pool.register(two_leg_pattern(), name="q0")
-        # Different whole pattern, but its only leg is q0's first leg.
+        # Its only edge is q0's first edge, but it is another pattern.
         leg = Pattern.from_spec(
             {"s": "label = A", "t": "label = B"}, [("s", "t", 2)]
         )
         pool.register(leg, name="q1")
         assert pool.plan.num_joins() == 2
-        assert pool.plan.num_views() == 2  # A-2->B interned once
+        assert len(pool.plan.views()) == 2
 
     def test_duplicate_legs_inside_one_pattern(self):
         p = Pattern.from_spec(
@@ -66,8 +66,9 @@ class TestInterning:
         )
         pool = shared_pool()
         q = pool.register(p, name="q0")
-        # Both edges intern to the same A-2->B view.
-        assert pool.plan.num_views() == 1
+        # The whole pattern is one index, repeated edges and all.
+        assert pool.plan.num_joins() == 1
+        assert len(pool.plan.views()) == 1
         truth = totalize(bounded_match(p, pool.graph))
         assert q.matches() == truth
 
@@ -76,23 +77,51 @@ class TestInterning:
         pool.register(two_leg_pattern(bound=2), name="q0")
         pool.register(two_leg_pattern(bound=3), name="q1")
         assert pool.plan.num_joins() == 2
-        assert pool.plan.num_views() == 4
+        assert len(pool.plan.views()) == 2
+
+    def test_distance_mode_separates_joins(self):
+        pool = shared_pool()
+        p = Pattern.from_spec(
+            {"a": "label = A", "b": "label = B"}, [("a", "b", 2)]
+        )
+        pool.register(p, name="q0", distance_mode="bfs")
+        pool.register(p, name="q1", distance_mode="landmark")
+        assert pool.plan.num_joins() == 2
+        assert pool.substrate.live_structures()["landmark"] == 1
+
+    def test_one_routing_member_per_planned_pattern(self):
+        pool = shared_pool()
+        triangle = Pattern.from_spec(
+            {"x": "label = A", "y": "label = B", "z": "label = C"},
+            [("x", "y", 1), ("y", "z", 1), ("z", "x", 1)],
+        )
+        pool.register(triangle, semantics="simulation", name="q0")
+        report = pool.apply([insert("n2", "n0")])
+        assert report.routed + report.skipped == 1
 
 
 class TestLifecycle:
     def test_unregister_releases_views_and_leases(self):
         pool = shared_pool()
-        q0 = pool.register(two_leg_pattern(), name="q0")
-        q1 = pool.register(two_leg_pattern(names=("u", "v", "w")), name="q1")
+        q0 = pool.register(
+            two_leg_pattern(), name="q0", distance_mode="landmark"
+        )
+        q1 = pool.register(
+            two_leg_pattern(names=("u", "v", "w")),
+            name="q1",
+            distance_mode="landmark",
+        )
         pool.unregister(q0)
-        # Join survives while q1 still leases it.
+        # The join and its index survive while q1 still leases them.
         assert pool.plan.num_joins() == 1
-        assert pool.plan.num_views() == 2
+        assert len(pool.plan.views()) == 1
+        assert pool.substrate.live_structures()["landmark"] == 1
         pool.unregister(q1)
         assert pool.plan.num_joins() == 0
-        assert pool.plan.num_views() == 0
-        # Every eligibility lease was returned.
+        assert pool.plan.views() == []
+        # Every eligibility and substrate lease was returned.
         assert pool.eligibility.num_entries() == 0
+        assert not any(pool.substrate.live_structures().values())
 
     def test_planned_query_type_and_flags(self):
         pool = shared_pool()
@@ -212,9 +241,9 @@ class TestCorrectness:
 
 
 class TestStats:
-    def test_view_repairs_flat_in_query_count(self):
-        """The headline perf property: per-flush view repair work scales
-        with distinct legs, not registered queries."""
+    def test_join_repairs_flat_in_query_count(self):
+        """The headline perf property: per-flush repair work scales with
+        distinct pattern shapes, not registered queries."""
         counts = {}
         for n in (2, 8):
             pool = shared_pool()
@@ -225,7 +254,7 @@ class TestStats:
                 )
             pool.stats.reset()
             pool.apply([delete("n1", "n2"), insert("n2", "n3")])
-            counts[n] = pool.stats.view_repairs
+            counts[n] = pool.stats.join_repairs
         assert counts[2] == counts[8] > 0
 
     def test_gauges(self):
@@ -233,5 +262,4 @@ class TestStats:
         pool.register(two_leg_pattern(), name="q0")
         pool.register(two_leg_pattern(names=("u", "v", "w")), name="q1")
         pool.flush()
-        assert pool.stats.plan_views == 2
         assert pool.stats.plan_leases == 2

@@ -102,7 +102,6 @@ class TestRegistration:
                 pool.eligibility.live_entries(),
                 pool.substrate.live_structures(),
                 pool.plan.num_joins(),
-                pool.plan.num_views(),
                 len(pool),
                 pool.pending,
             )
