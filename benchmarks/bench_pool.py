@@ -38,20 +38,22 @@ The scenarios, all over one shared graph holding labelled communities
   join-repair count is non-zero and exactly equal across all N >= 4,
   and (at N >= 16, above the noise floor) that the shared flush beats
   the per-query flush outright;
-- ``reach-oracle``: interval-mode routing cost dict vs columnar backend
-  plus (ungated) oracle-consult accounting on ``*``-bound patterns;
 - ``kernels``: the numpy kernel layer raced against its pure-Python
-  twins on the two bulk hot paths it vectorizes — full-column atom
-  sweeps (first-lease eligibility builds) and SCC-interval oracle
-  rebuilds on a dense graph — with a hard gate that numpy wins at the
-  largest size (min-of-k, above a noise floor).
+  twin on the bulk hot path it vectorizes — full-column atom sweeps
+  (first-lease eligibility builds) on a dense graph — with a hard gate
+  that numpy wins at the largest size (min-of-k, above a noise floor);
+- ``temporal``: sliding-window bulk expiry against per-edge deletion
+  flushes, with flat-upkeep and zero-rebuild counter gates.
 
 The naive baseline is one independent incremental index per pattern, each
-fed the full stream.  The script prints a table per scenario (median pool
-flush ms over ``--reps``, naive ms, speedup, routed/skipped counts),
-writes a machine-readable ``BENCH_pool.json``, and exits non-zero if any
-routed result disagrees with its naive baseline.  ``BENCH_pool.json``
-feeds the CI regression compare (``benchmarks/compare_bench.py``).
+fed the full stream.  Every timed region starts right after a full
+``gc.collect()`` (:func:`timed`), so a cyclic-GC pass paid for set-up
+garbage does not land in it.  The script prints a table per scenario
+(median pool flush ms over ``--reps``, naive ms, speedup, routed/skipped
+counts), writes a machine-readable ``BENCH_pool.json``, and exits
+non-zero if any routed result disagrees with its naive baseline or any
+gate fails.  ``BENCH_pool.json`` feeds the CI regression compare
+(``benchmarks/compare_bench.py``).
 
 Run standalone::
 
@@ -62,6 +64,7 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -77,14 +80,32 @@ from repro.engine.eligibility import SharedEligibilityIndex  # noqa: E402
 from repro.graphs import kernels  # noqa: E402
 from repro.graphs.columnar import ColumnarDiGraph  # noqa: E402
 from repro.graphs.digraph import DiGraph  # noqa: E402
-from repro.graphs.reachability import IntervalReachabilityIndex  # noqa: E402
-from repro.incremental.incbsim import BoundedSimulationIndex  # noqa: E402
+from repro.incremental.incbsim import (  # noqa: E402
+    DISTANCE_MODES,
+    BoundedSimulationIndex,
+)
 from repro.incremental.incsim import SimulationIndex  # noqa: E402
 from repro.incremental.types import delete, insert  # noqa: E402
 from repro.matching.relation import as_pairs  # noqa: E402
 from repro.patterns import predicate as predmod  # noqa: E402
 from repro.patterns.pattern import Pattern  # noqa: E402
 from repro.workloads.updates import label_partitioned_updates  # noqa: E402
+
+# Every scenario, in the order ``--scenario all`` runs them.
+SCENARIO_NAMES = (
+    "simulation", "bounded", "bounded-shared", "overlap", "overlap-atoms",
+    "shared-plan", "kernels", "temporal",
+)
+
+
+def timed(fn):
+    """``(seconds, fn())``: ``fn`` timed right after a full garbage
+    collection, so a cyclic-GC pass paid for earlier garbage does not
+    land in the timed region."""
+    gc.collect()
+    start = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - start, out
 
 
 def cluster_labels(i: int):
@@ -112,6 +133,19 @@ def build_graph(num_clusters: int, cluster_size: int, seed: int = 7) -> DiGraph:
     return g
 
 
+def partition_updates(graph: DiGraph, num_updates: int):
+    """The edge stream the ``simulation`` and ``bounded`` scenarios
+    replay: half insertions, half deletions, all in partition 0's label
+    space."""
+    return label_partitioned_updates(
+        graph,
+        cluster_labels(0),
+        num_insertions=num_updates // 2,
+        num_deletions=num_updates - num_updates // 2,
+        seed=11,
+    )
+
+
 def sim_pattern(i: int) -> Pattern:
     a, b, c = cluster_labels(i)
     return Pattern.normal_from_labels(
@@ -124,18 +158,6 @@ def bounded_pattern(i: int) -> Pattern:
     a, _, c = cluster_labels(i)
     return Pattern.from_spec(
         {"x": f"label = {a}", "z": f"label = {c}"}, [("x", "z", 2)]
-    )
-
-
-def reach_pattern(i: int) -> Pattern:
-    """An unbounded b-pattern: A{i} reaches C{i} by any nonempty path.
-
-    ``*`` legs are the ones the SCC-interval oracle answers *exactly*
-    (finite bounds need true distances and fall back to ball consults).
-    """
-    a, _, c = cluster_labels(i)
-    return Pattern.from_spec(
-        {"x": f"label = {a}", "z": f"label = {c}"}, [("x", "z", "*")]
     )
 
 
@@ -153,22 +175,17 @@ SCENARIOS = {
 }
 
 
-def run_pool(
-    graph, scenario, num_patterns, updates, distance_mode,
-    pattern_fn=None, graph_backend=None,
-):
+def run_pool(graph, scenario, num_patterns, updates, distance_mode):
     spec = SCENARIOS[scenario]
-    pool = MatcherPool(graph, graph_backend=graph_backend)
+    pool = MatcherPool(graph)
     for i in range(num_patterns):
         pool.register(
-            (pattern_fn or spec["pattern"])(i),
+            spec["pattern"](i),
             semantics=spec["semantics"],
             name=f"p{i}",
             distance_mode=distance_mode,
         )
-    start = time.perf_counter()
-    report = pool.apply(updates)
-    elapsed = time.perf_counter() - start
+    elapsed, report = timed(lambda: pool.apply(updates))
     return elapsed, pool, report
 
 
@@ -183,10 +200,12 @@ def run_naive(
         )
         for i in range(num_patterns)
     ]
-    start = time.perf_counter()
-    for idx in indexes:
-        idx.apply_batch(updates)
-    elapsed = time.perf_counter() - start
+
+    def feed():
+        for idx in indexes:
+            idx.apply_batch(updates)
+
+    elapsed, _ = timed(feed)
     return elapsed, indexes
 
 
@@ -303,9 +322,7 @@ def run_overlap_pool(graph, n, ops, pattern_fn):
         else:
             pool.queue(op[1])
     before = predmod.atom_evaluation_count()
-    start = time.perf_counter()
-    pool.flush()
-    elapsed = time.perf_counter() - start
+    elapsed, _ = timed(pool.flush)
     return elapsed, predmod.atom_evaluation_count() - before, pool
 
 
@@ -315,13 +332,16 @@ def run_overlap_naive(base, patterns, ops):
     baseline and correctness oracle; returns ``(elapsed, indexes)``."""
     indexes = [SimulationIndex(p, base.copy()) for p in patterns]
     edge_ops = [op[1] for op in ops if op[0] == "edge"]
-    start = time.perf_counter()
-    for idx in indexes:
-        for op in ops:
-            if op[0] == "node":
-                idx.update_node_attrs(op[1], **op[2])
-        idx.apply_batch(edge_ops)
-    return time.perf_counter() - start, indexes
+
+    def feed():
+        for idx in indexes:
+            for op in ops:
+                if op[0] == "node":
+                    idx.update_node_attrs(op[1], **op[2])
+            idx.apply_batch(edge_ops)
+
+    elapsed, _ = timed(feed)
+    return elapsed, indexes
 
 
 def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
@@ -452,8 +472,9 @@ def overlap_atoms_stream(graph, num_ops, seed=17):
     return ops
 
 
-# Minimum dict-backend flush time (ms, min-of-k) for a reach-oracle race
-# row to participate in the ``columnar_wins`` gate; see the docstring.
+# Minimum time (ms, min-of-k) the baseline side of a race must take for
+# the row to be gated; below it the whole race is timer jitter and the
+# verdict is reported ungated (``None``).
 RACE_GATE_FLOOR_MS = 1.0
 
 # The shared-plan race is only judged from this many registered queries
@@ -507,9 +528,8 @@ def run_plan_pool(graph, n, k, updates, plan_scope, reps):
                 plan_pattern(i, k), semantics="bounded", name=f"p{i}"
             )
         pool.stats.reset()
-        start = time.perf_counter()
-        report = pool.apply(updates)
-        best = min(best, time.perf_counter() - start)
+        elapsed, report = timed(lambda: pool.apply(updates))
+        best = min(best, elapsed)
     return best, pool, report
 
 
@@ -525,7 +545,7 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
       update stream alone, never of the number of registered queries;
     - **outright win**: at every N >= ``PLAN_GATE_MIN_N`` whose per-query
       flush clears ``RACE_GATE_FLOOR_MS`` (min-of-k timing, noise-floor
-      convention shared with the backend races), the shared plan's flush
+      convention shared with the other races), the shared plan's flush
       must be strictly cheaper than the per-query flush.  Below the floor
       or the minimum N the race is reported ungated (``None``).
 
@@ -650,176 +670,7 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
     }
 
 
-def run_reach_oracle_scenario(sizes, graph, updates, reps, gate_race=True):
-    """SCC-interval oracle routing + columnar id-space kernels, two legs.
-
-    **Backend race (bound-2 patterns, ``interval`` mode).** The flush's
-    dominant term in interval mode is pool-level: the oracle labelling is
-    rebuilt after net insertions and the shared source closures are
-    re-derived from it.  The columnar backend runs that rebuild with
-    id-space kernels (Tarjan/condensation over slot ids, fused
-    neighbourhood balls), so its flush must be *cheaper* than the dict
-    backend's at every N — that is the acceptance gate ``columnar_wins``.
-    ``landmark_ms`` (dict backend, same workload) is reported as the
-    routing-cost baseline the oracle competes with.
-
-    **Consult accounting (``*``-bound patterns, ``interval`` mode).**
-    Unbounded legs are the ones the oracle answers exactly.  The
-    labelling's ``consults`` / ``rebuilds`` / ``fallbacks`` counters and
-    the pool-wide eligible-set population are reported, not gated: routing
-    goes through ``ReachClosure`` membership, which the consult counter
-    does not see, so a gate over it would pass vacuously.
-
-    Both legs gate correctness against naive per-pattern indexes.
-
-    Timings in the backend race use **min-of-k** rather than the median:
-    tiny flushes are sub-millisecond, where scheduler interference only
-    ever *adds* time, so the minimum is the interference-robust estimator
-    (the same convention ``timeit`` uses); ``reps`` is floored at 7 here.
-    The ``columnar_wins`` gate only judges rows whose dict-backend run
-    takes at least ``RACE_GATE_FLOOR_MS`` — below that the whole flush is
-    timer jitter and a verdict either way would be noise, so such rows
-    are reported ungated (``columnar_wins`` is ``None`` when no row
-    qualifies).  Smoke runs pass ``gate_race=False`` and always report the
-    race ungated: smoke graphs are too small for the columnar kernels to
-    pay off (columnar loses ~0.5-0.9x there on constant overheads), so on
-    a slow host whose flushes cross the floor the gate could only fail.
-    """
-    print(
-        "\n== scenario: reach-oracle "
-        "(interval distance mode; dict vs columnar backend) =="
-    )
-    print(
-        f"{'N':>4} {'dict ms':>9} {'col ms':>9} {'dict/col':>9} "
-        f"{'lm ms':>9} {'consults':>9} {'eligible':>9} {'c/flush':>8}"
-    )
-    ok = True
-    results = []
-    times = {"dict": {}, "columnar": {}}
-    num_flushes = len(updates)
-    race_reps = max(reps, 7)
-    for n in sizes:
-        row = {"n": n}
-        # --- leg 1: bound-2 flush-cost race across backends -------------
-        pools = {}
-        for backend in ("dict", "columnar"):
-            backend_times = []
-            pool = None
-            for _ in range(race_reps):
-                t, pool, _ = run_pool(
-                    graph.copy(), "bounded", n, updates, "interval",
-                    graph_backend=backend,
-                )
-                backend_times.append(t)
-            times[backend][n] = min(backend_times)
-            pools[backend] = pool
-            key = "dict" if backend == "dict" else "columnar"
-            row[f"{key}_ms"] = round(times[backend][n] * 1e3, 3)
-        lm_times = []
-        for _ in range(race_reps):
-            t, _, _ = run_pool(
-                graph.copy(), "bounded", n, updates, "landmark",
-                graph_backend="dict",
-            )
-            lm_times.append(t)
-        row["landmark_ms"] = round(min(lm_times) * 1e3, 3)
-        _, indexes = run_naive(graph, "bounded", n, updates)
-        for i, idx in enumerate(indexes):
-            expect = as_pairs(idx.matches())
-            for backend, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH reach-oracle backend={backend} N={n} "
-                        f"pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
-        # --- leg 2: consult accounting on *-bound patterns --------------
-        _, star_pool, _ = run_pool(
-            graph.copy(), "bounded", n, updates, "interval",
-            pattern_fn=reach_pattern,
-        )
-        reach = star_pool.substrate.reachability_index()
-        stats = reach.stats() if reach is not None else {}
-        eligible = sum(
-            e["members"]
-            for e in star_pool.eligibility.live_entries().values()
-        )
-        consults = stats.get("consults", 0)
-        per_flush = consults / num_flushes if num_flushes else 0.0
-        row["consults"] = consults
-        row["rebuilds"] = stats.get("rebuilds", 0)
-        row["fallbacks"] = stats.get("fallbacks", 0)
-        row["eligible_members"] = eligible
-        row["consults_per_flush"] = round(per_flush, 2)
-        _, star_naive = run_naive(
-            graph, "bounded", n, updates, pattern_fn=reach_pattern
-        )
-        for i, idx in enumerate(star_naive):
-            if as_pairs(star_pool.query(f"p{i}").matches()) != as_pairs(
-                idx.matches()
-            ):
-                print(
-                    f"MISMATCH reach-oracle star N={n} pattern {i}",
-                    file=sys.stderr,
-                )
-                ok = False
-        ratio = (
-            times["dict"][n] / times["columnar"][n]
-            if times["columnar"][n] > 0
-            else float("inf")
-        )
-        row["dict_over_columnar"] = round(ratio, 2)
-        print(
-            f"{n:>4} {row['dict_ms']:>9.2f} {row['columnar_ms']:>9.2f} "
-            f"{ratio:>8.2f}x {row['landmark_ms']:>9.2f} "
-            f"{consults:>9} {eligible:>9} {per_flush:>8.1f}"
-        )
-        results.append(row)
-    gated = [
-        r for r in results
-        if gate_race and r["dict_ms"] >= RACE_GATE_FLOOR_MS
-    ]
-    columnar_wins = (
-        all(r["dict_over_columnar"] > 1.0 for r in gated) if gated else None
-    )
-    lo, hi = min(sizes), max(sizes)
-    growth = {
-        backend: (
-            times[backend][hi] / times[backend][lo]
-            if times[backend][lo] > 0
-            else 0.0
-        )
-        for backend in times
-    }
-    print(
-        f"interval flush cost grew {growth['dict']:.2f}x (dict) vs "
-        f"{growth['columnar']:.2f}x (columnar) from N={lo} to N={hi}; "
-        f"columnar_wins={columnar_wins}"
-    )
-    if columnar_wins is False:
-        print(
-            "reach-oracle: columnar backend did not beat dict on interval "
-            "flush cost",
-            file=sys.stderr,
-        )
-        ok = False
-    elif columnar_wins is None:
-        print(
-            f"reach-oracle: race ungated (smoke run, or all dict flushes "
-            f"under {RACE_GATE_FLOOR_MS}ms — noise-dominated at this scale)"
-        )
-    return ok, {
-        "sizes": sizes,
-        "reps": reps,
-        "results": results,
-        "growth_dict": round(growth["dict"], 3),
-        "growth_columnar": round(growth["columnar"], 3),
-        "columnar_wins": columnar_wins,
-    }
-
-
-# The conjunction vocabulary the kernels bulk-sweep leg leases: eight
+# The conjunction vocabulary the kernels bulk sweep leases: eight
 # distinct atoms over one numeric and one label column, mixing ordering
 # ops (numeric-shadow kernel), equality on strings (object-space kernel)
 # and a conjunction each so the intersection views are exercised too.
@@ -833,17 +684,9 @@ _KERNEL_PREDICATES = (
 
 
 def build_kernels_graph(num_nodes: int, seed: int = 23) -> ColumnarDiGraph:
-    """A dense columnar graph (E ~ 8·V) with a float ``score`` column and
-    a 3-valued ``label`` column — the substrate both kernel legs race on.
-
-    Bulk edges point from a lower to a higher node index, with a sprinkle
-    of adjacent-index back edges forming 2-cycles — so the condensation
-    keeps ~V small components and ~E cross-component edges, the regime
-    where the vectorized condensation kernel actually has work to
-    vectorize.  A uniformly random graph at this density collapses into
-    one giant SCC with no cross edges, degenerating both twins to the
-    shared Tarjan prefix.
-    """
+    """A dense columnar graph (E ~ 8·V, edges from a lower to a higher
+    node index) with a float ``score`` column and a 3-valued ``label``
+    column — the graph the kernels bulk sweep races on."""
     rng = random.Random(seed)
     g = ColumnarDiGraph()
     labels = ("A", "B", "C")
@@ -857,9 +700,6 @@ def build_kernels_graph(num_nodes: int, seed: int = 23) -> ColumnarDiGraph:
         v, w = rng.randrange(num_nodes), rng.randrange(num_nodes)
         if v != w:
             g.add_edge(f"n{min(v, w)}", f"n{max(v, w)}")
-    for _ in range(max(1, num_nodes // 50)):
-        j = rng.randrange(num_nodes - 1)
-        g.add_edge(f"n{j + 1}", f"n{j}")
     return g
 
 
@@ -871,9 +711,8 @@ def _with_kernel_mode(mode, fn, reps):
         best = float("inf")
         out = None
         for _ in range(reps):
-            start = time.perf_counter()
-            out = fn()
-            best = min(best, time.perf_counter() - start)
+            elapsed, out = timed(fn)
+            best = min(best, elapsed)
     finally:
         if prev is None:
             os.environ.pop("REPRO_KERNELS", None)
@@ -883,28 +722,22 @@ def _with_kernel_mode(mode, fn, reps):
 
 
 def run_kernels_scenario(sizes, cluster_size, reps):
-    """numpy kernels vs their pure-Python twins on the bulk hot paths.
+    """numpy kernels vs their pure-Python twins on the bulk atom sweep.
 
-    Two legs, both on a dense :class:`ColumnarDiGraph` (no pool — this is
-    the one microbench that times the kernel layer itself):
-
-    - **bulk atom sweep**: build a fresh :class:`SharedEligibilityIndex`
-      and lease the 8-atom conjunction vocabulary, so every atom pays its
-      first-lease full-column sweep (``_atom_sweep_members`` under numpy,
-      per-node ``satisfied_by`` under python);
-    - **interval rebuild**: construct an
-      :class:`IntervalReachabilityIndex`, whose condensation step runs the
-      vectorized ``condensation_arrays`` kernel under numpy and the
-      generic DAG-object path under python.
+    On a dense :class:`ColumnarDiGraph` (no pool — this is the one
+    microbench that times the kernel layer itself), build a fresh
+    :class:`SharedEligibilityIndex` and lease the 8-atom conjunction
+    vocabulary, so every atom pays its first-lease full-column sweep
+    (``_atom_sweep_members`` under numpy, per-node ``satisfied_by`` under
+    python).
 
     Timings are **min-of-k** (``reps`` floored at 7 — scheduler noise
     only ever adds time).  The acceptance gate is judged at the largest
     size only, and only when the python twin's time clears
     ``RACE_GATE_FLOOR_MS`` (below that the race is timer jitter and the
     verdict is reported ungated as ``None``): numpy must be strictly
-    faster on *both* legs.  Each leg also cross-checks results across
-    modes — member sets per predicate, component labelling and sampled
-    reachability answers must be identical.
+    faster.  The member sets per predicate must be identical across
+    modes.
     """
     print("\n== scenario: kernels "
           "(numpy kernels vs pure-Python twins, columnar backend) ==")
@@ -915,8 +748,7 @@ def run_kernels_scenario(sizes, cluster_size, reps):
     node_counts = sorted({cluster_size * n for n in sizes})[-3:]
     race_reps = max(reps, 7)
     preds = [predmod.parse_predicate(text) for text in _KERNEL_PREDICATES]
-    print(f"{'V':>6} {'E':>7} {'sweep np':>9} {'sweep py':>9} {'py/np':>7} "
-          f"{'intv np':>9} {'intv py':>9} {'py/np':>7}")
+    print(f"{'V':>6} {'E':>7} {'sweep np':>9} {'sweep py':>9} {'py/np':>7}")
     ok = True
     results = []
 
@@ -926,76 +758,42 @@ def run_kernels_scenario(sizes, cluster_size, reps):
 
     for num_nodes in node_counts:
         g = build_kernels_graph(num_nodes)
-        rng = random.Random(num_nodes)
-        names = sorted(g.nodes())
-        pairs = [
-            (rng.choice(names), rng.choice(names)) for _ in range(200)
-        ]
         row = {"n": num_nodes, "edges": g.num_edges()}
         sweeps = {}
-        intervals = {}
         for mode in ("numpy", "python"):
             t, sweeps[mode] = _with_kernel_mode(
                 mode, lambda: bulk_sweep(g), race_reps
             )
             row[f"bulk_{mode}_ms"] = round(t * 1e3, 3)
-            # Time construction only; the correctness fingerprint
-            # (identical work in both modes) is taken off the clock.
-            t, r = _with_kernel_mode(
-                mode, lambda: IntervalReachabilityIndex(g), race_reps
-            )
-            row[f"interval_{mode}_ms"] = round(t * 1e3, 3)
-            intervals[mode] = (
-                tuple(r.component_of(v) for v in names),
-                tuple(r.reachable(x, y) for x, y in pairs),
-            )
         if sweeps["numpy"] != sweeps["python"]:
             print(f"MISMATCH kernels bulk sweep V={num_nodes}: member "
                   f"sets differ across modes", file=sys.stderr)
             ok = False
-        if intervals["numpy"] != intervals["python"]:
-            print(f"MISMATCH kernels interval V={num_nodes}: labelling "
-                  f"or reachability differs across modes", file=sys.stderr)
-            ok = False
         row["bulk_python_over_numpy"] = round(
             row["bulk_python_ms"] / row["bulk_numpy_ms"], 2
         ) if row["bulk_numpy_ms"] else float("inf")
-        row["interval_python_over_numpy"] = round(
-            row["interval_python_ms"] / row["interval_numpy_ms"], 2
-        ) if row["interval_numpy_ms"] else float("inf")
         print(f"{num_nodes:>6} {row['edges']:>7} "
               f"{row['bulk_numpy_ms']:>9.2f} {row['bulk_python_ms']:>9.2f} "
-              f"{row['bulk_python_over_numpy']:>6.2f}x "
-              f"{row['interval_numpy_ms']:>9.2f} "
-              f"{row['interval_python_ms']:>9.2f} "
-              f"{row['interval_python_over_numpy']:>6.2f}x")
+              f"{row['bulk_python_over_numpy']:>6.2f}x")
         results.append(row)
     top = results[-1]
-    gates = {}
-    for leg in ("bulk", "interval"):
-        if top[f"{leg}_python_ms"] < RACE_GATE_FLOOR_MS:
-            gates[leg] = None
-        else:
-            gates[leg] = (
-                top[f"{leg}_numpy_ms"] < top[f"{leg}_python_ms"]
-            )
-    for leg, verdict in gates.items():
-        if verdict is None:
-            print(f"kernels: {leg} race ungated (python twin under "
-                  f"{RACE_GATE_FLOOR_MS}ms at V={top['n']} — "
-                  f"noise-dominated at this scale)")
-        elif verdict is False:
+    if top["bulk_python_ms"] < RACE_GATE_FLOOR_MS:
+        numpy_wins = None
+        print(f"kernels: bulk race ungated (python twin under "
+              f"{RACE_GATE_FLOOR_MS}ms at V={top['n']} — "
+              f"noise-dominated at this scale)")
+    else:
+        numpy_wins = top["bulk_numpy_ms"] < top["bulk_python_ms"]
+        if not numpy_wins:
             print(f"kernels: numpy did not beat the python twin on the "
-                  f"{leg} leg at V={top['n']}", file=sys.stderr)
+                  f"bulk sweep at V={top['n']}", file=sys.stderr)
             ok = False
-    print(f"numpy_wins_bulk={gates['bulk']} "
-          f"numpy_wins_interval={gates['interval']}")
+    print(f"numpy_wins_bulk={numpy_wins}")
     return ok, {
         "sizes": node_counts,
         "reps": race_reps,
         "results": results,
-        "numpy_wins_bulk": gates["bulk"],
-        "numpy_wins_interval": gates["interval"],
+        "numpy_wins_bulk": numpy_wins,
     }
 
 
@@ -1096,9 +894,8 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
             pool.advance(TEMPORAL_WINDOW + 1)
             upkeep_before = pool.substrate.stats.structure_batches
             rebuilds_before = pool.rebuild_counters()["total"]
-            start = time.perf_counter()
-            report = pool.flush()
-            bulk_times.append(time.perf_counter() - start)
+            elapsed, report = timed(pool.flush)
+            bulk_times.append(elapsed)
             upkeep = pool.substrate.stats.structure_batches - upkeep_before
             rebuild_delta = pool.rebuild_counters()["total"] - rebuilds_before
         row["expiry_bulk_ms"] = round(min(bulk_times) * 1e3, 3)
@@ -1118,11 +915,14 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
         for _ in range(race_reps):
             twin = make_pool(n, None)
             twin.apply(churn)
-            start = time.perf_counter()
-            for u in churn:
-                twin.queue(delete(*u.edge))
-                twin.flush()
-            per_edge_times.append(time.perf_counter() - start)
+
+            def retire_one_by_one():
+                for u in churn:
+                    twin.queue(delete(*u.edge))
+                    twin.flush()
+
+            elapsed, _ = timed(retire_one_by_one)
+            per_edge_times.append(elapsed)
         row["expiry_per_edge_ms"] = round(min(per_edge_times) * 1e3, 3)
         # --- leg 3: steady-state window step (expire + ingest) -----------
         step_times = []
@@ -1131,9 +931,8 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
             spool.apply(churn)
             spool.advance(TEMPORAL_WINDOW + 1)
             spool.queue_updates(churn2)
-            start = time.perf_counter()
-            spool.flush()
-            step_times.append(time.perf_counter() - start)
+            elapsed, _ = timed(spool.flush)
+            step_times.append(elapsed)
         row["windowed_ms"] = round(min(step_times) * 1e3, 3)
         # --- correctness: windowed == per-edge twin == from-scratch ------
         pool.check_temporal_invariants()
@@ -1236,15 +1035,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scenario",
-        choices=[*SCENARIOS, "bounded-shared", "overlap", "overlap-atoms",
-                 "shared-plan", "reach-oracle", "kernels", "temporal",
-                 "all"],
+        choices=[*SCENARIO_NAMES, "all"],
         default="all",
         help="which workload to run",
     )
     parser.add_argument(
         "--distance-mode",
-        choices=["bfs", "landmark", "matrix", "interval"],
+        choices=DISTANCE_MODES,
         default="bfs",
         help="distance mode for the bounded scenario's pool queries",
     )
@@ -1271,22 +1068,14 @@ def main(argv=None) -> int:
 
     max_n = max(sizes)
     graph = build_graph(max_n, cluster_size)
-    updates = label_partitioned_updates(
-        graph,
-        cluster_labels(0),
-        num_insertions=num_updates // 2,
-        num_deletions=num_updates - num_updates // 2,
-        seed=11,
-    )
+    updates = partition_updates(graph, num_updates)
     print(
         f"graph: |V|={graph.num_nodes()} |E|={graph.num_edges()}  "
         f"updates: {len(updates)} (all in partition 0's label space)"
     )
 
     if args.scenario == "all":
-        scenarios = [*SCENARIOS, "bounded-shared", "overlap",
-                     "overlap-atoms", "shared-plan", "reach-oracle",
-                     "kernels", "temporal"]
+        scenarios = SCENARIO_NAMES
     else:
         scenarios = [args.scenario]
     ok = True
@@ -1328,13 +1117,6 @@ def main(argv=None) -> int:
             plan_sizes = [n for n in sizes if n <= 16] or sizes[:1]
             s_ok, s_doc = run_shared_plan_scenario(
                 plan_sizes, graph, num_updates, reps
-            )
-        elif scenario == "reach-oracle":
-            # Oracle rebuilds are pool-level and O(|V|+|E|); the backend
-            # contrast is already decisive on a capped size sweep.
-            reach_sizes = [n for n in sizes if n <= 16] or sizes[:1]
-            s_ok, s_doc = run_reach_oracle_scenario(
-                reach_sizes, graph, updates, reps, gate_race=not args.tiny
             )
         elif scenario == "kernels":
             s_ok, s_doc = run_kernels_scenario(sizes, cluster_size, reps)

@@ -30,6 +30,7 @@ from typing import List
 from .core.engine import Matcher
 from .engine import MatcherPool
 from .graphs.io import load_json as load_graph
+from .incremental.incbsim import DISTANCE_MODES
 from .incremental.types import Update, validate_update
 from .patterns.io import load_pattern
 
@@ -121,11 +122,11 @@ def main(argv=None) -> int:
         "--distance-mode",
         nargs="+",
         default=["bfs"],
-        choices=["bfs", "landmark", "matrix", "interval"],
+        choices=DISTANCE_MODES,
         metavar="MODE",
-        help="bounded-simulation distance structure (bfs | landmark | "
-        "matrix | interval); one value applies to every pattern, or give "
-        "exactly one per --patterns entry",
+        help="bounded-simulation distance structure "
+        f"({' | '.join(DISTANCE_MODES)}); one value applies to every "
+        "pattern, or give exactly one per --patterns entry",
     )
     pool.add_argument(
         "--graph-backend",

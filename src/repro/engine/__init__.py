@@ -7,15 +7,14 @@
   signature, and a match-delta change feed;
 - :class:`UpdateRouter` — the label/predicate-keyed routing index;
 - :class:`SharedDistanceSubstrate` — pool-level shared distance
-  structures (landmark vectors / matrix / interval labelling) leased by
+  structures (landmark vectors / matrix) leased by
   bounded queries so upkeep is paid once per pool, not once per query,
   and the memoized edge legs their routing and repair share;
 - :class:`SharedEligibilityIndex` — pool-level predicate-eligibility
   substrate, two-tiered: one posting set per distinct *atom* (evaluated
   once per node event pool-wide) composed into one eligible-node set per
   distinct *predicate* (an intersection view reconciled in O(1) per atom
-  flip), leased as read-views by queries and by the distance substrate,
-  so per-flush atomic evaluations scale with distinct atoms rather than
+  flip), leased as read-views by queries, so per-flush atomic evaluations scale with distinct atoms rather than
   distinct conjunctions or pool size;
 - :class:`SharedPlan` — the pool-level multi-query plan: one interned
   index per distinct canonical pattern (and semantics and distance

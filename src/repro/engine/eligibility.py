@@ -16,11 +16,11 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
   (:class:`~repro.patterns.predicate.Predicate` canonicalizes conjunct
   order and dedupes atoms at construction, so ``age>25 & job=DB`` and its
   permutation hash equal);
-- per distinct **atom** the index owns one version-counted posting set
+- per distinct **atom** the index owns one posting set
   (:class:`AtomEntry`), evaluated **once** per node event pool-wide —
   ``job = 'DB'`` and ``job = 'DB' & age > 25`` pay for the shared atom
   once, however many conjunctions use it;
-- per interned predicate the index owns **one** version-counted
+- per interned predicate the index owns **one**
   :class:`EligibleSet` of currently-satisfying data nodes, maintained as
   an **intersection view** over its atoms' posting sets: an atom flip
   reconciles each dependent conjunction with O(1) membership checks
@@ -32,11 +32,7 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
   :class:`EligibilityLeaseError` instead of silently corrupting refcounts;
 - a :meth:`~repro.patterns.predicate.Predicate.is_unsatisfiable`
   conjunction short-circuits to an empty, upkeep-free set: no atom leases,
-  no reconciliation, nothing to maintain;
-- every membership change bumps the set's ``version``, so a downstream
-  cache over a leased set (the distance substrate's
-  :class:`~repro.graphs.reachability.ReachClosure`) compares versions
-  instead of subscribing to flips.
+  no reconciliation, nothing to maintain.
 
 Every query registered with the pool leases its candidate sets here;
 there is no private-copy path inside a pool (standalone indexes still
@@ -109,12 +105,11 @@ class AtomEntry:
     directly.
     """
 
-    __slots__ = ("atom", "members", "version", "refs", "dependents")
+    __slots__ = ("atom", "members", "refs", "dependents")
 
     def __init__(self, atom: Atom, members: Set[Node]) -> None:
         self.atom = atom
         self.members = members
-        self.version = 0
         self.refs = 0
         self.dependents: List["EligibleSet"] = []
 
@@ -131,10 +126,8 @@ class EligibleSet:
     ``members`` is the live set — the intersection of ``atom_entries``
     posting sets, maintained incrementally; **only** the owning
     :class:`SharedEligibilityIndex` mutates it (in place: downstream
-    aliases — reach closures, the queries' edge-routing pairs — hold the
-    *object*, never a copy).  ``version`` bumps on every membership
-    change: the reach closures cache against it, and ``live_entries``
-    surfaces it.
+    aliases — the queries' eligible sets and edge-routing pairs — hold
+    the *object*, never a copy).
 
     ``atom_entries`` is empty for the trivial (TRUE) predicate — every
     node is a member — and for unsatisfiable conjunctions — no node ever
@@ -146,7 +139,6 @@ class EligibleSet:
         "members",
         "atom_entries",
         "attr_names",
-        "version",
         "refs",
     )
 
@@ -164,7 +156,6 @@ class EligibleSet:
         # evaluation entirely (the attr-name routing stage, kept at the
         # substrate level — now per atom via ``_by_attr``).
         self.attr_names = frozenset(a.attribute for a in predicate.atoms)
-        self.version = 0
         self.refs = 0
 
     def __contains__(self, v: Node) -> bool:
@@ -176,7 +167,7 @@ class EligibleSet:
     def __repr__(self) -> str:
         return (
             f"EligibleSet({self.predicate!r}, |members|={len(self.members)}, "
-            f"version={self.version}, refs={self.refs})"
+            f"refs={self.refs})"
         )
 
 
@@ -411,7 +402,6 @@ class SharedEligibilityIndex:
                 was = v in members
                 if now is not was:
                     (members.add if now else members.discard)(v)
-                    ae.version += 1
                     for dep in ae.dependents:
                         affected.setdefault(id(dep), {})[v] = None
         return self._reconcile_batch(affected)
@@ -420,8 +410,8 @@ class SharedEligibilityIndex:
         self, affected: Dict[int, Dict[Node, None]]
     ) -> List[EventFlip]:
         """Re-derive membership of each affected (entry, node) pair from
-        the atoms' (already updated) posting sets, mutate the member sets
-        (bumping their versions), and return the flips.
+        the atoms' (already updated) posting sets, mutate the member sets,
+        and return the flips.
 
         Iterates ``_entries`` in interning order so flip order is
         deterministic per batch.  Unsatisfiable entries are never wired to
@@ -441,11 +431,9 @@ class SharedEligibilityIndex:
                 was = v in entry.members
                 if now and not was:
                     entry.members.add(v)
-                    entry.version += 1
                     flips.append((predicate, v, True))
                 elif was and not now:
                     entry.members.remove(v)
-                    entry.version += 1
                     flips.append((predicate, v, False))
         self.stats.flips += len(flips)
         return flips
@@ -463,12 +451,11 @@ class SharedEligibilityIndex:
         return len(self._atoms)
 
     def live_entries(self) -> Dict[str, Dict[str, int]]:
-        """Per interned predicate: lease count, member count, version."""
+        """Per interned predicate: lease count and member count."""
         return {
             repr(predicate): {
                 "refs": entry.refs,
                 "members": len(entry.members),
-                "version": entry.version,
             }
             for predicate, entry in self._entries.items()
         }

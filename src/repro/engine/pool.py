@@ -27,14 +27,14 @@ Every registered query reads one set of pool-level auxiliary structures
 (the "one maintained structure per sub-formula" shape of answering
 queries under updates).  Predicate eligibility lives in the
 :class:`~repro.engine.eligibility.SharedEligibilityIndex`: one
-version-counted eligible-node set per *distinct* predicate, updated once
-per node event, with queries leasing read-views — so per-flush predicate
+eligible-node set per *distinct* predicate, updated once per node
+event, with queries leasing read-views — so per-flush predicate
 evaluations scale with distinct atoms, not pool size, and node events
 route as predicate *flips* (:meth:`UpdateRouter.route_flips`).  Bounded
 queries lease their distance structures from the
 :class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
-index / matrix / interval oracle per pool, synced exactly once per flush
-phase however many queries lease it, plus one memoized pair of edge legs
+index / matrix per pool, synced exactly once per flush phase however
+many queries lease it, plus one memoized pair of edge legs
 per (edge, radius) that routing and repair share.
 
 A pool constructed with ``window=...`` (or fed per-insert ``ttl``
@@ -42,9 +42,9 @@ overrides) is **temporal**: every inserted edge is stamped with a logical
 (or caller-supplied) timestamp, and each flush begins by retiring every
 out-of-window edge in ONE coalesced deletion batch that rides the normal
 pre-edit deletion phase — so eligibility posting sets, landmark vectors,
-the matrix, the interval oracle, and the routed indexes (shared-plan
-interned ones included) all absorb a single netted decremental batch per
-flush instead of N scattered deletes.
+the matrix, and the routed indexes (shared-plan interned ones included)
+all absorb a single netted decremental batch per flush instead of N
+scattered deletes.
 Expiry deletes are queued *before* user updates, so re-inserting an
 expired edge within the same flush nets to zero graph work and simply
 refreshes the stamp (the ``minDelta`` cancellation doing double duty).
@@ -235,13 +235,11 @@ class MatcherPool:
         self.graph_backend = type(graph).backend_name()
         self.stats = PoolStats()
         # One eligible-node set per distinct predicate, leased by every
-        # query and by the distance substrate's reach closures;
-        # one distance structure per (graph, distance_mode), leased by all
-        # bounded queries and synced exactly once per flush phase below.
+        # query; one distance structure per (graph, distance_mode), leased
+        # by all bounded queries and synced exactly once per flush phase
+        # below.
         self.eligibility = SharedEligibilityIndex(graph)
-        self.substrate = SharedDistanceSubstrate(
-            graph, eligibility=self.eligibility, lm_budget=lm_budget
-        )
+        self.substrate = SharedDistanceSubstrate(graph, lm_budget=lm_budget)
         # The multi-query plan: queries registered with plan_scope
         # 'shared' (and a plannable semantics) read one interned index
         # per distinct pattern shape instead of owning private indexes.
@@ -809,9 +807,8 @@ class MatcherPool:
         substrate, plus their ``total``.
 
         The temporal test suites snapshot this around an expiry flush to
-        assert bulk expiry rides the decremental repair paths: landmark
-        vectors apply deletion batches, the interval oracle tolerates
-        deletions under its budget, and neither does a full rebuild.
+        assert bulk expiry rides the decremental repair path: landmark
+        vectors apply deletion batches and do no full rebuild.
         """
         counters = dict(self.substrate.rebuild_counters())
         counters["total"] = sum(counters.values())

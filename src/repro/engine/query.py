@@ -336,7 +336,7 @@ class ContinuousQuery:
         """Distance-aware oracle: can an edge update (v, w) touch a pair?
 
         Only meaningful for ``distance_routed`` queries; backed by the
-        pool substrate's memoized edge legs or shared reach closures.
+        pool substrate's memoized edge legs.
         """
         return self.index.can_affect_edge(v, w)
 

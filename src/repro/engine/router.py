@@ -16,10 +16,9 @@ regime of Berkholz et al. — by indexing each query's *routing signature*:
   an edge between unlabeled nodes can shorten or break a witness path, so
   endpoint attributes alone are unsound — instead each such query's
   :meth:`~repro.engine.query.ContinuousQuery.can_affect_edge` oracle
-  proves or refutes relevance per edge from the pool substrate: the
-  edge's memoized legs (``bfs``/``landmark``/``matrix``; the same BFS
-  pair the routed queries' repair then reads) or the reach closures
-  (``interval``).  Over the legs, an edge is routed only when the
+  proves or refutes relevance per edge from the edge's memoized legs
+  in the pool substrate (the same BFS pair the routed queries' repair
+  then reads): an edge is routed only when the
   nearest eligible source before it and the nearest eligible target
   after it fit a witness within the bound ``k``:
   ``d(a, x) + 1 + d(y, c) <= k``, the rule repair applies to each pair.

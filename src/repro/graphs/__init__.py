@@ -3,7 +3,6 @@
 from .columnar import MISSING, ColumnarDiGraph, NodeInterner, as_backend
 from .digraph import DiGraph, GraphError
 from .distance import DistanceMatrix, floyd_warshall
-from .reachability import IntervalReachabilityIndex, ReachClosure
 from .generators import (
     chain,
     complete_graph,
@@ -47,8 +46,6 @@ __all__ = [
     "NodeInterner",
     "MISSING",
     "as_backend",
-    "IntervalReachabilityIndex",
-    "ReachClosure",
     "GraphError",
     "DistanceMatrix",
     "floyd_warshall",

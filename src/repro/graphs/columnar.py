@@ -563,25 +563,6 @@ class ColumnarDiGraph(DiGraph):
         nodes = self._interner._nodes
         return {nodes[i] for i in id_arr[mask].tolist()}
 
-    def _condensation_lists(self):
-        """numpy-built condensation adjacency for the interval oracle.
-
-        Returns ``(ncomp, children, parents, comp_of, dag_csr)`` — see
-        :func:`repro.graphs.kernels.condensation_arrays` — or ``None``
-        when the numpy kernels are inactive (the caller builds the DAG
-        through :meth:`_condensation`).
-        """
-        if not kernels.use_numpy():
-            return None
-        comps = self._scc_components_ids()
-        indptr, indices = self._csr_arrays(reverse=False)
-        comp_of_id, children, parents, dag_csr = kernels.condensation_arrays(
-            indptr, indices, comps
-        )
-        col = comp_of_id.tolist()
-        comp_of = {node: col[i] for node, i in self._interner._ids.items()}
-        return len(comps), children, parents, comp_of, dag_csr
-
     # ------------------------------------------------------------------
     # Id-space traversal fast paths (duck-typed hooks for traversal.py)
     # ------------------------------------------------------------------

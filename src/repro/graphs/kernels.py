@@ -1,9 +1,8 @@
 """Optional numpy kernel layer for the columnar graph backend.
 
 Every kernel in this module has a pure-Python twin at its call site: the
-columnar backend (and the structures layered on top of it — the shared
-eligibility substrate, the SCC-interval reachability oracle) first asks
-:func:`use_numpy`, and a kernel that cannot handle a particular input
+columnar backend (and the shared eligibility substrate layered on top
+of it) first asks :func:`use_numpy`, and a kernel that cannot handle a particular input
 shape returns ``None`` so the caller falls back to the Python twin.  That
 makes numpy a strict accelerator, never a semantic dependency:
 
@@ -15,16 +14,16 @@ makes numpy a strict accelerator, never a semantic dependency:
 * unset / empty picks numpy when importable, Python otherwise.
 
 The kernels themselves are deliberately dumb: CSR adjacency snapshots,
-level-synchronous BFS frontiers, typed column snapshots for bulk atom
-evaluation, and condensation-DAG extraction from edge arrays.  All
-decline/fallback policy lives here so the call sites stay single-branch.
+level-synchronous BFS frontiers, and typed column snapshots for bulk atom
+evaluation.  All decline/fallback policy lives here so the call sites
+stay single-branch.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via both CI matrix legs
     import numpy as _np
@@ -263,81 +262,3 @@ def atom_mask(snap: ColumnSnapshot, ids, op: str, value: Any):
     if not isinstance(m, _np.ndarray):  # value defeated elementwise compare
         return None
     return m.astype(bool) & present
-
-
-# --------------------------------------------------------------------------
-# Condensation-DAG extraction
-
-
-def condensation_arrays(
-    indptr,
-    indices,
-    comps: Sequence[Sequence[int]],
-):
-    """Build condensation adjacency from a CSR snapshot plus SCC id lists.
-
-    Returns ``(comp_of_id, children, parents, dag_csr)`` where
-    ``comp_of_id`` maps slot id -> component index (undefined for freed
-    slots — edges never reference them), ``children``/``parents`` are
-    deduplicated, sorted ``List[List[int]]`` adjacency over component
-    indices, and ``dag_csr`` is ``(fwd_indptr, fwd_indices, rev_indptr,
-    rev_indices)`` over the same component space for batch closure
-    recomputation.
-    """
-    ncomp = len(comps)
-    cap = len(indptr) - 1
-    comp_of_id = _np.empty(cap, dtype=_np.int64)
-    sizes = [len(c) for c in comps]
-    if ncomp:
-        flat = _np.fromiter(
-            (i for comp in comps for i in comp),
-            dtype=_np.int64,
-            count=sum(sizes),
-        )
-        comp_of_id[flat] = _np.repeat(
-            _np.arange(ncomp, dtype=_np.int64), sizes
-        )
-    src_ids = _np.repeat(
-        _np.arange(cap, dtype=_np.int64), _np.diff(indptr)
-    )
-    csrc = comp_of_id[src_ids]
-    cdst = comp_of_id[indices]
-    cross = csrc != cdst
-    if cross.any():
-        # Encode (src, dst) pairs into one key so np.unique dedups and
-        # sorts them src-major in a single pass.
-        keys = _np.unique(csrc[cross] * ncomp + cdst[cross])
-        dsrc = keys // ncomp
-        ddst = keys % ncomp
-    else:
-        dsrc = ddst = _np.empty(0, dtype=_np.int64)
-    children = _grouped(dsrc, ddst, ncomp)
-    fwd = _pair_csr(dsrc, ddst, ncomp)
-    if dsrc.size:
-        rkeys = _np.unique(ddst * ncomp + dsrc)
-        rsrc = rkeys // ncomp
-        rdst = rkeys % ncomp
-    else:
-        rsrc = rdst = dsrc
-    parents = _grouped(rsrc, rdst, ncomp)
-    rev = _pair_csr(rsrc, rdst, ncomp)
-    return comp_of_id, children, parents, fwd + rev
-
-
-def _pair_csr(src, dst, n) -> Tuple[Any, Any]:
-    """CSR (indptr, indices) from src-sorted pair arrays."""
-    indptr = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst
-
-
-def _grouped(src, dst, n) -> List[List[int]]:
-    """src-sorted pair arrays -> per-source Python adjacency lists."""
-    counts = _np.bincount(src, minlength=n)
-    out: List[List[int]] = []
-    pos = 0
-    dl = dst.tolist()
-    for c in counts.tolist():
-        out.append(dl[pos : pos + c])
-        pos += c
-    return out

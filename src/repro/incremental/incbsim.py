@@ -53,21 +53,9 @@ standalone index owns are synced by one helper,
   answers rechecks from the vectors — the paper's Section 6.3 algorithm;
 - ``'matrix'``    — maintains a full all-pairs matrix (min-plus updates on
   insert, rebuild on delete): the ``IncBMatch_m`` baseline of Exp-2, whose
-  heavier auxiliary structure is exactly what Fig. 19 measures;
-- ``'interval'``  — routes through an SCC-interval reachability oracle
-  (:class:`~repro.graphs.reachability.IntervalReachabilityIndex`): the
-  routing oracle over-approximates "within bound k" by "reachable", with
-  per-(predicate, direction) :class:`ReachClosure` caches making each
-  consult an O(1) component-membership test (sublinear in the eligible
-  sets); suspect rechecks use exact reachability for ``*`` bounds when
-  the labelling is clean and the probes otherwise (a dirty labelling
-  never rebuilds just for rechecks — bulk deletion batches such as window
-  expiry stay decremental).  Cheapest upkeep of the four —
-  the labelling rebuilds lazily under a staleness budget that only ever
-  errs toward routing *more* edges (deletions tolerated, insertions
-  force a rebuild).
+  heavier auxiliary structure is exactly what Fig. 19 measures.
 
-A standalone index owns the landmark index / matrix / interval oracle
+A standalone index owns the landmark index or matrix
 its suspect rechecks read, and computes each edge's legs itself.  A
 pool-registered index receives the pool's
 :class:`~repro.engine.distances.SharedDistanceSubstrate` instead: the
@@ -80,8 +68,7 @@ routed query's recheck in a flush extends one partial BFS per suspect
 source and bound.  A standalone index builds the same probes itself,
 shared across its own rechecks of one batch.
 The distance-aware routing oracle (:meth:`can_affect_edge`) exists only
-for pool routing and reads only substrate structures: the reach
-closures in ``interval`` mode, the memoized legs in every other mode.
+for pool routing and reads only the substrate's memoized legs.
 """
 
 from __future__ import annotations
@@ -90,7 +77,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
-from ..graphs.reachability import IntervalReachabilityIndex, ReachClosure
 from ..graphs.traversal import (
     INF,
     Legs,
@@ -111,7 +97,7 @@ from .types import Update, delete as upd_delete, insert as upd_insert
 
 PatternEdge = Tuple[PatternNode, PatternNode]
 LAYER_ATTR = "__layer__"
-DISTANCE_MODES = ("bfs", "landmark", "matrix", "interval")
+DISTANCE_MODES = ("bfs", "landmark", "matrix")
 
 
 def _layered_pattern(pattern: Pattern) -> Pattern:
@@ -142,9 +128,9 @@ class BoundedSimulationIndex(StandaloneDriver):
         self.graph = graph
         self.distance_mode = distance_mode
         # A pool-level SharedDistanceSubstrate (engine.distances).  When
-        # set, the landmark index / matrix / interval oracle are leased
-        # rather than owned, edge legs are read from its memo, and the pool
-        # keeps every shared structure in sync.  A substrate-backed index must
+        # set, the landmark index / matrix are leased rather than owned,
+        # edge legs are read from its memo, and the pool keeps every
+        # shared structure in sync.  A substrate-backed index must
         # therefore be driven through the pool's prepare/repair entry
         # points, not the standalone insert_edge/delete_edge/apply_batch
         # drivers (which sync only structures the index owns).
@@ -170,16 +156,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         self._inner = SimulationIndex(_layered_pattern(pattern), self._pair_graph)
         self._lm: Optional[LandmarkIndex] = None
         self._matrix: Optional[DistanceMatrix] = None
-        # Interval mode: SCC-interval reachability oracle, leased with one
-        # source closure per (predicate, direction) under a substrate; a
-        # standalone index owns the oracle (built lazily on the first
-        # suspect recheck) and has no closures.
-        self._reach: Optional[IntervalReachabilityIndex] = None
-        self._reach_leased = False
-        self._reach_closures: Optional[
-            Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]]
-        ] = None
-        self._closure_keys: List[Tuple[Predicate, bool]] = []
         if distance_mode == "landmark":
             if substrate is not None:
                 self._lm = substrate.lease_landmarks(strategy=landmark_strategy)
@@ -190,23 +166,6 @@ class BoundedSimulationIndex(StandaloneDriver):
                 self._matrix = substrate.lease_matrix()
             else:
                 self._matrix = DistanceMatrix(graph)
-        elif distance_mode == "interval" and substrate is not None:
-            # Lease the shared oracle and closures eagerly (build cost
-            # belongs to registration); the oracle is also consulted for
-            # *-bound suspect rechecks, so lease it even when the bounds
-            # alone would not force distance routing.
-            self._reach = substrate.lease_reachability()
-            self._reach_leased = True
-            closures: Dict[PatternEdge, Tuple[ReachClosure, ReachClosure]] = {}
-            for (u, u2) in self._bounds:
-                src_key = (pattern.predicate(u), False)
-                tgt_key = (pattern.predicate(u2), True)
-                closures[(u, u2)] = (
-                    substrate.lease_reach_closure(*src_key),
-                    substrate.lease_reach_closure(*tgt_key),
-                )
-                self._closure_keys.extend((src_key, tgt_key))
-            self._reach_closures = closures
 
     # ------------------------------------------------------------------
     # Pair graph construction
@@ -479,42 +438,11 @@ class BoundedSimulationIndex(StandaloneDriver):
         probe of its source and bound (:meth:`_probe`) whether its target
         is still within bound: the probe's BFS expands only until the
         targets asked so far are decided, and in a pool every routed
-        query's recheck in the flush extends the same memoized probe.  In
-        ``interval`` mode, ``*``-bound pairs ask the reachability oracle
-        exactly when its labelling is clean (each consult is then
-        near-O(1)); a *dirty* labelling would pay a full rebuild just to
-        answer rechecks — ruinous for bulk decremental batches such as
-        sliding-window expiry — so dirty oracles route ``*``-bound suspects
-        through the probes too (exact on the post-deletion graph) and keep
-        their budgeted lazy-rebuild policy intact.  Finite bounds need true
-        distances, so they always take the probes.
+        query's recheck in the flush extends the same memoized probe.
         """
         self.stats.pairs_rechecked += sum(map(len, suspects.values()))
         out: List[Update] = []
-        if self.distance_mode == "interval":
-            reach = self._ensure_reach()
-            graph = self.graph
-            bounded: Dict[PatternEdge, Set[Tuple[Node, Node]]] = {}
-            dirty = reach.dirty
-            for (u, u2), pairs in suspects.items():
-                bound = self._bounds[(u, u2)]
-                if bound is not None or dirty:
-                    bounded[(u, u2)] = pairs
-                    continue
-                for a, c in pairs:
-                    # Pair semantics need a *nonempty* path: for a != c
-                    # reflexive reachability coincides; a self-pair needs
-                    # a cycle through a, i.e. a successor that reaches it.
-                    if a != c:
-                        ok = reach.reachable(a, c)
-                    else:
-                        ok = a in graph and any(
-                            reach.reachable(w, a) for w in graph.children(a)
-                        )
-                    if not ok:
-                        out.append(upd_delete((u, a), (u2, c)))
-            suspects = bounded
-        elif self._lm is not None or self._matrix is not None:
+        if self._lm is not None or self._matrix is not None:
             for (u, u2), pairs in suspects.items():
                 bound = self._bounds[(u, u2)]
                 for a, c in pairs:
@@ -548,16 +476,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         """
         return any(b != 1 for b in self._bounds.values())
 
-    def _ensure_reach(self) -> IntervalReachabilityIndex:
-        """The interval oracle — leased from the substrate at registration
-        or owned by a standalone index (built lazily on first recheck)."""
-        if self._reach is None:
-            self._reach = IntervalReachabilityIndex(self.graph)
-        return self._reach
-
-    def reachability_index(self) -> Optional[IntervalReachabilityIndex]:
-        return self._reach
-
     def release(self) -> None:
         """Release every substrate lease (pool unregister).
 
@@ -576,14 +494,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         if self._matrix is not None:
             self.substrate.release_matrix()
             self._matrix = None
-        for key in self._closure_keys:
-            self.substrate.release_reach_closure(*key)
-        self._closure_keys = []
-        if self._reach_leased:
-            self.substrate.release_reachability()
-            self._reach = None
-            self._reach_leased = False
-        self._reach_closures = None
         # Detach so a stray consult on a released index cannot silently
         # re-lease substrate structures nobody will ever release again.
         self.substrate = None
@@ -601,8 +511,8 @@ class BoundedSimulationIndex(StandaloneDriver):
         insertion batch (so same-batch edges are already reflected) —
         mirroring the ``prepare_deletions`` two-phase dance.
 
-        Backing store: in ``bfs``, ``landmark`` and ``matrix`` mode, the
-        edge's two legs from the substrate
+        Backing store: in every distance mode, the edge's two legs from
+        the substrate
         (:meth:`SharedDistanceSubstrate.legs`: the radius-``k-1`` backward
         BFS from ``x`` and forward BFS from ``y``, memoized per edge and
         radius, so every query consulted on the edge — and every routed
@@ -616,32 +526,17 @@ class BoundedSimulationIndex(StandaloneDriver):
         a proof.  The legs list their nodes in nondecreasing distance
         order, so the first member met is the nearest.  A ``*`` bound
         routes when both legs meet their eligible sets, which is exact for
-        it; it pays a full reachability BFS pair per consulted edge, and
-        ``interval`` mode is the O(1) route for those.  Both tests are
-        sound for trivial-(TRUE)-predicate queries: the pool announces
+        it; it pays a full reachability BFS pair per consulted edge.  Both
+        tests are sound for trivial-(TRUE)-predicate queries: the pool announces
         fresh nodes to the eligibility substrate before insertion routing,
         so a brand-new attribute-less node is already a ``TRUE`` member
         when this oracle runs.
-
-        In ``interval`` mode the consult is two O(1) closure-membership
-        tests per pattern edge: ``x`` reachable from an eligible source
-        and ``y`` reaching an eligible target.  Reachability ignores the
-        bounds, so this branch over-approximates the legs for finite
-        bounds — still sound (``False`` remains a proof), and the
-        tolerated-deletion staleness of the underlying labelling only ever
-        widens it.
         """
         if self.substrate is None:
             raise RuntimeError(
                 "can_affect_edge reads pool substrate structures; this "
                 "index has no substrate (standalone or released)"
             )
-        if self.distance_mode == "interval":
-            for edge in self._bounds:
-                src, tgt = self._reach_closures[edge]
-                if src.contains(x) and tgt.contains(y):
-                    return True
-            return False
         for (u, u2), bound in self._bounds.items():
             back, fwd = self._legs(x, y, bound)
             sources, targets = self.eligible[u], self.eligible[u2]
@@ -720,9 +615,8 @@ class BoundedSimulationIndex(StandaloneDriver):
         self, deleted: List[Tuple[Node, Node]], inserted: List[Tuple[Node, Node]]
     ) -> None:
         """Standalone upkeep of the distance structures this index owns
-        (one ``IncLM`` batch, min-plus matrix updates, interval staleness
-        notes) after an edge batch was applied; leased structures are the
-        pool's to sync."""
+        (one ``IncLM`` batch, min-plus matrix updates) after an edge batch
+        was applied; leased structures are the pool's to sync."""
         if self.substrate is not None:
             return
         if self._lm is not None:
@@ -732,9 +626,6 @@ class BoundedSimulationIndex(StandaloneDriver):
                 self._matrix.apply_deletions(deleted)
             for x, y in inserted:
                 self._matrix.apply_insert(x, y)
-        if self._reach is not None:
-            self._reach.notify_edges_deleted(len(deleted))
-            self._reach.notify_edges_inserted(len(inserted))
 
     def apply_batch(self, updates: Iterable[Update]) -> None:
         """IncBMatch: the batch is netted, then one deletion phase and one

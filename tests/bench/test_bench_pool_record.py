@@ -1,0 +1,46 @@
+"""The committed ``BENCH_pool.json`` must describe the current code.
+
+The file is the output of one full ``benchmarks/bench_pool.py`` run.  A
+change that adds or drops a scenario, or moves a routing count, leaves
+it stale unless the file is regenerated; this test catches that without
+timing anything.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _bench_pool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool", ROOT / "benchmarks" / "bench_pool.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_committed_bench_record_matches_the_code():
+    """Scenario set, graph, stream, and the routed/skipped counts of the
+    ``simulation`` and ``bounded`` rows at the smallest and largest N
+    (deterministic under every hash seed) recomputed from what the file
+    says it ran."""
+    bench = _bench_pool()
+    doc = json.loads((ROOT / "BENCH_pool.json").read_text())
+    assert set(doc["scenarios"]) == set(bench.SCENARIO_NAMES)
+    max_n = max(doc["scenarios"]["simulation"]["sizes"])
+    graph = bench.build_graph(max_n, doc["graph"]["nodes"] // max_n)
+    assert graph.num_nodes() == doc["graph"]["nodes"]
+    assert graph.num_edges() == doc["graph"]["edges"]
+    updates = bench.partition_updates(graph, doc["updates"])
+    assert len(updates) == doc["updates"]
+    for scenario in ("simulation", "bounded"):
+        rows = {r["n"]: r for r in doc["scenarios"][scenario]["results"]}
+        for n in (min(rows), max(rows)):
+            _, _, report = bench.run_pool(
+                graph.copy(), scenario, n, updates, doc["distance_mode"]
+            )
+            recorded = (rows[n]["routed"], rows[n]["skipped"])
+            assert (report.routed, report.skipped) == recorded, (scenario, n)

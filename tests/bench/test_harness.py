@@ -128,8 +128,7 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["scenarios"]) == {
         "simulation", "bounded", "bounded-shared", "overlap",
-        "overlap-atoms", "shared-plan", "reach-oracle", "kernels",
-        "temporal",
+        "overlap-atoms", "shared-plan", "kernels", "temporal",
     }
     for name in ("simulation", "bounded"):
         scenario = doc["scenarios"][name]
@@ -180,37 +179,18 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         r["join_repairs"] for r in plan["results"] if r["n"] >= k
     ]
     assert len(set(plan_repairs)) == 1 and plan_repairs[0] > 0, plan_repairs
-    # The interval oracle's headline: the columnar backend wins the
-    # flush race (hard-gated by the scenario — exit code 0 above — so
-    # here we pin the JSON shape and the gate verdict); oracle consults
-    # are reported ungated.
-    reach = doc["scenarios"]["reach-oracle"]
-    assert reach["results"]
-    for row in reach["results"]:
-        assert {
-            "n", "dict_ms", "columnar_ms", "dict_over_columnar",
-            "landmark_ms", "consults", "rebuilds", "eligible_members",
-            "consults_per_flush",
-        } <= set(row)
-    # At this tiny scale every dict flush is sub-millisecond, so the
-    # backend race is reported ungated (None); the full run hard-gates
-    # a True verdict.  False would mean the gate fired and failed.
-    assert reach["columnar_wins"] is not False
-    assert "consults_sublinear" not in reach
-    # The kernel layer's headline: numpy beats the pure-Python twins on
-    # the bulk sweep and interval rebuild (hard-gated at full scale; at
-    # tiny scale the race is reported ungated, and without numpy the
-    # scenario documents itself as skipped).
+    # The kernel layer's headline: numpy beats the pure-Python twin on
+    # the bulk sweep (hard-gated at full scale; at tiny scale the race is
+    # reported ungated, and without numpy the scenario documents itself
+    # as skipped).
     kern = doc["scenarios"]["kernels"]
     if "skipped" not in kern:
         assert kern["results"]
         for row in kern["results"]:
             assert {
                 "n", "edges", "bulk_numpy_ms", "bulk_python_ms",
-                "interval_numpy_ms", "interval_python_ms",
             } <= set(row)
         assert kern["numpy_wins_bulk"] is not False
-        assert kern["numpy_wins_interval"] is not False
     # The temporal pool's headline: retiring a whole window of expired
     # edges in one coalesced deletion batch beats deleting them one
     # flush at a time, windowed steady-state upkeep is EXACTLY flat in

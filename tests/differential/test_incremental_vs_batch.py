@@ -114,7 +114,6 @@ STANDALONE = [
     "bounded-bfs",
     "bounded-landmark",
     "bounded-matrix",
-    "bounded-interval",
     "iso",
     "iso-localized",
 ]

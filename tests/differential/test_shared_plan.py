@@ -63,7 +63,7 @@ SEQUENCES = int(os.environ.get("SHARED_PLAN_SEQUENCES", "150"))
 BASE_SEED = 0x9A17
 FLUSHES = 3
 LABELS = ["A", "B", "C"]
-MODES = ["bfs", "landmark", "matrix", "interval"]
+MODES = ["bfs", "landmark", "matrix"]
 
 
 def _random_graph(rng: random.Random) -> DiGraph:

@@ -32,20 +32,16 @@ opposite storage layouts and their graphs are asserted equal (via the
 backend-generic ``DiGraph.__eq__``) after every flush.  The
 ``REPRO_KERNELS`` sweep makes each of those sequences also a kernel
 differential: under ``numpy`` the columnar-backed pool runs the
-vectorized atom/BFS/condensation kernels while the dict-backed pool runs
-the pure-Python twins over the identical op stream (under ``python``
-both pools run the twins).  Distance modes cover all four structures,
-including the SCC-interval reachability oracle (``mode='interval'``).
+vectorized atom/BFS kernels while the dict-backed pool runs the
+pure-Python twins over the identical op stream (under ``python`` both
+pools run the twins).  The sweep covers all three distance modes.
 After every flush, each registered query's match set under both pools
 must equal a from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
 and the eligibility member sets must pass their exactness invariants.
 ``check_oracles`` probes ``can_affect_edge`` of every distance-routed
-query and interned index over every node pair at quiescence: exact for the
-modes routed by the edge legs, and — after forcing a
-clean labelling — exact against the *reachability* ground truth for
-interval mode (whose routing answer is by design the radius-free
-over-approximation).
+query and interned index over every node pair at quiescence: every mode
+routes by the edge legs, so the answer must be exact.
 
 All randomness flows from ``random.Random`` seeds derived from a pinned
 base, so every failure message names the exact seed that replays it:
@@ -60,28 +56,21 @@ deterministic end to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES``
 
 Mutation-tested: the sweep (at its default scale) catches each of these
 bugs injected one at a time into the substrates —
-(1) ``ReachClosure`` ignoring the member-set version (interval routing
-keeps a closure over members that have since flipped), (2) the
-reconcile reporting a loss flip without removing the member (set/report
-desync, caught by the member invariants), (3) the pool routing only the
-predicates with a *gained* flip (demotions never routed), (4) incsim's
-shared-layer adoption skipping the support-counter init (KeyError /
-drift on later cascades), (5) the pool announcing fresh-node gains only
-*after* insertion routing (a trivial-predicate query's legs meet no
-``TRUE`` member at the fresh endpoint when the oracle rules on the very
-batch that wired it, so same-flush witness paths are declined), (6) the
-atom tier's reconcile deriving a conjunction's membership from its
-*first* atom's posting set alone (sibling atoms ignored — overlapping
-conjunctions diverge as soon as one shared atom flips while another
-still fails), (7) the substrate's ``observe_inserted`` notifying the
-interval reachability oracle via ``notify_edges_deleted``
-(insert-staleness: new edges fall under the tolerated-deletion budget
-instead of forcing the rebuild, so the closures miss freshly created
-reachability and routing falsely declines edges — caught by the
-pre-rebuild soundness pass in ``check_oracles``), (8)/(9) the
-memoized edge legs surviving ``observe_deleted`` / ``observe_inserted``
-(routing and repair read legs of a graph state that no longer exists),
-and (10) the memoized recheck probes surviving ``observe_deleted`` (a
+(1) the reconcile reporting a loss flip without removing the member
+(set/report desync, caught by the member invariants), (2) the pool
+routing only the predicates with a *gained* flip (demotions never
+routed), (3) incsim's shared-layer adoption skipping the support-counter
+init (KeyError / drift on later cascades), (4) the pool announcing
+fresh-node gains only *after* insertion routing (a trivial-predicate
+query's legs meet no ``TRUE`` member at the fresh endpoint when the
+oracle rules on the very batch that wired it, so same-flush witness
+paths are declined), (5) the atom tier's reconcile deriving a
+conjunction's membership from its *first* atom's posting set alone
+(sibling atoms ignored — overlapping conjunctions diverge as soon as one
+shared atom flips while another still fails), (6)/(7) the memoized edge
+legs surviving ``observe_deleted`` / ``observe_inserted`` (routing and
+repair read legs of a graph state that no longer exists), and (8) the
+memoized recheck probes surviving ``observe_deleted`` (a
 later flush's rechecks resume a BFS labelled on the previous flush's
 graph and keep pairs whose witness path is gone).
 """
@@ -105,7 +94,7 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 from tests.routing_truth import distances_from_every_node, edge_routes
 
-MODES = ["bfs", "landmark", "matrix", "interval"]
+MODES = ["bfs", "landmark", "matrix"]
 PLAN_SCOPES = ["shared", "per-query"]
 GRAPH_BACKENDS = ["dict", "columnar"]
 KERNEL_MODES = (
@@ -321,7 +310,6 @@ class _Harness:
                     f"extra={got - truth} missing={truth - got}"
                 )
         for pool in self.pools():
-            pool.substrate.check_invariants()
             pool.eligibility.check_invariants()
 
     def check_oracles(self) -> None:
@@ -338,47 +326,15 @@ class _Harness:
         graph = self.first.graph
         nodes = sorted(graph.nodes(), key=repr)
         dist = distances_from_every_node(graph)
-        interval = self.mode == "interval"
         for pool in self.pools():
             routed = [q for q in pool.queries() if not q.planned]
             for q in routed + pool.plan.views():
                 if not q.distance_routed:
                     continue
                 name, idx = q.name, q.index
-                if interval:
-                    # Soundness pass FIRST, against whatever labelling the
-                    # flush left behind: staleness may only ever widen the
-                    # answer (stale deletions err True), never narrow it —
-                    # a reachable pair the oracle calls False is a missed
-                    # repair.  This is the probe that catches an insertion
-                    # recorded in the wrong direction (bug 7 below): the
-                    # later exact pass would mask it behind its forced
-                    # rebuild.
-                    for x in nodes:
-                        for y in nodes:
-                            if edge_routes(dist, idx, x, y, reachability=True):
-                                assert idx.can_affect_edge(x, y), (
-                                    f"unsound interval routing for {name} "
-                                    f"({_tag(pool)}): "
-                                    f"can_affect_edge({x!r}, {y!r}) is "
-                                    f"False but the pair is reachable "
-                                    f"through eligible endpoints"
-                                )
-                    # Now force an exact labelling: reachable() rebuilds
-                    # when dirty, the closures recompute on the version
-                    # bump, and the equality pass below admits no slack.
-                    if nodes:
-                        reach = idx.reachability_index()
-                        if reach is not None:
-                            reach.reachable(nodes[0], nodes[0])
                 for x in nodes:
                     for y in nodes:
-                        # Interval routing drops the radius caps: it
-                        # answers pure reachability, an over-approximation
-                        # of the bounded truth.
-                        truth = edge_routes(
-                            dist, idx, x, y, reachability=interval
-                        )
+                        truth = edge_routes(dist, idx, x, y)
                         got = idx.can_affect_edge(x, y)
                         assert got == truth, (
                             f"oracle drift for {name} "
@@ -458,10 +414,8 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
     live = pool.substrate.live_structures()
     assert live["landmark"] == 0
     assert live["matrix"] == 0
-    assert live["reach"] == 0
-    assert live["closures"] == 0
     # Eligibility entries die with their last lease too (the query's
-    # candidate views and the substrate's closure members).
+    # candidate views).
     assert pool.eligibility.num_entries() == 0
     # Mutate while nothing leases, then re-register: index must be built
     # on the current graph and stay correct through further flushes.
@@ -470,4 +424,4 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
     pool.apply([insert(0, 1)])
     truth = as_pairs(totalize(bounded_match(p, pool.graph)))
     assert as_pairs(q2.matches()) == truth
-    pool.substrate.check_invariants()
+    pool.eligibility.check_invariants()

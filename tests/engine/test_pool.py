@@ -75,10 +75,11 @@ class TestRegistration:
         assert report.deltas == {}
         assert not feed.drain()
 
+    @pytest.mark.parametrize("mode", ["bogus", "interval"])
     @pytest.mark.parametrize("semantics", ["bounded", "simulation"])
     @pytest.mark.parametrize("plan_scope", ["shared", "per-query"])
     def test_unknown_distance_mode_rejected_before_anything_is_leased(
-        self, plan_scope, semantics
+        self, plan_scope, semantics, mode
     ):
         g = DiGraph()
         for v, label in [(1, "A"), (2, "M"), (3, "B"), (4, "B")]:
@@ -109,7 +110,7 @@ class TestRegistration:
         before = snapshot()
         with pytest.raises(ValueError, match="distance_mode"):
             pool.register(
-                pattern("A"), semantics=semantics, distance_mode="bogus"
+                pattern("A"), semantics=semantics, distance_mode=mode
             )
         assert snapshot() == before
 
@@ -415,7 +416,7 @@ class TestDistanceModes:
             totalize(bounded_match(friendfeed_pattern, pool.graph))
         )
         q.index.check_invariants()
-        pool.substrate.check_invariants()
+        pool.eligibility.check_invariants()
 
 
 class TestSharedSubstrate:
@@ -477,7 +478,7 @@ class TestSharedSubstrate:
             totalize(bounded_match(pattern, pool.graph))
         )
         q.index.check_invariants()
-        pool.substrate.check_invariants()
+        pool.eligibility.check_invariants()
 
     def test_landmark_structure_is_shared_across_queries(self):
         pool = MatcherPool(two_cluster_graph())

@@ -16,7 +16,7 @@ def pool_query(name, pattern, graph=None, semantics="simulation"):
     """A query leasing from its own eligibility/distance substrates."""
     graph = graph if graph is not None else DiGraph()
     eligibility = SharedEligibilityIndex(graph)
-    substrate = SharedDistanceSubstrate(graph, eligibility=eligibility)
+    substrate = SharedDistanceSubstrate(graph)
     return ContinuousQuery(
         name, pattern, graph, semantics,
         substrate=substrate, eligibility=eligibility,
@@ -106,7 +106,7 @@ def test_removed_node_routing_stages_raise():
 def test_routing_order_is_registration_order():
     g = labelled_graph(a={"label": "A"}, b={"label": "B"})
     elig = SharedEligibilityIndex(g)
-    sub = SharedDistanceSubstrate(g, eligibility=elig)
+    sub = SharedDistanceSubstrate(g)
     router = UpdateRouter()
     qs = [
         ContinuousQuery(

@@ -15,8 +15,6 @@ import pytest
 from repro.graphs import kernels
 from repro.graphs.columnar import ColumnarDiGraph, as_backend
 from repro.graphs.digraph import DiGraph
-from repro.graphs.reachability import IntervalReachabilityIndex
-from repro.graphs.scc import condensation
 from repro.graphs.traversal import bfs_distances, reachable_set
 from repro.engine.eligibility import SharedEligibilityIndex
 from repro.patterns.predicate import Atom, Predicate
@@ -104,60 +102,6 @@ class TestTraversalTwins:
         assert g._reachable_set(["a"]) == {"a", "b", "c"}
         g.remove_edge("a", "b")
         assert g._reachable_set(["a"]) == {"a"}
-
-
-@needs_numpy
-class TestCondensationTwin:
-    def test_matches_generic_condensation(self, monkeypatch):
-        rnd = random.Random(23)
-        for trial in range(5):
-            g = _random_graph(rnd)
-            monkeypatch.setenv("REPRO_KERNELS", "numpy")
-            built = g._condensation_lists()
-            assert built is not None
-            n, children, parents, comp_of, dag_csr = built
-            dag, expect_comp_of = condensation(g)
-            assert comp_of == expect_comp_of
-            assert n == dag.num_nodes()
-            for c in range(n):
-                assert sorted(children[c]) == sorted(dag.children(c))
-                assert sorted(parents[c]) == sorted(dag.parents(c))
-
-    def test_declines_when_python_forced(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        g = ColumnarDiGraph([("a", "b")])
-        assert g._condensation_lists() is None
-
-    def test_interval_oracle_equivalent_across_modes(self, monkeypatch):
-        rnd = random.Random(31)
-        for trial in range(4):
-            g = _random_graph(rnd, n=25, m=60)
-            monkeypatch.setenv("REPRO_KERNELS", "numpy")
-            fast = IntervalReachabilityIndex(g)
-            fast.check_exact()
-            monkeypatch.setenv("REPRO_KERNELS", "python")
-            slow = IntervalReachabilityIndex(g)
-            nodes = list(g.nodes())
-            for x in nodes:
-                for y in nodes:
-                    assert fast.reachable(x, y) == slow.reachable(x, y)
-
-    def test_closure_components_equivalent_across_modes(self, monkeypatch):
-        rnd = random.Random(37)
-        g = _random_graph(rnd, n=30, m=90)
-        sources = rnd.sample([v for v in g.nodes()], 4) + ["ghost"]
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        fast = IntervalReachabilityIndex(g)
-        fast_fwd = fast.closure_components(sources)
-        fast_rev = fast.closure_components(sources, reverse=True)
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        # Component indices are deterministic (sinks-first Tarjan over
-        # the same graph), so closures are comparable across modes.
-        slow = IntervalReachabilityIndex(g)
-        assert slow.closure_components(sources) == fast_fwd
-        assert (
-            slow.closure_components(sources, reverse=True) == fast_rev
-        )
 
 
 # Adversarial column contents: every exactness hazard the typed snapshot

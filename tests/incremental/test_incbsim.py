@@ -33,10 +33,13 @@ class TestConstruction:
         assert match["DB"] == {"Pat", "Dan"}
         assert_matches_batch(idx)
 
-    def test_unknown_mode_rejected(self, friendfeed_pattern, friendfeed_graph):
+    @pytest.mark.parametrize("mode", ["psychic", "interval"])
+    def test_unknown_mode_rejected(
+        self, friendfeed_pattern, friendfeed_graph, mode
+    ):
         with pytest.raises(ValueError):
             BoundedSimulationIndex(
-                friendfeed_pattern, friendfeed_graph, distance_mode="psychic"
+                friendfeed_pattern, friendfeed_graph, distance_mode=mode
             )
 
     def test_pair_graph_mirrors_distances(self, friendfeed_pattern, friendfeed_graph):
@@ -272,7 +275,7 @@ def test_oracle_agrees_with_ground_truth(mode):
                 assert idx.can_affect_edge(x, y) == truth, (mode, k, x, y)
 
 
-@pytest.mark.parametrize("mode", MODES + ["interval"])
+@pytest.mark.parametrize("mode", MODES)
 def test_pairs_rechecked_counts_the_suspects(mode):
     """stats.pairs_rechecked counts the suspect pairs IncBMatch-
     rechecks, in every distance mode; reset() zeroes it."""
@@ -288,25 +291,6 @@ def test_pairs_rechecked_counts_the_suspects(mode):
     assert idx.stats.pairs_rechecked == 1
     idx.stats.reset()
     assert idx.stats.pairs_rechecked == 0
-
-
-def test_interval_deletion_that_suspects_nothing_builds_no_labelling():
-    """A standalone interval index builds its reachability labelling on
-    its first recheck; deleting an edge no pair runs through suspects
-    nothing, so it must build none."""
-    g = DiGraph()
-    for v, label in (("a", "A"), ("c", "C"), ("p", "Z"), ("q", "Z")):
-        g.add_node(v, label=label)
-    g.add_edge("a", "c")
-    g.add_edge("p", "q")
-    pattern = Pattern.from_spec(
-        {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
-    )
-    idx = BoundedSimulationIndex(pattern, g, distance_mode="interval")
-    idx.delete_edge("p", "q")
-    assert idx.reachability_index() is None
-    assert as_pairs(idx.matches()) == {("x", "a"), ("y", "c")}
-    assert_matches_batch(idx)
 
 
 def test_standalone_index_has_no_routing_oracle():

@@ -4,10 +4,9 @@ An update of the edge ``(x, y)`` can create or break a pair ``(a, c)``
 under a pattern edge of bound ``k`` only through a witness path of length
 <= ``k`` that runs through the edge, so
 ``d(a, x) + 1 + d(y, c) <= k`` over possibly-empty paths (no sum test for
-``*``).  ``can_affect_edge`` of a ``bfs``, ``landmark`` or ``matrix``
-query must say True exactly when some eligible pair meets that rule for
-some pattern edge; an ``interval`` query answers the radius-free
-relaxation, pure reachability.
+``*``).  ``can_affect_edge`` of a bounded query, in every distance
+mode, must say True exactly when some eligible pair meets that rule for
+some pattern edge.
 """
 
 from __future__ import annotations
@@ -25,21 +24,19 @@ def distances_from_every_node(graph: DiGraph) -> Distances:
     return {v: bfs_distances(graph, v) for v in graph.nodes()}
 
 
-def edge_routes(
-    dist: Distances, index, x: Node, y: Node, reachability: bool = False
-) -> bool:
+def edge_routes(dist: Distances, index, x: Node, y: Node) -> bool:
     """Does an update of ``(x, y)`` route to the bounded ``index``?
 
     True iff for some pattern edge ``(u, u2)`` with bound ``k`` some
     ``a`` in ``index.eligible[u]`` and ``c`` in ``index.eligible[u2]``
-    satisfy ``d(a, x) + 1 + d(y, c) <= k``; ``reachability`` (or a ``*``
-    bound) asks only that ``a`` reaches ``x`` and ``y`` reaches ``c``.
+    satisfy ``d(a, x) + 1 + d(y, c) <= k``; a ``*`` bound asks only that
+    ``a`` reaches ``x`` and ``y`` reaches ``c``.
     ``dist`` is :func:`distances_from_every_node` of the current graph.
     """
     pattern = index.pattern
     from_y = dist[y]
     for u, u2 in pattern.edges():
-        k = None if reachability else pattern.bound(u, u2)
+        k = pattern.bound(u, u2)
         for a in index.eligible[u]:
             da = dist[a].get(x)
             if da is None:

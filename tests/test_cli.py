@@ -195,34 +195,6 @@ class TestPoolCli:
             outs[backend] = out
         assert outs["dict"] == outs["columnar"]
 
-    def test_interval_distance_mode(
-        self, pool_files, tmp_path, capsys, friendfeed_pattern
-    ):
-        graph, _, _, updates = pool_files
-        bounded = tmp_path / "bounded.json"
-        save_pattern(friendfeed_pattern, bounded)
-        ref = None
-        for mode in ("bfs", "interval"):
-            assert (
-                main([
-                    "pool", "--graph", graph,
-                    "--patterns", str(bounded),
-                    "--semantics", "bounded",
-                    "--distance-mode", mode,
-                    "--updates", updates,
-                ])
-                == 0
-            )
-            out = json.loads(capsys.readouterr().out)
-            assert out["queries"]["bounded"]["routing"] == "distance"
-            matches = out["after_updates"]["bounded"]["matches"]
-            if ref is None:
-                ref = matches
-            else:
-                assert matches == ref
-        assert out["shared_structures"]["reach"] == 1
-        assert out["shared_structures"]["closures"] >= 1
-
     def test_routed_flush_reports_deltas(self, pool_files, capsys):
         graph, hiring, medics, updates = pool_files
         assert (
