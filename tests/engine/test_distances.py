@@ -1,0 +1,394 @@
+"""Unit tests for the pool-wide shared distance substrate.
+
+:class:`~repro.engine.distances.SharedDistanceSubstrate` owns at most one
+landmark index and one all-pairs matrix per pool, leased with refcounts,
+plus the per-flush memos of edge legs and suspect-recheck probes.  These
+tests drive it directly, the way the pool does: edit the graph, then
+``observe_deleted`` / ``observe_inserted`` the net batch.
+"""
+
+import random
+
+import pytest
+
+from repro.engine.distances import SharedDistanceSubstrate
+from repro.graphs import kernels
+from repro.graphs.columnar import as_backend
+from repro.graphs.generators import chain, star, synthetic_graph
+from repro.graphs.traversal import INF, edge_legs, path_distance
+from repro.landmarks.selection import LandmarkBudget, select_landmarks
+
+STRUCTURES = ["landmark", "matrix"]
+OBSERVERS = ["observe_deleted", "observe_inserted"]
+
+
+def _lease(substrate, structure):
+    if structure == "landmark":
+        return substrate.lease_landmarks()
+    return substrate.lease_matrix()
+
+
+def _release(substrate, structure):
+    if structure == "landmark":
+        substrate.release_landmarks()
+    else:
+        substrate.release_matrix()
+
+
+def _leased(substrate, structure):
+    if structure == "landmark":
+        return substrate.landmark_index()
+    return substrate.matrix()
+
+
+def _builds(substrate, structure):
+    if structure == "landmark":
+        return substrate.stats.lm_builds
+    return substrate.stats.matrix_builds
+
+
+def _distance(structure_obj, v, w):
+    """Shortest nonempty-path length read off either structure."""
+    if hasattr(structure_obj, "pathdist"):
+        return structure_obj.pathdist(v, w)
+    return structure_obj.dist(v, w)
+
+
+def _assert_exact(structure_obj, graph):
+    nodes = list(graph.nodes())
+    for v in nodes:
+        for w in nodes:
+            assert _distance(structure_obj, v, w) == path_distance(
+                graph, v, w
+            ), (v, w)
+
+
+def _edit(graph, observer):
+    """Make one edge edit on the chain 0 -> 1 -> 2 -> 3 of the kind
+    ``observer`` absorbs; return the batch to hand it."""
+    if observer == "observe_deleted":
+        graph.remove_edge(1, 2)
+        return [(1, 2)]
+    graph.add_edge(3, 0)
+    return [(3, 0)]
+
+
+class TestLeases:
+    def test_nothing_is_live_before_a_lease(self):
+        substrate = SharedDistanceSubstrate(chain(3))
+        assert substrate.live_structures() == {"landmark": 0, "matrix": 0}
+        assert substrate.landmark_index() is None
+        assert substrate.matrix() is None
+        assert substrate.stats.lm_builds == substrate.stats.matrix_builds == 0
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_leases_share_one_structure_built_once(self, structure):
+        substrate = SharedDistanceSubstrate(chain(4))
+        first = _lease(substrate, structure)
+        second = _lease(substrate, structure)
+        assert first is second is _leased(substrate, structure)
+        assert _builds(substrate, structure) == 1
+        assert substrate.live_structures()[structure] == 2
+
+    def test_first_landmark_lease_picks_the_strategy(self):
+        # On an outward star the degree cover is the hub alone, while the
+        # matching cover takes both endpoints of one edge.
+        g = star(5)
+        assert select_landmarks(g, "degree") != select_landmarks(g, "matching")
+        substrate = SharedDistanceSubstrate(g)
+        lm = substrate.lease_landmarks(strategy="degree")
+        assert substrate.lease_landmarks(strategy="matching") is lm
+        assert lm.landmarks() == select_landmarks(g, "degree")
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_last_release_drops_and_a_new_lease_rebuilds(self, structure):
+        g = chain(4)
+        substrate = SharedDistanceSubstrate(g)
+        old = _lease(substrate, structure)
+        _lease(substrate, structure)
+        _release(substrate, structure)
+        assert _leased(substrate, structure) is old
+        _release(substrate, structure)
+        assert _leased(substrate, structure) is None
+        assert substrate.live_structures()[structure] == 0
+        # Edited while nothing leases it: the next lease must be built on
+        # the current graph, not revive the dropped structure.
+        g.add_edge(3, 0)
+        new = _lease(substrate, structure)
+        assert new is not old
+        assert _builds(substrate, structure) == 2
+        assert _distance(new, 0, 0) == 4
+        _assert_exact(new, g)
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_release_without_a_lease_leaves_nothing_live(self, structure):
+        substrate = SharedDistanceSubstrate(chain(3))
+        _release(substrate, structure)
+        assert substrate.live_structures()[structure] == 0
+        # The refcount clamps at zero, so one lease is one live reference
+        # and one release drops it.
+        _lease(substrate, structure)
+        assert substrate.live_structures()[structure] == 1
+        _release(substrate, structure)
+        assert _leased(substrate, structure) is None
+
+    def test_landmark_and_matrix_leases_are_independent(self):
+        substrate = SharedDistanceSubstrate(chain(4))
+        substrate.lease_landmarks()
+        substrate.lease_matrix()
+        assert substrate.live_structures() == {"landmark": 1, "matrix": 1}
+        substrate.release_matrix()
+        assert substrate.live_structures() == {"landmark": 1, "matrix": 0}
+        assert substrate.landmark_index() is not None
+        substrate.release_landmarks()
+        assert substrate.live_structures() == {"landmark": 0, "matrix": 0}
+
+
+class TestObservation:
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    @pytest.mark.parametrize(
+        "leased", [(), ("landmark",), ("matrix",), ("landmark", "matrix")],
+        ids=["none", "landmark", "matrix", "both"],
+    )
+    def test_one_structure_batch_per_live_structure(self, observer, leased):
+        """An edge batch is one pass over each live structure, however
+        many queries lease it, and none over a structure nobody leases."""
+        g = chain(4)
+        substrate = SharedDistanceSubstrate(g)
+        for structure in leased:
+            _lease(substrate, structure)
+            _lease(substrate, structure)  # a second holder costs nothing
+        getattr(substrate, observer)(_edit(g, observer))
+        assert substrate.stats.edge_batches == 1
+        assert substrate.stats.structure_batches == len(leased)
+        for structure in leased:
+            _assert_exact(_leased(substrate, structure), g)
+
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    def test_empty_batch_is_a_no_op(self, observer):
+        g = chain(4)
+        substrate = SharedDistanceSubstrate(g)
+        substrate.lease_landmarks()
+        substrate.lease_matrix()
+        legs = substrate.legs(0, 1, 2)
+        probe = substrate.probe(0, 2)
+        getattr(substrate, observer)([])
+        assert substrate.stats.edge_batches == 0
+        assert substrate.stats.structure_batches == 0
+        assert substrate.legs(0, 1, 2) is legs
+        assert substrate.probe(0, 2) is probe
+
+    def test_deletions_then_insertions_keep_both_structures_exact(self):
+        g = chain(5)
+        substrate = SharedDistanceSubstrate(g)
+        lm = substrate.lease_landmarks()
+        matrix = substrate.lease_matrix()
+        g.remove_edge(2, 3)
+        substrate.observe_deleted([(2, 3)])
+        assert lm.pathdist(0, 4) == matrix.dist(0, 4) == INF
+        g.add_edge(1, 4)
+        g.add_edge(4, 0)
+        substrate.observe_inserted([(1, 4), (4, 0)])
+        assert lm.pathdist(0, 4) == matrix.dist(0, 4) == 2
+        assert lm.pathdist(0, 0) == matrix.dist(0, 0) == 3
+        _assert_exact(lm, g)
+        _assert_exact(matrix, g)
+        assert substrate.stats.edge_batches == 2
+        assert substrate.stats.structure_batches == 4
+
+
+class TestMemos:
+    def test_legs_are_memoized_per_edge_and_radius(self):
+        g = chain(5)
+        substrate = SharedDistanceSubstrate(g)
+        legs = substrate.legs(1, 2, 1)
+        assert substrate.legs(1, 2, 1) is legs
+        assert legs == edge_legs(g, 1, 2, 1)
+        assert substrate.legs(1, 2, 2) is not legs
+        assert substrate.legs(1, 2, 2) == edge_legs(g, 1, 2, 2)
+        assert substrate.legs(2, 3, 1) == edge_legs(g, 2, 3, 1)
+        # None is plain reachability: every ancestor of 1, every
+        # descendant of 2.
+        back, fwd = substrate.legs(1, 2, None)
+        assert set(back) == {0, 1} and set(fwd) == {2, 3, 4}
+
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    def test_edge_batch_clears_the_legs(self, observer):
+        g = chain(4)
+        substrate = SharedDistanceSubstrate(g)
+        stale = substrate.legs(0, 1, None)
+        getattr(substrate, observer)(_edit(g, observer))
+        fresh = substrate.legs(0, 1, None)
+        assert fresh is not stale
+        assert fresh == edge_legs(g, 0, 1, None)
+        assert fresh != stale
+
+    def test_probes_are_memoized_and_count_labelled_nodes(self):
+        g = chain(5)
+        substrate = SharedDistanceSubstrate(g)
+        probe = substrate.probe(0, 3)
+        assert substrate.probe(0, 3) is probe
+        assert substrate.probe(0, 2) is not probe
+        assert substrate.stats.probe_nodes == 2  # the two sources
+        assert probe.reaches(3)
+        assert not probe.reaches(4)
+        # Depth k - 1 = 2 is labelled (nodes 0..2); depth 3 never is.
+        assert substrate.stats.probe_nodes == 4
+        # A repeated ask of the same probe labels nothing more.
+        assert probe.reaches(3)
+        assert substrate.stats.probe_nodes == 4
+
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    def test_edge_batch_clears_the_probes(self, observer):
+        g = chain(4)
+        substrate = SharedDistanceSubstrate(g)
+        stale = substrate.probe(0, None)
+        expected = {
+            c: path_distance(g, 0, c) != INF for c in g.nodes()
+        }
+        assert {c: stale.reaches(c) for c in g.nodes()} == expected
+        getattr(substrate, observer)(_edit(g, observer))
+        fresh = substrate.probe(0, None)
+        assert fresh is not stale
+        answers = {c: fresh.reaches(c) for c in g.nodes()}
+        assert answers == {
+            c: path_distance(g, 0, c) != INF for c in g.nodes()
+        }
+        assert answers != expected
+
+
+class TestLandmarkBudget:
+    def test_no_landmark_lease_means_no_reselection(self):
+        substrate = SharedDistanceSubstrate(
+            chain(3), lm_budget=LandmarkBudget(slack=1.0, floor=0)
+        )
+        assert not substrate.enforce_lm_budget()
+        assert substrate.rebuild_counters() == {"lm_rebuilds": 0}
+
+    def test_growth_within_the_budget_keeps_the_landmarks(self):
+        g = chain(3)
+        g.add_node(5)
+        g.add_node(6)
+        substrate = SharedDistanceSubstrate(g)  # default floor of 16
+        lm = substrate.lease_landmarks()
+        before = len(lm.landmarks())
+        g.add_edge(5, 6)
+        substrate.observe_inserted([(5, 6)])
+        assert len(lm.landmarks()) == before + 1  # InsLM covered the edge
+        assert not substrate.enforce_lm_budget()
+        assert substrate.stats.lm_rebuilds == 0
+
+    def test_growth_past_the_budget_reselects(self):
+        g = chain(3)
+        g.add_node(5)
+        g.add_node(6)
+        substrate = SharedDistanceSubstrate(
+            g, lm_budget=LandmarkBudget(slack=1.0, floor=0)
+        )
+        lm = substrate.lease_landmarks()
+        g.add_edge(5, 6)
+        substrate.observe_inserted([(5, 6)])
+        assert substrate.lm_budget.exceeded(lm)
+        assert substrate.enforce_lm_budget()
+        assert substrate.rebuild_counters() == {"lm_rebuilds": 1}
+        # BatchLM re-selects in place: the leased object stays the one
+        # every query holds, its new baseline is the fresh selection, and
+        # its vectors stay exact.
+        assert substrate.landmark_index() is lm
+        assert lm.landmarks() == select_landmarks(g, "matching")
+        assert lm.selected_size == len(lm.landmarks())
+        assert not substrate.enforce_lm_budget()
+        _assert_exact(lm, g)
+
+
+class TestIntrospection:
+    def test_counters_and_live_structures_name_only_the_kept_structures(self):
+        substrate = SharedDistanceSubstrate(chain(3))
+        assert set(substrate.rebuild_counters()) == {"lm_rebuilds"}
+        assert set(substrate.live_structures()) == {"landmark", "matrix"}
+
+    def test_repr_reports_the_lease_counts(self):
+        substrate = SharedDistanceSubstrate(chain(3))
+        substrate.lease_landmarks()
+        substrate.lease_landmarks()
+        substrate.lease_matrix()
+        assert repr(substrate) == "SharedDistanceSubstrate(lm=2, matrix=1)"
+
+    def test_stats_reset_zeroes_every_counter(self):
+        g = chain(4)
+        substrate = SharedDistanceSubstrate(g)
+        substrate.lease_landmarks()
+        substrate.lease_matrix()
+        substrate.probe(0, 2).reaches(2)
+        g.remove_edge(0, 1)
+        substrate.observe_deleted([(0, 1)])
+        stats = substrate.stats
+        assert all(
+            getattr(stats, name) > 0
+            for name in (
+                "lm_builds", "matrix_builds", "edge_batches",
+                "structure_batches", "probe_nodes",
+            )
+        )
+        stats.reset()
+        assert all(getattr(stats, name) == 0 for name in stats.__slots__)
+
+
+KERNEL_MODES = ["python"] + (["numpy"] if kernels.numpy_available() else [])
+
+
+@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
+@pytest.mark.parametrize("backend", ["dict", "columnar"])
+def test_churn_keeps_structures_legs_and_probes_exact(
+    backend, kernel_mode, monkeypatch
+):
+    """Mixed edge batches observed flush by flush, with a tight landmark
+    budget so re-selections happen mid-stream: after every phase the
+    leased landmark vectors and matrix, the memoized legs and the
+    memoized probes all answer as a from-scratch BFS does on the current
+    graph."""
+    monkeypatch.setenv("REPRO_KERNELS", kernel_mode)
+    rng = random.Random(0xD15)
+    graph = as_backend(synthetic_graph(20, 18, seed=5), backend)
+    substrate = SharedDistanceSubstrate(
+        graph, lm_budget=LandmarkBudget(slack=1.0, floor=0)
+    )
+    lm = substrate.lease_landmarks()
+    matrix = substrate.lease_matrix()
+    nodes = sorted(graph.nodes())
+
+    def check():
+        _assert_exact(lm, graph)
+        _assert_exact(matrix, graph)
+        for x, y in rng.sample(list(graph.edges()), 3):
+            for radius in (1, 2, None):
+                assert substrate.legs(x, y, radius) == edge_legs(
+                    graph, x, y, radius
+                )
+        for a in rng.sample(nodes, 3):
+            for k in (1, 2, None):
+                probe = substrate.probe(a, k)
+                for c in nodes:
+                    assert probe.reaches(c) == (
+                        path_distance(graph, a, c, k) != INF
+                    ), (a, k, c)
+
+    rebuilds = 0
+    for _ in range(6):
+        check()  # memos now hold legs and probes of this graph state
+        deleted = rng.sample(sorted(graph.edges()), 3)
+        for x, y in deleted:
+            graph.remove_edge(x, y)
+        substrate.observe_deleted(deleted)
+        check()
+        inserted = []
+        while len(inserted) < 3:
+            x, y = rng.choice(nodes), rng.choice(nodes)
+            if graph.add_edge(x, y):
+                inserted.append((x, y))
+        substrate.observe_inserted(inserted)
+        check()
+        rebuilds += substrate.enforce_lm_budget()
+    assert rebuilds and rebuilds == substrate.stats.lm_rebuilds
+    assert substrate.stats.edge_batches == 12
+    assert substrate.stats.structure_batches == 24

@@ -89,6 +89,32 @@ class TestLeaseLifecycle:
             idx.release(pred)  # entry already dropped
         assert idx.entry(pred) is None
 
+    def test_surviving_lease_keeps_seeing_flips(self):
+        """Regression: another consumer leasing and releasing the
+        predicate a holder reads must not leave the holder's member set
+        stale: the holder's own lease keeps the entry alive and
+        maintained."""
+        g = _graph()
+        idx = SharedEligibilityIndex(g)
+        pred = parse_predicate("label = B")
+        held = idx.lease(pred)
+        assert held.members == {3}
+        # A second consumer leases and releases the same predicate.
+        idx.lease(pred)
+        idx.release(pred)
+        assert idx.entry(pred) is held
+        # The holder must still see flips: node 3 loses label B...
+        g.add_node(3, label="C")
+        assert idx.observe_attr_change(3) == [(pred, False)]
+        assert held.members == set()
+        # ...and gains it back.
+        g.add_node(3, label="B")
+        assert idx.observe_attr_change(3) == [(pred, True)]
+        assert held.members == {3}
+        idx.check_invariants()
+        idx.release(pred)
+        assert idx.num_entries() == 0
+
 
 class TestUnsatisfiable:
     def test_unsat_conjunction_is_upkeep_free(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.engine import MatcherPool
+from repro.engine.distances import SharedDistanceSubstrate
 from repro.graphs.digraph import DiGraph
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import delete, insert
@@ -301,6 +302,46 @@ def test_standalone_index_has_no_routing_oracle():
     idx = BoundedSimulationIndex(pattern, chain_graph())
     with pytest.raises(RuntimeError):
         idx.can_affect_edge("a", "m1")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_substrate_backed_index_leases_and_releases_its_structure(mode):
+    """A pool-registered index leases its mode's structure from the
+    substrate instead of building its own, and release() gives back
+    exactly that lease, however often it is called: another holder's
+    lease survives."""
+    graph = chain_graph()
+    substrate = SharedDistanceSubstrate(graph)
+    other = {
+        "landmark": substrate.lease_landmarks,
+        "matrix": substrate.lease_matrix,
+    }
+    if mode in other:
+        other[mode]()
+    pattern = Pattern.from_spec(
+        {"x": "label = A", "y": "label = B"}, [("x", "y", 3)]
+    )
+    idx = BoundedSimulationIndex(
+        pattern, graph, distance_mode=mode, substrate=substrate
+    )
+    expected = {"landmark": 0, "matrix": 0}
+    if mode in other:
+        expected[mode] = 2
+    assert substrate.live_structures() == expected
+    assert substrate.stats.lm_builds + substrate.stats.matrix_builds == (
+        1 if mode in other else 0
+    )
+    if mode == "landmark":
+        assert idx.landmark_index() is substrate.landmark_index()
+    else:
+        assert idx.landmark_index() is None
+    assert as_pairs(idx.matches()) == {("x", "a"), ("y", "b")}
+    idx.release()
+    idx.release()
+    if mode in other:
+        expected[mode] = 1
+    assert substrate.live_structures() == expected
+    assert idx.landmark_index() is None
 
 
 CHAIN_EDGES = [("a", "m1"), ("m1", "m2"), ("m2", "b")]

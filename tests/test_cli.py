@@ -5,7 +5,10 @@ import json
 import pytest
 
 from repro.cli import load_updates, main
-from repro.graphs.io import save_json
+from repro.incremental.incbsim import DISTANCE_MODES
+from repro.matching.bounded import bounded_match
+from repro.matching.relation import as_pairs, totalize
+from repro.graphs.io import load_json, save_json
 from repro.patterns.io import save_pattern
 from repro.patterns.pattern import Pattern
 
@@ -168,6 +171,55 @@ class TestPoolCli:
             ])
             == 2
         )
+
+    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    def test_each_distance_mode_matches_batch(
+        self, pool_files, tmp_path, capsys, friendfeed_pattern, mode
+    ):
+        """Every distance mode routes the bounded pattern by distance and
+        reports the batch match after the flush; the structure the mode
+        leases is the only one alive."""
+        graph, _, _, updates = pool_files
+        bounded = tmp_path / "bounded.json"
+        save_pattern(friendfeed_pattern, bounded)
+        assert (
+            main([
+                "pool", "--graph", graph,
+                "--patterns", str(bounded),
+                "--semantics", "bounded",
+                "--distance-mode", mode,
+                "--updates", updates,
+            ])
+            == 0
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert out["queries"]["bounded"]["routing"] == "distance"
+        after = load_json(graph)
+        for op, x, y in load_updates(updates):
+            assert op == "insert"
+            after.add_edge(x, y)
+        truth = as_pairs(totalize(bounded_match(friendfeed_pattern, after)))
+        got = {
+            (u, v)
+            for u, vs in out["after_updates"]["bounded"]["matches"].items()
+            for v in vs
+        }
+        assert got == truth
+        leased = {"landmark": 0, "matrix": 0}
+        if mode in leased:
+            leased[mode] = 1
+        structures = out["shared_structures"]
+        assert {k: structures[k] for k in leased} == leased
+
+    def test_interval_distance_mode_is_rejected(self, pool_files, capsys):
+        graph, hiring, _, _ = pool_files
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pool", "--graph", graph, "--patterns", hiring,
+                "--distance-mode", "interval",
+            ])
+        assert exc.value.code == 2
+        assert "invalid choice: 'interval'" in capsys.readouterr().err
 
     def test_graph_backend_flag(
         self, pool_files, tmp_path, capsys, friendfeed_pattern
