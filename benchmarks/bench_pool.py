@@ -1,7 +1,6 @@
 """Routed-update throughput of MatcherPool vs a naive matcher loop.
 
-The scenarios, all over one shared graph holding labelled communities
-(the ``kernels`` microbench adds a dedicated dense columnar graph):
+The scenarios, all over one shared graph holding labelled communities:
 
 - ``simulation``: N normal patterns (``A{i} -> B{i} -> C{i}``), routed by
   eq-keys alone — PR 1's headline property;
@@ -38,12 +37,9 @@ The scenarios, all over one shared graph holding labelled communities
   join-repair count is non-zero and exactly equal across all N >= 4,
   and (at N >= 16, above the noise floor) that the shared flush beats
   the per-query flush outright;
-- ``kernels``: the numpy kernel layer raced against its pure-Python
-  twin on the bulk hot path it vectorizes — full-column atom sweeps
-  (first-lease eligibility builds) on a dense graph — with a hard gate
-  that numpy wins at the largest size (min-of-k, above a noise floor);
 - ``temporal``: sliding-window bulk expiry against per-edge deletion
-  flushes, with flat-upkeep and zero-rebuild counter gates.
+  flushes, with counter gates on flat, non-zero structure upkeep and on
+  zero rebuilds (both fail when no structure is leased).
 
 The naive baseline is one independent incremental index per pattern, each
 fed the full stream.  Every timed region starts right after a full
@@ -66,7 +62,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import random
 import statistics
 import sys
@@ -76,9 +71,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.engine import MatcherPool  # noqa: E402
-from repro.engine.eligibility import SharedEligibilityIndex  # noqa: E402
-from repro.graphs import kernels  # noqa: E402
-from repro.graphs.columnar import ColumnarDiGraph  # noqa: E402
 from repro.graphs.digraph import DiGraph  # noqa: E402
 from repro.incremental.incbsim import (  # noqa: E402
     DISTANCE_MODES,
@@ -94,7 +86,7 @@ from repro.workloads.updates import label_partitioned_updates  # noqa: E402
 # Every scenario, in the order ``--scenario all`` runs them.
 SCENARIO_NAMES = (
     "simulation", "bounded", "bounded-shared", "overlap", "overlap-atoms",
-    "shared-plan", "kernels", "temporal",
+    "shared-plan", "temporal",
 )
 
 
@@ -670,139 +662,15 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
     }
 
 
-# The conjunction vocabulary the kernels bulk sweep leases: eight
-# distinct atoms over one numeric and one label column, mixing ordering
-# ops (numeric-shadow kernel), equality on strings (object-space kernel)
-# and a conjunction each so the intersection views are exercised too.
-_KERNEL_PREDICATES = (
-    "score > 0",
-    "score <= 1.5 & score > -2",
-    "label = A",
-    "label != B & score >= 2.5",
-    "score < -1 & label = C",
-)
-
-
-def build_kernels_graph(num_nodes: int, seed: int = 23) -> ColumnarDiGraph:
-    """A dense columnar graph (E ~ 8·V, edges from a lower to a higher
-    node index) with a float ``score`` column and a 3-valued ``label``
-    column — the graph the kernels bulk sweep races on."""
-    rng = random.Random(seed)
-    g = ColumnarDiGraph()
-    labels = ("A", "B", "C")
-    for j in range(num_nodes):
-        g.add_node(f"n{j}", label=labels[j % 3],
-                   score=rng.uniform(-5.0, 5.0))
-    wanted = 8 * num_nodes
-    attempts = 0
-    while g.num_edges() < wanted and attempts < 20 * wanted:
-        attempts += 1
-        v, w = rng.randrange(num_nodes), rng.randrange(num_nodes)
-        if v != w:
-            g.add_edge(f"n{min(v, w)}", f"n{max(v, w)}")
-    return g
-
-
-def _with_kernel_mode(mode, fn, reps):
-    """min-of-``reps`` timing of ``fn()`` with ``REPRO_KERNELS`` pinned."""
-    prev = os.environ.get("REPRO_KERNELS")
-    os.environ["REPRO_KERNELS"] = mode
-    try:
-        best = float("inf")
-        out = None
-        for _ in range(reps):
-            elapsed, out = timed(fn)
-            best = min(best, elapsed)
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = prev
-    return best, out
-
-
-def run_kernels_scenario(sizes, cluster_size, reps):
-    """numpy kernels vs their pure-Python twins on the bulk atom sweep.
-
-    On a dense :class:`ColumnarDiGraph` (no pool — this is the one
-    microbench that times the kernel layer itself), build a fresh
-    :class:`SharedEligibilityIndex` and lease the 8-atom conjunction
-    vocabulary, so every atom pays its first-lease full-column sweep
-    (``_atom_sweep_members`` under numpy, per-node ``satisfied_by`` under
-    python).
-
-    Timings are **min-of-k** (``reps`` floored at 7 — scheduler noise
-    only ever adds time).  The acceptance gate is judged at the largest
-    size only, and only when the python twin's time clears
-    ``RACE_GATE_FLOOR_MS`` (below that the race is timer jitter and the
-    verdict is reported ungated as ``None``): numpy must be strictly
-    faster.  The member sets per predicate must be identical across
-    modes.
-    """
-    print("\n== scenario: kernels "
-          "(numpy kernels vs pure-Python twins, columnar backend) ==")
-    if not kernels.numpy_available():
-        print("kernels: numpy unavailable — scenario skipped "
-              "(pure-Python twins are the only mode)")
-        return True, {"skipped": "numpy unavailable"}
-    node_counts = sorted({cluster_size * n for n in sizes})[-3:]
-    race_reps = max(reps, 7)
-    preds = [predmod.parse_predicate(text) for text in _KERNEL_PREDICATES]
-    print(f"{'V':>6} {'E':>7} {'sweep np':>9} {'sweep py':>9} {'py/np':>7}")
-    ok = True
-    results = []
-
-    def bulk_sweep(g):
-        idx = SharedEligibilityIndex(g)
-        return {repr(p): frozenset(idx.lease(p).members) for p in preds}
-
-    for num_nodes in node_counts:
-        g = build_kernels_graph(num_nodes)
-        row = {"n": num_nodes, "edges": g.num_edges()}
-        sweeps = {}
-        for mode in ("numpy", "python"):
-            t, sweeps[mode] = _with_kernel_mode(
-                mode, lambda: bulk_sweep(g), race_reps
-            )
-            row[f"bulk_{mode}_ms"] = round(t * 1e3, 3)
-        if sweeps["numpy"] != sweeps["python"]:
-            print(f"MISMATCH kernels bulk sweep V={num_nodes}: member "
-                  f"sets differ across modes", file=sys.stderr)
-            ok = False
-        row["bulk_python_over_numpy"] = round(
-            row["bulk_python_ms"] / row["bulk_numpy_ms"], 2
-        ) if row["bulk_numpy_ms"] else float("inf")
-        print(f"{num_nodes:>6} {row['edges']:>7} "
-              f"{row['bulk_numpy_ms']:>9.2f} {row['bulk_python_ms']:>9.2f} "
-              f"{row['bulk_python_over_numpy']:>6.2f}x")
-        results.append(row)
-    top = results[-1]
-    if top["bulk_python_ms"] < RACE_GATE_FLOOR_MS:
-        numpy_wins = None
-        print(f"kernels: bulk race ungated (python twin under "
-              f"{RACE_GATE_FLOOR_MS}ms at V={top['n']} — "
-              f"noise-dominated at this scale)")
-    else:
-        numpy_wins = top["bulk_numpy_ms"] < top["bulk_python_ms"]
-        if not numpy_wins:
-            print(f"kernels: numpy did not beat the python twin on the "
-                  f"bulk sweep at V={top['n']}", file=sys.stderr)
-            ok = False
-    print(f"numpy_wins_bulk={numpy_wins}")
-    return ok, {
-        "sizes": node_counts,
-        "reps": race_reps,
-        "results": results,
-        "numpy_wins_bulk": numpy_wins,
-    }
-
-
 # The temporal scenario draws its standing queries from a small pattern
 # vocabulary so shared-substrate upkeep per flush is EXACTLY flat once
 # every distinct pattern is registered (n >= vocabulary size) — a
 # deterministic counter gate rather than a timing race.
 TEMPORAL_PATTERN_VOCAB = 4
 TEMPORAL_WINDOW = 10.0
+# Landmark mode leases one structure that every expiry flush must sync;
+# in bfs mode nothing is leased and both counter gates below fail.
+TEMPORAL_DISTANCE_MODE = "landmark"
 
 
 def temporal_pattern(i: int) -> Pattern:
@@ -812,8 +680,8 @@ def temporal_pattern(i: int) -> Pattern:
 def run_temporal_scenario(sizes, graph, num_churn, reps):
     """Sliding-window expiry: bulk vs per-edge deletion, flat upkeep.
 
-    Three legs per pool size N (landmark mode, shared scopes, patterns
-    from a ``TEMPORAL_PATTERN_VOCAB``-sized vocabulary):
+    Three legs per pool size N (``TEMPORAL_DISTANCE_MODE``, shared scopes,
+    patterns from a ``TEMPORAL_PATTERN_VOCAB``-sized vocabulary):
 
     - **bulk expiry** (``expiry_bulk_ms``): a windowed pool ingests one
       churn batch at t=0, the clock advances past the window, and ONE
@@ -832,18 +700,23 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
     Deterministic gates, fired at every scale:
 
     - ``upkeep_flat``: the shared substrate's structure-level batch count
-      for the bulk-expiry flush is identical at every N >= vocabulary
-      size (windowed flush cost flat in standing-query count);
-    - ``zero_expiry_rebuilds``: :meth:`MatcherPool.rebuild_counters` is
-      unchanged across the expiry flush — bulk expiry rides the
-      decremental repair paths only, never a from-scratch rebuild.
+      for the bulk-expiry flush is one non-zero value at two or more
+      sizes N >= vocabulary size (windowed flush cost flat in
+      standing-query count);
+    - ``zero_expiry_rebuilds``: every expiry flush synced a structure and
+      left :meth:`MatcherPool.rebuild_counters` unchanged — bulk expiry
+      rides the decremental repair paths only, never a from-scratch
+      rebuild.
+
+    Both counts read 0 when no structure is leased (``bfs`` mode), so
+    both gates fail there rather than pass on an all-zero count.
 
     Correctness: the windowed pool, the per-edge twin, and a fresh
     from-scratch index on the truncated graph must all agree.
     """
     print(
         "\n== scenario: temporal (sliding-window bulk expiry vs per-edge "
-        "deletion flushes; landmark mode) =="
+        f"deletion flushes; {TEMPORAL_DISTANCE_MODE} mode) =="
     )
     churn = [
         u for u in label_partitioned_updates(
@@ -878,7 +751,7 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
                 temporal_pattern(i),
                 semantics="bounded",
                 name=f"p{i}",
-                distance_mode="landmark",
+                distance_mode=TEMPORAL_DISTANCE_MODE,
             )
         return pool
 
@@ -971,8 +844,13 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
         all(r["per_edge_over_bulk"] > 1.0 for r in gated) if gated else None
     )
     flat_rows = [r["structure_batches"] for r in results if r["n"] >= k]
-    upkeep_flat = len(set(flat_rows)) <= 1
-    zero_expiry_rebuilds = all(r["rebuild_delta"] == 0 for r in results)
+    upkeep_flat = (
+        len(flat_rows) >= 2 and 0 not in flat_rows and len(set(flat_rows)) == 1
+    )
+    zero_expiry_rebuilds = all(
+        r["rebuild_delta"] == 0 and r["structure_batches"] > 0
+        for r in results
+    )
     print(
         f"bulk_expiry_wins={bulk_expiry_wins} upkeep_flat={upkeep_flat} "
         f"zero_expiry_rebuilds={zero_expiry_rebuilds}"
@@ -990,20 +868,22 @@ def run_temporal_scenario(sizes, graph, num_churn, reps):
         )
     if not upkeep_flat:
         print(
-            "temporal: expiry-flush structure batches grew with pool size "
-            f"beyond the {k}-pattern vocabulary: {flat_rows}",
+            f"temporal: expiry-flush structure batches at N >= {k} are not "
+            f"one non-zero count over two or more sizes: {flat_rows}",
             file=sys.stderr,
         )
         ok = False
     if not zero_expiry_rebuilds:
         print(
-            "temporal: bulk expiry triggered full-structure rebuilds",
+            "temporal: a bulk expiry flush synced no structure or triggered "
+            "full-structure rebuilds",
             file=sys.stderr,
         )
         ok = False
     return ok, {
         "sizes": sizes,
         "reps": race_reps,
+        "distance_mode": TEMPORAL_DISTANCE_MODE,
         "window": TEMPORAL_WINDOW,
         "churn": len(churn),
         "pattern_vocabulary": k,
@@ -1118,8 +998,6 @@ def main(argv=None) -> int:
             s_ok, s_doc = run_shared_plan_scenario(
                 plan_sizes, graph, num_updates, reps
             )
-        elif scenario == "kernels":
-            s_ok, s_doc = run_kernels_scenario(sizes, cluster_size, reps)
         elif scenario == "temporal":
             # The per-edge leg pays one flush per churn edge; a capped
             # sweep already spans the vocabulary-flat gate (k=4).

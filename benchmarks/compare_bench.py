@@ -35,7 +35,6 @@ from pathlib import Path
 # Per-scenario keys holding a flush-cost in milliseconds (lower = better).
 COST_KEYS = (
     "pool_ms",
-    "bulk_numpy_ms", "bulk_python_ms",
     "plan_shared_ms", "plan_per_query_ms",
     "expiry_bulk_ms", "expiry_per_edge_ms", "windowed_ms",
 )

@@ -129,13 +129,6 @@ def main(argv=None) -> int:
         "pattern, or give exactly one per --patterns entry",
     )
     pool.add_argument(
-        "--graph-backend",
-        default="dict",
-        choices=["dict", "columnar"],
-        help="graph storage backend for the pool: plain dict-of-dicts "
-        "(default) or interned-id columnar",
-    )
-    pool.add_argument(
         "--plan-scope",
         default="per-query",
         choices=["shared", "per-query"],
@@ -220,7 +213,6 @@ def _run_pool(args) -> int:
         pool = MatcherPool(
             load_graph(args.graph),
             plan_scope=args.plan_scope,
-            graph_backend=args.graph_backend,
             window=args.window,
         )
         for path, mode in zip(args.patterns, modes):
@@ -243,7 +235,6 @@ def _run_pool(args) -> int:
     pool = make_pool()
     output = {
         "plan_scope": args.plan_scope,
-        "graph_backend": pool.graph_backend,
         "queries": {
             q.name: dict(_render_query(q), routing=_routing_class(q))
             for q in pool.queries()

@@ -59,11 +59,8 @@ class Matcher:
     ) -> None:
         self.pattern = pattern
         self.semantics = semantics
+        self.graph = graph
         self.pool = MatcherPool(graph)
-        # The pool may convert the graph to another storage backend
-        # (explicitly or via REPRO_GRAPH_BACKEND); alias its copy so the
-        # matcher never reads a graph the pool stopped mutating.
-        self.graph = self.pool.graph
         self.query = self.pool.register(
             pattern,
             semantics=semantics,

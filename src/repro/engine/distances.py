@@ -23,7 +23,7 @@ owns
   batch is observed — so routing and every routed query's repair on one
   edge share one BFS pair per radius; nothing is leased or maintained;
 - the **probes** of IncBMatch-'s suspect rechecks
-  (:func:`~repro.graphs.traversal.within_probe`): for a suspect source
+  (:class:`~repro.graphs.traversal.WithinProbe`): for a suspect source
   ``a`` and bound ``k``, a lazily expanded BFS from ``a`` on the
   post-deletion graph that labels only as far as the targets asked so far
   need, memoized per ``(a, k)`` — so every routed query's recheck in a
@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.distance import DistanceMatrix
-from ..graphs.traversal import Legs, WithinProbe, edge_legs, within_probe
+from ..graphs.traversal import Legs, WithinProbe, edge_legs
 from ..landmarks.selection import LandmarkBudget
 from ..landmarks.vector import LandmarkIndex
 
@@ -175,7 +175,7 @@ class SharedDistanceSubstrate:
         key = (a, k)
         probe = self._probes.get(key)
         if probe is None:
-            probe = self._probes[key] = within_probe(
+            probe = self._probes[key] = WithinProbe(
                 self._graph, a, k, self.stats
             )
         return probe

@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
-from ..patterns.predicate import Atom, Predicate, note_atom_evaluations
+from ..patterns.predicate import Atom, Predicate
 
 # One membership flip: (predicate, gained?) — False means lost.
 Flip = Tuple[Predicate, bool]
@@ -238,19 +238,7 @@ class SharedEligibilityIndex:
         return ae
 
     def _initial_members(self, atom: Atom) -> Set[Node]:
-        """First-lease full-graph sweep for one atom.
-
-        Columnar graphs expose a vectorized sweep over the attr column
-        (``_atom_sweep_members``); it declines with ``None`` when the
-        numpy kernels are off or cannot represent this atom exactly, and
-        other backends lack the hook — both run the per-node twin.
-        """
-        sweep = getattr(self._graph, "_atom_sweep_members", None)
-        if sweep is not None:
-            members = sweep(atom.attribute, atom.op, atom.value)
-            if members is not None:
-                note_atom_evaluations(self._graph.num_nodes())
-                return members
+        """First-lease full-graph sweep for one atom."""
         return {
             v
             for v in self._graph.nodes()
@@ -331,11 +319,9 @@ class SharedEligibilityIndex:
         flush order, post-edit (the graph already reflects every event;
         duplicate nodes are fine — touched names accumulate, and an
         ``is_new`` or names-less event widens the node to "evaluate every
-        atom").  Atoms are evaluated **column-major**: one bulk call per
-        distinct atom over all its touched nodes, dispatched to the
-        columnar backend's vectorized kernel when available (per-node
-        ``satisfied_by`` twin otherwise).  Membership *before* the batch
-        is read off the posting sets, so the returned
+        atom").  Atoms are evaluated **column-major**: one pass per
+        distinct atom over all its touched nodes.  Membership *before* the
+        batch is read off the posting sets, so the returned
         ``(predicate, node, gained)`` triples are the **net** verdict
         flips across the batch — at most one per (predicate, node), with
         transient gain/loss pairs inside the batch never materializing.
@@ -375,8 +361,7 @@ class SharedEligibilityIndex:
                 for name in names:
                     for atom in self._by_attr.get(name, {}):
                         per_atom.setdefault(atom, []).append(v)
-        graph = self._graph
-        bulk = getattr(graph, "_bulk_atom_verdicts", None)
+        attrs = self._graph.attrs
         # id(entry) -> nodes to reconcile, insertion-ordered for
         # deterministic flip order within each entry.
         affected: Dict[int, Dict[Node, None]] = {}
@@ -388,17 +373,9 @@ class SharedEligibilityIndex:
         for atom, nodes in per_atom.items():
             ae = self._atoms[atom]
             self.stats.atom_evals += len(nodes)
-            verdicts = None
-            if bulk is not None:
-                verdicts = bulk(atom.attribute, atom.op, atom.value, nodes)
-                if verdicts is not None:
-                    note_atom_evaluations(len(nodes))
-            if verdicts is None:
-                verdicts = [
-                    atom.satisfied_by(graph.attrs(v)) for v in nodes
-                ]
             members = ae.members
-            for v, now in zip(nodes, verdicts):
+            for v in nodes:
+                now = atom.satisfied_by(attrs(v))
                 was = v in members
                 if now is not was:
                     (members.add if now else members.discard)(v)

@@ -58,10 +58,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..graphs.columnar import as_backend
 from ..graphs.digraph import DiGraph, Node
 from ..incremental.incbsim import DISTANCE_MODES
 from ..incremental.types import (
@@ -210,29 +208,19 @@ class FlushReport:
 class MatcherPool:
     """Many continuous pattern queries over one shared data graph."""
 
+    # benchmarks/e2e/run.py is the only reader of this name.
+    graph_backend = "dict"
+
     def __init__(
         self,
         graph: DiGraph,
         plan_scope: str = "per-query",
         lm_budget: Optional[LandmarkBudget] = None,
-        graph_backend: Optional[str] = None,
         window: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         _check_lifetime("window", window)
-        # ``graph_backend`` selects the storage backend every consumer in
-        # this pool runs on: ``'dict'`` (plain DiGraph) or ``'columnar'``
-        # (dense-id columns; see graphs/columnar.py).  The input graph is
-        # converted if it is not already the requested backend; ``None``
-        # defers to the REPRO_GRAPH_BACKEND environment variable (how CI
-        # sweeps the whole suite across backends) and otherwise keeps
-        # whatever backend was passed in.
-        if graph_backend is None:
-            graph_backend = os.environ.get("REPRO_GRAPH_BACKEND") or None
-        if graph_backend is not None:
-            graph = as_backend(graph, graph_backend)
         self.graph = graph
-        self.graph_backend = type(graph).backend_name()
         self.stats = PoolStats()
         # One eligible-node set per distinct predicate, leased by every
         # query; one distance structure per (graph, distance_mode), leased
@@ -594,16 +582,16 @@ class MatcherPool:
         # Node events are collected across the whole batch and handed to
         # the eligibility substrate as ONE ``observe_events`` call: the
         # substrate evaluates each distinct atom column-major over all its
-        # touched nodes (vectorized on the columnar backend), diffing
-        # final verdicts against pre-batch posting sets — which yields the
-        # net flips per (predicate, node) directly, transient flip pairs
-        # never materializing.  The net flips are then delivered as ONE
-        # routing + repair pass per flush: the sets are final by then, so
-        # batched repair reaches the same fixpoint as the per-event
-        # interleaving, without per-event routing overhead.  Fresh
-        # (edge-less) phase-A nodes ride the same batch: their gains are
-        # exactly the predicates they satisfy, and index adoption from
-        # final sets is equivalent to per-event apply_node_added.
+        # touched nodes, diffing final verdicts against pre-batch posting
+        # sets — which yields the net flips per (predicate, node)
+        # directly, transient flip pairs never materializing.  The net
+        # flips are then delivered as ONE routing + repair pass per
+        # flush: the sets are final by then, so batched repair reaches the
+        # same fixpoint as the per-event interleaving, without per-event
+        # routing overhead.  Fresh (edge-less) phase-A nodes ride the same
+        # batch: their gains are exactly the predicates they satisfy, and
+        # index adoption from final sets is equivalent to per-event
+        # apply_node_added.
         report.attr_ops = len(node_ops)
         events: List[Tuple[Node, Optional[Iterable[str]], bool]] = []
         for v, attrs in node_ops:

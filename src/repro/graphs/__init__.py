@@ -1,6 +1,5 @@
 """Graph substrate: attributed digraphs, traversals, SCCs, distances."""
 
-from .columnar import MISSING, ColumnarDiGraph, NodeInterner, as_backend
 from .digraph import DiGraph, GraphError
 from .distance import DistanceMatrix, floyd_warshall
 from .generators import (
@@ -42,10 +41,6 @@ from .twohop import TwoHopLabels
 
 __all__ = [
     "DiGraph",
-    "ColumnarDiGraph",
-    "NodeInterner",
-    "MISSING",
-    "as_backend",
     "GraphError",
     "DistanceMatrix",
     "floyd_warshall",

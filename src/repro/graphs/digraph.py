@@ -13,17 +13,6 @@ value is always ``None``): the ``.keys()`` views behave like sets for the
 algorithms of Sections 5 and 6 hammer, while iteration order is the edge
 insertion order — deterministic across ``PYTHONHASHSEED``s, so fuzz seeds
 and benchmark runs replay identically.
-
-Two interchangeable backends implement this API:
-
-* :class:`DiGraph` (this module) — dict-of-dicts adjacency, per-node attr
-  dicts.  The reference backend.
-* :class:`repro.graphs.columnar.ColumnarDiGraph` — dense-id columnar
-  storage behind the same API (see that module).
-
-Generic helpers (``__eq__``, degrees, ``edge_set``) are written against the
-public API only, so they work across backends; a ``DiGraph`` built by one
-backend compares equal to the same graph built by the other.
 """
 
 from __future__ import annotations
@@ -85,12 +74,6 @@ class DiGraph:
         if attrs is not None:
             for node, node_attrs in attrs.items():
                 self.add_node(node, **dict(node_attrs))
-
-    @classmethod
-    def backend_name(cls) -> str:
-        """Identifier of this storage backend (``'dict'`` here; subclasses
-        override — see :func:`repro.graphs.columnar.as_backend`)."""
-        return "dict"
 
     # ------------------------------------------------------------------
     # Node operations
@@ -271,27 +254,15 @@ class DiGraph:
         return frozenset(self.edges())
 
     def __eq__(self, other: object) -> bool:
-        # Written against the public API only so that graphs compare equal
-        # across backends (dict vs columnar).
+        # Same nodes, edges and attribute tuples; insertion order is
+        # ignored.
         if not isinstance(other, DiGraph):
             return NotImplemented
-        if self.num_nodes() != other.num_nodes():
-            return False
-        if self.num_edges() != other.num_edges():
-            return False
-        mine = set(self.nodes())
-        if mine != set(other.nodes()):
-            return False
-        for v in mine:
-            ours = self.children(v)
-            theirs = other.children(v)
-            if len(ours) != len(theirs):
-                return False
-            if any(w not in theirs for w in ours):
-                return False
-            if dict(self.attrs(v)) != dict(other.attrs(v)):
-                return False
-        return True
+        return (
+            self._num_edges == other._num_edges
+            and self._succ == other._succ
+            and self._attrs == other._attrs
+        )
 
     def __hash__(self) -> int:  # pragma: no cover - mutable, identity hash
         return id(self)

@@ -24,11 +24,6 @@ INF = float("inf")
 
 def strongly_connected_components(graph: DiGraph) -> List[List[Node]]:
     """Tarjan SCCs in reverse topological order (sinks first)."""
-    # Dense-id backends (graphs/columnar.py) run Tarjan over slot ids with
-    # array bookkeeping instead of node-keyed dicts.
-    fast = getattr(graph, "_scc_components", None)
-    if fast is not None:
-        return fast()
     index: Dict[Node, int] = {}
     lowlink: Dict[Node, int] = {}
     on_stack: Set[Node] = set()
@@ -85,9 +80,6 @@ def condensation(graph: DiGraph) -> Tuple[DiGraph, Dict[Node, int]]:
     (in Tarjan order: sinks first) and ``comp_of[v]`` maps each original
     node to its component index.
     """
-    fast = getattr(graph, "_condensation", None)
-    if fast is not None:
-        return fast()
     comps = strongly_connected_components(graph)
     comp_of: Dict[Node, int] = {}
     for i, comp in enumerate(comps):

@@ -5,7 +5,7 @@ Bounded simulation repeatedly needs "which nodes lie within ``k`` hops of
 These helpers implement plain and bounded BFS over :class:`DiGraph`, plus
 nonempty-path distances (a path must have length >= 1, so the distance from
 ``v`` to itself is the length of the shortest cycle through ``v``), and
-:func:`within_probe`, a lazily expanded bounded BFS that answers "is ``c``
+:class:`WithinProbe`, a lazily expanded bounded BFS that answers "is ``c``
 within ``k``?" for one target at a time.
 """
 
@@ -32,12 +32,6 @@ def bfs_distances(
     Returns a dict mapping each reached node to its distance; the source
     maps to 0.  ``max_depth`` truncates the search.
     """
-    # Backends that index nodes by dense ints (graphs/columnar.py) expose
-    # an id-space BFS that skips per-neighbour view indirection and hashes
-    # ints instead of node objects.
-    fast = getattr(graph, "_bfs_distances", None)
-    if fast is not None:
-        return fast(source, max_depth, reverse)
     neighbours = graph.parents if reverse else graph.children
     dist: Dict[Node, int] = {source: 0}
     queue = deque([source])
@@ -63,10 +57,9 @@ def edge_legs(graph: DiGraph, x: Node, y: Node, radius: Optional[int]) -> Legs:
     as ``d(a, x) + 1 + d(y, c) <= radius + 1`` (paper Section 6), so they
     are both IncBMatch's repair balls and its routing test.
 
-    A finite-radius leg lists its nodes in nondecreasing distance order
-    (BFS discovery order, on every backend), so the first member of a set
-    met in it is the nearest.  An unbounded leg makes no such promise:
-    the numpy CSR kernel returns it in node-id order.
+    Each leg lists its nodes in nondecreasing distance order (BFS
+    discovery order), so the first member of a set met in it is the
+    nearest.
     """
     return (
         bfs_distances(graph, x, radius, reverse=True),
@@ -82,10 +75,6 @@ def _ball_within(
     ``1 + dist(anchor, p)`` minimized over the anchor's in-neighbours ``p``
     (out-neighbours for the reverse ball), all labelled by the BFS itself
     when the cycle fits in ``k``."""
-    # Dense-id backends run the same single BFS in id space.
-    fast = getattr(graph, "_ball_within", None)
-    if fast is not None:
-        return fast(anchor, k, reverse)
     dist = bfs_distances(graph, anchor, max_depth=k, reverse=reverse)
     back = graph.children if reverse else graph.parents
     cycle: Optional[int] = None
@@ -193,20 +182,6 @@ class WithinProbe:
         return found
 
 
-def within_probe(
-    graph: DiGraph, source: Node, k: Optional[int], stats=None
-) -> WithinProbe:
-    """A :class:`WithinProbe` from ``source`` at bound ``k``.
-
-    Dense-id backends return an id-space twin with the same
-    ``reaches`` contract (the :func:`bfs_distances` hook pattern).
-    """
-    fast = getattr(graph, "_within_probe", None)
-    if fast is not None:
-        return fast(source, k, stats)
-    return WithinProbe(graph, source, k, stats)
-
-
 def shortest_cycle_through(
     graph: DiGraph, node: Node, max_len: Optional[int] = None
 ) -> Optional[int]:
@@ -215,9 +190,6 @@ def shortest_cycle_through(
     This is ``1 + dist(child, node)`` minimized over children; a self-loop
     gives 1.
     """
-    fast = getattr(graph, "_shortest_cycle_through", None)
-    if fast is not None:
-        return fast(node, max_len)
     if graph.has_edge(node, node):
         return 1
     limit = None if max_len is None else max_len - 1
@@ -256,9 +228,6 @@ def is_reachable(graph: DiGraph, v: Node, w: Node) -> bool:
 
 def reachable_set(graph: DiGraph, sources: Iterable[Node], reverse: bool = False) -> Set[Node]:
     """All nodes reachable (possibly trivially) from any of ``sources``."""
-    fast = getattr(graph, "_reachable_set", None)
-    if fast is not None:
-        return fast(sources, reverse)
     neighbours = graph.parents if reverse else graph.children
     seen: Set[Node] = set()
     queue = deque()

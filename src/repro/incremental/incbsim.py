@@ -27,7 +27,7 @@ A ``*`` bound drops the sum test.
   through some deleted edge, so it satisfies the rule on legs computed
   *before* the edit.  Every such pair the pair graph holds is a suspect,
   rechecked afterwards — by a *probe* per suspect source and bound
-  (:func:`~repro.graphs.traversal.within_probe`: a BFS that expands only
+  (:class:`~repro.graphs.traversal.WithinProbe`: a BFS that expands only
   until its suspect targets are decided, and never expands the last
   layer), or by landmark / matrix distance queries depending on
   ``distance_mode``.
@@ -84,7 +84,6 @@ from ..graphs.traversal import (
     ancestors_within,
     descendants_within,
     edge_legs,
-    within_probe,
 )
 from ..landmarks.vector import LandmarkIndex
 from ..matching.relation import MatchRelation, totalize
@@ -375,7 +374,7 @@ class BoundedSimulationIndex(StandaloneDriver):
         key = (a, bound)
         probe = own.get(key)
         if probe is None:
-            probe = own[key] = within_probe(self.graph, a, bound)
+            probe = own[key] = WithinProbe(self.graph, a, bound)
         return probe
 
     def _legs_per_bound(self, x: Node, y: Node) -> Dict[Bound, Legs]:

@@ -68,14 +68,6 @@ def reset_atom_evaluation_count() -> None:
     _ATOM_EVALUATIONS = 0
 
 
-def note_atom_evaluations(count: int) -> None:
-    """Credit ``count`` atom applications evaluated outside
-    ``Atom.satisfied_by`` (the numpy bulk kernels), so the global counter
-    keeps measuring evaluation *work* identically across kernel modes."""
-    global _ATOM_EVALUATIONS
-    _ATOM_EVALUATIONS += count
-
-
 class Atom:
     """One atomic formula ``attribute op constant``."""
 

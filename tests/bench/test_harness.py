@@ -128,7 +128,7 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["scenarios"]) == {
         "simulation", "bounded", "bounded-shared", "overlap",
-        "overlap-atoms", "shared-plan", "kernels", "temporal",
+        "overlap-atoms", "shared-plan", "temporal",
     }
     for name in ("simulation", "bounded"):
         scenario = doc["scenarios"][name]
@@ -179,18 +179,6 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         r["join_repairs"] for r in plan["results"] if r["n"] >= k
     ]
     assert len(set(plan_repairs)) == 1 and plan_repairs[0] > 0, plan_repairs
-    # The kernel layer's headline: numpy beats the pure-Python twin on
-    # the bulk sweep (hard-gated at full scale; at tiny scale the race is
-    # reported ungated, and without numpy the scenario documents itself
-    # as skipped).
-    kern = doc["scenarios"]["kernels"]
-    if "skipped" not in kern:
-        assert kern["results"]
-        for row in kern["results"]:
-            assert {
-                "n", "edges", "bulk_numpy_ms", "bulk_python_ms",
-            } <= set(row)
-        assert kern["numpy_wins_bulk"] is not False
     # The temporal pool's headline: retiring a whole window of expired
     # edges in one coalesced deletion batch beats deleting them one
     # flush at a time, windowed steady-state upkeep is EXACTLY flat in
@@ -214,7 +202,7 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     batches = [
         r["structure_batches"] for r in temporal["results"] if r["n"] >= 4
     ]
-    assert len(set(batches)) == 1, batches
+    assert len(set(batches)) == 1 and batches[0] > 0, batches
 
 
 @pytest.mark.parametrize("interned", [True, False])
@@ -254,6 +242,34 @@ def test_shared_plan_gate_fails_only_when_nothing_is_interned(
     assert doc["join_repairs_flat"] is interned
     joins = {r["n"]: r["plan_joins"] for r in doc["results"]}
     assert joins == ({4: 4, 8: 4} if interned else {4: 4, 8: 8})
+
+
+@pytest.mark.parametrize("distance_mode", ["landmark", "bfs"])
+def test_temporal_gates_fail_when_no_structure_is_synced(
+    distance_mode, monkeypatch
+):
+    """The temporal counter gates can fail: in ``bfs`` mode no distance
+    structure is leased, every expiry flush syncs 0 structures, and the
+    scenario reports not-ok; in landmark mode it passes on the same
+    inputs."""
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool",
+        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "TEMPORAL_DISTANCE_MODE", distance_mode)
+    graph = bench.build_graph(num_clusters=4, cluster_size=6)
+    ok, doc = bench.run_temporal_scenario([4, 8], graph, num_churn=8, reps=1)
+    synced = distance_mode == "landmark"
+    assert ok is synced
+    assert doc["upkeep_flat"] is synced
+    assert doc["zero_expiry_rebuilds"] is synced
+    batches = [r["structure_batches"] for r in doc["results"]]
+    assert batches == ([1, 1] if synced else [0, 0])
 
 
 def test_compare_bench_trend_accumulates_over_history(tmp_path):

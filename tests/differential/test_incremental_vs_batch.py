@@ -240,7 +240,6 @@ def test_pool_stream_matches_batch_all_semantics(data):
         small_patterns(max_nodes=3, max_bound=1, allow_star=False)
     )
     pool = MatcherPool(graph)
-    graph = pool.graph  # the pool may convert the backend; track its copy
     sim_q = pool.register(sim_pattern, semantics="simulation", name="sim")
     b_q = pool.register(b_pattern, semantics="bounded", name="bsim")
     iso_q = pool.register(iso_pattern, semantics="isomorphism", name="iso")
@@ -271,7 +270,6 @@ def test_pool_bounded_distance_modes_with_node_churn(mode, data):
     graph = data.draw(small_graphs(max_nodes=5))
     pattern = data.draw(small_patterns(max_nodes=3))
     pool = MatcherPool(graph)
-    graph = pool.graph  # the pool may convert the backend; track its copy
     q = pool.register(
         pattern, semantics="bounded", distance_mode=mode, name="b"
     )
@@ -309,7 +307,6 @@ def test_pool_with_fresh_nodes_and_attr_flips(data):
         small_patterns(max_nodes=3, max_bound=1, allow_star=False)
     )
     pool = MatcherPool(graph)
-    graph = pool.graph  # the pool may convert the backend; track its copy
     q = pool.register(pattern, semantics="simulation", name="sim")
     next_node = 100
     for _ in range(FLUSHES):

@@ -19,23 +19,19 @@ shared-plan pool) and occasional per-register ``plan_scope='per-query'``
 overrides, so planned and unplanned queries coexist in one pool.
 Register/unregister mid-stream exercises join drop and rebuild.
 
-The two pools always run on *opposite* graph backends, so every
-sequence is also a dict ≡ columnar differential; the ``REPRO_KERNELS``
-sweep additionally makes each sequence a numpy ≡ python kernel
-differential.  After every flush: the graphs must be equal, each
-query's match relation under BOTH pools must equal a from-scratch batch
-recomputation on the current graph, the two pools' *non-empty* match
-deltas must agree pairwise, and at sequence end every shared join's
-pair graph must mirror true bounded distances (``check_invariants``).
+After every flush: the graphs must be equal, each query's match
+relation under BOTH pools must equal a from-scratch batch recomputation
+on the current graph, the two pools' *non-empty* match deltas must agree
+pairwise, and at sequence end every shared join's pair graph must mirror
+true bounded distances (``check_invariants``).
 
 All randomness flows from seeds derived from a pinned base; every
 failure message names the seed that replays it:
 
     SHARED_PLAN_SEQUENCES=1 PYTHONPATH=src python -m pytest \
-        "tests/differential/test_shared_plan.py::test_shared_plan_differential_fuzz[dict-numpy]"
+        tests/differential/test_shared_plan.py::test_shared_plan_differential_fuzz
 
-Scale with ``SHARED_PLAN_SEQUENCES`` (default 150 sequences per
-(backend × kernel mode)).
+Scale with ``SHARED_PLAN_SEQUENCES`` (default 150 sequences).
 """
 
 from __future__ import annotations
@@ -43,10 +39,7 @@ from __future__ import annotations
 import os
 import random
 
-import pytest
-
 from repro.engine import MatcherPool
-from repro.graphs import kernels
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match
@@ -55,10 +48,6 @@ from repro.matching.relation import as_pairs, totalize
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.pattern import Pattern
 
-GRAPH_BACKENDS = ["dict", "columnar"]
-KERNEL_MODES = (
-    ["numpy", "python"] if kernels.numpy_available() else ["python"]
-)
 SEQUENCES = int(os.environ.get("SHARED_PLAN_SEQUENCES", "150"))
 BASE_SEED = 0x9A17
 FLUSHES = 3
@@ -95,16 +84,11 @@ def _random_pattern(rng: random.Random, normal: bool = False) -> Pattern:
 class _Harness:
     """One differential run: two pools, one op stream, one oracle."""
 
-    def __init__(self, seed: int, backend: str) -> None:
+    def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
         base = _random_graph(self.rng)
-        other_backend = "columnar" if backend == "dict" else "dict"
-        self.planned = MatcherPool(
-            base.copy(), plan_scope="shared", graph_backend=backend
-        )
-        self.per_query = MatcherPool(
-            base.copy(), plan_scope="per-query", graph_backend=other_backend
-        )
+        self.planned = MatcherPool(base.copy(), plan_scope="shared")
+        self.per_query = MatcherPool(base.copy(), plan_scope="per-query")
         self.patterns = {}
         self.feeds = {}
         self._counter = 0
@@ -263,8 +247,8 @@ class _Harness:
                     check()
 
 
-def _run_sequence(seed: int, backend: str = "dict") -> None:
-    harness = _Harness(seed, backend)
+def _run_sequence(seed: int) -> None:
+    harness = _Harness(seed)
     for step in range(FLUSHES):
         roll = harness.rng.random()
         if roll < 0.18:
@@ -277,20 +261,15 @@ def _run_sequence(seed: int, backend: str = "dict") -> None:
             harness.check_deep()
 
 
-@pytest.mark.parametrize("kernels_mode", KERNEL_MODES)
-@pytest.mark.parametrize("backend", GRAPH_BACKENDS)
-def test_shared_plan_differential_fuzz(backend, kernels_mode, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", kernels_mode)
+def test_shared_plan_differential_fuzz():
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, backend)
+            _run_sequence(seed)
         except AssertionError as exc:
             raise AssertionError(
-                f"differential fuzz failure: backend={backend!r} "
-                f"kernels={kernels_mode!r} seed={seed} — replay with "
-                f"REPRO_KERNELS={kernels_mode} "
-                f"_run_sequence({seed}, {backend!r})"
+                f"differential fuzz failure: seed={seed} — replay with "
+                f"_run_sequence({seed})"
             ) from exc
 
 

@@ -22,19 +22,12 @@ clients) with simulation and isomorphism blended in — so every index
 family's flip adoption, withdrawal cascades and embedding re-anchoring
 run under the same churn.
 
-The sweep runs once per ``(distance mode × plan scope × graph backend ×
-kernel mode)``.  The first pool takes the parametrized plan scope and
-graph backend, its twin the *opposite* of each: every sequence pits
-per-query indexes against the shared multi-query plan's interned
-indexes (both reading the same substrates), and is simultaneously a dict ≡
-columnar backend differential — the two pools run the same op stream on
-opposite storage layouts and their graphs are asserted equal (via the
-backend-generic ``DiGraph.__eq__``) after every flush.  The
-``REPRO_KERNELS`` sweep makes each of those sequences also a kernel
-differential: under ``numpy`` the columnar-backed pool runs the
-vectorized atom/BFS kernels while the dict-backed pool runs the
-pure-Python twins over the identical op stream (under ``python`` both
-pools run the twins).  The sweep covers all three distance modes.
+The sweep runs once per ``(distance mode × plan scope)``.  The first
+pool takes the parametrized plan scope, its twin the *opposite* one:
+every sequence pits per-query indexes against the shared multi-query
+plan's interned indexes (both reading the same substrates), and the two
+pools' graphs are asserted equal after every flush.  The sweep covers
+all three distance modes.
 After every flush, each registered query's match set under both pools
 must equal a from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
@@ -47,10 +40,10 @@ All randomness flows from ``random.Random`` seeds derived from a pinned
 base, so every failure message names the exact seed that replays it:
 
     SHARED_SUBSTRATE_SEQUENCES=1 PYTHONPATH=src python -m pytest \
-        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared-dict-python]"
+        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared]"
 
-then rerun ``_run_sequence(<seed>, "<mode>", "<plan scope>",
-"<backend>")`` from a REPL, or simply re-run the test — the sweep is
+then rerun ``_run_sequence(<seed>, "<mode>", "<plan scope>")`` from a
+REPL, or simply re-run the test — the sweep is
 deterministic end to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES``
 (default 200 sequences per parametrization).
 
@@ -83,7 +76,6 @@ import random
 import pytest
 
 from repro.engine import MatcherPool
-from repro.graphs import kernels
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match
@@ -96,10 +88,6 @@ from tests.routing_truth import distances_from_every_node, edge_routes
 
 MODES = ["bfs", "landmark", "matrix"]
 PLAN_SCOPES = ["shared", "per-query"]
-GRAPH_BACKENDS = ["dict", "columnar"]
-KERNEL_MODES = (
-    ["numpy", "python"] if kernels.numpy_available() else ["python"]
-)
 SEQUENCES = int(os.environ.get("SHARED_SUBSTRATE_SEQUENCES", "200"))
 BASE_SEED = 0x5D1575
 FLUSHES = 3
@@ -167,28 +155,15 @@ class _Harness:
     """One differential run: two pools, one op stream, one oracle."""
 
     def __init__(
-        self,
-        seed: int,
-        mode: str,
-        plan_scope: str = "shared",
-        backend: str = "dict",
+        self, seed: int, mode: str, plan_scope: str = "shared"
     ) -> None:
         self.rng = random.Random(seed)
         self.mode = mode
         base = _random_graph(self.rng)
-        # The twin runs the opposite plan scope on the *opposite* graph
-        # backend, so every sequence is also a dict ≡ columnar
-        # differential: the graph equality in check() compares across
-        # backends, and every index family runs its whole op stream on
-        # both storage layouts.
+        # The twin runs the opposite plan scope.
         other_scope = "per-query" if plan_scope == "shared" else "shared"
-        other_backend = "columnar" if backend == "dict" else "dict"
-        self.first = MatcherPool(
-            base.copy(), plan_scope=plan_scope, graph_backend=backend
-        )
-        self.twin = MatcherPool(
-            base.copy(), plan_scope=other_scope, graph_backend=other_backend
-        )
+        self.first = MatcherPool(base.copy(), plan_scope=plan_scope)
+        self.twin = MatcherPool(base.copy(), plan_scope=other_scope)
         self.patterns = {}
         self._counter = 0
         self._next_node = 100
@@ -354,13 +329,11 @@ class _Harness:
 
 
 def _tag(pool: MatcherPool) -> str:
-    return f"plan_scope={pool.plan_scope}, backend={pool.graph_backend}"
+    return f"plan_scope={pool.plan_scope}"
 
 
-def _run_sequence(
-    seed: int, mode: str, plan_scope: str = "shared", backend: str = "dict"
-) -> None:
-    harness = _Harness(seed, mode, plan_scope, backend)
+def _run_sequence(seed: int, mode: str, plan_scope: str = "shared") -> None:
+    harness = _Harness(seed, mode, plan_scope)
     for step in range(FLUSHES):
         roll = harness.rng.random()
         if roll < 0.15:
@@ -374,26 +347,18 @@ def _run_sequence(
             harness.check_deep()
 
 
-@pytest.mark.parametrize("kernels_mode", KERNEL_MODES)
-@pytest.mark.parametrize("backend", GRAPH_BACKENDS)
 @pytest.mark.parametrize("plan_scope", PLAN_SCOPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_shared_substrate_differential_fuzz(
-    mode, plan_scope, backend, kernels_mode, monkeypatch
-):
-    monkeypatch.setenv("REPRO_KERNELS", kernels_mode)
+def test_shared_substrate_differential_fuzz(mode, plan_scope):
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, mode, plan_scope, backend)
+            _run_sequence(seed, mode, plan_scope)
         except AssertionError as exc:
             raise AssertionError(
                 f"differential fuzz failure: mode={mode!r} "
-                f"plan_scope={plan_scope!r} backend={backend!r} "
-                f"kernels={kernels_mode!r} seed={seed} — replay with "
-                f"REPRO_KERNELS={kernels_mode} "
-                f"_run_sequence({seed}, {mode!r}, {plan_scope!r}, "
-                f"{backend!r})"
+                f"plan_scope={plan_scope!r} seed={seed} — replay with "
+                f"_run_sequence({seed}, {mode!r}, {plan_scope!r})"
             ) from exc
 
 

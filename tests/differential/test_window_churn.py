@@ -3,10 +3,8 @@ independent shadow model ≡ from-scratch recompute.
 
 Two *windowed* :class:`~repro.engine.pool.MatcherPool` instances — both
 on the pool's shared eligibility and distance substrates, one with the
-parametrized plan scope on the dict backend, its twin with the opposite
-plan scope on the columnar backend (so under ``REPRO_KERNELS=numpy`` the
-twin also runs the vectorized kernels while the dict pool runs the
-pure-Python twins) — run the same seeded op stream: stamped inserts (default window, explicit
+parametrized plan scope, its twin with the opposite plan scope — run
+the same seeded op stream: stamped inserts (default window, explicit
 ``ts`` backdating, per-edge ``ttl`` overrides), explicit deletes, node
 attribute flips, clock advances, TTL'd query registration, and
 deliberate **expire→re-insert collisions** (an edge scheduled to expire
@@ -47,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from repro.engine import MatcherPool
-from repro.graphs import kernels
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match
@@ -57,9 +54,6 @@ from repro.patterns.predicate import Atom, Predicate
 
 MODES = ["bfs", "landmark", "matrix"]
 PLAN_SCOPES = ["per-query", "shared"]
-KERNEL_MODES = (
-    ["numpy", "python"] if kernels.numpy_available() else ["python"]
-)
 SEQUENCES = int(os.environ.get("WINDOW_CHURN_SEQUENCES", "20"))
 BASE_SEED = 0xC1C
 FLUSHES = 5
@@ -162,12 +156,10 @@ class _ChurnHarness:
         base = _random_graph(self.rng)
         other_scope = "per-query" if plan_scope == "shared" else "shared"
         self.first = MatcherPool(
-            base.copy(), window=WINDOW,
-            plan_scope=plan_scope, graph_backend="dict",
+            base.copy(), window=WINDOW, plan_scope=plan_scope
         )
         self.twin = MatcherPool(
-            base.copy(), window=WINDOW,
-            plan_scope=other_scope, graph_backend="columnar",
+            base.copy(), window=WINDOW, plan_scope=other_scope
         )
         self.shadow = _ShadowModel(base)
         self.t = 0.0
@@ -245,7 +237,7 @@ class _ChurnHarness:
     def _check(self, reports, collisions) -> None:
         truth_graph = self.shadow.graph()
         for pool, report in zip(self.pools(), reports):
-            tag = f"{pool.graph_backend}/{pool.plan_scope}"
+            tag = pool.plan_scope
             assert pool.graph == truth_graph, (
                 f"{tag} graph diverged from the shadow model"
             )
@@ -270,7 +262,7 @@ class _ChurnHarness:
             for pool in self.pools():
                 got = as_pairs(pool.query(name).matches())
                 assert got == truth, (
-                    f"{pool.graph_backend}/{pool.plan_scope} match "
+                    f"{pool.plan_scope} match "
                     f"mismatch for {name}: "
                     f"extra={got - truth} missing={truth - got}"
                 )
@@ -284,13 +276,9 @@ def _run_sequence(seed: int, mode: str, plan_scope: str) -> None:
         harness.step()
 
 
-@pytest.mark.parametrize("kernels_mode", KERNEL_MODES)
 @pytest.mark.parametrize("plan_scope", PLAN_SCOPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_window_churn_differential_fuzz(
-    mode, plan_scope, kernels_mode, monkeypatch
-):
-    monkeypatch.setenv("REPRO_KERNELS", kernels_mode)
+def test_window_churn_differential_fuzz(mode, plan_scope):
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
@@ -298,8 +286,7 @@ def test_window_churn_differential_fuzz(
         except AssertionError as exc:
             raise AssertionError(
                 f"window churn fuzz failure: mode={mode!r} "
-                f"plan_scope={plan_scope!r} kernels={kernels_mode!r} "
-                f"seed={seed} — replay with "
+                f"plan_scope={plan_scope!r} seed={seed} — replay with "
                 f"_run_sequence({seed}, {mode!r}, {plan_scope!r})"
             ) from exc
 

@@ -17,22 +17,18 @@ user ops, matching the windowed flush's prepend ordering so a same-flush
 re-insert of an expired edge coalesces identically on both sides.
 Dead-on-arrival stamps (user inserts backdated past the window) are
 mirrored as deletes *after* the user ops, again matching the windowed
-ordering.  The two pools deliberately run on **opposite graph
-backends**, so every sequence is simultaneously a dict ≡ columnar
-differential, and the ``REPRO_KERNELS`` sweep makes each one a numpy ≡
-pure-Python kernel differential as well.
+ordering.
 
-After every flush the suite asserts graph equality (backend-generic),
-match equality against a from-scratch batch recomputation, change-feed
-equality (per-query added/removed deltas), shared-structure invariants
-on both pools, and the temporal invariants on the windowed side.
+After every flush the suite asserts graph equality, match equality
+against a from-scratch batch recomputation, change-feed equality
+(per-query added/removed deltas), shared-structure invariants on both
+pools, and the temporal invariants on the windowed side.
 Pure-expiry flushes (clock advance, no user ops) additionally assert a
 **zero rebuild delta** via ``rebuild_counters()`` — bulk expiry must
 ride the decremental repair paths of every substrate, never a
 full-structure rebuild.
 
-The sweep covers all three distance modes × both graph backends × both
-kernel modes (where numpy is available), seeded from a pinned base so
+The sweep covers all three distance modes, seeded from a pinned base so
 failures name the exact replay seed.
 """
 
@@ -44,7 +40,6 @@ import random
 import pytest
 
 from repro.engine import MatcherPool
-from repro.graphs import kernels
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match
@@ -53,10 +48,6 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 
 MODES = ["bfs", "landmark", "matrix"]
-GRAPH_BACKENDS = ["dict", "columnar"]
-KERNEL_MODES = (
-    ["numpy", "python"] if kernels.numpy_available() else ["python"]
-)
 SEQUENCES = int(os.environ.get("WINDOW_METAMORPHIC_SEQUENCES", "25"))
 BASE_SEED = 0x71E0
 FLUSHES = 5
@@ -101,15 +92,12 @@ def _delta_key(delta) -> tuple:
 class _MetamorphicHarness:
     """One windowed pool + one explicit-deletion twin, one op stream."""
 
-    def __init__(self, seed: int, mode: str, backend: str) -> None:
+    def __init__(self, seed: int, mode: str) -> None:
         self.rng = random.Random(seed)
         self.mode = mode
         base = _random_graph(self.rng)
-        other_backend = "columnar" if backend == "dict" else "dict"
-        self.windowed = MatcherPool(
-            base.copy(), window=WINDOW, graph_backend=backend,
-        )
-        self.twin = MatcherPool(base.copy(), graph_backend=other_backend)
+        self.windowed = MatcherPool(base.copy(), window=WINDOW)
+        self.twin = MatcherPool(base.copy())
         self.t = 0.0
         self.patterns = {}
         for i in range(self.rng.randint(1, 2)):
@@ -229,27 +217,22 @@ class _MetamorphicHarness:
         self.windowed.check_temporal_invariants()
 
 
-def _run_sequence(seed: int, mode: str, backend: str) -> None:
-    harness = _MetamorphicHarness(seed, mode, backend)
+def _run_sequence(seed: int, mode: str) -> None:
+    harness = _MetamorphicHarness(seed, mode)
     for step in range(FLUSHES):
         # Every third flush is pure expiry: clock advance only, so the
         # zero-rebuild assertion isolates the expiry path.
         harness.step(pure_expiry=(step % 3 == 2))
 
 
-@pytest.mark.parametrize("kernels_mode", KERNEL_MODES)
-@pytest.mark.parametrize("backend", GRAPH_BACKENDS)
 @pytest.mark.parametrize("mode", MODES)
-def test_window_metamorphic(mode, backend, kernels_mode, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", kernels_mode)
+def test_window_metamorphic(mode):
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, mode, backend)
+            _run_sequence(seed, mode)
         except AssertionError as exc:
             raise AssertionError(
                 f"window metamorphic failure: mode={mode!r} "
-                f"backend={backend!r} kernels={kernels_mode!r} "
-                f"seed={seed} — replay with "
-                f"_run_sequence({seed}, {mode!r}, {backend!r})"
+                f"seed={seed} — replay with _run_sequence({seed}, {mode!r})"
             ) from exc

@@ -12,8 +12,6 @@ import random
 import pytest
 
 from repro.engine.distances import SharedDistanceSubstrate
-from repro.graphs import kernels
-from repro.graphs.columnar import as_backend
 from repro.graphs.generators import chain, star, synthetic_graph
 from repro.graphs.traversal import INF, edge_legs, path_distance
 from repro.landmarks.selection import LandmarkBudget, select_landmarks
@@ -334,22 +332,14 @@ class TestIntrospection:
         assert all(getattr(stats, name) == 0 for name in stats.__slots__)
 
 
-KERNEL_MODES = ["python"] + (["numpy"] if kernels.numpy_available() else [])
-
-
-@pytest.mark.parametrize("kernel_mode", KERNEL_MODES)
-@pytest.mark.parametrize("backend", ["dict", "columnar"])
-def test_churn_keeps_structures_legs_and_probes_exact(
-    backend, kernel_mode, monkeypatch
-):
+def test_churn_keeps_structures_legs_and_probes_exact():
     """Mixed edge batches observed flush by flush, with a tight landmark
     budget so re-selections happen mid-stream: after every phase the
     leased landmark vectors and matrix, the memoized legs and the
     memoized probes all answer as a from-scratch BFS does on the current
     graph."""
-    monkeypatch.setenv("REPRO_KERNELS", kernel_mode)
     rng = random.Random(0xD15)
-    graph = as_backend(synthetic_graph(20, 18, seed=5), backend)
+    graph = synthetic_graph(20, 18, seed=5)
     substrate = SharedDistanceSubstrate(
         graph, lm_budget=LandmarkBudget(slack=1.0, floor=0)
     )

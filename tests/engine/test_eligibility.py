@@ -1,5 +1,7 @@
 """Unit tests for the pool-wide predicate-eligibility substrate."""
 
+import random
+
 import pytest
 
 from repro.engine import (
@@ -262,6 +264,82 @@ class TestObservation:
         idx.check_invariants()
         entry.members.add(3)  # corrupt
         with pytest.raises(AssertionError):
+            idx.check_invariants()
+
+    def test_net_flips_cancel_within_batch(self):
+        g = DiGraph()
+        g.add_node("v", score=1)
+        idx = SharedEligibilityIndex(g)
+        pred = parse_predicate("score > 2")
+        idx.lease(pred)
+        # Two writes that net out: gain then loss inside one batch.
+        g.set_attr("v", "score", 5)
+        g.set_attr("v", "score", 0)
+        flips = idx.observe_events(
+            [("v", ["score"], False), ("v", ["score"], False)]
+        )
+        assert flips == []
+        assert "v" not in idx.entry(pred).members
+        idx.check_invariants()
+
+    def test_batch_flips_are_the_net_membership_change(self):
+        """Random batches of attribute writes and fresh nodes: each
+        batch's flips are exactly the change in membership, recomputed
+        from scratch before and after it, one flip per (predicate,
+        node)."""
+        rnd = random.Random(59)
+        g = DiGraph(
+            [(i, (i + 1) % 20) for i in range(20)],
+            {i: {"score": i % 7, "label": "AB"[i % 2]} for i in range(20)},
+        )
+        idx = SharedEligibilityIndex(g)
+        preds = [
+            parse_predicate("score > 3"),
+            parse_predicate("score > 3 & label = A"),
+            parse_predicate("label != B"),
+            parse_predicate(""),
+        ]
+        for p in preds:
+            idx.lease(p)
+
+        def truth():
+            return {
+                (p, v)
+                for p in preds
+                for v in g.nodes()
+                if p.satisfied_by(g.attrs(v))
+            }
+
+        for _ in range(30):
+            before = truth()
+            events = []
+            for _ in range(rnd.randrange(1, 5)):
+                v = rnd.randrange(25)
+                if not g.has_node(v):
+                    g.add_node(v, score=rnd.randrange(7))
+                    events.append((v, None, True))
+                    continue
+                names = rnd.choice([["score"], ["label"], None])
+                if names == ["score"]:
+                    attrs = {"score": rnd.randrange(7)}
+                elif names == ["label"]:
+                    attrs = {"label": rnd.choice("AB")}
+                else:
+                    attrs = {"score": rnd.randrange(7), "label": "A"}
+                for name, value in attrs.items():
+                    g.set_attr(v, name, value)
+                events.append((v, names, False))
+            flips = idx.observe_events(events)
+            after = truth()
+            assert len(flips) == len(set(flips))
+            assert set(flips) == (
+                {(p, v, True) for p, v in after - before}
+                | {(p, v, False) for p, v in before - after}
+            )
+            for p in preds:
+                assert idx.entry(p).members == {
+                    v for q, v in after if q == p
+                }
             idx.check_invariants()
 
 

@@ -760,45 +760,8 @@ class TestSharedGraphConsistency:
 
 
 class TestGraphBackend:
-    def test_default_keeps_input_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRAPH_BACKEND", raising=False)
+    def test_default_keeps_input_backend(self):
         g = DiGraph([("a", "b")])
         pool = MatcherPool(g)
         assert pool.graph is g
         assert pool.graph_backend == "dict"
-
-    def test_env_var_sets_default_backend(self, monkeypatch):
-        from repro.graphs.columnar import ColumnarDiGraph
-
-        monkeypatch.setenv("REPRO_GRAPH_BACKEND", "columnar")
-        pool = MatcherPool(DiGraph([("a", "b")]))
-        assert isinstance(pool.graph, ColumnarDiGraph)
-        # An explicit argument wins over the environment.
-        pool2 = MatcherPool(DiGraph([("a", "b")]), graph_backend="dict")
-        assert type(pool2.graph) is DiGraph
-
-    def test_columnar_backend_converts_and_is_shared(self):
-        from repro.graphs.columnar import ColumnarDiGraph
-
-        g = DiGraph([("a", "b")], {"a": {"label": "A"}})
-        pool = MatcherPool(g, graph_backend="columnar")
-        assert isinstance(pool.graph, ColumnarDiGraph)
-        assert pool.graph_backend == "columnar"
-        assert pool.graph == g
-        q = pool.register(
-            Pattern.from_spec({"x": "label = A"}, []), semantics="bounded"
-        )
-        # Every consumer sees the one converted graph, not the input.
-        assert q.index.graph is pool.graph
-        assert pool.eligibility._graph is pool.graph
-
-    def test_columnar_input_passes_through(self):
-        from repro.graphs.columnar import ColumnarDiGraph
-
-        g = ColumnarDiGraph([("a", "b")])
-        pool = MatcherPool(g, graph_backend="columnar")
-        assert pool.graph is g
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            MatcherPool(DiGraph(), graph_backend="sparse")

@@ -2,13 +2,10 @@
 
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.distances import SharedDistanceSubstrate
-from repro.graphs import kernels
-from repro.graphs.columnar import as_backend
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, cycle_graph
 from repro.graphs.traversal import (
@@ -23,7 +20,6 @@ from repro.graphs.traversal import (
     path_distance,
     reachable_set,
     shortest_cycle_through,
-    within_probe,
 )
 from tests.strategies import small_graphs
 
@@ -136,23 +132,23 @@ class TestPathQueries:
 class TestWithinProbe:
     def test_stops_once_the_target_is_labelled(self):
         stats = SimpleNamespace(probe_nodes=0)
-        probe = within_probe(chain(10), 0, 5, stats)
+        probe = WithinProbe(chain(10), 0, 5, stats)
         assert probe.reaches(1)
         assert stats.probe_nodes == 2  # the source and its child
 
     def test_last_hop_never_expands_depth_k(self):
         stats = SimpleNamespace(probe_nodes=0)
-        probe = within_probe(chain(10), 0, 3, stats)
+        probe = WithinProbe(chain(10), 0, 3, stats)
         assert probe.reaches(3)
         assert not probe.reaches(4)
         assert stats.probe_nodes == 3  # depths 0..2 only
 
     def test_cycle_through_the_source(self):
         g = cycle_graph(4)
-        assert not within_probe(g, 0, 3).reaches(0)
-        assert within_probe(g, 0, 4).reaches(0)
-        assert within_probe(g, 0, None).reaches(0)
-        assert within_probe(DiGraph([("a", "a")]), "a", 1).reaches("a")
+        assert not WithinProbe(g, 0, 3).reaches(0)
+        assert WithinProbe(g, 0, 4).reaches(0)
+        assert WithinProbe(g, 0, None).reaches(0)
+        assert WithinProbe(DiGraph([("a", "a")]), "a", 1).reaches("a")
 
 
 KS = (1, 2, 3, None)
@@ -161,21 +157,15 @@ KS = (1, 2, 3, None)
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.randoms(use_true_random=False))
 def test_within_probe_agrees_with_path_distance(g, rng):
-    """One probe per (source, k) on each backend, its targets asked in a
-    shuffled order interleaved across probes (and asked twice), so
-    answers come from fresh, resumed and finished expansions alike."""
-    columnar = as_backend(g, "columnar")
-    probes = {}
-    for a in g.nodes():
-        for k in KS:
-            probes[("dict", a, k)] = within_probe(g, a, k)
-            probes[("columnar", a, k)] = twin = within_probe(columnar, a, k)
-            assert not isinstance(twin, WithinProbe)
+    """One probe per (source, k), its targets asked in a shuffled order
+    interleaved across probes (and asked twice), so answers come from
+    fresh, resumed and finished expansions alike."""
+    probes = {(a, k): WithinProbe(g, a, k) for a in g.nodes() for k in KS}
     asks = [key + (c,) for key in probes for c in g.nodes()] * 2
     rng.shuffle(asks)
-    for backend, a, k, c in asks:
+    for a, k, c in asks:
         expected = path_distance(g, a, c, k) != INF  # within k when finite
-        assert probes[(backend, a, k)].reaches(c) == expected, (backend, a, k, c)
+        assert probes[(a, k)].reaches(c) == expected, (a, k, c)
 
 
 @settings(max_examples=25, deadline=None)
@@ -183,27 +173,18 @@ def test_within_probe_agrees_with_path_distance(g, rng):
 def test_finite_radius_legs_come_in_nondecreasing_distance_order(g):
     """Routing takes the first eligible member of a leg as the nearest,
     so finite-radius legs, from edge_legs and from the substrate's memo,
-    must list their nodes in nondecreasing distance on both backends,
-    with the numpy kernels on and off."""
-    modes = ["python"] + (["numpy"] if kernels.numpy_available() else [])
-    for mode in modes:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_KERNELS", mode)
-            for backend in ("dict", "columnar"):
-                graph = as_backend(g, backend)
-                substrate = SharedDistanceSubstrate(graph)
-                for x in graph.nodes():
-                    for y in graph.nodes():
-                        for radius in (1, 2, 3):
-                            for legs in (
-                                edge_legs(graph, x, y, radius),
-                                substrate.legs(x, y, radius),
-                            ):
-                                for leg in legs:
-                                    dists = list(leg.values())
-                                    assert dists == sorted(dists), (
-                                        mode, backend, x, y, radius,
-                                    )
+    must list their nodes in nondecreasing distance."""
+    substrate = SharedDistanceSubstrate(g)
+    for x in g.nodes():
+        for y in g.nodes():
+            for radius in (1, 2, 3):
+                for legs in (
+                    edge_legs(g, x, y, radius),
+                    substrate.legs(x, y, radius),
+                ):
+                    for leg in legs:
+                        dists = list(leg.values())
+                        assert dists == sorted(dists), (x, y, radius)
 
 
 @settings(max_examples=30, deadline=None)

@@ -221,32 +221,6 @@ class TestPoolCli:
         assert exc.value.code == 2
         assert "invalid choice: 'interval'" in capsys.readouterr().err
 
-    def test_graph_backend_flag(
-        self, pool_files, tmp_path, capsys, friendfeed_pattern
-    ):
-        """`--graph-backend columnar` must change nothing but the backend:
-        same queries, same matches, same flush deltas as the dict run."""
-        graph, hiring, _, updates = pool_files
-        bounded = tmp_path / "bounded.json"
-        save_pattern(friendfeed_pattern, bounded)
-        outs = {}
-        for backend in ("dict", "columnar"):
-            assert (
-                main([
-                    "pool", "--graph", graph,
-                    "--patterns", hiring, str(bounded),
-                    "--semantics", "bounded",
-                    "--graph-backend", backend,
-                    "--updates", updates,
-                ])
-                == 0
-            )
-            out = json.loads(capsys.readouterr().out)
-            assert out["graph_backend"] == backend
-            del out["graph_backend"]
-            outs[backend] = out
-        assert outs["dict"] == outs["columnar"]
-
     def test_routed_flush_reports_deltas(self, pool_files, capsys):
         graph, hiring, medics, updates = pool_files
         assert (

@@ -103,3 +103,62 @@ def test_module_docstrings_present():
     ]:
         mod = importlib.import_module(module)
         assert mod.__doc__ and len(mod.__doc__.strip()) > 20, module
+
+
+# Runs in a fresh interpreter: a finder placed first on sys.meta_path
+# sees every import that is not already satisfied from sys.modules,
+# whether or not the module is installed.
+_NUMPY_PROBE = """
+import sys
+
+assert "numpy" not in sys.modules, "numpy preloaded before the probe"
+attempts = []
+
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            attempts.append(name)
+        return None
+
+
+sys.meta_path.insert(0, Recorder())
+
+import repro
+import repro.engine
+import repro.graphs.kernels
+from repro import DiGraph, MatcherPool, Pattern, insert
+
+g = DiGraph([("a", "b")], {"a": {"job": "CTO"}, "b": {"job": "DB"}})
+g.add_node("c", job="DB")
+pool = MatcherPool(g)
+q = pool.register(
+    Pattern.from_spec({"x": "job = CTO", "y": "job = DB"}, [("x", "y", 2)]),
+    semantics="bounded",
+)
+pool.queue(insert("b", "c"))
+pool.flush()
+assert q.matches()["y"] == {"b", "c"}, q.matches()
+print(attempts)
+"""
+
+
+def test_engine_never_imports_numpy():
+    """Importing the package and running a bounded query through a pool
+    never asks for numpy, installed or not."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
