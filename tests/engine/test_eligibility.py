@@ -13,7 +13,8 @@ from repro.engine.eligibility import EligibleSet
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import insert
 from repro.patterns.pattern import Pattern
-from repro.patterns.predicate import parse_predicate
+from repro.patterns.predicate import Atom, Predicate, parse_predicate
+from tests.attr_values import ATOM_CASES, VALUES
 
 
 def _graph():
@@ -340,6 +341,74 @@ class TestObservation:
                 assert idx.entry(p).members == {
                     v for q, v in after if q == p
                 }
+            idx.check_invariants()
+
+
+class TestMixedDomainColumn:
+    @pytest.mark.parametrize("op,value,expected", ATOM_CASES)
+    def test_postings_follow_writes_across_value_domains(
+        self, op, value, expected
+    ):
+        """An attribute holding values of every domain
+        (``tests.attr_values``), rewritten in random batches: the atom's
+        posting set and a conjunction over it hold exactly the nodes whose
+        current value satisfies the atom, and each batch's flips are the
+        net membership change."""
+        rnd = random.Random(61)
+        names = sorted(VALUES)
+        # node -> name of its current x value; None: no x attribute.
+        current = {}
+        g = DiGraph()
+        for v in range(30):
+            current[v] = None if v % 6 == 0 else rnd.choice(names)
+            g.add_node(v, y=v % 2)
+            if current[v] is not None:
+                g.set_attr(v, "x", VALUES[current[v]])
+        idx = SharedEligibilityIndex(g)
+        atom = Predicate([Atom("x", op, value)])
+        conj = Predicate([Atom("x", op, value), Atom("y", "=", 1)])
+        idx.lease(atom)
+        idx.lease(conj)
+
+        def truth():
+            hits = {v for v, name in current.items() if name in expected}
+            return {(atom, v) for v in hits} | {
+                (conj, v) for v in hits if g.get_attr(v, "y") == 1
+            }
+
+        assert {(atom, v) for v in idx.entry(atom).members} | {
+            (conj, v) for v in idx.entry(conj).members
+        } == truth()
+        for _ in range(25):
+            before = truth()
+            events = []
+            for _ in range(rnd.randrange(1, 6)):
+                v = rnd.randrange(36)
+                name = rnd.choice(names)
+                if v not in current:
+                    current[v] = name
+                    g.add_node(v, x=VALUES[name], y=rnd.randrange(2))
+                    events.append((v, None, True))
+                elif rnd.random() < 0.2:
+                    g.set_attr(v, "y", 1 - g.get_attr(v, "y"))
+                    events.append((v, ["y"], False))
+                else:
+                    current[v] = name
+                    g.set_attr(v, "x", VALUES[name])
+                    events.append((v, ["x"], False))
+            flips = idx.observe_events(events)
+            after = truth()
+            assert len(flips) == len(set(flips))
+            assert set(flips) == (
+                {(p, v, True) for p, v in after - before}
+                | {(p, v, False) for p, v in before - after}
+            )
+            assert idx.entry(atom).members == {
+                v for p, v in after if p is atom
+            }
+            assert idx.entry(conj).members == {
+                v for p, v in after if p is conj
+            }
             idx.check_invariants()
 
 

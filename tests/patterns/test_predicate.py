@@ -8,6 +8,7 @@ from repro.patterns.predicate import (
     PredicateError,
     parse_predicate,
 )
+from tests.attr_values import ATOM_CASES, VALUES
 
 
 class TestAtom:
@@ -49,6 +50,25 @@ class TestAtom:
 
     def test_repr_quotes_strings(self):
         assert repr(Atom("job", "=", "DB")) == "job = 'DB'"
+
+
+class TestMixedDomainColumn:
+    """One attribute holding values of every domain (``tests.attr_values``)."""
+
+    @pytest.mark.parametrize("op,value,expected", ATOM_CASES)
+    def test_atom_verdicts(self, op, value, expected):
+        atom = Atom("x", op, value)
+        assert {
+            name for name, v in VALUES.items() if atom.satisfied_by({"x": v})
+        } == expected
+        assert not atom.satisfied_by({})
+        assert not atom.satisfied_by({"y": value})
+        # A conjunction with an atom on another attribute keeps the
+        # verdicts where that atom holds and drops them where it fails.
+        both = Predicate([atom, Atom("y", "=", 1)])
+        for name, v in VALUES.items():
+            assert both.satisfied_by({"x": v, "y": 1}) is (name in expected)
+            assert not both.satisfied_by({"x": v, "y": 2})
 
 
 class TestPredicate:
