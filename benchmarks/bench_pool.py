@@ -20,23 +20,24 @@ The scenarios, all over one shared graph holding labelled communities:
   predicate sets (query i reuses partition i % k's pattern), driven by a
   mixed stream of attribute flips and edge churn.  The eligibility
   substrate evaluates each distinct atom once per node event however
-  many queries use it, so per-flush atom evaluations must be non-zero
-  and *exactly* flat in N once all k patterns are registered — the
-  scenario enforces it and fails otherwise;
+  many queries use it, and the N/k copies of a pattern read one
+  interned index, so per-flush atom evaluations and routed (query,
+  update) pairs must both be non-zero and *exactly* flat in N once all
+  k patterns are registered — the scenario enforces it and fails
+  otherwise;
 - ``overlap-atoms``: N conjunction queries whose predicates are all
   drawn from one fixed 6-atom vocabulary (18 distinct conjunctions) —
   the same atom-evaluation gate from N = 3 on, where the vocabulary is
   fully interned, however many distinct conjunctions compose it;
 - ``shared-plan``: N bound-2 two-leg patterns drawn from only 4 distinct
   *leg vocabularies* (query i re-spells partition ``i % 4``'s pattern
-  with its own node names), under ``plan_scope='shared'`` vs
-  ``'per-query'``.  The shared plan interns each pattern by canonical
-  fingerprint into 4 joins, one interned index each, so per-flush join
-  repairs (interned indexes the flush routed and repaired) are a function
-  of the 4 pattern shapes alone — the scenario *enforces* that the
-  join-repair count is non-zero and exactly equal across all N >= 4,
-  and (at N >= 16, above the noise floor) that the shared flush beats
-  the per-query flush outright;
+  with its own node names), pool vs naive loop.  The shared plan
+  interns each pattern by canonical fingerprint into 4 joins, one
+  interned index each, so per-flush join repairs (interned indexes the
+  flush routed and repaired) are a function of the 4 pattern shapes
+  alone — the scenario *enforces* that the join-repair count is
+  non-zero and exactly equal across all N >= 4, and (at N >= 16, above
+  the noise floor) that the pool flush beats the naive loop outright;
 - ``temporal``: sliding-window bulk expiry against per-edge deletion
   flushes, with counter gates on flat, non-zero structure upkeep and on
   zero rebuilds (both fail when no structure is leased).
@@ -337,7 +338,7 @@ def run_overlap_naive(base, patterns, ops):
 
 
 def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
-                         flat_from):
+                         flat_from, interned_copies=False):
     """N simulation queries over a fixed predicate vocabulary, pool vs
     naive loop, under a mixed attribute-flip / edge-churn op stream.
 
@@ -347,10 +348,16 @@ def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
     ``flat_from`` queries on (every atom of the vocabulary interned) the
     count is a function of the op stream alone.  Hard gate: it is
     non-zero and exactly equal across every N >= ``flat_from``.
+
+    'routed' counts the flush's routed (query, update) pairs.  With
+    ``interned_copies`` (query i re-registers one of ``flat_from``
+    patterns) the copies of a pattern read one interned index, routed
+    once, so a second hard gate holds the count non-zero and exactly
+    equal across every N >= ``flat_from`` too.
     """
     print(f"\n== scenario: {name} ({what}; pool vs naive loop) ==")
     print(f"{'N':>4} {'pool ms':>10} {'naive ms':>10} {'speedup':>9} "
-          f"{'atom evals':>11}")
+          f"{'atom evals':>11} {'routed':>7}")
     ok = True
     results = []
     for n in sizes:
@@ -373,9 +380,10 @@ def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
         pool_t = statistics.median(pool_times)
         naive_t = statistics.median(naive_times)
         speedup = naive_t / pool_t if pool_t > 0 else float("inf")
+        routed = pool.stats.routed_pairs
         print(
             f"{n:>4} {pool_t * 1e3:>10.2f} {naive_t * 1e3:>10.2f} "
-            f"{speedup:>8.1f}x {evals:>11}"
+            f"{speedup:>8.1f}x {evals:>11} {routed:>7}"
         )
         results.append(
             {
@@ -384,26 +392,32 @@ def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
                 "naive_ms": round(naive_t * 1e3, 3),
                 "speedup": round(speedup, 2),
                 "atom_evals": evals,
+                "routed": routed,
             }
         )
-    gated = {r["n"]: r["atom_evals"] for r in results if r["n"] >= flat_from}
-    evals_flat = len(set(gated.values())) == 1 and all(gated.values())
-    if not evals_flat:
-        print(
-            f"FLATNESS VIOLATION {name}: per-flush atom evaluations must be "
-            f"non-zero and equal for every N >= {flat_from}: {gated}",
-            file=sys.stderr,
-        )
-        ok = False
-    print(f"atom evaluations per flush non-zero and exactly flat for "
-          f"N >= {flat_from}: {evals_flat}")
-    return ok, {
+    doc = {
         "sizes": sizes,
         "reps": reps,
         "flat_from": flat_from,
         "results": results,
-        "atom_evals_flat": evals_flat,
     }
+    gates = [("atom_evals", "atom evaluations")]
+    if interned_copies:
+        gates.append(("routed", "routed pairs"))
+    for key, label in gates:
+        gated = {r["n"]: r[key] for r in results if r["n"] >= flat_from}
+        flat = len(set(gated.values())) == 1 and all(gated.values())
+        if not flat:
+            print(
+                f"FLATNESS VIOLATION {name}: per-flush {label} must be "
+                f"non-zero and equal for every N >= {flat_from}: {gated}",
+                file=sys.stderr,
+            )
+            ok = False
+        print(f"{label} per flush non-zero and exactly flat for "
+              f"N >= {flat_from}: {flat}")
+        doc[f"{key}_flat"] = flat
+    return ok, doc
 
 
 _SCORE_ATOMS = (("score", ">", 0), ("score", ">", 1), ("score", "<=", 2))
@@ -508,13 +522,14 @@ def plan_updates(graph, k, num_updates, seed=11):
     return ops
 
 
-def run_plan_pool(graph, n, k, updates, plan_scope, reps):
-    """min-of-``reps`` flush timing of one plan-scoped pool; returns
-    ``(elapsed, pool, report)`` with stats from the final rep's flush."""
+def run_plan_pool(graph, n, k, updates, reps):
+    """min-of-``reps`` flush timing of a pool of ``n`` plan patterns;
+    returns ``(elapsed, pool, report)`` with stats from the final rep's
+    flush."""
     best = float("inf")
     pool = report = None
     for _ in range(reps):
-        pool = MatcherPool(graph.copy(), plan_scope=plan_scope)
+        pool = MatcherPool(graph.copy())
         for i in range(n):
             pool.register(
                 plan_pattern(i, k), semantics="bounded", name=f"p{i}"
@@ -526,32 +541,32 @@ def run_plan_pool(graph, n, k, updates, plan_scope, reps):
 
 
 def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
-    """Shared multi-query plan vs per-query indexes, N bound-2 patterns
+    """Shared multi-query plan vs the naive loop, N bound-2 patterns
     over ``k`` distinct leg vocabularies.
 
     Two hard gates (both judged in-scenario, ``ok=False`` on failure):
 
-    - **flatness**: per-flush join repairs under the shared plan must be
-      non-zero and *exactly* equal across every N >= k — once every
-      vocabulary is interned (k joins), repair work is a function of the
-      update stream alone, never of the number of registered queries;
-    - **outright win**: at every N >= ``PLAN_GATE_MIN_N`` whose per-query
-      flush clears ``RACE_GATE_FLOOR_MS`` (min-of-k timing, noise-floor
-      convention shared with the other races), the shared plan's flush
-      must be strictly cheaper than the per-query flush.  Below the floor
-      or the minimum N the race is reported ungated (``None``).
+    - **flatness**: per-flush join repairs must be non-zero and
+      *exactly* equal across every N >= k — once every vocabulary is
+      interned (k joins), repair work is a function of the update
+      stream alone, never of the number of registered queries;
+    - **outright win**: at every N >= ``PLAN_GATE_MIN_N`` whose naive
+      loop clears ``RACE_GATE_FLOOR_MS`` (min-of-k timing, noise-floor
+      convention shared with the other races), the pool's flush must be
+      strictly cheaper than the naive loop.  Below the floor or the
+      minimum N the race is reported ungated (``None``).
 
-    Correctness gates both scopes against naive per-pattern indexes.
+    Correctness gates the pool against the naive per-pattern indexes.
     """
     k = min(k, max(sizes))
     updates = plan_updates(graph, k, num_updates)
     print(
         f"\n== scenario: shared-plan "
         f"(N bound-2 patterns over {k} leg vocabularies, "
-        f"shared plan vs per-query indexes) =="
+        f"shared plan vs naive loop) =="
     )
     print(
-        f"{'N':>4} {'shared ms':>10} {'perq ms':>10} {'perq/shared':>12} "
+        f"{'N':>4} {'shared ms':>10} {'naive ms':>10} {'naive/shared':>13} "
         f"{'join reps':>10} {'joins':>6}"
     )
     ok = True
@@ -559,43 +574,41 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
     race_reps = max(reps, 5)
     join_repairs = {}
     for n in sizes:
-        row = {"n": n}
-        pools = {}
-        for scope in ("shared", "per-query"):
-            t, pool, _ = run_plan_pool(
-                graph.copy(), n, k, updates, scope, race_reps
+        t, pool, _ = run_plan_pool(graph.copy(), n, k, updates, race_reps)
+        naive_times = []
+        for _ in range(race_reps):
+            t_naive, indexes = run_naive(
+                graph, "bounded", n, updates,
+                pattern_fn=lambda i: plan_pattern(i, k),
             )
-            pools[scope] = pool
-            key = "plan_shared" if scope == "shared" else "plan_per_query"
-            row[f"{key}_ms"] = round(t * 1e3, 3)
-        shared = pools["shared"]
-        join_repairs[n] = shared.stats.join_repairs
-        row["join_repairs"] = shared.stats.join_repairs
-        row["plan_joins"] = shared.plan.num_joins()
-        # Correctness: both scopes must match the naive per-pattern result.
-        _, indexes = run_naive(
-            graph, "bounded", n, updates,
-            pattern_fn=lambda i: plan_pattern(i, k),
-        )
+            naive_times.append(t_naive)
+        row = {
+            "n": n,
+            "plan_shared_ms": round(t * 1e3, 3),
+            "plan_naive_ms": round(min(naive_times) * 1e3, 3),
+        }
+        join_repairs[n] = pool.stats.join_repairs
+        row["join_repairs"] = pool.stats.join_repairs
+        row["plan_joins"] = pool.plan.num_joins()
+        # Correctness: the pool must match the naive per-pattern result.
         for i, idx in enumerate(indexes):
-            expect = as_pairs(idx.matches())
-            for scope, pool in pools.items():
-                if as_pairs(pool.query(f"p{i}").matches()) != expect:
-                    print(
-                        f"MISMATCH shared-plan scope={scope} N={n} "
-                        f"pattern {i}",
-                        file=sys.stderr,
-                    )
-                    ok = False
+            if as_pairs(pool.query(f"p{i}").matches()) != as_pairs(
+                idx.matches()
+            ):
+                print(
+                    f"MISMATCH shared-plan N={n} pattern {i}",
+                    file=sys.stderr,
+                )
+                ok = False
         ratio = (
-            row["plan_per_query_ms"] / row["plan_shared_ms"]
+            row["plan_naive_ms"] / row["plan_shared_ms"]
             if row["plan_shared_ms"] > 0
             else float("inf")
         )
-        row["per_query_over_shared"] = round(ratio, 2)
+        row["naive_over_shared"] = round(ratio, 2)
         print(
             f"{n:>4} {row['plan_shared_ms']:>10.2f} "
-            f"{row['plan_per_query_ms']:>10.2f} {ratio:>11.1f}x "
+            f"{row['plan_naive_ms']:>10.2f} {ratio:>12.1f}x "
             f"{row['join_repairs']:>10} {row['plan_joins']:>6}"
         )
         results.append(row)
@@ -611,33 +624,33 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
             file=sys.stderr,
         )
         ok = False
-    # Gate 2 (hard above the noise floor): shared flush beats per-query
-    # outright once sharing is real (N >= PLAN_GATE_MIN_N).
+    # Gate 2 (hard above the noise floor): the pool flush beats the
+    # naive loop outright once sharing is real (N >= PLAN_GATE_MIN_N).
     gated = [
         r for r in results
         if r["n"] >= PLAN_GATE_MIN_N
-        and r["plan_per_query_ms"] >= RACE_GATE_FLOOR_MS
+        and r["plan_naive_ms"] >= RACE_GATE_FLOOR_MS
     ]
     shared_wins = (
-        all(r["per_query_over_shared"] > 1.0 for r in gated)
+        all(r["naive_over_shared"] > 1.0 for r in gated)
         if gated else None
     )
     if shared_wins is False:
         print(
-            "shared-plan: shared plan did not beat per-query flush cost",
+            "shared-plan: the pool flush did not beat the naive loop",
             file=sys.stderr,
         )
         ok = False
     elif shared_wins is None:
         print(
             f"shared-plan: race ungated (no size >= {PLAN_GATE_MIN_N} "
-            f"with per-query flush over {RACE_GATE_FLOOR_MS}ms — "
+            f"with a naive loop over {RACE_GATE_FLOOR_MS}ms — "
             f"noise-dominated at this scale)"
         )
     lo, hi = min(sizes), max(sizes)
     times = {
         key: {r["n"]: r[f"plan_{key}_ms"] for r in results}
-        for key in ("shared", "per_query")
+        for key in ("shared", "naive")
     }
     growth = {
         key: (times[key][hi] / times[key][lo] if times[key][lo] else 0.0)
@@ -645,7 +658,7 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
     }
     print(
         f"plan flush cost grew {growth['shared']:.2f}x (shared) vs "
-        f"{growth['per_query']:.2f}x (per-query) from N={lo} to N={hi} "
+        f"{growth['naive']:.2f}x (naive) from N={lo} to N={hi} "
         f"({k} leg vocabularies, {k} joins); "
         f"join_repairs_flat={repairs_flat} shared_wins={shared_wins}"
     )
@@ -658,7 +671,7 @@ def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
         "join_repairs_flat": repairs_flat,
         "shared_wins": shared_wins,
         "growth_shared": round(growth["shared"], 3),
-        "growth_per_query": round(growth["per_query"], 3),
+        "growth_naive": round(growth["naive"], 3),
     }
 
 
@@ -981,6 +994,7 @@ def main(argv=None) -> int:
                 f"N simulation queries over {k} distinct predicate sets",
                 sizes, graph, reps, overlap_stream(graph, k, num_updates),
                 lambda i, k=k: sim_pattern(i % k), flat_from=k,
+                interned_copies=True,
             )
         elif scenario == "overlap-atoms":
             s_ok, s_doc = run_overlap_scenario(
@@ -991,9 +1005,9 @@ def main(argv=None) -> int:
                 overlap_atoms_pattern, flat_from=3,
             )
         elif scenario == "shared-plan":
-            # Per-query bounded indexes get expensive fast (that is the
-            # contrast being measured); a capped sweep already spans the
-            # N >= 16 gate.
+            # The naive loop's private bounded indexes get expensive fast
+            # (that is the contrast being measured); a capped sweep
+            # already spans the N >= 16 gate.
             plan_sizes = [n for n in sizes if n <= 16] or sizes[:1]
             s_ok, s_doc = run_shared_plan_scenario(
                 plan_sizes, graph, num_updates, reps

@@ -35,7 +35,7 @@ from pathlib import Path
 # Per-scenario keys holding a flush-cost in milliseconds (lower = better).
 COST_KEYS = (
     "pool_ms",
-    "plan_shared_ms", "plan_per_query_ms",
+    "plan_shared_ms", "plan_naive_ms",
     "expiry_bulk_ms", "expiry_per_edge_ms", "windowed_ms",
 )
 

@@ -129,15 +129,6 @@ def main(argv=None) -> int:
         "pattern, or give exactly one per --patterns entry",
     )
     pool.add_argument(
-        "--plan-scope",
-        default="per-query",
-        choices=["shared", "per-query"],
-        help="multi-query plan: 'shared' interns each distinct pattern "
-        "shape into one refcount-leased pool-level index (repaired once "
-        "per flush) that every same-shape query reads; 'per-query' "
-        "(default) gives every query a private index",
-    )
-    pool.add_argument(
         "--updates",
         help="JSON update list applied as one coalesced, routed flush",
     )
@@ -189,11 +180,7 @@ def main(argv=None) -> int:
 
 
 def _routing_class(query) -> str:
-    if query.planned:
-        return "planned"
-    if query.distance_routed:
-        return "distance"
-    return "endpoint"
+    return "distance" if query.distance_routed else "endpoint"
 
 
 def _run_pool(args) -> int:
@@ -210,11 +197,7 @@ def _run_pool(args) -> int:
         return 2
 
     def make_pool() -> MatcherPool:
-        pool = MatcherPool(
-            load_graph(args.graph),
-            plan_scope=args.plan_scope,
-            window=args.window,
-        )
+        pool = MatcherPool(load_graph(args.graph), window=args.window)
         for path, mode in zip(args.patterns, modes):
             name = Path(path).stem
             suffix = 2
@@ -234,7 +217,6 @@ def _run_pool(args) -> int:
 
     pool = make_pool()
     output = {
-        "plan_scope": args.plan_scope,
         "queries": {
             q.name: dict(_render_query(q), routing=_routing_class(q))
             for q in pool.queries()

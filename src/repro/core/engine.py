@@ -103,7 +103,15 @@ class Matcher:
 
     @property
     def index(self):
-        """The underlying index — escape hatch for advanced use."""
+        """The underlying index — escape hatch for advanced use.
+
+        A simulation or bounded matcher reads the pool's interned index
+        of its canonical pattern, whose nodes are the
+        ``canonical_pattern(pattern).renaming`` values of this pattern's
+        nodes; an isomorphism matcher owns its index.
+        """
+        if self.query.planned:
+            return self.query.index.join.query.index
         return self.query.index
 
     # ------------------------------------------------------------------

@@ -19,7 +19,8 @@
 - :class:`SharedPlan` — the pool-level multi-query plan: one interned
   index per distinct canonical pattern (and semantics and distance
   mode), maintained once per pool and read by every same-shape
-  registration through a renaming adapter (``plan_scope='shared'``);
+  ``simulation`` or ``bounded`` registration through a renaming
+  adapter (isomorphism queries own their indexes);
 - :class:`MatchDelta` / :class:`ChangeFeed` — the per-flush diff events
   and their drainable subscriber buffers.
 """

@@ -1,46 +1,45 @@
 """Pool-level multi-query plan: one interned index per distinct pattern.
 
-PRs 3, 4, and 6 deduped the pool's *auxiliary* structures (distance
-substrate, predicate/atom eligibility), and the substrate's memoized
-edge legs and probes share the per-edge work of every bounded query.
-What is left to share is the match relation itself: N registrations of
-the same pattern shape should maintain it once.  This module interns
-whole patterns — the one-structure-per-distinct-query discipline of
-Berkholz et al.'s "answering queries under updates" regime applied at
-the pool level:
+The pool shares its *auxiliary* structures (distance substrate,
+predicate/atom eligibility), and the substrate's memoized edge legs and
+probes share the per-edge work of every bounded query.  What is left to
+share is the match relation itself: N registrations of the same pattern
+shape should maintain it once.  This module interns whole patterns — the
+one-structure-per-distinct-query discipline of Berkholz et al.'s
+"answering queries under updates" regime applied at the pool level — and
+every ``simulation`` and ``bounded`` registration goes through it:
 
 - At ``register`` time a pattern is canonicalized
   (:func:`~repro.patterns.minimize.canonical_pattern`: minimized, then
   relabelled by refinement), so re-spellings of one shape under other
   node names share a fingerprint.  Each distinct (fingerprint,
-  semantics, and for ``bounded`` the distance mode) gets one refcount-
-  leased :class:`SharedJoin`.
+  semantics, and for ``bounded`` the distance mode) gets one
+  :class:`SharedJoin`.
 - A join owns one internal :class:`~repro.engine.query.ContinuousQuery`
   over the canonical pattern, built through the same
-  :func:`~repro.engine.query.build_index` path as a per-query
+  :func:`~repro.engine.query.build_index` path as an isomorphism
   registration, router-registered and repaired in flush phases A-D like
   any other query; it is marked ``internal`` so it never publishes.
 - Each registered query is a :class:`PlannedQuery` whose index is a
-  :class:`PlanAdapter`: the canonical renaming plus a cursor into the
-  join's match-delta history, so N same-shape queries cost one index and
-  each still reads its own correctly-named match sets, deltas, and
-  result graph.
-- ``unregister`` releases the lease; a join with no leaseholders left
-  detaches and closes its internal query, which returns every
-  eligibility and substrate lease.
+  :class:`PlanAdapter`: the canonical renaming over the join's index, so
+  N same-shape queries cost one index and each still reads its own
+  correctly-named match sets, deltas, and result graph.
+- ``unregister`` drops the query from its join's consumers; a join with
+  no consumers left detaches and closes its internal query, which
+  returns every eligibility and substrate lease.
 
-After phase D, :meth:`SharedPlan.deliver` pops each interned index's
-match delta once, appends a non-empty one to that join's history, and
-hands the pool the consumers to publish in phase E.
+After phase D, :meth:`SharedPlan.deliver` pops the match delta of each
+interned index the flush routed and hands it to that join's consumers,
+which the pool publishes in phase E of the same flush — so one delta per
+join and flush is all the state delivery keeps.
 
-Isomorphism queries are not plannable (their state is per embedding, and
-planning them needs isomorphism-invariant interning) and silently fall
-back to the per-query path.
+Isomorphism queries are not interned (their state is per embedding, and
+interning them needs isomorphism-invariant keys); each owns its index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..matching.relation import MatchRelation, totalize
@@ -49,57 +48,30 @@ from ..patterns.pattern import Pattern, PatternNode
 from .query import ContinuousQuery
 
 # Isomorphism matches are embeddings, not per-node match sets; the pool
-# falls back to per-query indexes for them.
+# gives each isomorphism query its own index.
 PLANNABLE_SEMANTICS = ("simulation", "bounded")
 
 # Net (added, removed) match pairs of one flush, in canonical nodes.
-PairDelta = Tuple[Set[Tuple[int, Node]], Set[Tuple[int, Node]]]
+PairDelta = Tuple[AbstractSet[Tuple[int, Node]], AbstractSet[Tuple[int, Node]]]
+_NO_DELTA: PairDelta = (frozenset(), frozenset())
 
 
 class SharedJoin:
-    """One interned pattern: an internal query over its canonical form,
-    its leases, and the match-delta history its consumers read."""
+    """One interned pattern: an internal query over its canonical form
+    and the planned queries that read it."""
 
-    __slots__ = ("key", "query", "leases", "consumers", "history")
+    __slots__ = ("key", "query", "consumers")
 
     def __init__(self, key: Tuple, query: ContinuousQuery) -> None:
         self.key = key
         self.query = query
-        self.leases = 0
-        self.consumers: List["PlanAdapter"] = []
-        # Non-empty per-flush match deltas, appended once and read by
-        # every consumer through its cursor.
-        self.history: List[PairDelta] = []
-
-    @property
-    def stats(self):
-        return self.query.stats
-
-    def raw_match_sets(self) -> MatchRelation:
-        return self.query.index.raw_match_sets()
-
-    def is_total(self) -> bool:
-        return self.query.index.is_total()
-
-    def result_graph(self) -> DiGraph:
-        return self.query.result_graph()
-
-    def check_invariants(self) -> None:
-        self.query.index.check_invariants()
-
-    def compact_history(self) -> None:
-        """Drop history every consumer has already read."""
-        if self.history and all(
-            adapter.cursor >= len(self.history) for adapter in self.consumers
-        ):
-            self.history.clear()
-            for adapter in self.consumers:
-                adapter.cursor = 0
+        self.consumers: List["PlannedQuery"] = []
 
 
 class PlanAdapter:
-    """The ``index`` facade a planned query carries: reads its leased
-    :class:`SharedJoin` through the original pattern's canonical renaming.
+    """The ``index`` facade a planned query carries: reads its
+    :class:`SharedJoin`'s index through the original pattern's canonical
+    renaming.
 
     Exposes the slice of the index interface the engine consumes (match
     sets, deltas, totality, result graph, stats, invariants) — so
@@ -107,83 +79,50 @@ class PlanAdapter:
     CLI/bench plumbing work unchanged.
     """
 
-    __slots__ = ("_plan", "join", "_renaming", "_originals", "cursor", "query", "_released")
+    __slots__ = ("join", "_renaming", "_originals", "delta")
 
-    def __init__(
-        self,
-        plan: "SharedPlan",
-        join: SharedJoin,
-        renaming: Dict[PatternNode, int],
-    ) -> None:
-        self._plan = plan
+    def __init__(self, join: SharedJoin, renaming: Dict[PatternNode, int]) -> None:
         self.join = join
         self._renaming = dict(renaming)
         self._originals: Dict[int, List[PatternNode]] = {}
         for orig, idx in self._renaming.items():
             self._originals.setdefault(idx, []).append(orig)
-        self.cursor = len(join.history)
-        self.query: Optional[ContinuousQuery] = None
-        self._released = False
+        # The join's delta of the current flush, set by SharedPlan.deliver
+        # and taken by the first pop.
+        self.delta: PairDelta = _NO_DELTA
 
     @property
     def stats(self):
-        return self.join.stats
+        return self.join.query.stats
 
     def raw_match_sets(self) -> MatchRelation:
-        raw = self.join.raw_match_sets()
+        raw = self.join.query.index.raw_match_sets()
         return {orig: set(raw[idx]) for orig, idx in self._renaming.items()}
 
     def matches(self) -> MatchRelation:
         return totalize(self.raw_match_sets())
 
     def is_total(self) -> bool:
-        return self.join.is_total()
+        return self.join.query.index.is_total()
 
-    def pop_match_delta(self) -> Tuple[Set, Set]:
-        """Net the join's history entries since this consumer's cursor,
-        translated back to the original pattern's node names (a canonical
-        index fans out to every original node minimization merged)."""
-        entries = self.join.history[self.cursor :]
-        self.cursor = len(self.join.history)
-        added_c: Set[Tuple[int, Node]] = set()
-        removed_c: Set[Tuple[int, Node]] = set()
-        for entry_added, entry_removed in entries:
-            # Within one entry added/removed are disjoint (the index nets
-            # them); across entries opposite signs cancel.
-            for pair in entry_removed:
-                if pair in added_c:
-                    added_c.discard(pair)
-                else:
-                    removed_c.add(pair)
-            for pair in entry_added:
-                if pair in removed_c:
-                    removed_c.discard(pair)
-                else:
-                    added_c.add(pair)
-        added = {
-            (orig, v)
-            for (idx, v) in added_c
-            for orig in self._originals.get(idx, ())
-        }
-        removed = {
-            (orig, v)
-            for (idx, v) in removed_c
-            for orig in self._originals.get(idx, ())
-        }
-        return added, removed
+    def pop_match_delta(self) -> Tuple[set, set]:
+        """The join's delta of this flush in the original pattern's node
+        names (a canonical index fans out to every original node
+        minimization merged); a second pop in one flush returns nothing."""
+        (added, removed), self.delta = self.delta, _NO_DELTA
+        originals = self._originals
+        return (
+            {(orig, v) for idx, v in added for orig in originals[idx]},
+            {(orig, v) for idx, v in removed for orig in originals[idx]},
+        )
 
     def result_graph(self) -> DiGraph:
         """The paper's result graph, read off the interned index (it is
         over data nodes, so the renaming does not enter)."""
-        return self.join.result_graph()
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._plan._release_join(self)
+        return self.join.query.result_graph()
 
     def check_invariants(self) -> None:
-        self.join.check_invariants()
+        self.join.query.index.check_invariants()
 
 
 class PlannedQuery(ContinuousQuery):
@@ -192,6 +131,7 @@ class PlannedQuery(ContinuousQuery):
     Its ``index`` is a :class:`PlanAdapter` over an interned
     :class:`SharedJoin`; it is *not* router-registered — the join's
     internal query is, and the plan delivers its changes after phase D.
+    ``distance_routed`` reports the internal query's routing class.
     Delta emission, feeds, and result access inherit from
     :class:`ContinuousQuery`.
     """
@@ -202,11 +142,13 @@ class PlannedQuery(ContinuousQuery):
         self,
         name: str,
         pattern: Pattern,
-        pool,
+        plan: "SharedPlan",
         semantics: str,
         adapter: PlanAdapter,
     ) -> None:
+        self._plan = plan
         self._adapter = adapter
+        pool = plan.pool
         super().__init__(
             name,
             pattern,
@@ -215,6 +157,7 @@ class PlannedQuery(ContinuousQuery):
             substrate=pool.substrate,
             eligibility=pool.eligibility,
         )
+        self.distance_routed = adapter.join.query.distance_routed
 
     def _build_index(
         self, pattern, graph, semantics, distance_mode, max_embeddings,
@@ -225,19 +168,25 @@ class PlannedQuery(ContinuousQuery):
     def result_graph(self) -> DiGraph:
         return self._adapter.result_graph()
 
+    def close(self) -> None:
+        """Leave the join (called by pool.unregister)."""
+        self._plan.release(self)
+
 
 class SharedPlan:
     """The pool's multi-query plan: one interned index per distinct
     pattern.
 
-    Owned by :class:`~repro.engine.pool.MatcherPool`; queries registered
-    with ``plan_scope='shared'`` (and a plannable semantics) are built
-    through :meth:`build_query` instead of carrying their own index.
+    Owned by :class:`~repro.engine.pool.MatcherPool`, which builds every
+    ``simulation`` and ``bounded`` registration through
+    :meth:`build_query`.
     """
 
     def __init__(self, pool) -> None:
         self.pool = pool
         self._joins: Dict[Tuple, SharedJoin] = {}
+        # id(internal query) -> its join, for delivery.
+        self._by_query: Dict[int, SharedJoin] = {}
         self._join_counter = 0
 
     # ------------------------------------------------------------------
@@ -247,14 +196,11 @@ class SharedPlan:
     def plannable(semantics: str) -> bool:
         return semantics in PLANNABLE_SEMANTICS
 
-    def active(self) -> bool:
-        return bool(self._joins)
-
     def num_joins(self) -> int:
         return len(self._joins)
 
     def num_leases(self) -> int:
-        return sum(join.leases for join in self._joins.values())
+        return sum(len(join.consumers) for join in self._joins.values())
 
     def views(self) -> List[ContinuousQuery]:
         """The interned internal queries: the plan's share of the pool's
@@ -271,14 +217,9 @@ class SharedPlan:
         semantics: str,
         distance_mode: str,
     ) -> PlannedQuery:
-        """Lease the join of ``pattern``'s shape (building its internal
-        index on first use) and wrap it for the registered query.  The
-        index build validates the pattern for the semantics."""
-        if semantics not in PLANNABLE_SEMANTICS:
-            raise ValueError(
-                f"semantics {semantics!r} is not plannable; "
-                f"expected one of {PLANNABLE_SEMANTICS}"
-            )
+        """Join ``pattern``'s shape (building its internal index on first
+        use) and wrap it for the registered query.  The index build
+        validates the pattern for the semantics."""
         canon = canonical_pattern(pattern)
         key = (
             canon.key,
@@ -300,44 +241,48 @@ class SharedPlan:
             )
             self._join_counter += 1
             join = self._joins[key] = SharedJoin(key, internal)
+            self._by_query[id(internal)] = join
             pool._attach_view(internal)
-        join.leases += 1
-        adapter = PlanAdapter(self, join, canon.renaming)
-        join.consumers.append(adapter)
-        query = PlannedQuery(name, pattern, self.pool, semantics, adapter)
-        adapter.query = query
+        query = PlannedQuery(
+            name, pattern, self, semantics, PlanAdapter(join, canon.renaming)
+        )
+        join.consumers.append(query)
         return query
 
-    def _release_join(self, adapter: PlanAdapter) -> None:
-        join = adapter.join
-        join.consumers.remove(adapter)
-        join.leases -= 1
-        if join.leases == 0:
+    def release(self, query: PlannedQuery) -> None:
+        """Drop ``query`` from its join (a repeat is a no-op); the last
+        consumer out detaches and closes the internal query."""
+        join = query.index.join
+        if query not in join.consumers:
+            return
+        join.consumers.remove(query)
+        if not join.consumers:
             del self._joins[join.key]
+            del self._by_query[id(join.query)]
             self.pool._detach_view(join.query)
-        else:
-            join.compact_history()
 
     # ------------------------------------------------------------------
     # Per-flush delivery
     # ------------------------------------------------------------------
-    def deliver(self) -> List[ContinuousQuery]:
-        """Move each interned index's match delta into its join's history.
+    def deliver(self, routed: Iterable[ContinuousQuery]) -> List[ContinuousQuery]:
+        """Hand each routed interned index's match delta to its join's
+        consumers.
 
-        Called by the pool after flush phase D, when every routed
-        internal query is repaired.  Returns the planned queries of every
-        join whose relation changed, so the pool publishes their deltas.
+        Called by the pool after flush phase D with the queries the flush
+        routed, when every one of them is repaired; only an interned
+        index a flush routed can have changed.  Returns the planned
+        queries of every join whose relation changed, so the pool
+        publishes their deltas.
         """
         touched: List[ContinuousQuery] = []
-        for join in self._joins.values():
-            join.compact_history()
-            added, removed = join.query.index.pop_match_delta()
-            if not (added or removed):
+        for q in routed:
+            join = self._by_query.get(id(q))
+            if join is None:  # an isomorphism query
                 continue
-            join.history.append((added, removed))
-            touched.extend(
-                adapter.query
-                for adapter in join.consumers
-                if adapter.query is not None
-            )
+            delta = q.index.pop_match_delta()
+            if not (delta[0] or delta[1]):
+                continue
+            for consumer in join.consumers:
+                consumer.index.delta = delta
+            touched.extend(join.consumers)
         return touched

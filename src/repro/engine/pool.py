@@ -35,7 +35,13 @@ queries lease their distance structures from the
 :class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
 index / matrix per pool, synced exactly once per flush phase however
 many queries lease it, plus one memoized pair of edge legs
-per (edge, radius) that routing and repair share.
+per (edge, radius) that routing and repair share.  The match relation
+is shared too: every ``simulation`` and ``bounded`` query reads the one
+interned index of its canonical pattern in the
+:class:`~repro.engine.plan.SharedPlan`, so routing and repair run once
+per distinct pattern shape, and the plan hands each changed index's
+delta to every query reading it before the deltas are published.
+Isomorphism queries own their indexes.
 
 A pool constructed with ``window=...`` (or fed per-insert ``ttl``
 overrides) is **temporal**: every inserted edge is stamped with a logical
@@ -78,16 +84,6 @@ from .feeds import MatchDelta
 from .plan import SharedPlan
 from .query import ContinuousQuery
 from .router import UpdateRouter
-
-PLAN_SCOPES = ("shared", "per-query")
-
-
-def _check_scope(scope: str) -> str:
-    if scope not in PLAN_SCOPES:
-        raise ValueError(
-            f"plan_scope must be one of {PLAN_SCOPES}, got {scope!r}"
-        )
-    return scope
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -214,7 +210,6 @@ class MatcherPool:
     def __init__(
         self,
         graph: DiGraph,
-        plan_scope: str = "per-query",
         lm_budget: Optional[LandmarkBudget] = None,
         window: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
@@ -228,12 +223,8 @@ class MatcherPool:
         # below.
         self.eligibility = SharedEligibilityIndex(graph)
         self.substrate = SharedDistanceSubstrate(graph, lm_budget=lm_budget)
-        # The multi-query plan: queries registered with plan_scope
-        # 'shared' (and a plannable semantics) read one interned index
-        # per distinct pattern shape instead of owning private indexes.
-        # The default is 'per-query' — sharing is opt-in per pool or per
-        # register.
-        self.plan_scope = _check_scope(plan_scope)
+        # The multi-query plan: every simulation and bounded query reads
+        # the one interned index of its pattern shape.
         self.plan = SharedPlan(self)
         self._router = UpdateRouter()
         self._queries: Dict[str, ContinuousQuery] = {}
@@ -311,24 +302,28 @@ class MatcherPool:
         """Register a standing query; its index is built immediately.
 
         Pending (unflushed) updates are flushed first so the new index is
-        born consistent with every already-registered query.  The index
-        leases its eligible sets from the pool's eligibility substrate
-        and, for bounded semantics, its distance structures from the
-        pool's distance substrate.  ``plan_scope='shared'`` rewrites the
-        query against the pool's multi-query plan (see
-        :mod:`repro.engine.plan`): its match relation lives in the one
-        interned index of its canonical pattern, semantics and (for
-        ``bounded``) distance mode, which every same-shape planned
-        registration reads.  Isomorphism queries are not plannable and
-        silently take the per-query path.
+        born consistent with every already-registered query.  A
+        ``simulation`` or ``bounded`` query reads the pool's multi-query
+        plan (see :mod:`repro.engine.plan`): its match relation lives in
+        the one interned index of its canonical pattern, semantics and
+        (for ``bounded``) distance mode, which every same-shape
+        registration reads.  An isomorphism query owns its index.
+        Indexes lease their eligible sets from the pool's eligibility
+        substrate and, for bounded semantics, their distance structures
+        from the pool's distance substrate.
 
         ``ttl`` gives the query itself a lifetime: once pool time passes
         ``now + ttl`` the next flush auto-unregisters it (leases released,
         feeds closed) before doing any other work.
 
-        An unknown ``distance_mode`` is rejected whatever the semantics,
-        before anything is flushed or leased.
+        ``plan_scope`` accepts only ``None`` or ``"shared"``, the one
+        plan there is.  It, like an unknown ``distance_mode`` (whatever
+        the semantics), is rejected before anything is flushed or leased.
         """
+        if plan_scope not in (None, "shared"):
+            raise ValueError(
+                f"plan_scope must be None or 'shared', got {plan_scope!r}"
+            )
         if distance_mode not in DISTANCE_MODES:
             raise ValueError(
                 f"distance_mode must be one of {DISTANCE_MODES}, "
@@ -344,29 +339,24 @@ class MatcherPool:
             name = f"q{n}"
         if name in self._queries:
             raise ValueError(f"query name {name!r} already registered")
-        pscope = _check_scope(plan_scope or self.plan_scope)
-        if pscope == "shared" and self.plan.plannable(semantics):
+        if self.plan.plannable(semantics):
             query = self.plan.build_query(
                 name, pattern, semantics, distance_mode
             )
-            if ttl is not None:
-                query.expires_at = self._now + ttl
-            self._queries[name] = query
-            return query
-        query = ContinuousQuery(
-            name,
-            pattern,
-            self.graph,
-            semantics=semantics,
-            distance_mode=distance_mode,
-            max_embeddings=max_embeddings,
-            substrate=self.substrate,
-            eligibility=self.eligibility,
-        )
+        else:
+            query = ContinuousQuery(
+                name,
+                pattern,
+                self.graph,
+                semantics=semantics,
+                max_embeddings=max_embeddings,
+                substrate=self.substrate,
+                eligibility=self.eligibility,
+            )
+            self._router.register(query)
         if ttl is not None:
             query.expires_at = self._now + ttl
         self._queries[name] = query
-        self._router.register(query)
         return query
 
     def unregister(self, query: ContinuousQuery) -> None:
@@ -377,8 +367,8 @@ class MatcherPool:
             del self._queries[query.name]
             if not query.planned:
                 self._router.unregister(query)
-            # Planned queries release their join lease here; a join with
-            # no leaseholders left is dropped with its interned index.
+            # A planned query leaves its join here; a join with no
+            # consumers left is dropped with its interned index.
             query.close()
 
     def _attach_view(self, query: ContinuousQuery) -> None:
@@ -568,15 +558,13 @@ class MatcherPool:
                 edge_ops = edge_ops + [delete(v, w) for v, w in dead]
                 for e in dead:
                     del stamps[e]
-        # Keyed by id(): the routed population mixes user queries with the
-        # plan's interned queries, whose names live in a separate space.
+        # Keyed by id(): the routed population mixes isomorphism queries
+        # with the plan's interned queries, whose names live in a
+        # separate space.
         touched: Dict[int, ContinuousQuery] = {}
-        # The population the router decides over: non-planned user queries
-        # plus the plan's interned queries (planned queries are never
-        # routed — the plan delivers their changes after phase D).
-        routed_pop = [
-            q for q in self._queries.values() if not q.planned
-        ] + self.plan.views()
+        # The population the router decides over (planned queries are
+        # never routed — the plan delivers their changes after phase D).
+        population = len(self._router)
 
         # ---- Phase A: node additions / attribute merges ----------------
         # Node events are collected across the whole batch and handed to
@@ -612,10 +600,10 @@ class MatcherPool:
                 q.apply_eligibility_flip_batch(by_node)
                 touched[id(q)] = q
             report.routed += len(flipped)
-            report.skipped += len(routed_pop) - len(flipped)
+            report.skipped += population - len(flipped)
         elif node_ops:
             # The batch decision still happened: no flips, nobody routed.
-            report.skipped += len(routed_pop)
+            report.skipped += population
 
         # ---- Phase B: coalesce edge updates ----------------------------
         net = net_updates(self.graph, edge_ops)
@@ -631,7 +619,7 @@ class MatcherPool:
         prepared = [
             (q, q.prepare_deletions(edges))
             for q, edges in self._route_edges(
-                deletions, len(routed_pop), report, touched
+                deletions, population, report, touched
             )
         ]
         for v, w in deletions:
@@ -666,7 +654,7 @@ class MatcherPool:
         if insertions:
             self.substrate.observe_inserted(insertions)
         for q, edges in self._route_edges(
-            insertions, len(routed_pop), report, touched
+            insertions, population, report, touched
         ):
             q.repair_insertions(edges)
         # Fresh attribute-less endpoints can still match wildcard (TRUE)
@@ -682,18 +670,18 @@ class MatcherPool:
                     q.apply_node_added(node, {})
                     touched[id(q)] = q
             report.routed += len(wildcard_queries)
-            report.skipped += len(routed_pop) - len(wildcard_queries)
+            report.skipped += population - len(wildcard_queries)
 
         # ---- Stamp upkeep: net deletions drop their stamps; stamped
         # inserts that survived into the final graph record (birth,
         # expire_at) and enter the expiry heap.
         self._apply_stamps(net, stamps)
 
-        # ---- Plan delivery: the interned indexes are fully repaired; move
-        # each one's match delta into its join's history once, so planned
-        # queries emit alongside everyone else in phase E.
-        if self.plan.active():
-            for q in self.plan.deliver():
+        # ---- Plan delivery: the routed interned indexes are fully
+        # repaired; hand each one's match delta to the planned queries
+        # that read it, so they publish alongside everyone else in phase E.
+        if touched:
+            for q in self.plan.deliver(list(touched.values())):
                 touched[id(q)] = q
         self.stats.plan_leases = self.plan.num_leases()
 

@@ -107,7 +107,9 @@ class DistanceMatrix:
         """Repair after deleting ``edges`` (graph already updated).
 
         Rows whose source could reach a deleted edge's tail are re-BFSed —
-        the coarse-grained maintenance the matrix baseline pays for.
+        the coarse-grained maintenance the matrix baseline pays for.  No
+        other self distance can change: a cycle through a node that
+        reaches no deleted tail used no deleted edge.
         """
         tails = {x for x, _ in edges}
         affected = [
@@ -119,10 +121,6 @@ class DistanceMatrix:
             self._rows[a] = bfs_distances(self._graph, a)
         for a in affected:
             self._refresh_self(a)
-        # Cycles through other nodes may also have used a deleted edge.
-        for v in self._rows:
-            if v not in affected and self._self.get(v, INF) != INF:
-                self._refresh_self(v)
 
 
 def floyd_warshall(

@@ -109,8 +109,14 @@ def minimize_pattern(pattern: Pattern) -> Tuple[Pattern, Dict[PatternNode, Patte
 # (initial color = predicate, refined by the multiset of (bound, neighbor
 # color) over out- and in-edges) followed by branching inside the first
 # non-singleton color class, taking the lexicographically least encoding
-# over all discrete refinements reached.  Patterns are tiny (a handful of
-# nodes), so the worst-case factorial tie-break is immaterial.
+# over all discrete refinements reached.  Symmetric patterns (a clique,
+# disjoint copies of one shape) would make that tie-break factorial, so
+# the search prunes by automorphisms, which it finds at leaves whose
+# encoding ties the best one: a branch is skipped when an automorphism
+# fixing the individualized prefix maps an explored sibling onto it, as
+# its leaves are that sibling's leaves relabelled, with equal encodings.
+# No first least leaf is ever skipped, so the pruning keeps every key and
+# renaming the full search finds.
 
 # A bound sorts as (0, k) when finite and (1, 0) for '*' — comparable and
 # hashable regardless of mixture.
@@ -185,6 +191,23 @@ def _certificate(
     )
 
 
+def _orbit(
+    seeds: Iterable[PatternNode],
+    generators: List[Dict[PatternNode, PatternNode]],
+) -> Set[PatternNode]:
+    """The nodes the group generated by ``generators`` maps ``seeds`` to."""
+    orbit = set(seeds)
+    frontier = list(orbit)
+    while frontier:
+        u = frontier.pop()
+        for gen in generators:
+            w = gen[u]
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return orbit
+
+
 def canonical_pattern(pattern: Pattern) -> CanonicalForm:
     """The name-independent canonical form of ``pattern``.
 
@@ -217,8 +240,13 @@ def canonical_pattern(pattern: Pattern) -> CanonicalForm:
     colors = {v: initial_ids[pred_keys[v]] for v in nodes}
 
     best: List[Optional[Tuple[Tuple, List[PatternNode]]]] = [None]
+    # Automorphisms, each found as the map from the best leaf's order to
+    # the order of a leaf whose certificate ties it.
+    automorphisms: List[Dict[PatternNode, PatternNode]] = []
 
-    def search(colors: Dict[PatternNode, int]) -> None:
+    def search(
+        colors: Dict[PatternNode, int], prefix: Tuple[PatternNode, ...]
+    ) -> None:
         colors = _refine(nodes, colors, out_adj, in_adj)
         by_color: Dict[int, List[PatternNode]] = {}
         for v in nodes:
@@ -233,16 +261,26 @@ def canonical_pattern(pattern: Pattern) -> CanonicalForm:
             cert = _certificate(order, pred_keys, edges)
             if best[0] is None or cert < best[0][0]:
                 best[0] = (cert, order)
+            elif cert == best[0][0]:
+                automorphisms.append(dict(zip(best[0][1], order)))
             return
+        explored: List[PatternNode] = []
         for v in target:
+            fixing = [
+                gen for gen in automorphisms
+                if all(gen[u] == u for u in prefix)
+            ]
+            if v in _orbit(explored, fixing):
+                continue
+            explored.append(v)
             # Individualize v: double every color (preserving order) and
             # give v the even slot of its class — a fresh, strictly
             # smaller color than its former classmates.
             branched = {u: 2 * colors[u] + 1 for u in nodes}
             branched[v] = 2 * colors[v]
-            search(branched)
+            search(branched, prefix + (v,))
 
-    search(colors)
+    search(colors, ())
     assert best[0] is not None
     cert, order = best[0]
 

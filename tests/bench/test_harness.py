@@ -148,28 +148,38 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     # The eligibility substrate's headline: per-flush atom evaluations
     # are non-zero and EXACTLY flat in N once the predicate vocabulary is
     # interned (hard-gated by both scenarios — exit code 0 above — so
-    # here we pin the JSON shape and the verdict).
-    for name in ("overlap", "overlap-atoms"):
+    # here we pin the JSON shape and the verdict).  In ``overlap`` the
+    # copies of a pattern read one interned index, so routed pairs are
+    # gated the same way.
+    for name, gates in (
+        ("overlap", ("atom_evals", "routed")),
+        ("overlap-atoms", ("atom_evals",)),
+    ):
         overlap = doc["scenarios"][name]
         assert overlap["results"]
         for row in overlap["results"]:
-            assert {"n", "pool_ms", "naive_ms", "atom_evals"} <= set(row)
-        assert overlap["atom_evals_flat"] is True
-        gated = [
-            r["atom_evals"] for r in overlap["results"]
-            if r["n"] >= overlap["flat_from"]
-        ]
-        assert len(set(gated)) == 1 and gated[0] > 0, (name, gated)
+            assert {
+                "n", "pool_ms", "naive_ms", "atom_evals", "routed",
+            } <= set(row)
+        for key in gates:
+            assert overlap[f"{key}_flat"] is True
+            gated = [
+                r[key] for r in overlap["results"]
+                if r["n"] >= overlap["flat_from"]
+            ]
+            assert len(set(gated)) == 1 and gated[0] > 0, (name, gated)
+    assert "routed_flat" not in doc["scenarios"]["overlap-atoms"]
     # The multi-query plan's headline: per-flush join repairs are
     # non-zero and EXACTLY flat in query count once every pattern shape
     # is interned (hard-gated by the scenario — exit code 0 above); the
-    # N=16 outright-win race only fires at full scale, so at tiny scale
-    # it must be reported ungated (None), never a fired-and-failed False.
+    # N=16 race against the naive loop only fires at full scale, so at
+    # tiny scale it must be reported ungated (None), never a
+    # fired-and-failed False.
     plan = doc["scenarios"]["shared-plan"]
     assert plan["results"]
     for row in plan["results"]:
         assert {
-            "n", "plan_shared_ms", "plan_per_query_ms",
+            "n", "plan_shared_ms", "plan_naive_ms",
             "join_repairs", "plan_joins",
         } <= set(row)
     assert plan["join_repairs_flat"] is True
@@ -242,6 +252,53 @@ def test_shared_plan_gate_fails_only_when_nothing_is_interned(
     assert doc["join_repairs_flat"] is interned
     joins = {r["n"]: r["plan_joins"] for r in doc["results"]}
     assert joins == ({4: 4, 8: 4} if interned else {4: 4, 8: 8})
+
+
+@pytest.mark.parametrize("interned", [True, False])
+def test_overlap_routing_gate_fails_only_when_nothing_is_interned(
+    interned, monkeypatch
+):
+    """The overlap scenario's routed-pairs gate can fail: when every
+    registration gets its own intern key, each copy of a pattern is
+    routed on its own, routed pairs grow with N and the scenario reports
+    not-ok; with interning it passes on the same inputs.  The atom gate
+    passes either way (predicates are shared by the eligibility
+    substrate, not by the plan)."""
+    import importlib.util
+    import itertools
+    from pathlib import Path
+
+    from repro.engine import plan as plan_module
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool",
+        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    if not interned:
+        canonical = plan_module.canonical_pattern
+        fresh = itertools.count()
+
+        def unshared(pattern):
+            canon = canonical(pattern)
+            canon.key = (canon.key, next(fresh))
+            return canon
+
+        monkeypatch.setattr(plan_module, "canonical_pattern", unshared)
+    graph = bench.build_graph(num_clusters=4, cluster_size=6)
+    ok, doc = bench.run_overlap_scenario(
+        "overlap", "test", [4, 8], graph, 1,
+        bench.overlap_stream(graph, 4, 40),
+        lambda i: bench.sim_pattern(i % 4), flat_from=4,
+        interned_copies=True,
+    )
+    assert ok is interned
+    assert doc["routed_flat"] is interned
+    assert doc["atom_evals_flat"] is True
+    routed = {r["n"]: r["routed"] for r in doc["results"]}
+    assert routed[4] > 0
+    assert routed[8] == (routed[4] if interned else 2 * routed[4])
 
 
 @pytest.mark.parametrize("distance_mode", ["landmark", "bfs"])

@@ -1,29 +1,27 @@
-"""Stateful differential fuzzer: shared plan ≡ per-query ≡ batch.
+"""Stateful differential fuzzer: shared plan ≡ batch.
 
-Two :class:`~repro.engine.pool.MatcherPool` instances — one with
-``plan_scope='shared'`` (one canonical-fingerprint-interned index per
-distinct pattern, read by every same-shape query; see
-:mod:`repro.engine.plan`), one
-with ``plan_scope='per-query'`` (every query owns its index, the seed
-path) — are driven through the *same* seeded random op sequence: edge
-churn, fresh attribute-less nodes wired mid-flush, brand-new labelled
-nodes, and attribute flips that gain/lose predicate eligibility
-mid-stream.  Patterns are drawn from a deliberately tiny leg vocabulary
-(3 labels × bounds ``{1, 2, 3, *}``, self-loops and duplicate legs
-included), so distinct registered patterns constantly collide on legs —
-and often on whole-pattern fingerprints — exercising the interning,
-lease refcounts, and multi-consumer join-delta cursors.  Queries mix
-bounded and simulation semantics (both plannable) with occasional
-isomorphism (which silently falls back to the per-query path inside the
-shared-plan pool) and occasional per-register ``plan_scope='per-query'``
-overrides, so planned and unplanned queries coexist in one pool.
+One :class:`~repro.engine.pool.MatcherPool` — every simulation and
+bounded query reading the one canonical-fingerprint-interned index of
+its pattern shape (see :mod:`repro.engine.plan`) — is driven through a
+seeded random op sequence: edge churn, fresh attribute-less nodes wired
+mid-flush, brand-new labelled nodes, and attribute flips that gain/lose
+predicate eligibility mid-stream.  Patterns are drawn from a
+deliberately tiny leg vocabulary (3 labels × bounds ``{1, 2, 3, *}``,
+self-loops and duplicate legs included), so distinct registered
+patterns constantly collide on legs — and often on whole-pattern
+fingerprints — exercising the interning, join consumers, and
+multi-consumer delta delivery.  Queries mix bounded and simulation
+semantics (both interned) with occasional isomorphism (which owns its
+index), so interned and per-query indexes coexist in one pool.
 Register/unregister mid-stream exercises join drop and rebuild.
 
-After every flush: the graphs must be equal, each query's match
-relation under BOTH pools must equal a from-scratch batch recomputation
-on the current graph, the two pools' *non-empty* match deltas must agree
-pairwise, and at sequence end every shared join's pair graph must mirror
-true bounded distances (``check_invariants``).
+After every flush each query's match relation must equal a from-scratch
+batch recomputation on the current graph, and each simulation or
+bounded query's feed must hold exactly the flush's change of that batch
+relation: one delta ``(now - before, before - now)`` when it changed,
+no non-empty delta when it did not.  At sequence end every interned
+index's pair graph must mirror true bounded distances
+(``check_invariants``).
 
 All randomness flows from seeds derived from a pinned base; every
 failure message names the seed that replays it:
@@ -82,22 +80,26 @@ def _random_pattern(rng: random.Random, normal: bool = False) -> Pattern:
 
 
 class _Harness:
-    """One differential run: two pools, one op stream, one oracle."""
+    """One differential run: one pool, one op stream, one oracle."""
 
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        base = _random_graph(self.rng)
-        self.planned = MatcherPool(base.copy(), plan_scope="shared")
-        self.per_query = MatcherPool(base.copy(), plan_scope="per-query")
+        self.pool = MatcherPool(_random_graph(self.rng))
         self.patterns = {}
         self.feeds = {}
+        # name -> the batch relation at the last check, as pairs.
+        self.relations = {}
         self._counter = 0
         self._next_node = 100
         for _ in range(self.rng.randint(1, 3)):
             self.register()
 
-    def pools(self):
-        return (self.planned, self.per_query)
+    def truth(self, semantics, pattern):
+        if semantics == "simulation":
+            return as_pairs(
+                totalize(maximum_simulation(pattern, self.pool.graph))
+            )
+        return as_pairs(totalize(bounded_match(pattern, self.pool.graph)))
 
     def register(self) -> None:
         roll = self.rng.random()
@@ -110,141 +112,107 @@ class _Harness:
         else:
             semantics = "isomorphism"
             pattern = _random_pattern(self.rng, normal=True)
-        # Occasional per-register override: planned and unplanned queries
-        # must coexist in the shared-plan pool.
-        scope = "per-query" if self.rng.random() < 0.15 else None
         mode = self.rng.choice(MODES)
         name = f"q{self._counter}"
         self._counter += 1
-        for pool in self.pools():
-            pool.register(
-                pattern, semantics=semantics, name=name, distance_mode=mode,
-                plan_scope=scope,
-            )
-        self.patterns[name] = (semantics, pattern)
-        self.feeds[name] = tuple(
-            pool.query(name).subscribe() for pool in self.pools()
+        q = self.pool.register(
+            pattern, semantics=semantics, name=name, distance_mode=mode
         )
+        self.patterns[name] = (semantics, pattern)
+        self.feeds[name] = q.subscribe()
+        if semantics != "isomorphism":
+            self.relations[name] = self.truth(semantics, pattern)
+            assert as_pairs(q.matches()) == self.relations[name], (
+                f"{name} registered with a wrong relation"
+            )
 
     def unregister(self) -> None:
         if len(self.patterns) <= 1:
             return
         name = self.rng.choice(sorted(self.patterns))
-        for pool in self.pools():
-            pool.unregister(pool.query(name))
+        self.pool.unregister(self.pool.query(name))
         del self.patterns[name]
         del self.feeds[name]
+        self.relations.pop(name, None)
 
     def step(self) -> None:
         rng = self.rng
-        nodes = sorted(self.planned.graph.nodes(), key=repr)
-        edges = sorted(self.planned.graph.edges(), key=repr)
+        pool = self.pool
+        nodes = sorted(pool.graph.nodes(), key=repr)
+        edges = sorted(pool.graph.edges(), key=repr)
         for _ in range(rng.randint(0, 5)):
             roll = rng.random()
             if roll < 0.28 and edges:
-                e = rng.choice(edges)
-                for pool in self.pools():
-                    pool.queue(delete(*e))
+                pool.queue(delete(*rng.choice(edges)))
             elif roll < 0.60 and nodes:
-                v, w = rng.choice(nodes), rng.choice(nodes)
-                for pool in self.pools():
-                    pool.queue(insert(v, w))
+                pool.queue(insert(rng.choice(nodes), rng.choice(nodes)))
             elif roll < 0.75 and nodes:
                 # Brand-new attribute-less node wired mid-flush.
                 v, w = rng.choice(nodes), self._next_node
                 self._next_node += 1
                 if rng.random() < 0.5:
                     v, w = w, v
-                for pool in self.pools():
-                    pool.queue(insert(v, w))
+                pool.queue(insert(v, w))
             elif roll < 0.84:
                 v = self._next_node
                 self._next_node += 1
-                label = rng.choice(LABELS)
-                for pool in self.pools():
-                    pool.queue_node(v, label=label)
+                pool.queue_node(v, label=rng.choice(LABELS))
             elif nodes:
-                v = rng.choice(nodes)
-                label = rng.choice(LABELS)
-                for pool in self.pools():
-                    pool.queue_node(v, label=label)
-        self.planned.flush()
-        self.per_query.flush()
+                pool.queue_node(rng.choice(nodes), label=rng.choice(LABELS))
+        pool.flush()
 
     def check(self) -> None:
-        assert self.planned.graph == self.per_query.graph, "graph divergence"
+        graph = self.pool.graph
         for name, (semantics, pattern) in sorted(self.patterns.items()):
+            query = self.pool.query(name)
             if semantics == "isomorphism":
                 truth_embs = {
                     frozenset(e.items())
-                    for e in iter_embeddings(pattern, self.planned.graph)
+                    for e in iter_embeddings(pattern, graph)
                 }
-                for pool in self.pools():
-                    got = {
-                        frozenset(e.items())
-                        for e in pool.query(name).embeddings()
-                    }
-                    assert got == truth_embs, (
-                        f"embedding mismatch for {name}: "
-                        f"extra={got - truth_embs} "
-                        f"missing={truth_embs - got}"
-                    )
+                got = {frozenset(e.items()) for e in query.embeddings()}
+                assert got == truth_embs, (
+                    f"embedding mismatch for {name}: "
+                    f"extra={got - truth_embs} "
+                    f"missing={truth_embs - got}"
+                )
                 continue
-            if semantics == "simulation":
-                truth = as_pairs(
-                    totalize(maximum_simulation(pattern, self.planned.graph))
-                )
-            else:
-                truth = as_pairs(
-                    totalize(bounded_match(pattern, self.planned.graph))
-                )
-            got_planned = as_pairs(self.planned.query(name).matches())
-            got_per_query = as_pairs(self.per_query.query(name).matches())
-            assert got_planned == truth, (
-                f"shared-plan mismatch for {name} "
-                f"(planned={self.planned.query(name).planned}): "
-                f"extra={got_planned - truth} missing={truth - got_planned}"
+            truth = self.truth(semantics, pattern)
+            got = as_pairs(query.matches())
+            assert got == truth, (
+                f"shared-plan mismatch for {name}: "
+                f"extra={got - truth} missing={truth - got}"
             )
-            assert got_per_query == truth, (
-                f"per-query mismatch for {name}: "
-                f"extra={got_per_query - truth} "
-                f"missing={truth - got_per_query}"
-            )
-            # The two pools' *non-empty* deltas must agree pairwise (a
-            # pool may publish an empty delta when routing touched a
-            # query whose relation did not change).
-            feed_p, feed_q = self.feeds[name]
-            deltas_p = [
+            # The feed holds the flush's change of the batch relation (a
+            # pool may also publish an empty delta when routing touched
+            # a query whose relation did not change).
+            before = self.relations[name]
+            deltas = [
                 (d.added, d.removed)
-                for d in feed_p.drain()
+                for d in self.feeds[name].drain()
                 if d.added or d.removed
             ]
-            deltas_q = [
-                (d.added, d.removed)
-                for d in feed_q.drain()
-                if d.added or d.removed
-            ]
-            assert deltas_p == deltas_q, (
-                f"delta stream divergence for {name}: "
-                f"planned={deltas_p} per-query={deltas_q}"
+            expected = (
+                [(truth - before, before - truth)] if truth != before else []
             )
-        self.planned.eligibility.check_invariants()
-        self.per_query.eligibility.check_invariants()
+            assert deltas == expected, (
+                f"delta stream of {name} is not the batch relation's "
+                f"change: got={deltas} expected={expected}"
+            )
+            self.relations[name] = truth
+        self.pool.eligibility.check_invariants()
 
     def check_deep(self) -> None:
         """Interned and per-query indexes must pass their own structural
         invariants (a bounded index's pair graph mirrors true bounded
         distances)."""
-        for join in self.planned.plan._joins.values():
-            join.check_invariants()
-        for view in self.planned.plan.views():
+        for view in self.pool.plan.views():
             view.index.check_invariants()
         for name in self.patterns:
-            for pool in self.pools():
-                index = pool.query(name).index
-                check = getattr(index, "check_invariants", None)
-                if check is not None:
-                    check()
+            index = self.pool.query(name).index
+            check = getattr(index, "check_invariants", None)
+            if check is not None:
+                check()
 
 
 def _run_sequence(seed: int) -> None:
@@ -278,7 +246,7 @@ def test_unregister_drops_views_and_reregister_rebuilds():
     last lease and rebuild fresh (and correct) on re-registration."""
     rng = random.Random(BASE_SEED)
     g = _random_graph(rng)
-    pool = MatcherPool(g, plan_scope="shared")
+    pool = MatcherPool(g)
     p = Pattern.from_spec(
         {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
     )
@@ -295,5 +263,5 @@ def test_unregister_drops_views_and_reregister_rebuilds():
     pool.apply([insert(0, 1)])
     truth = as_pairs(totalize(bounded_match(p, pool.graph)))
     assert as_pairs(q2.matches()) == truth
-    for join in pool.plan._joins.values():
-        join.check_invariants()
+    for view in pool.plan.views():
+        view.index.check_invariants()

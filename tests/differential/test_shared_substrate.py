@@ -1,11 +1,11 @@
-"""Stateful differential fuzzer: two shared-substrate pools ≡ batch.
+"""Stateful differential fuzzer: a shared-substrate pool ≡ batch.
 
-Two :class:`~repro.engine.pool.MatcherPool` instances — both leasing every
-query's eligible sets from the pool's
+A :class:`~repro.engine.pool.MatcherPool` — leasing every query's
+eligible sets from the pool's
 :class:`~repro.engine.eligibility.SharedEligibilityIndex` and every
 bounded query's distance structures from its
-:class:`~repro.engine.distances.SharedDistanceSubstrate` — are driven
-through the *same* seeded random op sequence: edge insert/delete churn,
+:class:`~repro.engine.distances.SharedDistanceSubstrate` — is driven
+through a seeded random op sequence: edge insert/delete churn,
 brand-new labelled nodes, attribute flips (label *and* numeric
 ``score``) that gain/lose eligibility mid-stream — including for
 conjunction predicates like ``label = A & score > 1`` whose canonical
@@ -22,27 +22,24 @@ clients) with simulation and isomorphism blended in — so every index
 family's flip adoption, withdrawal cascades and embedding re-anchoring
 run under the same churn.
 
-The sweep runs once per ``(distance mode × plan scope)``.  The first
-pool takes the parametrized plan scope, its twin the *opposite* one:
-every sequence pits per-query indexes against the shared multi-query
-plan's interned indexes (both reading the same substrates), and the two
-pools' graphs are asserted equal after every flush.  The sweep covers
-all three distance modes.
-After every flush, each registered query's match set under both pools
-must equal a from-scratch batch recomputation
+The sweep runs once per distance mode.  Simulation and bounded queries
+read the shared multi-query plan's interned indexes, isomorphism
+queries their own, all on the same substrates.
+After every flush, each registered query's match set must equal a
+from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
 and the eligibility member sets must pass their exactness invariants.
 ``check_oracles`` probes ``can_affect_edge`` of every distance-routed
-query and interned index over every node pair at quiescence: every mode
-routes by the edge legs, so the answer must be exact.
+interned index over every node pair at quiescence: every mode routes by
+the edge legs, so the answer must be exact.
 
 All randomness flows from ``random.Random`` seeds derived from a pinned
 base, so every failure message names the exact seed that replays it:
 
     SHARED_SUBSTRATE_SEQUENCES=1 PYTHONPATH=src python -m pytest \
-        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs-shared]"
+        "tests/differential/test_shared_substrate.py::test_shared_substrate_differential_fuzz[bfs]"
 
-then rerun ``_run_sequence(<seed>, "<mode>", "<plan scope>")`` from a
+then rerun ``_run_sequence(<seed>, "<mode>")`` from a
 REPL, or simply re-run the test — the sweep is
 deterministic end to end.  Scale with ``SHARED_SUBSTRATE_SEQUENCES``
 (default 200 sequences per parametrization).
@@ -87,7 +84,6 @@ from repro.patterns.predicate import Atom, Predicate
 from tests.routing_truth import distances_from_every_node, edge_routes
 
 MODES = ["bfs", "landmark", "matrix"]
-PLAN_SCOPES = ["shared", "per-query"]
 SEQUENCES = int(os.environ.get("SHARED_SUBSTRATE_SEQUENCES", "200"))
 BASE_SEED = 0x5D1575
 FLUSHES = 3
@@ -152,26 +148,17 @@ def _random_pattern(rng: random.Random, normal: bool = False) -> Pattern:
 
 
 class _Harness:
-    """One differential run: two pools, one op stream, one oracle."""
+    """One differential run: one pool, one op stream, one oracle."""
 
-    def __init__(
-        self, seed: int, mode: str, plan_scope: str = "shared"
-    ) -> None:
+    def __init__(self, seed: int, mode: str) -> None:
         self.rng = random.Random(seed)
         self.mode = mode
-        base = _random_graph(self.rng)
-        # The twin runs the opposite plan scope.
-        other_scope = "per-query" if plan_scope == "shared" else "shared"
-        self.first = MatcherPool(base.copy(), plan_scope=plan_scope)
-        self.twin = MatcherPool(base.copy(), plan_scope=other_scope)
+        self.pool = MatcherPool(_random_graph(self.rng))
         self.patterns = {}
         self._counter = 0
         self._next_node = 100
         for _ in range(self.rng.randint(1, 2)):
             self.register()
-
-    def pools(self):
-        return (self.first, self.twin)
 
     def register(self) -> None:
         """Mostly bounded queries (the distance substrate's clients), with
@@ -190,36 +177,30 @@ class _Harness:
             pattern = _random_pattern(self.rng, normal=True)
         name = f"q{self._counter}"
         self._counter += 1
-        for pool in self.pools():
-            pool.register(
-                pattern, semantics=semantics, name=name,
-                distance_mode=self.mode,
-            )
+        self.pool.register(
+            pattern, semantics=semantics, name=name, distance_mode=self.mode
+        )
         self.patterns[name] = (semantics, pattern)
 
     def unregister(self) -> None:
         if len(self.patterns) <= 1:
             return
         name = self.rng.choice(sorted(self.patterns))
-        for pool in self.pools():
-            pool.unregister(pool.query(name))
+        self.pool.unregister(self.pool.query(name))
         del self.patterns[name]
 
     def step(self) -> None:
-        """Queue one random op batch into both pools, then flush both."""
+        """Queue one random op batch, then flush."""
         rng = self.rng
-        nodes = sorted(self.first.graph.nodes(), key=repr)
-        edges = sorted(self.first.graph.edges(), key=repr)
+        pool = self.pool
+        nodes = sorted(pool.graph.nodes(), key=repr)
+        edges = sorted(pool.graph.edges(), key=repr)
         for _ in range(rng.randint(0, 5)):
             roll = rng.random()
             if roll < 0.28 and edges:
-                e = rng.choice(edges)
-                for pool in self.pools():
-                    pool.queue(delete(*e))
+                pool.queue(delete(*rng.choice(edges)))
             elif roll < 0.60 and nodes:
-                v, w = rng.choice(nodes), rng.choice(nodes)
-                for pool in self.pools():
-                    pool.queue(insert(v, w))
+                pool.queue(insert(rng.choice(nodes), rng.choice(nodes)))
             elif roll < 0.75 and nodes:
                 # Wire a brand-new attribute-less node mid-flush: the case
                 # only the substrate's fresh-node announcement makes
@@ -228,15 +209,12 @@ class _Harness:
                 self._next_node += 1
                 if rng.random() < 0.5:
                     v, w = w, v
-                for pool in self.pools():
-                    pool.queue(insert(v, w))
+                pool.queue(insert(v, w))
             elif roll < 0.84:
                 v = self._next_node
                 self._next_node += 1
                 label = rng.choice(LABELS)
-                score = rng.choice(SCORES)
-                for pool in self.pools():
-                    pool.queue_node(v, label=label, score=score)
+                pool.queue_node(v, label=label, score=rng.choice(SCORES))
             elif nodes:
                 # Attribute flip on an existing node: eligibility may be
                 # gained and lost, shrinking/growing member sets — a
@@ -248,48 +226,39 @@ class _Harness:
                     attrs["label"] = rng.choice(LABELS)
                 if rng.random() < 0.5 or not attrs:
                     attrs["score"] = rng.choice(SCORES)
-                for pool in self.pools():
-                    pool.queue_node(v, **attrs)
-        for pool in self.pools():
-            pool.flush()
+                pool.queue_node(v, **attrs)
+        pool.flush()
 
     def check(self) -> None:
-        graph = self.first.graph
-        assert graph == self.twin.graph, "graph divergence"
+        graph = self.pool.graph
         for name, (semantics, pattern) in sorted(self.patterns.items()):
+            query = self.pool.query(name)
             if semantics == "isomorphism":
                 truth_embs = {
                     frozenset(e.items())
                     for e in iter_embeddings(pattern, graph)
                 }
-                for pool in self.pools():
-                    got = {
-                        frozenset(e.items())
-                        for e in pool.query(name).embeddings()
-                    }
-                    assert got == truth_embs, (
-                        f"embedding mismatch for {name} "
-                        f"({_tag(pool)}): "
-                        f"extra={got - truth_embs} "
-                        f"missing={truth_embs - got}"
-                    )
+                got = {frozenset(e.items()) for e in query.embeddings()}
+                assert got == truth_embs, (
+                    f"embedding mismatch for {name}: "
+                    f"extra={got - truth_embs} "
+                    f"missing={truth_embs - got}"
+                )
                 continue
             if semantics == "simulation":
                 truth = as_pairs(totalize(maximum_simulation(pattern, graph)))
             else:
                 truth = as_pairs(totalize(bounded_match(pattern, graph)))
-            for pool in self.pools():
-                got = as_pairs(pool.query(name).matches())
-                assert got == truth, (
-                    f"match mismatch for {name} ({_tag(pool)}): "
-                    f"extra={got - truth} missing={truth - got}"
-                )
-        for pool in self.pools():
-            pool.eligibility.check_invariants()
+            got = as_pairs(query.matches())
+            assert got == truth, (
+                f"match mismatch for {name}: "
+                f"extra={got - truth} missing={truth - got}"
+            )
+        self.pool.eligibility.check_invariants()
 
     def check_oracles(self) -> None:
-        """At quiescence every distance-routed oracle — of a per-query
-        index or of a plan-interned one — must agree with the textbook check
+        """At quiescence every distance-routed oracle of a plan-interned
+        index must agree with the textbook check
         on the current graph: some eligible source a and eligible target
         c with d(a, x) + 1 + d(y, c) <= k, for some pattern edge
         (:func:`tests.routing_truth.edge_routes`).  (Mid-flush the oracle
@@ -298,42 +267,34 @@ class _Harness:
         memoized leg surfaces here even when no match pair happens to
         depend on the mis-routed edge.)
         """
-        graph = self.first.graph
+        graph = self.pool.graph
         nodes = sorted(graph.nodes(), key=repr)
         dist = distances_from_every_node(graph)
-        for pool in self.pools():
-            routed = [q for q in pool.queries() if not q.planned]
-            for q in routed + pool.plan.views():
-                if not q.distance_routed:
-                    continue
-                name, idx = q.name, q.index
-                for x in nodes:
-                    for y in nodes:
-                        truth = edge_routes(dist, idx, x, y)
-                        got = idx.can_affect_edge(x, y)
-                        assert got == truth, (
-                            f"oracle drift for {name} "
-                            f"({_tag(pool)}, mode={self.mode}): "
-                            f"can_affect_edge({x!r}, {y!r}) = {got}, "
-                            f"ground truth {truth}"
-                        )
+        for q in self.pool.plan.views():
+            if not q.distance_routed:
+                continue
+            name, idx = q.name, q.index
+            for x in nodes:
+                for y in nodes:
+                    truth = edge_routes(dist, idx, x, y)
+                    got = idx.can_affect_edge(x, y)
+                    assert got == truth, (
+                        f"oracle drift for {name} (mode={self.mode}): "
+                        f"can_affect_edge({x!r}, {y!r}) = {got}, "
+                        f"ground truth {truth}"
+                    )
 
     def check_deep(self) -> None:
         """Pair-graph / counter drift checks — pricier, run on a sample of
         steps (isomorphism indexes have no structural invariants)."""
-        for pool in self.pools():
-            for q in pool.queries() + pool.plan.views():
-                check = getattr(q.index, "check_invariants", None)
-                if check is not None:
-                    check()
+        for q in self.pool.queries() + self.pool.plan.views():
+            check = getattr(q.index, "check_invariants", None)
+            if check is not None:
+                check()
 
 
-def _tag(pool: MatcherPool) -> str:
-    return f"plan_scope={pool.plan_scope}"
-
-
-def _run_sequence(seed: int, mode: str, plan_scope: str = "shared") -> None:
-    harness = _Harness(seed, mode, plan_scope)
+def _run_sequence(seed: int, mode: str) -> None:
+    harness = _Harness(seed, mode)
     for step in range(FLUSHES):
         roll = harness.rng.random()
         if roll < 0.15:
@@ -347,18 +308,16 @@ def _run_sequence(seed: int, mode: str, plan_scope: str = "shared") -> None:
             harness.check_deep()
 
 
-@pytest.mark.parametrize("plan_scope", PLAN_SCOPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_shared_substrate_differential_fuzz(mode, plan_scope):
+def test_shared_substrate_differential_fuzz(mode):
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, mode, plan_scope)
+            _run_sequence(seed, mode)
         except AssertionError as exc:
             raise AssertionError(
-                f"differential fuzz failure: mode={mode!r} "
-                f"plan_scope={plan_scope!r} seed={seed} — replay with "
-                f"_run_sequence({seed}, {mode!r}, {plan_scope!r})"
+                f"differential fuzz failure: mode={mode!r} seed={seed} — "
+                f"replay with _run_sequence({seed}, {mode!r})"
             ) from exc
 
 

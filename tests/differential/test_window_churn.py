@@ -1,25 +1,24 @@
-"""Stateful window-churn differential fuzzer: two temporal pools ≡ an
+"""Stateful window-churn differential fuzzer: a temporal pool ≡ an
 independent shadow model ≡ from-scratch recompute.
 
-Two *windowed* :class:`~repro.engine.pool.MatcherPool` instances — both
-on the pool's shared eligibility and distance substrates, one with the
-parametrized plan scope, its twin with the opposite plan scope — run
-the same seeded op stream: stamped inserts (default window, explicit
+A *windowed* :class:`~repro.engine.pool.MatcherPool` — on the pool's
+shared eligibility and distance substrates and the shared plan's
+interned indexes — runs a seeded op stream: stamped inserts (default window, explicit
 ``ts`` backdating, per-edge ``ttl`` overrides), explicit deletes, node
 attribute flips, clock advances, TTL'd query registration, and
 deliberate **expire→re-insert collisions** (an edge scheduled to expire
 at the coming flush re-inserted in the same batch).  A third,
 independent *shadow model* — a from-scratch reimplementation of the
 window semantics over plain dicts, sharing no code with the pool —
-replays the identical stream; after every flush both pools' graphs,
-live stamp maps, and surviving query sets must equal the shadow's, and
+replays the identical stream; after every flush the pool's graph, live
+stamp map, and surviving query set must equal the shadow's, and
 every live query's match set must equal a batch recomputation on the
 window-truncated graph.
 
 The collision flushes double as a regression test for ``net_updates``
 coalescing: when an expiring edge is re-inserted in the same flush, the
 prepended expiry delete and the user insert must cancel — the edge may
-not appear in ``report.net`` at all, on either pool.
+not appear in ``report.net`` at all.
 
 Mutation-tested: the sweep (at its default scale) catches each of these
 bugs injected one at a time —
@@ -53,7 +52,6 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 
 MODES = ["bfs", "landmark", "matrix"]
-PLAN_SCOPES = ["per-query", "shared"]
 SEQUENCES = int(os.environ.get("WINDOW_CHURN_SEQUENCES", "20"))
 BASE_SEED = 0xC1C
 FLUSHES = 5
@@ -148,19 +146,13 @@ class _ShadowModel:
 
 
 class _ChurnHarness:
-    """Two windowed pools + one shadow model, one op stream."""
+    """One windowed pool + one shadow model, one op stream."""
 
-    def __init__(self, seed: int, mode: str, plan_scope: str) -> None:
+    def __init__(self, seed: int, mode: str) -> None:
         self.rng = random.Random(seed)
         self.mode = mode
         base = _random_graph(self.rng)
-        other_scope = "per-query" if plan_scope == "shared" else "shared"
-        self.first = MatcherPool(
-            base.copy(), window=WINDOW, plan_scope=plan_scope
-        )
-        self.twin = MatcherPool(
-            base.copy(), window=WINDOW, plan_scope=other_scope
-        )
+        self.pool = MatcherPool(base.copy(), window=WINDOW)
         self.shadow = _ShadowModel(base)
         self.t = 0.0
         self.patterns: Dict[str, Pattern] = {}
@@ -168,18 +160,14 @@ class _ChurnHarness:
         for _ in range(self.rng.randint(1, 2)):
             self.register()
 
-    def pools(self):
-        return (self.first, self.twin)
-
     def register(self, ttl: Optional[float] = None) -> None:
         name = f"q{self._counter}"
         self._counter += 1
         pattern = _random_pattern(self.rng)
-        for pool in self.pools():
-            pool.register(
-                pattern, semantics="bounded", name=name,
-                distance_mode=self.mode, ttl=ttl,
-            )
+        self.pool.register(
+            pattern, semantics="bounded", name=name,
+            distance_mode=self.mode, ttl=ttl,
+        )
         self.patterns[name] = pattern
         self.shadow.query_expiry[name] = (
             float("inf") if ttl is None else self.t + ttl
@@ -187,18 +175,18 @@ class _ChurnHarness:
 
     def step(self) -> None:
         rng = self.rng
+        pool = self.pool
         self.t += rng.uniform(0.5, 4.0)
-        for pool in self.pools():
-            pool.advance(self.t)
+        pool.advance(self.t)
         if rng.random() < 0.2:
             self.register(ttl=rng.uniform(0.5, 8.0) if rng.random() < 0.5
                           else None)
         node_ops: List[Tuple] = []
         edge_ops: List[Tuple] = []
         collisions: List[Tuple] = []
-        nodes = sorted(self.first.graph.nodes(), key=repr)
-        edges = sorted(self.first.graph.edges(), key=repr)
-        stamps = self.first.live_edge_stamps()
+        nodes = sorted(pool.graph.nodes(), key=repr)
+        edges = sorted(pool.graph.edges(), key=repr)
+        stamps = pool.live_edge_stamps()
         doomed = sorted((e for e, (_b, x) in stamps.items() if x <= self.t),
                         key=repr)
         for _ in range(rng.randint(0, 5)):
@@ -222,72 +210,62 @@ class _ChurnHarness:
                 node_ops.append(
                     (rng.choice(nodes), {"label": rng.choice(LABELS)})
                 )
-        for pool in self.pools():
-            for v, attrs in node_ops:
-                pool.queue_node(v, **attrs)
-            for op, v, w, ts, ttl in edge_ops:
-                if op == "insert":
-                    pool.queue(insert(v, w), ts=ts, ttl=ttl)
-                else:
-                    pool.queue(delete(v, w))
-        reports = [pool.flush() for pool in self.pools()]
+        for v, attrs in node_ops:
+            pool.queue_node(v, **attrs)
+        for op, v, w, ts, ttl in edge_ops:
+            if op == "insert":
+                pool.queue(insert(v, w), ts=ts, ttl=ttl)
+            else:
+                pool.queue(delete(v, w))
+        report = pool.flush()
         self.shadow.flush(self.t, node_ops, edge_ops)
-        self._check(reports, collisions)
+        self._check(report, collisions)
 
-    def _check(self, reports, collisions) -> None:
+    def _check(self, report, collisions) -> None:
+        pool = self.pool
         truth_graph = self.shadow.graph()
-        for pool, report in zip(self.pools(), reports):
-            tag = pool.plan_scope
-            assert pool.graph == truth_graph, (
-                f"{tag} graph diverged from the shadow model"
+        assert pool.graph == truth_graph, "graph diverged from the shadow model"
+        assert pool.live_edge_stamps() == self.shadow.stamps, (
+            "stamp map diverged from the shadow model"
+        )
+        # Re-inserting an expiring edge in the same flush must net to
+        # zero graph ops (prepended expiry delete loses last-write).
+        for e in collisions:
+            assert e not in {u.edge for u in report.net}, (
+                f"collision edge {e!r} leaked into net updates"
             )
-            assert pool.live_edge_stamps() == self.shadow.stamps, (
-                f"{tag} stamp map diverged from the shadow model"
-            )
-            # Re-inserting an expiring edge in the same flush must net to
-            # zero graph ops (prepended expiry delete loses last-write).
-            for e in collisions:
-                assert e not in {u.edge for u in report.net}, (
-                    f"{tag}: collision edge {e!r} leaked into net updates"
-                )
-            pool.check_temporal_invariants()
+        pool.check_temporal_invariants()
         live = set(self.shadow.query_expiry)
-        for pool in self.pools():
-            assert {q.name for q in pool.queries()} == live, (
-                "TTL'd query retirement diverged from the shadow model"
-            )
+        assert {q.name for q in pool.queries()} == live, (
+            "TTL'd query retirement diverged from the shadow model"
+        )
         for name in sorted(live):
             pattern = self.patterns[name]
             truth = as_pairs(totalize(bounded_match(pattern, truth_graph)))
-            for pool in self.pools():
-                got = as_pairs(pool.query(name).matches())
-                assert got == truth, (
-                    f"{pool.plan_scope} match "
-                    f"mismatch for {name}: "
-                    f"extra={got - truth} missing={truth - got}"
-                )
-        for pool in self.pools():
-            pool.eligibility.check_invariants()
+            got = as_pairs(pool.query(name).matches())
+            assert got == truth, (
+                f"match mismatch for {name}: "
+                f"extra={got - truth} missing={truth - got}"
+            )
+        pool.eligibility.check_invariants()
 
 
-def _run_sequence(seed: int, mode: str, plan_scope: str) -> None:
-    harness = _ChurnHarness(seed, mode, plan_scope)
+def _run_sequence(seed: int, mode: str) -> None:
+    harness = _ChurnHarness(seed, mode)
     for _ in range(FLUSHES):
         harness.step()
 
 
-@pytest.mark.parametrize("plan_scope", PLAN_SCOPES)
 @pytest.mark.parametrize("mode", MODES)
-def test_window_churn_differential_fuzz(mode, plan_scope):
+def test_window_churn_differential_fuzz(mode):
     for i in range(SEQUENCES):
         seed = BASE_SEED * 1_000 + i
         try:
-            _run_sequence(seed, mode, plan_scope)
+            _run_sequence(seed, mode)
         except AssertionError as exc:
             raise AssertionError(
-                f"window churn fuzz failure: mode={mode!r} "
-                f"plan_scope={plan_scope!r} seed={seed} — replay with "
-                f"_run_sequence({seed}, {mode!r}, {plan_scope!r})"
+                f"window churn fuzz failure: mode={mode!r} seed={seed} — "
+                f"replay with _run_sequence({seed}, {mode!r})"
             ) from exc
 
 
@@ -313,7 +291,7 @@ def test_mutation_expiry_bypassing_router_is_caught(monkeypatch):
     caught = 0
     for i in range(SEQUENCES):
         try:
-            _run_sequence(BASE_SEED * 1_000 + i, "bfs", "per-query")
+            _run_sequence(BASE_SEED * 1_000 + i, "bfs")
         except AssertionError:
             caught += 1
     assert caught > 0, (

@@ -12,6 +12,7 @@ from repro.engine import (
 from repro.engine.eligibility import EligibleSet
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import insert
+from repro.patterns.minimize import canonical_pattern
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate, parse_predicate
 from tests.attr_values import ATOM_CASES, VALUES
@@ -416,10 +417,19 @@ class TestPoolIntegration:
     def test_same_predicate_queries_share_sets(self):
         g = _graph()
         pool = MatcherPool(g)
-        p = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
-        q1 = pool.register(p, semantics="simulation", name="q1")
-        q2 = pool.register(p, semantics="simulation", name="q2")
-        assert q1.index.eligible["x"] is q2.index.eligible["x"]
+        # Two distinct patterns (two interned indexes) over the same two
+        # predicates.
+        p1 = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
+        p2 = Pattern.normal_from_labels(
+            {"x": "A", "y": "B"}, [("x", "y"), ("y", "x")]
+        )
+        q1 = pool.register(p1, semantics="simulation", name="q1")
+        q2 = pool.register(p2, semantics="simulation", name="q2")
+        i1, i2 = q1.index.join.query.index, q2.index.join.query.index
+        assert i1 is not i2
+        x1 = canonical_pattern(p1).renaming["x"]
+        x2 = canonical_pattern(p2).renaming["x"]
+        assert i1.eligible[x1] is i2.eligible[x2]
         assert pool.eligibility.num_entries() == 2
 
     def test_unregister_releases_leases(self):

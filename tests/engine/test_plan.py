@@ -7,7 +7,8 @@ from repro.engine.pool import MatcherPool
 from repro.graphs.digraph import DiGraph
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match
-from repro.matching.relation import totalize
+from repro.matching.relation import as_pairs, totalize
+from repro.matching.result_graph import simulation_result_graph
 from repro.patterns.pattern import Pattern, PatternError
 
 
@@ -34,13 +35,13 @@ def two_leg_pattern(bound=2, names=("x", "y", "z")) -> Pattern:
     return p
 
 
-def shared_pool(**kwargs) -> MatcherPool:
-    return MatcherPool(chain_graph(), plan_scope="shared", **kwargs)
+def chain_pool(**kwargs) -> MatcherPool:
+    return MatcherPool(chain_graph(), **kwargs)
 
 
 class TestInterning:
     def test_identical_patterns_share_one_join(self):
-        pool = shared_pool()
+        pool = chain_pool()
         pool.register(two_leg_pattern(), name="q0")
         pool.register(two_leg_pattern(names=("u", "v", "w")), name="q1")
         assert pool.plan.num_joins() == 1
@@ -49,7 +50,7 @@ class TestInterning:
         assert len(pool.plan.views()) == 1
 
     def test_shared_legs_across_different_patterns(self):
-        pool = shared_pool()
+        pool = chain_pool()
         pool.register(two_leg_pattern(), name="q0")
         # Its only edge is q0's first edge, but it is another pattern.
         leg = Pattern.from_spec(
@@ -64,7 +65,7 @@ class TestInterning:
             {"x": "label = A", "y": "label = B", "z": "label = B"},
             [("x", "y", 2), ("x", "z", 2)],
         )
-        pool = shared_pool()
+        pool = chain_pool()
         q = pool.register(p, name="q0")
         # The whole pattern is one index, repeated edges and all.
         assert pool.plan.num_joins() == 1
@@ -73,14 +74,14 @@ class TestInterning:
         assert q.matches() == truth
 
     def test_bounds_separate_views(self):
-        pool = shared_pool()
+        pool = chain_pool()
         pool.register(two_leg_pattern(bound=2), name="q0")
         pool.register(two_leg_pattern(bound=3), name="q1")
         assert pool.plan.num_joins() == 2
         assert len(pool.plan.views()) == 2
 
     def test_distance_mode_separates_joins(self):
-        pool = shared_pool()
+        pool = chain_pool()
         p = Pattern.from_spec(
             {"a": "label = A", "b": "label = B"}, [("a", "b", 2)]
         )
@@ -90,7 +91,7 @@ class TestInterning:
         assert pool.substrate.live_structures()["landmark"] == 1
 
     def test_one_routing_member_per_planned_pattern(self):
-        pool = shared_pool()
+        pool = chain_pool()
         triangle = Pattern.from_spec(
             {"x": "label = A", "y": "label = B", "z": "label = C"},
             [("x", "y", 1), ("y", "z", 1), ("z", "x", 1)],
@@ -102,7 +103,7 @@ class TestInterning:
 
 class TestLifecycle:
     def test_unregister_releases_views_and_leases(self):
-        pool = shared_pool()
+        pool = chain_pool()
         q0 = pool.register(
             two_leg_pattern(), name="q0", distance_mode="landmark"
         )
@@ -123,15 +124,18 @@ class TestLifecycle:
         assert pool.eligibility.num_entries() == 0
         assert not any(pool.substrate.live_structures().values())
 
-    def test_planned_query_type_and_flags(self):
-        pool = shared_pool()
-        q = pool.register(two_leg_pattern(), name="q0")
+    @pytest.mark.parametrize("bound, routed", [(2, True), (1, False)])
+    def test_planned_query_type_and_flags(self, bound, routed):
+        pool = chain_pool()
+        q = pool.register(two_leg_pattern(bound=bound), name="q0")
         assert isinstance(q, PlannedQuery)
         assert q.planned and not q.internal
-        assert not q.distance_routed
+        # It reports the routing class of the interned query it reads.
+        assert q.index.join.query.distance_routed is routed
+        assert q.distance_routed is routed
 
     def test_iso_falls_back_to_per_query(self):
-        pool = shared_pool()
+        pool = chain_pool()
         p = Pattern.from_spec(
             {"x": "label = A", "y": "label = B"}, [("x", "y", 1)]
         )
@@ -140,32 +144,55 @@ class TestLifecycle:
         assert pool.plan.num_joins() == 0
 
     def test_simulation_requires_normal_pattern(self):
-        pool = shared_pool()
+        pool = chain_pool()
         with pytest.raises(PatternError):
             pool.register(two_leg_pattern(bound=2), semantics="simulation")
 
-    def test_per_register_override(self):
-        pool = MatcherPool(chain_graph())  # pool default per-query
-        q = pool.register(two_leg_pattern(), name="q0", plan_scope="shared")
-        assert q.planned
-        q2 = pool.register(
-            two_leg_pattern(names=("u", "v", "w")),
-            name="q1",
-            plan_scope="per-query",
+    @pytest.mark.parametrize("semantics", ["bounded", "simulation"])
+    def test_shared_plan_scope_is_the_default(self, semantics):
+        pool = chain_pool()
+        bound = 2 if semantics == "bounded" else 1
+        q0 = pool.register(
+            two_leg_pattern(bound=bound), semantics=semantics, name="q0"
         )
-        assert not q2.planned
+        q1 = pool.register(
+            two_leg_pattern(bound=bound, names=("u", "v", "w")),
+            semantics=semantics,
+            name="q1",
+            plan_scope="shared",
+        )
+        assert q0.planned and q1.planned
+        assert q0.index.join is q1.index.join
 
-    def test_bad_plan_scope_rejected(self):
-        with pytest.raises(ValueError):
-            MatcherPool(chain_graph(), plan_scope="bogus")
-        pool = shared_pool()
-        with pytest.raises(ValueError):
-            pool.register(two_leg_pattern(), plan_scope="bogus")
+    @pytest.mark.parametrize("scope", ["per-query", "bogus", ""])
+    def test_bad_plan_scope_rejected_before_anything_is_leased(self, scope):
+        with pytest.raises(TypeError):
+            MatcherPool(chain_graph(), plan_scope="shared")
+        pool = chain_pool()
+        pool.register(two_leg_pattern(), name="kept")
+        pool.queue(insert("n2", "n3"))
+
+        def snapshot():
+            return (
+                pool.eligibility.live_entries(),
+                pool.substrate.live_structures(),
+                pool.plan.num_joins(),
+                len(pool),
+                pool.pending,
+            )
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="plan_scope"):
+            pool.register(
+                two_leg_pattern(bound=3), semantics="bounded",
+                distance_mode="landmark", plan_scope=scope,
+            )
+        assert snapshot() == before
 
 
 class TestCorrectness:
     def test_matches_track_updates(self):
-        pool = shared_pool()
+        pool = chain_pool()
         p = two_leg_pattern()
         q = pool.register(p, name="q0")
         assert q.matches() == totalize(bounded_match(p, pool.graph))
@@ -175,7 +202,7 @@ class TestCorrectness:
         assert q.matches() == totalize(bounded_match(p, pool.graph))
 
     def test_attr_flips_track(self):
-        pool = shared_pool()
+        pool = chain_pool()
         p = two_leg_pattern()
         q = pool.register(p, name="q0")
         pool.add_node("n1", label="X")  # breaks the B in the chain
@@ -184,40 +211,50 @@ class TestCorrectness:
         assert q.matches() == totalize(bounded_match(p, pool.graph))
 
     def test_fresh_wildcard_nodes(self):
-        pool = shared_pool()
+        pool = chain_pool()
         p = Pattern.from_spec({"x": None, "y": "label = B"}, [("x", "y", 2)])
         q = pool.register(p, name="q0")
         pool.apply([insert("fresh1", "n1")])  # attribute-less endpoint
         assert q.matches() == totalize(bounded_match(p, pool.graph))
 
-    def test_deltas_match_per_query_pool(self):
-        shared = shared_pool()
-        per = MatcherPool(chain_graph(), plan_scope="per-query")
+    def test_deltas_match_batch_recomputation(self):
+        pool = chain_pool()
         p = two_leg_pattern()
-        qs = shared.register(p, name="q0")
-        qp = per.register(two_leg_pattern(), name="q0")
-        fs, fp = qs.subscribe(), qp.subscribe()
-        for ops in ([delete("n1", "n2")], [insert("n1", "n2"), insert("n5", "n0")]):
-            shared.apply(list(ops))
-            per.apply(list(ops))
-        assert [
-            (d.added, d.removed) for d in fs.drain()
-        ] == [(d.added, d.removed) for d in fp.drain()]
+        q = pool.register(p, name="q0")
+        feed = q.subscribe()
+        before = as_pairs(totalize(bounded_match(p, pool.graph)))
+        for ops in (
+            [delete("n1", "n2")],
+            [insert("n1", "n2"), insert("n5", "n0")],
+            [delete("n0", "n4"), delete("n3", "n4")],
+        ):
+            pool.apply(list(ops))
+            after = as_pairs(totalize(bounded_match(p, pool.graph)))
+            assert after != before
+            assert [(d.added, d.removed) for d in feed.drain()] == [
+                (after - before, before - after)
+            ]
+            before = after
 
-    def test_result_graph_matches_per_query(self):
-        shared = shared_pool()
-        per = MatcherPool(chain_graph(), plan_scope="per-query")
-        p = two_leg_pattern()
-        qs = shared.register(p, name="q0")
-        qp = per.register(two_leg_pattern(), name="q0")
-        gs, gp = qs.result_graph(), qp.result_graph()
-        assert sorted(gs.nodes()) == sorted(gp.nodes())
-        assert sorted(gs.edges()) == sorted(gp.edges())
+    @pytest.mark.parametrize("semantics", ["bounded", "simulation"])
+    def test_result_graph_matches_batch(self, semantics):
+        pool = chain_pool()
+        bound = 2 if semantics == "bounded" else 1
+        p = two_leg_pattern(bound=bound)
+        q = pool.register(p, semantics=semantics, name="q0")
+        pool.apply([insert("n2", "n3"), insert("n5", "n1")])
+        truth = simulation_result_graph(
+            p, pool.graph, totalize(bounded_match(p, pool.graph))
+        )
+        got = q.result_graph()
+        assert got.num_nodes() > 0
+        assert sorted(got.nodes()) == sorted(truth.nodes())
+        assert sorted(got.edges()) == sorted(truth.edges())
 
-    def test_multi_consumer_cursors(self):
-        """Consumers registered at different times read only their own
-        slice of the join's delta history."""
-        pool = shared_pool()
+    def test_late_consumer_reads_only_later_deltas(self):
+        """A consumer registered after a flush reads only the deltas of
+        later flushes, and a second pop in one flush returns nothing."""
+        pool = chain_pool()
         p = two_leg_pattern()
         q0 = pool.register(p, name="q0")
         pool.apply([delete("n1", "n2")])
@@ -229,15 +266,17 @@ class TestCorrectness:
         assert len(d0) == 1 and len(d1) == 1
         # Same structural change; q1's pairs are named by its own nodes.
         assert {v for _, v in d0[0].added} == {v for _, v in d1[0].added}
+        assert {u for u, _ in d1[0].added} <= {"u", "v", "w"}
+        assert q0.index.pop_match_delta() == (set(), set())
 
     def test_invariants_after_stream(self):
-        pool = shared_pool()
+        pool = chain_pool()
         pool.register(two_leg_pattern(), name="q0")
         pool.register(two_leg_pattern(bound=1), name="q1")
         pool.apply([delete("n0", "n1"), insert("n2", "n3"), insert("n5", "n5")])
         pool.add_node("n2", label="B")
-        for join in pool.plan._joins.values():
-            join.check_invariants()
+        for view in pool.plan.views():
+            view.index.check_invariants()
 
 
 class TestStats:
@@ -246,7 +285,7 @@ class TestStats:
         distinct pattern shapes, not registered queries."""
         counts = {}
         for n in (2, 8):
-            pool = shared_pool()
+            pool = chain_pool()
             for i in range(n):
                 pool.register(
                     two_leg_pattern(names=(f"x{i}", f"y{i}", f"z{i}")),
@@ -258,7 +297,7 @@ class TestStats:
         assert counts[2] == counts[8] > 0
 
     def test_gauges(self):
-        pool = shared_pool()
+        pool = chain_pool()
         pool.register(two_leg_pattern(), name="q0")
         pool.register(two_leg_pattern(names=("u", "v", "w")), name="q1")
         pool.flush()

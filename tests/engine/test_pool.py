@@ -8,6 +8,7 @@ from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import Update, delete, insert
 from repro.matching.relation import as_pairs
 from repro.matching.simulation import maximum_simulation
+from repro.patterns.minimize import canonical_pattern
 from repro.patterns.pattern import Pattern, PatternError
 
 
@@ -77,7 +78,7 @@ class TestRegistration:
 
     @pytest.mark.parametrize("mode", ["bogus", "interval"])
     @pytest.mark.parametrize("semantics", ["bounded", "simulation"])
-    @pytest.mark.parametrize("plan_scope", ["shared", "per-query"])
+    @pytest.mark.parametrize("plan_scope", ["shared", None])
     def test_unknown_distance_mode_rejected_before_anything_is_leased(
         self, plan_scope, semantics, mode
     ):
@@ -86,7 +87,7 @@ class TestRegistration:
             g.add_node(v, label=label)
         g.add_edge(1, 2)
         g.add_edge(2, 3)
-        pool = MatcherPool(g, plan_scope=plan_scope)
+        pool = MatcherPool(g)
         bound = 2 if semantics == "bounded" else 1
 
         def pattern(source_label):
@@ -110,7 +111,8 @@ class TestRegistration:
         before = snapshot()
         with pytest.raises(ValueError, match="distance_mode"):
             pool.register(
-                pattern("A"), semantics=semantics, distance_mode=mode
+                pattern("A"), semantics=semantics, distance_mode=mode,
+                plan_scope=plan_scope,
             )
         assert snapshot() == before
 
@@ -145,9 +147,10 @@ class TestRouting:
             {"x": "label = A1", "y": "label = B1"}, [("x", "y", 2)]
         )
         q = pool.register(p, semantics="bounded", name="b")
-        assert isinstance(q.index, BoundedSimulationIndex)
+        index = q.index.join.query.index
+        assert isinstance(index, BoundedSimulationIndex)
         assert q.distance_routed
-        assert q.index.substrate is pool.substrate
+        assert index.substrate is pool.substrate
         # A 2-hop path through an unlabeled midpoint must be observed
         # even though neither endpoint satisfies any predicate.
         pool.apply([delete("a1", "b1")])
@@ -408,7 +411,7 @@ class TestDistanceModes:
             friendfeed_pattern, semantics="bounded", distance_mode=mode
         )
         # The pool substrate absorbs each edge batch once for every query.
-        assert q.index.substrate is pool.substrate
+        assert q.index.join.query.index.substrate is pool.substrate
         assert q.distance_routed  # pair repair gated by the oracle
         pool.apply([insert("Don", "Pat"), insert("Pat", "Don")])
         pool.apply([delete("Ann", "Pat"), insert("Don", "Tom")])
@@ -417,6 +420,16 @@ class TestDistanceModes:
         )
         q.index.check_invariants()
         pool.eligibility.check_invariants()
+
+
+def _ranked_pattern(i, bound):
+    """``x -> y`` within ``bound`` hops, x an A ranked at most i: every
+    i is a distinct pattern, and each one's eligible nodes are the same
+    A nodes of rank 0."""
+    return Pattern.from_spec(
+        {"x": f"label = A & rank <= {i}", "y": "label = C"},
+        [("x", "y", bound)],
+    )
 
 
 class TestSharedSubstrate:
@@ -492,8 +505,9 @@ class TestSharedSubstrate:
                            distance_mode="landmark")
         q2 = pool.register(p2, semantics="bounded", name="q2",
                            distance_mode="landmark")
-        assert q1.index.landmark_index() is q2.index.landmark_index()
-        assert q1.index.landmark_index() is pool.substrate.landmark_index()
+        lm1 = q1.index.join.query.index.landmark_index()
+        lm2 = q2.index.join.query.index.landmark_index()
+        assert lm1 is lm2 is pool.substrate.landmark_index()
         assert pool.substrate.live_structures()["landmark"] == 2
         pool.unregister(q1)
         assert pool.substrate.live_structures()["landmark"] == 1
@@ -506,9 +520,9 @@ class TestSharedSubstrate:
         self, mode, monkeypatch
     ):
         """Routing and every routed query's repair read one memoized BFS
-        pair per (edge, radius) and graph state: 8 queries routed on the
-        same edges cost exactly the BFS calls 1 query does, flush by
-        flush."""
+        pair per (edge, radius) and graph state: 8 distinct queries
+        routed on the same edges cost exactly the BFS calls 1 query does,
+        flush by flush."""
         from repro.engine import distances
         from repro.graphs import traversal
         from repro.incremental import incbsim
@@ -555,47 +569,47 @@ class TestSharedSubstrate:
             [delete("z3", "z4")],
         ]
         routed_edges = [0, 2, 0]
-        pattern = Pattern.from_spec(
-            {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
-        )
         per_flush = {}
         for n_queries in (1, 8):
             g = DiGraph()
             for v, label in [("a", "A"), ("a2", "A"), ("c", "C"),
                              ("c2", "C")]:
-                g.add_node(v, label=label)
+                g.add_node(v, label=label, rank=0)
             for n in range(5):
                 g.add_node(f"z{n}", label="Z")
             pool = MatcherPool(g)
+            # Distinct patterns (no two intern to one index) with the
+            # same eligible nodes, so each is routed on the same edges.
+            patterns = [_ranked_pattern(i, 2) for i in range(n_queries)]
             queries = [
                 pool.register(
-                    pattern, semantics="bounded", name=f"q{i}",
+                    p, semantics="bounded", name=f"q{i}",
                     distance_mode=mode,
                 )
-                for i in range(n_queries)
+                for i, p in enumerate(patterns)
             ]
+            assert pool.plan.num_joins() == n_queries
             counts = []
             for batch, routed in zip(batches, routed_edges):
                 before = len(calls)
                 report = pool.apply(batch)
                 counts.append(len(calls) - before)
                 assert report.routed == n_queries * routed
-            truth = as_pairs(totalize(bounded_match(pattern, pool.graph)))
-            assert all(as_pairs(q.matches()) == truth for q in queries)
+            for p, q in zip(patterns, queries):
+                truth = as_pairs(totalize(bounded_match(p, pool.graph)))
+                assert as_pairs(q.matches()) == truth
             per_flush[n_queries] = counts
         # One backward and one forward BFS per edge per graph state.
         assert per_flush[1] == per_flush[8] == [12, 4, 2]
 
     def test_recheck_probes_are_shared_by_every_routed_query(self):
         """Every routed query's suspect recheck in a flush extends the
-        substrate's one probe per (source, bound): 8 identical queries
-        label exactly the nodes 1 query does, flush by flush."""
+        substrate's one probe per (source, bound): 8 distinct queries
+        with the same eligible nodes label exactly the nodes 1 query
+        does, flush by flush."""
         from repro.matching.bounded import bounded_match
         from repro.matching.relation import totalize
 
-        pattern = Pattern.from_spec(
-            {"x": "label = A", "y": "label = C"}, [("x", "y", 3)]
-        )
         # Every deletion leaves the suspect (a, c): it survives the first
         # two flushes (via z2 -> z3, then via the re-inserted a -> z1) and
         # breaks in the third.
@@ -607,26 +621,29 @@ class TestSharedSubstrate:
         per_flush = {}
         for n_queries in (1, 8):
             g = DiGraph()
-            g.add_node("a", label="A")
-            g.add_node("c", label="C")
+            g.add_node("a", label="A", rank=0)
+            g.add_node("c", label="C", rank=0)
             for n in ("z1", "z2", "z3"):
                 g.add_node(n, label="Z")
             for v, w in [("a", "z1"), ("z1", "c"), ("a", "z2"),
                          ("z2", "z3"), ("z3", "c")]:
                 g.add_edge(v, w)
             pool = MatcherPool(g)
+            patterns = [_ranked_pattern(i, 3) for i in range(n_queries)]
             queries = [
-                pool.register(pattern, semantics="bounded", name=f"q{i}")
-                for i in range(n_queries)
+                pool.register(p, semantics="bounded", name=f"q{i}")
+                for i, p in enumerate(patterns)
             ]
+            assert pool.plan.num_joins() == n_queries
             counts = []
             for batch in batches:
                 before = pool.substrate.stats.probe_nodes
                 report = pool.apply(batch)
                 counts.append(pool.substrate.stats.probe_nodes - before)
                 assert report.routed == n_queries * len(batch)
-                truth = as_pairs(totalize(bounded_match(pattern, pool.graph)))
-                assert all(as_pairs(q.matches()) == truth for q in queries)
+                for p, q in zip(patterns, queries):
+                    truth = as_pairs(totalize(bounded_match(p, pool.graph)))
+                    assert as_pairs(q.matches()) == truth
             assert as_pairs(queries[0].matches()) == set()
             per_flush[n_queries] = counts
         assert all(per_flush[1])
@@ -710,7 +727,10 @@ class TestSharedSubstrate:
         )
         report = pool.apply([insert(f"m{gap}", "n")])
         assert report.routed == routed
-        assert q.index.has_pair(("x", "y"), "a", "c") == bool(routed)
+        renaming = canonical_pattern(pattern).renaming
+        assert q.index.join.query.index.has_pair(
+            (renaming["x"], renaming["y"]), "a", "c"
+        ) == bool(routed)
         assert as_pairs(q.matches()) == (
             {("x", "a"), ("y", "c")} if routed else set()
         )
@@ -756,7 +776,8 @@ class TestSharedGraphConsistency:
         assert any(e.get("c") == "Don" for e in report.deltas["iso"].added_embeddings)
         # One shared graph object: both saw the same edit exactly once.
         assert pool.graph.has_edge("Don", "Pat")
-        assert sim.index.graph is iso.index.graph is pool.graph
+        assert sim.index.join.query.index.graph is pool.graph
+        assert iso.index.graph is pool.graph
 
 
 class TestGraphBackend:

@@ -267,7 +267,7 @@ def test_oracle_agrees_with_ground_truth(mode):
         pool = MatcherPool(g)
         q = pool.register(pattern, semantics="bounded", distance_mode=mode)
         assert q.distance_routed
-        idx = q.index
+        idx = q.index.join.query.index
         graph = pool.graph
         dist = distances_from_every_node(graph)
         for x in graph.nodes():
@@ -399,7 +399,7 @@ def test_oracle_tracks_pool_updates(situation, mode):
         ),
         semantics="bounded", distance_mode=mode,
     )
-    idx, graph = q.index, pool.graph
+    idx, graph = q.index.join.query.index, pool.graph
 
     def assert_textbook():
         dist = distances_from_every_node(graph)

@@ -239,3 +239,135 @@ def test_generator_patterns_relabel_consistently():
         key = canonical_pattern(p).key
         for relabel_seed in range(3):
             assert canonical_pattern(_relabeled(p, relabel_seed)).key == key
+
+
+# ----------------------------------------------------------------------
+# Automorphism pruning of the canonical search
+# ----------------------------------------------------------------------
+
+
+def _copies(shape_edges, size: int, copies: int, bound=2) -> Pattern:
+    """``copies`` disjoint copies of one shape, every node ``label = A``
+    (``bound`` 2 keeps it a b-pattern, so minimization leaves it whole)."""
+    p = Pattern()
+    for c in range(copies):
+        for i in range(size):
+            p.add_node(f"c{c}n{i}", "label = A")
+        for i, j in shape_edges:
+            p.add_edge(f"c{c}n{i}", f"c{c}n{j}", bound)
+    return p
+
+
+def _clique(n: int, bound=2) -> Pattern:
+    return _copies(
+        [(i, j) for i in range(n) for j in range(n) if i != j], n, 1, bound
+    )
+
+
+_TRIANGLE = [(0, 1), (1, 2), (2, 0)]
+
+
+def _unpruned_canonical(pattern: Pattern):
+    """``(key, renaming)`` by the full individualization-refinement
+    search, every leaf visited: the reference the pruned search must
+    reproduce exactly."""
+    from repro.patterns.minimize import _bound_key, _certificate, _refine
+
+    if pattern.is_normal():
+        base, rep = minimize_pattern(pattern)
+    else:
+        base, rep = pattern, {v: v for v in pattern.nodes()}
+    nodes = list(base.nodes())
+    pred_keys = {v: repr(base.predicate(v)) for v in nodes}
+    edges = [(u, u2, _bound_key(base.bound(u, u2))) for u, u2 in base.edges()]
+    out_adj = {v: [] for v in nodes}
+    in_adj = {v: [] for v in nodes}
+    for u, u2, bk in edges:
+        out_adj[u].append((bk, u2))
+        in_adj[u2].append((bk, u))
+    ids = {k: i for i, k in enumerate(sorted(set(pred_keys.values())))}
+    best = []
+
+    def search(colors):
+        colors = _refine(nodes, colors, out_adj, in_adj)
+        cells = {}
+        for v in nodes:
+            cells.setdefault(colors[v], []).append(v)
+        target = next(
+            (cells[c] for c in sorted(cells) if len(cells[c]) > 1), None
+        )
+        if target is None:
+            order = sorted(nodes, key=colors.__getitem__)
+            cert = _certificate(order, pred_keys, edges)
+            if not best or cert < best[0]:
+                best[:] = [cert, order]
+            return
+        for v in target:
+            branched = {u: 2 * colors[u] + 1 for u in nodes}
+            branched[v] = 2 * colors[v]
+            search(branched)
+
+    search({v: ids[pred_keys[v]] for v in nodes})
+    index = {v: i for i, v in enumerate(best[1])}
+    return best[0], {orig: index[rep[orig]] for orig in pattern.nodes()}
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [_clique(7), _copies(_TRIANGLE, 3, 4)],
+    ids=["K7", "four-triangles"],
+)
+def test_symmetric_patterns_take_few_certificates(pattern, monkeypatch):
+    """Automorphism pruning keeps the search polynomial on symmetric
+    patterns: the full search encodes 5,040 leaves of K7 and 1,944 of
+    four disjoint triangles."""
+    from repro.patterns import minimize
+
+    calls = []
+    certificate = minimize._certificate
+    monkeypatch.setattr(
+        minimize,
+        "_certificate",
+        lambda *args: calls.append(args) or certificate(*args),
+    )
+    canon = canonical_pattern(pattern)
+    n = pattern.num_nodes()
+    assert 0 < len(calls) <= n * n
+    assert sorted(canon.renaming.values()) == list(range(n))
+    assert canon.key == canonical_pattern(_relabeled(pattern, n)).key
+
+
+def _symmetric_family():
+    for bound in (1, 2, None):
+        for copies in (1, 2, 3):
+            yield _copies(_TRIANGLE, 3, copies, bound)
+            yield _copies([(0, 1), (1, 0)], 2, copies, bound)
+            yield _copies([(0, 1), (0, 2)], 3, copies, bound)
+        for n in (2, 3, 4, 5):
+            yield _clique(n, bound)
+            yield _copies([(i, (i + 1) % n) for i in range(n)], n, 1, bound)
+
+
+def _random_small_patterns(count: int, seed: int = 5):
+    rng = random.Random(seed)
+    preds = ["label = A", "label = B", "label = A & score > 1"]
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        kinds = rng.choice([1, 1, 2, 3])
+        bounds = rng.choice([[1], [1, 2], [2, None], [1, 2, None]])
+        p = Pattern()
+        for i in range(n):
+            p.add_node(i, preds[rng.randrange(kinds)])
+        for i in range(n):
+            for j in range(n):
+                if rng.random() < 0.35:
+                    p.add_edge(i, j, rng.choice(bounds))
+        yield p
+
+
+def test_pruned_search_keeps_every_key_and_renaming():
+    """No first least leaf is ever pruned, so keys and renamings are the
+    ones the full search finds."""
+    for p in list(_symmetric_family()) + list(_random_small_patterns(300)):
+        canon = canonical_pattern(p)
+        assert (canon.key, canon.renaming) == _unpruned_canonical(p), p

@@ -221,6 +221,50 @@ class TestPoolCli:
         assert exc.value.code == 2
         assert "invalid choice: 'interval'" in capsys.readouterr().err
 
+    def test_plan_scope_flag_is_gone(self, pool_files, capsys):
+        graph, hiring, _, _ = pool_files
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pool", "--graph", graph, "--patterns", hiring,
+                "--plan-scope", "shared",
+            ])
+        assert exc.value.code == 2
+        assert "--plan-scope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "semantics, joins", [("bounded", 1), ("isomorphism", 0)]
+    )
+    def test_same_shape_queries_share_one_join(
+        self, pool_files, tmp_path, capsys, semantics, joins
+    ):
+        """Two spellings of one bound-1 shape read one interned index
+        (isomorphism queries own theirs), and each query reports the
+        routing class of the index it reads."""
+        graph, hiring, _, updates = pool_files
+        respelled = tmp_path / "respelled.json"
+        save_pattern(
+            Pattern.normal_from_labels(
+                {"boss": "CTO", "dev": "DB"}, [("boss", "dev")],
+                attribute="job",
+            ),
+            respelled,
+        )
+        assert (
+            main([
+                "pool", "--graph", graph,
+                "--patterns", hiring, str(respelled),
+                "--semantics", semantics, "--updates", updates,
+            ])
+            == 0
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert "plan_scope" not in out
+        assert out["shared_structures"]["plan_joins"] == joins
+        assert out["shared_structures"]["plan_leases"] == 2 * joins
+        for name in ("hiring", "respelled"):
+            assert out["queries"][name]["routing"] == "endpoint"
+        assert ["boss", "Don"] in out["flush"]["deltas"]["respelled"]["added"]
+
     def test_routed_flush_reports_deltas(self, pool_files, capsys):
         graph, hiring, medics, updates = pool_files
         assert (
