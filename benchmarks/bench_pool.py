@@ -6,11 +6,16 @@ The scenarios, all over one shared graph holding labelled communities:
   eq-keys alone — PR 1's headline property;
 - ``bounded``: N bound-2 b-patterns (``A{i} -2-> C{i}``), which the old
   router dumped into the wildcard-edge bucket (every query observed every
-  edge); the distance-aware oracle now lets the N-1 non-owning queries
-  decline the whole stream, so routed flush cost should stay ~flat here
-  too — the paper's flagship IncBMatch semantics.  Its ``upkeep``
-  column is 0: ``bfs`` mode maintains no distance structure (routing
-  and repair read the substrate's memoized edge legs);
+  edge); distance routing now lets the N-1 non-owning queries decline
+  the whole stream, so routed flush cost should stay ~flat here too —
+  the paper's flagship IncBMatch semantics.  The router groups pattern
+  edges by source predicate and evaluates only those whose source
+  predicate an edge's backward leg meets, so the scenario *enforces*
+  that its per-flush rule evaluations (``checks``) are non-zero and
+  exactly equal across all N; ``leg nodes`` counts the nodes the
+  memoized edge legs label.  Its ``upkeep`` column is 0: ``bfs`` mode
+  maintains no distance structure (routing and repair read the
+  substrate's memoized edge legs);
 - ``bounded-shared``: the ``bounded`` scenario in ``landmark`` mode —
   every pool query leases the pool substrate's ONE landmark index while
   the naive loop maintains one per pattern; the ``upkeep`` column counts
@@ -206,13 +211,20 @@ def run_scenario(
     scenario, sizes, graph, updates, reps, distance_mode, label=None
 ):
     """Pool flush vs the naive loop; ``upkeep`` counts the distance
-    substrate's structure-level update applications in the flush."""
+    substrate's structure-level update applications in the flush.
+
+    For bounded patterns the flush's router rule evaluations
+    (``distance_checks``) and leg-labelled nodes (``leg_nodes``) are
+    recorded too, with a hard gate: the rule evaluations are non-zero
+    and exactly equal across every N, since only the owning query's
+    source predicate meets the partitioned stream's legs."""
     bounded = scenario == "bounded"
     naive_kwargs = {"distance_mode": distance_mode} if bounded else {}
     print(f"\n== scenario: {label or scenario} "
           f"({'distance_mode=' + distance_mode if bounded else 'eq-key routed'}) ==")
     print(f"{'N':>4} {'pool ms':>10} {'naive ms':>10} {'speedup':>9} "
-          f"{'routed':>7} {'skipped':>8} {'upkeep':>7}")
+          f"{'routed':>7} {'skipped':>8} {'upkeep':>7}"
+          + (f" {'checks':>7} {'leg nodes':>10}" if bounded else ""))
     ok = True
     results = []
     pool_times = {}
@@ -243,34 +255,55 @@ def run_scenario(
                 ok = False
         speedup = naive_t / pool_t if pool_t > 0 else float("inf")
         upkeep = pool.substrate.stats.structure_batches
+        row = {
+            "n": n,
+            "pool_ms": round(pool_t * 1e3, 3),
+            "naive_ms": round(naive_t * 1e3, 3),
+            "speedup": round(speedup, 2),
+            "routed": report.routed,
+            "skipped": report.skipped,
+            "upkeep": upkeep,
+        }
+        work = ""
+        if bounded:
+            # Each pool ran exactly one flush, and registration reads no
+            # legs, so the cumulative counters are per flush.
+            row["distance_checks"] = pool.stats.distance_checks
+            row["leg_nodes"] = pool.substrate.stats.leg_nodes
+            work = f" {row['distance_checks']:>7} {row['leg_nodes']:>10}"
         print(
             f"{n:>4} {pool_t * 1e3:>10.2f} {naive_t * 1e3:>10.2f} "
             f"{speedup:>8.1f}x {report.routed:>7} {report.skipped:>8} "
-            f"{upkeep:>7}"
+            f"{upkeep:>7}{work}"
         )
-        results.append(
-            {
-                "n": n,
-                "pool_ms": round(pool_t * 1e3, 3),
-                "naive_ms": round(naive_t * 1e3, 3),
-                "speedup": round(speedup, 2),
-                "routed": report.routed,
-                "skipped": report.skipped,
-                "upkeep": upkeep,
-            }
-        )
+        results.append(row)
     lo, hi = min(sizes), max(sizes)
     growth = pool_times[hi] / pool_times[lo] if pool_times[lo] > 0 else 0.0
     print(
         f"pool flush cost grew {growth:.2f}x from N={lo} to N={hi} "
         f"({hi // lo}x more registered patterns)"
     )
-    return ok, {
+    doc = {
         "sizes": sizes,
         "reps": reps,
         "results": results,
         "growth_factor": round(growth, 3),
     }
+    if bounded:
+        checks = {r["n"]: r["distance_checks"] for r in results}
+        flat = len(set(checks.values())) == 1 and all(checks.values())
+        if not flat:
+            print(
+                f"FLATNESS VIOLATION {label or scenario}: per-flush router "
+                f"rule evaluations must be non-zero and equal for every "
+                f"N: {checks}",
+                file=sys.stderr,
+            )
+            ok = False
+        print(f"router rule evaluations per flush non-zero and exactly "
+              f"flat in N: {flat}")
+        doc["distance_checks_flat"] = flat
+    return ok, doc
 
 
 def overlap_stream(graph, k, num_ops, seed=13):

@@ -18,10 +18,15 @@ owns
   BFS from ``x`` and forward BFS from ``y`` on the current graph (the
   paper's Section 6 locality argument: a bound-``r + 1`` pair ``(a, c)``
   gained or lost through the edge has ``d(a, x) + 1 + d(y, c) <= r + 1``
-  over them).  They are the routing oracle *and* the repair balls of
-  every bounded query, memoized per ``(x, y, r)`` until the next edge
-  batch is observed — so routing and every routed query's repair on one
-  edge share one BFS pair per radius; nothing is leased or maintained;
+  over them).  They are the routing test *and* the repair balls of
+  every bounded query, memoized per edge until the next edge batch is
+  observed: one finite pair at the largest radius asked so far, which
+  serves every smaller radius as its ``d <= r`` prefix, and one
+  reachability pair for ``*`` bounds.  The router asks first, at the
+  pool's largest finite leg radius, so routing and every routed query's
+  repair on one edge share one BFS pair however many bounds the pool
+  mixes; nothing is leased or maintained.
+  :attr:`SubstrateStats.leg_nodes` counts the nodes they label;
 - the **probes** of IncBMatch-'s suspect rechecks
   (:class:`~repro.graphs.traversal.WithinProbe`): for a suspect source
   ``a`` and bound ``k``, a lazily expanded BFS from ``a`` on the
@@ -67,8 +72,9 @@ from ..landmarks.vector import LandmarkIndex
 class SubstrateStats:
     """Upkeep counters: how many structure-level update applications the
     pool paid per flush stream (the quantity sharing amortizes), and the
-    nodes labelled by the suspect-recheck probes (``probe_nodes``, the
-    recheck work sharing amortizes)."""
+    nodes labelled by the memoized edge legs (``leg_nodes``, the routing
+    and repair BFS work) and by the suspect-recheck probes
+    (``probe_nodes``, the recheck work sharing amortizes)."""
 
     __slots__ = (
         "lm_builds",
@@ -76,6 +82,7 @@ class SubstrateStats:
         "matrix_builds",
         "edge_batches",
         "structure_batches",
+        "leg_nodes",
         "probe_nodes",
     )
 
@@ -88,6 +95,7 @@ class SubstrateStats:
         self.matrix_builds = 0
         self.edge_batches = 0
         self.structure_batches = 0
+        self.leg_nodes = 0
         self.probe_nodes = 0
 
     def __repr__(self) -> str:
@@ -95,7 +103,7 @@ class SubstrateStats:
             f"SubstrateStats(builds={self.lm_builds}+{self.matrix_builds}, "
             f"edge_batches={self.edge_batches}, "
             f"structure_batches={self.structure_batches}, "
-            f"probe_nodes={self.probe_nodes})"
+            f"leg_nodes={self.leg_nodes}, probe_nodes={self.probe_nodes})"
         )
 
 
@@ -115,9 +123,11 @@ class SharedDistanceSubstrate:
         self._lm_refs = 0
         self._matrix: Optional[DistanceMatrix] = None
         self._matrix_refs = 0
-        # Edge legs, memoized per (x, y, radius) until the next observed
-        # edge batch.
-        self._legs: Dict[Tuple[Node, Node, Optional[int]], Legs] = {}
+        # Edge legs until the next observed edge batch: per (x, y,
+        # unbounded?), the radius they were computed at and the pair.
+        self._legs: Dict[
+            Tuple[Node, Node, bool], Tuple[Optional[int], Legs]
+        ] = {}
         # Suspect-recheck probes, memoized per (source, bound) until the
         # next observed edge batch.
         self._probes: Dict[Tuple[Node, Optional[int]], WithinProbe] = {}
@@ -152,17 +162,24 @@ class SharedDistanceSubstrate:
         reachability.  A pattern edge with bound ``k = radius + 1`` can
         gain or lose a pair ``(a, c)`` through ``(x, y)`` only if ``a`` is
         an eligible source in the first leg, ``c`` an eligible target in
-        the second, and ``d(a, x) + 1 + d(y, c) <= k``.  A finite-radius
-        leg lists its nodes in nondecreasing distance order (see
-        :func:`~repro.graphs.traversal.edge_legs`); an unbounded one may
-        not.  Memoized per ``(x, y, radius)`` until the next ``observe_*``
-        call, so routing and every routed query's repair on one edge share
-        one BFS pair; callers must treat the returned maps as read-only.
+        the second, and ``d(a, x) + 1 + d(y, c) <= k``.  Each leg lists
+        its nodes in nondecreasing distance order, at any radius (see
+        :func:`~repro.graphs.traversal.edge_legs`).
+
+        Memoized per edge until the next ``observe_*`` call: a finite
+        radius is served from the pair computed at the largest finite
+        radius asked so far, so the returned legs may reach beyond
+        ``radius`` and callers must stop at ``d <= radius``; a larger
+        radius than the memo's recomputes it.  Callers must treat the
+        returned maps as read-only.
         """
-        key = (x, y, radius)
-        legs = self._legs.get(key)
-        if legs is None:
-            legs = self._legs[key] = edge_legs(self._graph, x, y, radius)
+        key = (x, y, radius is None)
+        memo = self._legs.get(key)
+        if memo is not None and (radius is None or radius <= memo[0]):
+            return memo[1]
+        legs = edge_legs(self._graph, x, y, radius)
+        self._legs[key] = (radius, legs)
+        self.stats.leg_nodes += len(legs[0]) + len(legs[1])
         return legs
 
     def probe(self, a: Node, k: Optional[int]) -> WithinProbe:

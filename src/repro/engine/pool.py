@@ -12,9 +12,9 @@ against one evolving graph).  Per flush the pool:
 2. routes every surviving update through the
    :class:`~repro.engine.router.UpdateRouter` to the subset of queries
    whose candidate space it can touch — eq-keys and shared-set endpoint
-   confirms for simulation/iso/bound-1 queries, the ``can_affect_edge``
-   distance oracle for bound-k queries — so queries outside the subset do
-   **zero** repair work;
+   confirms for simulation/iso/bound-1 queries, the edge's legs tested
+   once per distinct source predicate for bound-k queries — so queries
+   outside the subset do **zero** repair work;
 3. mutates the shared graph exactly once, invoking each routed query's
    repair entry points around the edit (bounded simulation needs its
    pre-deletion legs, so deletions are prepared before the edit, and
@@ -35,7 +35,9 @@ queries lease their distance structures from the
 :class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
 index / matrix per pool, synced exactly once per flush phase however
 many queries lease it, plus one memoized pair of edge legs
-per (edge, radius) that routing and repair share.  The match relation
+per edge and graph state (at the largest finite leg radius the router
+asks for, and one reachability pair for ``*`` bounds) that routing and
+repair share.  The match relation
 is shared too: every ``simulation`` and ``bounded`` query reads the one
 interned index of its canonical pattern in the
 :class:`~repro.engine.plan.SharedPlan`, so routing and repair run once
@@ -122,8 +124,10 @@ class PoolStats:
 
     ``join_repairs`` counts, per flush, the shared plan's interned indexes
     the flush routed and repaired — each one however many planned queries
-    read it; ``plan_leases`` is an end-of-flush gauge of planned
-    registrations, not cumulative.
+    read it; ``distance_checks`` counts the pattern-edge rules the router
+    evaluated for distance-routed queries (only for source predicates an
+    edge's backward leg meets); ``plan_leases`` is an end-of-flush gauge
+    of planned registrations, not cumulative.
     """
 
     __slots__ = (
@@ -133,6 +137,7 @@ class PoolStats:
         "attr_updates",
         "routed_pairs",
         "skipped_pairs",
+        "distance_checks",
         "view_repairs",
         "join_repairs",
         "plan_leases",
@@ -150,6 +155,7 @@ class PoolStats:
         self.attr_updates = 0
         self.routed_pairs = 0
         self.skipped_pairs = 0
+        self.distance_checks = 0
         # Always 0; kept only because benchmarks/e2e/run.py reads it.
         self.view_repairs = 0
         self.join_repairs = 0
@@ -226,7 +232,7 @@ class MatcherPool:
         # The multi-query plan: every simulation and bounded query reads
         # the one interned index of its pattern shape.
         self.plan = SharedPlan(self)
-        self._router = UpdateRouter()
+        self._router = UpdateRouter(self.substrate, self.stats)
         self._queries: Dict[str, ContinuousQuery] = {}
         self._pending_edges: List[Update] = []
         self._pending_nodes: List[Tuple[Node, Dict[str, Any]]] = []
@@ -631,8 +637,8 @@ class MatcherPool:
 
         # ---- Phase D: insertions (edit -> observe -> route -> repair ->
         # fresh nodes).  Routing happens *after* the edit and substrate
-        # observation so the distance oracle sees the whole batch — a
-        # witness path may thread several same-flush insertions.
+        # observation so the legs reflect the whole batch — a witness
+        # path may thread several same-flush insertions.
         fresh_nodes: List[Node] = []
         for v, w in insertions:
             for node in (v, w):

@@ -3,10 +3,13 @@
 A :class:`ContinuousQuery` owns the incremental index for one
 ``(pattern, semantics)`` over the pool's shared data graph, carries the
 query's *routing signature* (which updates can possibly touch its
-candidate space), and turns the index's raw promotion/demotion deltas into
-user-facing :class:`~repro.engine.feeds.MatchDelta` events — applying the
-paper's totalization convention (a relation missing some pattern node
-collapses to empty) at the feed boundary.
+candidate space: eq-keys, predicates, and per pattern edge its two
+predicates, their shared eligible sets and its bound, which the
+:class:`~repro.engine.router.UpdateRouter` indexes), and turns the
+index's raw promotion/demotion deltas into user-facing
+:class:`~repro.engine.feeds.MatchDelta` events — applying the paper's
+totalization convention (a relation missing some pattern node collapses
+to empty) at the feed boundary.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from ..matching.result_graph import (
     isomorphism_result_graph,
     simulation_result_graph,
 )
-from ..patterns.pattern import Pattern, PatternError, PatternNode
+from ..patterns.pattern import Bound, Pattern, PatternError, PatternNode
 from ..patterns.predicate import Predicate
 from .feeds import ChangeFeed, MatchDelta, MatchPair
 
@@ -130,14 +133,20 @@ class ContinuousQuery:
         self._nodes_by_pred: Dict[Predicate, List[PatternNode]] = {}
         for u in pattern.nodes():
             self._nodes_by_pred.setdefault(pattern.predicate(u), []).append(u)
-        # The index's leases keep these entries alive for the query's
-        # lifetime; the index was built above, so they all exist.
-        self._edge_member_pairs: List[Tuple[Set[Node], Set[Node]]] = [
-            (
-                eligibility.entry(pattern.predicate(u)).members,
-                eligibility.entry(pattern.predicate(u2)).members,
-            )
+        # The shared eligible set of each predicate.  The index's leases
+        # keep these entries alive for the query's lifetime; the index
+        # was built above, so they all exist.
+        self.members: Dict[Predicate, Set[Node]] = {
+            pred: eligibility.entry(pred).members for pred in self.predicates
+        }
+        # (source predicate, target predicate, bound) per pattern edge.
+        self.edge_predicates: List[Tuple[Predicate, Predicate, Bound]] = [
+            (pattern.predicate(u), pattern.predicate(u2), pattern.bound(u, u2))
             for u, u2 in pattern.edges()
+        ]
+        self._edge_member_pairs: List[Tuple[Set[Node], Set[Node]]] = [
+            (self.members[src], self.members[tgt])
+            for src, tgt, _ in self.edge_predicates
         ]
         # One representative equality atom per predicate: a node can only
         # satisfy the predicate if its attrs contain that (attr, value)
@@ -156,11 +165,11 @@ class ContinuousQuery:
         self.eq_keys: FrozenSet[EqKey] = frozenset(eq_keys)
         self.wildcard_node: bool = wildcard
         # --- edge-routing class ------------------------------------------
-        # Bounded queries with a bound > 1 (or *) are distance-routed
-        # through the index's can_affect_edge oracle — trivial-predicate
-        # ones included, since the pool announces fresh nodes to the
-        # eligibility substrate before insertion routing.  Bound-1 patterns
-        # stay endpoint-routed.
+        # Bounded queries with a bound > 1 (or *) are distance-routed:
+        # the router tests their pattern edges against the edge's legs —
+        # trivial-predicate ones included, since the pool announces fresh
+        # nodes to the eligibility substrate before insertion routing.
+        # Bound-1 patterns stay endpoint-routed.
         self.distance_routed: bool = (
             isinstance(self.index, BoundedSimulationIndex)
             and self.index.distance_routed()
@@ -317,28 +326,20 @@ class ContinuousQuery:
         )
 
     # ------------------------------------------------------------------
-    # Routing predicates (consulted by UpdateRouter)
+    # Endpoint routing (consulted by UpdateRouter)
     # ------------------------------------------------------------------
     def touches_edge(self, v: Node, w: Node) -> bool:
         """Can an edge (v, w) affect this query through its endpoints?
 
-        Endpoint stage only; distance-routed queries are additionally
-        consulted through :meth:`can_affect_edge`.  A pair of member-set
-        lookups on the shared eligible sets per pattern edge — sound
-        because the substrate keeps the sets mirroring predicate truth
-        through flush phase A, before any edge is routed.
+        The router's endpoint stage, for queries that are not
+        ``distance_routed``.  A pair of member-set lookups on the shared
+        eligible sets per pattern edge — sound because the substrate
+        keeps the sets mirroring predicate truth through flush phase A,
+        before any edge is routed.
         """
         return any(
             v in src and w in tgt for src, tgt in self._edge_member_pairs
         )
-
-    def can_affect_edge(self, v: Node, w: Node) -> bool:
-        """Distance-aware oracle: can an edge update (v, w) touch a pair?
-
-        Only meaningful for ``distance_routed`` queries; backed by the
-        pool substrate's memoized edge legs.
-        """
-        return self.index.can_affect_edge(v, w)
 
     # ------------------------------------------------------------------
     # Repair delegation (invoked by the pool; graph already mutated

@@ -16,9 +16,11 @@ What remains is distance maintenance: which pairs appear or disappear when
 a data edge changes.  One rule decides it.  A pair ``(a, c)`` under a
 pattern edge of bound ``k`` is touched by the edge ``(x, y)`` only if
 ``d(a, x) + 1 + d(y, c) <= k``, read off the edge's *legs*
-(:func:`~repro.graphs.traversal.edge_legs`: the radius-``k - 1``
-backward BFS from ``x`` and forward BFS from ``y``, per distinct bound).
-A ``*`` bound drops the sum test.
+(:func:`~repro.graphs.traversal.edge_legs`: the backward BFS from ``x``
+and forward BFS from ``y``).  One pair at the largest finite leg radius
+``k - 1`` serves every finite bound, each scan stopping at its own
+radius, and a reachability pair serves ``*`` bounds, which drop the sum
+test.
 
 - **Insertion** of ``(x, y)``: a gained pair's new shortest witness runs
   through some inserted edge, so it satisfies the rule on the legs of the
@@ -31,9 +33,9 @@ A ``*`` bound drops the sum test.
   until its suspect targets are decided, and never expands the last
   layer), or by landmark / matrix distance queries depending on
   ``distance_mode``.
-- **Routing** (:meth:`BoundedSimulationIndex.can_affect_edge`) applies
-  the rule to the nearest eligible member of each leg, so an edge is
-  routed to a query only if some pair could pass it.
+- **Routing** (:class:`~repro.engine.router.UpdateRouter`, in a pool)
+  applies the rule to the nearest eligible member of each leg, so an
+  edge is routed to a query only if some pair could pass it.
 
 Both directions are implemented once, as the repair methods the pool
 runs around its shared graph: ``prepare_deleted_edges`` before the edit
@@ -63,16 +65,15 @@ structures are **leased** from it and the pool keeps them in sync once
 per flush for every leasing query, and the legs and the recheck probes
 come from the substrate's memos (:meth:`SharedDistanceSubstrate.legs`,
 :meth:`SharedDistanceSubstrate.probe`), so routing and every routed
-query's repair on one edge share one BFS pair per radius, and every
-routed query's recheck in a flush extends one partial BFS per suspect
-source and bound.  A standalone index builds the same probes itself,
-shared across its own rechecks of one batch.
-The distance-aware routing oracle (:meth:`can_affect_edge`) exists only
-for pool routing and reads only the substrate's memoized legs.
+query's repair on one edge share one BFS pair, and every routed query's
+recheck in a flush extends one partial BFS per suspect source and bound.
+A standalone index builds the same legs and probes itself, sharing a
+probe across its own rechecks of one batch.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
@@ -97,6 +98,24 @@ from .types import Update, delete as upd_delete, insert as upd_insert
 PatternEdge = Tuple[PatternNode, PatternNode]
 LAYER_ATTR = "__layer__"
 DISTANCE_MODES = ("bfs", "landmark", "matrix")
+
+
+def _members_within(
+    leg: Dict[Node, int], members: Set[Node], radius: Optional[int]
+) -> List[Tuple[Node, int]]:
+    """``(node, distance)`` of every member of ``members`` in ``leg`` at
+    distance ``<= radius`` (all of them for ``None``), nearest first.  A
+    leg lists its nodes in nondecreasing distance, so the scan stops at
+    the first node beyond ``radius``."""
+    if radius is None:
+        return [(v, d) for v, d in leg.items() if v in members]
+    out: List[Tuple[Node, int]] = []
+    for v, d in leg.items():
+        if d > radius:
+            break
+        if v in members:
+            out.append((v, d))
+    return out
 
 
 def _layered_pattern(pattern: Pattern) -> Pattern:
@@ -143,6 +162,11 @@ class BoundedSimulationIndex(StandaloneDriver):
         self._bounds: Dict[PatternEdge, Bound] = {
             (u, u2): pattern.bound(u, u2) for u, u2 in pattern.edges()
         }
+        # One pair of legs at the largest finite leg radius serves every
+        # finite bound; None when every bound is *.
+        finite = [b for b in self._bounds.values() if b is not None]
+        self._leg_radius: Optional[int] = max(finite) - 1 if finite else None
+        self._unbounded = None in self._bounds.values()
         if eligibility is not None:
             self.eligible: MatchRelation = {
                 u: eligibility.lease(pattern.predicate(u)).members
@@ -348,18 +372,6 @@ class BoundedSimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     # Distance-structure maintenance helpers
     # ------------------------------------------------------------------
-    def _distinct_bounds(self) -> Set[Bound]:
-        return set(self._bounds.values())
-
-    def _legs(self, x: Node, y: Node, bound: Bound) -> Legs:
-        """The edge's legs at radius ``bound - 1`` (a leg of a path
-        through the edge): read from the substrate's memo in a pool,
-        computed directly by a standalone index."""
-        radius = None if bound is None else bound - 1
-        if self.substrate is not None:
-            return self.substrate.legs(x, y, radius)
-        return edge_legs(self.graph, x, y, radius)
-
     def _probe(
         self,
         a: Node,
@@ -379,8 +391,22 @@ class BoundedSimulationIndex(StandaloneDriver):
 
     def _legs_per_bound(self, x: Node, y: Node) -> Dict[Bound, Legs]:
         """The legs of the edge ``(x, y)`` for each distinct bound,
-        read-only."""
-        return {b: self._legs(x, y, b) for b in self._distinct_bounds()}
+        read-only: one pair at the largest finite leg radius serves every
+        finite bound (its scans stop at their own radius), a reachability
+        pair the ``*`` bounds.  Read from the substrate's memo in a pool,
+        computed directly by a standalone index."""
+        legs = (
+            self.substrate.legs if self.substrate is not None
+            else partial(edge_legs, self.graph)
+        )
+        out: Dict[Bound, Legs] = {}
+        if self._leg_radius is not None:
+            out = dict.fromkeys(
+                self._bounds.values(), legs(x, y, self._leg_radius)
+            )
+        if self._unbounded:
+            out[None] = legs(x, y, None)
+        return out
 
     def _pairs_through(
         self, legs: Dict[Bound, Legs]
@@ -391,9 +417,11 @@ class BoundedSimulationIndex(StandaloneDriver):
         For a pattern edge ``(u, u2)`` with bound ``k``: ``a`` is a member
         of ``eligible[u]`` at distance ``da`` in the backward leg, ``c`` a
         member of ``eligible[u2]`` at ``dc`` in the forward leg, and
-        ``da + 1 + dc <= k`` (no sum test for ``*``).  A finite-radius leg
-        lists its nodes in nondecreasing distance order, so the scan of the
-        targets stops at the first one too far for ``a``.
+        ``da + 1 + dc <= k`` (no sum test for ``*``).  Legs list their
+        nodes in nondecreasing distance order, so each scan stops at the
+        first node too far: the sources at radius ``k - 1``, the targets
+        at the room the nearest source leaves, and the targets of each
+        source at the room it leaves.
 
         The rule is exact for both repairs:
 
@@ -409,13 +437,17 @@ class BoundedSimulationIndex(StandaloneDriver):
         """
         for edge, bound in self._bounds.items():
             back, fwd = legs[bound]
-            sources, targets = self.eligible[edge[0]], self.eligible[edge[1]]
-            starts = [(a, da) for a, da in back.items() if a in sources]
+            radius = None if bound is None else bound - 1
+            starts = _members_within(back, self.eligible[edge[0]], radius)
             if not starts:
                 continue
-            ends = [(c, dc) for c, dc in fwd.items() if c in targets]
+            ends = _members_within(
+                fwd,
+                self.eligible[edge[1]],
+                None if radius is None else radius - starts[0][1],
+            )
             for a, da in starts:
-                room = INF if bound is None else bound - 1 - da
+                room = INF if radius is None else radius - da
                 for c, dc in ends:
                     if dc > room:
                         break
@@ -462,24 +494,23 @@ class BoundedSimulationIndex(StandaloneDriver):
         return out
 
     # ------------------------------------------------------------------
-    # Distance-aware routing oracle (MatcherPool plumbing)
+    # Pool plumbing
     # ------------------------------------------------------------------
     def distance_routed(self) -> bool:
         """Do the bounds force distance-aware (rather than endpoint) routing?
 
         Any bound ``> 1`` (or ``*``) lets an edge between unlabeled nodes
         shorten or break a witness path, so endpoint-attribute routing is
-        unsound; :meth:`can_affect_edge` is the sound replacement.  Pure
-        bound-1 patterns behave like plain simulation and stay
-        endpoint-routable.
+        unsound; the pool's router applies the leg rule instead (see
+        :class:`~repro.engine.router.UpdateRouter`).  Pure bound-1
+        patterns behave like plain simulation and stay endpoint-routable.
         """
         return any(b != 1 for b in self._bounds.values())
 
     def release(self) -> None:
         """Release every substrate lease (pool unregister).
 
-        Idempotent; a released index must not be consulted again through
-        the routing oracle.
+        Idempotent; a released index must not be repaired again.
         """
         if self._eligibility is not None:
             for u in self.pattern.nodes():
@@ -493,66 +524,9 @@ class BoundedSimulationIndex(StandaloneDriver):
         if self._matrix is not None:
             self.substrate.release_matrix()
             self._matrix = None
-        # Detach so a stray consult on a released index cannot silently
+        # Detach so a stray repair on a released index cannot silently
         # re-lease substrate structures nobody will ever release again.
         self.substrate = None
-
-    def can_affect_edge(self, x: Node, y: Node) -> bool:
-        """Sound routing oracle: can an edge update between ``x`` and
-        ``y`` create or break any pair?
-
-        Only the pool consults it, so it reads only the substrate's
-        shared structures; a standalone (or released) index raises.  May
-        err towards ``True``; ``False`` is a proof of irrelevance on the
-        distance structure's current state.  The pool consults it
-        *before* the edit for deletions (old witness paths decompose over
-        pre-deletion distances) and *after* the substrate observed the
-        insertion batch (so same-batch edges are already reflected) —
-        mirroring the ``prepare_deletions`` two-phase dance.
-
-        Backing store: in every distance mode, the edge's two legs from
-        the substrate
-        (:meth:`SharedDistanceSubstrate.legs`: the radius-``k-1`` backward
-        BFS from ``x`` and forward BFS from ``y``, memoized per edge and
-        radius, so every query consulted on the edge — and every routed
-        query's repair — shares one BFS pair).  A pattern edge
-        ``(u, u2)`` with finite bound ``k`` routes when the distance of
-        the nearest ``eligible[u]`` member in the ``x`` leg, plus 1, plus
-        the distance of the nearest ``eligible[u2]`` member in the ``y``
-        leg is at most ``k``: the rule :meth:`_pairs_through` applies to
-        each pair, at its loosest.  If the nearest members miss ``k`` for
-        every pattern edge, no pair meets the rule, so ``False`` is still
-        a proof.  The legs list their nodes in nondecreasing distance
-        order, so the first member met is the nearest.  A ``*`` bound
-        routes when both legs meet their eligible sets, which is exact for
-        it; it pays a full reachability BFS pair per consulted edge.  Both
-        tests are sound for trivial-(TRUE)-predicate queries: the pool announces
-        fresh nodes to the eligibility substrate before insertion routing,
-        so a brand-new attribute-less node is already a ``TRUE`` member
-        when this oracle runs.
-        """
-        if self.substrate is None:
-            raise RuntimeError(
-                "can_affect_edge reads pool substrate structures; this "
-                "index has no substrate (standalone or released)"
-            )
-        for (u, u2), bound in self._bounds.items():
-            back, fwd = self._legs(x, y, bound)
-            sources, targets = self.eligible[u], self.eligible[u2]
-            # isdisjoint probes the larger side from the smaller.
-            if back.keys().isdisjoint(sources) or fwd.keys().isdisjoint(
-                targets
-            ):
-                continue
-            if bound is None:
-                return True
-            nearest = next(d for a, d in back.items() if a in sources)
-            for c, dc in fwd.items():
-                if nearest + 1 + dc > bound:
-                    break
-                if c in targets:
-                    return True
-        return False
 
     # ------------------------------------------------------------------
     # IncBMatch- / IncBMatch+: repair after the graph was edited

@@ -140,13 +140,17 @@ class Predicate:
     an empty, upkeep-free set instead of maintaining their members.
     """
 
-    __slots__ = ("atoms", "_unsat")
+    __slots__ = ("atoms", "_unsat", "_hash")
 
     def __init__(self, atoms: Iterable[Atom] = ()) -> None:
         self.atoms: Tuple[Atom, ...] = tuple(
             sorted(dict.fromkeys(atoms), key=_atom_key)
         )
         self._unsat = self._detect_contradiction()
+        # Predicates key the router's groups and buckets and the
+        # eligibility entries, and ``atoms`` is never reassigned, so the
+        # hash is computed once.
+        self._hash = hash(self.atoms)
 
     def _detect_contradiction(self) -> bool:
         """Does some equality atom's pinned value fail a sibling atom?
@@ -202,7 +206,7 @@ class Predicate:
         return self.atoms == other.atoms
 
     def __hash__(self) -> int:
-        return hash(self.atoms)
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.atoms:

@@ -137,6 +137,15 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
             assert {"n", "pool_ms", "naive_ms", "routed", "skipped"} <= set(row)
         routed = [r["routed"] for r in scenario["results"]]
         assert len(set(routed)) == 1, (name, routed)
+    # Distance routing evaluates only the pattern edges whose source
+    # predicate an edge's backward leg meets: flat and non-zero in N.
+    for name in ("bounded", "bounded-shared"):
+        scenario = doc["scenarios"][name]
+        assert scenario["distance_checks_flat"] is True
+        for row in scenario["results"]:
+            assert {"distance_checks", "leg_nodes"} <= set(row)
+        checks = [r["distance_checks"] for r in scenario["results"]]
+        assert len(set(checks)) == 1 and checks[0] > 0, (name, checks)
     # The distance substrate's headline: one landmark index serves every
     # query, so structure-level upkeep per flush is flat in N.
     shared = doc["scenarios"]["bounded-shared"]
@@ -299,6 +308,47 @@ def test_overlap_routing_gate_fails_only_when_nothing_is_interned(
     routed = {r["n"]: r["routed"] for r in doc["results"]}
     assert routed[4] > 0
     assert routed[8] == (routed[4] if interned else 2 * routed[4])
+
+
+@pytest.mark.parametrize("selective", [True, False])
+def test_bounded_distance_check_gate_fails_when_every_edge_is_evaluated(
+    selective, monkeypatch
+):
+    """The bounded scenario's rule-evaluation gate can fail: a router
+    that evaluates every registered pattern edge on every update, not
+    only those whose source predicate the backward leg meets, makes the
+    count grow with N and the scenario report not-ok; the real router
+    passes on the same inputs.  Routing itself is the same either way."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.engine import router as router_module
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool",
+        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    if not selective:
+        route_by_legs = router_module._route_by_legs
+
+        def evaluate_everything(legs, groups, selected):
+            route_by_legs(legs, groups, selected)
+            return sum(len(group.edges) for group in groups.values())
+
+        monkeypatch.setattr(
+            router_module, "_route_by_legs", evaluate_everything
+        )
+    graph = bench.build_graph(num_clusters=8, cluster_size=6)
+    updates = bench.partition_updates(graph, 8)
+    ok, doc = bench.run_scenario("bounded", [4, 8], graph, updates, 1, "bfs")
+    assert ok is selective
+    assert doc["distance_checks_flat"] is selective
+    checks = {r["n"]: r["distance_checks"] for r in doc["results"]}
+    routed = {r["n"]: r["routed"] for r in doc["results"]}
+    assert checks[4] > 0 and routed[4] == routed[8] > 0
+    assert checks[8] == (checks[4] if selective else 2 * checks[4])
 
 
 @pytest.mark.parametrize("distance_mode", ["landmark", "bfs"])

@@ -29,9 +29,9 @@ After every flush, each registered query's match set must equal a
 from-scratch batch recomputation
 (:func:`~repro.matching.bounded.bounded_match`) on the current graph,
 and the eligibility member sets must pass their exactness invariants.
-``check_oracles`` probes ``can_affect_edge`` of every distance-routed
-interned index over every node pair at quiescence: every mode routes by
-the edge legs, so the answer must be exact.
+``check_oracles`` asks the pool's router, over every node pair at
+quiescence, whether it routes the pair to each distance-routed interned
+query: every mode routes by the edge legs, so the answer must be exact.
 
 All randomness flows from ``random.Random`` seeds derived from a pinned
 base, so every failure message names the exact seed that replays it:
@@ -53,9 +53,9 @@ routed), (3) incsim's shared-layer adoption skipping the support-counter
 init (KeyError / drift on later cascades), (4) the pool announcing
 fresh-node gains only *after* insertion routing (a trivial-predicate
 query's legs meet no ``TRUE`` member at the fresh endpoint when the
-oracle rules on the very batch that wired it, so same-flush witness
-paths are declined), (5) the atom tier's reconcile deriving a
-conjunction's membership from its *first* atom's posting set alone
+router applies the leg rule on the very batch that wired it, so
+same-flush witness paths are declined), (5) the atom tier's reconcile
+deriving a conjunction's membership from its *first* atom's posting set alone
 (sibling atoms ignored — overlapping conjunctions diverge as soon as one
 shared atom flips while another still fails), (6)/(7) the memoized edge
 legs surviving ``observe_deleted`` / ``observe_inserted`` (routing and
@@ -81,7 +81,11 @@ from repro.matching.relation import as_pairs, totalize
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
-from tests.routing_truth import distances_from_every_node, edge_routes
+from tests.routing_truth import (
+    distances_from_every_node,
+    edge_routes,
+    pool_routes,
+)
 
 MODES = ["bfs", "landmark", "matrix"]
 SEQUENCES = int(os.environ.get("SHARED_SUBSTRATE_SEQUENCES", "200"))
@@ -257,15 +261,15 @@ class _Harness:
         self.pool.eligibility.check_invariants()
 
     def check_oracles(self) -> None:
-        """At quiescence every distance-routed oracle of a plan-interned
-        index must agree with the textbook check
-        on the current graph: some eligible source a and eligible target
-        c with d(a, x) + 1 + d(y, c) <= k, for some pattern edge
-        (:func:`tests.routing_truth.edge_routes`).  (Mid-flush the oracle
-        may lag by design — deletions consult pre-edit state — but
-        between flushes exact structures admit no slack, so a stale
-        memoized leg surfaces here even when no match pair happens to
-        depend on the mis-routed edge.)
+        """At quiescence the router must route (x, y) to each
+        distance-routed plan-interned query exactly when the textbook
+        check holds on the current graph: some eligible source a and
+        eligible target c with d(a, x) + 1 + d(y, c) <= k, for some
+        pattern edge (:func:`tests.routing_truth.edge_routes`).
+        (Mid-flush routing may lag by design — deletions consult
+        pre-edit state — but between flushes exact structures admit no
+        slack, so a stale memoized leg surfaces here even when no match
+        pair happens to depend on the mis-routed edge.)
         """
         graph = self.pool.graph
         nodes = sorted(graph.nodes(), key=repr)
@@ -273,14 +277,13 @@ class _Harness:
         for q in self.pool.plan.views():
             if not q.distance_routed:
                 continue
-            name, idx = q.name, q.index
             for x in nodes:
                 for y in nodes:
-                    truth = edge_routes(dist, idx, x, y)
-                    got = idx.can_affect_edge(x, y)
+                    truth = edge_routes(dist, q.index, x, y)
+                    got = pool_routes(self.pool, q, x, y)
                     assert got == truth, (
-                        f"oracle drift for {name} (mode={self.mode}): "
-                        f"can_affect_edge({x!r}, {y!r}) = {got}, "
+                        f"routing drift for {q.name} (mode={self.mode}): "
+                        f"routes ({x!r}, {y!r}) = {got}, "
                         f"ground truth {truth}"
                     )
 
@@ -333,7 +336,7 @@ def test_unregister_drops_structures_and_reregister_rebuilds(mode):
         {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
     )
     q1 = pool.register(p, semantics="bounded", name="q1", distance_mode=mode)
-    pool.apply([insert(0, 1)])  # force oracle consults / leases
+    pool.apply([insert(0, 1)])  # force routing legs / leases
     pool.unregister(q1)
     live = pool.substrate.live_structures()
     assert live["landmark"] == 0

@@ -33,6 +33,14 @@ def _release(substrate, structure):
         substrate.release_matrix()
 
 
+def _within(legs, radius):
+    """Both legs restricted to ``d <= radius`` (all of them for None)."""
+    return tuple(
+        {v: d for v, d in leg.items() if radius is None or d <= radius}
+        for leg in legs
+    )
+
+
 def _leased(substrate, structure):
     if structure == "landmark":
         return substrate.landmark_index()
@@ -221,6 +229,29 @@ class TestMemos:
         assert fresh == edge_legs(g, 0, 1, None)
         assert fresh != stale
 
+    def test_one_finite_pair_serves_every_smaller_radius(self):
+        """The memo keeps one finite pair per edge at the largest radius
+        asked: a smaller radius is served from it (its d <= r prefix), a
+        larger one recomputes it, and leg_nodes counts the nodes each
+        computed pair labels."""
+        g = chain(8)
+        substrate = SharedDistanceSubstrate(g)
+        wide = substrate.legs(3, 4, 2)
+        assert wide == edge_legs(g, 3, 4, 2)
+        assert substrate.stats.leg_nodes == 6  # {3, 2, 1} and {4, 5, 6}
+        for radius in (0, 1, 2):
+            assert substrate.legs(3, 4, radius) is wide
+            assert _within(wide, radius) == edge_legs(g, 3, 4, radius)
+        assert substrate.stats.leg_nodes == 6
+        wider = substrate.legs(3, 4, 3)
+        assert wider is not wide and wider == edge_legs(g, 3, 4, 3)
+        assert substrate.legs(3, 4, 1) is wider
+        assert substrate.stats.leg_nodes == 6 + 8
+        # The reachability pair is kept apart from the finite one.
+        assert substrate.legs(3, 4, None) == edge_legs(g, 3, 4, None)
+        assert substrate.legs(3, 4, 2) is wider
+        assert substrate.stats.leg_nodes == 6 + 8 + 8
+
     def test_probes_are_memoized_and_count_labelled_nodes(self):
         g = chain(5)
         substrate = SharedDistanceSubstrate(g)
@@ -318,6 +349,7 @@ class TestIntrospection:
         substrate.lease_landmarks()
         substrate.lease_matrix()
         substrate.probe(0, 2).reaches(2)
+        substrate.legs(0, 1, 1)
         g.remove_edge(0, 1)
         substrate.observe_deleted([(0, 1)])
         stats = substrate.stats
@@ -325,7 +357,7 @@ class TestIntrospection:
             getattr(stats, name) > 0
             for name in (
                 "lm_builds", "matrix_builds", "edge_batches",
-                "structure_batches", "probe_nodes",
+                "structure_batches", "leg_nodes", "probe_nodes",
             )
         )
         stats.reset()
@@ -335,7 +367,8 @@ class TestIntrospection:
 def test_churn_keeps_structures_legs_and_probes_exact():
     """Mixed edge batches observed flush by flush, with a tight landmark
     budget so re-selections happen mid-stream: after every phase the
-    leased landmark vectors and matrix, the memoized legs and the
+    leased landmark vectors and matrix, the memoized legs (restricted to
+    the radius asked, and not recomputed for a smaller one) and the
     memoized probes all answer as a from-scratch BFS does on the current
     graph."""
     rng = random.Random(0xD15)
@@ -351,10 +384,17 @@ def test_churn_keeps_structures_legs_and_probes_exact():
         _assert_exact(lm, graph)
         _assert_exact(matrix, graph)
         for x, y in rng.sample(list(graph.edges()), 3):
-            for radius in (1, 2, None):
-                assert substrate.legs(x, y, radius) == edge_legs(
+            # One finite pair, at the largest radius asked, serves every
+            # smaller radius as its d <= r prefix without recomputing.
+            wide = substrate.legs(x, y, 2)
+            for radius in (1, 2):
+                assert substrate.legs(x, y, radius) is wide
+                assert _within(wide, radius) == edge_legs(
                     graph, x, y, radius
                 )
+            assert substrate.legs(x, y, None) == edge_legs(
+                graph, x, y, None
+            )
         for a in rng.sample(nodes, 3):
             for k in (1, 2, None):
                 probe = substrate.probe(a, k)

@@ -168,7 +168,7 @@ class TestRouting:
         q = pool.register(p, semantics="bounded", name="b")
         assert q.distance_routed
         # Partition-2 churn can never touch a pair of the partition-1
-        # query: the distance oracle declines it, repair work stays zero.
+        # query: the leg rule declines it, repair work stays zero.
         report = pool.apply([insert("b2", "a2")])
         assert report.routed == 0
         assert report.skipped == 1
@@ -412,7 +412,7 @@ class TestDistanceModes:
         )
         # The pool substrate absorbs each edge batch once for every query.
         assert q.index.join.query.index.substrate is pool.substrate
-        assert q.distance_routed  # pair repair gated by the oracle
+        assert q.distance_routed  # pair repair gated by the leg rule
         pool.apply([insert("Don", "Pat"), insert("Pat", "Don")])
         pool.apply([delete("Ann", "Pat"), insert("Don", "Tom")])
         assert as_pairs(q.matches()) == as_pairs(
@@ -420,6 +420,39 @@ class TestDistanceModes:
         )
         q.index.check_invariants()
         pool.eligibility.check_invariants()
+
+
+def _spy_on_bfs(monkeypatch):
+    """Record every outermost BFS helper call from now on, wherever the
+    helper was imported (nested helper calls are part of the same BFS):
+    one ``(name, reverse)`` per call."""
+    from repro.engine import distances
+    from repro.graphs import traversal
+    from repro.incremental import incbsim
+
+    calls = []
+    depth = [0]
+
+    def spying(fn):
+        def spy(*args, **kwargs):
+            if not depth[0]:
+                calls.append((fn.__name__, bool(kwargs.get("reverse"))))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return spy
+
+    for module in (traversal, incbsim, distances):
+        for name in (
+            "bfs_distances", "ancestors_within", "descendants_within",
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name, spying(getattr(traversal, name))
+                )
+    return calls
 
 
 def _ranked_pattern(i, bound):
@@ -520,39 +553,13 @@ class TestSharedSubstrate:
         self, mode, monkeypatch
     ):
         """Routing and every routed query's repair read one memoized BFS
-        pair per (edge, radius) and graph state: 8 distinct queries
-        routed on the same edges cost exactly the BFS calls 1 query does,
-        flush by flush."""
-        from repro.engine import distances
-        from repro.graphs import traversal
-        from repro.incremental import incbsim
+        pair per edge and graph state: 8 distinct queries routed on the
+        same edges cost exactly the BFS calls 1 query does, flush by
+        flush."""
         from repro.matching.bounded import bounded_match
         from repro.matching.relation import totalize
 
-        # Count every outermost BFS helper call, wherever it was
-        # imported (nested helper calls are part of the same BFS).
-        calls = []
-        depth = [0]
-
-        def spying(fn):
-            def spy(*args, **kwargs):
-                if not depth[0]:
-                    calls.append(fn.__name__)
-                depth[0] += 1
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    depth[0] -= 1
-            return spy
-
-        for module in (traversal, incbsim, distances):
-            for name in (
-                "bfs_distances", "ancestors_within", "descendants_within",
-            ):
-                if hasattr(module, name):
-                    monkeypatch.setattr(
-                        module, name, spying(getattr(traversal, name))
-                    )
+        calls = _spy_on_bfs(monkeypatch)
         # Two components a -> z1 -> z2 -> c and a2 -> z3 -> z4 -> c2: no
         # edge of either lies on a bound-2 witness path, so none is
         # routed, although both legs of each middle edge meet an eligible
@@ -601,6 +608,52 @@ class TestSharedSubstrate:
             per_flush[n_queries] = counts
         # One backward and one forward BFS per edge per graph state.
         assert per_flush[1] == per_flush[8] == [12, 4, 2]
+
+    @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+    def test_mixed_bounds_read_one_leg_pair_per_edge(self, mode, monkeypatch):
+        """A pool whose patterns use bounds 2 and 3 reads one backward
+        and one forward BFS per edge and graph state: the router asks
+        for the legs at the largest finite leg radius (2) first, and the
+        bound-2 routing and repair are served from the same pair."""
+        from repro.matching.bounded import bounded_match
+        from repro.matching.relation import totalize
+
+        g = DiGraph()
+        for v, label in [("a", "A"), ("c", "C"), ("z", "Z")]:
+            g.add_node(v, label=label, rank=0)
+        pool = MatcherPool(g)
+        patterns = [
+            _ranked_pattern(0, 2),
+            _ranked_pattern(1, 3),
+            Pattern.from_spec(
+                {"x": "label = A", "y": "label = Z", "w": "label = C"},
+                [("x", "y", 2), ("y", "w", 3)],
+            ),
+        ]
+        queries = [
+            pool.register(p, semantics="bounded", distance_mode=mode)
+            for p in patterns
+        ]
+        assert pool._router.leg_radius == 2
+        calls = _spy_on_bfs(monkeypatch)
+        wired = [insert("a", "z"), insert("z", "c")]
+        # Every flush touches both edges, each routed to every query.  The
+        # deletions are routed on the graph state the insertions left, so
+        # they read the legs the insertion routing memoized.
+        for batch, pairs in (
+            (wired, 2),
+            ([delete("a", "z"), delete("z", "c")], 0),
+            (wired, 2),
+        ):
+            before = len(calls)
+            report = pool.apply(batch)
+            assert report.routed == 2 * len(queries)
+            assert sorted(calls[before:]) == sorted(
+                [("bfs_distances", False), ("bfs_distances", True)] * pairs
+            )
+        for p, q in zip(patterns, queries):
+            truth = as_pairs(totalize(bounded_match(p, pool.graph)))
+            assert as_pairs(q.matches()) == truth
 
     def test_recheck_probes_are_shared_by_every_routed_query(self):
         """Every routed query's suspect recheck in a flush extends the

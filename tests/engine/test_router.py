@@ -5,11 +5,14 @@ import pytest
 from repro.engine import MatcherPool, UpdateRouter
 from repro.engine.distances import SharedDistanceSubstrate
 from repro.engine.eligibility import SharedEligibilityIndex
+from repro.engine.pool import PoolStats
 from repro.engine.query import ContinuousQuery
 from repro.graphs.digraph import DiGraph
+from repro.graphs.traversal import edge_legs
 from repro.incremental.types import insert
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import parse_predicate
+from tests.routing_truth import distances_from_every_node, edge_routes
 
 
 def pool_query(name, pattern, graph=None, semantics="simulation"):
@@ -176,3 +179,160 @@ def test_pool_router_integration_zero_work(friendfeed_graph):
     report = pool.apply([insert("Ann", "Bill")])
     assert "med" not in report.deltas
     assert med.matches()["m"] == {"Ross"}
+
+
+# ----------------------------------------------------------------------
+# Distance routing: pattern edges grouped by source predicate
+# ----------------------------------------------------------------------
+def distance_router(graph):
+    """A router over one graph's shared substrates, counting its rule
+    evaluations, and a factory registering bounded queries with it."""
+    eligibility = SharedEligibilityIndex(graph)
+    substrate = SharedDistanceSubstrate(graph)
+    stats = PoolStats()
+    router = UpdateRouter(substrate, stats)
+
+    def register(name, nodes, edges):
+        q = ContinuousQuery(
+            name, Pattern.from_spec(nodes, edges), graph, "bounded",
+            substrate=substrate, eligibility=eligibility,
+        )
+        router.register(q)
+        return q
+
+    return router, register, stats, substrate
+
+
+def routed(router, graph, x, y):
+    return router.route_edge(x, y, graph.attrs(x), graph.attrs(y))
+
+
+def assert_routes_like_the_rule(router, graph, queries):
+    """Every node pair routes each query exactly when some eligible pair
+    of its index meets d(a, x) + 1 + d(y, c) <= k for a pattern edge."""
+    dist = distances_from_every_node(graph)
+    for x in graph.nodes():
+        for y in graph.nodes():
+            got = routed(router, graph, x, y)
+            for q in queries:
+                truth = edge_routes(dist, q.index, x, y)
+                assert (q in got) == truth, (q.name, x, y)
+
+
+def labelled_chain(*labels):
+    """n0 -> n1 -> ... with n{i} labelled labels[i]."""
+    g = labelled_graph(
+        **{f"n{i}": {"label": lb} for i, lb in enumerate(labels)}
+    )
+    for i in range(len(labels) - 1):
+        g.add_edge(f"n{i}", f"n{i + 1}")
+    return g
+
+
+def test_query_mixing_bounds_one_two_and_star():
+    g = labelled_chain("A", "B", "Z", "C", "Z", "A")
+    g.add_edge("n5", "n0")
+    router, register, stats, _ = distance_router(g)
+    q = register(
+        "q",
+        {"x": "label = A", "y": "label = B", "z": "label = C"},
+        [("x", "y", 1), ("y", "z", 2), ("z", "x", None)],
+    )
+    assert q.distance_routed
+    # Bounds 1 and 2 read one leg pair at radius 1; * its own pair.
+    assert router.leg_radius == 1
+    # Bound 1 routes only an endpoint pairing ...
+    assert routed(router, g, "n0", "n1") == [q]
+    # ... bound 2 one intermediate hop: B, then n2 -> n3 (C) ...
+    assert routed(router, g, "n2", "n3") == [q]
+    # ... and * any path from a C through the edge into an A.
+    assert routed(router, g, "n4", "n5") == [q]
+    assert_routes_like_the_rule(router, g, [q])
+    assert stats.distance_checks > 0
+
+
+def test_true_and_unsatisfiable_source_predicates():
+    g = labelled_chain("Z", "Z", "B", "Z")
+    router, register, stats, _ = distance_router(g)
+    anything = register(
+        "anything", {"x": None, "y": "label = B"}, [("x", "y", 2)]
+    )
+    never = register(
+        "never",
+        {"x": "label = A & label = B", "y": "label = B"},
+        [("x", "y", 2)],
+    )
+    # Every node is a TRUE member at distance 0 of its own leg, so an
+    # edge routes when a B is within one hop after it.
+    assert routed(router, g, "n0", "n1") == [anything]
+    assert routed(router, g, "n2", "n3") == []
+    assert_routes_like_the_rule(router, g, [anything, never])
+    # The unsatisfiable source has no members: its edge is never
+    # evaluated, so only the TRUE query's one edge counts, once per
+    # routed pair.
+    stats.distance_checks = 0
+    routed(router, g, "n0", "n1")
+    assert stats.distance_checks == 1
+
+
+def test_queries_sharing_a_source_predicate():
+    g = labelled_chain("A", "B", "C", "Z")
+    router, register, stats, _ = distance_router(g)
+    near_b = register(
+        "near_b", {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
+    )
+    near_c = register(
+        "near_c", {"x": "label = A", "y": "label = C"}, [("x", "y", 3)]
+    )
+    from_b = register(
+        "from_b", {"x": "label = B", "y": "label = Z"}, [("x", "y", 2)]
+    )
+    # n0 -> n1: A at 0, B at 0, C at 1: both A queries, no B before it.
+    stats.distance_checks = 0
+    assert routed(router, g, "n0", "n1") == [near_b, near_c]
+    # One group for A, tested once, evaluates both of its pattern edges;
+    # the B group is never evaluated, its leg missing every B.
+    assert stats.distance_checks == 2
+    # n1 -> n2: A one hop back, but no B after it; C at 0 fits bound 3,
+    # and B at 0 before the edge has Z one hop after.
+    assert routed(router, g, "n1", "n2") == [near_c, from_b]
+    assert stats.distance_checks == 2 + 3
+    assert_routes_like_the_rule(router, g, [near_b, near_c, from_b])
+
+
+def test_unregister_shrinks_the_leg_radius_asked_for():
+    g = labelled_chain("A", "Z", "Z", "Z", "C")
+    router, register, stats, substrate = distance_router(g)
+    two = register(
+        "two", {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
+    )
+    three = register(
+        "three", {"x": "label = A", "y": "label = C"}, [("x", "y", 3)]
+    )
+    assert router.leg_radius == 2
+    router.unregister(three)
+    assert router.leg_radius == 1
+    # Routing an edge now labels the radius-1 legs only.
+    before = substrate.stats.leg_nodes
+    assert routed(router, g, "n1", "n2") == []
+    back, fwd = edge_legs(g, "n1", "n2", 1)
+    assert substrate.stats.leg_nodes - before == len(back) + len(fwd)
+    router.unregister(two)
+    assert router.leg_radius is None
+    before = substrate.stats.leg_nodes, stats.distance_checks
+    assert routed(router, g, "n2", "n3") == []
+    assert (substrate.stats.leg_nodes, stats.distance_checks) == before
+
+
+def test_distance_routed_query_needs_a_substrate():
+    g = labelled_chain("A", "C")
+    q = pool_query(
+        "q",
+        Pattern.from_spec(
+            {"x": "label = A", "y": "label = C"}, [("x", "y", 2)]
+        ),
+        g,
+        semantics="bounded",
+    )
+    with pytest.raises(ValueError):
+        UpdateRouter().register(q)

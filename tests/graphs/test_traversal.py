@@ -172,12 +172,13 @@ def test_within_probe_agrees_with_path_distance(g, rng):
 @given(small_graphs())
 def test_finite_radius_legs_come_in_nondecreasing_distance_order(g):
     """Routing takes the first eligible member of a leg as the nearest,
-    so finite-radius legs, from edge_legs and from the substrate's memo,
-    must list their nodes in nondecreasing distance."""
+    and repair stops each scan at its own radius, so legs at every
+    radius, reachability included, from edge_legs and from the
+    substrate's memo, must list their nodes in nondecreasing distance."""
     substrate = SharedDistanceSubstrate(g)
     for x in g.nodes():
         for y in g.nodes():
-            for radius in (1, 2, 3):
+            for radius in (1, 2, 3, None):
                 for legs in (
                     edge_legs(g, x, y, radius),
                     substrate.legs(x, y, radius),

@@ -14,7 +14,11 @@ from repro.matching.bounded import bounded_match_naive
 from repro.matching.relation import as_pairs, totalize
 from repro.patterns.pattern import Pattern
 from repro.workloads.updates import mixed_updates
-from tests.routing_truth import distances_from_every_node, edge_routes
+from tests.routing_truth import (
+    distances_from_every_node,
+    edge_routes,
+    pool_routes,
+)
 from tests.strategies import small_graphs, small_patterns
 
 MODES = ["bfs", "landmark", "matrix"]
@@ -247,10 +251,11 @@ def chain_graph():
 
 @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
 def test_oracle_agrees_with_ground_truth(mode):
-    """On a freshly registered pool query the substrate-backed oracle
-    must equal the textbook check: some eligible source a and eligible
-    target c with d(a, x) + 1 + d(y, c) <= k (possibly-empty legs; no sum
-    test for *), for some pattern edge."""
+    """On a freshly registered pool query the router must route (x, y)
+    to the interned query exactly when the textbook check holds: some
+    eligible source a and eligible target c with d(a, x) + 1 + d(y, c)
+    <= k (possibly-empty legs; no sum test for *), for some pattern
+    edge."""
     rng = random.Random(42)
     for _ in range(25):
         n = rng.randint(3, 7)
@@ -267,13 +272,14 @@ def test_oracle_agrees_with_ground_truth(mode):
         pool = MatcherPool(g)
         q = pool.register(pattern, semantics="bounded", distance_mode=mode)
         assert q.distance_routed
-        idx = q.index.join.query.index
+        view = q.index.join.query
         graph = pool.graph
         dist = distances_from_every_node(graph)
         for x in graph.nodes():
             for y in graph.nodes():
-                truth = edge_routes(dist, idx, x, y)
-                assert idx.can_affect_edge(x, y) == truth, (mode, k, x, y)
+                truth = edge_routes(dist, view.index, x, y)
+                got = pool_routes(pool, view, x, y)
+                assert got == truth, (mode, k, x, y)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -292,16 +298,6 @@ def test_pairs_rechecked_counts_the_suspects(mode):
     assert idx.stats.pairs_rechecked == 1
     idx.stats.reset()
     assert idx.stats.pairs_rechecked == 0
-
-
-def test_standalone_index_has_no_routing_oracle():
-    """The routing oracle reads pool substrate structures only."""
-    pattern = Pattern.from_spec(
-        {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
-    )
-    idx = BoundedSimulationIndex(pattern, chain_graph())
-    with pytest.raises(RuntimeError):
-        idx.can_affect_edge("a", "m1")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -381,9 +377,9 @@ ORACLE_SITUATIONS = {
 @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
 @pytest.mark.parametrize("situation", sorted(ORACLE_SITUATIONS))
 def test_oracle_tracks_pool_updates(situation, mode):
-    """The oracle follows edge updates and eligibility flips flushed
-    through the pool, and stays equal to the textbook check after each
-    flush."""
+    """The router's verdict on the interned query follows edge updates
+    and eligibility flips flushed through the pool, and stays equal to
+    the textbook check after each flush."""
     labels, edges, k, probe, before, after, flushes = ORACLE_SITUATIONS[
         situation
     ]
@@ -399,16 +395,16 @@ def test_oracle_tracks_pool_updates(situation, mode):
         ),
         semantics="bounded", distance_mode=mode,
     )
-    idx, graph = q.index.join.query.index, pool.graph
+    view, graph = q.index.join.query, pool.graph
 
     def assert_textbook():
         dist = distances_from_every_node(graph)
         for x in graph.nodes():
             for y in graph.nodes():
-                truth = edge_routes(dist, idx, x, y)
-                assert idx.can_affect_edge(x, y) == truth, (x, y)
+                truth = edge_routes(dist, view.index, x, y)
+                assert pool_routes(pool, view, x, y) == truth, (x, y)
 
-    assert idx.can_affect_edge(*probe) is before
+    assert pool_routes(pool, view, *probe) is before
     assert_textbook()
     for updates, relabel in flushes:
         for v, label in relabel.items():
@@ -416,7 +412,7 @@ def test_oracle_tracks_pool_updates(situation, mode):
         report = pool.apply(updates)
         if situation == "far-update-declined":
             assert report.routed == 0
-    assert idx.can_affect_edge(*probe) is after
+    assert pool_routes(pool, view, *probe) is after
     assert_textbook()
     assert as_pairs(q.matches()) == as_pairs(
         totalize(bounded_match_naive(q.pattern, graph))

@@ -1,12 +1,12 @@
-"""Ground truth for the bounded routing oracle, recomputed by BFS.
+"""Ground truth for distance-aware routing, recomputed by BFS.
 
 An update of the edge ``(x, y)`` can create or break a pair ``(a, c)``
 under a pattern edge of bound ``k`` only through a witness path of length
 <= ``k`` that runs through the edge, so
 ``d(a, x) + 1 + d(y, c) <= k`` over possibly-empty paths (no sum test for
-``*``).  ``can_affect_edge`` of a bounded query, in every distance
-mode, must say True exactly when some eligible pair meets that rule for
-some pattern edge.
+``*``).  A pool's router, in every distance mode, must route an update
+of ``(x, y)`` to a distance-routed query exactly when some eligible pair
+of its index meets that rule for some pattern edge.
 """
 
 from __future__ import annotations
@@ -22,6 +22,17 @@ Distances = Dict[Node, Dict[Node, int]]
 def distances_from_every_node(graph: DiGraph) -> Distances:
     """Possibly-empty-path hop distances, one full BFS per node."""
     return {v: bfs_distances(graph, v) for v in graph.nodes()}
+
+
+def pool_routes(pool, query, x: Node, y: Node) -> bool:
+    """Does ``pool``'s router hand an update of ``(x, y)`` to ``query``
+    (a router-registered query, such as a plan-interned one)?  Ask it
+    between flushes, when the substrate's memoized legs are those of the
+    current graph."""
+    graph = pool.graph
+    return query in pool._router.route_edge(
+        x, y, graph.attrs(x), graph.attrs(y)
+    )
 
 
 def edge_routes(dist: Distances, index, x: Node, y: Node) -> bool:
