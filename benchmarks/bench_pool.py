@@ -3,58 +3,77 @@
 The scenarios, all over one shared graph holding labelled communities:
 
 - ``simulation``: N normal patterns (``A{i} -> B{i} -> C{i}``), routed by
-  eq-keys alone — PR 1's headline property;
-- ``bounded``: N bound-2 b-patterns (``A{i} -2-> C{i}``), which the old
-  router dumped into the wildcard-edge bucket (every query observed every
-  edge); distance routing now lets the N-1 non-owning queries decline
-  the whole stream, so routed flush cost should stay ~flat here too —
-  the paper's flagship IncBMatch semantics.  The router groups pattern
-  edges by source predicate and evaluates only those whose source
-  predicate an edge's backward leg meets, so the scenario *enforces*
-  that its per-flush rule evaluations (``checks``) are non-zero and
-  exactly equal across all N; ``leg nodes`` counts the nodes the
-  memoized edge legs label.  Its ``upkeep`` column is 0: ``bfs`` mode
-  maintains no distance structure (routing and repair read the
-  substrate's memoized edge legs);
-- ``bounded-shared``: the ``bounded`` scenario in ``landmark`` mode —
-  every pool query leases the pool substrate's ONE landmark index while
-  the naive loop maintains one per pattern; the ``upkeep`` column counts
-  the substrate's landmark-index batches per flush, which stay flat in
-  N;
+  eq-keys alone, so the flush's routed (query, update) pairs stay
+  exactly flat in N (gate ``routed_flat``);
+- ``bounded``: N bound-2 b-patterns (``A{i} -2-> C{i}``), the paper's
+  IncBMatch semantics.  Distance routing lets the N-1 non-owning queries
+  decline the whole stream, so routed flush cost should stay ~flat here
+  too.  The router groups pattern edges by source predicate and
+  evaluates only those whose source predicate an edge's backward leg
+  meets, so its per-flush rule evaluations (``distance_checks``) are
+  non-zero and exactly equal across all N (gate
+  ``distance_checks_flat``); ``leg_nodes`` counts the nodes the memoized
+  edge legs label.  Its ``upkeep`` column is 0: ``bfs`` mode maintains
+  no distance structure (routing and repair read the substrate's
+  memoized edge legs);
+- ``bounded-shared``: ``bounded`` in ``landmark`` mode — every pool query
+  leases the pool substrate's ONE landmark index while the naive loop
+  maintains one per pattern, so the substrate's landmark-index batches
+  per flush (``upkeep``) stay flat in N (gate ``upkeep_flat``);
 - ``overlap``: N simulation queries over only k << N *distinct*
   predicate sets (query i reuses partition i % k's pattern), driven by a
   mixed stream of attribute flips and edge churn.  The eligibility
   substrate evaluates each distinct atom once per node event however
   many queries use it, and the N/k copies of a pattern read one
-  interned index, so per-flush atom evaluations and routed (query,
-  update) pairs must both be non-zero and *exactly* flat in N once all
-  k patterns are registered — the scenario enforces it and fails
-  otherwise;
+  interned index, so per-flush atom evaluations and routed pairs must
+  both be non-zero and *exactly* flat in N once all k patterns are
+  registered (gates ``atom_evals_flat`` and ``routed_flat``);
 - ``overlap-atoms``: N conjunction queries whose predicates are all
   drawn from one fixed 6-atom vocabulary (18 distinct conjunctions) —
   the same atom-evaluation gate from N = 3 on, where the vocabulary is
   fully interned, however many distinct conjunctions compose it;
-- ``shared-plan``: N bound-2 two-leg patterns drawn from only 4 distinct
-  *leg vocabularies* (query i re-spells partition ``i % 4``'s pattern
-  with its own node names), pool vs naive loop.  The shared plan
-  interns each pattern by canonical fingerprint into 4 joins, one
-  interned index each, so per-flush join repairs (interned indexes the
-  flush routed and repaired) are a function of the 4 pattern shapes
-  alone — the scenario *enforces* that the join-repair count is
-  non-zero and exactly equal across all N >= 4, and (at N >= 16, above
-  the noise floor) that the pool flush beats the naive loop outright;
-- ``temporal``: sliding-window bulk expiry against per-edge deletion
-  flushes, with counter gates on flat, non-zero structure upkeep and on
-  zero rebuilds (both fail when no structure is leased).
+- ``shared-plan``: N bound-2 two-leg patterns drawn from only k distinct
+  *leg vocabularies* (query i re-spells partition ``i % k``'s pattern
+  with its own node names).  The shared plan interns each pattern by
+  canonical fingerprint into k joins, one interned index each, so
+  per-flush join repairs (interned indexes the flush routed and
+  repaired) are a function of the k pattern shapes alone (gate
+  ``join_repairs_flat`` from N = k), and from N = 16, above the noise
+  floor, the pool flush beats the naive loop outright (gate
+  ``shared_wins``);
+- ``temporal``: sliding-window expiry in ``landmark`` mode, N queries
+  over k distinct patterns.  Three legs: one flush retiring a whole
+  window of expired edges as a single coalesced deletion batch
+  (``expiry_bulk_ms``), a window-less twin retiring the same edges one
+  deletion flush at a time (``expiry_per_edge_ms``, the cost bulk expiry
+  must beat: gate ``bulk_expiry_wins``), and a steady-state window step
+  whose flush expires the old batch and ingests a fresh one
+  (``windowed_ms``).  The expiry flush's structure batches are one
+  non-zero count from N = k on (gate ``upkeep_flat``), and every expiry
+  flush syncs a structure and triggers zero full-structure rebuilds
+  (gate ``zero_expiry_rebuilds``); in ``bfs`` mode nothing is leased and
+  both counter gates fail.
 
-The naive baseline is one independent incremental index per pattern, each
-fed the full stream.  Every timed region starts right after a full
-``gc.collect()`` (:func:`timed`), so a cyclic-GC pass paid for set-up
-garbage does not land in it.  The script prints a table per scenario
-(median pool flush ms over ``--reps``, naive ms, speedup, routed/skipped
-counts), writes a machine-readable ``BENCH_pool.json``, and exits
-non-zero if any routed result disagrees with its naive baseline or any
-gate fails.  ``BENCH_pool.json`` feeds the CI regression compare
+Each scenario is one :class:`Scenario` in ``SCENARIOS``: its sizes, the
+timed legs it builds for each N, the counters it reads off the pool's
+public stats, the oracle its queries are checked against, and its gates.
+One runner (:func:`run`) measures every scenario the same way.  Each leg
+is built untimed and timed right after a full ``gc.collect()``, so a
+cyclic-GC pass paid for set-up garbage does not land in it; a row
+reports each leg's median over ``--reps`` runs (at least 5 in a
+scenario that races); counters are the change across the last run's
+timed region.  Every checked pool's queries must equal the oracle's.
+Gates come in three kinds: :class:`Flat` (a count non-zero and equal at
+every N from a threshold, judged on two or more sizes), :class:`Race`
+(a ratio above 1 wherever the baseline clears ``RACE_GATE_FLOOR_MS``)
+and :class:`Every` (a condition on every row).
+
+The naive baseline is one independent incremental index per pattern,
+each fed the full stream and then made to publish its delta the way a
+pool query does (:func:`publish`).  The script prints a table per
+scenario, writes a machine-readable ``BENCH_pool.json``, and exits
+non-zero if any routed result disagrees with its oracle or any gate
+fails.  ``BENCH_pool.json`` feeds the CI regression compare
 (``benchmarks/compare_bench.py``).
 
 Run standalone::
@@ -63,8 +82,6 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_pool.py --tiny   # CI smoke
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
@@ -72,40 +89,43 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.engine import MatcherPool  # noqa: E402
 from repro.graphs.digraph import DiGraph  # noqa: E402
-from repro.incremental.incbsim import (  # noqa: E402
-    DISTANCE_MODES,
-    BoundedSimulationIndex,
-)
+from repro.incremental.incbsim import BoundedSimulationIndex  # noqa: E402
 from repro.incremental.incsim import SimulationIndex  # noqa: E402
 from repro.incremental.types import delete, insert  # noqa: E402
 from repro.matching.relation import as_pairs  # noqa: E402
-from repro.patterns import predicate as predmod  # noqa: E402
 from repro.patterns.pattern import Pattern  # noqa: E402
+from repro.patterns.predicate import Atom, Predicate  # noqa: E402
 from repro.workloads.updates import label_partitioned_updates  # noqa: E402
 
-# Every scenario, in the order ``--scenario all`` runs them.
-SCENARIO_NAMES = (
-    "simulation", "bounded", "bounded-shared", "overlap", "overlap-atoms",
-    "shared-plan", "temporal",
-)
+# Distinct patterns the ``overlap``, ``shared-plan`` and ``temporal``
+# scenarios draw their N queries from (query i uses pattern
+# i % VOCABULARY), so their counts are flat from N = VOCABULARY on.
+VOCABULARY = 4
+
+# Minimum median time (ms) the baseline side of a race must take for the
+# row to be gated; below it the whole race is timer jitter and the
+# verdict is reported ungated (``None``).
+RACE_GATE_FLOOR_MS = 1.0
+
+# The shared-plan race is only judged from this many registered queries
+# up: below it the pool holds at most one query per distinct pattern, so
+# there is nothing to share and the comparison is not the claim.
+PLAN_GATE_MIN_N = 16
+
+TEMPORAL_WINDOW = 10.0
 
 
-def timed(fn):
-    """``(seconds, fn())``: ``fn`` timed right after a full garbage
-    collection, so a cyclic-GC pass paid for earlier garbage does not
-    land in the timed region."""
-    gc.collect()
-    start = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - start, out
-
-
+# ----------------------------------------------------------------------
+# Workloads
+# ----------------------------------------------------------------------
 def cluster_labels(i: int):
     return (f"A{i}", f"B{i}", f"C{i}")
 
@@ -159,155 +179,13 @@ def bounded_pattern(i: int) -> Pattern:
     )
 
 
-SCENARIOS = {
-    "simulation": {
-        "pattern": sim_pattern,
-        "semantics": "simulation",
-        "naive_index": SimulationIndex,
-    },
-    "bounded": {
-        "pattern": bounded_pattern,
-        "semantics": "bounded",
-        "naive_index": BoundedSimulationIndex,
-    },
-}
+def overlap_pattern(i: int) -> Pattern:
+    return sim_pattern(i % VOCABULARY)
 
 
-def run_pool(graph, scenario, num_patterns, updates, distance_mode):
-    spec = SCENARIOS[scenario]
-    pool = MatcherPool(graph)
-    for i in range(num_patterns):
-        pool.register(
-            spec["pattern"](i),
-            semantics=spec["semantics"],
-            name=f"p{i}",
-            distance_mode=distance_mode,
-        )
-    elapsed, report = timed(lambda: pool.apply(updates))
-    return elapsed, pool, report
-
-
-def run_naive(
-    base, scenario, num_patterns, updates, pattern_fn=None, **index_kwargs
-):
-    """One independent incremental index per pattern, each fed everything."""
-    spec = SCENARIOS[scenario]
-    indexes = [
-        spec["naive_index"](
-            (pattern_fn or spec["pattern"])(i), base.copy(), **index_kwargs
-        )
-        for i in range(num_patterns)
-    ]
-
-    def feed():
-        for idx in indexes:
-            idx.apply_batch(updates)
-
-    elapsed, _ = timed(feed)
-    return elapsed, indexes
-
-
-def run_scenario(
-    scenario, sizes, graph, updates, reps, distance_mode, label=None
-):
-    """Pool flush vs the naive loop; ``upkeep`` counts the distance
-    substrate's structure-level update applications in the flush.
-
-    For bounded patterns the flush's router rule evaluations
-    (``distance_checks``) and leg-labelled nodes (``leg_nodes``) are
-    recorded too, with a hard gate: the rule evaluations are non-zero
-    and exactly equal across every N, since only the owning query's
-    source predicate meets the partitioned stream's legs."""
-    bounded = scenario == "bounded"
-    naive_kwargs = {"distance_mode": distance_mode} if bounded else {}
-    print(f"\n== scenario: {label or scenario} "
-          f"({'distance_mode=' + distance_mode if bounded else 'eq-key routed'}) ==")
-    print(f"{'N':>4} {'pool ms':>10} {'naive ms':>10} {'speedup':>9} "
-          f"{'routed':>7} {'skipped':>8} {'upkeep':>7}"
-          + (f" {'checks':>7} {'leg nodes':>10}" if bounded else ""))
-    ok = True
-    results = []
-    pool_times = {}
-    for n in sizes:
-        pool_times_n = []
-        naive_times_n = []
-        pool = report = indexes = None
-        for _ in range(reps):
-            t, pool, report = run_pool(
-                graph.copy(), scenario, n, updates, distance_mode
-            )
-            pool_times_n.append(t)
-            t, indexes = run_naive(
-                graph, scenario, n, updates, **naive_kwargs
-            )
-            naive_times_n.append(t)
-        pool_t = statistics.median(pool_times_n)
-        naive_t = statistics.median(naive_times_n)
-        pool_times[n] = pool_t
-        # The routed result must equal the naive per-pattern result.
-        for i, idx in enumerate(indexes):
-            routed = as_pairs(pool.query(f"p{i}").matches())
-            if routed != as_pairs(idx.matches()):
-                print(
-                    f"MISMATCH scenario={scenario} N={n} pattern {i}",
-                    file=sys.stderr,
-                )
-                ok = False
-        speedup = naive_t / pool_t if pool_t > 0 else float("inf")
-        upkeep = pool.substrate.stats.structure_batches
-        row = {
-            "n": n,
-            "pool_ms": round(pool_t * 1e3, 3),
-            "naive_ms": round(naive_t * 1e3, 3),
-            "speedup": round(speedup, 2),
-            "routed": report.routed,
-            "skipped": report.skipped,
-            "upkeep": upkeep,
-        }
-        work = ""
-        if bounded:
-            # Each pool ran exactly one flush, and registration reads no
-            # legs, so the cumulative counters are per flush.
-            row["distance_checks"] = pool.stats.distance_checks
-            row["leg_nodes"] = pool.substrate.stats.leg_nodes
-            work = f" {row['distance_checks']:>7} {row['leg_nodes']:>10}"
-        print(
-            f"{n:>4} {pool_t * 1e3:>10.2f} {naive_t * 1e3:>10.2f} "
-            f"{speedup:>8.1f}x {report.routed:>7} {report.skipped:>8} "
-            f"{upkeep:>7}{work}"
-        )
-        results.append(row)
-    lo, hi = min(sizes), max(sizes)
-    growth = pool_times[hi] / pool_times[lo] if pool_times[lo] > 0 else 0.0
-    print(
-        f"pool flush cost grew {growth:.2f}x from N={lo} to N={hi} "
-        f"({hi // lo}x more registered patterns)"
-    )
-    doc = {
-        "sizes": sizes,
-        "reps": reps,
-        "results": results,
-        "growth_factor": round(growth, 3),
-    }
-    if bounded:
-        checks = {r["n"]: r["distance_checks"] for r in results}
-        flat = len(set(checks.values())) == 1 and all(checks.values())
-        if not flat:
-            print(
-                f"FLATNESS VIOLATION {label or scenario}: per-flush router "
-                f"rule evaluations must be non-zero and equal for every "
-                f"N: {checks}",
-                file=sys.stderr,
-            )
-            ok = False
-        print(f"router rule evaluations per flush non-zero and exactly "
-              f"flat in N: {flat}")
-        doc["distance_checks_flat"] = flat
-    return ok, doc
-
-
-def overlap_stream(graph, k, num_ops, seed=13):
-    """A mixed node/edge op stream across the first ``k`` partitions.
+def overlap_stream(graph, num_ops, seed=13):
+    """A mixed ``(node ops, edge ops)`` stream across the first
+    ``VOCABULARY`` partitions, node ops as ``(node, attrs)``.
 
     Attribute flips dominate (they are what drives predicate
     re-evaluation); edge churn keeps the simulation repair honest.
@@ -315,142 +193,22 @@ def overlap_stream(graph, k, num_ops, seed=13):
     rng = random.Random(seed)
     members = {
         i: sorted(v for v in graph.nodes() if str(v).startswith(f"c{i}n"))
-        for i in range(k)
+        for i in range(VOCABULARY)
     }
-    ops = []
+    nodes, edges = [], []
     for _ in range(num_ops):
-        i = rng.randrange(k)
+        i = rng.randrange(VOCABULARY)
         labels = cluster_labels(i)
         if rng.random() < 0.6:
-            v = rng.choice(members[i])
-            ops.append(("node", v, {"label": rng.choice(labels)}))
+            nodes.append(
+                (rng.choice(members[i]), {"label": rng.choice(labels)})
+            )
         else:
             v, w = rng.choice(members[i]), rng.choice(members[i])
             if v == w:
                 continue
-            if rng.random() < 0.6:
-                ops.append(("edge", insert(v, w)))
-            else:
-                ops.append(("edge", delete(v, w)))
-    return ops
-
-
-def run_overlap_pool(graph, n, ops, pattern_fn):
-    """One pool flush over a mixed node/edge op stream; returns
-    ``(elapsed, atom_evals, pool)`` with atom evaluations counted over the
-    flush alone (registration's first-lease sweeps excluded)."""
-    pool = MatcherPool(graph)
-    for i in range(n):
-        pool.register(pattern_fn(i), semantics="simulation", name=f"p{i}")
-    for op in ops:
-        if op[0] == "node":
-            pool.queue_node(op[1], **op[2])
-        else:
-            pool.queue(op[1])
-    before = predmod.atom_evaluation_count()
-    elapsed, _ = timed(pool.flush)
-    return elapsed, predmod.atom_evaluation_count() - before, pool
-
-
-def run_overlap_naive(base, patterns, ops):
-    """One independent SimulationIndex per pattern, fed the stream in
-    flush order (node ops first, then the coalesced edge batch) — the
-    baseline and correctness oracle; returns ``(elapsed, indexes)``."""
-    indexes = [SimulationIndex(p, base.copy()) for p in patterns]
-    edge_ops = [op[1] for op in ops if op[0] == "edge"]
-
-    def feed():
-        for idx in indexes:
-            for op in ops:
-                if op[0] == "node":
-                    idx.update_node_attrs(op[1], **op[2])
-            idx.apply_batch(edge_ops)
-
-    elapsed, _ = timed(feed)
-    return elapsed, indexes
-
-
-def run_overlap_scenario(name, what, sizes, graph, reps, ops, pattern_fn,
-                         flat_from, interned_copies=False):
-    """N simulation queries over a fixed predicate vocabulary, pool vs
-    naive loop, under a mixed attribute-flip / edge-churn op stream.
-
-    'atom evals' counts ``Atom.satisfied_by`` applications during the
-    pool flush.  The eligibility substrate evaluates each distinct atom
-    once per node event however many queries use it, so from
-    ``flat_from`` queries on (every atom of the vocabulary interned) the
-    count is a function of the op stream alone.  Hard gate: it is
-    non-zero and exactly equal across every N >= ``flat_from``.
-
-    'routed' counts the flush's routed (query, update) pairs.  With
-    ``interned_copies`` (query i re-registers one of ``flat_from``
-    patterns) the copies of a pattern read one interned index, routed
-    once, so a second hard gate holds the count non-zero and exactly
-    equal across every N >= ``flat_from`` too.
-    """
-    print(f"\n== scenario: {name} ({what}; pool vs naive loop) ==")
-    print(f"{'N':>4} {'pool ms':>10} {'naive ms':>10} {'speedup':>9} "
-          f"{'atom evals':>11} {'routed':>7}")
-    ok = True
-    results = []
-    for n in sizes:
-        pool_times, naive_times = [], []
-        for _ in range(reps):
-            t, evals, pool = run_overlap_pool(
-                graph.copy(), n, ops, pattern_fn
-            )
-            pool_times.append(t)
-            t, naive = run_overlap_naive(
-                graph, [pattern_fn(i) for i in range(n)], ops
-            )
-            naive_times.append(t)
-        for i, idx in enumerate(naive):
-            if as_pairs(pool.query(f"p{i}").matches()) != as_pairs(
-                idx.matches()
-            ):
-                print(f"MISMATCH {name} N={n} pattern {i}", file=sys.stderr)
-                ok = False
-        pool_t = statistics.median(pool_times)
-        naive_t = statistics.median(naive_times)
-        speedup = naive_t / pool_t if pool_t > 0 else float("inf")
-        routed = pool.stats.routed_pairs
-        print(
-            f"{n:>4} {pool_t * 1e3:>10.2f} {naive_t * 1e3:>10.2f} "
-            f"{speedup:>8.1f}x {evals:>11} {routed:>7}"
-        )
-        results.append(
-            {
-                "n": n,
-                "pool_ms": round(pool_t * 1e3, 3),
-                "naive_ms": round(naive_t * 1e3, 3),
-                "speedup": round(speedup, 2),
-                "atom_evals": evals,
-                "routed": routed,
-            }
-        )
-    doc = {
-        "sizes": sizes,
-        "reps": reps,
-        "flat_from": flat_from,
-        "results": results,
-    }
-    gates = [("atom_evals", "atom evaluations")]
-    if interned_copies:
-        gates.append(("routed", "routed pairs"))
-    for key, label in gates:
-        gated = {r["n"]: r[key] for r in results if r["n"] >= flat_from}
-        flat = len(set(gated.values())) == 1 and all(gated.values())
-        if not flat:
-            print(
-                f"FLATNESS VIOLATION {name}: per-flush {label} must be "
-                f"non-zero and equal for every N >= {flat_from}: {gated}",
-                file=sys.stderr,
-            )
-            ok = False
-        print(f"{label} per flush non-zero and exactly flat for "
-              f"N >= {flat_from}: {flat}")
-        doc[f"{key}_flat"] = flat
-    return ok, doc
+            edges.append(insert(v, w) if rng.random() < 0.6 else delete(v, w))
+    return nodes, edges
 
 
 _SCORE_ATOMS = (("score", ">", 0), ("score", ">", 1), ("score", "<=", 2))
@@ -464,8 +222,6 @@ def overlap_atoms_predicate(i: int):
     The first three (i = 0, 1, 2) cover all six atoms, so the vocabulary
     is fully interned once N >= 3 and per-flush atom evaluations must be
     *exactly* flat in N from there."""
-    from repro.patterns.predicate import Atom, Predicate
-
     a, b, c = cluster_labels(0)
     label = Atom("label", "=", (a, b, c)[i % 3])
     # (i + 2*(i//3)) mod 6 walks a shifted diagonal: i = 0, 1, 2 hit score
@@ -478,8 +234,6 @@ def overlap_atoms_predicate(i: int):
 
 def overlap_atoms_pattern(i: int) -> Pattern:
     """``x -> y`` where x carries conjunction ``i`` and y is trivial."""
-    from repro.patterns.predicate import Predicate
-
     p = Pattern()
     p.add_node("x", overlap_atoms_predicate(i))
     p.add_node("y", Predicate.true())
@@ -489,44 +243,34 @@ def overlap_atoms_pattern(i: int) -> Pattern:
 
 def overlap_atoms_stream(graph, num_ops, seed=17):
     """Label/score flips on partition 0 (the conjunction vocabulary's
-    attribute space) plus some edge churn to keep repair honest."""
+    attribute space) plus some edge churn to keep repair honest, as
+    ``(node ops, edge ops)``."""
     rng = random.Random(seed)
     members = sorted(v for v in graph.nodes() if str(v).startswith("c0n"))
     labels = cluster_labels(0)
-    ops = []
+    nodes, edges = [], []
     for _ in range(num_ops):
         roll = rng.random()
         if roll < 0.45:
-            ops.append(("node", rng.choice(members),
-                        {"label": rng.choice(labels)}))
+            nodes.append((rng.choice(members), {"label": rng.choice(labels)}))
         elif roll < 0.80:
-            ops.append(("node", rng.choice(members),
-                        {"score": rng.choice([0, 1, 2, 3])}))
+            nodes.append(
+                (rng.choice(members), {"score": rng.choice([0, 1, 2, 3])})
+            )
         else:
             v, w = rng.choice(members), rng.choice(members)
             if v == w:
                 continue
-            op = insert(v, w) if rng.random() < 0.6 else delete(v, w)
-            ops.append(("edge", op))
-    return ops
+            edges.append(insert(v, w) if rng.random() < 0.6 else delete(v, w))
+    return nodes, edges
 
 
-# Minimum time (ms, min-of-k) the baseline side of a race must take for
-# the row to be gated; below it the whole race is timer jitter and the
-# verdict is reported ungated (``None``).
-RACE_GATE_FLOOR_MS = 1.0
-
-# The shared-plan race is only judged from this many registered queries
-# up: below it the pool holds at most one query per distinct pattern, so
-# there is nothing to share and the comparison is not the claim.
-PLAN_GATE_MIN_N = 16
-
-
-def plan_pattern(i: int, k: int = 4) -> Pattern:
-    """Two-leg bound-2 pattern over leg vocabulary ``i % k``, spelled
-    with node names private to query ``i`` — canonical fingerprints,
-    not node-name spelling, must drive the plan's interning."""
-    a, b, c = cluster_labels(i % k)
+def plan_pattern(i: int) -> Pattern:
+    """Two-leg bound-2 pattern over leg vocabulary ``i % VOCABULARY``,
+    spelled with node names private to query ``i`` — canonical
+    fingerprints, not node-name spelling, must drive the plan's
+    interning."""
+    a, b, c = cluster_labels(i % VOCABULARY)
     p = Pattern()
     x, y, z = f"x{i}", f"y{i}", f"z{i}"
     p.add_node(x, f"label = {a}")
@@ -537,12 +281,13 @@ def plan_pattern(i: int, k: int = 4) -> Pattern:
     return p
 
 
-def plan_updates(graph, k, num_updates, seed=11):
-    """An edge stream spanning all ``k`` leg-vocabulary partitions, so
-    every interned index (not just partition 0's) sees repair work."""
-    per = max(2, num_updates // k)
+def plan_updates(graph, num_updates, seed=11):
+    """An edge stream spanning all ``VOCABULARY`` leg-vocabulary
+    partitions, so every interned index (not just partition 0's) sees
+    repair work."""
+    per = max(2, num_updates // VOCABULARY)
     ops = []
-    for i in range(k):
+    for i in range(VOCABULARY):
         ops.extend(
             label_partitioned_updates(
                 graph,
@@ -555,389 +300,527 @@ def plan_updates(graph, k, num_updates, seed=11):
     return ops
 
 
-def run_plan_pool(graph, n, k, updates, reps):
-    """min-of-``reps`` flush timing of a pool of ``n`` plan patterns;
-    returns ``(elapsed, pool, report)`` with stats from the final rep's
-    flush."""
-    best = float("inf")
-    pool = report = None
-    for _ in range(reps):
-        pool = MatcherPool(graph.copy())
-        for i in range(n):
-            pool.register(
-                plan_pattern(i, k), semantics="bounded", name=f"p{i}"
-            )
-        pool.stats.reset()
-        elapsed, report = timed(lambda: pool.apply(updates))
-        best = min(best, elapsed)
-    return best, pool, report
-
-
-def run_shared_plan_scenario(sizes, graph, num_updates, reps, k=4):
-    """Shared multi-query plan vs the naive loop, N bound-2 patterns
-    over ``k`` distinct leg vocabularies.
-
-    Two hard gates (both judged in-scenario, ``ok=False`` on failure):
-
-    - **flatness**: per-flush join repairs must be non-zero and
-      *exactly* equal across every N >= k — once every vocabulary is
-      interned (k joins), repair work is a function of the update
-      stream alone, never of the number of registered queries;
-    - **outright win**: at every N >= ``PLAN_GATE_MIN_N`` whose naive
-      loop clears ``RACE_GATE_FLOOR_MS`` (min-of-k timing, noise-floor
-      convention shared with the other races), the pool's flush must be
-      strictly cheaper than the naive loop.  Below the floor or the
-      minimum N the race is reported ungated (``None``).
-
-    Correctness gates the pool against the naive per-pattern indexes.
-    """
-    k = min(k, max(sizes))
-    updates = plan_updates(graph, k, num_updates)
-    print(
-        f"\n== scenario: shared-plan "
-        f"(N bound-2 patterns over {k} leg vocabularies, "
-        f"shared plan vs naive loop) =="
-    )
-    print(
-        f"{'N':>4} {'shared ms':>10} {'naive ms':>10} {'naive/shared':>13} "
-        f"{'join reps':>10} {'joins':>6}"
-    )
-    ok = True
-    results = []
-    race_reps = max(reps, 5)
-    join_repairs = {}
-    for n in sizes:
-        t, pool, _ = run_plan_pool(graph.copy(), n, k, updates, race_reps)
-        naive_times = []
-        for _ in range(race_reps):
-            t_naive, indexes = run_naive(
-                graph, "bounded", n, updates,
-                pattern_fn=lambda i: plan_pattern(i, k),
-            )
-            naive_times.append(t_naive)
-        row = {
-            "n": n,
-            "plan_shared_ms": round(t * 1e3, 3),
-            "plan_naive_ms": round(min(naive_times) * 1e3, 3),
-        }
-        join_repairs[n] = pool.stats.join_repairs
-        row["join_repairs"] = pool.stats.join_repairs
-        row["plan_joins"] = pool.plan.num_joins()
-        # Correctness: the pool must match the naive per-pattern result.
-        for i, idx in enumerate(indexes):
-            if as_pairs(pool.query(f"p{i}").matches()) != as_pairs(
-                idx.matches()
-            ):
-                print(
-                    f"MISMATCH shared-plan N={n} pattern {i}",
-                    file=sys.stderr,
-                )
-                ok = False
-        ratio = (
-            row["plan_naive_ms"] / row["plan_shared_ms"]
-            if row["plan_shared_ms"] > 0
-            else float("inf")
-        )
-        row["naive_over_shared"] = round(ratio, 2)
-        print(
-            f"{n:>4} {row['plan_shared_ms']:>10.2f} "
-            f"{row['plan_naive_ms']:>10.2f} {ratio:>12.1f}x "
-            f"{row['join_repairs']:>10} {row['plan_joins']:>6}"
-        )
-        results.append(row)
-    # Gate 1 (hard): join repairs non-zero and exactly flat in N once
-    # every vocabulary is interned.
-    flat_counts = sorted({join_repairs[n] for n in sizes if n >= k})
-    repairs_flat = len(flat_counts) == 1 and flat_counts[0] > 0
-    if not repairs_flat:
-        print(
-            f"FLATNESS VIOLATION shared-plan: per-flush join repairs are "
-            f"zero or vary with N: "
-            f"{ {n: join_repairs[n] for n in sizes if n >= k} }",
-            file=sys.stderr,
-        )
-        ok = False
-    # Gate 2 (hard above the noise floor): the pool flush beats the
-    # naive loop outright once sharing is real (N >= PLAN_GATE_MIN_N).
-    gated = [
-        r for r in results
-        if r["n"] >= PLAN_GATE_MIN_N
-        and r["plan_naive_ms"] >= RACE_GATE_FLOOR_MS
-    ]
-    shared_wins = (
-        all(r["naive_over_shared"] > 1.0 for r in gated)
-        if gated else None
-    )
-    if shared_wins is False:
-        print(
-            "shared-plan: the pool flush did not beat the naive loop",
-            file=sys.stderr,
-        )
-        ok = False
-    elif shared_wins is None:
-        print(
-            f"shared-plan: race ungated (no size >= {PLAN_GATE_MIN_N} "
-            f"with a naive loop over {RACE_GATE_FLOOR_MS}ms — "
-            f"noise-dominated at this scale)"
-        )
-    lo, hi = min(sizes), max(sizes)
-    times = {
-        key: {r["n"]: r[f"plan_{key}_ms"] for r in results}
-        for key in ("shared", "naive")
-    }
-    growth = {
-        key: (times[key][hi] / times[key][lo] if times[key][lo] else 0.0)
-        for key in times
-    }
-    print(
-        f"plan flush cost grew {growth['shared']:.2f}x (shared) vs "
-        f"{growth['naive']:.2f}x (naive) from N={lo} to N={hi} "
-        f"({k} leg vocabularies, {k} joins); "
-        f"join_repairs_flat={repairs_flat} shared_wins={shared_wins}"
-    )
-    return ok, {
-        "sizes": sizes,
-        "reps": race_reps,
-        "leg_vocabularies": k,
-        "updates": len(updates),
-        "results": results,
-        "join_repairs_flat": repairs_flat,
-        "shared_wins": shared_wins,
-        "growth_shared": round(growth["shared"], 3),
-        "growth_naive": round(growth["naive"], 3),
-    }
-
-
-# The temporal scenario draws its standing queries from a small pattern
-# vocabulary so shared-substrate upkeep per flush is EXACTLY flat once
-# every distinct pattern is registered (n >= vocabulary size) — a
-# deterministic counter gate rather than a timing race.
-TEMPORAL_PATTERN_VOCAB = 4
-TEMPORAL_WINDOW = 10.0
-# Landmark mode leases one structure that every expiry flush must sync;
-# in bfs mode nothing is leased and both counter gates below fail.
-TEMPORAL_DISTANCE_MODE = "landmark"
-
-
 def temporal_pattern(i: int) -> Pattern:
-    return bounded_pattern(i % TEMPORAL_PATTERN_VOCAB)
+    return bounded_pattern(i % VOCABULARY)
 
 
-def run_temporal_scenario(sizes, graph, num_churn, reps):
-    """Sliding-window expiry: bulk vs per-edge deletion, flat upkeep.
-
-    Three legs per pool size N (``TEMPORAL_DISTANCE_MODE``, shared scopes,
-    patterns from a ``TEMPORAL_PATTERN_VOCAB``-sized vocabulary):
-
-    - **bulk expiry** (``expiry_bulk_ms``): a windowed pool ingests one
-      churn batch at t=0, the clock advances past the window, and ONE
-      flush retires every expired edge as a single coalesced deletion
-      batch (netting, one substrate sync, one routing pass, one suspect
-      recheck batch);
-    - **per-edge deletions** (``expiry_per_edge_ms``): a window-less twin
-      pool retires the *same* edges as one-at-a-time deletion flushes —
-      the cost bulk expiry must beat (gate ``bulk_expiry_wins``, judged
-      only on rows whose per-edge leg clears ``RACE_GATE_FLOOR_MS``,
-      min-of-k timing);
-    - **steady-state window step** (``windowed_ms``): advance one window,
-      queue a fresh churn batch, flush — expiry of the old batch and
-      ingest of the new one ride the same flush.
-
-    Deterministic gates, fired at every scale:
-
-    - ``upkeep_flat``: the shared substrate's structure-level batch count
-      for the bulk-expiry flush is one non-zero value at two or more
-      sizes N >= vocabulary size (windowed flush cost flat in
-      standing-query count);
-    - ``zero_expiry_rebuilds``: every expiry flush synced a structure and
-      left :meth:`MatcherPool.rebuild_counters` unchanged — bulk expiry
-      rides the decremental repair paths only, never a from-scratch
-      rebuild.
-
-    Both counts read 0 when no structure is leased (``bfs`` mode), so
-    both gates fail there rather than pass on an all-zero count.
-
-    Correctness: the windowed pool, the per-edge twin, and a fresh
-    from-scratch index on the truncated graph must all agree.
-    """
-    print(
-        "\n== scenario: temporal (sliding-window bulk expiry vs per-edge "
-        f"deletion flushes; {TEMPORAL_DISTANCE_MODE} mode) =="
+def temporal_stream(graph, num_churn):
+    """Two disjoint insert-only churn batches in partition 0: the first
+    is ingested at t = 0 and expires; the second (drawn against a graph
+    already holding the first) is what the window step ingests."""
+    churn = label_partitioned_updates(
+        graph, cluster_labels(0),
+        num_insertions=num_churn, num_deletions=0, seed=31,
     )
-    churn = [
-        u for u in label_partitioned_updates(
-            graph, cluster_labels(0),
-            num_insertions=num_churn, num_deletions=0, seed=31,
-        )
-    ]
-    # A second, disjoint churn batch for the steady-state window step
-    # (generated against a graph that already holds batch 1).
     warm = graph.copy()
     for u in churn:
         warm.add_edge(*u.edge)
-    churn2 = [
-        u for u in label_partitioned_updates(
-            warm, cluster_labels(0),
-            num_insertions=num_churn, num_deletions=0, seed=37,
-        )
-    ]
-    race_reps = max(reps, 5)
-    k = TEMPORAL_PATTERN_VOCAB
-    print(
-        f"{'N':>4} {'bulk ms':>9} {'per-edge ms':>12} {'ratio':>7} "
-        f"{'step ms':>9} {'expired':>8} {'upkeep':>7} {'rebuilds':>9}"
+    fresh = label_partitioned_updates(
+        warm, cluster_labels(0),
+        num_insertions=num_churn, num_deletions=0, seed=37,
     )
-    ok = True
-    results = []
+    return churn, fresh
 
-    def make_pool(n, window):
+
+# ----------------------------------------------------------------------
+# Timed legs: pools and the naive loop
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Leg:
+    """One timed leg: ``build(graph, stream, n)`` makes its state outside
+    the timed region, ``run(state, stream)`` is the timed work.
+    ``counts`` are read off the state's pool before and after ``run`` and
+    recorded as the change; ``gauges`` are read after it."""
+
+    key: str
+    build: Callable[[DiGraph, Any, int], Any]
+    run: Callable[[Any, Any], Any]
+    counts: Mapping[str, Callable[[MatcherPool], int]] = field(
+        default_factory=dict
+    )
+    gauges: Mapping[str, Callable[[MatcherPool], int]] = field(
+        default_factory=dict
+    )
+
+
+def pool_of(pattern, semantics, window=None, **register):
+    """A leg builder: a pool over a copy of the graph holding queries
+    ``p0 .. p{n-1}``."""
+
+    def build(graph, stream, n):
         pool = MatcherPool(graph.copy(), window=window)
         for i in range(n):
             pool.register(
-                temporal_pattern(i),
-                semantics="bounded",
-                name=f"p{i}",
-                distance_mode=TEMPORAL_DISTANCE_MODE,
+                pattern(i), semantics=semantics, name=f"p{i}", **register
             )
         return pool
 
-    for n in sizes:
-        row = {"n": n}
-        # --- leg 1: one bulk-expiry flush --------------------------------
-        bulk_times = []
-        pool = report = None
-        upkeep = rebuild_delta = None
-        for _ in range(race_reps):
-            pool = make_pool(n, TEMPORAL_WINDOW)
-            pool.apply(churn)
-            pool.advance(TEMPORAL_WINDOW + 1)
-            upkeep_before = pool.substrate.stats.structure_batches
-            rebuilds_before = pool.rebuild_counters()["total"]
-            elapsed, report = timed(pool.flush)
-            bulk_times.append(elapsed)
-            upkeep = pool.substrate.stats.structure_batches - upkeep_before
-            rebuild_delta = pool.rebuild_counters()["total"] - rebuilds_before
-        row["expiry_bulk_ms"] = round(min(bulk_times) * 1e3, 3)
-        row["expired"] = report.expired
-        row["structure_batches"] = upkeep
-        row["rebuild_delta"] = rebuild_delta
-        if report.expired != len(churn):
+    return build
+
+
+def queued(build):
+    """``build``, then a ``(node ops, edge ops)`` stream queued for the
+    timed flush."""
+
+    def with_stream(graph, stream, n):
+        pool = build(graph, stream, n)
+        nodes, edges = stream
+        for v, attrs in nodes:
+            pool.queue_node(v, **attrs)
+        pool.queue_updates(edges)
+        return pool
+
+    return with_stream
+
+
+def flush(pool, stream):
+    return pool.flush()
+
+
+def publish(index, was_total):
+    """What a pool query does with its index's delta on every flush that
+    touches it (``ContinuousQuery.emit_delta``): pop the raw delta and
+    totalize it, materializing every pair when totality flips.  Returns
+    ``((added, removed), now_total)``."""
+    added, removed = index.pop_match_delta()
+    now_total = index.is_total()
+    if now_total != was_total:
+        after = set(as_pairs(index.raw_match_sets()))
+        if now_total:
+            added, removed = after, set()
+        else:
+            added, removed = set(), (after - added) | removed
+    elif not now_total:
+        added, removed = set(), set()
+    return (frozenset(added), frozenset(removed)), now_total
+
+
+class NaiveLoop:
+    """The naive baseline: one independent incremental index per
+    pattern, each fed the whole stream by ``feed`` and then made to
+    :func:`publish` its delta."""
+
+    def __init__(self, indexes, feed):
+        self.indexes = indexes
+        self.feed = feed
+        self.total = [index.is_total() for index in indexes]
+        self.last_delta = [None] * len(indexes)
+
+    def run(self, stream):
+        for i, index in enumerate(self.indexes):
+            self.feed(index, stream)
+            self.last_delta[i], self.total[i] = publish(index, self.total[i])
+
+
+def feed_edges(index, updates):
+    index.apply_batch(updates)
+
+
+def feed_mixed(index, stream):
+    """Flush order: node ops first, then the coalesced edge batch."""
+    nodes, edges = stream
+    for v, attrs in nodes:
+        index.update_node_attrs(v, **attrs)
+    index.apply_batch(edges)
+
+
+def naive(index_type, pattern, feed=feed_edges, key="naive_ms", **kwargs):
+    """The naive leg ``key``: the naive loop over ``n`` private indexes,
+    each on its own copy of the graph."""
+
+    def build(graph, stream, n):
+        return NaiveLoop(
+            [index_type(pattern(i), graph.copy(), **kwargs) for i in range(n)],
+            feed,
+        )
+
+    return Leg(key, build, NaiveLoop.run)
+
+
+def indexes_of(key):
+    """The oracle a naive leg gives: its own indexes, fed the same
+    stream."""
+    return lambda n, states: states[key].indexes
+
+
+def retire_one_by_one(pool, stream):
+    """The per-edge leg: the deletions bulk expiry retires, one flush
+    each."""
+    churn, _ = stream
+    for u in churn:
+        pool.queue(delete(*u.edge))
+        pool.flush()
+
+
+def recomputed(n, states):
+    """The ``temporal`` oracle: fresh indexes on the windowed pool's
+    truncated graph (its temporal invariants checked first), one per
+    distinct pattern of the vocabulary."""
+    pool = states["expiry_bulk_ms"]
+    pool.check_temporal_invariants()
+    return [
+        BoundedSimulationIndex(temporal_pattern(i), pool.graph.copy())
+        for i in range(min(n, VOCABULARY))
+    ]
+
+
+# Counters read off the pool's public stats; a row records each one's
+# change across the leg's timed run.
+ROUTING = {
+    "routed": lambda pool: pool.stats.routed_pairs,
+    "skipped": lambda pool: pool.stats.skipped_pairs,
+    "upkeep": lambda pool: pool.substrate.stats.structure_batches,
+}
+DISTANCE_WORK = {
+    "distance_checks": lambda pool: pool.stats.distance_checks,
+    "leg_nodes": lambda pool: pool.substrate.stats.leg_nodes,
+}
+ATOM_WORK = {
+    "atom_evals": lambda pool: pool.eligibility.stats.atom_evals,
+    "routed": ROUTING["routed"],
+}
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Flat:
+    """``key`` is one non-zero count at every N >= ``start``, judged on
+    two or more such sizes."""
+
+    name: str
+    key: str
+    start: int = 1
+
+    def verdict(self, rows) -> bool:
+        counts = [r[self.key] for r in rows if r["n"] >= self.start]
+        return len(counts) >= 2 and counts[0] > 0 and len(set(counts)) == 1
+
+
+@dataclass(frozen=True)
+class Race:
+    """The ratio ``key`` (``baseline`` leg over its rival) exceeds 1 on
+    every row with N >= ``start`` whose ``baseline`` clears
+    ``RACE_GATE_FLOOR_MS``; ungated (``None``) when no row does."""
+
+    name: str
+    key: str
+    baseline: str
+    start: int = 1
+
+    def verdict(self, rows) -> Optional[bool]:
+        gated = [
+            r[self.key] for r in rows
+            if r["n"] >= self.start and r[self.baseline] >= RACE_GATE_FLOOR_MS
+        ]
+        return all(ratio > 1.0 for ratio in gated) if gated else None
+
+
+@dataclass(frozen=True)
+class Every:
+    """On every row, the count ``key`` is non-zero and the count
+    ``zero`` is zero."""
+
+    name: str
+    key: str
+    zero: str
+
+    def verdict(self, rows) -> bool:
+        return bool(rows) and all(
+            r[self.key] and not r[self.zero] for r in rows
+        )
+
+
+Gate = Union[Flat, Race, Every]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One registry entry.  ``stream(graph, num_updates)`` is built once;
+    ``ratio`` is ``(row key, numerator leg, denominator leg)``.  Each
+    ``checked`` leg's pool (the first leg's by default) must answer query
+    ``p{i}`` as index ``i`` of ``oracle(n, states)`` does, ``states``
+    being the last run's leg states by key (by default the naive leg's
+    own indexes), and each ``expect``ed count must equal its value on
+    the stream.  ``info`` is copied into the scenario's JSON document."""
+
+    title: str
+    stream: Callable[[DiGraph, int], Any]
+    legs: Tuple[Leg, ...]
+    gates: Tuple[Gate, ...]
+    ratio: Tuple[str, str, str] = ("speedup", "naive_ms", "pool_ms")
+    oracle: Callable[[int, Dict[str, Any]], List[Any]] = indexes_of(
+        "naive_ms"
+    )
+    sizes: Callable[[List[int]], List[int]] = list
+    checked: Tuple[str, ...] = ()
+    expect: Mapping[str, Callable[[Any], int]] = field(default_factory=dict)
+    info: Mapping[str, Any] = field(default_factory=dict)
+
+
+def up_to_16(sizes):
+    """The naive loop's private indexes (and the per-edge leg's flushes)
+    get expensive fast; a sweep capped at 16 already spans every gate."""
+    return [n for n in sizes if n <= 16]
+
+
+def bounded(mode, sizes=list, gates=()):
+    """The ``bounded`` scenario in distance mode ``mode``."""
+    return Scenario(
+        title=f"distance_mode={mode}",
+        stream=partition_updates,
+        legs=(
+            Leg(
+                "pool_ms",
+                pool_of(bounded_pattern, "bounded", distance_mode=mode),
+                MatcherPool.apply,
+                counts={**ROUTING, **DISTANCE_WORK},
+            ),
+            naive(BoundedSimulationIndex, bounded_pattern, distance_mode=mode),
+        ),
+        gates=(Flat("distance_checks_flat", "distance_checks"), *gates),
+        sizes=sizes,
+        info={"distance_mode": mode},
+    )
+
+
+def temporal(mode):
+    """The ``temporal`` scenario in distance mode ``mode``: landmark mode
+    leases one structure that every expiry flush must sync; in bfs mode
+    nothing is leased and both counter gates fail."""
+    windowed = pool_of(
+        temporal_pattern, "bounded", window=TEMPORAL_WINDOW,
+        distance_mode=mode,
+    )
+    unwindowed = pool_of(temporal_pattern, "bounded", distance_mode=mode)
+
+    def expiring(graph, stream, n):
+        """A windowed pool that ingested the churn at t = 0, its clock
+        past the window."""
+        pool = windowed(graph, stream, n)
+        pool.apply(stream[0])
+        pool.advance(TEMPORAL_WINDOW + 1)
+        return pool
+
+    def stepping(graph, stream, n):
+        pool = expiring(graph, stream, n)
+        pool.queue_updates(stream[1])
+        return pool
+
+    def twin(graph, stream, n):
+        pool = unwindowed(graph, stream, n)
+        pool.apply(stream[0])
+        return pool
+
+    return Scenario(
+        title="sliding-window bulk expiry vs per-edge deletion flushes; "
+        f"{mode} mode",
+        stream=temporal_stream,
+        legs=(
+            Leg(
+                "expiry_bulk_ms", expiring, flush,
+                counts={
+                    "expired": lambda pool: pool.stats.expired_edges,
+                    "structure_batches": ROUTING["upkeep"],
+                    "rebuild_delta": (
+                        lambda pool: pool.rebuild_counters()["total"]
+                    ),
+                },
+            ),
+            Leg("expiry_per_edge_ms", twin, retire_one_by_one),
+            Leg("windowed_ms", stepping, flush),
+        ),
+        gates=(
+            Race("bulk_expiry_wins", "per_edge_over_bulk",
+                 "expiry_per_edge_ms"),
+            Flat("upkeep_flat", "structure_batches", start=VOCABULARY),
+            Every("zero_expiry_rebuilds", "structure_batches",
+                  zero="rebuild_delta"),
+        ),
+        ratio=("per_edge_over_bulk", "expiry_per_edge_ms", "expiry_bulk_ms"),
+        oracle=recomputed,
+        checked=("expiry_bulk_ms", "expiry_per_edge_ms"),
+        expect={"expired": lambda stream: len(stream[0])},
+        sizes=up_to_16,
+        info={
+            "distance_mode": mode,
+            "window": TEMPORAL_WINDOW,
+            "pattern_vocabulary": VOCABULARY,
+        },
+    )
+
+
+# Every scenario, in the order ``--scenario all`` runs them.
+SCENARIOS: Dict[str, Scenario] = {
+    "simulation": Scenario(
+        title="eq-key routed",
+        stream=partition_updates,
+        legs=(
+            Leg(
+                "pool_ms", pool_of(sim_pattern, "simulation"),
+                MatcherPool.apply, counts=ROUTING,
+            ),
+            naive(SimulationIndex, sim_pattern),
+        ),
+        gates=(Flat("routed_flat", "routed"),),
+    ),
+    "bounded": bounded("bfs"),
+    "bounded-shared": bounded(
+        "landmark", sizes=up_to_16, gates=(Flat("upkeep_flat", "upkeep"),)
+    ),
+    "overlap": Scenario(
+        title=f"N simulation queries over {VOCABULARY} distinct predicate "
+        "sets; pool vs naive loop",
+        stream=overlap_stream,
+        legs=(
+            Leg(
+                "pool_ms", queued(pool_of(overlap_pattern, "simulation")),
+                flush, counts=ATOM_WORK,
+            ),
+            naive(SimulationIndex, overlap_pattern, feed=feed_mixed),
+        ),
+        gates=(
+            Flat("atom_evals_flat", "atom_evals", start=VOCABULARY),
+            Flat("routed_flat", "routed", start=VOCABULARY),
+        ),
+        info={"flat_from": VOCABULARY},
+    ),
+    "overlap-atoms": Scenario(
+        title="N conjunction queries over a fixed 6-atom vocabulary; pool "
+        "vs naive loop",
+        stream=overlap_atoms_stream,
+        legs=(
+            Leg(
+                "pool_ms",
+                queued(pool_of(overlap_atoms_pattern, "simulation")),
+                flush, counts=ATOM_WORK,
+            ),
+            naive(SimulationIndex, overlap_atoms_pattern, feed=feed_mixed),
+        ),
+        gates=(Flat("atom_evals_flat", "atom_evals", start=3),),
+        sizes=lambda sizes: sorted({max(3, n) for n in sizes}),
+        info={"flat_from": 3},
+    ),
+    "shared-plan": Scenario(
+        title=f"N bound-2 patterns over {VOCABULARY} leg vocabularies, "
+        "shared plan vs naive loop",
+        stream=plan_updates,
+        legs=(
+            Leg(
+                "plan_shared_ms", pool_of(plan_pattern, "bounded"),
+                MatcherPool.apply,
+                counts={"join_repairs": lambda pool: pool.stats.join_repairs},
+                gauges={"plan_joins": lambda pool: pool.plan.num_joins()},
+            ),
+            naive(BoundedSimulationIndex, plan_pattern, key="plan_naive_ms"),
+        ),
+        gates=(
+            Flat("join_repairs_flat", "join_repairs", start=VOCABULARY),
+            Race("shared_wins", "naive_over_shared", "plan_naive_ms",
+                 start=PLAN_GATE_MIN_N),
+        ),
+        ratio=("naive_over_shared", "plan_naive_ms", "plan_shared_ms"),
+        oracle=indexes_of("plan_naive_ms"),
+        sizes=up_to_16,
+        info={"leg_vocabularies": VOCABULARY},
+    ),
+    "temporal": temporal("landmark"),
+}
+
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+def _cell(value) -> str:
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
+
+
+def check(name, stream, n, states, row) -> bool:
+    """Scenario ``name``'s correctness check at size ``n``: every checked
+    pool answers each query as the oracle does, and every expected count
+    holds."""
+    scenario = SCENARIOS[name]
+    failures = [
+        f"{key} = {row[key]}, expected {want(stream)}"
+        for key, want in scenario.expect.items()
+        if row[key] != want(stream)
+    ]
+    expected = scenario.oracle(n, states)
+    for key in scenario.checked or (scenario.legs[0].key,):
+        failures += [
+            f"{key} pool, pattern {i}"
+            for i, index in enumerate(expected)
+            if as_pairs(states[key].query(f"p{i}").matches())
+            != as_pairs(index.matches())
+        ]
+    for failure in failures:
+        print(f"MISMATCH {name} N={n}: {failure}", file=sys.stderr)
+    return not failures
+
+
+def judge(name, rows) -> Tuple[bool, Dict[str, Optional[bool]]]:
+    """Every gate of scenario ``name`` on ``rows``: ``(ok, verdicts)``,
+    ok unless some verdict is False (an ungated race reads ``None``)."""
+    gates = SCENARIOS[name].gates
+    verdicts = {gate.name: gate.verdict(rows) for gate in gates}
+    print("gates: " + " ".join(f"{k}={v}" for k, v in verdicts.items()))
+    for gate in gates:
+        if verdicts[gate.name] is False:
+            by_n = {r["n"]: r[gate.key] for r in rows}
             print(
-                f"MISMATCH temporal N={n}: expired {report.expired} of "
-                f"{len(churn)} churn edges",
+                f"GATE FAILED {name}: {gate!r}; {gate.key} by N: {by_n}",
                 file=sys.stderr,
             )
-            ok = False
-        # --- leg 2: the same deletions, one flush each -------------------
-        per_edge_times = []
-        twin = None
-        for _ in range(race_reps):
-            twin = make_pool(n, None)
-            twin.apply(churn)
+    return all(v is not False for v in verdicts.values()), verdicts
 
-            def retire_one_by_one():
-                for u in churn:
-                    twin.queue(delete(*u.edge))
-                    twin.flush()
 
-            elapsed, _ = timed(retire_one_by_one)
-            per_edge_times.append(elapsed)
-        row["expiry_per_edge_ms"] = round(min(per_edge_times) * 1e3, 3)
-        # --- leg 3: steady-state window step (expire + ingest) -----------
-        step_times = []
-        for _ in range(race_reps):
-            spool = make_pool(n, TEMPORAL_WINDOW)
-            spool.apply(churn)
-            spool.advance(TEMPORAL_WINDOW + 1)
-            spool.queue_updates(churn2)
-            elapsed, _ = timed(spool.flush)
-            step_times.append(elapsed)
-        row["windowed_ms"] = round(min(step_times) * 1e3, 3)
-        # --- correctness: windowed == per-edge twin == from-scratch ------
-        pool.check_temporal_invariants()
-        for i in range(min(n, k)):
-            expect = as_pairs(
-                BoundedSimulationIndex(
-                    temporal_pattern(i), pool.graph.copy()
-                ).matches()
-            )
-            for label, p in (("windowed", pool), ("per-edge", twin)):
-                got = as_pairs(p.query(f"p{i}").matches())
-                if got != expect:
-                    print(
-                        f"MISMATCH temporal N={n} pattern {i} "
-                        f"({label} pool vs from-scratch)",
-                        file=sys.stderr,
-                    )
-                    ok = False
-        ratio = (
-            row["expiry_per_edge_ms"] / row["expiry_bulk_ms"]
-            if row["expiry_bulk_ms"]
+def run(name, graph, sizes, num_updates, reps) -> Tuple[bool, dict]:
+    """Measure scenario ``name`` at each of its sizes: ``(ok, doc)``."""
+    scenario = SCENARIOS[name]
+    sizes = scenario.sizes(sizes)
+    if any(isinstance(gate, Race) for gate in scenario.gates):
+        reps = max(reps, 5)
+    stream = scenario.stream(graph, num_updates)
+    ratio, num, den = scenario.ratio
+    columns = ["n", *(leg.key for leg in scenario.legs), ratio]
+    for leg in scenario.legs:
+        columns += [*leg.counts, *leg.gauges]
+    widths = {c: max(len(c), 7) for c in columns}
+    print(f"\n== scenario: {name} ({scenario.title}) ==")
+    print(" ".join(f"{c:>{widths[c]}}" for c in columns))
+    ok = True
+    rows = []
+    for n in sizes:
+        times = {leg.key: [] for leg in scenario.legs}
+        for _ in range(reps):
+            states, counts = {}, {}
+            for leg in scenario.legs:
+                state = states[leg.key] = leg.build(graph, stream, n)
+                before = {k: read(state) for k, read in leg.counts.items()}
+                gc.collect()
+                start = time.perf_counter()
+                leg.run(state, stream)
+                times[leg.key].append(time.perf_counter() - start)
+                for key, read in leg.counts.items():
+                    counts[key] = read(state) - before[key]
+                for key, read in leg.gauges.items():
+                    counts[key] = read(state)
+        median = {key: statistics.median(ts) for key, ts in times.items()}
+        row = {"n": n}
+        row.update((key, round(t * 1e3, 3)) for key, t in median.items())
+        row[ratio] = (
+            round(median[num] / median[den], 2) if median[den] > 0
             else float("inf")
         )
-        row["per_edge_over_bulk"] = round(ratio, 2)
-        print(
-            f"{n:>4} {row['expiry_bulk_ms']:>9.2f} "
-            f"{row['expiry_per_edge_ms']:>12.2f} {ratio:>6.2f}x "
-            f"{row['windowed_ms']:>9.2f} {row['expired']:>8} "
-            f"{upkeep:>7} {rebuild_delta:>9}"
-        )
-        results.append(row)
-    gated = [
-        r for r in results if r["expiry_per_edge_ms"] >= RACE_GATE_FLOOR_MS
-    ]
-    bulk_expiry_wins = (
-        all(r["per_edge_over_bulk"] > 1.0 for r in gated) if gated else None
-    )
-    flat_rows = [r["structure_batches"] for r in results if r["n"] >= k]
-    upkeep_flat = (
-        len(flat_rows) >= 2 and 0 not in flat_rows and len(set(flat_rows)) == 1
-    )
-    zero_expiry_rebuilds = all(
-        r["rebuild_delta"] == 0 and r["structure_batches"] > 0
-        for r in results
-    )
-    print(
-        f"bulk_expiry_wins={bulk_expiry_wins} upkeep_flat={upkeep_flat} "
-        f"zero_expiry_rebuilds={zero_expiry_rebuilds}"
-    )
-    if bulk_expiry_wins is False:
-        print(
-            "temporal: bulk expiry did not beat per-edge deletion flushes",
-            file=sys.stderr,
-        )
-        ok = False
-    elif bulk_expiry_wins is None:
-        print(
-            f"temporal: race ungated (all per-edge runs under "
-            f"{RACE_GATE_FLOOR_MS}ms — noise-dominated at this scale)"
-        )
-    if not upkeep_flat:
-        print(
-            f"temporal: expiry-flush structure batches at N >= {k} are not "
-            f"one non-zero count over two or more sizes: {flat_rows}",
-            file=sys.stderr,
-        )
-        ok = False
-    if not zero_expiry_rebuilds:
-        print(
-            "temporal: a bulk expiry flush synced no structure or triggered "
-            "full-structure rebuilds",
-            file=sys.stderr,
-        )
-        ok = False
-    return ok, {
-        "sizes": sizes,
-        "reps": race_reps,
-        "distance_mode": TEMPORAL_DISTANCE_MODE,
-        "window": TEMPORAL_WINDOW,
-        "churn": len(churn),
-        "pattern_vocabulary": k,
-        "results": results,
-        "bulk_expiry_wins": bulk_expiry_wins,
-        "upkeep_flat": upkeep_flat,
-        "zero_expiry_rebuilds": zero_expiry_rebuilds,
-    }
+        row.update(counts)
+        ok = check(name, stream, n, states, row) and ok
+        print(" ".join(f"{_cell(row[c]):>{widths[c]}}" for c in columns))
+        rows.append(row)
+    gates_ok, verdicts = judge(name, rows)
+    doc = {"sizes": sizes, "reps": reps, **scenario.info, "results": rows}
+    doc.update(verdicts)
+    return ok and gates_ok, doc
 
 
 def main(argv=None) -> int:
@@ -961,15 +844,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scenario",
-        choices=[*SCENARIO_NAMES, "all"],
+        choices=[*SCENARIOS, "all"],
         default="all",
         help="which workload to run",
-    )
-    parser.add_argument(
-        "--distance-mode",
-        choices=DISTANCE_MODES,
-        default="bfs",
-        help="distance mode for the bounded scenario's pool queries",
     )
     parser.add_argument(
         "--json",
@@ -992,79 +869,28 @@ def main(argv=None) -> int:
         num_updates = args.updates or 120
         reps = args.reps or 3
 
-    max_n = max(sizes)
-    graph = build_graph(max_n, cluster_size)
-    updates = partition_updates(graph, num_updates)
+    graph = build_graph(max(sizes), cluster_size)
     print(
         f"graph: |V|={graph.num_nodes()} |E|={graph.num_edges()}  "
-        f"updates: {len(updates)} (all in partition 0's label space)"
+        f"updates: {num_updates} per scenario stream"
     )
-
-    if args.scenario == "all":
-        scenarios = SCENARIO_NAMES
-    else:
-        scenarios = [args.scenario]
+    names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     ok = True
     doc = {
         "graph": {"nodes": graph.num_nodes(), "edges": graph.num_edges()},
-        "updates": len(updates),
-        "distance_mode": args.distance_mode,
+        "updates": num_updates,
         "scenarios": {},
     }
-    for scenario in scenarios:
-        if scenario == "bounded-shared":
-            # The naive loop's N private landmark indexes get expensive
-            # fast; a capped size sweep already shows the flat upkeep.
-            shared_sizes = [n for n in sizes if n <= 16] or sizes[:1]
-            s_ok, s_doc = run_scenario(
-                "bounded", shared_sizes, graph, updates, reps, "landmark",
-                label="bounded-shared",
-            )
-        elif scenario == "overlap":
-            k = min(4, max(sizes))
-            s_ok, s_doc = run_overlap_scenario(
-                "overlap",
-                f"N simulation queries over {k} distinct predicate sets",
-                sizes, graph, reps, overlap_stream(graph, k, num_updates),
-                lambda i, k=k: sim_pattern(i % k), flat_from=k,
-                interned_copies=True,
-            )
-        elif scenario == "overlap-atoms":
-            s_ok, s_doc = run_overlap_scenario(
-                "overlap-atoms",
-                "N conjunction queries over a fixed 6-atom vocabulary",
-                sorted({max(3, n) for n in sizes}), graph, reps,
-                overlap_atoms_stream(graph, num_updates),
-                overlap_atoms_pattern, flat_from=3,
-            )
-        elif scenario == "shared-plan":
-            # The naive loop's private bounded indexes get expensive fast
-            # (that is the contrast being measured); a capped sweep
-            # already spans the N >= 16 gate.
-            plan_sizes = [n for n in sizes if n <= 16] or sizes[:1]
-            s_ok, s_doc = run_shared_plan_scenario(
-                plan_sizes, graph, num_updates, reps
-            )
-        elif scenario == "temporal":
-            # The per-edge leg pays one flush per churn edge; a capped
-            # sweep already spans the vocabulary-flat gate (k=4).
-            temporal_sizes = [n for n in sizes if n <= 16] or sizes[:1]
-            s_ok, s_doc = run_temporal_scenario(
-                temporal_sizes, graph, num_updates, reps
-            )
-        else:
-            s_ok, s_doc = run_scenario(
-                scenario, sizes, graph, updates, reps, args.distance_mode
-            )
+    for name in names:
+        s_ok, doc["scenarios"][name] = run(
+            name, graph, sizes, num_updates, reps
+        )
         ok = ok and s_ok
-        doc["scenarios"][scenario] = s_doc
 
     if args.json != "-":
         Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
         print(f"\nwrote {args.json}")
-    if not ok:
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Workload sizes derive from ``REPRO_BENCH_SCALE`` (default 0.02 — about 350
 node / 1.2K edge stand-ins) so that ``pytest benchmarks/ --benchmark-only``
 finishes quickly; raise the scale for paper-size measurements.  The full
 parameter sweeps that regenerate each figure's series live in
-``python -m repro.bench`` (see EXPERIMENTS.md).
+``python -m repro.bench`` (``--list`` names them).
 """
 
 from __future__ import annotations

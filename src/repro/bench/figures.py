@@ -4,7 +4,8 @@ Each ``figXX`` function returns a list of row dicts (the series the paper
 plots); ``python -m repro.bench --figure fig18a`` renders them as a table.
 Absolute times differ from the paper's 2011 testbed; the *shape* — who
 wins, by what rough factor, where incremental crosses batch — is the
-reproduction target recorded in EXPERIMENTS.md.
+reproduction target, which :mod:`repro.bench.summary` checks against the
+paper's Section-8 findings.
 """
 
 from __future__ import annotations

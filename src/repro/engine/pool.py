@@ -126,8 +126,7 @@ class PoolStats:
     the flush routed and repaired — each one however many planned queries
     read it; ``distance_checks`` counts the pattern-edge rules the router
     evaluated for distance-routed queries (only for source predicates an
-    edge's backward leg meets); ``plan_leases`` is an end-of-flush gauge
-    of planned registrations, not cumulative.
+    edge's backward leg meets).
     """
 
     __slots__ = (
@@ -140,7 +139,6 @@ class PoolStats:
         "distance_checks",
         "view_repairs",
         "join_repairs",
-        "plan_leases",
         "expired_edges",
         "expired_queries",
     )
@@ -159,7 +157,6 @@ class PoolStats:
         # Always 0; kept only because benchmarks/e2e/run.py reads it.
         self.view_repairs = 0
         self.join_repairs = 0
-        self.plan_leases = 0
         # Temporal counters: edges retired by window/TTL expiry and
         # standing queries auto-unregistered by a register-time TTL.
         self.expired_edges = 0
@@ -689,7 +686,6 @@ class MatcherPool:
         if touched:
             for q in self.plan.deliver(list(touched.values())):
                 touched[id(q)] = q
-        self.stats.plan_leases = self.plan.num_leases()
 
         # ---- Phase E: publish match deltas -----------------------------
         for q in touched.values():

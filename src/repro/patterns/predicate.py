@@ -33,41 +33,6 @@ class PredicateError(ValueError):
     """Raised for malformed predicate expressions."""
 
 
-# Global count of Predicate.satisfied_by applications.  The pool-level
-# eligibility substrate exists to make this number scale with *distinct*
-# predicates rather than pool size; the ``overlap`` benchmark scenario
-# reads it around each flush to verify exactly that.
-_EVALUATIONS = 0
-
-# Global count of Atom.satisfied_by applications.  The substrate's atom
-# tier exists to make *this* number scale with distinct atoms rather than
-# distinct conjunctions; the ``overlap-atoms`` benchmark scenario reads it
-# around each flush to verify exactly that.
-_ATOM_EVALUATIONS = 0
-
-
-def evaluation_count() -> int:
-    """Total ``Predicate.satisfied_by`` applications since process start
-    (or the last :func:`reset_evaluation_count`)."""
-    return _EVALUATIONS
-
-
-def reset_evaluation_count() -> None:
-    global _EVALUATIONS
-    _EVALUATIONS = 0
-
-
-def atom_evaluation_count() -> int:
-    """Total ``Atom.satisfied_by`` applications since process start (or
-    the last :func:`reset_atom_evaluation_count`)."""
-    return _ATOM_EVALUATIONS
-
-
-def reset_atom_evaluation_count() -> None:
-    global _ATOM_EVALUATIONS
-    _ATOM_EVALUATIONS = 0
-
-
 class Atom:
     """One atomic formula ``attribute op constant``."""
 
@@ -87,8 +52,6 @@ class Atom:
         ``v.A op a``).  Comparisons between incompatible types fail rather
         than raise, since a data graph may mix attribute domains.
         """
-        global _ATOM_EVALUATIONS
-        _ATOM_EVALUATIONS += 1
         if self.attribute not in attrs:
             return False
         try:
@@ -181,8 +144,6 @@ class Predicate:
         return Predicate((Atom(attribute, "=", value),))
 
     def satisfied_by(self, attrs: Mapping[str, Any]) -> bool:
-        global _EVALUATIONS
-        _EVALUATIONS += 1
         if self._unsat:
             return False
         return all(atom.satisfied_by(attrs) for atom in self.atoms)

@@ -23,13 +23,17 @@ def _bench_pool():
 
 
 def test_committed_bench_record_matches_the_code():
-    """Scenario set, graph, stream, and the routed/skipped counts of the
-    ``simulation`` and ``bounded`` rows at the smallest and largest N
-    (deterministic under every hash seed) recomputed from what the file
-    says it ran."""
+    """Scenario set, each scenario's distance mode, graph, stream, and
+    the routed/skipped counts of the ``simulation`` and ``bounded`` rows
+    at the smallest and largest N (deterministic under every hash seed)
+    recomputed through each scenario's declared pool leg from what the
+    file says it ran."""
     bench = _bench_pool()
     doc = json.loads((ROOT / "BENCH_pool.json").read_text())
-    assert set(doc["scenarios"]) == set(bench.SCENARIO_NAMES)
+    assert set(doc["scenarios"]) == set(bench.SCENARIOS)
+    for name, scenario in bench.SCENARIOS.items():
+        recorded = doc["scenarios"][name].get("distance_mode")
+        assert recorded == scenario.info.get("distance_mode"), name
     max_n = max(doc["scenarios"]["simulation"]["sizes"])
     graph = bench.build_graph(max_n, doc["graph"]["nodes"] // max_n)
     assert graph.num_nodes() == doc["graph"]["nodes"]
@@ -37,10 +41,11 @@ def test_committed_bench_record_matches_the_code():
     updates = bench.partition_updates(graph, doc["updates"])
     assert len(updates) == doc["updates"]
     for scenario in ("simulation", "bounded"):
+        leg = bench.SCENARIOS[scenario].legs[0]
         rows = {r["n"]: r for r in doc["scenarios"][scenario]["results"]}
         for n in (min(rows), max(rows)):
-            _, _, report = bench.run_pool(
-                graph.copy(), scenario, n, updates, doc["distance_mode"]
-            )
+            pool = leg.build(graph, updates, n)
+            leg.run(pool, updates)
             recorded = (rows[n]["routed"], rows[n]["skipped"])
-            assert (report.routed, report.skipped) == recorded, (scenario, n)
+            counted = (pool.stats.routed_pairs, pool.stats.skipped_pairs)
+            assert counted == recorded, (scenario, n)

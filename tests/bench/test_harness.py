@@ -1,9 +1,27 @@
 """Smoke tests: every figure driver runs at tiny scale and yields the
-columns EXPERIMENTS.md documents."""
+columns its paper figure plots; ``benchmarks/bench_pool.py`` runs, and
+each of its gates can fail."""
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.figures import FIGURES
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _bench_pool():
+    """A fresh import of ``benchmarks/bench_pool.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pool", ROOT / "benchmarks" / "bench_pool.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
 
 TINY = 0.008
 
@@ -107,12 +125,10 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     """CI uploads BENCH_pool.json; pin its shape and the routing headline
     (non-owning bounded queries decline the partitioned stream, so the
     routed count must not grow with pool size)."""
-    import json
     import subprocess
     import sys
-    from pathlib import Path
 
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py"
+    script = ROOT / "benchmarks" / "bench_pool.py"
     out = tmp_path / "BENCH_pool.json"
     proc = subprocess.run(
         [
@@ -137,10 +153,12 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
             assert {"n", "pool_ms", "naive_ms", "routed", "skipped"} <= set(row)
         routed = [r["routed"] for r in scenario["results"]]
         assert len(set(routed)) == 1, (name, routed)
+    assert doc["scenarios"]["simulation"]["routed_flat"] is True
     # Distance routing evaluates only the pattern edges whose source
     # predicate an edge's backward leg meets: flat and non-zero in N.
-    for name in ("bounded", "bounded-shared"):
+    for name, mode in (("bounded", "bfs"), ("bounded-shared", "landmark")):
         scenario = doc["scenarios"][name]
+        assert scenario["distance_mode"] == mode
         assert scenario["distance_checks_flat"] is True
         for row in scenario["results"]:
             assert {"distance_checks", "leg_nodes"} <= set(row)
@@ -154,6 +172,7 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         assert {"n", "pool_ms", "naive_ms", "upkeep"} <= set(row)
     upkeep = [r["upkeep"] for r in shared["results"]]
     assert len(set(upkeep)) == 1 and upkeep[0] > 0, upkeep
+    assert shared["upkeep_flat"] is True
     # The eligibility substrate's headline: per-flush atom evaluations
     # are non-zero and EXACTLY flat in N once the predicate vocabulary is
     # interned (hard-gated by both scenarios — exit code 0 above — so
@@ -224,6 +243,23 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     assert len(set(batches)) == 1 and batches[0] > 0, batches
 
 
+def _unshared(monkeypatch):
+    """Give every registration its own intern key, so nothing is shared."""
+    import itertools
+
+    from repro.engine import plan as plan_module
+
+    canonical = plan_module.canonical_pattern
+    fresh = itertools.count()
+
+    def unshared(pattern):
+        canon = canonical(pattern)
+        canon.key = (canon.key, next(fresh))
+        return canon
+
+    monkeypatch.setattr(plan_module, "canonical_pattern", unshared)
+
+
 @pytest.mark.parametrize("interned", [True, False])
 def test_shared_plan_gate_fails_only_when_nothing_is_interned(
     interned, monkeypatch
@@ -231,32 +267,11 @@ def test_shared_plan_gate_fails_only_when_nothing_is_interned(
     """The shared-plan flatness gate can fail: when every registration
     gets its own intern key, join repairs grow with N and the scenario
     reports not-ok; with interning it passes on the same inputs."""
-    import importlib.util
-    import itertools
-    from pathlib import Path
-
-    from repro.engine import plan as plan_module
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_pool",
-        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
-    )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_pool()
     if not interned:
-        canonical = plan_module.canonical_pattern
-        fresh = itertools.count()
-
-        def unshared(pattern):
-            canon = canonical(pattern)
-            canon.key = (canon.key, next(fresh))
-            return canon
-
-        monkeypatch.setattr(plan_module, "canonical_pattern", unshared)
+        _unshared(monkeypatch)
     graph = bench.build_graph(num_clusters=4, cluster_size=6)
-    ok, doc = bench.run_shared_plan_scenario(
-        [4, 8], graph, num_updates=8, reps=1
-    )
+    ok, doc = bench.run("shared-plan", graph, [4, 8], num_updates=8, reps=1)
     assert ok is interned
     assert doc["join_repairs_flat"] is interned
     joins = {r["n"]: r["plan_joins"] for r in doc["results"]}
@@ -273,35 +288,11 @@ def test_overlap_routing_gate_fails_only_when_nothing_is_interned(
     not-ok; with interning it passes on the same inputs.  The atom gate
     passes either way (predicates are shared by the eligibility
     substrate, not by the plan)."""
-    import importlib.util
-    import itertools
-    from pathlib import Path
-
-    from repro.engine import plan as plan_module
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_pool",
-        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
-    )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_pool()
     if not interned:
-        canonical = plan_module.canonical_pattern
-        fresh = itertools.count()
-
-        def unshared(pattern):
-            canon = canonical(pattern)
-            canon.key = (canon.key, next(fresh))
-            return canon
-
-        monkeypatch.setattr(plan_module, "canonical_pattern", unshared)
+        _unshared(monkeypatch)
     graph = bench.build_graph(num_clusters=4, cluster_size=6)
-    ok, doc = bench.run_overlap_scenario(
-        "overlap", "test", [4, 8], graph, 1,
-        bench.overlap_stream(graph, 4, 40),
-        lambda i: bench.sim_pattern(i % 4), flat_from=4,
-        interned_copies=True,
-    )
+    ok, doc = bench.run("overlap", graph, [4, 8], num_updates=40, reps=1)
     assert ok is interned
     assert doc["routed_flat"] is interned
     assert doc["atom_evals_flat"] is True
@@ -319,17 +310,9 @@ def test_bounded_distance_check_gate_fails_when_every_edge_is_evaluated(
     only those whose source predicate the backward leg meets, makes the
     count grow with N and the scenario report not-ok; the real router
     passes on the same inputs.  Routing itself is the same either way."""
-    import importlib.util
-    from pathlib import Path
-
     from repro.engine import router as router_module
 
-    spec = importlib.util.spec_from_file_location(
-        "bench_pool",
-        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
-    )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_pool()
     if not selective:
         route_by_legs = router_module._route_by_legs
 
@@ -341,8 +324,7 @@ def test_bounded_distance_check_gate_fails_when_every_edge_is_evaluated(
             router_module, "_route_by_legs", evaluate_everything
         )
     graph = bench.build_graph(num_clusters=8, cluster_size=6)
-    updates = bench.partition_updates(graph, 8)
-    ok, doc = bench.run_scenario("bounded", [4, 8], graph, updates, 1, "bfs")
+    ok, doc = bench.run("bounded", graph, [4, 8], num_updates=8, reps=1)
     assert ok is selective
     assert doc["distance_checks_flat"] is selective
     checks = {r["n"]: r["distance_checks"] for r in doc["results"]}
@@ -359,18 +341,12 @@ def test_temporal_gates_fail_when_no_structure_is_synced(
     structure is leased, every expiry flush syncs 0 structures, and the
     scenario reports not-ok; in landmark mode it passes on the same
     inputs."""
-    import importlib.util
-    from pathlib import Path
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_pool",
-        Path(__file__).resolve().parents[2] / "benchmarks" / "bench_pool.py",
+    bench = _bench_pool()
+    monkeypatch.setitem(
+        bench.SCENARIOS, "temporal", bench.temporal(distance_mode)
     )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    monkeypatch.setattr(bench, "TEMPORAL_DISTANCE_MODE", distance_mode)
     graph = bench.build_graph(num_clusters=4, cluster_size=6)
-    ok, doc = bench.run_temporal_scenario([4, 8], graph, num_churn=8, reps=1)
+    ok, doc = bench.run("temporal", graph, [4, 8], num_updates=8, reps=1)
     synced = distance_mode == "landmark"
     assert ok is synced
     assert doc["upkeep_flat"] is synced
@@ -379,16 +355,73 @@ def test_temporal_gates_fail_when_no_structure_is_synced(
     assert batches == ([1, 1] if synced else [0, 0])
 
 
+def test_runner_check_fails_when_a_query_disagrees_with_its_oracle():
+    """The runner's correctness check can fail: a pool that applied the
+    stream disagrees with a naive loop that has not run yet, and agrees
+    once it has."""
+    bench = _bench_pool()
+    scenario = bench.SCENARIOS["simulation"]
+    graph = bench.build_graph(num_clusters=2, cluster_size=30)
+    stream = scenario.stream(graph, 120)
+    states = {leg.key: leg.build(graph, stream, 2) for leg in scenario.legs}
+    pool_leg, naive_leg = scenario.legs
+    pool_leg.run(states[pool_leg.key], stream)
+    assert bench.check("simulation", stream, 2, states, {}) is False
+    naive_leg.run(states[naive_leg.key], stream)
+    assert bench.check("simulation", stream, 2, states, {}) is True
+
+
+def _gate_mutations():
+    """Every gate the registry declares, with each way its quantity can
+    be rewritten to fail it."""
+    bench = _bench_pool()
+    kinds = {
+        bench.Flat: ("grown", "zero", "one-size"),
+        bench.Race: ("lost",),
+        bench.Every: ("zero",),
+    }
+    return [
+        pytest.param(name, gate.name, how, id=f"{name}-{gate.name}-{how}")
+        for name, scenario in bench.SCENARIOS.items()
+        for gate in scenario.gates
+        for how in kinds[type(gate)]
+    ]
+
+
+@pytest.mark.parametrize("name, gate_name, how", _gate_mutations())
+def test_every_declared_gate_can_fail(name, gate_name, how):
+    """Rows that pass every gate (the committed full run's) fail the one
+    gate whose quantity is rewritten: a count grown with N, zero at every
+    N, or judged on one size; a race lost above the noise floor."""
+    bench = _bench_pool()
+    gate = next(g for g in bench.SCENARIOS[name].gates if g.name == gate_name)
+    record = json.loads((ROOT / "BENCH_pool.json").read_text())
+    rows = [dict(r) for r in record["scenarios"][name]["results"]]
+    ok, verdicts = bench.judge(name, rows)
+    assert ok and verdicts[gate_name] is True, verdicts
+    gated = [r for r in rows if r["n"] >= getattr(gate, "start", 1)]
+    if how == "grown":
+        for r in gated:
+            r[gate.key] = r["n"]
+    elif how == "zero":
+        for r in rows:
+            r[gate.key] = 0
+    elif how == "one-size":
+        rows = [r for r in rows if r not in gated[1:]]
+    else:
+        for r in gated:
+            r[gate.baseline] = 2 * bench.RACE_GATE_FLOOR_MS
+            r[gate.key] = 0.5
+    ok, verdicts = bench.judge(name, rows)
+    assert verdicts[gate_name] is False
+    assert not ok
+
+
 def test_compare_bench_trend_accumulates_over_history(tmp_path):
     """compare_bench --trend: each run appends a snapshot, seeding from
     the previous build's trend artifact, capped at --trend-cap."""
-    import importlib.util
-    import json
-    from pathlib import Path
-
     spec = importlib.util.spec_from_file_location(
-        "compare_bench",
-        Path(__file__).resolve().parents[2] / "benchmarks" / "compare_bench.py",
+        "compare_bench", ROOT / "benchmarks" / "compare_bench.py"
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)

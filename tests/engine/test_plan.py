@@ -301,4 +301,4 @@ class TestStats:
         pool.register(two_leg_pattern(), name="q0")
         pool.register(two_leg_pattern(names=("u", "v", "w")), name="q1")
         pool.flush()
-        assert pool.stats.plan_leases == 2
+        assert pool.plan.num_leases() == 2

@@ -150,18 +150,6 @@ class TestCanonicalization:
         assert not p.satisfied_by({"age": 61, "job": "DB"})
         assert not p.satisfied_by({"age": 30, "job": "AI"})
 
-    def test_evaluation_counter(self):
-        from repro.patterns import predicate as predmod
-
-        predmod.reset_evaluation_count()
-        p = parse_predicate("a = 1")
-        p.satisfied_by({"a": 1})
-        p.satisfied_by({"a": 2})
-        Predicate.true().satisfied_by({})
-        assert predmod.evaluation_count() == 3
-        predmod.reset_evaluation_count()
-        assert predmod.evaluation_count() == 0
-
 
 class TestUnsatisfiable:
     """Trivially-contradictory conjunctions are detected at construction
