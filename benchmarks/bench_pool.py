@@ -62,7 +62,11 @@ is built untimed and timed right after a full ``gc.collect()``, so a
 cyclic-GC pass paid for set-up garbage does not land in it; a row
 reports each leg's median over ``--reps`` runs (at least 5 in a
 scenario that races); counters are the change across the last run's
-timed region.  Every checked pool's queries must equal the oracle's.
+timed region.  The oracle is batch recomputation: every checked pool's
+queries, and every naive index, must equal ``maximum_simulation`` or
+``bounded_match`` (totalized) on the first checked pool's final graph,
+and every other checked pool and every naive index must hold that same
+graph.
 Gates come in three kinds: :class:`Flat` (a count non-zero and equal at
 every N from a threshold, judged on two or more sizes), :class:`Race`
 (a ratio above 1 wherever the baseline clears ``RACE_GATE_FLOOR_MS``)
@@ -90,16 +94,19 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro import bounded_match, maximum_simulation, totalize  # noqa: E402
 from repro.engine import MatcherPool  # noqa: E402
 from repro.graphs.digraph import DiGraph  # noqa: E402
 from repro.incremental.incbsim import BoundedSimulationIndex  # noqa: E402
 from repro.incremental.incsim import SimulationIndex  # noqa: E402
 from repro.incremental.types import delete, insert  # noqa: E402
+from repro.matching.oracles import BFSOracle  # noqa: E402
 from repro.matching.relation import as_pairs  # noqa: E402
 from repro.patterns.pattern import Pattern  # noqa: E402
 from repro.patterns.predicate import Atom, Predicate  # noqa: E402
@@ -437,10 +444,23 @@ def naive(index_type, pattern, feed=feed_edges, key="naive_ms", **kwargs):
     return Leg(key, build, NaiveLoop.run)
 
 
-def indexes_of(key):
-    """The oracle a naive leg gives: its own indexes, fed the same
-    stream."""
-    return lambda n, states: states[key].indexes
+def batch(pattern, semantics):
+    """The oracle of queries ``p{i} = pattern(i)`` under ``semantics``:
+    ``oracle(n, pool)`` recomputes each from scratch on ``pool``'s
+    graph, totalized as a pool query's answer is.  ``bounded_match``
+    reads its distances by BFS from the candidates: with its default on
+    these graphs, an all-pairs matrix per call, a full run took 53 s
+    instead of 44 s."""
+
+    def oracle(n, pool):
+        graph = pool.graph
+        if semantics == "bounded":
+            match = partial(bounded_match, oracle=BFSOracle(graph))
+        else:
+            match = maximum_simulation
+        return [totalize(match(pattern(i), graph)) for i in range(n)]
+
+    return oracle
 
 
 def retire_one_by_one(pool, stream):
@@ -452,16 +472,11 @@ def retire_one_by_one(pool, stream):
         pool.flush()
 
 
-def recomputed(n, states):
-    """The ``temporal`` oracle: fresh indexes on the windowed pool's
-    truncated graph (its temporal invariants checked first), one per
-    distinct pattern of the vocabulary."""
-    pool = states["expiry_bulk_ms"]
+def expired(n, pool):
+    """The ``temporal`` oracle: the windowed pool's temporal invariants,
+    then batch recomputation on its truncated graph."""
     pool.check_temporal_invariants()
-    return [
-        BoundedSimulationIndex(temporal_pattern(i), pool.graph.copy())
-        for i in range(min(n, VOCABULARY))
-    ]
+    return batch(temporal_pattern, "bounded")(n, pool)
 
 
 # Counters read off the pool's public stats; a row records each one's
@@ -538,21 +553,20 @@ Gate = Union[Flat, Race, Every]
 @dataclass(frozen=True)
 class Scenario:
     """One registry entry.  ``stream(graph, num_updates)`` is built once;
-    ``ratio`` is ``(row key, numerator leg, denominator leg)``.  Each
-    ``checked`` leg's pool (the first leg's by default) must answer query
-    ``p{i}`` as index ``i`` of ``oracle(n, states)`` does, ``states``
-    being the last run's leg states by key (by default the naive leg's
-    own indexes), and each ``expect``ed count must equal its value on
-    the stream.  ``info`` is copied into the scenario's JSON document."""
+    ``ratio`` is ``(row key, numerator leg, denominator leg)``.
+    ``oracle(n, pool)`` gives the expected answer of each query ``p{i}``
+    on the final graph of the first ``checked`` leg's pool (the first
+    leg's by default); every checked pool and every naive leg's index
+    ``i`` must hold that graph and give that answer (see :func:`check`),
+    and each ``expect``ed count must equal its value on the stream.
+    ``info`` is copied into the scenario's JSON document."""
 
     title: str
     stream: Callable[[DiGraph, int], Any]
     legs: Tuple[Leg, ...]
     gates: Tuple[Gate, ...]
+    oracle: Callable[[int, MatcherPool], List[Any]]
     ratio: Tuple[str, str, str] = ("speedup", "naive_ms", "pool_ms")
-    oracle: Callable[[int, Dict[str, Any]], List[Any]] = indexes_of(
-        "naive_ms"
-    )
     sizes: Callable[[List[int]], List[int]] = list
     checked: Tuple[str, ...] = ()
     expect: Mapping[str, Callable[[Any], int]] = field(default_factory=dict)
@@ -580,6 +594,7 @@ def bounded(mode, sizes=list, gates=()):
             naive(BoundedSimulationIndex, bounded_pattern, distance_mode=mode),
         ),
         gates=(Flat("distance_checks_flat", "distance_checks"), *gates),
+        oracle=batch(bounded_pattern, "bounded"),
         sizes=sizes,
         info={"distance_mode": mode},
     )
@@ -639,7 +654,7 @@ def temporal(mode):
                   zero="rebuild_delta"),
         ),
         ratio=("per_edge_over_bulk", "expiry_per_edge_ms", "expiry_bulk_ms"),
-        oracle=recomputed,
+        oracle=expired,
         checked=("expiry_bulk_ms", "expiry_per_edge_ms"),
         expect={"expired": lambda stream: len(stream[0])},
         sizes=up_to_16,
@@ -664,6 +679,7 @@ SCENARIOS: Dict[str, Scenario] = {
             naive(SimulationIndex, sim_pattern),
         ),
         gates=(Flat("routed_flat", "routed"),),
+        oracle=batch(sim_pattern, "simulation"),
     ),
     "bounded": bounded("bfs"),
     "bounded-shared": bounded(
@@ -684,6 +700,7 @@ SCENARIOS: Dict[str, Scenario] = {
             Flat("atom_evals_flat", "atom_evals", start=VOCABULARY),
             Flat("routed_flat", "routed", start=VOCABULARY),
         ),
+        oracle=batch(overlap_pattern, "simulation"),
         info={"flat_from": VOCABULARY},
     ),
     "overlap-atoms": Scenario(
@@ -699,6 +716,7 @@ SCENARIOS: Dict[str, Scenario] = {
             naive(SimulationIndex, overlap_atoms_pattern, feed=feed_mixed),
         ),
         gates=(Flat("atom_evals_flat", "atom_evals", start=3),),
+        oracle=batch(overlap_atoms_pattern, "simulation"),
         sizes=lambda sizes: sorted({max(3, n) for n in sizes}),
         info={"flat_from": 3},
     ),
@@ -721,7 +739,7 @@ SCENARIOS: Dict[str, Scenario] = {
                  start=PLAN_GATE_MIN_N),
         ),
         ratio=("naive_over_shared", "plan_naive_ms", "plan_shared_ms"),
-        oracle=indexes_of("plan_naive_ms"),
+        oracle=batch(plan_pattern, "bounded"),
         sizes=up_to_16,
         info={"leg_vocabularies": VOCABULARY},
     ),
@@ -737,22 +755,38 @@ def _cell(value) -> str:
 
 
 def check(name, stream, n, states, row) -> bool:
-    """Scenario ``name``'s correctness check at size ``n``: every checked
-    pool answers each query as the oracle does, and every expected count
-    holds."""
+    """Scenario ``name``'s correctness check at size ``n``, on the last
+    run's leg states by key: every checked pool, and every naive index,
+    holds the first checked pool's final graph and answers each query as
+    batch recomputation on it does, and every expected count holds."""
     scenario = SCENARIOS[name]
     failures = [
         f"{key} = {row[key]}, expected {want(stream)}"
         for key, want in scenario.expect.items()
         if row[key] != want(stream)
     ]
-    expected = scenario.oracle(n, states)
-    for key in scenario.checked or (scenario.legs[0].key,):
+    checked = scenario.checked or (scenario.legs[0].key,)
+    graph = states[checked[0]].graph
+    expected = [as_pairs(m) for m in scenario.oracle(n, states[checked[0]])]
+    answers = {
+        f"{key} pool": [states[key].query(f"p{i}") for i in range(n)]
+        for key in checked
+    }
+    answers.update(
+        (f"{key} naive", state.indexes)
+        for key, state in states.items()
+        if isinstance(state, NaiveLoop)
+    )
+    for who, queries in answers.items():
         failures += [
-            f"{key} pool, pattern {i}"
-            for i, index in enumerate(expected)
-            if as_pairs(states[key].query(f"p{i}").matches())
-            != as_pairs(index.matches())
+            f"{who}, pattern {i}: graph differs"
+            for i, q in enumerate(queries)
+            if q.graph != graph
+        ]
+        failures += [
+            f"{who}, pattern {i}"
+            for i, q in enumerate(queries)
+            if as_pairs(q.matches()) != expected[i]
         ]
     for failure in failures:
         print(f"MISMATCH {name} N={n}: {failure}", file=sys.stderr)

@@ -33,8 +33,14 @@ owns
   post-deletion graph that labels only as far as the targets asked so far
   need, memoized per ``(a, k)`` — so every routed query's recheck in a
   flush, the shared plan's interned indexes included, extends the same
-  partial BFS instead of running its own full one.  :attr:`SubstrateStats.probe_nodes` counts the
-  nodes they label.
+  partial BFS instead of running its own full one.
+  :attr:`SubstrateStats.probe_nodes` counts the nodes they label.
+
+The balls a bounded index takes to build its pair graph, and to wire an
+eligibility gain, are the index's own and are not memoized here: a memo
+would keep one ball per node alive through a run of registrations, which
+is where a pool's memory peaks.  The index counts their entries in
+:attr:`SubstrateStats.ball_nodes`.
 
 Every other structure is leased with a refcount: registering a bounded query
 acquires leases, unregistering releases them, and a structure
@@ -73,8 +79,10 @@ class SubstrateStats:
     """Upkeep counters: how many structure-level update applications the
     pool paid per flush stream (the quantity sharing amortizes), and the
     nodes labelled by the memoized edge legs (``leg_nodes``, the routing
-    and repair BFS work) and by the suspect-recheck probes
-    (``probe_nodes``, the recheck work sharing amortizes)."""
+    and repair BFS work), by the suspect-recheck probes (``probe_nodes``,
+    the recheck work sharing amortizes) and by the bounded indexes' own
+    ball BFSs (``ball_nodes``: the entries of the balls their pair-graph
+    builds and eligibility gains take, which nothing memoizes)."""
 
     __slots__ = (
         "lm_builds",
@@ -84,6 +92,7 @@ class SubstrateStats:
         "structure_batches",
         "leg_nodes",
         "probe_nodes",
+        "ball_nodes",
     )
 
     def __init__(self) -> None:
@@ -97,13 +106,15 @@ class SubstrateStats:
         self.structure_batches = 0
         self.leg_nodes = 0
         self.probe_nodes = 0
+        self.ball_nodes = 0
 
     def __repr__(self) -> str:
         return (
             f"SubstrateStats(builds={self.lm_builds}+{self.matrix_builds}, "
             f"edge_batches={self.edge_batches}, "
             f"structure_batches={self.structure_batches}, "
-            f"leg_nodes={self.leg_nodes}, probe_nodes={self.probe_nodes})"
+            f"leg_nodes={self.leg_nodes}, probe_nodes={self.probe_nodes}, "
+            f"ball_nodes={self.ball_nodes})"
         )
 
 

@@ -7,12 +7,18 @@ nonempty-path distances (a path must have length >= 1, so the distance from
 ``v`` to itself is the length of the shortest cycle through ``v``), and
 :class:`WithinProbe`, a lazily expanded bounded BFS that answers "is ``c``
 within ``k``?" for one target at a time.
+
+Bounded balls, edge legs, the all-pairs matrix rows and the BFS oracle
+of batch ``bounded_match`` all read one function, :func:`bfs_distances`,
+a level-synchronous BFS.  Its result lists the nodes in nondecreasing
+distance, which lets the leg scans of IncBMatch stop at the first node
+beyond their radius.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .digraph import DiGraph, Node
 
@@ -29,21 +35,29 @@ def bfs_distances(
 ) -> Dict[Node, int]:
     """Hop distances from ``source`` (or *to* it when ``reverse``).
 
-    Returns a dict mapping each reached node to its distance; the source
-    maps to 0.  ``max_depth`` truncates the search.
+    Returns a dict mapping each reached node to its distance, in
+    nondecreasing distance (discovery order); the source maps to 0.
+    ``max_depth`` truncates the search, and a negative one leaves the
+    source alone.
+
+    The search is level-synchronous: each depth's frontier is one list,
+    expanded in discovery order into the next, so it keeps no queue and
+    tests the depth once per level; the layer at ``max_depth`` is
+    labelled but never expanded.
     """
     neighbours = graph.parents if reverse else graph.children
     dist: Dict[Node, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for w in neighbours(v):
-            if w not in dist:
-                dist[w] = d + 1
-                queue.append(w)
+    frontier = [source]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        layer: List[Node] = []
+        for v in frontier:
+            for w in neighbours(v):
+                if w not in dist:
+                    dist[w] = depth
+                    layer.append(w)
+        frontier = layer
     return dist
 
 
@@ -188,10 +202,10 @@ def shortest_cycle_through(
     """Length of the shortest directed cycle through ``node``, or None.
 
     This is ``1 + dist(child, node)`` minimized over children; a self-loop
-    gives 1.
+    gives 1.  No cycle fits ``max_len < 1``.
     """
     if graph.has_edge(node, node):
-        return 1
+        return 1 if max_len is None or max_len >= 1 else None
     limit = None if max_len is None else max_len - 1
     back = bfs_distances(graph, node, max_depth=limit, reverse=True)
     best: Optional[int] = None

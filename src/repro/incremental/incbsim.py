@@ -12,6 +12,14 @@ exactly the paper's ss / cs / cc *pairs* (Table III).  An inner
 *simulation* over the pair graph — IncBMatch+/-/batch reduce to pair-level
 insertions and deletions fed to IncMatch+/-/batch.
 
+The pair graph is built once, at construction
+(:meth:`BoundedSimulationIndex._build_pair_graph`).  Each pattern edge
+reads its pairs from its smaller eligible side: a forward ball from each
+source, or a backward ball from each target when the targets are fewer.
+The pairs are inserted source-major either way, as a forward build
+inserts them.  The inner index takes the pair graph's layers as its
+eligible sets, so no layer predicate is evaluated over the pair nodes.
+
 What remains is distance maintenance: which pairs appear or disappear when
 a data edge changes.  One rule decides it.  A pair ``(a, c)`` under a
 pattern edge of bound ``k`` is touched by the edge ``(x, y)`` only if
@@ -175,8 +183,11 @@ class BoundedSimulationIndex(StandaloneDriver):
         else:
             self.eligible = candidate_sets(pattern, graph)
         self._pair_graph = DiGraph()
-        self._build_pair_graph()
-        self._inner = SimulationIndex(_layered_pattern(pattern), self._pair_graph)
+        self._inner = SimulationIndex(
+            _layered_pattern(pattern),
+            self._pair_graph,
+            eligible=self._build_pair_graph(),
+        )
         self._lm: Optional[LandmarkIndex] = None
         self._matrix: Optional[DistanceMatrix] = None
         if distance_mode == "landmark":
@@ -193,17 +204,65 @@ class BoundedSimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     # Pair graph construction
     # ------------------------------------------------------------------
-    def _build_pair_graph(self) -> None:
+    def _build_pair_graph(self) -> MatchRelation:
+        """Build the pair graph and return its layers: per pattern node
+        ``u``, the set of its pair nodes ``(u, v)`` (the very tuples the
+        pair graph holds), which are the inner index's eligible sets.
+
+        A pattern edge ``(u, u2)`` of bound ``k`` reads its pairs from
+        its smaller eligible side: a forward ball
+        (:func:`~repro.graphs.traversal.descendants_within`) from each
+        source ``a`` in ``E[u]`` when ``|E[u]| <= |E[u2]|``, else a
+        backward ball (:func:`~repro.graphs.traversal.ancestors_within`)
+        from each target ``c`` in ``E[u2]``.  Either way the pairs are
+        inserted source-major, pattern edge by pattern edge in
+        ``_bounds`` order and then source by source in ``E[u]``'s order,
+        so each source pair node receives its children in the same
+        per-edge blocks as a forward build.  Inserting the backward
+        side's pairs target-major builds the same edge set in a different
+        heap; on the ``multi-bounded`` e2e workload that moved peak RSS
+        and the harness's host-speed factor, and the flush-time figures
+        with them.
+        """
+        pairs = self._pair_graph
+        layers: MatchRelation = {}
         for u, vs in self.eligible.items():
+            layer = layers[u] = set()
             for v in vs:
-                self._pair_graph.add_node((u, v), **{LAYER_ATTR: u})
+                pv = (u, v)
+                pairs.add_node(pv, **{LAYER_ATTR: u})
+                layer.add(pv)
         for (u, u2), bound in self._bounds.items():
-            targets = self.eligible[u2]
-            for a in self.eligible[u]:
-                ball = descendants_within(self.graph, a, bound)
-                for c, d in ball.items():
-                    if c in targets and (bound is None or d <= bound):
-                        self._pair_graph.add_edge((u, a), (u2, c))
+            sources, targets = self.eligible[u], self.eligible[u2]
+            if len(sources) <= len(targets):
+                for a in sources:
+                    for c in self._ball(a, bound, reverse=False):
+                        if c in targets:
+                            pairs.add_edge((u, a), (u2, c))
+                continue
+            found: Dict[Node, List[Node]] = {}
+            for c in targets:
+                for a in self._ball(c, bound, reverse=True):
+                    if a in sources:
+                        found.setdefault(a, []).append(c)
+            for a in sources:
+                for c in found.get(a, ()):
+                    pairs.add_edge((u, a), (u2, c))
+        return layers
+
+    def _ball(
+        self, anchor: Node, bound: Bound, reverse: bool
+    ) -> Dict[Node, int]:
+        """The nodes a nonempty path of length ``<= bound`` joins to
+        ``anchor``: from it, or into it when ``reverse``.  A
+        pool-registered index counts the entries in its substrate's
+        ``ball_nodes``."""
+        ball = (ancestors_within if reverse else descendants_within)(
+            self.graph, anchor, bound
+        )
+        if self.substrate is not None:
+            self.substrate.stats.ball_nodes += len(ball)
+        return ball
 
     # ------------------------------------------------------------------
     # Views
@@ -350,21 +409,17 @@ class BoundedSimulationIndex(StandaloneDriver):
                 # Outgoing pairs: targets within bound of v, per edge
                 # from u.
                 for u2 in self.pattern.children(u):
-                    bound = self._bounds[(u, u2)]
-                    ball = descendants_within(self.graph, v, bound)
-                    for c, d in ball.items():
-                        if c in self.eligible[u2] and (
-                            bound is None or d <= bound
-                        ):
+                    targets = self.eligible[u2]
+                    ball = self._ball(v, self._bounds[(u, u2)], reverse=False)
+                    for c in ball:
+                        if c in targets:
                             inserts.append(upd_insert((u, v), (u2, c)))
                 # Incoming pairs: sources reaching v, per edge into u.
                 for u0 in self.pattern.parents(u):
-                    bound = self._bounds[(u0, u)]
-                    ball = ancestors_within(self.graph, v, bound)
-                    for a, d in ball.items():
-                        if a in self.eligible[u0] and (
-                            bound is None or d <= bound
-                        ):
+                    sources = self.eligible[u0]
+                    ball = self._ball(v, self._bounds[(u0, u)], reverse=True)
+                    for a in ball:
+                        if a in sources:
                             inserts.append(upd_insert((u0, a), (u, v)))
         if inserts:
             self._inner.apply_batch(inserts)

@@ -48,7 +48,7 @@ node is in ``match(u)`` iff every outgoing pattern edge has support
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.scc import condensation, strongly_connected_components
@@ -110,10 +110,18 @@ class SimulationIndex(StandaloneDriver):
     changes arrive through :meth:`apply_eligibility_flip_batch` (already
     resolved to gained/lost pattern nodes) rather than
     :meth:`update_node_attrs`.
+
+    ``eligible`` hands in private eligible sets the caller already holds,
+    which must be the nodes the predicates select (the bounded index's
+    pair-graph layers); the index owns them from then on.
     """
 
     def __init__(
-        self, pattern: Pattern, graph: DiGraph, eligibility=None
+        self,
+        pattern: Pattern,
+        graph: DiGraph,
+        eligibility=None,
+        eligible: Optional[MatchRelation] = None,
     ) -> None:
         if not pattern.is_normal():
             raise PatternError(
@@ -153,13 +161,18 @@ class SimulationIndex(StandaloneDriver):
             self._parents_above[u] = [
                 u0 for u0 in parents if comp_of[u0] != comp_of[u]
             ]
-        self._rebuild()
+        self._rebuild(eligible)
 
     # ------------------------------------------------------------------
     # Initialization / batch recomputation
     # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        """Batch computation of match/candt and all support counters."""
+    def _rebuild(self, eligible: Optional[MatchRelation]) -> None:
+        """Batch computation of match/candt and all support counters.
+
+        The eligible sets are leased from the shared substrate, taken as
+        handed in (owned by this index from then on), or evaluated from
+        the predicates.
+        """
         if self._eligibility is not None:
             # Shared read-views: one leased set per pattern-node predicate
             # (pattern nodes with equal predicates alias the same object).
@@ -167,7 +180,7 @@ class SimulationIndex(StandaloneDriver):
                 u: self._eligibility.lease(self.pattern.predicate(u)).members
                 for u in self.pattern.nodes()
             }
-        else:
+        elif eligible is None:
             eligible = candidate_sets(self.pattern, self.graph)
         self.eligible: MatchRelation = eligible
         # Nodes whose predicates have been evaluated; registering a known

@@ -356,9 +356,10 @@ def test_temporal_gates_fail_when_no_structure_is_synced(
 
 
 def test_runner_check_fails_when_a_query_disagrees_with_its_oracle():
-    """The runner's correctness check can fail: a pool that applied the
-    stream disagrees with a naive loop that has not run yet, and agrees
-    once it has."""
+    """The runner's correctness check can fail: a naive loop that has
+    not run yet holds another graph than the pool that applied the
+    stream, and answers otherwise than batch recomputation on the pool's
+    graph; once it has run, both agree."""
     bench = _bench_pool()
     scenario = bench.SCENARIOS["simulation"]
     graph = bench.build_graph(num_clusters=2, cluster_size=30)
@@ -369,6 +370,39 @@ def test_runner_check_fails_when_a_query_disagrees_with_its_oracle():
     assert bench.check("simulation", stream, 2, states, {}) is False
     naive_leg.run(states[naive_leg.key], stream)
     assert bench.check("simulation", stream, 2, states, {}) is True
+
+
+def test_tiny_run_fails_when_the_naive_loop_is_fed_half_its_stream(
+    monkeypatch, capsys
+):
+    """``--tiny`` catches a naive loop that skips half its stream: in
+    every scenario with a naive leg, its indexes hold another graph than
+    the pool's.  (Their answers can still equal batch recomputation on
+    the pool's graph, which is why the graphs are compared too.)"""
+    bench = _bench_pool()
+    init = bench.NaiveLoop.__init__
+
+    def half_fed(loop, indexes, feed):
+        def feed_half(index, stream):
+            if isinstance(stream, tuple):  # (node ops, edge ops)
+                stream = tuple(ops[: len(ops) // 2] for ops in stream)
+            else:
+                stream = stream[: len(stream) // 2]
+            feed(index, stream)
+
+        init(loop, indexes, feed_half)
+
+    monkeypatch.setattr(bench.NaiveLoop, "__init__", half_fed)
+    assert bench.main(["--tiny", "--json", "-"]) == 1
+    failed = {}
+    for line in capsys.readouterr().err.splitlines():
+        if line.startswith("MISMATCH "):
+            name, failure = line.split()[1], line.split(": ", 1)[1]
+            failed.setdefault(name, []).append(failure)
+    assert set(failed) == set(bench.SCENARIOS) - {"temporal"}
+    for name, failures in failed.items():
+        assert all(" naive, pattern " in f for f in failures), name
+        assert any(f.endswith("graph differs") for f in failures), name
 
 
 def _gate_mutations():

@@ -4,17 +4,27 @@
 landmark index and one all-pairs matrix per pool, leased with refcounts,
 plus the per-flush memos of edge legs and suspect-recheck probes.  These
 tests drive it directly, the way the pool does: edit the graph, then
-``observe_deleted`` / ``observe_inserted`` the net batch.
+``observe_deleted`` / ``observe_inserted`` the net batch.  The ball
+counter, which bounded indexes bump, is read through a pool.
 """
 
 import random
 
 import pytest
 
+from repro.engine import MatcherPool
 from repro.engine.distances import SharedDistanceSubstrate
+from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, star, synthetic_graph
-from repro.graphs.traversal import INF, edge_legs, path_distance
+from repro.graphs.traversal import (
+    INF,
+    ancestors_within,
+    descendants_within,
+    edge_legs,
+    path_distance,
+)
 from repro.landmarks.selection import LandmarkBudget, select_landmarks
+from repro.patterns.pattern import Pattern
 
 STRUCTURES = ["landmark", "matrix"]
 OBSERVERS = ["observe_deleted", "observe_inserted"]
@@ -266,6 +276,42 @@ class TestMemos:
         # A repeated ask of the same probe labels nothing more.
         assert probe.reaches(3)
         assert substrate.stats.probe_nodes == 4
+
+    def test_ball_nodes_count_the_build_and_gain_balls(self):
+        """A pool-registered bounded index counts the entries of its own
+        ball BFSs: its pair-graph build takes, per pattern edge, the
+        balls of the smaller eligible side, and an eligibility gain takes
+        the gained node's balls."""
+        g = DiGraph()
+        for v, label in (
+            ("a1", "A"), ("a2", "A"), ("a3", "A"), ("m1", "M"), ("b", "B"),
+            ("c1", "C"), ("c2", "C"), ("c3", "C"),
+        ):
+            g.add_node(v, label=label)
+        for v, w in (
+            ("a1", "m1"), ("m1", "b"), ("a2", "b"), ("a3", "a1"),
+            ("b", "c1"), ("c1", "c2"), ("c2", "c3"), ("m1", "c3"),
+        ):
+            g.add_edge(v, w)
+        pool = MatcherPool(g)
+        pool.register(
+            Pattern.from_spec(
+                {"x": "label = A", "y": "label = B", "z": "label = C"},
+                [("x", "y", 3), ("y", "z", 2)],
+            ),
+            semantics="bounded",
+        )
+        stats = pool.substrate.stats
+        # x -3-> y: 3 sources, 1 target, so one backward ball from b;
+        # y -2-> z: 1 source, 3 targets, so one forward ball from b.
+        taken = ancestors_within(g, "b", 3), descendants_within(g, "b", 2)
+        assert [len(ball) for ball in taken] == [4, 2]
+        assert stats.ball_nodes == 6
+        # m1 gains layer x: one forward ball for x's one pattern edge.
+        pool.queue_node("m1", label="A")
+        pool.flush()
+        assert len(descendants_within(g, "m1", 3)) == 4
+        assert stats.ball_nodes == 6 + 4
 
     @pytest.mark.parametrize("observer", OBSERVERS)
     def test_edge_batch_clears_the_probes(self, observer):

@@ -1,11 +1,11 @@
 """Graph helpers against a brute-force oracle on named corner-case shapes.
 
-Each shape pins one structural corner case: an isolated node, a self-loop,
-a two-cycle, a ring, SCCs joined by a bridge, a dense graph with loops.
-Every traversal, SCC and distance helper is compared, on every node (or
-edge) of every shape, with distances computed by Floyd–Warshall over
-*nonempty* paths in the test itself (``d(v, v)`` is the shortest cycle
-through ``v``).  The property tests in ``test_traversal.py`` and
+Each shape (``tests/shapes.py``) pins one structural corner case: an
+isolated node, a self-loop, a two-cycle, a ring, SCCs joined by a bridge,
+a dense graph with loops.  Every traversal, SCC and distance helper is
+compared, on every node (or edge) of every shape, with distances computed
+by Floyd–Warshall over *nonempty* paths in the test itself (``d(v, v)``
+is the shortest cycle through ``v``).  The property tests in ``test_traversal.py`` and
 ``test_scc.py`` draw random small graphs; these cases stay fixed, so each
 corner case is exercised on every run.
 """
@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import pytest
 
-from repro.graphs.digraph import DiGraph
 from repro.graphs.distance import DistanceMatrix, floyd_warshall
 from repro.graphs.scc import (
     condensation,
@@ -41,47 +40,9 @@ from repro.graphs.traversal import (
     shortest_cycle_through,
 )
 from repro.graphs.twohop import TwoHopLabels
+from tests.shapes import SHAPES, shape_graph
 
 BOUNDS = [None, 1, 2, 3]
-
-
-def _random_edges(seed, n, m):
-    rnd = random.Random(seed)
-    pairs = [(v, w) for v in range(n) for w in range(n)]
-    return rnd.sample(pairs, m)
-
-
-SHAPES = {
-    "isolated": ([], ["a", "b"]),
-    "self-loop": ([("a", "a"), ("a", "b")], []),
-    "two-cycle": ([("a", "b"), ("b", "a"), ("b", "c")], []),
-    "chain": ([(i, i + 1) for i in range(4)], []),
-    "ring": ([(i, (i + 1) % 5) for i in range(5)], []),
-    "diamond": ([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], []),
-    "stars": (
-        [("hub", f"out{i}") for i in range(3)]
-        + [(f"in{i}", "hub") for i in range(3)],
-        [],
-    ),
-    "complete": ([(v, w) for v in range(4) for w in range(4) if v != w], []),
-    "bridged-sccs": (
-        [
-            ("a", "b"), ("b", "c"), ("c", "a"),
-            ("c", "d"), ("d", "e"), ("e", "d"),
-            ("e", "f"), ("g", "g"),
-        ],
-        [],
-    ),
-    "random": (_random_edges(67, 10, 22), []),
-}
-
-
-def _graph(shape):
-    edges, isolated = SHAPES[shape]
-    g = DiGraph(edges)
-    for v in isolated:
-        g.add_node(v)
-    return g
 
 
 def _nonempty(g):
@@ -102,7 +63,7 @@ def _nonempty(g):
 
 @lru_cache(maxsize=None)
 def _oracle(shape):
-    return _nonempty(_graph(shape))
+    return _nonempty(shape_graph(shape))
 
 
 def _hops(d, v, w):
@@ -119,20 +80,29 @@ shapes = pytest.mark.parametrize("shape", sorted(SHAPES))
 
 @shapes
 def test_bfs_distances_and_edge_legs(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     for s in nodes:
+        # A negative depth leaves the source alone.
+        assert bfs_distances(g, s, -1) == {s: 0}
+        assert bfs_distances(g, s, -1, reverse=True) == {s: 0}
         for depth in [None, 0, 1, 2]:
-            assert bfs_distances(g, s, depth) == {
+            forward = bfs_distances(g, s, depth)
+            backward = bfs_distances(g, s, depth, reverse=True)
+            assert forward == {
                 w: _hops(d, s, w)
                 for w in nodes
                 if _within(depth, _hops(d, s, w))
             }
-            assert bfs_distances(g, s, depth, reverse=True) == {
+            assert backward == {
                 w: _hops(d, w, s)
                 for w in nodes
                 if _within(depth, _hops(d, w, s))
             }
+            # Nondecreasing distance order, which the leg scans rely on.
+            for dist in (forward, backward):
+                hops = list(dist.values())
+                assert hops == sorted(hops)
     for x, y in g.edges():
         for radius in [None, 0, 1, 2]:
             back, fwd = edge_legs(g, x, y, radius)
@@ -145,7 +115,7 @@ def test_bfs_distances_and_edge_legs(shape):
 
 @shapes
 def test_nonempty_balls(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     for s in nodes:
         for k in BOUNDS:
@@ -159,9 +129,11 @@ def test_nonempty_balls(shape):
 
 @shapes
 def test_cycles_and_path_distances(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     for v in nodes:
+        # No cycle fits length 0, not even a self-loop.
+        assert shortest_cycle_through(g, v, 0) is None
         for k in BOUNDS:
             cycle = d[v][v] if _within(k, d[v][v]) else None
             assert shortest_cycle_through(g, v, k) == cycle
@@ -178,7 +150,7 @@ def test_cycles_and_path_distances(shape):
 
 @shapes
 def test_within_probe_answers_every_target(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     rnd = random.Random(71)
     for s in nodes:
@@ -192,7 +164,7 @@ def test_within_probe_answers_every_target(shape):
 
 @shapes
 def test_reachable_sets(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     groups = [[v] for v in nodes] + [nodes[:2], nodes[::2], []]
     for sources in groups:
@@ -208,7 +180,7 @@ def test_reachable_sets(shape):
 
 @shapes
 def test_sccs_condensation_and_ranks(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     comps = strongly_connected_components(g)
     assert sorted(map(repr, (v for c in comps for v in c))) == sorted(
@@ -254,7 +226,7 @@ def test_sccs_condensation_and_ranks(shape):
 
 @shapes
 def test_distance_indexes(shape):
-    g, d = _graph(shape), _oracle(shape)
+    g, d = shape_graph(shape), _oracle(shape)
     nodes = list(g.nodes())
     matrix = DistanceMatrix(g)
     labels = TwoHopLabels(g)
@@ -269,7 +241,7 @@ def test_distance_indexes(shape):
 
 @shapes
 def test_distance_matrix_follows_each_edge_deletion_and_reinsertion(shape):
-    g = _graph(shape)
+    g = shape_graph(shape)
     nodes = list(g.nodes())
     matrix = DistanceMatrix(g)
     for x, y in list(g.edges()):

@@ -1,6 +1,8 @@
 """Tests for incremental bounded simulation (IncBMatch, paper Section 6)."""
 
 import random
+from functools import partial
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from repro.engine import MatcherPool
 from repro.engine.distances import SharedDistanceSubstrate
 from repro.graphs.digraph import DiGraph
+from repro.graphs.traversal import descendants_within
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import delete, insert
 from repro.matching.bounded import bounded_match_naive
@@ -19,6 +22,7 @@ from tests.routing_truth import (
     edge_routes,
     pool_routes,
 )
+from tests.shapes import SHAPES, shape_graph
 from tests.strategies import small_graphs, small_patterns
 
 MODES = ["bfs", "landmark", "matrix"]
@@ -200,6 +204,93 @@ class TestBatchSemantics:
         idx.apply_batch([insert("Ann", "NewBio")])
         assert "NewBio" in idx.raw_match_sets()["Bio"]
         assert_matches_batch(idx)
+
+
+# Pattern edges whose two eligible sides differ in size both ways on the
+# "mixed-sides" fixture below (A: 12 nodes, B: 4, C: 8), with bounds 1,
+# 2, 3 and *, a self-loop, and two pattern nodes sharing one predicate.
+MIXED_PATTERN = Pattern.from_spec(
+    {"a": "label = A", "b": "label = B", "c": "label = C", "c2": "label = C"},
+    [
+        ("a", "b", 2),
+        ("a", "c2", None),
+        ("b", "c", 3),
+        ("b", "a", None),
+        ("c", "c", 1),
+        ("c2", "b", 1),
+    ],
+)
+
+
+def _mixed_sides():
+    rng = random.Random(26)
+    g = DiGraph()
+    for v, label in enumerate(["A"] * 12 + ["B"] * 4 + ["C"] * 8):
+        g.add_node(v, label=label)
+    for _ in range(60):
+        g.add_edge(rng.randrange(24), rng.randrange(24))
+    return g
+
+
+def _labelled_shape(shape):
+    g = shape_graph(shape)
+    for i, v in enumerate(list(g.nodes())):
+        g.set_attr(v, "label", "ABAC"[i % 4])
+    return g
+
+
+PAIR_GRAPHS = {
+    "mixed-sides": _mixed_sides,
+    **{
+        f"shape-{shape}": partial(_labelled_shape, shape)
+        for shape in SHAPES
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_GRAPHS))
+def test_pair_graph_build_equals_a_forward_build(name):
+    """The build reads each pattern edge from its smaller eligible side,
+    yet gives the pair graph a forward build per source gives, and
+    inserts its pairs source-major: each source pair node lists its
+    children in pattern-edge blocks, in the order the pattern lists its
+    edges, and each target pair node lists its parents in the same
+    blocks, each block in its sources' iteration order."""
+    graph = PAIR_GRAPHS[name]()
+    pattern = MIXED_PATTERN
+    idx = BoundedSimulationIndex(pattern, graph)
+    eligible = idx.eligible
+    edges = list(pattern.edges())
+    if name == "mixed-sides":
+        sides = {len(eligible[u]) - len(eligible[u2]) for u, u2 in edges}
+        assert min(sides) < 0 < max(sides)
+    forward = {
+        ((u, a), (u2, c))
+        for u, u2 in edges
+        for a in eligible[u]
+        for c in descendants_within(graph, a, pattern.bound(u, u2))
+        if c in eligible[u2]
+    }
+    pairs = idx._pair_graph
+    assert pairs.edge_set() == forward
+    for u in pattern.nodes():
+        order = [u2 for x, u2 in edges if x == u]
+        for a in eligible[u]:
+            layers = [layer for layer, _ in pairs.children((u, a))]
+            blocks = [layer for layer, _ in groupby(layers)]
+            assert blocks == [u2 for u2 in order if u2 in layers], (u, a)
+    for u2 in pattern.nodes():
+        for c in eligible[u2]:
+            parents = list(pairs.parents((u2, c)))
+            assert parents == [
+                (u, a)
+                for u, x in edges
+                if x == u2
+                for a in eligible[u]
+                if (u, a) in parents
+            ], (u2, c)
+    idx.check_invariants()
+    assert_matches_batch(idx)
 
 
 @settings(max_examples=30, deadline=None)
