@@ -160,14 +160,50 @@ def build_graph(num_clusters: int, cluster_size: int, seed: int = 7) -> DiGraph:
 
 def partition_updates(graph: DiGraph, num_updates: int):
     """The edge stream the ``simulation`` and ``bounded`` scenarios
-    replay: half insertions, half deletions, all in partition 0's label
-    space."""
-    return label_partitioned_updates(
-        graph,
-        cluster_labels(0),
-        num_insertions=num_updates // 2,
-        num_deletions=num_updates - num_updates // 2,
-        seed=11,
+    replay, all in partition 0's label space.  It moves answers: it
+    deletes every out-edge of the partition's first two ``A`` nodes, so
+    a match among them is lost, and links the second one back to a ``B``
+    node with a ``C`` child and to a ``C`` node, neither its child
+    before, so it can match again.  A pool or naive index that skips
+    deletion or insertion repair then disagrees with batch
+    recomputation.  The rest of the stream, if ``num_updates`` leaves
+    room for any, is churn elsewhere in the partition, half insertions
+    and half deletions.  The partition needs two ``A`` nodes, so at
+    least 4 nodes."""
+    a, b, c = cluster_labels(0)
+    members = {label: [] for label in (a, b, c)}
+    for v in graph.nodes():
+        label = graph.get_attr(v, "label")
+        if label in members:
+            members[label].append(v)
+    first, second = members[a][:2]
+    children = graph.children(second)
+    # The first node that fits; on a partition too dense to have one,
+    # the first that comes closest.
+    targets = set(members[c])
+    linked = min(
+        members[b],
+        key=lambda v: (v in children, targets.isdisjoint(graph.children(v))),
+    )
+    target = min(members[c], key=lambda v: v in children)
+    stream = [
+        delete(v, w) for v in (first, second) for w in graph.children(v)
+    ]
+    stream += [insert(second, linked), insert(second, target)]
+    n = max(0, num_updates - len(stream))
+    # The churn leaves the two cut nodes' out-edges alone: one more
+    # inserted there could give the first its match back.
+    churn = [
+        u
+        for u in label_partitioned_updates(
+            graph, (a, b, c), num_insertions=n, num_deletions=n, seed=11
+        )
+        if u.source not in (first, second)
+    ]
+    return (
+        stream
+        + [u for u in churn if u.op == "insert"][: n // 2]
+        + [u for u in churn if u.op == "delete"][: n - n // 2]
     )
 
 
@@ -902,6 +938,8 @@ def main(argv=None) -> int:
         cluster_size = args.cluster_size or 30
         num_updates = args.updates or 120
         reps = args.reps or 3
+    if cluster_size < 4:
+        parser.error("--cluster-size must be at least 4 (partition_updates)")
 
     graph = build_graph(max(sizes), cluster_size)
     print(

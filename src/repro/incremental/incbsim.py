@@ -9,8 +9,16 @@ predicate-eligible data node ``v``, and one edge
 nonempty path from ``a`` to ``c`` in the data graph.  These edges are
 exactly the paper's ss / cs / cc *pairs* (Table III).  An inner
 :class:`~repro.incremental.incsim.SimulationIndex` then runs incremental
-*simulation* over the pair graph — IncBMatch+/-/batch reduce to pair-level
-insertions and deletions fed to IncMatch+/-/batch.
+*simulation* over the pair graph.  This index edits the pair graph itself
+and hands each edit straight to IncMatch's repair entry points:
+IncBMatch- removes the pair edges its rechecks break and calls the inner
+``repair_deleted_edges``; IncBMatch+ adds the pairs newly within bound
+(``add_edge`` skips a pair already present, which is all the netting a
+pair batch needs) and calls ``repair_inserted_edges`` on those it added;
+and a batch of eligibility flips is one inner
+``apply_eligibility_flip_batch`` over pair nodes.  No pair edit goes
+through the inner index's standalone ``apply_batch``, so none is netted
+a second time.
 
 The pair graph is built once, at construction
 (:meth:`BoundedSimulationIndex._build_pair_graph`).  Each pattern edge
@@ -18,7 +26,10 @@ reads its pairs from its smaller eligible side: a forward ball from each
 source, or a backward ball from each target when the targets are fewer.
 The pairs are inserted source-major either way, as a forward build
 inserts them.  The inner index takes the pair graph's layers as its
-eligible sets, so no layer predicate is evaluated over the pair nodes.
+eligible sets.  Pair nodes carry no attributes, so the inner pattern's
+layer predicates hold on none of them and the inner index never adopts a
+pair node on its own: this index moves pair nodes in and out of the
+layers (:meth:`BoundedSimulationIndex.apply_eligibility_flip_batch`).
 
 What remains is distance maintenance: which pairs appear or disappear when
 a data edge changes.  One rule decides it.  A pair ``(a, c)`` under a
@@ -101,9 +112,11 @@ from ..patterns.pattern import Bound, Pattern, PatternNode
 from ..patterns.predicate import Predicate
 from .drivers import StandaloneDriver
 from .incsim import IncStats, SimulationIndex
-from .types import Update, delete as upd_delete, insert as upd_insert
+from .types import Update
 
 PatternEdge = Tuple[PatternNode, PatternNode]
+# An edge of the pair graph: ((u, a), (u2, c)).
+PairEdge = Tuple[Tuple[PatternNode, Node], Tuple[PatternNode, Node]]
 LAYER_ATTR = "__layer__"
 DISTANCE_MODES = ("bfs", "landmark", "matrix")
 
@@ -127,7 +140,11 @@ def _members_within(
 
 
 def _layered_pattern(pattern: Pattern) -> Pattern:
-    """The pattern with predicates replaced by layer-membership tests."""
+    """The pattern with predicates replaced by layer-membership tests.
+
+    No pair node carries the layer attribute: the inner index's eligible
+    sets are handed in and kept by :class:`BoundedSimulationIndex`, and
+    the predicates only name each layer."""
     layered = Pattern()
     for u in pattern.nodes():
         layered.add_node(u, Predicate.label(u, attribute=LAYER_ATTR))
@@ -230,7 +247,7 @@ class BoundedSimulationIndex(StandaloneDriver):
             layer = layers[u] = set()
             for v in vs:
                 pv = (u, v)
-                pairs.add_node(pv, **{LAYER_ATTR: u})
+                pairs.add_node(pv)
                 layer.add(pv)
         for (u, u2), bound in self._bounds.items():
             sources, targets = self.eligible[u], self.eligible[u2]
@@ -269,6 +286,8 @@ class BoundedSimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     @property
     def stats(self) -> IncStats:
+        """The inner index's counters; the update counts are this index's
+        own (see :class:`~repro.incremental.incsim.IncStats`)."""
         return self._inner.stats
 
     def matches(self) -> MatchRelation:
@@ -329,7 +348,11 @@ class BoundedSimulationIndex(StandaloneDriver):
 
         A standalone index evaluates the node's predicates first; a leased
         index reads membership off the shared sets (the substrate
-        evaluated each distinct predicate once for the whole pool).
+        evaluated each distinct predicate once for the whole pool).  The
+        pair nodes enter with no pair edge, through the one inner call of
+        :meth:`_flip_pairs`: a node registered here is new to the graph,
+        so its only edges are the ones being inserted, and
+        :meth:`repair_inserted_edges` adds the pairs through them.
         """
         if self._eligibility is None:
             attrs = self.graph.attrs(v)
@@ -338,23 +361,24 @@ class BoundedSimulationIndex(StandaloneDriver):
                     u
                 ).satisfied_by(attrs):
                     self.eligible[u].add(v)
-        for u in self.pattern.nodes():
-            if v in self.eligible[u] and not self._adopted(u, v):
-                self._adopt(u, v)
+        gained = [
+            (u, v)
+            for u in self.pattern.nodes()
+            if v in self.eligible[u] and not self._adopted(u, v)
+        ]
+        self._flip_pairs(gained, [])
 
     def _adopted(self, u: PatternNode, v: Node) -> bool:
         """Has this index wired ``v`` into layer ``u``'s pair bookkeeping?
 
-        The inner index's eligible set is the marker (pair-graph node
-        presence alone would lie after a retire, which leaves the orphaned
-        pair node in the graph).  Eligibility membership alone does not
-        say: a flip or a fresh node reaches the eligible set before the
-        index wires it.
+        The pair node's membership in the inner index's eligible set for
+        ``u`` is the marker, because this index moves it in and out: a
+        gained pair node enters it before the inner call that adopts it,
+        and a lost one leaves it before the inner call that withdraws it.
+        Eligibility membership alone does not say: a flip or a fresh node
+        reaches the data-level eligible set before the index wires it.
         """
         return (u, v) in self._inner.eligible[u]
-
-    def _adopt(self, u: PatternNode, v: Node) -> None:
-        self._inner.add_node((u, v), **{LAYER_ATTR: u})
 
     def apply_eligibility_flip_batch(
         self,
@@ -364,65 +388,79 @@ class BoundedSimulationIndex(StandaloneDriver):
         (one ``(node, gained layers, lost layers)`` triple per event; the
         eligible sets already final, flips netted per (predicate, node)).
 
-        No predicate is evaluated here: lost layers retire their pair
-        nodes (with the usual pair-edge cascade), gained layers
-        materialize their pairs in both directions.
-        All losses across the batch retire first (their pair edges in one
-        inner batch), then **all** gains adopt before any pair
-        materialization — the final shared sets may pair a gained node
-        with a node gained in a *different* same-batch event, so the
-        cross-event generalization of the single-event "register all
-        gained layers first" rule is required for the inner index to see
-        both endpoints.  Materialization consults only the final sets, so
-        the interleaved per-event order reaches the same pair graph.
+        No predicate is evaluated here.  The batch is one inner
+        :meth:`~repro.incremental.incsim.SimulationIndex.apply_eligibility_flip_batch`
+        over pair nodes, in three steps:
+
+        1. Every gained pair node enters the pair graph and its layer's
+           inner eligible set, with its pairs in both directions: the
+           targets within bound of its forward ball, per pattern edge out
+           of its layer, and the sources within bound of its backward
+           ball, per pattern edge into it.  The balls read the final
+           sets, so two nodes gained in different events pair with each
+           other, and no gained node pairs with a lost one.  A new pair
+           edge moves no counter yet: its gained endpoint is no match.
+        2. Every lost pair node leaves its inner eligible set, and the one
+           inner call adopts the gains (counting the edges of step 1) and
+           withdraws the losses while their edges still stand, so the
+           demotion of a lost match reaches its parents' counters.  The
+           losses are out of the eligible sets first, so no counter of a
+           lost node is touched after it is withdrawn.
+        3. Only then the lost pair nodes leave the pair graph with their
+           edges.  That moves no counter: a lost node's own counters are
+           gone, and its parents stopped counting it when it was demoted
+           (a candidate was never counted).
         """
-        events = [
-            (
-                v,
-                [u for u in gained if not self._adopted(u, v)],
-                [u for u in lost if self._adopted(u, v)],
-            )
-            for v, gained, lost in events
+        gained = [
+            (u, v)
+            for v, us, _lost in events
+            for u in us
+            if not self._adopted(u, v)
         ]
-        pair_updates: List[Update] = []
-        for v, _gained, lost in events:
-            for u in lost:
-                pv = (u, v)
-                for child in list(self._pair_graph.children(pv)):
-                    pair_updates.append(upd_delete(pv, child))
-                for parent in list(self._pair_graph.parents(pv)):
-                    pair_updates.append(upd_delete(parent, pv))
-        if pair_updates:
-            self._inner.apply_batch(pair_updates)
-        # Retire after the edges are gone so leaf-layer matches drop too.
-        for v, _gained, lost in events:
-            for u in lost:
-                self._inner.retire_node((u, v))
-        if not any(gained for _v, gained, _lost in events):
+        lost = [
+            (u, v)
+            for v, _gained, us in events
+            for u in us
+            if self._adopted(u, v)
+        ]
+        pairs = self._pair_graph
+        for u, v in gained:
+            pv = (u, v)
+            for u2 in self.pattern.children(u):
+                targets = self.eligible[u2]
+                for c in self._ball(v, self._bounds[(u, u2)], reverse=False):
+                    if c in targets:
+                        pairs.add_edge(pv, (u2, c))
+            for u0 in self.pattern.parents(u):
+                sources = self.eligible[u0]
+                for a in self._ball(v, self._bounds[(u0, u)], reverse=True):
+                    if a in sources:
+                        pairs.add_edge((u0, a), pv)
+        self._flip_pairs(gained, lost)
+
+    def _flip_pairs(
+        self,
+        gained: List[Tuple[PatternNode, Node]],
+        lost: List[Tuple[PatternNode, Node]],
+    ) -> None:
+        """The end of step 1 of :meth:`apply_eligibility_flip_batch`, and
+        steps 2 and 3: the ``gained`` pair nodes (their pair edges already
+        added) enter the pair graph and their inner eligible sets, the
+        ``lost`` ones leave them around the one inner call."""
+        if not gained and not lost:
             return
-        for v, gained, _lost in events:
-            for u in gained:
-                self._adopt(u, v)
-        inserts: List[Update] = []
-        for v, gained, _lost in events:
-            for u in gained:
-                # Outgoing pairs: targets within bound of v, per edge
-                # from u.
-                for u2 in self.pattern.children(u):
-                    targets = self.eligible[u2]
-                    ball = self._ball(v, self._bounds[(u, u2)], reverse=False)
-                    for c in ball:
-                        if c in targets:
-                            inserts.append(upd_insert((u, v), (u2, c)))
-                # Incoming pairs: sources reaching v, per edge into u.
-                for u0 in self.pattern.parents(u):
-                    sources = self.eligible[u0]
-                    ball = self._ball(v, self._bounds[(u0, u)], reverse=True)
-                    for a in ball:
-                        if a in sources:
-                            inserts.append(upd_insert((u0, a), (u, v)))
-        if inserts:
-            self._inner.apply_batch(inserts)
+        inner = self._inner
+        for u, v in gained:
+            self._pair_graph.add_node((u, v))
+            inner.eligible[u].add((u, v))
+        for u, v in lost:
+            inner.eligible[u].discard((u, v))
+        inner.apply_eligibility_flip_batch(
+            [((u, v), [u], []) for u, v in gained]
+            + [((u, v), [], [u]) for u, v in lost]
+        )
+        for pv in lost:
+            self._pair_graph.remove_node(pv)
 
     # ------------------------------------------------------------------
     # Distance-structure maintenance helpers
@@ -510,8 +548,9 @@ class BoundedSimulationIndex(StandaloneDriver):
 
     def _recheck_suspects(
         self, suspects: Dict[PatternEdge, Set[Tuple[Node, Node]]]
-    ) -> List[Update]:
-        """Pair deletions among ``suspects``, rechecked on the current graph.
+    ) -> List[PairEdge]:
+        """The pair edges among ``suspects`` the current graph no longer
+        holds within bound.
 
         The suspects are the pairs :meth:`_pairs_through` yields over the
         deleted edges' pre-deletion legs that the pair graph holds, with a
@@ -527,7 +566,7 @@ class BoundedSimulationIndex(StandaloneDriver):
         query's recheck in the flush extends the same memoized probe.
         """
         self.stats.pairs_rechecked += sum(map(len, suspects.values()))
-        out: List[Update] = []
+        out: List[PairEdge] = []
         if self._lm is not None or self._matrix is not None:
             for (u, u2), pairs in suspects.items():
                 bound = self._bounds[(u, u2)]
@@ -538,14 +577,14 @@ class BoundedSimulationIndex(StandaloneDriver):
                         d = self._matrix.dist(a, c)
                         ok = d != INF and (bound is None or d <= bound)
                     if not ok:
-                        out.append(upd_delete((u, a), (u2, c)))
+                        out.append(((u, a), (u2, c)))
             return out
         own: Dict[Tuple[Node, Bound], WithinProbe] = {}
         for (u, u2), pairs in suspects.items():
             bound = self._bounds[(u, u2)]
             for a, c in pairs:
                 if not self._probe(a, bound, own).reaches(c):
-                    out.append(upd_delete((u, a), (u2, c)))
+                    out.append(((u, a), (u2, c)))
         return out
 
     # ------------------------------------------------------------------
@@ -598,7 +637,9 @@ class BoundedSimulationIndex(StandaloneDriver):
 
     def repair_deleted_edges(self, prepared: List[Dict[Bound, Legs]]) -> None:
         """IncBMatch- for edges already removed from the graph: suspects
-        from the pre-deletion legs, rechecked on the current graph.
+        from the pre-deletion legs, rechecked on the current graph; the
+        pair edges that fail leave the pair graph, and IncMatch-
+        (the inner ``repair_deleted_edges``) repairs their removal.
 
         Distance structures are **not** synced here — the pool feeds every
         net deletion to its substrate first (routed edges are a subset, so
@@ -612,13 +653,20 @@ class BoundedSimulationIndex(StandaloneDriver):
                 if has_pair((u, a), (u2, c)):
                     suspects.setdefault((u, u2), set()).add((a, c))
         if suspects:
-            pair_updates = self._recheck_suspects(suspects)
-            if pair_updates:
-                self._inner.apply_batch(pair_updates)
+            broken = self._recheck_suspects(suspects)
+            if broken:
+                remove = self._pair_graph.remove_edge
+                for pair in broken:
+                    remove(*pair)
+                self._inner.repair_deleted_edges(broken)
 
     def repair_inserted_edges(self, edges: Iterable[Tuple[Node, Node]]) -> None:
         """IncBMatch+ for edges already added to the graph: pairs newly
-        within bound through each edge, from legs on the final graph.
+        within bound through each edge, from legs on the final graph,
+        enter the pair graph, and IncMatch+ (the inner
+        ``repair_inserted_edges``) repairs the ones added.  A pair found
+        through two edges is added once: ``add_edge`` returns False for a
+        pair already present.
 
         Distance structures are **not** synced here (see
         :meth:`repair_deleted_edges`).
@@ -629,15 +677,15 @@ class BoundedSimulationIndex(StandaloneDriver):
         for x, y in edges:
             self._register_node(x)
             self._register_node(y)
-        has_pair = self._pair_graph.has_edge
-        pair_updates: List[Update] = []
+        add_pair = self._pair_graph.add_edge
+        added: List[PairEdge] = []
         for x, y in edges:
             legs = self._legs_per_bound(x, y)
             for (u, u2), a, c in self._pairs_through(legs):
-                if not has_pair((u, a), (u2, c)):
-                    pair_updates.append(upd_insert((u, a), (u2, c)))
-        if pair_updates:
-            self._inner.apply_batch(pair_updates)
+                if add_pair((u, a), (u2, c)):
+                    added.append(((u, a), (u2, c)))
+        if added:
+            self._inner.repair_inserted_edges(added)
 
     def _sync_own_structures(
         self, deleted: List[Tuple[Node, Node]], inserted: List[Tuple[Node, Node]]
@@ -657,7 +705,8 @@ class BoundedSimulationIndex(StandaloneDriver):
 
     def apply_batch(self, updates: Iterable[Update]) -> None:
         """IncBMatch: the batch is netted, then one deletion phase and one
-        insertion phase, each one pair-level IncMatch pass."""
+        insertion phase, each one pair-level IncMatch repair.  ``stats``
+        counts the data-level updates handed in and their net."""
         updates = list(updates)
         net = self._drive(updates)
         self.stats.original_updates += len(updates)
@@ -667,9 +716,16 @@ class BoundedSimulationIndex(StandaloneDriver):
     # Invariants (tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Pair graph must mirror true bounded distances; inner invariants
-        must hold."""
+        """Pair graph must mirror true bounded distances, a pair node
+        outside its layer's inner eligible set must have no pair edge, and
+        the inner invariants must hold."""
         self._inner.check_invariants()
+        pairs = self._pair_graph
+        for pv in pairs.nodes():
+            if pv not in self._inner.eligible[pv[0]]:
+                assert not pairs.children(pv) and not pairs.parents(pv), (
+                    f"pair node {pv} outside its layer has pair edges"
+                )
         for (u, u2), bound in self._bounds.items():
             for a in self.eligible[u]:
                 ball = descendants_within(self.graph, a, bound)

@@ -7,7 +7,8 @@ node) support counters (the "local information": how many children of a
 candidate currently match the target pattern node).
 
 Each paper algorithm has one implementation, run on edits already made
-to the graph (the pool's shared graph or this index's own):
+to the graph (the pool's shared graph, this index's own, or a bounded
+index's pair graph):
 
 - ``repair_deleted_edges`` — **IncMatch-** (O(|AFF|)): deleting an ss
   edge may zero a support counter; demotions cascade to graph parents.
@@ -28,6 +29,12 @@ runs the coinductive ``propCC`` refinement of Fig. 9 over the backward
 closure of its dirty candidates only.  Each promotion marks its candidate
 parents dirty in their own, higher, components.  The pass never looks at
 a candidate no seed can reach.
+
+The pool calls them around its shared graph, and
+:class:`~repro.incremental.incbsim.BoundedSimulationIndex` around the
+pair graph it edits: the pair edges it removes or adds go straight to
+``repair_deleted_edges`` / ``repair_inserted_edges``, and its pair nodes
+enter and leave their layers through ``apply_eligibility_flip_batch``.
 
 The standalone entry points are drivers over them
 (:class:`~repro.incremental.drivers.StandaloneDriver`).  ``apply_batch``
@@ -66,8 +73,14 @@ CntKey = Tuple[PatternNode, PatternNode, Node]
 class IncStats:
     """Work counters: |AFF| proxies and minDelta effectiveness.
 
-    ``pairs_rechecked`` counts the suspect pairs IncBMatch- rechecks
-    (bounded indexes only).
+    ``original_updates`` counts the updates handed to ``apply_batch`` and
+    ``reduced_updates`` those left once the batch is netted against the
+    graph.  On a bounded index both count data-graph edge updates: its
+    inner pair-level index shares these counters, but receives the pair
+    edits as direct repair calls, which count no update.  The |AFF|
+    proxies (promotions, demotions, counter updates, candidates examined)
+    count the inner index's pair-level work.  ``pairs_rechecked`` counts
+    the suspect pairs IncBMatch- rechecks (bounded indexes only).
     """
 
     __slots__ = (
@@ -111,9 +124,11 @@ class SimulationIndex(StandaloneDriver):
     resolved to gained/lost pattern nodes) rather than
     :meth:`update_node_attrs`.
 
-    ``eligible`` hands in private eligible sets the caller already holds,
-    which must be the nodes the predicates select (the bounded index's
-    pair-graph layers); the index owns them from then on.
+    ``eligible`` hands in private eligible sets the caller already holds
+    (the bounded index's pair-graph layers); the predicates are not
+    evaluated over the graph.  The bounded index keeps the sets: it moves
+    pair nodes in and out of them, as the pool's substrate does with
+    shared sets, before it calls :meth:`apply_eligibility_flip_batch`.
     """
 
     def __init__(
@@ -170,8 +185,8 @@ class SimulationIndex(StandaloneDriver):
         """Batch computation of match/candt and all support counters.
 
         The eligible sets are leased from the shared substrate, taken as
-        handed in (owned by this index from then on), or evaluated from
-        the predicates.
+        handed in (the caller's sets, which the caller keeps moving nodes
+        in and out of), or evaluated from the predicates.
         """
         if self._eligibility is not None:
             # Shared read-views: one leased set per pattern-node predicate
@@ -347,23 +362,6 @@ class SimulationIndex(StandaloneDriver):
                     self._withdraw(u, v, queue)
         self._demote_cascade(queue)
         self._promote(adopt)
-
-    def retire_node(self, v: Node) -> None:
-        """Forcibly drop ``v`` from every eligible set (with cascades).
-
-        Used by the bounded-simulation layer to retire pair-graph nodes;
-        also handy when a node is being deleted from the data graph.
-        Unavailable on shared eligible sets (they mirror predicate truth,
-        which retirement would falsify for every other leaseholder).
-        """
-        if self._eligibility is not None:
-            raise RuntimeError(
-                "cannot retire nodes from shared eligible sets"
-            )
-        lost = [u for u in self.pattern.nodes() if v in self.eligible[u]]
-        for u in lost:
-            self.eligible[u].remove(v)
-        self.apply_eligibility_flip_batch([(v, [], lost)])
 
     def _withdraw(self, u: PatternNode, v: Node, queue) -> None:
         """Unwire ``v`` from layer ``u`` after it left ``u``'s eligible

@@ -405,6 +405,34 @@ def test_tiny_run_fails_when_the_naive_loop_is_fed_half_its_stream(
         assert any(f.endswith("graph differs") for f in failures), name
 
 
+@pytest.mark.parametrize("direction", ["inserted", "deleted"])
+@pytest.mark.parametrize("name", ["simulation", "bounded", "bounded-shared"])
+def test_tiny_run_fails_when_a_repair_does_nothing(
+    name, direction, monkeypatch, capsys
+):
+    """``--tiny`` catches indexes whose insertion or deletion repair does
+    nothing: the partition stream cuts a matched ``A`` node off and links
+    another one back, so the pool's queries and the naive indexes, which
+    hold the right graph, answer otherwise than batch recomputation."""
+    from repro.incremental.incbsim import BoundedSimulationIndex
+    from repro.incremental.incsim import SimulationIndex
+
+    bench = _bench_pool()
+    for index_type in (SimulationIndex, BoundedSimulationIndex):
+        monkeypatch.setattr(
+            index_type, f"repair_{direction}_edges", lambda self, edges: None
+        )
+    assert bench.main(["--tiny", "--scenario", name, "--json", "-"]) == 1
+    failures = [
+        line.split(": ", 1)[1]
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith(f"MISMATCH {name} ")
+    ]
+    assert any(" pool, pattern " in f for f in failures), failures
+    assert any(" naive, pattern " in f for f in failures), failures
+    assert not any(f.endswith("graph differs") for f in failures), failures
+
+
 def _gate_mutations():
     """Every gate the registry declares, with each way its quantity can
     be rewritten to fail it."""

@@ -94,14 +94,6 @@ class TestSimulationIndex:
         assert as_pairs(idx.raw_match_sets()) == before
         idx.check_invariants()
 
-    def test_retire_node(self, friendfeed_graph):
-        idx = SimulationIndex(job_pattern(), friendfeed_graph)
-        idx.retire_node("Bill")
-        assert "Bill" not in idx.raw_match_sets()["b"]
-        # Pat depended on Bill for its Bio child.
-        assert "Pat" not in idx.raw_match_sets()["d"]
-        idx.check_invariants()
-
 
 class TestBoundedIndex:
     def test_losing_eligibility(self, friendfeed_pattern, friendfeed_graph):

@@ -13,7 +13,7 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.traversal import descendants_within
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import delete, insert
-from repro.matching.bounded import bounded_match_naive
+from repro.matching.bounded import bounded_match, bounded_match_naive
 from repro.matching.relation import as_pairs, totalize
 from repro.patterns.pattern import Pattern
 from repro.workloads.updates import mixed_updates
@@ -203,6 +203,27 @@ class TestBatchSemantics:
         idx.add_node("NewBio", job="Bio")
         idx.apply_batch([insert("Ann", "NewBio")])
         assert "NewBio" in idx.raw_match_sets()["Bio"]
+        assert_matches_batch(idx)
+
+    def test_update_counts_are_data_level(self):
+        """``original_updates`` / ``reduced_updates`` count the data-graph
+        updates of a batch, not the pair edits repair makes of them: the
+        pair ``(0, 3)`` that ``insert(0, 3)`` brings adds nothing."""
+        g = DiGraph()
+        for v in range(6):
+            g.add_node(v, label="AC"[v % 2])
+        for v in range(5):
+            g.add_edge(v, v + 1)
+        p = Pattern.from_spec(
+            {"x": "label = A", "z": "label = C"}, [("x", "z", 2)]
+        )
+        idx = BoundedSimulationIndex(p, g)
+        assert not idx.has_pair(("x", "z"), 0, 3)
+        idx.apply_batch([insert(0, 3), delete(1, 2), insert(5, 0)])
+        assert idx.has_pair(("x", "z"), 0, 3)
+        assert (idx.stats.original_updates, idx.stats.reduced_updates) == (
+            3, 3
+        )
         assert_matches_batch(idx)
 
 
@@ -508,3 +529,91 @@ def test_oracle_tracks_pool_updates(situation, mode):
     assert as_pairs(q.matches()) == as_pairs(
         totalize(bounded_match_naive(q.pattern, graph))
     )
+
+
+# x(A) and y(B) close a pattern cycle, so flips on it run through the SCC
+# refinement; t takes every node (TRUE), so an attribute-less endpoint
+# of an inserted edge gains it on arrival.
+FLIP_PATTERN = Pattern.from_spec(
+    {"x": "label = A", "y": "label = B", "t": None},
+    [("x", "y", 2), ("y", "x", 3), ("y", "t", 1)],
+)
+FLIP_SITUATIONS = {
+    "adjacent pair nodes lost together",
+    "gained nodes pair with each other",
+    "one node loses a layer and gains another",
+    "a lost layer regained later",
+    "a fresh endpoint gains the TRUE layer",
+}
+
+
+def _wired(idx):
+    """The pair nodes ``idx`` holds in their layers, and its pair edges."""
+    layers = {
+        (u, v)
+        for relation in (idx.raw_match_sets(), idx.candidates())
+        for u, vs in relation.items()
+        for v in vs
+    }
+    return layers, idx._pair_graph.edge_set()
+
+
+def test_pool_flips_keep_the_pair_graph_exact():
+    """A seeded pool stream of relabels, edge churn and fresh endpoints
+    keeps the interned bounded index's pair graph and answer exact after
+    every flush, and covers every order-sensitive flip situation at least
+    once: two adjacent pair nodes losing their layers in one flush, two
+    nodes gaining layers that pair with each other, one node losing a
+    layer and gaining another, a node regaining a layer it lost in an
+    earlier flush, and a fresh node gaining the TRUE layer through an
+    inserted edge."""
+    rng = random.Random(28)
+    g = DiGraph()
+    for v in range(10):
+        g.add_node(v, label=rng.choice("ABC"))
+    while g.num_edges() < 18:
+        g.add_edge(rng.randrange(10), rng.randrange(10))
+    pool = MatcherPool(g)
+    q = pool.register(FLIP_PATTERN, semantics="bounded")
+    idx, graph = q.index.join.query.index, pool.graph
+    trivial = {
+        u for u in idx.pattern.nodes() if idx.pattern.predicate(u).is_trivial()
+    }
+    seen, lost_before, fresh_ids = set(), set(), iter(range(100, 200))
+    for _ in range(40):
+        layers, edges = _wired(idx)
+        nodes = list(graph.nodes())
+        for v in rng.sample(nodes, rng.randint(1, 3)):
+            pool.queue_node(v, label=rng.choice("ABC"))
+        updates = []
+        for _ in range(rng.randint(1, 3)):
+            v, w = rng.choice(nodes), rng.choice(nodes)
+            updates.append((delete if graph.has_edge(v, w) else insert)(v, w))
+        fresh = next(fresh_ids) if rng.random() < 0.3 else None
+        if fresh is not None:
+            updates.append(insert(rng.choice(nodes), fresh))
+        pool.apply(updates)
+        idx.check_invariants()
+        assert as_pairs(idx.raw_match_sets()) == as_pairs(
+            bounded_match(idx.pattern, graph)
+        )
+        assert as_pairs(q.matches()) == as_pairs(
+            totalize(bounded_match(FLIP_PATTERN, graph))
+        )
+        layers_after, edges_after = _wired(idx)
+        lost, gained = layers - layers_after, layers_after - layers
+        if any(a in lost and c in lost for a, c in edges):
+            seen.add("adjacent pair nodes lost together")
+        if any(
+            a in gained and c in gained and a[1] != c[1]
+            for a, c in edges_after
+        ):
+            seen.add("gained nodes pair with each other")
+        if {v for _, v in lost} & {v for _, v in gained}:
+            seen.add("one node loses a layer and gains another")
+        if gained & lost_before:
+            seen.add("a lost layer regained later")
+        if any(c[0] in trivial and c[1] == fresh for _, c in edges_after):
+            seen.add("a fresh endpoint gains the TRUE layer")
+        lost_before |= lost
+    assert seen == FLIP_SITUATIONS
