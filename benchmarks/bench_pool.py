@@ -1,6 +1,7 @@
 """Routed-update throughput of MatcherPool vs a naive matcher loop.
 
-The scenarios, all over one shared graph holding labelled communities:
+The scenarios, all but the last over one shared graph holding labelled
+communities:
 
 - ``simulation``: N normal patterns (``A{i} -> B{i} -> C{i}``), routed by
   eq-keys alone, so the flush's routed (query, update) pairs stay
@@ -52,11 +53,27 @@ The scenarios, all over one shared graph holding labelled communities:
   non-zero count from N = k on (gate ``upkeep_flat``), and every expiry
   flush syncs a structure and triggers zero full-structure rebuilds
   (gate ``zero_expiry_rebuilds``); in ``bfs`` mode nothing is leased and
-  both counter gates fail.
+  both counter gates fail.  A partition too full to take the churn makes
+  the run fail on the empty stream, before any gate is judged;
+- ``bounded-far``: the pool's two distance modes race on a graph of its
+  own, the in-repo YouTube-like stand-in (``youtube_like(0.05)``,
+  ``0.02`` at ``--tiny``): N bound-6 queries, a deletion-heavy stream
+  applied in flushes of 5, one pool in ``bfs`` mode (suspect rechecks by
+  probes, ``probe_nodes``) against one in ``landmark`` mode (rechecks
+  from the one shared landmark index, ``upkeep`` its batches).  A probe
+  at bound 6 expands through most of the graph, while the vectors answer
+  a suspect with one scan; their upkeep is paid once per flush for the
+  whole pool, so ``landmark`` must win from N = 4 on (gate
+  ``landmark_wins``) wherever the ``bfs`` leg takes
+  ``FAR_RACE_FLOOR_MS``.  At ``--tiny`` no row does: that graph's margin
+  (1.05-1.4x at N = 4) is inside the host's run-to-run noise, so the
+  race is reported ungated there.
 
 Each scenario is one :class:`Scenario` in ``SCENARIOS``: its sizes, the
 timed legs it builds for each N, the counters it reads off the pool's
 public stats, the oracle its queries are checked against, and its gates.
+A scenario runs on the run's partitioned graph unless it declares its
+own.
 One runner (:func:`run`) measures every scenario the same way.  Each leg
 is built untimed and timed right after a full ``gc.collect()``, so a
 cyclic-GC pass paid for set-up garbage does not land in it; a row
@@ -69,7 +86,7 @@ and every other checked pool and every naive index must hold that same
 graph.
 Gates come in three kinds: :class:`Flat` (a count non-zero and equal at
 every N from a threshold, judged on two or more sizes), :class:`Race`
-(a ratio above 1 wherever the baseline clears ``RACE_GATE_FLOOR_MS``)
+(a ratio above 1 wherever the baseline clears the race's floor)
 and :class:`Every` (a condition on every row).
 
 The naive baseline is one independent incremental index per pattern,
@@ -94,7 +111,6 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -106,11 +122,18 @@ from repro.graphs.digraph import DiGraph  # noqa: E402
 from repro.incremental.incbsim import BoundedSimulationIndex  # noqa: E402
 from repro.incremental.incsim import SimulationIndex  # noqa: E402
 from repro.incremental.types import delete, insert  # noqa: E402
-from repro.matching.oracles import BFSOracle  # noqa: E402
 from repro.matching.relation import as_pairs  # noqa: E402
 from repro.patterns.pattern import Pattern  # noqa: E402
 from repro.patterns.predicate import Atom, Predicate  # noqa: E402
-from repro.workloads.updates import label_partitioned_updates  # noqa: E402
+from repro.workloads.datasets import (  # noqa: E402
+    YOUTUBE_CATEGORIES,
+    YOUTUBE_UPLOADERS,
+    youtube_like,
+)
+from repro.workloads.updates import (  # noqa: E402
+    label_partitioned_updates,
+    mixed_updates,
+)
 
 # Distinct patterns the ``overlap``, ``shared-plan`` and ``temporal``
 # scenarios draw their N queries from (query i uses pattern
@@ -128,6 +151,18 @@ RACE_GATE_FLOOR_MS = 1.0
 PLAN_GATE_MIN_N = 16
 
 TEMPORAL_WINDOW = 10.0
+
+# The bounded-far race: bound-FAR_BOUND queries, a stream whose
+# FAR_DELETE_SHARE are deletions applied FAR_FLUSH updates per flush.  It
+# is judged from FAR_GATE_MIN_N queries on (one query pays the landmark
+# upkeep alone), on rows whose bfs leg takes at least FAR_RACE_FLOOR_MS:
+# the --tiny graph's rows take under 250 ms on a 2-vCPU VM, and the full
+# run's from N = 4 take over 1 s.
+FAR_BOUND = 6
+FAR_FLUSH = 5
+FAR_DELETE_SHARE = 0.7
+FAR_GATE_MIN_N = 4
+FAR_RACE_FLOOR_MS = 400.0
 
 
 # ----------------------------------------------------------------------
@@ -347,14 +382,26 @@ def temporal_pattern(i: int) -> Pattern:
     return bounded_pattern(i % VOCABULARY)
 
 
+class EmptyStream(ValueError):
+    """A scenario's stream came out empty on this graph, so its legs
+    would time nothing and its gates would judge nothing."""
+
+
 def temporal_stream(graph, num_churn):
     """Two disjoint insert-only churn batches in partition 0: the first
     is ingested at t = 0 and expires; the second (drawn against a graph
-    already holding the first) is what the window step ingests."""
+    already holding the first) is what the window step ingests.  Raises
+    :class:`EmptyStream` when the first is empty: nothing would expire."""
     churn = label_partitioned_updates(
         graph, cluster_labels(0),
         num_insertions=num_churn, num_deletions=0, seed=31,
     )
+    if not churn:
+        raise EmptyStream(
+            "the insert-only churn stream of partition 0 is empty (asked "
+            f"for {num_churn} insertions, found no absent edge to insert), "
+            "so nothing expires"
+        )
     warm = graph.copy()
     for u in churn:
         warm.add_edge(*u.edge)
@@ -363,6 +410,56 @@ def temporal_stream(graph, num_churn):
         num_insertions=num_churn, num_deletions=0, seed=37,
     )
     return churn, fresh
+
+
+def far_graph(tiny: bool) -> DiGraph:
+    """The ``bounded-far`` graph: the in-repo YouTube-like stand-in,
+    741 nodes at scale 0.05 and 296 at ``--tiny``'s 0.02."""
+    return youtube_like(0.02 if tiny else 0.05)
+
+
+def far_pattern(i: int) -> Pattern:
+    """A video of category ``i`` reaches one by uploader ``i`` within
+    ``FAR_BOUND`` hops; distinct for every ``i`` below 40."""
+    category = YOUTUBE_CATEGORIES[i % len(YOUTUBE_CATEGORIES)]
+    uploader = YOUTUBE_UPLOADERS[i % len(YOUTUBE_UPLOADERS)]
+    return Pattern.from_spec(
+        {"x": f"category = {category}", "y": f"uploader = {uploader}"},
+        [("x", "y", FAR_BOUND)],
+    )
+
+
+def far_updates(graph, num_updates):
+    """The ``bounded-far`` stream.  Like :func:`partition_updates` it
+    moves answers: it deletes every out-edge of query 0's two matched
+    sources with the fewest out-edges, so the first loses its match, and
+    links the second to a target of query 0 it had no edge to, so it
+    matches again.  The rest, if ``num_updates`` leaves room for any, is
+    degree-biased churn (:func:`~repro.workloads.updates.mixed_updates`),
+    ``FAR_DELETE_SHARE`` of it deletions, none out of the two cut
+    nodes."""
+    pattern = far_pattern(0)
+    first, second = sorted(
+        bounded_match(pattern, graph)["x"],
+        key=lambda v: (graph.out_degree(v), v),
+    )[:2]
+    target = min(
+        v for v in graph.nodes()
+        if v != second and not graph.has_edge(second, v)
+        and pattern.predicate("y").satisfied_by(graph.attrs(v))
+    )
+    stream = [
+        delete(v, w) for v in (first, second) for w in graph.children(v)
+    ]
+    stream.append(insert(second, target))
+    n = max(0, num_updates - len(stream))
+    quota = {"delete": round(FAR_DELETE_SHARE * n)}
+    quota["insert"] = n - quota["delete"]
+    for u in mixed_updates(graph, n, n, seed=41):
+        if u.source not in (first, second) and quota[u.op]:
+            quota[u.op] -= 1
+            stream.append(u)
+    return stream
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +515,12 @@ def queued(build):
 
 def flush(pool, stream):
     return pool.flush()
+
+
+def in_flushes(pool, stream):
+    """Apply ``stream`` ``FAR_FLUSH`` updates per flush."""
+    for i in range(0, len(stream), FAR_FLUSH):
+        pool.apply(stream[i:i + FAR_FLUSH])
 
 
 def publish(index, was_total):
@@ -483,18 +586,11 @@ def naive(index_type, pattern, feed=feed_edges, key="naive_ms", **kwargs):
 def batch(pattern, semantics):
     """The oracle of queries ``p{i} = pattern(i)`` under ``semantics``:
     ``oracle(n, pool)`` recomputes each from scratch on ``pool``'s
-    graph, totalized as a pool query's answer is.  ``bounded_match``
-    reads its distances by BFS from the candidates: with its default on
-    these graphs, an all-pairs matrix per call, a full run took 53 s
-    instead of 44 s."""
+    graph, totalized as a pool query's answer is."""
+    match = bounded_match if semantics == "bounded" else maximum_simulation
 
     def oracle(n, pool):
-        graph = pool.graph
-        if semantics == "bounded":
-            match = partial(bounded_match, oracle=BFSOracle(graph))
-        else:
-            match = maximum_simulation
-        return [totalize(match(pattern(i), graph)) for i in range(n)]
+        return [totalize(match(pattern(i), pool.graph)) for i in range(n)]
 
     return oracle
 
@@ -552,18 +648,19 @@ class Flat:
 @dataclass(frozen=True)
 class Race:
     """The ratio ``key`` (``baseline`` leg over its rival) exceeds 1 on
-    every row with N >= ``start`` whose ``baseline`` clears
-    ``RACE_GATE_FLOOR_MS``; ungated (``None``) when no row does."""
+    every row with N >= ``start`` whose ``baseline`` clears ``floor_ms``;
+    ungated (``None``) when no row does."""
 
     name: str
     key: str
     baseline: str
     start: int = 1
+    floor_ms: float = RACE_GATE_FLOOR_MS
 
     def verdict(self, rows) -> Optional[bool]:
         gated = [
             r[self.key] for r in rows
-            if r["n"] >= self.start and r[self.baseline] >= RACE_GATE_FLOOR_MS
+            if r["n"] >= self.start and r[self.baseline] >= self.floor_ms
         ]
         return all(ratio > 1.0 for ratio in gated) if gated else None
 
@@ -595,7 +692,9 @@ class Scenario:
     leg's by default); every checked pool and every naive leg's index
     ``i`` must hold that graph and give that answer (see :func:`check`),
     and each ``expect``ed count must equal its value on the stream.
-    ``info`` is copied into the scenario's JSON document."""
+    ``graph(tiny)``, when given, builds the scenario's own graph in place
+    of the run's partitioned one.  ``info`` is copied into the
+    scenario's JSON document."""
 
     title: str
     stream: Callable[[DiGraph, int], Any]
@@ -607,12 +706,19 @@ class Scenario:
     checked: Tuple[str, ...] = ()
     expect: Mapping[str, Callable[[Any], int]] = field(default_factory=dict)
     info: Mapping[str, Any] = field(default_factory=dict)
+    graph: Optional[Callable[[bool], DiGraph]] = None
 
 
 def up_to_16(sizes):
     """The naive loop's private indexes (and the per-edge leg's flushes)
     get expensive fast; a sweep capped at 16 already spans every gate."""
     return [n for n in sizes if n <= 16]
+
+
+def up_to_8(sizes):
+    """``bounded-far``'s bfs leg takes seconds a run at N = 8 on the full
+    graph; its race is judged from N = 4, so two sizes are gated."""
+    return [n for n in sizes if n <= 8]
 
 
 def bounded(mode, sizes=list, gates=()):
@@ -780,6 +886,43 @@ SCENARIOS: Dict[str, Scenario] = {
         info={"leg_vocabularies": VOCABULARY},
     ),
     "temporal": temporal("landmark"),
+    "bounded-far": Scenario(
+        title=f"N bound-{FAR_BOUND} queries, flushes of {FAR_FLUSH}; bfs "
+        "pool vs landmark pool",
+        graph=far_graph,
+        stream=far_updates,
+        legs=(
+            Leg(
+                "bfs_ms",
+                pool_of(far_pattern, "bounded", distance_mode="bfs"),
+                in_flushes,
+                counts={
+                    "probe_nodes": (
+                        lambda pool: pool.substrate.stats.probe_nodes
+                    ),
+                },
+            ),
+            Leg(
+                "landmark_ms",
+                pool_of(far_pattern, "bounded", distance_mode="landmark"),
+                in_flushes,
+                counts={"upkeep": ROUTING["upkeep"]},
+            ),
+        ),
+        gates=(
+            Race("landmark_wins", "bfs_over_landmark", "bfs_ms",
+                 start=FAR_GATE_MIN_N, floor_ms=FAR_RACE_FLOOR_MS),
+        ),
+        ratio=("bfs_over_landmark", "bfs_ms", "landmark_ms"),
+        oracle=batch(far_pattern, "bounded"),
+        checked=("bfs_ms", "landmark_ms"),
+        sizes=up_to_8,
+        info={
+            "distance_modes": ["bfs", "landmark"],
+            "bound": FAR_BOUND,
+            "flush_size": FAR_FLUSH,
+        },
+    ),
 }
 
 
@@ -845,19 +988,32 @@ def judge(name, rows) -> Tuple[bool, Dict[str, Optional[bool]]]:
     return all(v is not False for v in verdicts.values()), verdicts
 
 
-def run(name, graph, sizes, num_updates, reps) -> Tuple[bool, dict]:
-    """Measure scenario ``name`` at each of its sizes: ``(ok, doc)``."""
+def run(
+    name, graph, sizes, num_updates, reps, tiny=False
+) -> Tuple[bool, dict]:
+    """Measure scenario ``name`` at each of its sizes: ``(ok, doc)``.
+    ``graph`` is the run's partitioned graph; ``tiny`` picks the size of
+    a scenario's own graph."""
     scenario = SCENARIOS[name]
+    print(f"\n== scenario: {name} ({scenario.title}) ==")
+    own = {}
+    if scenario.graph is not None:
+        graph = scenario.graph(tiny)
+        own["graph"] = {"nodes": graph.num_nodes(), "edges": graph.num_edges()}
+        print(f"graph: |V|={graph.num_nodes()} |E|={graph.num_edges()}")
+    try:
+        stream = scenario.stream(graph, num_updates)
+    except EmptyStream as exc:
+        print(f"EMPTY STREAM {name}: {exc}", file=sys.stderr)
+        return False, {"empty_stream": str(exc)}
     sizes = scenario.sizes(sizes)
     if any(isinstance(gate, Race) for gate in scenario.gates):
         reps = max(reps, 5)
-    stream = scenario.stream(graph, num_updates)
     ratio, num, den = scenario.ratio
     columns = ["n", *(leg.key for leg in scenario.legs), ratio]
     for leg in scenario.legs:
         columns += [*leg.counts, *leg.gauges]
     widths = {c: max(len(c), 7) for c in columns}
-    print(f"\n== scenario: {name} ({scenario.title}) ==")
     print(" ".join(f"{c:>{widths[c]}}" for c in columns))
     ok = True
     rows = []
@@ -888,7 +1044,10 @@ def run(name, graph, sizes, num_updates, reps) -> Tuple[bool, dict]:
         print(" ".join(f"{_cell(row[c]):>{widths[c]}}" for c in columns))
         rows.append(row)
     gates_ok, verdicts = judge(name, rows)
-    doc = {"sizes": sizes, "reps": reps, **scenario.info, "results": rows}
+    doc = {
+        "sizes": sizes, "reps": reps, **own, **scenario.info,
+        "results": rows,
+    }
     doc.update(verdicts)
     return ok and gates_ok, doc
 
@@ -955,7 +1114,7 @@ def main(argv=None) -> int:
     }
     for name in names:
         s_ok, doc["scenarios"][name] = run(
-            name, graph, sizes, num_updates, reps
+            name, graph, sizes, num_updates, reps, tiny=args.tiny
         )
         ok = ok and s_ok
 

@@ -37,6 +37,7 @@ COST_KEYS = (
     "pool_ms",
     "plan_shared_ms", "plan_naive_ms",
     "expiry_bulk_ms", "expiry_per_edge_ms", "windowed_ms",
+    "bfs_ms", "landmark_ms",
 )
 
 

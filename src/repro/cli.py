@@ -28,9 +28,8 @@ from pathlib import Path
 from typing import List
 
 from .core.engine import Matcher
-from .engine import MatcherPool
+from .engine import POOL_DISTANCE_MODES, MatcherPool
 from .graphs.io import load_json as load_graph
-from .incremental.incbsim import DISTANCE_MODES
 from .incremental.types import Update, validate_update
 from .patterns.io import load_pattern
 
@@ -122,10 +121,11 @@ def main(argv=None) -> int:
         "--distance-mode",
         nargs="+",
         default=["bfs"],
-        choices=DISTANCE_MODES,
+        choices=POOL_DISTANCE_MODES,
         metavar="MODE",
-        help="bounded-simulation distance structure "
-        f"({' | '.join(DISTANCE_MODES)}); one value applies to every "
+        help="how bounded queries recheck suspect pairs after a deletion "
+        f"({' | '.join(POOL_DISTANCE_MODES)}: bounded BFS probes, or the "
+        "pool's shared landmark vectors); one value applies to every "
         "pattern, or give exactly one per --patterns entry",
     )
     pool.add_argument(

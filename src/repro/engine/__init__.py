@@ -7,9 +7,10 @@
   signature, and a match-delta change feed;
 - :class:`UpdateRouter` — the label/predicate-keyed routing index;
 - :class:`SharedDistanceSubstrate` — pool-level shared distance
-  structures (landmark vectors / matrix) leased by
-  bounded queries so upkeep is paid once per pool, not once per query,
-  and the memoized edge legs their routing and repair share;
+  structures: the landmark vectors leased by ``landmark``-mode bounded
+  queries, so upkeep is paid once per pool, not once per query, and the
+  memoized edge legs and recheck probes their routing and repair share
+  (:data:`POOL_DISTANCE_MODES` are the modes a pool query takes);
 - :class:`SharedEligibilityIndex` — pool-level predicate-eligibility
   substrate, two-tiered: one posting set per distinct *atom* (evaluated
   once per node event pool-wide) composed into one eligible-node set per
@@ -25,7 +26,11 @@
   and their drainable subscriber buffers.
 """
 
-from .distances import SharedDistanceSubstrate, SubstrateStats
+from .distances import (
+    POOL_DISTANCE_MODES,
+    SharedDistanceSubstrate,
+    SubstrateStats,
+)
 from .eligibility import (
     AtomEntry,
     EligibilityLeaseError,
@@ -48,6 +53,7 @@ __all__ = [
     "PlannedQuery",
     "SharedDistanceSubstrate",
     "SubstrateStats",
+    "POOL_DISTANCE_MODES",
     "SharedEligibilityIndex",
     "AtomEntry",
     "EligibleSet",

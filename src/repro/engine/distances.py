@@ -1,18 +1,15 @@
 """Pool-level shared distance structures for bounded continuous queries.
 
-A private distance structure per bounded query (landmark vectors, an
-all-pairs matrix) would make the pool feed **every** net edge update to
-**every** such query — the upkeep that distance-aware routing saves at
-the pair level paid right back N times over at the structure level.  This is the "one maintained auxiliary
+A private distance structure per bounded query would make the pool feed
+**every** net edge update to **every** such query — the upkeep that
+distance-aware routing saves at the pair level paid right back N times
+over at the structure level.  This is the "one maintained auxiliary
 structure, many queries answered from it" shape of answering queries
 under updates (Berkholz et al.): every bounded query in a
-:class:`~repro.engine.pool.MatcherPool` leases from one substrate, which
-owns
+:class:`~repro.engine.pool.MatcherPool` reads one substrate, which owns
 
 - at most **one** :class:`~repro.landmarks.vector.LandmarkIndex` per pool
   (``distance_mode='landmark'`` queries all read the same vectors);
-- at most **one** :class:`~repro.graphs.distance.DistanceMatrix` per pool
-  (``'matrix'`` queries share the rows for suspect rechecks);
 - the **legs** of each edge (:func:`~repro.graphs.traversal.edge_legs`):
   for an edge ``(x, y)`` and leg radius ``r``, the radius-``r`` backward
   BFS from ``x`` and forward BFS from ``y`` on the current graph (the
@@ -42,9 +39,9 @@ would keep one ball per node alive through a run of registrations, which
 is where a pool's memory peaks.  The index counts their entries in
 :attr:`SubstrateStats.ball_nodes`.
 
-Every other structure is leased with a refcount: registering a bounded query
-acquires leases, unregistering releases them, and a structure
-whose refcount reaches zero is dropped so the pool stops paying its
+The landmark index is leased with a refcount: registering a
+landmark-mode query acquires a lease, unregistering releases it, and the
+index is dropped with its last lease so the pool stops paying its
 upkeep.  The pool syncs the substrate **once per flush phase** —
 ``observe_deleted`` runs after the shared graph drops a deletion batch,
 and ``observe_inserted`` after an insertion batch lands (and *before*
@@ -69,10 +66,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph, Node
-from ..graphs.distance import DistanceMatrix
 from ..graphs.traversal import Legs, WithinProbe, edge_legs
 from ..landmarks.selection import LandmarkBudget
 from ..landmarks.vector import LandmarkIndex
+
+# The distance modes a pool query may take.  A standalone
+# BoundedSimulationIndex also takes ``'matrix'``, the paper's IncBMatch_m
+# baseline; the substrate keeps no matrix, so a pool refuses it.
+POOL_DISTANCE_MODES = ("bfs", "landmark")
 
 
 class SubstrateStats:
@@ -87,7 +88,6 @@ class SubstrateStats:
     __slots__ = (
         "lm_builds",
         "lm_rebuilds",
-        "matrix_builds",
         "edge_batches",
         "structure_batches",
         "leg_nodes",
@@ -101,7 +101,6 @@ class SubstrateStats:
     def reset(self) -> None:
         self.lm_builds = 0
         self.lm_rebuilds = 0
-        self.matrix_builds = 0
         self.edge_batches = 0
         self.structure_batches = 0
         self.leg_nodes = 0
@@ -110,7 +109,7 @@ class SubstrateStats:
 
     def __repr__(self) -> str:
         return (
-            f"SubstrateStats(builds={self.lm_builds}+{self.matrix_builds}, "
+            f"SubstrateStats(lm_builds={self.lm_builds}, "
             f"edge_batches={self.edge_batches}, "
             f"structure_batches={self.structure_batches}, "
             f"leg_nodes={self.leg_nodes}, probe_nodes={self.probe_nodes}, "
@@ -119,8 +118,9 @@ class SubstrateStats:
 
 
 class SharedDistanceSubstrate:
-    """One maintained distance structure per ``(graph, distance_mode)``,
-    leased by all bounded queries of one pool."""
+    """The distance structures of one pool's graph, read by all its
+    bounded queries: one leased landmark index, and the memoized legs and
+    probes."""
 
     def __init__(
         self,
@@ -132,8 +132,6 @@ class SharedDistanceSubstrate:
         self.stats = SubstrateStats()
         self._lm: Optional[LandmarkIndex] = None
         self._lm_refs = 0
-        self._matrix: Optional[DistanceMatrix] = None
-        self._matrix_refs = 0
         # Edge legs until the next observed edge batch: per (x, y,
         # unbounded?), the radius they were computed at and the pair.
         self._legs: Dict[
@@ -146,14 +144,10 @@ class SharedDistanceSubstrate:
     # ------------------------------------------------------------------
     # Leases
     # ------------------------------------------------------------------
-    def lease_landmarks(self, strategy: str = "matching") -> LandmarkIndex:
-        """Acquire the pool-wide landmark index (built on first lease).
-
-        The first lease's ``strategy`` wins; later leases share the same
-        vectors regardless (one structure per pool is the whole point).
-        """
+    def lease_landmarks(self) -> LandmarkIndex:
+        """Acquire the pool-wide landmark index (built on first lease)."""
         if self._lm is None:
-            self._lm = LandmarkIndex(self._graph, strategy=strategy)
+            self._lm = LandmarkIndex(self._graph)
             self.stats.lm_builds += 1
         self._lm_refs += 1
         return self._lm
@@ -208,26 +202,12 @@ class SharedDistanceSubstrate:
             )
         return probe
 
-    def lease_matrix(self) -> DistanceMatrix:
-        """Acquire the pool-wide all-pairs matrix (built on first lease)."""
-        if self._matrix is None:
-            self._matrix = DistanceMatrix(self._graph)
-            self.stats.matrix_builds += 1
-        self._matrix_refs += 1
-        return self._matrix
-
-    def release_matrix(self) -> None:
-        self._matrix_refs -= 1
-        if self._matrix_refs <= 0:
-            self._matrix = None
-            self._matrix_refs = 0
-
     # ------------------------------------------------------------------
     # Observation (invoked once per flush phase by the pool)
     # ------------------------------------------------------------------
     def observe_deleted(self, edges: List[Tuple[Node, Node]]) -> None:
         """Absorb net deletions (shared graph already edited) — one pass
-        over each live structure, however many queries lease it."""
+        over the live landmark index, however many queries lease it."""
         if not edges:
             return
         self._legs.clear()
@@ -236,15 +216,12 @@ class SharedDistanceSubstrate:
         if self._lm is not None:
             self._lm.apply_batch(deleted=edges)
             self.stats.structure_batches += 1
-        if self._matrix is not None:
-            self._matrix.apply_deletions(edges)
-            self.stats.structure_batches += 1
 
     def observe_inserted(self, edges: List[Tuple[Node, Node]]) -> None:
         """Absorb net insertions (shared graph already edited).
 
         The pool calls this *before* insertion routing so the legs and
-        every leased structure reflect the whole batch.
+        the leased landmark index reflect the whole batch.
         """
         if not edges:
             return
@@ -253,10 +230,6 @@ class SharedDistanceSubstrate:
         self.stats.edge_batches += 1
         if self._lm is not None:
             self._lm.apply_batch(inserted=edges)
-            self.stats.structure_batches += 1
-        if self._matrix is not None:
-            for x, y in edges:
-                self._matrix.apply_insert(x, y)
             self.stats.structure_batches += 1
 
     def enforce_lm_budget(self) -> bool:
@@ -279,9 +252,6 @@ class SharedDistanceSubstrate:
     def landmark_index(self) -> Optional[LandmarkIndex]:
         return self._lm
 
-    def matrix(self) -> Optional[DistanceMatrix]:
-        return self._matrix
-
     def rebuild_counters(self) -> Dict[str, int]:
         """Cumulative full-structure rebuild counts of the shared
         structures: BatchLM re-selections of the landmark index.
@@ -294,14 +264,8 @@ class SharedDistanceSubstrate:
 
     def live_structures(self) -> Dict[str, int]:
         """How many shared structures are alive (and their lease counts)."""
-        return {
-            "landmark": self._lm_refs if self._lm is not None else 0,
-            "matrix": self._matrix_refs if self._matrix is not None else 0,
-        }
+        return {"landmark": self._lm_refs if self._lm is not None else 0}
 
     def __repr__(self) -> str:
         live = self.live_structures()
-        return (
-            f"SharedDistanceSubstrate(lm={live['landmark']}, "
-            f"matrix={live['matrix']})"
-        )
+        return f"SharedDistanceSubstrate(lm={live['landmark']})"

@@ -31,13 +31,13 @@ eligible-node set per *distinct* predicate, updated once per node
 event, with queries leasing read-views — so per-flush predicate
 evaluations scale with distinct atoms, not pool size, and node events
 route as predicate *flips* (:meth:`UpdateRouter.route_flips`).  Bounded
-queries lease their distance structures from the
+queries read their distances from the
 :class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
-index / matrix per pool, synced exactly once per flush phase however
-many queries lease it, plus one memoized pair of edge legs
-per edge and graph state (at the largest finite leg radius the router
-asks for, and one reachability pair for ``*`` bounds) that routing and
-repair share.  The match relation
+index per pool for ``landmark``-mode queries, synced exactly once per
+flush phase however many queries lease it, plus one memoized pair of
+edge legs per edge and graph state (at the largest finite leg radius
+the router asks for, and one reachability pair for ``*`` bounds) that
+routing and repair share.  The match relation
 is shared too: every ``simulation`` and ``bounded`` query reads the one
 interned index of its canonical pattern in the
 :class:`~repro.engine.plan.SharedPlan`, so routing and repair run once
@@ -49,10 +49,10 @@ A pool constructed with ``window=...`` (or fed per-insert ``ttl``
 overrides) is **temporal**: every inserted edge is stamped with a logical
 (or caller-supplied) timestamp, and each flush begins by retiring every
 out-of-window edge in ONE coalesced deletion batch that rides the normal
-pre-edit deletion phase — so eligibility posting sets, landmark vectors,
-the matrix, and the routed indexes (shared-plan interned ones included)
-all absorb a single netted decremental batch per flush instead of N
-scattered deletes.
+pre-edit deletion phase — so eligibility posting sets, landmark vectors
+and the routed indexes (shared-plan interned ones included) all absorb
+a single netted decremental batch per flush instead of N scattered
+deletes.
 Expiry deletes are queued *before* user updates, so re-inserting an
 expired edge within the same flush nets to zero graph work and simply
 refreshes the stamp (the ``minDelta`` cancellation doing double duty).
@@ -69,7 +69,6 @@ import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
-from ..incremental.incbsim import DISTANCE_MODES
 from ..incremental.types import (
     Update,
     delete,
@@ -80,7 +79,7 @@ from ..incremental.types import (
 from ..landmarks.selection import LandmarkBudget
 from ..patterns.pattern import Pattern
 from ..patterns.predicate import Predicate
-from .distances import SharedDistanceSubstrate
+from .distances import POOL_DISTANCE_MODES, SharedDistanceSubstrate
 from .eligibility import SharedEligibilityIndex
 from .feeds import MatchDelta
 from .plan import SharedPlan
@@ -221,9 +220,8 @@ class MatcherPool:
         self.graph = graph
         self.stats = PoolStats()
         # One eligible-node set per distinct predicate, leased by every
-        # query; one distance structure per (graph, distance_mode), leased
-        # by all bounded queries and synced exactly once per flush phase
-        # below.
+        # query; one landmark index, leased by all landmark-mode bounded
+        # queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)
         self.substrate = SharedDistanceSubstrate(graph, lm_budget=lm_budget)
         # The multi-query plan: every simulation and bounded query reads
@@ -312,24 +310,27 @@ class MatcherPool:
         (for ``bounded``) distance mode, which every same-shape
         registration reads.  An isomorphism query owns its index.
         Indexes lease their eligible sets from the pool's eligibility
-        substrate and, for bounded semantics, their distance structures
-        from the pool's distance substrate.
+        substrate and, for bounded semantics, read their distances from
+        the pool's distance substrate.  ``distance_mode`` is ``'bfs'`` or
+        ``'landmark'`` (:data:`~repro.engine.distances.POOL_DISTANCE_MODES`);
+        the standalone index's ``'matrix'`` mode is not a pool mode.
 
         ``ttl`` gives the query itself a lifetime: once pool time passes
         ``now + ttl`` the next flush auto-unregisters it (leases released,
         feeds closed) before doing any other work.
 
         ``plan_scope`` accepts only ``None`` or ``"shared"``, the one
-        plan there is.  It, like an unknown ``distance_mode`` (whatever
-        the semantics), is rejected before anything is flushed or leased.
+        plan there is.  Any other ``plan_scope`` or ``distance_mode``,
+        whatever the semantics, is rejected before anything is flushed or
+        leased.
         """
         if plan_scope not in (None, "shared"):
             raise ValueError(
                 f"plan_scope must be None or 'shared', got {plan_scope!r}"
             )
-        if distance_mode not in DISTANCE_MODES:
+        if distance_mode not in POOL_DISTANCE_MODES:
             raise ValueError(
-                f"distance_mode must be one of {DISTANCE_MODES}, "
+                f"distance_mode must be one of {POOL_DISTANCE_MODES}, "
                 f"got {distance_mode!r}"
             )
         _check_lifetime("ttl", ttl)

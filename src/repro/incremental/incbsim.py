@@ -72,17 +72,18 @@ standalone index owns are synced by one helper,
 - ``'bfs'``       — rechecks by bounded probes (default IncBMatch);
 - ``'landmark'``  — maintains a :class:`LandmarkIndex` (``IncLM``) and
   answers rechecks from the vectors — the paper's Section 6.3 algorithm;
-- ``'matrix'``    — maintains a full all-pairs matrix (min-plus updates on
-  insert, rebuild on delete): the ``IncBMatch_m`` baseline of Exp-2, whose
-  heavier auxiliary structure is exactly what Fig. 19 measures.
+- ``'matrix'``    — standalone only: maintains a full all-pairs matrix
+  (min-plus updates on insert, rebuild on delete), the ``IncBMatch_m``
+  baseline of Exp-2, whose heavier auxiliary structure is exactly what
+  Fig. 19 measures.  An index given a substrate refuses it.
 
 A standalone index owns the landmark index or matrix
 its suspect rechecks read, and computes each edge's legs itself.  A
 pool-registered index receives the pool's
-:class:`~repro.engine.distances.SharedDistanceSubstrate` instead: the
-structures are **leased** from it and the pool keeps them in sync once
-per flush for every leasing query, and the legs and the recheck probes
-come from the substrate's memos (:meth:`SharedDistanceSubstrate.legs`,
+:class:`~repro.engine.distances.SharedDistanceSubstrate` instead: a
+``landmark``-mode index **leases** the pool's one landmark index, which
+the pool keeps in sync once per flush for every leasing query, and the
+legs and the recheck probes come from the substrate's memos (:meth:`SharedDistanceSubstrate.legs`,
 :meth:`SharedDistanceSubstrate.probe`), so routing and every routed
 query's repair on one edge share one BFS pair, and every routed query's
 recheck in a flush extends one partial BFS per suspect source and bound.
@@ -161,19 +162,23 @@ class BoundedSimulationIndex(StandaloneDriver):
         pattern: Pattern,
         graph: DiGraph,
         distance_mode: str = "bfs",
-        landmark_strategy: str = "matching",
         substrate=None,
         eligibility=None,
     ) -> None:
         if distance_mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance_mode {distance_mode!r}")
+        if substrate is not None and distance_mode == "matrix":
+            raise ValueError(
+                "distance_mode 'matrix' is standalone only: a substrate "
+                "keeps no matrix"
+            )
         self.pattern = pattern
         self.graph = graph
         self.distance_mode = distance_mode
         # A pool-level SharedDistanceSubstrate (engine.distances).  When
-        # set, the landmark index / matrix are leased rather than owned,
-        # edge legs are read from its memo, and the pool keeps every
-        # shared structure in sync.  A substrate-backed index must
+        # set, the landmark index is leased rather than owned, edge legs
+        # and probes are read from its memos, and the pool keeps the
+        # leased index in sync.  A substrate-backed index must
         # therefore be driven through the pool's prepare/repair entry
         # points, not the standalone insert_edge/delete_edge/apply_batch
         # drivers (which sync only structures the index owns).
@@ -209,14 +214,11 @@ class BoundedSimulationIndex(StandaloneDriver):
         self._matrix: Optional[DistanceMatrix] = None
         if distance_mode == "landmark":
             if substrate is not None:
-                self._lm = substrate.lease_landmarks(strategy=landmark_strategy)
+                self._lm = substrate.lease_landmarks()
             else:
-                self._lm = LandmarkIndex(graph, strategy=landmark_strategy)
+                self._lm = LandmarkIndex(graph)
         elif distance_mode == "matrix":
-            if substrate is not None:
-                self._matrix = substrate.lease_matrix()
-            else:
-                self._matrix = DistanceMatrix(graph)
+            self._matrix = DistanceMatrix(graph)
 
     # ------------------------------------------------------------------
     # Pair graph construction
@@ -615,9 +617,6 @@ class BoundedSimulationIndex(StandaloneDriver):
         if self._lm is not None:
             self.substrate.release_landmarks()
             self._lm = None
-        if self._matrix is not None:
-            self.substrate.release_matrix()
-            self._matrix = None
         # Detach so a stray repair on a released index cannot silently
         # re-lease substrate structures nobody will ever release again.
         self.substrate = None

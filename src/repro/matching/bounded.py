@@ -27,7 +27,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.traversal import INF
 from ..patterns.pattern import Pattern, PatternNode
-from .oracles import DistanceOracle, make_oracle
+from .oracles import BFSOracle, DistanceOracle, make_oracle
 from .relation import MatchRelation
 from .simulation import candidate_sets
 
@@ -49,11 +49,14 @@ def bounded_match(
 ) -> MatchRelation:
     """Maximum bounded-simulation sets (pre-totalization).
 
-    ``oracle`` supplies distances (default: auto-selected); ``candidates``
-    optionally seeds ``mat()`` (must contain the true matches).
+    ``oracle`` supplies distances.  Only the balls of the candidate
+    sources are read (``ball_out``), so the default is a BFS from each of
+    them (:class:`~repro.matching.oracles.BFSOracle`), not an all-pairs
+    matrix of the whole graph.  ``candidates`` optionally seeds ``mat()``
+    (must contain the true matches).
     """
     if oracle is None:
-        oracle = make_oracle(graph)
+        oracle = BFSOracle(graph)
     if candidates is None:
         mat = candidate_sets(pattern, graph)
     else:
@@ -116,7 +119,11 @@ def bounded_match_naive(
     graph: DiGraph,
     oracle: Optional[DistanceOracle] = None,
 ) -> MatchRelation:
-    """Plain fixpoint refinement — the differential-testing reference."""
+    """Plain fixpoint refinement — the differential-testing reference.
+
+    It asks ``pathdist`` per pair, which the default oracle
+    (:func:`~repro.matching.oracles.make_oracle`: a matrix on small
+    graphs) answers with one lookup."""
     if oracle is None:
         oracle = make_oracle(graph)
     mat = candidate_sets(pattern, graph)

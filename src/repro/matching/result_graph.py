@@ -18,7 +18,7 @@ from ..graphs.digraph import DiGraph, Node
 from ..graphs.traversal import INF
 from ..patterns.pattern import Pattern, PatternNode
 from .isomorphism import Embedding
-from .oracles import DistanceOracle, make_oracle
+from .oracles import BFSOracle, DistanceOracle
 from .relation import MatchRelation, is_total
 
 
@@ -31,7 +31,8 @@ def simulation_result_graph(
     """``Gr`` for (bounded) simulation matches.
 
     For a normal pattern this only needs edge lookups; for a b-pattern an
-    oracle answers the path-length tests.
+    oracle answers the path-length tests from the balls of the matches
+    (default: a BFS from each, :class:`~repro.matching.oracles.BFSOracle`).
     """
     gr = DiGraph()
     if not is_total(match):
@@ -41,7 +42,7 @@ def simulation_result_graph(
             gr.add_node(v, **dict(graph.attrs(v)))
     need_oracle = not pattern.is_normal()
     if need_oracle and oracle is None:
-        oracle = make_oracle(graph)
+        oracle = BFSOracle(graph)
     for u1, u2 in pattern.edges():
         bound = pattern.bound(u1, u2)
         for v1 in match[u1]:

@@ -144,7 +144,7 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc["scenarios"]) == {
         "simulation", "bounded", "bounded-shared", "overlap",
-        "overlap-atoms", "shared-plan", "temporal",
+        "overlap-atoms", "shared-plan", "temporal", "bounded-far",
     }
     for name in ("simulation", "bounded"):
         scenario = doc["scenarios"][name]
@@ -241,6 +241,22 @@ def test_bench_pool_tiny_emits_machine_readable_json(tmp_path):
         r["structure_batches"] for r in temporal["results"] if r["n"] >= 4
     ]
     assert len(set(batches)) == 1 and batches[0] > 0, batches
+    # The distance modes' race on the YouTube-like graph: both pools
+    # answered as batch recomputation (exit code 0 above), the bfs pool
+    # probed and the landmark pool synced its one index.  The race is
+    # judged only on rows above its floor, which the tiny graph's never
+    # reach, so it reads ungated (None), never a fired-and-failed False.
+    far = doc["scenarios"]["bounded-far"]
+    assert far["distance_modes"] == ["bfs", "landmark"]
+    assert far["graph"] == {"nodes": 296, "edges": 1178}  # scale 0.02
+    assert [r["n"] for r in far["results"]] == [1, 2, 4, 8]
+    for row in far["results"]:
+        assert {
+            "n", "bfs_ms", "landmark_ms", "bfs_over_landmark",
+            "probe_nodes", "upkeep",
+        } <= set(row)
+        assert row["probe_nodes"] > 0 and row["upkeep"] > 0
+    assert far["landmark_wins"] is not False
 
 
 def _unshared(monkeypatch):
@@ -399,21 +415,24 @@ def test_tiny_run_fails_when_the_naive_loop_is_fed_half_its_stream(
         if line.startswith("MISMATCH "):
             name, failure = line.split()[1], line.split(": ", 1)[1]
             failed.setdefault(name, []).append(failure)
-    assert set(failed) == set(bench.SCENARIOS) - {"temporal"}
+    assert set(failed) == set(bench.SCENARIOS) - {"temporal", "bounded-far"}
     for name, failures in failed.items():
         assert all(" naive, pattern " in f for f in failures), name
         assert any(f.endswith("graph differs") for f in failures), name
 
 
 @pytest.mark.parametrize("direction", ["inserted", "deleted"])
-@pytest.mark.parametrize("name", ["simulation", "bounded", "bounded-shared"])
+@pytest.mark.parametrize(
+    "name", ["simulation", "bounded", "bounded-shared", "bounded-far"]
+)
 def test_tiny_run_fails_when_a_repair_does_nothing(
     name, direction, monkeypatch, capsys
 ):
     """``--tiny`` catches indexes whose insertion or deletion repair does
-    nothing: the partition stream cuts a matched ``A`` node off and links
-    another one back, so the pool's queries and the naive indexes, which
-    hold the right graph, answer otherwise than batch recomputation."""
+    nothing: the stream cuts a matched source off and links another one
+    back, so the pool's queries and the naive indexes, which hold the
+    right graph, answer otherwise than batch recomputation.
+    ``bounded-far`` runs no naive loop, and both its pools fail."""
     from repro.incremental.incbsim import BoundedSimulationIndex
     from repro.incremental.incsim import SimulationIndex
 
@@ -428,9 +447,31 @@ def test_tiny_run_fails_when_a_repair_does_nothing(
         for line in capsys.readouterr().err.splitlines()
         if line.startswith(f"MISMATCH {name} ")
     ]
-    assert any(" pool, pattern " in f for f in failures), failures
-    assert any(" naive, pattern " in f for f in failures), failures
     assert not any(f.endswith("graph differs") for f in failures), failures
+    if name == "bounded-far":
+        failed = {f.split(" pool, pattern ")[0] for f in failures}
+        assert failed == {"bfs_ms", "landmark_ms"}, failures
+    else:
+        assert any(" pool, pattern " in f for f in failures), failures
+        assert any(" naive, pattern " in f for f in failures), failures
+
+
+def test_temporal_names_an_empty_churn_stream(capsys):
+    """A 4-node partition already holds all 12 possible edges, so the
+    temporal scenario's insert-only churn is empty and nothing would
+    expire: the run fails on the empty stream, before any gate is
+    judged, and names it."""
+    bench = _bench_pool()
+    assert bench.main([
+        "--tiny", "--cluster-size", "4", "--updates", "4", "--reps", "1",
+        "--scenario", "temporal", "--json", "-",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert "EMPTY STREAM temporal: the insert-only churn stream" in (
+        captured.err
+    )
+    assert "GATE FAILED" not in captured.err
+    assert "gates:" not in captured.out
 
 
 def _gate_mutations():
@@ -472,7 +513,7 @@ def test_every_declared_gate_can_fail(name, gate_name, how):
         rows = [r for r in rows if r not in gated[1:]]
     else:
         for r in gated:
-            r[gate.baseline] = 2 * bench.RACE_GATE_FLOOR_MS
+            r[gate.baseline] = 2 * gate.floor_ms
             r[gate.key] = 0.5
     ok, verdicts = bench.judge(name, rows)
     assert verdicts[gate_name] is False

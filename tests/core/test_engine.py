@@ -37,6 +37,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Matcher(normal_pattern(), friendfeed_graph, semantics="telepathy")
 
+    def test_matrix_distance_mode_rejected(
+        self, friendfeed_pattern, friendfeed_graph
+    ):
+        """A matcher is a one-query pool, and the pool's distance modes
+        are bfs and landmark: the standalone index's matrix mode is
+        refused by the pool's registration check."""
+        with pytest.raises(ValueError, match="distance_mode"):
+            Matcher(
+                friendfeed_pattern, friendfeed_graph, distance_mode="matrix"
+            )
+
     def test_b_pattern_rejected_for_simulation(
         self, friendfeed_pattern, friendfeed_graph
     ):

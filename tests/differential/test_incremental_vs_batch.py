@@ -257,7 +257,7 @@ def test_pool_stream_matches_batch_all_semantics(data):
         b_q.index.check_invariants()
 
 
-@pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+@pytest.mark.parametrize("mode", ["bfs", "landmark"])
 @settings(max_examples=12, deadline=None)
 @given(st.data())
 def test_pool_bounded_distance_modes_with_node_churn(mode, data):

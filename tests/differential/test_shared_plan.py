@@ -50,7 +50,7 @@ SEQUENCES = int(os.environ.get("SHARED_PLAN_SEQUENCES", "150"))
 BASE_SEED = 0x9A17
 FLUSHES = 3
 LABELS = ["A", "B", "C"]
-MODES = ["bfs", "landmark", "matrix"]
+MODES = ["bfs", "landmark"]
 
 
 def _random_graph(rng: random.Random) -> DiGraph:

@@ -51,7 +51,7 @@ from repro.matching.relation import as_pairs, totalize
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 
-MODES = ["bfs", "landmark", "matrix"]
+MODES = ["bfs", "landmark"]
 SEQUENCES = int(os.environ.get("WINDOW_CHURN_SEQUENCES", "20"))
 BASE_SEED = 0xC1C
 FLUSHES = 5

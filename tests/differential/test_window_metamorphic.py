@@ -47,7 +47,7 @@ from repro.matching.relation import as_pairs, totalize
 from repro.patterns.pattern import Pattern
 from repro.patterns.predicate import Atom, Predicate
 
-MODES = ["bfs", "landmark", "matrix"]
+MODES = ["bfs", "landmark"]
 SEQUENCES = int(os.environ.get("WINDOW_METAMORPHIC_SEQUENCES", "25"))
 BASE_SEED = 0x71E0
 FLUSHES = 5

@@ -1,11 +1,11 @@
 """Unit tests for the pool-wide shared distance substrate.
 
 :class:`~repro.engine.distances.SharedDistanceSubstrate` owns at most one
-landmark index and one all-pairs matrix per pool, leased with refcounts,
-plus the per-flush memos of edge legs and suspect-recheck probes.  These
-tests drive it directly, the way the pool does: edit the graph, then
-``observe_deleted`` / ``observe_inserted`` the net batch.  The ball
-counter, which bounded indexes bump, is read through a pool.
+landmark index per pool, leased with a refcount, plus the per-flush memos
+of edge legs and suspect-recheck probes.  These tests drive it directly,
+the way the pool does: edit the graph, then ``observe_deleted`` /
+``observe_inserted`` the net batch.  The ball counter, which bounded
+indexes bump, is read through a pool.
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 from repro.engine import MatcherPool
 from repro.engine.distances import SharedDistanceSubstrate
 from repro.graphs.digraph import DiGraph
-from repro.graphs.generators import chain, star, synthetic_graph
+from repro.graphs.generators import chain, synthetic_graph
 from repro.graphs.traversal import (
     INF,
     ancestors_within,
@@ -26,21 +26,7 @@ from repro.graphs.traversal import (
 from repro.landmarks.selection import LandmarkBudget, select_landmarks
 from repro.patterns.pattern import Pattern
 
-STRUCTURES = ["landmark", "matrix"]
 OBSERVERS = ["observe_deleted", "observe_inserted"]
-
-
-def _lease(substrate, structure):
-    if structure == "landmark":
-        return substrate.lease_landmarks()
-    return substrate.lease_matrix()
-
-
-def _release(substrate, structure):
-    if structure == "landmark":
-        substrate.release_landmarks()
-    else:
-        substrate.release_matrix()
 
 
 def _within(legs, radius):
@@ -51,32 +37,12 @@ def _within(legs, radius):
     )
 
 
-def _leased(substrate, structure):
-    if structure == "landmark":
-        return substrate.landmark_index()
-    return substrate.matrix()
-
-
-def _builds(substrate, structure):
-    if structure == "landmark":
-        return substrate.stats.lm_builds
-    return substrate.stats.matrix_builds
-
-
-def _distance(structure_obj, v, w):
-    """Shortest nonempty-path length read off either structure."""
-    if hasattr(structure_obj, "pathdist"):
-        return structure_obj.pathdist(v, w)
-    return structure_obj.dist(v, w)
-
-
-def _assert_exact(structure_obj, graph):
+def _assert_exact(lm, graph):
+    """The landmark vectors answer every shortest nonempty-path length."""
     nodes = list(graph.nodes())
     for v in nodes:
         for w in nodes:
-            assert _distance(structure_obj, v, w) == path_distance(
-                graph, v, w
-            ), (v, w)
+            assert lm.pathdist(v, w) == path_distance(graph, v, w), (v, w)
 
 
 def _edit(graph, observer):
@@ -92,100 +58,71 @@ def _edit(graph, observer):
 class TestLeases:
     def test_nothing_is_live_before_a_lease(self):
         substrate = SharedDistanceSubstrate(chain(3))
-        assert substrate.live_structures() == {"landmark": 0, "matrix": 0}
+        assert substrate.live_structures() == {"landmark": 0}
         assert substrate.landmark_index() is None
-        assert substrate.matrix() is None
-        assert substrate.stats.lm_builds == substrate.stats.matrix_builds == 0
+        assert substrate.stats.lm_builds == 0
 
-    @pytest.mark.parametrize("structure", STRUCTURES)
-    def test_leases_share_one_structure_built_once(self, structure):
+    def test_leases_share_one_structure_built_once(self):
         substrate = SharedDistanceSubstrate(chain(4))
-        first = _lease(substrate, structure)
-        second = _lease(substrate, structure)
-        assert first is second is _leased(substrate, structure)
-        assert _builds(substrate, structure) == 1
-        assert substrate.live_structures()[structure] == 2
+        first = substrate.lease_landmarks()
+        second = substrate.lease_landmarks()
+        assert first is second is substrate.landmark_index()
+        assert substrate.stats.lm_builds == 1
+        assert substrate.live_structures()["landmark"] == 2
 
-    def test_first_landmark_lease_picks_the_strategy(self):
-        # On an outward star the degree cover is the hub alone, while the
-        # matching cover takes both endpoints of one edge.
-        g = star(5)
-        assert select_landmarks(g, "degree") != select_landmarks(g, "matching")
-        substrate = SharedDistanceSubstrate(g)
-        lm = substrate.lease_landmarks(strategy="degree")
-        assert substrate.lease_landmarks(strategy="matching") is lm
-        assert lm.landmarks() == select_landmarks(g, "degree")
-
-    @pytest.mark.parametrize("structure", STRUCTURES)
-    def test_last_release_drops_and_a_new_lease_rebuilds(self, structure):
+    def test_last_release_drops_and_a_new_lease_rebuilds(self):
         g = chain(4)
         substrate = SharedDistanceSubstrate(g)
-        old = _lease(substrate, structure)
-        _lease(substrate, structure)
-        _release(substrate, structure)
-        assert _leased(substrate, structure) is old
-        _release(substrate, structure)
-        assert _leased(substrate, structure) is None
-        assert substrate.live_structures()[structure] == 0
+        old = substrate.lease_landmarks()
+        substrate.lease_landmarks()
+        substrate.release_landmarks()
+        assert substrate.landmark_index() is old
+        substrate.release_landmarks()
+        assert substrate.landmark_index() is None
+        assert substrate.live_structures()["landmark"] == 0
         # Edited while nothing leases it: the next lease must be built on
         # the current graph, not revive the dropped structure.
         g.add_edge(3, 0)
-        new = _lease(substrate, structure)
+        new = substrate.lease_landmarks()
         assert new is not old
-        assert _builds(substrate, structure) == 2
-        assert _distance(new, 0, 0) == 4
+        assert substrate.stats.lm_builds == 2
+        assert new.pathdist(0, 0) == 4
         _assert_exact(new, g)
 
-    @pytest.mark.parametrize("structure", STRUCTURES)
-    def test_release_without_a_lease_leaves_nothing_live(self, structure):
+    def test_release_without_a_lease_leaves_nothing_live(self):
         substrate = SharedDistanceSubstrate(chain(3))
-        _release(substrate, structure)
-        assert substrate.live_structures()[structure] == 0
+        substrate.release_landmarks()
+        assert substrate.live_structures()["landmark"] == 0
         # The refcount clamps at zero, so one lease is one live reference
         # and one release drops it.
-        _lease(substrate, structure)
-        assert substrate.live_structures()[structure] == 1
-        _release(substrate, structure)
-        assert _leased(substrate, structure) is None
-
-    def test_landmark_and_matrix_leases_are_independent(self):
-        substrate = SharedDistanceSubstrate(chain(4))
         substrate.lease_landmarks()
-        substrate.lease_matrix()
-        assert substrate.live_structures() == {"landmark": 1, "matrix": 1}
-        substrate.release_matrix()
-        assert substrate.live_structures() == {"landmark": 1, "matrix": 0}
-        assert substrate.landmark_index() is not None
+        assert substrate.live_structures()["landmark"] == 1
         substrate.release_landmarks()
-        assert substrate.live_structures() == {"landmark": 0, "matrix": 0}
+        assert substrate.landmark_index() is None
 
 
 class TestObservation:
     @pytest.mark.parametrize("observer", OBSERVERS)
-    @pytest.mark.parametrize(
-        "leased", [(), ("landmark",), ("matrix",), ("landmark", "matrix")],
-        ids=["none", "landmark", "matrix", "both"],
-    )
+    @pytest.mark.parametrize("leased", [False, True], ids=["none", "landmark"])
     def test_one_structure_batch_per_live_structure(self, observer, leased):
-        """An edge batch is one pass over each live structure, however
-        many queries lease it, and none over a structure nobody leases."""
+        """An edge batch is one pass over the landmark index, however
+        many queries lease it, and none when nobody leases it."""
         g = chain(4)
         substrate = SharedDistanceSubstrate(g)
-        for structure in leased:
-            _lease(substrate, structure)
-            _lease(substrate, structure)  # a second holder costs nothing
+        if leased:
+            substrate.lease_landmarks()
+            substrate.lease_landmarks()  # a second holder costs nothing
         getattr(substrate, observer)(_edit(g, observer))
         assert substrate.stats.edge_batches == 1
-        assert substrate.stats.structure_batches == len(leased)
-        for structure in leased:
-            _assert_exact(_leased(substrate, structure), g)
+        assert substrate.stats.structure_batches == int(leased)
+        if leased:
+            _assert_exact(substrate.landmark_index(), g)
 
     @pytest.mark.parametrize("observer", OBSERVERS)
     def test_empty_batch_is_a_no_op(self, observer):
         g = chain(4)
         substrate = SharedDistanceSubstrate(g)
         substrate.lease_landmarks()
-        substrate.lease_matrix()
         legs = substrate.legs(0, 1, 2)
         probe = substrate.probe(0, 2)
         getattr(substrate, observer)([])
@@ -194,23 +131,21 @@ class TestObservation:
         assert substrate.legs(0, 1, 2) is legs
         assert substrate.probe(0, 2) is probe
 
-    def test_deletions_then_insertions_keep_both_structures_exact(self):
+    def test_deletions_then_insertions_keep_the_landmarks_exact(self):
         g = chain(5)
         substrate = SharedDistanceSubstrate(g)
         lm = substrate.lease_landmarks()
-        matrix = substrate.lease_matrix()
         g.remove_edge(2, 3)
         substrate.observe_deleted([(2, 3)])
-        assert lm.pathdist(0, 4) == matrix.dist(0, 4) == INF
+        assert lm.pathdist(0, 4) == INF
         g.add_edge(1, 4)
         g.add_edge(4, 0)
         substrate.observe_inserted([(1, 4), (4, 0)])
-        assert lm.pathdist(0, 4) == matrix.dist(0, 4) == 2
-        assert lm.pathdist(0, 0) == matrix.dist(0, 0) == 3
+        assert lm.pathdist(0, 4) == 2
+        assert lm.pathdist(0, 0) == 3
         _assert_exact(lm, g)
-        _assert_exact(matrix, g)
         assert substrate.stats.edge_batches == 2
-        assert substrate.stats.structure_batches == 4
+        assert substrate.stats.structure_batches == 2
 
 
 class TestMemos:
@@ -380,20 +315,19 @@ class TestIntrospection:
     def test_counters_and_live_structures_name_only_the_kept_structures(self):
         substrate = SharedDistanceSubstrate(chain(3))
         assert set(substrate.rebuild_counters()) == {"lm_rebuilds"}
-        assert set(substrate.live_structures()) == {"landmark", "matrix"}
+        assert set(substrate.live_structures()) == {"landmark"}
+        assert not hasattr(substrate, "lease_matrix")
 
     def test_repr_reports_the_lease_counts(self):
         substrate = SharedDistanceSubstrate(chain(3))
         substrate.lease_landmarks()
         substrate.lease_landmarks()
-        substrate.lease_matrix()
-        assert repr(substrate) == "SharedDistanceSubstrate(lm=2, matrix=1)"
+        assert repr(substrate) == "SharedDistanceSubstrate(lm=2)"
 
     def test_stats_reset_zeroes_every_counter(self):
         g = chain(4)
         substrate = SharedDistanceSubstrate(g)
         substrate.lease_landmarks()
-        substrate.lease_matrix()
         substrate.probe(0, 2).reaches(2)
         substrate.legs(0, 1, 1)
         g.remove_edge(0, 1)
@@ -402,8 +336,8 @@ class TestIntrospection:
         assert all(
             getattr(stats, name) > 0
             for name in (
-                "lm_builds", "matrix_builds", "edge_batches",
-                "structure_batches", "leg_nodes", "probe_nodes",
+                "lm_builds", "edge_batches", "structure_batches",
+                "leg_nodes", "probe_nodes",
             )
         )
         stats.reset()
@@ -413,7 +347,7 @@ class TestIntrospection:
 def test_churn_keeps_structures_legs_and_probes_exact():
     """Mixed edge batches observed flush by flush, with a tight landmark
     budget so re-selections happen mid-stream: after every phase the
-    leased landmark vectors and matrix, the memoized legs (restricted to
+    leased landmark vectors, the memoized legs (restricted to
     the radius asked, and not recomputed for a smaller one) and the
     memoized probes all answer as a from-scratch BFS does on the current
     graph."""
@@ -423,12 +357,10 @@ def test_churn_keeps_structures_legs_and_probes_exact():
         graph, lm_budget=LandmarkBudget(slack=1.0, floor=0)
     )
     lm = substrate.lease_landmarks()
-    matrix = substrate.lease_matrix()
     nodes = sorted(graph.nodes())
 
     def check():
         _assert_exact(lm, graph)
-        _assert_exact(matrix, graph)
         for x, y in rng.sample(list(graph.edges()), 3):
             # One finite pair, at the largest radius asked, serves every
             # smaller radius as its d <= r prefix without recomputing.
@@ -467,4 +399,4 @@ def test_churn_keeps_structures_legs_and_probes_exact():
         rebuilds += substrate.enforce_lm_budget()
     assert rebuilds and rebuilds == substrate.stats.lm_rebuilds
     assert substrate.stats.edge_batches == 12
-    assert substrate.stats.structure_batches == 24
+    assert substrate.stats.structure_batches == 12

@@ -324,7 +324,7 @@ class TestCountersAndInvariants:
             v for k, v in counters.items() if k != "total"
         )
 
-    @pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+    @pytest.mark.parametrize("mode", ["bfs", "landmark"])
     def test_expiry_triggers_no_rebuilds(self, mode):
         pool = MatcherPool(_graph(), window=5.0)
         pool.register(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from repro.engine import MatcherPool
 from repro.engine.distances import SharedDistanceSubstrate
+from repro.engine.eligibility import SharedEligibilityIndex
 from repro.graphs.digraph import DiGraph
 from repro.graphs.traversal import descendants_within
 from repro.incremental.incbsim import BoundedSimulationIndex
@@ -164,18 +165,28 @@ class TestModes:
         assert (lm is not None) == (mode == "landmark")
 
 
+@pytest.mark.parametrize("mode", MODES)
 class TestBatchSemantics:
-    def test_cancellation(self, friendfeed_pattern, friendfeed_graph):
-        idx = BoundedSimulationIndex(friendfeed_pattern, friendfeed_graph)
+    """Batch semantics hold in every standalone distance mode, matrix
+    (the paper's IncBMatch_m) included."""
+
+    def test_cancellation(self, friendfeed_pattern, friendfeed_graph, mode):
+        idx = BoundedSimulationIndex(
+            friendfeed_pattern, friendfeed_graph, distance_mode=mode
+        )
         before = as_pairs(idx.raw_match_sets())
         idx.apply_batch([insert("Don", "Pat"), delete("Don", "Pat")])
         assert as_pairs(idx.raw_match_sets()) == before
         assert_matches_batch(idx)
 
-    def test_delete_then_restore_via_insert(self, friendfeed_pattern, friendfeed_graph):
+    def test_delete_then_restore_via_insert(
+        self, friendfeed_pattern, friendfeed_graph, mode
+    ):
         """A pair broken by a deletion but rescued by an insertion in the
         same batch must survive."""
-        idx = BoundedSimulationIndex(friendfeed_pattern, friendfeed_graph)
+        idx = BoundedSimulationIndex(
+            friendfeed_pattern, friendfeed_graph, distance_mode=mode
+        )
         assert "Pat" in idx.matches()["DB"]
         idx.apply_batch([
             delete("Pat", "Bill"),   # Pat loses Bio within 1 hop ...
@@ -184,28 +195,36 @@ class TestBatchSemantics:
         assert "Pat" in idx.matches()["DB"]
         assert_matches_batch(idx)
 
-    def test_naive_unit_loop_equals_batch(self, friendfeed_pattern, friendfeed_graph):
+    def test_naive_unit_loop_equals_batch(
+        self, friendfeed_pattern, friendfeed_graph, mode
+    ):
         updates = [
             insert("Don", "Pat"),
             insert("Pat", "Don"),
             delete("Ann", "Bill"),
             insert("Don", "Tom"),
         ]
-        a = BoundedSimulationIndex(friendfeed_pattern, friendfeed_graph.copy())
-        b = BoundedSimulationIndex(friendfeed_pattern, friendfeed_graph.copy())
+        a, b = (
+            BoundedSimulationIndex(
+                friendfeed_pattern, friendfeed_graph.copy(), distance_mode=mode
+            )
+            for _ in range(2)
+        )
         a.apply_batch(updates)
         b.apply_batch_naive(updates)
         assert as_pairs(a.raw_match_sets()) == as_pairs(b.raw_match_sets())
 
-    def test_new_nodes_in_batch(self, friendfeed_pattern, friendfeed_graph):
-        idx = BoundedSimulationIndex(friendfeed_pattern, friendfeed_graph)
+    def test_new_nodes_in_batch(self, friendfeed_pattern, friendfeed_graph, mode):
+        idx = BoundedSimulationIndex(
+            friendfeed_pattern, friendfeed_graph, distance_mode=mode
+        )
         idx.graph.add_node("NewBio", job="Bio")
         idx.add_node("NewBio", job="Bio")
         idx.apply_batch([insert("Ann", "NewBio")])
         assert "NewBio" in idx.raw_match_sets()["Bio"]
         assert_matches_batch(idx)
 
-    def test_update_counts_are_data_level(self):
+    def test_update_counts_are_data_level(self, mode):
         """``original_updates`` / ``reduced_updates`` count the data-graph
         updates of a batch, not the pair edits repair makes of them: the
         pair ``(0, 3)`` that ``insert(0, 3)`` brings adds nothing."""
@@ -217,7 +236,7 @@ class TestBatchSemantics:
         p = Pattern.from_spec(
             {"x": "label = A", "z": "label = C"}, [("x", "z", 2)]
         )
-        idx = BoundedSimulationIndex(p, g)
+        idx = BoundedSimulationIndex(p, g, distance_mode=mode)
         assert not idx.has_pair(("x", "z"), 0, 3)
         idx.apply_batch([insert(0, 3), delete(1, 2), insert(5, 0)])
         assert idx.has_pair(("x", "z"), 0, 3)
@@ -361,7 +380,7 @@ def chain_graph():
     return g
 
 
-@pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+@pytest.mark.parametrize("mode", ["bfs", "landmark"])
 def test_oracle_agrees_with_ground_truth(mode):
     """On a freshly registered pool query the router must route (x, y)
     to the interned query exactly when the textbook check holds: some
@@ -417,28 +436,32 @@ def test_substrate_backed_index_leases_and_releases_its_structure(mode):
     """A pool-registered index leases its mode's structure from the
     substrate instead of building its own, and release() gives back
     exactly that lease, however often it is called: another holder's
-    lease survives."""
+    lease survives.  The substrate keeps no matrix, so a matrix-mode
+    index given one is refused before it leases anything."""
     graph = chain_graph()
     substrate = SharedDistanceSubstrate(graph)
-    other = {
-        "landmark": substrate.lease_landmarks,
-        "matrix": substrate.lease_matrix,
-    }
-    if mode in other:
-        other[mode]()
+    substrate.lease_landmarks()
+    eligibility = SharedEligibilityIndex(graph)
     pattern = Pattern.from_spec(
         {"x": "label = A", "y": "label = B"}, [("x", "y", 3)]
     )
-    idx = BoundedSimulationIndex(
-        pattern, graph, distance_mode=mode, substrate=substrate
-    )
-    expected = {"landmark": 0, "matrix": 0}
-    if mode in other:
-        expected[mode] = 2
-    assert substrate.live_structures() == expected
-    assert substrate.stats.lm_builds + substrate.stats.matrix_builds == (
-        1 if mode in other else 0
-    )
+
+    def build():
+        return BoundedSimulationIndex(
+            pattern, graph, distance_mode=mode, substrate=substrate,
+            eligibility=eligibility,
+        )
+
+    if mode == "matrix":
+        with pytest.raises(ValueError, match="matrix"):
+            build()
+        assert substrate.live_structures() == {"landmark": 1}
+        assert eligibility.num_entries() == 0
+        return
+    idx = build()
+    leased = 2 if mode == "landmark" else 1
+    assert substrate.live_structures() == {"landmark": leased}
+    assert substrate.stats.lm_builds == 1
     if mode == "landmark":
         assert idx.landmark_index() is substrate.landmark_index()
     else:
@@ -446,9 +469,7 @@ def test_substrate_backed_index_leases_and_releases_its_structure(mode):
     assert as_pairs(idx.matches()) == {("x", "a"), ("y", "b")}
     idx.release()
     idx.release()
-    if mode in other:
-        expected[mode] = 1
-    assert substrate.live_structures() == expected
+    assert substrate.live_structures() == {"landmark": 1}
     assert idx.landmark_index() is None
 
 
@@ -486,7 +507,7 @@ ORACLE_SITUATIONS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["bfs", "landmark", "matrix"])
+@pytest.mark.parametrize("mode", ["bfs", "landmark"])
 @pytest.mark.parametrize("situation", sorted(ORACLE_SITUATIONS))
 def test_oracle_tracks_pool_updates(situation, mode):
     """The router's verdict on the interned query follows edge updates

@@ -1,15 +1,19 @@
 """Tests for bounded simulation (algorithm Match, paper Section 3)."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.graphs.digraph import DiGraph
+from repro.graphs.distance import DistanceMatrix
 from repro.graphs.generators import chain as uniform_chain
 from repro.graphs.generators import cycle_graph
 from repro.matching.bounded import bounded_match, bounded_match_naive
 from repro.matching.oracles import BFSOracle, MatrixOracle
 from repro.matching.relation import as_pairs, totalize
+from repro.matching.result_graph import simulation_result_graph
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.pattern import Pattern
+from tests.shapes import SHAPES, shape_graph
 from tests.strategies import small_graphs, small_patterns
 
 
@@ -141,6 +145,49 @@ def test_oracles_agree(g, p):
     a = bounded_match(p, g, oracle=MatrixOracle(g))
     b = bounded_match(p, g, oracle=BFSOracle(g))
     assert as_pairs(a) == as_pairs(b)
+
+
+# x(A) reaches a B within 2 hops, or any node at all, or returns to an A
+# within 3 hops through a B.
+SHAPE_PATTERNS = [
+    Pattern.from_spec(
+        {"x": "label = A", "y": "label = B"}, [("x", "y", 2)]
+    ),
+    Pattern.from_spec({"x": "label = A", "y": None}, [("x", "y", None)]),
+    Pattern.from_spec(
+        {"x": "label = A", "y": "label = B"},
+        [("x", "y", 3), ("y", "x", 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_default_oracle_builds_no_matrix(shape, monkeypatch):
+    """``bounded_match`` and ``simulation_result_graph`` read only the
+    balls of their candidates, so by default they run a BFS from each
+    and build no all-pairs matrix, and they answer as a matrix oracle
+    does."""
+    g = shape_graph(shape)
+    for i, v in enumerate(list(g.nodes())):
+        g.set_attr(v, "label", "ABAC"[i % 4])
+    expected = []
+    for p in SHAPE_PATTERNS:
+        match = bounded_match(p, g, oracle=MatrixOracle(g))
+        gr = simulation_result_graph(
+            p, g, totalize(match), oracle=MatrixOracle(g)
+        )
+        expected.append((as_pairs(match), gr.edge_set()))
+
+    def no_matrix(self, *args, **kwargs):
+        raise AssertionError("an all-pairs DistanceMatrix was built")
+
+    monkeypatch.setattr(DistanceMatrix, "__init__", no_matrix)
+    for p, (pairs, edges) in zip(SHAPE_PATTERNS, expected):
+        match = bounded_match(p, g)
+        assert as_pairs(match) == pairs, p
+        assert simulation_result_graph(p, g, totalize(match)).edge_set() == (
+            edges
+        ), p
 
 
 @settings(max_examples=25, deadline=None)

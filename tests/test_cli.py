@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import load_updates, main
-from repro.incremental.incbsim import DISTANCE_MODES
+from repro.engine import POOL_DISTANCE_MODES
 from repro.matching.bounded import bounded_match
 from repro.matching.relation import as_pairs, totalize
 from repro.graphs.io import load_json, save_json
@@ -167,12 +167,12 @@ class TestPoolCli:
         assert (
             main([
                 "pool", "--graph", graph, "--patterns", hiring, medics,
-                "--distance-mode", "bfs", "landmark", "matrix",
+                "--distance-mode", "bfs", "landmark", "bfs",
             ])
             == 2
         )
 
-    @pytest.mark.parametrize("mode", DISTANCE_MODES)
+    @pytest.mark.parametrize("mode", POOL_DISTANCE_MODES)
     def test_each_distance_mode_matches_batch(
         self, pool_files, tmp_path, capsys, friendfeed_pattern, mode
     ):
@@ -205,21 +205,22 @@ class TestPoolCli:
             for v in vs
         }
         assert got == truth
-        leased = {"landmark": 0, "matrix": 0}
-        if mode in leased:
-            leased[mode] = 1
         structures = out["shared_structures"]
-        assert {k: structures[k] for k in leased} == leased
+        assert "matrix" not in structures
+        assert structures["landmark"] == int(mode == "landmark")
 
-    def test_interval_distance_mode_is_rejected(self, pool_files, capsys):
+    @pytest.mark.parametrize("mode", ["interval", "matrix"])
+    def test_interval_distance_mode_is_rejected(
+        self, pool_files, capsys, mode
+    ):
         graph, hiring, _, _ = pool_files
         with pytest.raises(SystemExit) as exc:
             main([
                 "pool", "--graph", graph, "--patterns", hiring,
-                "--distance-mode", "interval",
+                "--distance-mode", mode,
             ])
         assert exc.value.code == 2
-        assert "invalid choice: 'interval'" in capsys.readouterr().err
+        assert f"invalid choice: '{mode}'" in capsys.readouterr().err
 
     def test_plan_scope_flag_is_gone(self, pool_files, capsys):
         graph, hiring, _, _ = pool_files
