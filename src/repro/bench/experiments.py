@@ -195,7 +195,7 @@ def abl_lm(scale: Optional[float] = None) -> List[Row]:
             "nodes": graph.num_nodes(),
             "num_updates": len(inserted) + len(deleted),
             "landmarks": len(lm.landmarks()),
-            "columns": 2 * len(lm.landmarks()),
+            "columns": len(lm.landmarks()),
             "columns_visited": lm.columns_visited,
             "nodes_touched": lm.nodes_touched(),
             "inclm_s": round(t, 4),

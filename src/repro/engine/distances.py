@@ -9,7 +9,7 @@ under updates (Berkholz et al.): every bounded query in a
 :class:`~repro.engine.pool.MatcherPool` reads one substrate, which owns
 
 - at most **one** :class:`~repro.landmarks.vector.LandmarkIndex` per pool
-  (``distance_mode='landmark'`` queries all read the same vectors);
+  (``distance_mode='landmark'`` queries all read its one distance table);
 - the **legs** of each edge (:func:`~repro.graphs.traversal.edge_legs`):
   for an edge ``(x, y)`` and leg radius ``r``, the radius-``r`` backward
   BFS from ``x`` and forward BFS from ``y`` on the current graph (the

@@ -71,7 +71,7 @@ standalone index owns are synced by one helper,
 
 - ``'bfs'``       — rechecks by bounded probes (default IncBMatch);
 - ``'landmark'``  — maintains a :class:`LandmarkIndex` (``IncLM``) and
-  answers rechecks from the vectors — the paper's Section 6.3 algorithm;
+  answers rechecks from its one table — the paper's Section 6.3 algorithm;
 - ``'matrix'``    — standalone only: maintains a full all-pairs matrix
   (min-plus updates on insert, rebuild on delete), the ``IncBMatch_m``
   baseline of Exp-2, whose heavier auxiliary structure is exactly what
@@ -559,13 +559,14 @@ class BoundedSimulationIndex(StandaloneDriver):
         bucket only under a pattern edge that yielded one;
         ``stats.pairs_rechecked`` counts them.
 
-        With a landmark index each pair scans ``a``'s distance vector (the
-        landmarks ``a`` reaches) until a witness within bound; with a
-        distance matrix it is one lookup.  Otherwise each pair asks the
-        probe of its source and bound (:meth:`_probe`) whether its target
-        is still within bound: the probe's BFS expands only until the
-        targets asked so far are decided, and in a pool every routed
-        query's recheck in the flush extends the same memoized probe.
+        With a landmark index each pair reads ``c``'s distance vector at
+        the first landmarks of ``a`` (``a`` itself, or its children) until
+        a witness within bound; with a distance matrix it is one lookup.
+        Otherwise each pair asks the probe of its source and bound
+        (:meth:`_probe`) whether its target is still within bound: the
+        probe's BFS expands only until the targets asked so far are
+        decided, and in a pool every routed query's recheck in the flush
+        extends the same memoized probe.
         """
         self.stats.pairs_rechecked += sum(map(len, suspects.values()))
         out: List[PairEdge] = []

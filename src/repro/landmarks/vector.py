@@ -1,26 +1,30 @@
 """Landmark vectors and distance vectors (paper Section 6.2).
 
 A landmark vector ``lm`` is a node list such that every node pair has some
-landmark on a shortest path between them; with per-node distance vectors
-``distvf (v -> lm)`` and ``distvt (lm -> v)``, the distance from ``v`` to
-``w`` is ``min_i distvf[v][i] + distvt[w][i]`` — exact for ``v != w`` when
-``lm`` is a vertex cover, with at most ``|lm|`` operations per query.
+landmark on a shortest path between them; any vertex cover qualifies.  The
+paper keeps two per-node vectors, ``distvf (v -> lm)`` and
+``distvt (lm -> v)``.  We keep one: in a cover every out-edge of a
+non-landmark ends at a landmark, so a nonempty path out of ``v`` meets its
+first landmark at ``v`` itself or at a child of ``v``.  For ``v != w``,
+``d(v, w)`` is ``distvt[w][v]`` for a landmark ``v`` and
+``1 + min distvt[w][c]`` over the children ``c`` of any other ``v``; the
+shortest cycle through ``v`` is ``1 + min distvt[p][v]`` over the parents
+``p`` of a landmark, ``1 + min distvt[v][c]`` over the children of any
+other node.  A pair query reads at most ``out-degree(v) <= |lm|`` entries,
+the paper's per-query bound.  The selectors return a cover, an explicit
+``landmarks=`` set must be one, and ``InsLM`` keeps it one
+(:meth:`LandmarkIndex.check_invariants` checks it).
 
-We store the vectors node-major, as the paper defines them: two tables
-``distvt[v][lm] = dist(lm -> v)`` and ``distvf[v][lm] = dist(v -> lm)``
-holding finite entries only, so a node's vector lists just the landmarks it
-is connected to.  They are the only store of landmark distances.  Each
-landmark and direction is a :class:`DynamicSSSP` column that reads and
-writes its own entry in the table of its direction — the paper's
-maintenance strategy ("a variant of a dynamic fixed point algorithm
-[Ramalingam and Reps 1996a]"), which gives ``InsLM`` / ``DelLM`` /
-``IncLM`` via the RR update routines.  Queries read one node's vector:
-``dist``, ``pathdist`` and ``within(v, w, k)`` iterate ``distvf[v]`` and look
-each landmark up in ``distvt[w]``.
+The table is node-major, ``distvt[w][lm] = dist(lm -> w)`` with finite
+entries only, and is the only store of landmark distances.  Each landmark
+is a :class:`DynamicSSSP` column that reads and writes its own entry — the
+paper's maintenance strategy ("a variant of a dynamic fixed point
+algorithm [Ramalingam and Reps 1996a]"), which gives ``InsLM`` /
+``DelLM`` / ``IncLM`` via the RR update routines.
 
-Column work lists.  :meth:`LandmarkIndex.apply_batch` reads from the two
-tables which columns each edge can change, in the column's traversal
-direction, and repairs only those columns, each with only its own edges:
+Column work lists.  :meth:`LandmarkIndex.apply_batch` reads from the table
+which columns each edge can change, and repairs only those columns, each
+with only its own edges:
 
 - a deleted edge joins the columns where it was tight (its head sat exactly
   one hop past its tail);
@@ -45,14 +49,14 @@ The gate is exact:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.traversal import (
     INF,
     ancestors_within,
+    bfs_distances,
     descendants_within,
-    shortest_cycle_through,
 )
 from ..shortestpaths.dynamic_sssp import DistTable, DynamicSSSP
 from .selection import select_landmarks
@@ -63,43 +67,40 @@ WorkLists = Dict[Node, Tuple[List[Update], List[Update]]]
 
 
 def _work_lists(
-    table: DistTable,
-    inserted: List[Update],
-    deleted: List[Update],
-    reverse: bool,
+    table: DistTable, inserted: List[Update], deleted: List[Update]
 ) -> WorkLists:
-    """The columns of one direction a batch can change, each with its own
-    edges, read from that direction's table of pre-batch distances.  Every
-    landmark is in the graph when its columns are built, so each column
-    holds its own source at 0 and an edge at the source shows in its row."""
+    """The columns a batch can change, each with its own edges, read from
+    the table of pre-batch distances.  Every landmark is in the graph when
+    its column is built, so each column holds its own source at 0 and an
+    edge at the source shows in its row."""
     work: WorkLists = {}
     for x, y in deleted:
-        a, b = (y, x) if reverse else (x, y)
         # Every landmark that reached the tail reached the head through
         # the edge, so the tail's vector is the one to scan.
-        ra, rb = table.get(a, {}), table.get(b, {})
-        for lm, d in ra.items():
-            if rb.get(lm) == d + 1:
+        rx, ry = table.get(x, {}), table.get(y, {})
+        for lm, d in rx.items():
+            if ry.get(lm) == d + 1:
                 work.setdefault(lm, ([], []))[1].append((x, y))
     for x, y in inserted:
-        a, b = (y, x) if reverse else (x, y)
-        ra, rb = table.get(a, {}), table.get(b, {})
-        for lm, d in ra.items():
-            if rb.get(lm, INF) > d + 1:
+        rx, ry = table.get(x, {}), table.get(y, {})
+        for lm, d in rx.items():
+            if ry.get(lm, INF) > d + 1:
                 work.setdefault(lm, ([], []))[0].append((x, y))
     return work
 
 
 class LandmarkIndex:
-    """Landmark vector + distance vectors with incremental maintenance.
+    """Landmark vector + one distance table with incremental maintenance.
 
     All mutation methods expect the underlying graph to have **already**
-    been updated; they repair the vectors (this matches how the matching
-    engine sequences updates).
+    been updated; they repair the table (this matches how the matching
+    engine sequences updates).  An explicit ``landmarks=`` set must be a
+    vertex cover of the graph; one that misses an edge is refused.
 
     Work counters (reset by :meth:`reset_stats`): ``columns_visited`` counts
-    column repairs run, ``entries_scanned`` the vector entries read by
-    ``dist`` / ``pathdist`` / ``within``.
+    column repairs run, ``entries_scanned`` the table entries read by
+    ``dist`` / ``pathdist`` / ``within`` — one for a landmark source, one
+    per child (or, for a landmark's cycle, per parent) otherwise.
     """
 
     def __init__(
@@ -119,118 +120,112 @@ class LandmarkIndex:
             missing = [v for v in landmarks if v not in graph]
             if missing:
                 raise ValueError(f"landmarks not in graph: {missing!r}")
+            chosen = set(landmarks)
+            for x, y in graph.edges():
+                if x not in chosen and y not in chosen:
+                    raise ValueError(f"landmarks miss edge {(x, y)!r}")
         self._build(landmarks)
 
     def _build(self, landmarks: Iterable[Node]) -> None:
-        self._distvt: DistTable = {}  # v -> {lm: dist(lm -> v)}
-        self._distvf: DistTable = {}  # v -> {lm: dist(v -> lm)}
-        self._fwd: Dict[Node, DynamicSSSP] = {}  # columns of distvt
-        self._bwd: Dict[Node, DynamicSSSP] = {}  # columns of distvf
+        self._distvt: DistTable = {}  # w -> {lm: dist(lm -> w)}
+        self._columns: Dict[Node, DynamicSSSP] = {}
         for lm in landmarks:
             self._add(lm)
         # Size of the last from-scratch selection.  ``InsLM`` may add one
         # landmark per insertion, so the live set grows monotonically
         # between re-selections; budget policies (BatchLM triggers) compare
         # the live size against this baseline.
-        self.selected_size = len(self._fwd)
+        self.selected_size = len(self._columns)
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
     def landmarks(self) -> List[Node]:
-        return list(self._fwd)
+        return list(self._columns)
 
     def has_landmark(self, v: Node) -> bool:
-        return v in self._fwd
+        return v in self._columns
 
     def _add(self, v: Node) -> None:
-        if v in self._fwd:
-            return
-        self._fwd[v] = DynamicSSSP(self._graph, v, table=self._distvt)
-        self._bwd[v] = DynamicSSSP(
-            self._graph, v, reverse=True, table=self._distvf
-        )
+        if v not in self._columns:
+            self._columns[v] = DynamicSSSP(self._graph, v, table=self._distvt)
 
     def add_landmark(self, v: Node) -> None:
-        """Extend the vector by one landmark (full BFS both directions)."""
+        """Extend the vector by one landmark (one full BFS)."""
         if v not in self._graph:
             raise ValueError(f"landmark {v!r} not in graph")
         self._add(v)
 
     def size_entries(self) -> int:
         """Total stored distance entries — the space cost of Fig. 20(b)."""
-        return sum(map(len, self._distvt.values())) + sum(
-            map(len, self._distvf.values())
-        )
+        return sum(map(len, self._distvt.values()))
 
     def covers_edge(self, x: Node, y: Node) -> bool:
-        return x in self._fwd or y in self._fwd
+        return x in self._columns or y in self._columns
 
     # ------------------------------------------------------------------
     # Queries (DistanceOracle protocol)
     # ------------------------------------------------------------------
+    def _first_landmarks(self, v: Node) -> Tuple[Collection[Node], int]:
+        """Where every nonempty path out of ``v`` meets its first landmark,
+        and how many hops in: at ``v`` itself (0) when it is one, else at
+        one of its children (1), all landmarks by the cover."""
+        if v in self._columns:
+            return (v,), 0
+        if v in self._graph:
+            return self._graph.children(v), 1
+        return (), 1
+
+    def _nonempty(self, v: Node, row: Dict[Node, int]) -> float:
+        """Shortest nonempty path from ``v`` to the node whose vector is
+        ``row``, through the first landmark it meets."""
+        firsts, hops = self._first_landmarks(v)
+        self.entries_scanned += len(firsts)
+        return min((row[c] for c in firsts if c in row), default=INF) + hops
+
     def dist(self, v: Node, w: Node) -> float:
         """Plain shortest-path distance (0 when v == w)."""
         if v == w:
             return 0 if v in self._graph else INF
-        to_lm = self._distvf.get(v)
-        from_lm = self._distvt.get(w)
-        if to_lm is None or from_lm is None:
-            return INF
-        best = INF
-        for lm, d in to_lm.items():
-            if d < best:
-                e = from_lm.get(lm)
-                if e is not None and d + e < best:
-                    best = d + e
-        self.entries_scanned += len(to_lm)
-        return best
+        return self._nonempty(v, self._distvt.get(w, {}))
 
     def pathdist(self, v: Node, w: Node) -> float:
         """Nonempty-path distance (self distance == shortest cycle)."""
-        if v != w:
-            return self.dist(v, w)
-        # Shortest cycle through v: min over landmarks != v of the round
-        # trip; a cycle covered only by v itself needs a local search.
-        best = INF
-        to_lm = self._distvf.get(v)
-        from_lm = self._distvt.get(v)
-        if to_lm is not None and from_lm is not None:
-            for lm, d in to_lm.items():
-                if lm != v:
-                    e = from_lm.get(lm)
-                    if e is not None and d + e < best:
-                        best = d + e
-            self.entries_scanned += len(to_lm)
-        if v in self._fwd:
-            local = shortest_cycle_through(self._graph, v)
-            if local is not None and local < best:
-                best = local
-        return best
+        if v != w or v not in self._columns:
+            # A non-landmark's cycle opens into a child, as any path does.
+            return self._nonempty(v, self._distvt.get(w, {}))
+        # A landmark's cycle closes at a parent p: dist(v -> p) + 1.
+        table = self._distvt
+        parents = self._graph.parents(v)
+        self.entries_scanned += len(parents)
+        return min(
+            (table[p][v] for p in parents if v in table.get(p, ())),
+            default=INF,
+        ) + 1
 
     def within(self, v: Node, w: Node, bound: Optional[int]) -> bool:
         """Early-exit check: nonempty path from v to w within ``bound``?
 
-        Scans ``v``'s vector only until a witness ``<= bound`` is found,
-        which is what the IncBMatch pair rechecks need (most suspects
-        survive and exit after a few landmarks).
+        Scans ``v``'s first landmarks only until a witness ``<= bound`` is
+        found, which is what the IncBMatch pair rechecks need (most
+        suspects survive and exit after a few entries).
         """
         if bound is None:
             return self.pathdist(v, w) != INF
         if v == w:
             return self.pathdist(v, v) <= bound
-        to_lm = self._distvf.get(v)
-        from_lm = self._distvt.get(w)
-        if to_lm is None or from_lm is None:
+        row = self._distvt.get(w)
+        if row is None:
             return False
+        firsts, hops = self._first_landmarks(v)
+        room = bound - hops
         scanned = 0
-        for lm, d in to_lm.items():
+        for c in firsts:
             scanned += 1
-            if d <= bound:
-                e = from_lm.get(lm)
-                if e is not None and d + e <= bound:
-                    self.entries_scanned += scanned
-                    return True
+            d = row.get(c)
+            if d is not None and d <= room:
+                self.entries_scanned += scanned
+                return True
         self.entries_scanned += scanned
         return False
 
@@ -266,8 +261,7 @@ class LandmarkIndex:
         once with its own edges (see the module docstring)."""
         inserted = list(inserted)
         deleted = list(deleted)
-        fwd = _work_lists(self._distvt, inserted, deleted, False)
-        bwd = _work_lists(self._distvf, inserted, deleted, True)
+        work = _work_lists(self._distvt, inserted, deleted)
         # Landmarks added for cover are built on the edited graph, so they
         # join after the work lists and need no repair.
         graph = self._graph
@@ -275,28 +269,41 @@ class LandmarkIndex:
         for x, y in inserted:
             if not self.covers_edge(x, y):
                 self._add(x if deg(x) >= deg(y) else y)
-        for columns, lists in ((self._fwd, fwd), (self._bwd, bwd)):
-            for lm, (ins, dels) in lists.items():
-                columns[lm].on_batch(ins, dels)
-            self.columns_visited += len(lists)
+        for lm, (ins, dels) in work.items():
+            self._columns[lm].on_batch(ins, dels)
+        self.columns_visited += len(work)
 
     def rebuild(self) -> None:
         """``BatchLM``: recompute the landmark set and all vectors."""
         self._build(select_landmarks(self._graph, self._strategy))
 
     # ------------------------------------------------------------------
-    # Introspection for experiments
+    # Invariants (tests) and introspection for experiments
     # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """The landmarks must cover every edge (the queries' first hop
+        rests on it), and each column must equal a fresh BFS from its
+        landmark, with no other entry in the table."""
+        graph = self._graph
+        for x, y in graph.edges():
+            assert self.covers_edge(x, y), f"edge {(x, y)!r} has no landmark"
+        fresh = 0
+        for lm, column in self._columns.items():
+            truth = bfs_distances(graph, lm)
+            got = column.distances()
+            assert got == truth, (
+                f"column {lm!r} drift: "
+                f"{set(got.items()) ^ set(truth.items())}"
+            )
+            fresh += len(truth)
+        assert self.size_entries() == fresh, "entries outside every column"
+
     def nodes_touched(self) -> int:
         """Aggregate RR work counters across all columns (|AFF| proxy)."""
-        return sum(s.stats.nodes_touched for s in self._fwd.values()) + sum(
-            s.stats.nodes_touched for s in self._bwd.values()
-        )
+        return sum(s.stats.nodes_touched for s in self._columns.values())
 
     def reset_stats(self) -> None:
-        for s in self._fwd.values():
-            s.stats.reset()
-        for s in self._bwd.values():
+        for s in self._columns.values():
             s.stats.reset()
         self.columns_visited = 0
         self.entries_scanned = 0

@@ -3,8 +3,8 @@
 The paper's landmark maintenance (Section 6.4) "adopt[s] a variant of a
 dynamic fixed point algorithm [Ramalingam and Reps 1996a]" to update
 distance vectors.  This module is that substrate: it maintains hop
-distances from a fixed source (or *to* a fixed target with ``reverse=True``)
-under edge insertions and deletions, touching only the affected area.
+distances from a fixed source under edge insertions and deletions,
+touching only the affected area.
 
 - Insertion is a decrease-only relaxation cascade.  A source that was not
   in the graph when the column was built has no entry; the first inserted
@@ -23,9 +23,9 @@ under edge insertions and deletions, touching only the affected area.
 
 A column keeps no distance map of its own.  It reads and writes its source's
 entry in a node-major table ``table[v][source]`` holding finite distances
-only: a :class:`~repro.landmarks.vector.LandmarkIndex` shares one table per
-direction among all its columns (the paper's per-node vectors ``distvt`` and
-``distvf``), and a standalone column gets a private table.
+only: a :class:`~repro.landmarks.vector.LandmarkIndex` shares one table
+among all its columns (the paper's per-node vector ``distvt``), and a
+standalone column gets a private table.
 
 All updates assume the underlying graph has **already been mutated**; the
 class only repairs its distances.  ``stats.nodes_touched`` counts the work
@@ -64,34 +64,22 @@ class SSSPStats:
 class DynamicSSSP:
     """Hop distances from ``source`` maintained under edge updates.
 
-    ``reverse=True`` maintains distances *to* ``source`` instead (BFS over
-    reversed edges) — the ``distvf`` direction of landmark vectors.
     ``table`` is the node-major table the column stores its entries in
-    (shared by the columns of one direction of a landmark index); by
-    default the column gets a private one.
+    (shared by the columns of a landmark index); by default the column
+    gets a private one.
     """
 
     def __init__(
         self,
         graph: DiGraph,
         source: Node,
-        reverse: bool = False,
         table: Optional[DistTable] = None,
     ) -> None:
         self._graph = graph
         self.source = source
-        self.reverse = reverse
         self.stats = SSSPStats()
         self._table: DistTable = {} if table is None else table
-        # Neighbours whose distance may be dist(v) + 1, and neighbours that
-        # may supply dist(v) = dist(p) + 1.
-        self._out = graph.parents if reverse else graph.children
-        self._in = graph.children if reverse else graph.parents
         self._build()
-
-    def _orient(self, x: Node, y: Node) -> Tuple[Node, Node]:
-        """Map a graph edge (x, y) to (tail, head) in traversal direction."""
-        return (y, x) if self.reverse else (x, y)
 
     def _drop(self, v: Node) -> None:
         """Remove ``v``'s entry (it became unreachable)."""
@@ -115,7 +103,7 @@ class DynamicSSSP:
         """BFS level by level, writing each reached node's entry once."""
         if self.source not in self._graph:
             return
-        table, s, out = self._table, self.source, self._out
+        table, s, out = self._table, self.source, self._graph.children
         seen = {s}
         level = [s]
         d = 0
@@ -157,7 +145,8 @@ class DynamicSSSP:
         distance (possible only through an edge the distances have not
         seen yet: a same-batch insertion)."""
         table, s = self._table, self.source
-        graph, out, in_ = self._graph, self._out, self._in
+        graph = self._graph
+        out, in_ = graph.children, graph.parents
         scanned = 0
         # Phase 1: identify the affected set.
         affected: Set[Node] = set()
@@ -249,12 +238,11 @@ class DynamicSSSP:
         that makes ``IncLM`` beat per-update ``InsLM + DelLM`` (Fig. 20(f)).
         The cascade also starts from every node the deletion pass lowered.
         """
-        seeds = [self._orient(x, y)[1] for x, y in deleted]
+        seeds = [y for _, y in deleted]
         changed, queue = self._repair(seeds) if seeds else (0, [])
-        table, s, out = self._table, self.source, self._out
+        table, s, out = self._table, self.source, self._graph.children
         touched = 0
-        for x, y in inserted:
-            a, b = self._orient(x, y)
+        for a, b in inserted:
             if (a == s or b == s) and s not in table.get(s, ()):
                 table.setdefault(s, {})[s] = 0
             ra = table.get(a)

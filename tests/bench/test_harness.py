@@ -456,6 +456,32 @@ def test_tiny_run_fails_when_a_repair_does_nothing(
         assert any(" naive, pattern " in f for f in failures), failures
 
 
+@pytest.mark.parametrize("name", ["bounded-far", "temporal"])
+def test_tiny_run_tops_up_only_the_rows_a_race_judges(name, tmp_path):
+    """``--reps 1`` runs a row once unless the scenario's race judges it,
+    and a judged row ``RACE_REPS`` times; each row records its reps.  At
+    ``--tiny`` no ``bounded-far`` row clears its race's floor, while
+    ``temporal``'s race judges its rows."""
+    bench = _bench_pool()
+    out = tmp_path / "BENCH_pool.json"
+    assert bench.main([
+        "--tiny", "--reps", "1", "--scenario", name, "--json", str(out),
+    ]) == 0
+    race = next(
+        g for g in bench.SCENARIOS[name].gates if isinstance(g, bench.Race)
+    )
+    rows = json.loads(out.read_text())["scenarios"][name]["results"]
+    reps = [r["reps"] for r in rows]
+    assert reps == [
+        bench.RACE_REPS if race.judges(r["n"], r[race.baseline]) else 1
+        for r in rows
+    ], rows
+    if name == "bounded-far":
+        assert reps == [1] * len(rows)
+    else:
+        assert bench.RACE_REPS in reps
+
+
 def test_temporal_names_an_empty_churn_stream(capsys):
     """A 4-node partition already holds all 12 possible edges, so the
     temporal scenario's insert-only churn is empty and nothing would

@@ -62,7 +62,11 @@ legs surviving ``observe_deleted`` / ``observe_inserted`` (routing and
 repair read legs of a graph state that no longer exists), and (8) the
 memoized recheck probes surviving ``observe_deleted`` (a
 later flush's rechecks resume a BFS labelled on the previous flush's
-graph and keep pairs whose witness path is gone).
+graph and keep pairs whose witness path is gone).  In landmark mode the
+landmark index's own invariants run after every flush, and they catch
+(9) ``LandmarkIndex.apply_batch`` skipping InsLM's cover step (an edge
+with no landmark endpoint) and (10) it skipping one column's repair (a
+column that differs from a fresh BFS).
 """
 
 from __future__ import annotations
@@ -259,6 +263,9 @@ class _Harness:
                 f"extra={got - truth} missing={truth - got}"
             )
         self.pool.eligibility.check_invariants()
+        lm = self.pool.substrate.landmark_index()
+        if lm is not None:  # landmark mode, while a query leases it
+            lm.check_invariants()
 
     def check_oracles(self) -> None:
         """At quiescence the router must route (x, y) to each

@@ -33,6 +33,9 @@ re-insert loses the ``net_updates`` last-write race: the collision edge
 vanishes from the graph while the shadow keeps it);
 (3) stamps applied before the deletion phase reads them (a same-flush
 refresh resurrects the old expiry, retiring the edge a window early).
+In landmark mode the landmark index's own invariants run after every
+flush, and they catch (4) ``LandmarkIndex.apply_batch`` skipping InsLM's
+cover step and (5) it skipping one column's repair.
 """
 
 from __future__ import annotations
@@ -248,6 +251,9 @@ class _ChurnHarness:
                 f"extra={got - truth} missing={truth - got}"
             )
         pool.eligibility.check_invariants()
+        lm = pool.substrate.landmark_index()
+        if lm is not None:  # landmark mode, while a query leases it
+            lm.check_invariants()
 
 
 def _run_sequence(seed: int, mode: str) -> None:

@@ -11,23 +11,20 @@ from repro.graphs.traversal import INF, path_distance
 from repro.landmarks.selection import matching_vertex_cover
 from repro.landmarks.vector import LandmarkIndex
 from repro.workloads.updates import mixed_updates
+from tests.shapes import SHAPES, shape_graph
 from tests.strategies import small_graphs
 
 
 def assert_exact(lm: LandmarkIndex, g: DiGraph) -> None:
+    """``pathdist`` and ``within`` at every bound agree with a BFS on
+    every ordered pair, self pairs (shortest cycles) included."""
     for v in g.nodes():
         for w in g.nodes():
-            assert lm.pathdist(v, w) == path_distance(g, v, w), (v, w)
-
-
-def vectors(lm: LandmarkIndex):
-    """Every column's entries, both directions, as the two node-major
-    tables: compared whole, they expose column errors the cover masks."""
-    return lm._distvt, lm._distvf
-
-
-def assert_columns_fresh(lm: LandmarkIndex, g: DiGraph) -> None:
-    assert vectors(lm) == vectors(LandmarkIndex(g, landmarks=lm.landmarks()))
+            truth = path_distance(g, v, w)
+            assert lm.pathdist(v, w) == truth, (v, w)
+            for bound in (1, 2, 3, None):
+                expected = truth != INF if bound is None else truth <= bound
+                assert lm.within(v, w, bound) is expected, (v, w, bound)
 
 
 class TestQueries:
@@ -59,11 +56,12 @@ class TestQueries:
         assert lm.pathdist("a", "a") == 1
 
     def test_two_cycle_covered_only_by_self(self):
-        # VC = {a} covers both edges; the landmark formula alone cannot see
-        # the cycle, exercising the local fallback.
+        # VC = {a} covers both edges; the cycle through the landmark a
+        # closes at its parent b, the one through b opens into its child a.
         g = DiGraph([("a", "b"), ("b", "a")])
         lm = LandmarkIndex(g, landmarks=["a"])
         assert lm.pathdist("a", "a") == 2
+        assert lm.pathdist("b", "b") == 2
 
     def test_within_early_exit(self):
         g = chain(6)
@@ -80,6 +78,14 @@ class TestQueries:
             lm.add_landmark("ghost")
         with pytest.raises(ValueError):
             LandmarkIndex(g, landmarks=[0, "ghost"])
+
+    def test_explicit_landmarks_must_cover_every_edge(self):
+        # Without 1 or 2 the first hop out of 1 meets no landmark, and
+        # d(1, 2) would read as unreachable.
+        g = chain(3)
+        with pytest.raises(ValueError, match="miss edge"):
+            LandmarkIndex(g, landmarks=[0])
+        assert LandmarkIndex(g, landmarks=[1]).dist(1, 2) == 1
 
 
 class TestMaintenance:
@@ -138,15 +144,16 @@ class TestMaintenance:
         assert_exact(lm, g)
 
     def test_mixed_batch_lowers_descendants_of_repaired_nodes(self):
-        # One landmark, so no other column masks the s-column's c entry.
+        # s is a landmark, so within(s, c, 2) reads the s column's c entry
+        # alone; b and y complete the cover.
         g = DiGraph([("s", "a"), ("a", "b"), ("b", "c"),
                      ("s", "x"), ("x", "y"), ("y", "c")])
-        lm = LandmarkIndex(g, landmarks=["s"])
+        lm = LandmarkIndex(g, landmarks=["s", "b", "y"])
         g.remove_edge("a", "b")
         g.add_edge("s", "b")
         lm.apply_batch(inserted=[("s", "b")], deleted=[("a", "b")])
         assert lm.within("s", "c", 2)
-        assert_columns_fresh(lm, g)
+        lm.check_invariants()
 
     def test_rebuild_resets_to_fresh_cover(self):
         g = chain(4)
@@ -193,7 +200,7 @@ class TestWorkBound:
         assert lm.within(x, y, 1)
         return (
             lm.columns_visited, lm.entries_scanned, lm.nodes_touched(),
-            2 * len(lm.landmarks()),
+            len(lm.landmarks()),
         )
 
     def test_counts_follow_the_change_not_the_landmarks(self):
@@ -216,19 +223,14 @@ def test_unit_update_sequence_stays_exact(g):
         else:
             if g.remove_edge(u.source, u.target):
                 lm.delete_edge(u.source, u.target)
+    lm.check_invariants()
     assert_exact(lm, g)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_graphs())
 def test_within_agrees_with_pathdist(g):
-    lm = LandmarkIndex(g)
-    for v in g.nodes():
-        for w in g.nodes():
-            truth = path_distance(g, v, w)
-            for bound in (1, 2, None):
-                expected = truth != INF if bound is None else truth <= bound
-                assert lm.within(v, w, bound) is expected
+    assert_exact(LandmarkIndex(g), g)
 
 
 @st.composite
@@ -256,10 +258,27 @@ def test_mixed_batches_keep_every_column_exact(case):
                 g.add_edge(v, w)
                 ins.append((v, w))
         lm.apply_batch(inserted=ins, deleted=dels)
-        assert_columns_fresh(lm, g)
-        for v in g.nodes():
-            for w in g.nodes():
-                truth = path_distance(g, v, w)
-                for bound in (1, 2, 3, None):
-                    expected = truth != INF if bound is None else truth <= bound
-                    assert lm.within(v, w, bound) is expected, (v, w, bound)
+        lm.check_invariants()
+        assert_exact(lm, g)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_queries_exact_on_every_shape_under_churn(shape):
+    g = shape_graph(shape)
+    lm = LandmarkIndex(g)
+    assert_exact(lm, g)
+    # One batch: delete an edge and insert one between two non-landmarks
+    # (fresh nodes where the cover leaves fewer than two), which no
+    # landmark covers, so InsLM adds one.
+    dels = sorted(g.edges(), key=repr)[:1]
+    free = [v for v in g.nodes() if not lm.has_landmark(v)]
+    free += ["fresh0", "fresh1"][: max(0, 2 - len(free))]
+    x, y = free[-1], free[0]
+    for e in dels:
+        g.remove_edge(*e)
+    g.add_edge(x, y)
+    before = len(lm.landmarks())
+    lm.apply_batch(inserted=[(x, y)], deleted=dels)
+    assert len(lm.landmarks()) == before + 1
+    lm.check_invariants()
+    assert_exact(lm, g)

@@ -12,8 +12,7 @@ from tests.strategies import small_graphs
 
 
 def assert_exact(sssp: DynamicSSSP, g: DiGraph) -> None:
-    truth = bfs_distances(g, sssp.source, reverse=sssp.reverse)
-    assert sssp.distances() == truth
+    assert sssp.distances() == bfs_distances(g, sssp.source)
 
 
 class TestInit:
@@ -22,11 +21,6 @@ class TestInit:
         sssp = DynamicSSSP(g, 0)
         assert sssp.dist(4) == 4
         assert sssp.dist(0) == 0
-
-    def test_reverse_chain(self):
-        g = chain(5)
-        sssp = DynamicSSSP(g, 4, reverse=True)
-        assert sssp.dist(0) == 4
 
     def test_unreachable_inf(self):
         g = chain(3)
@@ -67,14 +61,6 @@ class TestInsert:
         sssp.on_insert("x", 1)
         assert_exact(sssp, g)
 
-    def test_reverse_insert(self):
-        g = chain(4)
-        sssp = DynamicSSSP(g, 3, reverse=True)
-        g.add_edge(0, 3)
-        sssp.on_insert(0, 3)
-        assert sssp.dist(0) == 1
-        assert_exact(sssp, g)
-
 
 class TestDelete:
     def test_delete_breaks_reachability(self):
@@ -110,14 +96,6 @@ class TestDelete:
         g.remove_edge(2, 3)
         sssp.on_delete(2, 3)
         assert sssp.dist(3) == INF
-        assert_exact(sssp, g)
-
-    def test_reverse_delete(self):
-        g = chain(4)
-        sssp = DynamicSSSP(g, 3, reverse=True)
-        g.remove_edge(1, 2)
-        sssp.on_delete(1, 2)
-        assert sssp.dist(0) == INF
         assert_exact(sssp, g)
 
 
@@ -178,16 +156,14 @@ class TestSourceOutsideGraph:
     """A column built before its source exists has no entries; the first
     inserted edge that touches the source puts it at 0, on every path."""
 
-    @pytest.mark.parametrize("reverse, edge, want", [
-        (False, ("src", 1), {"src": 0, 1: 1, 2: 2}),
-        (True, (2, "src"), {"src": 0, 2: 1, 1: 2}),
-        (False, (2, "src"), {"src": 0}),
-        (True, ("src", 1), {"src": 0}),
+    @pytest.mark.parametrize("edge, want", [
+        (("src", 1), {"src": 0, 1: 1, 2: 2}),
+        ((2, "src"), {"src": 0}),
     ])
     @pytest.mark.parametrize("path", ["on_insert", "on_batch"])
-    def test_inserted_edge_brings_source_in_at_zero(self, reverse, edge, want, path):
+    def test_inserted_edge_brings_source_in_at_zero(self, edge, want, path):
         g = DiGraph([(1, 2)])
-        sssp = DynamicSSSP(g, "src", reverse=reverse)
+        sssp = DynamicSSSP(g, "src")
         assert sssp.distances() == {}
         g.add_edge(*edge)
         if path == "on_insert":
@@ -202,30 +178,23 @@ class TestSourceOutsideGraph:
 @given(small_graphs())
 def test_random_unit_updates_stay_exact(g):
     nodes = sorted(g.nodes(), key=repr)
-    source = nodes[0]
-    fwd = DynamicSSSP(g, source)
-    bwd = DynamicSSSP(g, source, reverse=True)
+    sssp = DynamicSSSP(g, nodes[0])
     ups = mixed_updates(g, 4, 4, seed=7)
     for u in ups:
         if u.op == "insert":
             if g.add_edge(u.source, u.target):
-                fwd.on_insert(u.source, u.target)
-                bwd.on_insert(u.source, u.target)
+                sssp.on_insert(u.source, u.target)
         else:
             if g.remove_edge(u.source, u.target):
-                fwd.on_delete(u.source, u.target)
-                bwd.on_delete(u.source, u.target)
-        assert_exact(fwd, g)
-        assert_exact(bwd, g)
+                sssp.on_delete(u.source, u.target)
+        assert_exact(sssp, g)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_graphs())
 def test_random_batches_stay_exact(g):
     nodes = sorted(g.nodes(), key=repr)
-    source = nodes[len(nodes) // 2]
-    fwd = DynamicSSSP(g, source)
-    bwd = DynamicSSSP(g, source, reverse=True)
+    sssp = DynamicSSSP(g, nodes[len(nodes) // 2])
     ups = mixed_updates(g, 5, 5, seed=11)
     ins, dels = [], []
     for u in ups:
@@ -233,7 +202,5 @@ def test_random_batches_stay_exact(g):
             ins.append(u.edge)
         elif u.op == "delete" and g.remove_edge(u.source, u.target):
             dels.append(u.edge)
-    fwd.on_batch(ins, dels)
-    bwd.on_batch(ins, dels)
-    assert_exact(fwd, g)
-    assert_exact(bwd, g)
+    sssp.on_batch(ins, dels)
+    assert_exact(sssp, g)
