@@ -42,7 +42,14 @@ is where a pool's memory peaks.  The index counts their entries in
 The landmark index is leased with a refcount: registering a
 landmark-mode query acquires a lease, unregistering releases it, and the
 index is dropped with its last lease so the pool stops paying its
-upkeep.  The pool syncs the substrate **once per flush phase** —
+upkeep.  Each lease names the horizon it reads the index to: the largest
+finite bound of its query, or ``None`` (full columns) when a bound is
+``*``.  The index keeps its columns only to the largest horizon leased
+while it lives (see :class:`~repro.landmarks.vector.LandmarkIndex`): the
+first lease builds it at its own, and a later lease that asks for more
+widens it.  Nothing narrows it; a release leaves it as deep as it is.
+
+The pool syncs the substrate **once per flush phase** —
 ``observe_deleted`` runs after the shared graph drops a deletion batch,
 and ``observe_inserted`` after an insertion batch lands (and *before*
 insertion routing).  Both clear the memoized legs and probes: deletion
@@ -144,11 +151,15 @@ class SharedDistanceSubstrate:
     # ------------------------------------------------------------------
     # Leases
     # ------------------------------------------------------------------
-    def lease_landmarks(self) -> LandmarkIndex:
-        """Acquire the pool-wide landmark index (built on first lease)."""
+    def lease_landmarks(self, horizon: Optional[int] = None) -> LandmarkIndex:
+        """Acquire the pool-wide landmark index, exact to ``horizon`` hops
+        (``None``: full columns): built at ``horizon`` on first lease, and
+        widened to it when a live index is shallower."""
         if self._lm is None:
-            self._lm = LandmarkIndex(self._graph)
+            self._lm = LandmarkIndex(self._graph, horizon=horizon)
             self.stats.lm_builds += 1
+        else:
+            self._lm.widen(horizon)
         self._lm_refs += 1
         return self._lm
 

@@ -302,7 +302,7 @@ def _route_by_legs(
         # isdisjoint probes the larger side from the smaller.
         if back_nodes.isdisjoint(sources):
             continue
-        d_back = next(d for a, d in back.items() if a in sources)
+        d_back = back[next(filter(sources.__contains__, back))]
         for (_tgt, bound), (targets, qids) in group.edges.items():
             checks += 1
             if bound is not None and d_back >= bound:
@@ -311,7 +311,7 @@ def _route_by_legs(
             if d_fwd is None:
                 d_fwd = nearest[id(targets)] = (
                     -1 if fwd_nodes.isdisjoint(targets)
-                    else next(d for c, d in fwd.items() if c in targets)
+                    else fwd[next(filter(targets.__contains__, fwd))]
                 )
             if d_fwd >= 0 and (bound is None or d_back + 1 + d_fwd <= bound):
                 selected.update(qids)

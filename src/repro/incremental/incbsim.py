@@ -128,15 +128,17 @@ def _members_within(
     """``(node, distance)`` of every member of ``members`` in ``leg`` at
     distance ``<= radius`` (all of them for ``None``), nearest first.  A
     leg lists its nodes in nondecreasing distance, so the scan stops at
-    the first node beyond ``radius``."""
+    the first member beyond ``radius``; ``filter`` runs the membership
+    tests in C."""
+    found = filter(members.__contains__, leg)
     if radius is None:
-        return [(v, d) for v, d in leg.items() if v in members]
+        return [(v, leg[v]) for v in found]
     out: List[Tuple[Node, int]] = []
-    for v, d in leg.items():
+    for v in found:
+        d = leg[v]
         if d > radius:
             break
-        if v in members:
-            out.append((v, d))
+        out.append((v, d))
     return out
 
 
@@ -214,7 +216,11 @@ class BoundedSimulationIndex(StandaloneDriver):
         self._matrix: Optional[DistanceMatrix] = None
         if distance_mode == "landmark":
             if substrate is not None:
-                self._lm = substrate.lease_landmarks()
+                # The rechecks read within(a, c, k) for this pattern's
+                # bounds alone; an edgeless pattern reads nothing.
+                self._lm = substrate.lease_landmarks(
+                    None if self._unbounded else max(finite, default=0)
+                )
             else:
                 self._lm = LandmarkIndex(graph)
         elif distance_mode == "matrix":

@@ -22,13 +22,26 @@ paper's maintenance strategy ("a variant of a dynamic fixed point
 algorithm [Ramalingam and Reps 1996a]"), which gives ``InsLM`` /
 ``DelLM`` / ``IncLM`` via the RR update routines.
 
+Horizon.  An index built with ``horizon=H`` keeps each column only to
+``H`` hops: ``distvt[w][lm]`` exists exactly when ``dist(lm -> w) <= H``.
+That is all ``within(v, w, k)`` reads for ``k <= H``: a landmark source
+reads its own entry against ``k``, any other source a child's entry
+against ``k - 1``, and a cycle closes through a parent's or a child's
+entry by the same rule.  So ``within`` stays exact up to ``H`` and
+refuses a larger or ``*`` bound, and ``dist`` / ``pathdist``, which
+promise exact distances at any length, refuse on a truncated index.
+:meth:`LandmarkIndex.widen` moves the horizon out, rebuilding every
+column at the new one; nothing narrows it.  ``H = None``, the
+default, keeps full columns, as a standalone index does.
+
 Column work lists.  :meth:`LandmarkIndex.apply_batch` reads from the table
 which columns each edge can change, and repairs only those columns, each
 with only its own edges:
 
 - a deleted edge joins the columns where it was tight (its head sat exactly
   one hop past its tail);
-- an inserted edge joins the columns where its tail + 1 beats its head.
+- an inserted edge joins the columns where its tail + 1 beats its head,
+  and its tail lies short of the horizon.
 
 ``insert_edge`` (InsLM) and ``delete_edge`` (DelLM) are the one-edge case.
 The gate is exact:
@@ -67,12 +80,17 @@ WorkLists = Dict[Node, Tuple[List[Update], List[Update]]]
 
 
 def _work_lists(
-    table: DistTable, inserted: List[Update], deleted: List[Update]
+    table: DistTable,
+    inserted: List[Update],
+    deleted: List[Update],
+    horizon: float,
 ) -> WorkLists:
     """The columns a batch can change, each with its own edges, read from
     the table of pre-batch distances.  Every landmark is in the graph when
     its column is built, so each column holds its own source at 0 and an
-    edge at the source shows in its row."""
+    edge at the source shows in its row.  A column relaxes no edge out of
+    a node at its ``horizon`` (INF: full columns), and a deleted edge out
+    of one was never tight in it, its head lying past the horizon."""
     work: WorkLists = {}
     for x, y in deleted:
         # Every landmark that reached the tail reached the head through
@@ -84,7 +102,7 @@ def _work_lists(
     for x, y in inserted:
         rx, ry = table.get(x, {}), table.get(y, {})
         for lm, d in rx.items():
-            if ry.get(lm, INF) > d + 1:
+            if d < horizon and ry.get(lm, INF) > d + 1:
                 work.setdefault(lm, ([], []))[0].append((x, y))
     return work
 
@@ -96,6 +114,8 @@ class LandmarkIndex:
     been updated; they repair the table (this matches how the matching
     engine sequences updates).  An explicit ``landmarks=`` set must be a
     vertex cover of the graph; one that misses an edge is refused.
+    ``horizon`` truncates every column at that many hops (see the module
+    docstring).
 
     Work counters (reset by :meth:`reset_stats`): ``columns_visited`` counts
     column repairs run, ``entries_scanned`` the table entries read by
@@ -108,9 +128,11 @@ class LandmarkIndex:
         graph: DiGraph,
         landmarks: Optional[Iterable[Node]] = None,
         strategy: str = "matching",
+        horizon: Optional[int] = None,
     ) -> None:
         self._graph = graph
         self._strategy = strategy
+        self.horizon = horizon
         self.columns_visited = 0
         self.entries_scanned = 0
         if landmarks is None:
@@ -148,13 +170,27 @@ class LandmarkIndex:
 
     def _add(self, v: Node) -> None:
         if v not in self._columns:
-            self._columns[v] = DynamicSSSP(self._graph, v, table=self._distvt)
+            self._columns[v] = DynamicSSSP(
+                self._graph, v, table=self._distvt, horizon=self.horizon
+            )
 
     def add_landmark(self, v: Node) -> None:
-        """Extend the vector by one landmark (one full BFS)."""
+        """Extend the vector by one landmark (one BFS, to the horizon)."""
         if v not in self._graph:
             raise ValueError(f"landmark {v!r} not in graph")
         self._add(v)
+
+    def widen(self, horizon: Optional[int]) -> None:
+        """Keep every column to ``horizon`` hops from now on (``None``:
+        full columns), rebuilding each one on the same landmarks.  A
+        horizon no deeper than the current one changes nothing."""
+        old = self.horizon
+        if old is None or (horizon is not None and horizon <= old):
+            return
+        self.horizon = horizon
+        selected = self.selected_size  # a widening selects nothing
+        self._build(list(self._columns))
+        self.selected_size = selected
 
     def size_entries(self) -> int:
         """Total stored distance entries — the space cost of Fig. 20(b)."""
@@ -183,14 +219,30 @@ class LandmarkIndex:
         self.entries_scanned += len(firsts)
         return min((row[c] for c in firsts if c in row), default=INF) + hops
 
+    def _refuse_truncated(self, query: str) -> None:
+        if self.horizon is not None:
+            raise ValueError(
+                f"{query} needs full columns; this index keeps them only "
+                f"to horizon {self.horizon}"
+            )
+
     def dist(self, v: Node, w: Node) -> float:
-        """Plain shortest-path distance (0 when v == w)."""
+        """Plain shortest-path distance (0 when v == w).  Refused on a
+        truncated index."""
+        self._refuse_truncated("dist")
         if v == w:
             return 0 if v in self._graph else INF
         return self._nonempty(v, self._distvt.get(w, {}))
 
     def pathdist(self, v: Node, w: Node) -> float:
-        """Nonempty-path distance (self distance == shortest cycle)."""
+        """Nonempty-path distance (self distance == shortest cycle).
+        Refused on a truncated index."""
+        self._refuse_truncated("pathdist")
+        return self._pathdist(v, w)
+
+    def _pathdist(self, v: Node, w: Node) -> float:
+        """:meth:`pathdist` unguarded: exact at every length up to the
+        horizon; a longer path may read as INF."""
         if v != w or v not in self._columns:
             # A non-landmark's cycle opens into a child, as any path does.
             return self._nonempty(v, self._distvt.get(w, {}))
@@ -208,12 +260,18 @@ class LandmarkIndex:
 
         Scans ``v``'s first landmarks only until a witness ``<= bound`` is
         found, which is what the IncBMatch pair rechecks need (most
-        suspects survive and exit after a few entries).
+        suspects survive and exit after a few entries).  On a truncated
+        index a bound past the horizon, or ``None``, is refused.
         """
+        horizon = self.horizon
+        if horizon is not None and (bound is None or bound > horizon):
+            raise ValueError(
+                f"bound {bound!r} is past this index's horizon {horizon}"
+            )
         if bound is None:
-            return self.pathdist(v, w) != INF
+            return self._pathdist(v, w) != INF
         if v == w:
-            return self.pathdist(v, v) <= bound
+            return self._pathdist(v, v) <= bound
         row = self._distvt.get(w)
         if row is None:
             return False
@@ -261,7 +319,8 @@ class LandmarkIndex:
         once with its own edges (see the module docstring)."""
         inserted = list(inserted)
         deleted = list(deleted)
-        work = _work_lists(self._distvt, inserted, deleted)
+        horizon = INF if self.horizon is None else self.horizon
+        work = _work_lists(self._distvt, inserted, deleted, horizon)
         # Landmarks added for cover are built on the edited graph, so they
         # join after the work lists and need no repair.
         graph = self._graph
@@ -274,7 +333,8 @@ class LandmarkIndex:
         self.columns_visited += len(work)
 
     def rebuild(self) -> None:
-        """``BatchLM``: recompute the landmark set and all vectors."""
+        """``BatchLM``: recompute the landmark set and all vectors, to the
+        same horizon."""
         self._build(select_landmarks(self._graph, self._strategy))
 
     # ------------------------------------------------------------------
@@ -283,13 +343,14 @@ class LandmarkIndex:
     def check_invariants(self) -> None:
         """The landmarks must cover every edge (the queries' first hop
         rests on it), and each column must equal a fresh BFS from its
-        landmark, with no other entry in the table."""
+        landmark truncated at the horizon, with no other entry in the
+        table."""
         graph = self._graph
         for x, y in graph.edges():
             assert self.covers_edge(x, y), f"edge {(x, y)!r} has no landmark"
         fresh = 0
         for lm, column in self._columns.items():
-            truth = bfs_distances(graph, lm)
+            truth = bfs_distances(graph, lm, self.horizon)
             got = column.distances()
             assert got == truth, (
                 f"column {lm!r} drift: "

@@ -21,6 +21,14 @@ touching only the affected area.
   :meth:`DynamicSSSP.on_insert` and :meth:`DynamicSSSP.on_delete` are the
   one-edge case of :meth:`DynamicSSSP.on_batch`.
 
+A column may stop at a *horizon* ``H``: it then holds exactly the nodes
+within ``H`` hops of its source, at their distances, and nothing past
+them (``None``, the default, keeps the full column).  The build labels
+level ``H`` without expanding it, the insertion cascade never relaxes
+out of a node at ``H``, and deletion phase 2 settles nothing past ``H``,
+so an affected node that the deletions lift past ``H`` is dropped like
+an unreachable one.
+
 A column keeps no distance map of its own.  It reads and writes its source's
 entry in a node-major table ``table[v][source]`` holding finite distances
 only: a :class:`~repro.landmarks.vector.LandmarkIndex` shares one table
@@ -66,7 +74,8 @@ class DynamicSSSP:
 
     ``table`` is the node-major table the column stores its entries in
     (shared by the columns of a landmark index); by default the column
-    gets a private one.
+    gets a private one.  ``horizon`` truncates the column at that many
+    hops (see the module docstring).
     """
 
     def __init__(
@@ -74,9 +83,11 @@ class DynamicSSSP:
         graph: DiGraph,
         source: Node,
         table: Optional[DistTable] = None,
+        horizon: Optional[int] = None,
     ) -> None:
         self._graph = graph
         self.source = source
+        self.horizon = horizon
         self.stats = SSSPStats()
         self._table: DistTable = {} if table is None else table
         self._build()
@@ -90,37 +101,42 @@ class DynamicSSSP:
 
     # -- queries ---------------------------------------------------------
     def dist(self, v: Node) -> float:
+        """``v``'s distance; INF when unreachable or past the horizon."""
         row = self._table.get(v)
         return INF if row is None else row.get(self.source, INF)
 
     def distances(self) -> Dict[Node, int]:
-        """Finite distances only; missing nodes are unreachable."""
+        """Finite distances only; missing nodes are unreachable or past
+        the horizon."""
         s = self.source
         return {v: row[s] for v, row in self._table.items() if s in row}
 
     # -- full build (the batch baseline) ---------------------------------
     def _build(self) -> None:
-        """BFS level by level, writing each reached node's entry once."""
-        if self.source not in self._graph:
+        """BFS level by level up to the horizon, writing each reached
+        node's entry once; the last level is labelled but not expanded."""
+        s = self.source
+        if s not in self._graph:
             return
-        table, s, out = self._table, self.source, self._graph.children
-        seen = {s}
+        table, out = self._table, self._graph.children
+        table.setdefault(s, {})[s] = 0
+        horizon = INF if self.horizon is None else self.horizon
         level = [s]
         d = 0
-        while level:
+        while level and d < horizon:
+            d += 1
             nxt = []
             for v in level:
-                row = table.get(v)
-                if row is None:
-                    table[v] = {s: d}
-                else:
-                    row[s] = d
                 for w in out(v):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
+                    row = table.get(w)
+                    if row is None:
+                        table[w] = {s: d}
+                    elif s not in row:
+                        row[s] = d
+                    else:
+                        continue
+                    nxt.append(w)
             level = nxt
-            d += 1
 
     def recompute(self) -> None:
         """Recompute from scratch (used by the BatchLM baselines)."""
@@ -182,7 +198,8 @@ class DynamicSSSP:
             return 0, []
         # Phase 2: Dijkstra over the affected set, seeded from its
         # unaffected boundary.  Affected entries keep their old distance
-        # until settled; the ones never settled became unreachable.
+        # until settled; the ones never settled became unreachable or
+        # moved past the horizon.
         heap: List[Tuple[int, Node]] = []
         best: Dict[Node, int] = {}
         for v in affected:
@@ -202,8 +219,11 @@ class DynamicSSSP:
         settled: Set[Node] = set()
         lowered: List[Node] = []
         changed = 0
+        horizon = INF if self.horizon is None else self.horizon
         while heap:
             d, v = heapq.heappop(heap)
+            if d > horizon:
+                break  # the rest settle past the horizon: dropped below
             if v in settled or best[v] != d:
                 continue
             settled.add(v)
@@ -236,18 +256,20 @@ class DynamicSSSP:
         Deletions are repaired together (one identify + one Dijkstra pass),
         then insertions run one combined decrease cascade — the batching
         that makes ``IncLM`` beat per-update ``InsLM + DelLM`` (Fig. 20(f)).
-        The cascade also starts from every node the deletion pass lowered.
+        The cascade also starts from every node the deletion pass lowered,
+        and relaxes no edge out of a node at the horizon.
         """
         seeds = [y for _, y in deleted]
         changed, queue = self._repair(seeds) if seeds else (0, [])
         table, s, out = self._table, self.source, self._graph.children
+        horizon = INF if self.horizon is None else self.horizon
         touched = 0
         for a, b in inserted:
             if (a == s or b == s) and s not in table.get(s, ()):
                 table.setdefault(s, {})[s] = 0
             ra = table.get(a)
             da = None if ra is None else ra.get(s)
-            if da is None:
+            if da is None or da >= horizon:
                 continue
             rb = table.get(b)
             if rb is None:
@@ -265,6 +287,8 @@ class DynamicSSSP:
             v = queue[i]
             i += 1
             nd = table[v][s] + 1
+            if nd > horizon:
+                continue
             for w in out(v):
                 scanned += 1
                 rw = table.get(w)

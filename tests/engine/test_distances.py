@@ -89,6 +89,26 @@ class TestLeases:
         assert new.pathdist(0, 0) == 4
         _assert_exact(new, g)
 
+    def test_a_deeper_lease_widens_and_nothing_narrows(self):
+        """The first lease builds at its own horizon, a deeper one (or
+        ``None``: full columns) widens the live index, and neither a
+        shallower lease nor a release narrows it."""
+        substrate = SharedDistanceSubstrate(chain(6))
+        lm = substrate.lease_landmarks(1)
+        assert lm.horizon == 1
+        for asked, kept in [(0, 1), (3, 3), (2, 3), (None, None), (1, None)]:
+            assert substrate.lease_landmarks(asked) is lm
+            assert lm.horizon == kept
+            lm.check_invariants()
+        assert substrate.stats.lm_builds == 1
+        for _ in range(5):
+            substrate.release_landmarks()
+        assert substrate.landmark_index() is lm
+        assert lm.horizon is None
+        # The last release drops it; the next lease builds at its own.
+        substrate.release_landmarks()
+        assert substrate.lease_landmarks(2).horizon == 2
+
     def test_release_without_a_lease_leaves_nothing_live(self):
         substrate = SharedDistanceSubstrate(chain(3))
         substrate.release_landmarks()

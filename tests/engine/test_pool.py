@@ -4,12 +4,15 @@ import pytest
 
 from repro.engine import MatcherPool
 from repro.graphs.digraph import DiGraph
+from repro.graphs.generators import synthetic_graph
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import Update, delete, insert
-from repro.matching.relation import as_pairs
+from repro.matching.bounded import bounded_match
+from repro.matching.relation import as_pairs, totalize
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.minimize import canonical_pattern
 from repro.patterns.pattern import Pattern, PatternError
+from repro.workloads.updates import mixed_updates
 
 
 def two_cluster_graph():
@@ -786,6 +789,82 @@ class TestSharedSubstrate:
         assert as_pairs(q.matches()) == (
             {("x", "a"), ("y", "c")} if routed else set()
         )
+
+
+class TestLandmarkHorizon:
+    """The pool's landmark index keeps its columns only as deep as the
+    largest finite bound of its landmark-mode queries (full for a ``*``
+    bound): a deeper registration widens them, and nothing narrows them
+    while the index lives."""
+
+    @staticmethod
+    def pool(seed):
+        """A pool over 30 random nodes labelled A, C and Z in turn."""
+        g = synthetic_graph(30, 60, seed=seed)
+        for v in g.nodes():
+            g.add_node(v, label="ACZ"[v % 3])
+        return MatcherPool(g)
+
+    @staticmethod
+    def register(pool, bound):
+        return pool.register(
+            Pattern.from_spec(
+                {"x": "label = A", "y": "label = C"}, [("x", "y", bound)]
+            ),
+            semantics="bounded",
+            distance_mode="landmark",
+        )
+
+    @staticmethod
+    def churn(pool, queries, seed):
+        """Three mixed flushes; after each, every query equals batch
+        recomputation and the index is exact to its horizon."""
+        for i in range(3):
+            pool.apply(mixed_updates(pool.graph, 6, 6, seed=seed + i))
+            for q in queries:
+                truth = totalize(bounded_match(q.pattern, pool.graph))
+                assert as_pairs(q.matches()) == as_pairs(truth)
+            pool.substrate.landmark_index().check_invariants()
+
+    def test_a_deeper_registration_widens_mid_stream(self):
+        pool = self.pool(1)
+        q2 = self.register(pool, 2)
+        lm = pool.substrate.landmark_index()
+        assert lm.horizon == 2
+        self.churn(pool, [q2], seed=10)
+        q3 = self.register(pool, 3)
+        assert pool.substrate.landmark_index() is lm
+        assert lm.horizon == 3
+        self.churn(pool, [q2, q3], seed=20)
+
+    @pytest.mark.parametrize(
+        "bounds", [(2, "*"), ("*", 2)], ids=["finite-first", "star-first"]
+    )
+    def test_a_star_bound_forces_full_columns(self, bounds):
+        pool = self.pool(2)
+        queries = [self.register(pool, b) for b in bounds]
+        assert pool.substrate.landmark_index().horizon is None
+        self.churn(pool, queries, seed=30)
+
+    def test_an_edgeless_pattern_registers_and_flushes(self):
+        pool = self.pool(3)
+        q = pool.register(
+            Pattern.from_spec({"x": "label = A"}, []),
+            semantics="bounded",
+            distance_mode="landmark",
+        )
+        assert pool.substrate.landmark_index().horizon == 0
+        self.churn(pool, [q], seed=40)
+
+    def test_unregistering_the_deepest_query_keeps_the_horizon(self):
+        pool = self.pool(4)
+        q2 = self.register(pool, 2)
+        q3 = self.register(pool, 3)
+        lm = pool.substrate.landmark_index()
+        pool.unregister(q3)
+        assert pool.substrate.landmark_index() is lm
+        assert lm.horizon == 3
+        self.churn(pool, [q2], seed=50)
 
 
 class TestSharedGraphConsistency:

@@ -15,14 +15,23 @@ from tests.shapes import SHAPES, shape_graph
 from tests.strategies import small_graphs
 
 
+# Index depths the shape tests run side by side: full, and truncated.
+HORIZONS = (None, 1, 2, 3)
+
+
 def assert_exact(lm: LandmarkIndex, g: DiGraph) -> None:
     """``pathdist`` and ``within`` at every bound agree with a BFS on
-    every ordered pair, self pairs (shortest cycles) included."""
+    every ordered pair, self pairs (shortest cycles) included.  A
+    truncated index answers ``within`` alone, at every bound up to its
+    horizon."""
+    h = lm.horizon
+    bounds = (1, 2, 3, None) if h is None else range(h + 1)
     for v in g.nodes():
         for w in g.nodes():
             truth = path_distance(g, v, w)
-            assert lm.pathdist(v, w) == truth, (v, w)
-            for bound in (1, 2, 3, None):
+            if h is None:
+                assert lm.pathdist(v, w) == truth, (v, w)
+            for bound in bounds:
                 expected = truth != INF if bound is None else truth <= bound
                 assert lm.within(v, w, bound) is expected, (v, w, bound)
 
@@ -181,6 +190,62 @@ class TestMaintenance:
         assert counts == (0, 0, 0)
 
 
+class TestHorizon:
+    """An index truncated at ``horizon`` answers ``within`` exactly up to
+    it and refuses every query it could not answer exactly."""
+
+    def test_within_refuses_a_bound_past_the_horizon(self):
+        g = chain(6)
+        lm = LandmarkIndex(g, horizon=2)
+        assert lm.within(0, 2, 2) and not lm.within(0, 3, 2)
+        for bound in (3, None):
+            with pytest.raises(ValueError, match="horizon"):
+                lm.within(0, 3, bound)
+
+    @pytest.mark.parametrize("query", ["dist", "pathdist"])
+    def test_full_distance_queries_refuse(self, query):
+        lm = LandmarkIndex(chain(4), horizon=3)
+        with pytest.raises(ValueError, match="horizon"):
+            getattr(lm, query)(0, 1)
+
+    def test_rebuild_keeps_the_horizon(self):
+        g = chain(6)
+        lm = LandmarkIndex(g, horizon=1)
+        g.add_edge(10, 11)
+        lm.insert_edge(10, 11)
+        lm.rebuild()
+        assert lm.horizon == 1
+        lm.check_invariants()
+        assert_exact(lm, g)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    @pytest.mark.parametrize("wider", [1, 3, None])
+    def test_widen_equals_a_fresh_build(self, horizon, wider):
+        g = synthetic_graph(30, 80, seed=3)
+        lm = LandmarkIndex(g, horizon=horizon)
+        ins, dels = [], []
+        for u in mixed_updates(g, 8, 8, seed=4):
+            if u.op == "insert" and g.add_edge(u.source, u.target):
+                ins.append(u.edge)
+            elif u.op == "delete" and g.remove_edge(u.source, u.target):
+                dels.append(u.edge)
+        lm.apply_batch(inserted=ins, deleted=dels)
+        entries, selected = lm.size_entries(), lm.selected_size
+        lm.widen(wider)
+        # A widening selects nothing: the landmark InsLM added stays an
+        # addition to the last selection.
+        assert lm.selected_size == selected < len(lm.landmarks())
+        if wider is not None and wider <= horizon:
+            # Nothing narrows the columns.
+            assert (lm.horizon, lm.size_entries()) == (horizon, entries)
+        else:
+            fresh = LandmarkIndex(g, landmarks=lm.landmarks(), horizon=wider)
+            assert lm.horizon == wider
+            assert lm.size_entries() == fresh.size_entries() > entries
+        lm.check_invariants()
+        assert_exact(lm, g)
+
+
 class TestWorkBound:
     """IncLM and the rechecks work on the columns and vector entries a
     change reaches, however many landmarks the rest of the graph holds."""
@@ -246,8 +311,10 @@ def graphs_with_batches(draw):
 @settings(max_examples=60, deadline=None)
 @given(graphs_with_batches())
 def test_mixed_batches_keep_every_column_exact(case):
+    """One index per horizon in ``HORIZONS``, fed the same batches."""
     g, all_landmarks, batches = case
-    lm = LandmarkIndex(g, landmarks=list(g.nodes()) if all_landmarks else None)
+    landmarks = list(g.nodes()) if all_landmarks else None
+    indexes = [LandmarkIndex(g, landmarks, horizon=h) for h in HORIZONS]
     for toggles in batches:
         ins, dels = [], []
         for v, w in toggles:
@@ -257,19 +324,25 @@ def test_mixed_batches_keep_every_column_exact(case):
             else:
                 g.add_edge(v, w)
                 ins.append((v, w))
-        lm.apply_batch(inserted=ins, deleted=dels)
-        lm.check_invariants()
-        assert_exact(lm, g)
+        for lm in indexes:
+            lm.apply_batch(inserted=ins, deleted=dels)
+            lm.check_invariants()
+            assert_exact(lm, g)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_queries_exact_on_every_shape_under_churn(shape):
+    """One index per horizon in ``HORIZONS``, fed the same batch."""
     g = shape_graph(shape)
-    lm = LandmarkIndex(g)
-    assert_exact(lm, g)
+    indexes = [LandmarkIndex(g, horizon=h) for h in HORIZONS]
+    for lm in indexes:
+        lm.check_invariants()
+        assert_exact(lm, g)
     # One batch: delete an edge and insert one between two non-landmarks
     # (fresh nodes where the cover leaves fewer than two), which no
-    # landmark covers, so InsLM adds one.
+    # landmark covers, so InsLM adds one.  The horizon does not move the
+    # cover, so the batch is the same for every index.
+    lm = indexes[0]
     dels = sorted(g.edges(), key=repr)[:1]
     free = [v for v in g.nodes() if not lm.has_landmark(v)]
     free += ["fresh0", "fresh1"][: max(0, 2 - len(free))]
@@ -278,7 +351,8 @@ def test_queries_exact_on_every_shape_under_churn(shape):
         g.remove_edge(*e)
     g.add_edge(x, y)
     before = len(lm.landmarks())
-    lm.apply_batch(inserted=[(x, y)], deleted=dels)
-    assert len(lm.landmarks()) == before + 1
-    lm.check_invariants()
-    assert_exact(lm, g)
+    for lm in indexes:
+        lm.apply_batch(inserted=[(x, y)], deleted=dels)
+        assert len(lm.landmarks()) == before + 1
+        lm.check_invariants()
+        assert_exact(lm, g)

@@ -11,8 +11,12 @@ from repro.workloads.updates import mixed_updates
 from tests.strategies import small_graphs
 
 
+# Column depths the fuzzers run side by side: full, and truncated.
+HORIZONS = (None, 1, 2, 3)
+
+
 def assert_exact(sssp: DynamicSSSP, g: DiGraph) -> None:
-    assert sssp.distances() == bfs_distances(g, sssp.source)
+    assert sssp.distances() == bfs_distances(g, sssp.source, sssp.horizon)
 
 
 class TestInit:
@@ -152,6 +156,49 @@ class TestBatch:
         assert sssp.stats.nodes_touched == 0
 
 
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3])
+class TestHorizon:
+    """A column truncated at ``horizon`` holds exactly the nodes within
+    that many hops, at every point of its life."""
+
+    def test_build_stops_at_the_horizon(self, horizon):
+        g = synthetic_graph(40, 100, seed=2)
+        sssp = DynamicSSSP(g, 0, horizon=horizon)
+        assert max(sssp.distances().values()) <= horizon
+        assert_exact(sssp, g)
+
+    def test_insertion_cascade_stops_at_the_horizon(self, horizon):
+        # The shortcut lowers every node past 2; untruncated, the
+        # cascade would carry 7 down to 5.
+        g = chain(8)
+        sssp = DynamicSSSP(g, 0, horizon=horizon)
+        g.add_edge(0, 3)
+        sssp.on_insert(0, 3)
+        assert_exact(sssp, g)
+
+    def test_deletion_lifts_nodes_past_the_horizon(self, horizon):
+        # Without the shortcut 0 -> 2, node i sits at i: 3 leaves a
+        # horizon-2 column, 2 a horizon-1 one.
+        g = chain(5)
+        g.add_edge(0, 2)
+        sssp = DynamicSSSP(g, 0, horizon=horizon)
+        assert_exact(sssp, g)
+        g.remove_edge(0, 2)
+        sssp.on_delete(0, 2)
+        assert_exact(sssp, g)
+
+    def test_phase_two_lowers_through_a_same_batch_insertion(self, horizon):
+        # Phase 2 settles b at 1 through the inserted s -> b, and the
+        # cascade brings c to 2, inside horizon 2 but not horizon 1.
+        g = DiGraph([("s", "a"), ("a", "b"), ("b", "c"), ("c", "d"),
+                     ("s", "x"), ("x", "y"), ("y", "c")])
+        sssp = DynamicSSSP(g, "s", horizon=horizon)
+        g.remove_edge("a", "b")
+        g.add_edge("s", "b")
+        sssp.on_batch(inserted=[("s", "b")], deleted=[("a", "b")])
+        assert_exact(sssp, g)
+
+
 class TestSourceOutsideGraph:
     """A column built before its source exists has no entries; the first
     inserted edge that touches the source puts it at 0, on every path."""
@@ -177,24 +224,31 @@ class TestSourceOutsideGraph:
 @settings(max_examples=30, deadline=None)
 @given(small_graphs())
 def test_random_unit_updates_stay_exact(g):
+    """One column per horizon in ``HORIZONS``, fed the same updates."""
     nodes = sorted(g.nodes(), key=repr)
-    sssp = DynamicSSSP(g, nodes[0])
+    columns = [DynamicSSSP(g, nodes[0], horizon=h) for h in HORIZONS]
     ups = mixed_updates(g, 4, 4, seed=7)
     for u in ups:
         if u.op == "insert":
             if g.add_edge(u.source, u.target):
-                sssp.on_insert(u.source, u.target)
+                for sssp in columns:
+                    sssp.on_insert(u.source, u.target)
         else:
             if g.remove_edge(u.source, u.target):
-                sssp.on_delete(u.source, u.target)
-        assert_exact(sssp, g)
+                for sssp in columns:
+                    sssp.on_delete(u.source, u.target)
+        for sssp in columns:
+            assert_exact(sssp, g)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_graphs())
 def test_random_batches_stay_exact(g):
+    """One column per horizon in ``HORIZONS``, fed the same batch."""
     nodes = sorted(g.nodes(), key=repr)
-    sssp = DynamicSSSP(g, nodes[len(nodes) // 2])
+    columns = [
+        DynamicSSSP(g, nodes[len(nodes) // 2], horizon=h) for h in HORIZONS
+    ]
     ups = mixed_updates(g, 5, 5, seed=11)
     ins, dels = [], []
     for u in ups:
@@ -202,5 +256,6 @@ def test_random_batches_stay_exact(g):
             ins.append(u.edge)
         elif u.op == "delete" and g.remove_edge(u.source, u.target):
             dels.append(u.edge)
-    sssp.on_batch(ins, dels)
-    assert_exact(sssp, g)
+    for sssp in columns:
+        sssp.on_batch(ins, dels)
+        assert_exact(sssp, g)
