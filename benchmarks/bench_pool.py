@@ -93,7 +93,8 @@ and :class:`Every` (a condition on every row).
 The naive baseline is one independent incremental index per pattern,
 each fed the full stream and then made to publish its delta the way a
 pool query does (:func:`publish`).  The script prints a table per
-scenario, writes a machine-readable ``BENCH_pool.json``, and exits
+scenario, writes a machine-readable record (``BENCH_pool.json`` on a
+full run of every scenario, ``--json PATH`` on any run), and exits
 non-zero if any routed result disagrees with its oracle or any gate
 fails.  ``BENCH_pool.json`` feeds the CI regression compare
 (``benchmarks/compare_bench.py``).
@@ -101,7 +102,7 @@ fails.  ``BENCH_pool.json`` feeds the CI regression compare
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_pool.py          # full sweep
-    PYTHONPATH=src python benchmarks/bench_pool.py --tiny   # CI smoke
+    PYTHONPATH=src python benchmarks/bench_pool.py --tiny   # smoke, no file
 """
 
 import argparse
@@ -135,6 +136,13 @@ from repro.workloads.updates import (  # noqa: E402
     label_partitioned_updates,
     mixed_updates,
 )
+
+# Pool sizes N of a full run, and of a --tiny run: two sizes at or above
+# every flatness gate's threshold (4), so the smoke run can catch a count
+# that grows with N.  Only a full run of every scenario is the committed
+# record, BENCH_pool.json.
+FULL_SIZES = [1, 2, 4, 8, 16, 32, 64]
+TINY_SIZES = [1, 2, 4, 8]
 
 # Distinct patterns the ``overlap``, ``shared-plan`` and ``temporal``
 # scenarios draw their N queries from (query i uses pattern
@@ -1090,21 +1098,21 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--json",
-        default="BENCH_pool.json",
+        default=None,
         metavar="PATH",
-        help="write machine-readable results here ('-' to skip)",
+        help="write machine-readable results here ('-' to skip); by "
+        "default a full run of every scenario writes BENCH_pool.json, "
+        "and a --tiny or --scenario run writes nothing",
     )
     args = parser.parse_args(argv)
 
     if args.tiny:
-        # Two sizes at or above every flatness gate's threshold (4), so
-        # the smoke run can catch a count that grows with N.
-        sizes = [1, 2, 4, 8]
+        sizes = TINY_SIZES
         cluster_size = args.cluster_size or 12
         num_updates = args.updates or 20
         reps = args.reps or 2
     else:
-        sizes = [1, 2, 4, 8, 16, 32, 64]
+        sizes = FULL_SIZES
         cluster_size = args.cluster_size or 30
         num_updates = args.updates or 120
         reps = args.reps or 3
@@ -1129,9 +1137,12 @@ def main(argv=None) -> int:
         )
         ok = ok and s_ok
 
-    if args.json != "-":
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"\nwrote {args.json}")
+    out = args.json
+    if out is None and not args.tiny and args.scenario == "all":
+        out = "BENCH_pool.json"
+    if out not in (None, "-"):
+        Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"\nwrote {out}")
     return 0 if ok else 1
 
 

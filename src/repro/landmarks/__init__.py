@@ -1,17 +1,6 @@
 """Landmark vectors, distance vectors, and their incremental maintenance."""
 
-from .selection import (
-    greedy_degree_cover,
-    matching_vertex_cover,
-    select_landmarks,
-    stability_weighted_cover,
-)
+from .selection import cover_endpoint, select_landmarks
 from .vector import LandmarkIndex
 
-__all__ = [
-    "LandmarkIndex",
-    "select_landmarks",
-    "matching_vertex_cover",
-    "greedy_degree_cover",
-    "stability_weighted_cover",
-]
+__all__ = ["LandmarkIndex", "cover_endpoint", "select_landmarks"]

@@ -1,85 +1,41 @@
-"""Landmark selection strategies (paper Section 6.2).
+"""Landmark selection (paper Section 6.2).
 
 A landmark vector must contain, for every node pair, a node on some
 shortest path between them.  Any vertex cover qualifies: each edge of a
 shortest path has an endpoint in the cover.  The paper computes "a minimum
-vertex cover ... using [a] heuristic algorithm" (the classic matching-based
-2-approximation of Vazirani's book); it also discusses preferring *stable*,
-high-degree nodes.  Both selectors are provided.
+vertex cover ... using [a] heuristic algorithm" and prefers stable,
+high-degree nodes (Example 6.2); ``InsLM`` keeps the cover by adding one
+endpoint of each inserted edge it leaves uncovered (Prop. 6.2).  One rule,
+:func:`cover_endpoint`, makes that choice everywhere: ``BatchLM``
+(:func:`select_landmarks`) applies it to every edge of the graph,
+``InsLM`` to each uncovered inserted edge.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Set
+from typing import List, Set
 
 from ..graphs.digraph import DiGraph, Node
 
 
-def matching_vertex_cover(graph: DiGraph) -> Set[Node]:
-    """Maximal-matching 2-approximation of minimum vertex cover.
+def cover_endpoint(graph: DiGraph, x: Node, y: Node) -> Node:
+    """The landmark that covers edge ``(x, y)`` when neither endpoint is
+    one: the endpoint of higher degree, the source ``x`` on a tie (and
+    so the node itself for a self-loop)."""
+    deg_x = graph.out_degree(x) + graph.in_degree(x)
+    return x if deg_x >= graph.out_degree(y) + graph.in_degree(y) else y
 
-    Edge direction is irrelevant for covering; self-loops force their node
-    into the cover.
-    """
+
+def select_landmarks(graph: DiGraph) -> List[Node]:
+    """``BatchLM``'s cover: :func:`cover_endpoint` of every edge, in
+    ``graph.edges()`` order, that no earlier choice covers; sorted by
+    ``repr``."""
     cover: Set[Node] = set()
-    for v, w in graph.edges():
-        if v == w:
-            cover.add(v)
-        elif v not in cover and w not in cover:
-            cover.add(v)
-            cover.add(w)
-    return cover
-
-
-def greedy_degree_cover(graph: DiGraph) -> Set[Node]:
-    """Greedy max-degree vertex cover — usually smaller than the matching
-    cover, preferring hub nodes (the "larger degrees" heuristic)."""
-    uncovered = {(v, w) for v, w in graph.edges()}
-    incident = {}
-    for v, w in uncovered:
-        incident.setdefault(v, set()).add((v, w))
-        incident.setdefault(w, set()).add((v, w))
-    cover: Set[Node] = set()
-    while uncovered:
-        best = max(incident, key=lambda n: len(incident.get(n, ())))
-        edges = incident.pop(best, set())
-        if not edges:
-            # All incident edges already covered; drop and continue.
-            continue
-        cover.add(best)
-        for e in list(edges):
-            uncovered.discard(e)
-            a, b = e
-            for other in (a, b):
-                if other != best and other in incident:
-                    incident[other].discard(e)
-    return cover
-
-
-def stability_weighted_cover(
-    graph: DiGraph,
-    update_frequency: Optional[Callable[[Node], float]] = None,
-) -> Set[Node]:
-    """Vertex cover preferring *stable* nodes (paper Example 6.2).
-
-    ``update_frequency(v)`` estimates how often ``v``'s edges churn; when
-    two endpoints could cover an edge, the more stable one is chosen first.
-    """
-    freq = update_frequency or (lambda v: 0.0)
-    cover: Set[Node] = set()
-    for v, w in sorted(
-        graph.edges(), key=lambda e: min(freq(e[0]), freq(e[1]))
-    ):
-        if v == w:
-            cover.add(v)
-        elif v not in cover and w not in cover:
-            # Prefer the endpoint with the lower churn, higher degree.
-            def key(n: Node):
-                return (freq(n), -(graph.out_degree(n) + graph.in_degree(n)))
-
-            cover.add(min((v, w), key=key))
-    return cover
+    for x, y in graph.edges():
+        if x not in cover and y not in cover:
+            cover.add(cover_endpoint(graph, x, y))
+    return sorted(cover, key=repr)
 
 
 class LandmarkBudget:
@@ -117,16 +73,3 @@ class LandmarkBudget:
 
     def __repr__(self) -> str:
         return f"LandmarkBudget(slack={self.slack}, floor={self.floor})"
-
-
-def select_landmarks(graph: DiGraph, strategy: str = "matching") -> List[Node]:
-    """Entry point: 'matching' (default), 'degree', or 'stability'."""
-    if strategy == "matching":
-        cover = matching_vertex_cover(graph)
-    elif strategy == "degree":
-        cover = greedy_degree_cover(graph)
-    elif strategy == "stability":
-        cover = stability_weighted_cover(graph)
-    else:
-        raise ValueError(f"unknown landmark strategy {strategy!r}")
-    return sorted(cover, key=repr)

@@ -11,14 +11,14 @@ first landmark at ``v`` itself or at a child of ``v``.  For ``v != w``,
 shortest cycle through ``v`` is ``1 + min distvt[p][v]`` over the parents
 ``p`` of a landmark, ``1 + min distvt[v][c]`` over the children of any
 other node.  A pair query reads at most ``out-degree(v) <= |lm|`` entries,
-the paper's per-query bound.  The selectors return a cover, an explicit
-``landmarks=`` set must be one, and ``InsLM`` keeps it one
-(:meth:`LandmarkIndex.check_invariants` checks it).
+the paper's per-query bound.  :func:`select_landmarks` returns a cover,
+an explicit ``landmarks=`` set must be one, and ``InsLM`` keeps it one by
+the same rule (:meth:`LandmarkIndex.check_invariants` checks it).
 
 The table is node-major, ``distvt[w][lm] = dist(lm -> w)`` with finite
 entries only, and is the only store of landmark distances.  Each landmark
 is a :class:`DynamicSSSP` column that reads and writes its own entry — the
-paper's maintenance strategy ("a variant of a dynamic fixed point
+paper's maintenance scheme ("a variant of a dynamic fixed point
 algorithm [Ramalingam and Reps 1996a]"), which gives ``InsLM`` /
 ``DelLM`` / ``IncLM`` via the RR update routines.
 
@@ -72,7 +72,7 @@ from ..graphs.traversal import (
     descendants_within,
 )
 from ..shortestpaths.dynamic_sssp import DistTable, DynamicSSSP
-from .selection import select_landmarks
+from .selection import cover_endpoint, select_landmarks
 
 Update = Tuple[Node, Node]
 # landmark -> (its inserted edges, its deleted edges) for one batch
@@ -127,16 +127,14 @@ class LandmarkIndex:
         self,
         graph: DiGraph,
         landmarks: Optional[Iterable[Node]] = None,
-        strategy: str = "matching",
         horizon: Optional[int] = None,
     ) -> None:
         self._graph = graph
-        self._strategy = strategy
         self.horizon = horizon
         self.columns_visited = 0
         self.entries_scanned = 0
         if landmarks is None:
-            landmarks = select_landmarks(graph, strategy)
+            landmarks = select_landmarks(graph)
         else:
             landmarks = list(landmarks)
             missing = [v for v in landmarks if v not in graph]
@@ -173,12 +171,6 @@ class LandmarkIndex:
             self._columns[v] = DynamicSSSP(
                 self._graph, v, table=self._distvt, horizon=self.horizon
             )
-
-    def add_landmark(self, v: Node) -> None:
-        """Extend the vector by one landmark (one BFS, to the horizon)."""
-        if v not in self._graph:
-            raise ValueError(f"landmark {v!r} not in graph")
-        self._add(v)
 
     def widen(self, horizon: Optional[int]) -> None:
         """Keep every column to ``horizon`` hops from now on (``None``:
@@ -301,7 +293,7 @@ class LandmarkIndex:
         """``InsLM``: repair after inserting (x, y); may add one landmark.
 
         Prop. 6.2: adding either endpoint keeps the covering property, so
-        at most one new landmark is needed per insertion.
+        an uncovered insertion adds one, :func:`cover_endpoint`'s choice.
         """
         self.apply_batch(inserted=((x, y),))
 
@@ -323,11 +315,9 @@ class LandmarkIndex:
         work = _work_lists(self._distvt, inserted, deleted, horizon)
         # Landmarks added for cover are built on the edited graph, so they
         # join after the work lists and need no repair.
-        graph = self._graph
-        deg = lambda n: graph.out_degree(n) + graph.in_degree(n)
         for x, y in inserted:
             if not self.covers_edge(x, y):
-                self._add(x if deg(x) >= deg(y) else y)
+                self._add(cover_endpoint(self._graph, x, y))
         for lm, (ins, dels) in work.items():
             self._columns[lm].on_batch(ins, dels)
         self.columns_visited += len(work)
@@ -335,7 +325,7 @@ class LandmarkIndex:
     def rebuild(self) -> None:
         """``BatchLM``: recompute the landmark set and all vectors, to the
         same horizon."""
-        self._build(select_landmarks(self._graph, self._strategy))
+        self._build(select_landmarks(self._graph))
 
     # ------------------------------------------------------------------
     # Invariants (tests) and introspection for experiments

@@ -138,13 +138,6 @@ class DynamicSSSP:
                     nxt.append(w)
             level = nxt
 
-    def recompute(self) -> None:
-        """Recompute from scratch (used by the BatchLM baselines)."""
-        s = self.source
-        for v in [v for v, row in self._table.items() if s in row]:
-            self._drop(v)
-        self._build()
-
     # -- single-edge updates: the one-edge case of on_batch ---------------
     def on_insert(self, x: Node, y: Node) -> int:
         """Repair after edge (x, y) was inserted.  Returns #nodes updated."""

@@ -23,18 +23,21 @@ def _bench_pool():
 
 
 def test_committed_bench_record_matches_the_code():
-    """Scenario set, each scenario's distance mode, graph, stream, and
+    """A full run's sizes (a ``--tiny`` record runs fewer), the scenario
+    set, each scenario's distance mode, graph, stream, and
     the routed/skipped counts of the ``simulation`` and ``bounded`` rows
     at the smallest and largest N (deterministic under every hash seed)
     recomputed through each scenario's declared pool leg from what the
     file says it ran."""
     bench = _bench_pool()
     doc = json.loads((ROOT / "BENCH_pool.json").read_text())
+    sizes = doc["scenarios"]["simulation"]["sizes"]
+    assert sizes == bench.FULL_SIZES, f"not a full run: N = {sizes}"
     assert set(doc["scenarios"]) == set(bench.SCENARIOS)
     for name, scenario in bench.SCENARIOS.items():
         recorded = doc["scenarios"][name].get("distance_mode")
         assert recorded == scenario.info.get("distance_mode"), name
-    max_n = max(doc["scenarios"]["simulation"]["sizes"])
+    max_n = max(sizes)
     graph = bench.build_graph(max_n, doc["graph"]["nodes"] // max_n)
     assert graph.num_nodes() == doc["graph"]["nodes"]
     assert graph.num_edges() == doc["graph"]["edges"]

@@ -276,6 +276,21 @@ def _unshared(monkeypatch):
     monkeypatch.setattr(plan_module, "canonical_pattern", unshared)
 
 
+def test_bench_pool_partial_runs_leave_the_record_alone(tmp_path, monkeypatch):
+    """Only a full run of every scenario writes ``BENCH_pool.json`` by
+    default: a ``--tiny`` or ``--scenario`` run writes a file only where
+    ``--json`` points."""
+    bench = _bench_pool()
+    monkeypatch.chdir(tmp_path)
+    small = ["--updates", "8", "--cluster-size", "6", "--reps", "1"]
+    for argv in (["--tiny", "--scenario", "simulation", *small],
+                 ["--scenario", "simulation", *small]):
+        assert bench.main(argv) == 0
+        assert not (tmp_path / "BENCH_pool.json").exists(), argv
+    assert bench.main([*argv, "--json", "out.json"]) == 0
+    assert (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("interned", [True, False])
 def test_shared_plan_gate_fails_only_when_nothing_is_interned(
     interned, monkeypatch

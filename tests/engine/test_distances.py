@@ -325,7 +325,7 @@ class TestLandmarkBudget:
         # every query holds, its new baseline is the fresh selection, and
         # its vectors stay exact.
         assert substrate.landmark_index() is lm
-        assert lm.landmarks() == select_landmarks(g, "matching")
+        assert lm.landmarks() == select_landmarks(g)
         assert lm.selected_size == len(lm.landmarks())
         assert not substrate.enforce_lm_budget()
         _assert_exact(lm, g)

@@ -389,7 +389,7 @@ def test_random_batches_match_batch(g, p):
     ),
 )
 def test_hypothesis_update_batches(g, p):
-    """Adversarial batches from the update strategy, incl. duplicates."""
+    """Adversarial batches on drawn graphs and patterns, incl. duplicates."""
     idx = SimulationIndex(p, g.copy())
     batch = [insert(0, 0), insert(0, 0), delete(0, 0)]
     idx.apply_batch(batch)

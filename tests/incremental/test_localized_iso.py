@@ -83,7 +83,7 @@ class TestExactnessGuarantee:
 @settings(max_examples=25, deadline=None)
 @given(small_graphs(max_nodes=6), small_patterns(max_nodes=3, max_bound=1, allow_star=False))
 def test_localized_equals_global_for_connected_patterns(g, p):
-    # Only meaningful when the pattern is weakly connected; the strategy
+    # Only meaningful when the pattern is weakly connected; small_patterns
     # does not guarantee it, so check (union-find) and skip otherwise.
     parent = {u: u for u in p.nodes()}
 

@@ -4,14 +4,20 @@ import pytest
 from hypothesis import given, settings
 
 from repro.graphs.digraph import DiGraph
-from repro.graphs.generators import complete_graph, cycle_graph, star, synthetic_graph
+from repro.graphs.generators import (
+    chain,
+    complete_graph,
+    cycle_graph,
+    star,
+    synthetic_graph,
+)
 from repro.landmarks.selection import (
     LandmarkBudget,
-    greedy_degree_cover,
-    matching_vertex_cover,
+    cover_endpoint,
     select_landmarks,
-    stability_weighted_cover,
 )
+from repro.landmarks.vector import LandmarkIndex
+from tests.shapes import SHAPES, shape_graph
 from tests.strategies import small_graphs
 
 
@@ -19,58 +25,25 @@ def is_vertex_cover(g: DiGraph, cover) -> bool:
     return all(v in cover or w in cover for v, w in g.edges())
 
 
-COVERS = [matching_vertex_cover, greedy_degree_cover, stability_weighted_cover]
-
-
-@pytest.mark.parametrize("cover_fn", COVERS)
 class TestCovers:
-    def test_covers_cycle(self, cover_fn):
+    def test_covers_cycle(self):
         g = cycle_graph(6)
-        assert is_vertex_cover(g, cover_fn(g))
+        assert is_vertex_cover(g, select_landmarks(g))
 
-    def test_covers_complete(self, cover_fn):
+    def test_covers_complete(self):
         g = complete_graph(5)
-        assert is_vertex_cover(g, cover_fn(g))
+        assert is_vertex_cover(g, select_landmarks(g))
 
-    def test_self_loop_forces_node(self, cover_fn):
+    def test_self_loop_forces_node(self):
         g = DiGraph([("a", "a"), ("a", "b")])
-        assert "a" in cover_fn(g)
+        assert "a" in select_landmarks(g)
 
-    def test_empty_graph(self, cover_fn):
-        assert cover_fn(DiGraph()) == set()
+    def test_empty_graph(self):
+        assert select_landmarks(DiGraph()) == []
 
-    def test_synthetic(self, cover_fn):
+    def test_synthetic(self):
         g = synthetic_graph(50, 150, seed=2)
-        assert is_vertex_cover(g, cover_fn(g))
-
-
-class TestQuality:
-    def test_degree_cover_small_on_star(self):
-        g = star(10)
-        cover = greedy_degree_cover(g)
-        assert cover == {0}  # the hub alone covers everything
-
-    def test_matching_cover_at_most_double_optimal_on_star(self):
-        g = star(10)
-        cover = matching_vertex_cover(g)
-        assert len(cover) <= 2
-
-    def test_stability_prefers_stable_endpoint(self):
-        g = DiGraph([("churner", "stable")])
-        freq = {"churner": 10.0, "stable": 0.0}
-        cover = stability_weighted_cover(g, update_frequency=freq.get)
-        assert cover == {"stable"}
-
-
-class TestEntryPoint:
-    def test_strategies(self):
-        g = cycle_graph(4)
-        for strategy in ("matching", "degree", "stability"):
-            assert is_vertex_cover(g, set(select_landmarks(g, strategy)))
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            select_landmarks(DiGraph(), "psychic")
+        assert is_vertex_cover(g, select_landmarks(g))
 
     def test_result_is_sorted_list(self):
         g = cycle_graph(4)
@@ -78,19 +51,97 @@ class TestEntryPoint:
         assert lms == sorted(lms, key=repr)
 
 
+class TestCoverEndpoint:
+    """One rule picks every landmark: an uncovered edge's endpoint of
+    higher degree, its source on a tie."""
+
+    def test_higher_degree_endpoint(self):
+        g = star(3, outward=False)  # leaves -> hub 0
+        assert cover_endpoint(g, 1, 0) == 0
+        assert select_landmarks(g) == [0]
+
+    def test_source_on_a_tie(self):
+        g = DiGraph([("a", "b"), ("b", "a")])
+        assert cover_endpoint(g, "a", "b") == "a"
+        assert cover_endpoint(g, "b", "a") == "b"
+
+    def test_edges_in_order_each_uncovered_one_gains_its_endpoint(self):
+        # (0, 1) gains 1, which covers (1, 2); (2, 3) gains 2.
+        assert select_landmarks(chain(4)) == [1, 2]
+
+    def test_self_loop_is_its_own_endpoint(self):
+        g = DiGraph([("a", "a"), ("b", "a"), ("c", "a")])
+        assert cover_endpoint(g, "a", "a") == "a"
+
+
+class TestQuality:
+    """Graphs whose minimum cover is known: the rule finds it."""
+
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_hub_alone_covers_a_star(self, outward):
+        # The hub's degree is 10, each leaf's 1, whichever way the
+        # edges point.
+        assert select_landmarks(star(10, outward=outward)) == [0]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_selection_on_every_shape(shape):
+    """On each shape the selection covers every edge, and each landmark
+    is the :func:`cover_endpoint` of an edge at it (so no isolated node
+    is picked).  ``LandmarkIndex`` starts from it, and after InsLM growth
+    ``rebuild`` (BatchLM) selects it again for the edited graph."""
+    g = shape_graph(shape)
+    lms = select_landmarks(g)
+    assert is_vertex_cover(g, set(lms))
+    for v in lms:
+        assert any(
+            cover_endpoint(g, x, y) == v
+            for x, y in g.edges() if v in (x, y)
+        ), v
+    lm = LandmarkIndex(g)
+    assert lm.landmarks() == lms and lm.selected_size == len(lms)
+    # An edge from a fresh node into every node; InsLM covers each one
+    # that no landmark covers.
+    ins = [("fresh", v) for v in list(g.nodes())]
+    for x, y in ins:
+        g.add_edge(x, y)
+    lm.apply_batch(inserted=ins)
+    lm.check_invariants()
+    lm.rebuild()
+    assert lm.landmarks() == select_landmarks(g)
+    assert lm.selected_size == len(lm.landmarks())
+    lm.check_invariants()
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_graphs())
-def test_all_strategies_yield_valid_covers(g):
-    for fn in COVERS:
-        assert is_vertex_cover(g, fn(g))
+def test_selection_is_a_cover(g):
+    assert is_vertex_cover(g, set(select_landmarks(g)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_graphs())
+def test_inslm_grows_the_cover_batchlm_selects(g):
+    """Re-selection and online growth choose alike: inserting every edge
+    of ``g`` in one batch into an edgeless index adds the landmarks
+    ``select_landmarks(g)`` picks."""
+    empty = DiGraph()
+    for v in g.nodes():
+        empty.add_node(v)
+    lm = LandmarkIndex(empty)
+    assert lm.landmarks() == []
+    edges = list(g.edges())
+    for x, y in edges:
+        empty.add_edge(x, y)
+    lm.apply_batch(inserted=edges)
+    assert sorted(lm.landmarks(), key=repr) == select_landmarks(g)
+    lm.check_invariants()
 
 
 class TestLandmarkBudget:
     """BatchLM re-selection trigger: bounds InsLM's monotone growth."""
 
     def _index(self, n=6):
-        from repro.landmarks.vector import LandmarkIndex
-
         return LandmarkIndex(cycle_graph(n)), cycle_graph(n)
 
     @pytest.mark.parametrize(
@@ -117,8 +168,6 @@ class TestLandmarkBudget:
         assert not LandmarkBudget(slack=1.0, floor=0).exceeded(lm)
 
     def test_exceeded_after_inslm_growth(self):
-        from repro.landmarks.vector import LandmarkIndex
-
         g = cycle_graph(4)
         lm = LandmarkIndex(g)
         budget = LandmarkBudget(slack=1.0, floor=0)
@@ -137,8 +186,6 @@ class TestLandmarkBudget:
         assert not budget.exceeded(lm)
 
     def test_floor_suppresses_tiny_rebuilds(self):
-        from repro.landmarks.vector import LandmarkIndex
-
         g = cycle_graph(4)
         lm = LandmarkIndex(g)
         g.add_node("x")

@@ -8,7 +8,7 @@ from repro.bench.experiments import disjoint_communities
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import chain, cycle_graph, synthetic_graph
 from repro.graphs.traversal import INF, path_distance
-from repro.landmarks.selection import matching_vertex_cover
+from repro.landmarks.selection import cover_endpoint
 from repro.landmarks.vector import LandmarkIndex
 from repro.workloads.updates import mixed_updates
 from tests.shapes import SHAPES, shape_graph
@@ -82,9 +82,6 @@ class TestQueries:
 
     def test_explicit_landmarks_must_exist(self):
         g = chain(3)
-        lm = LandmarkIndex(g, landmarks=[0, 1])
-        with pytest.raises(ValueError):
-            lm.add_landmark("ghost")
         with pytest.raises(ValueError):
             LandmarkIndex(g, landmarks=[0, "ghost"])
 
@@ -120,6 +117,52 @@ class TestMaintenance:
         g.add_edge(3, 0)
         lm.insert_edge(3, 0)
         assert lm.covers_edge(3, 0)
+        assert_exact(lm, g)
+
+    def test_uncovered_insert_gains_its_higher_degree_endpoint(self):
+        # chain(4)'s cover is {1, 2}.  After (4, 0), the head 0 has
+        # degree 2 and the fresh tail 4 degree 1.
+        g = chain(4)
+        lm = LandmarkIndex(g)
+        assert lm.landmarks() == [1, 2]
+        g.add_node(4)
+        g.add_edge(4, 0)
+        lm.apply_batch(inserted=[(4, 0)])
+        assert lm.landmarks() == [1, 2, 0]
+        lm.check_invariants()
+
+    def test_uncovered_insert_gains_its_source_on_a_tie(self):
+        # After (3, 0), 3 and 0 both have degree 2.
+        g = chain(4)
+        lm = LandmarkIndex(g)
+        g.add_edge(3, 0)
+        lm.apply_batch(inserted=[(3, 0)])
+        assert lm.landmarks() == [1, 2, 3]
+        lm.check_invariants()
+
+    def test_an_edge_the_new_landmark_covers_adds_nothing(self):
+        # (3, 0) gains 3, which then covers (0, 3) later in the batch.
+        g = chain(4)
+        lm = LandmarkIndex(g)
+        g.add_edge(3, 0)
+        g.add_edge(0, 3)
+        lm.apply_batch(inserted=[(3, 0), (0, 3)])
+        assert lm.landmarks() == [1, 2, 3]
+        lm.check_invariants()
+        assert_exact(lm, g)
+
+    def test_degrees_are_read_from_the_graph_the_batch_leaves(self):
+        # Before (4, 5) and (4, 6) the fresh 4 has degree 1 against 0's
+        # 2; after the whole batch it has 3, so (4, 0) gains 4, which
+        # then covers the other two edges.
+        g = chain(4)
+        lm = LandmarkIndex(g)
+        ins = [(4, 0), (4, 5), (4, 6)]
+        for x, y in ins:
+            g.add_edge(x, y)
+        lm.apply_batch(inserted=ins)
+        assert lm.landmarks() == [1, 2, 4]
+        lm.check_invariants()
         assert_exact(lm, g)
 
     def test_delete_edge_updates_distances(self):
@@ -180,10 +223,11 @@ class TestMaintenance:
         lm = LandmarkIndex(g)
         assert lm.size_entries() > 0
         lm.reset_stats()
-        g.add_edge(0, 3)
-        lm.insert_edge(0, 3)
+        # A shortcut out of landmark 1 lowers 3 in 1's column.
+        g.add_edge(1, 3)
+        lm.insert_edge(1, 3)
         assert lm.nodes_touched() >= 0
-        lm.within(0, 3, 1)
+        lm.within(1, 3, 1)
         assert lm.columns_visited > 0 and lm.entries_scanned > 0
         lm.reset_stats()
         counts = lm.nodes_touched(), lm.columns_visited, lm.entries_scanned
@@ -253,10 +297,12 @@ class TestWorkBound:
     @staticmethod
     def work(k: int):
         g = disjoint_communities(k, 12, seed=5)
-        lm = LandmarkIndex(g, landmarks=sorted(matching_vertex_cover(g)))
-        # A shortcut inside community 0 (the same one for every k).
+        lm = LandmarkIndex(g)
+        # A shortcut out of a landmark inside community 0 (the same one
+        # for every k), so its own column changes.
         x, y = next(
-            (v, w) for v in range(12) for w in range(12)
+            (v, w) for v in range(12) if lm.has_landmark(v)
+            for w in range(12)
             if v != w and 2 < path_distance(g, v, w) < INF
         )
         lm.reset_stats()
@@ -328,6 +374,30 @@ def test_mixed_batches_keep_every_column_exact(case):
             lm.apply_batch(inserted=ins, deleted=dels)
             lm.check_invariants()
             assert_exact(lm, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_batches())
+def test_inslm_adds_the_cover_endpoint_of_each_uncovered_edge(case):
+    """A batch's pairs that are not edges yet are inserted; the batch adds,
+    in order, :func:`cover_endpoint` of each inserted edge that no
+    landmark covers when the index reaches it, and nothing else.  The
+    index starts from the selected cover (an all-landmark one never
+    grows)."""
+    g, _, batches = case
+    lm = LandmarkIndex(g)
+    for pairs in batches:
+        ins = [(v, w) for v, w in pairs if g.add_edge(v, w)]
+        covered = set(lm.landmarks())
+        added = []
+        for x, y in ins:
+            if x not in covered and y not in covered:
+                added.append(cover_endpoint(g, x, y))
+                covered.add(added[-1])
+        before = lm.landmarks()
+        lm.apply_batch(inserted=ins)
+        assert lm.landmarks() == before + added
+        lm.check_invariants()
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
