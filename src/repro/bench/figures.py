@@ -272,9 +272,10 @@ def _incbsim_compare(graph: DiGraph, patterns: List, updates: List) -> Row:
         t_batch += t
 
         # Default IncBMatch: probe rechecks (distance_mode='bfs').
-        # The landmark-backed variant is measured in bench_ablations.py —
-        # a vertex-cover vector on these dense synthetic graphs holds
-        # ~|V|/2 landmarks, so its maintenance dominates at laptop scale.
+        # The landmark-backed variant is measured by
+        # ``python -m repro.bench --figure abl-oracle`` — a vertex-cover
+        # vector on these dense synthetic graphs holds ~|V|/2 landmarks,
+        # so its maintenance dominates at laptop scale.
         idx = BoundedSimulationIndex(p, graph.copy(), distance_mode="bfs")
         t, _ = timed(lambda: idx.apply_batch(updates))
         t_inc += t

@@ -62,10 +62,11 @@ graph states.  Node events need no observation here: legs and probes are
 pure graph distances (a fresh node has no edges), read against the live
 eligible sets.
 
-When the shared landmark index outgrows its
-:class:`~repro.landmarks.selection.LandmarkBudget` (``InsLM`` growth is
-monotone), the pool triggers a ``BatchLM`` re-selection at the end of the
-flush via :meth:`SharedDistanceSubstrate.enforce_lm_budget`.
+When ``InsLM`` growth, which is monotone, has outgrown the shared
+landmark index's last selection
+(:meth:`~repro.landmarks.vector.LandmarkIndex.outgrown`), the pool
+triggers a ``BatchLM`` re-selection at the end of the flush via
+:meth:`SharedDistanceSubstrate.enforce_lm_budget`.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..graphs.traversal import Legs, WithinProbe, edge_legs
-from ..landmarks.selection import LandmarkBudget
 from ..landmarks.vector import LandmarkIndex
 
 # The distance modes a pool query may take.  A standalone
@@ -129,13 +129,8 @@ class SharedDistanceSubstrate:
     bounded queries: one leased landmark index, and the memoized legs and
     probes."""
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        lm_budget: Optional[LandmarkBudget] = None,
-    ) -> None:
+    def __init__(self, graph: DiGraph) -> None:
         self._graph = graph
-        self.lm_budget = lm_budget if lm_budget is not None else LandmarkBudget()
         self.stats = SubstrateStats()
         self._lm: Optional[LandmarkIndex] = None
         self._lm_refs = 0
@@ -244,14 +239,14 @@ class SharedDistanceSubstrate:
             self.stats.structure_batches += 1
 
     def enforce_lm_budget(self) -> bool:
-        """``BatchLM`` re-selection when ``InsLM`` growth exceeds the
-        budget (invoked by the pool at the end of a flush).
+        """``BatchLM`` re-selection when ``InsLM`` has outgrown the last
+        selection (invoked by the pool at the end of a flush).
 
         Routing reads the legs, not the vectors, so only the suspect
         rechecks see the re-selected landmarks.  Returns whether a
         rebuild happened.
         """
-        if self._lm is None or not self.lm_budget.exceeded(self._lm):
+        if self._lm is None or not self._lm.outgrown():
             return False
         self._lm.rebuild()
         self.stats.lm_rebuilds += 1

@@ -37,7 +37,8 @@ Keppeler–Schweikardt) applied to predicates, taken down to the atom level:
 Every query registered with the pool leases its candidate sets here;
 there is no private-copy path inside a pool (standalone indexes still
 compute their own sets).  The pool hands each flush's node events to
-:meth:`observe_events` in one batch during flush phase A, gets back the
+:meth:`observe_events` in one batch during flush phase A, and the fresh
+endpoints of its insertions in one more during phase D; it gets back the
 net *flips* (gained/lost predicate verdicts), and routes one repair pass
 to exactly the queries whose patterns use a flipped predicate.
 """
@@ -277,39 +278,17 @@ class SharedEligibilityIndex:
             self._trivial.remove(entry)
 
     # ------------------------------------------------------------------
-    # Observation (invoked by the pool during flush phase A, post-edit)
+    # Observation (invoked by the pool in flush phases A and D, post-edit)
     # ------------------------------------------------------------------
     def observe_node_added(self, v: Node) -> List[Flip]:
-        """A node appeared in the shared graph (attrs already applied).
-
-        Evaluates every interned **atom** once (not every conjunction),
-        posts the satisfied ones, and reconciles only the dependent
-        conjunction views.  Returns the gains; a fresh attribute-less node
-        gains exactly the trivial (TRUE) predicates, which is what makes
-        routing such nodes' edges through their legs sound (the pool
-        announces them before insertion routing).
-        """
+        """A node appeared in the shared graph (attrs already applied):
+        :meth:`observe_events` for one fresh node, returning its gains.
+        The pool observes fresh nodes in its batches; the name stays
+        because the end-to-end benchmark's tracer
+        (benchmarks/e2e/spans.py) looks it up on the class."""
         return [
             (p, gained)
             for p, _v, gained in self.observe_events([(v, None, True)])
-        ]
-
-    def observe_attr_change(self, v: Node, changed_names=None) -> List[Flip]:
-        """Node ``v``'s attributes changed (already merged into the graph).
-
-        Membership before the change is read off the posting sets
-        themselves, so no pre-edit attribute snapshot is needed.
-        ``changed_names`` (the merged attribute names, when the caller
-        has them) prunes the scan to the atoms over those attributes: an
-        atom mentioning none of them cannot flip, so it is not evaluated
-        at all — and a conjunction none of whose atoms flipped is not
-        reconciled.
-        """
-        return [
-            (p, gained)
-            for p, _v, gained in self.observe_events(
-                [(v, changed_names, False)]
-            )
         ]
 
     def observe_events(self, events: Iterable[NodeEvent]) -> List[EventFlip]:

@@ -29,8 +29,9 @@ queries under updates).  Predicate eligibility lives in the
 :class:`~repro.engine.eligibility.SharedEligibilityIndex`: one
 eligible-node set per *distinct* predicate, updated once per node
 event, with queries leasing read-views — so per-flush predicate
-evaluations scale with distinct atoms, not pool size, and node events
-route as predicate *flips* (:meth:`UpdateRouter.route_flips`).  Bounded
+evaluations scale with distinct atoms, not pool size, and node events,
+the fresh endpoints of insertions included, reach the queries only as
+predicate *flips* (:meth:`UpdateRouter.route_flips`).  Bounded
 queries read their distances from the
 :class:`~repro.engine.distances.SharedDistanceSubstrate`: one landmark
 index per pool for ``landmark``-mode queries, synced exactly once per
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..incremental.types import (
@@ -76,7 +77,6 @@ from ..incremental.types import (
     net_updates,
     validate_update,
 )
-from ..landmarks.selection import LandmarkBudget
 from ..patterns.pattern import Pattern
 from ..patterns.predicate import Predicate
 from .distances import POOL_DISTANCE_MODES, SharedDistanceSubstrate
@@ -212,7 +212,6 @@ class MatcherPool:
     def __init__(
         self,
         graph: DiGraph,
-        lm_budget: Optional[LandmarkBudget] = None,
         window: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -223,7 +222,7 @@ class MatcherPool:
         # query; one landmark index, leased by all landmark-mode bounded
         # queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)
-        self.substrate = SharedDistanceSubstrate(graph, lm_budget=lm_budget)
+        self.substrate = SharedDistanceSubstrate(graph)
         # The multi-query plan: every simulation and bounded query reads
         # the one interned index of its pattern shape.
         self.plan = SharedPlan(self)
@@ -578,36 +577,22 @@ class MatcherPool:
         # sets — which yields the net flips per (predicate, node)
         # directly, transient flip pairs never materializing.  The net
         # flips are then delivered as ONE routing + repair pass per
-        # flush: the sets are final by then, so batched repair reaches the
-        # same fixpoint as the per-event interleaving, without per-event
-        # routing overhead.  Fresh (edge-less) phase-A nodes ride the same
-        # batch: their gains are exactly the predicates they satisfy, and
-        # index adoption from final sets is equivalent to per-event
-        # apply_node_added.
+        # flush (:meth:`_deliver_flips`): the sets are final by then, so
+        # batched repair reaches the same fixpoint as the per-event
+        # interleaving, without per-event routing overhead.  A fresh
+        # node's gains are exactly the predicates it satisfies, so it
+        # rides the same batch as an attribute change.
         report.attr_ops = len(node_ops)
-        events: List[Tuple[Node, Optional[Iterable[str]], bool]] = []
-        for v, attrs in node_ops:
-            is_new = not self.graph.has_node(v)
-            self.graph.add_node(v, **attrs)
-            events.append((v, None if is_new else list(attrs), is_new))
-        net_flips = (
-            self.eligibility.observe_events(events) if events else []
-        )
-        if net_flips:
-            by_node: Dict[Node, List[Tuple[Predicate, bool]]] = {}
-            for pred, v, gained in net_flips:
-                by_node.setdefault(v, []).append((pred, gained))
-            flipped = self._router.route_flips(
-                dict.fromkeys(pred for pred, _v, _g in net_flips)
+        if node_ops:
+            events: List[Tuple[Node, Optional[Iterable[str]], bool]] = []
+            for v, attrs in node_ops:
+                is_new = not self.graph.has_node(v)
+                self.graph.add_node(v, **attrs)
+                events.append((v, None if is_new else list(attrs), is_new))
+            self._deliver_flips(
+                self.eligibility.observe_events(events),
+                population, report, touched,
             )
-            for q in flipped:
-                q.apply_eligibility_flip_batch(by_node)
-                touched[id(q)] = q
-            report.routed += len(flipped)
-            report.skipped += population - len(flipped)
-        elif node_ops:
-            # The batch decision still happened: no flips, nobody routed.
-            report.skipped += population
 
         # ---- Phase B: coalesce edge updates ----------------------------
         net = net_updates(self.graph, edge_ops)
@@ -634,9 +619,9 @@ class MatcherPool:
             q.repair_deletions(prep)
 
         # ---- Phase D: insertions (edit -> observe -> route -> repair ->
-        # fresh nodes).  Routing happens *after* the edit and substrate
-        # observation so the legs reflect the whole batch — a witness
-        # path may thread several same-flush insertions.
+        # fresh-node flips).  Routing happens *after* the edit and
+        # substrate observation so the legs reflect the whole batch — a
+        # witness path may thread several same-flush insertions.
         fresh_nodes: List[Node] = []
         for v, w in insertions:
             for node in (v, w):
@@ -644,37 +629,33 @@ class MatcherPool:
                     self.graph.add_node(node)
                     fresh_nodes.append(node)
             self.graph.add_edge(v, w)
-        # Fresh endpoints must reach the eligibility substrate BEFORE the
-        # insertion batch is routed: a trivial-(TRUE)-predicate query's
-        # legs must meet them as members (each sits at distance 0 of its
-        # own leg) for its routing verdicts on this very batch to be
-        # sound.  An attribute-less node gains exactly the trivial
-        # predicates, so the union is the same for every fresh node; it
-        # drives the wildcard announcements below.
-        fresh_gains: Set[Predicate] = set()
-        for node in fresh_nodes:
-            gains = self.eligibility.observe_node_added(node)
-            fresh_gains.update(p for p, _ in gains)
+        # Fresh endpoints reach the eligibility substrate in ONE
+        # observation BEFORE the insertion batch is routed: a
+        # trivial-(TRUE)-predicate query's legs must meet them as members
+        # (each sits at distance 0 of its own leg) for its routing
+        # verdicts on this very batch to be sound, and each routed
+        # insertion repair adopts its fresh endpoints from the sets.
+        fresh_flips = (
+            self.eligibility.observe_events(
+                [(node, None, True) for node in fresh_nodes]
+            )
+            if fresh_nodes else []
+        )
         if insertions:
             self.substrate.observe_inserted(insertions)
         for q, edges in self._route_edges(
             insertions, population, report, touched
         ):
             q.repair_insertions(edges)
-        # Fresh attribute-less endpoints can still match wildcard (TRUE)
-        # predicates — e.g. a childless or single-node pattern — so the
-        # queries using a gained predicate are announced after edge repair
-        # (registration is idempotent).  One routing decision covers the
-        # whole fresh-node set, so it is counted once per flush, not once
-        # per node.
+        # The fresh endpoints' gains (an attribute-less node gains the
+        # trivial predicates) then take phase A's path, after edge repair,
+        # to every query using a gained predicate — e.g. a childless or
+        # single-node pattern, or one that no inserted edge was routed
+        # to.  Adoption is idempotent, so a query already repaired from
+        # the sets does no more work.  The decision covers the whole
+        # fresh-node set, so it is counted once per flush.
         if fresh_nodes:
-            wildcard_queries = self._router.route_flips(fresh_gains)
-            for node in fresh_nodes:
-                for q in wildcard_queries:
-                    q.apply_node_added(node, {})
-                    touched[id(q)] = q
-            report.routed += len(wildcard_queries)
-            report.skipped += population - len(wildcard_queries)
+            self._deliver_flips(fresh_flips, population, report, touched)
 
         # ---- Stamp upkeep: net deletions drop their stamps; stamped
         # inserts that survived into the final graph record (birth,
@@ -696,11 +677,38 @@ class MatcherPool:
             report.deltas[q.name] = q.emit_delta(report.seq)
         self.stats.routed_pairs += report.routed
         self.stats.skipped_pairs += report.skipped
-        # End-of-flush upkeep: BatchLM re-selection when InsLM growth blew
-        # past the shared landmark index's size budget.
+        # End-of-flush upkeep: BatchLM re-selection once InsLM has grown
+        # the shared landmark index past its re-selection point.
         self.substrate.enforce_lm_budget()
         self._flushed_at = self._now
         return report
+
+    def _deliver_flips(
+        self,
+        flips: List[Tuple[Predicate, Node, bool]],
+        population: int,
+        report: FlushReport,
+        touched: Dict[int, ContinuousQuery],
+    ) -> None:
+        """Route one batch of net eligibility flips (``observe_events``'s
+        ``(predicate, node, gained)`` triples) and hand them, grouped per
+        node, to every query using a flipped predicate.  This is one
+        routing decision against a population of ``population``; with no
+        flips nobody is routed."""
+        if not flips:
+            report.skipped += population
+            return
+        by_node: Dict[Node, List[Tuple[Predicate, bool]]] = {}
+        for pred, v, gained in flips:
+            by_node.setdefault(v, []).append((pred, gained))
+        flipped = self._router.route_flips(
+            dict.fromkeys(pred for pred, _v, _g in flips)
+        )
+        for q in flipped:
+            q.apply_eligibility_flip_batch(by_node)
+            touched[id(q)] = q
+        report.routed += len(flipped)
+        report.skipped += population - len(flipped)
 
     def _route_edges(
         self,

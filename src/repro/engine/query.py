@@ -355,10 +355,6 @@ class ContinuousQuery:
     def repair_insertions(self, edges: List[Tuple[Node, Node]]) -> None:
         self.index.repair_inserted_edges(edges)
 
-    def apply_node_added(self, v: Node, attrs: Mapping[str, Any]) -> None:
-        """A node appeared in the shared graph (attrs already applied)."""
-        self.index.add_node(v, **dict(attrs))
-
     def apply_eligibility_flips(self, v: Node, flips) -> None:
         """One node's flips: :meth:`apply_eligibility_flip_batch` for a
         batch of one."""
@@ -383,10 +379,10 @@ class ContinuousQuery:
         if events:
             self.index.apply_eligibility_flip_batch(events)
 
-    # Attribute changes arrive as eligibility flips and the pool substrate
-    # observes edge batches, so nothing calls these.  The names stay solely
-    # because the end-to-end benchmark's tracer (benchmarks/e2e/spans.py)
-    # looks them up on the class.
+    # Node events, fresh nodes included, arrive as eligibility flips and
+    # the pool substrate observes edge batches, so nothing calls these.
+    # The names stay solely because the end-to-end benchmark's tracer
+    # (benchmarks/e2e/spans.py) looks them up on the class.
     def observe_deletions(self, *args, **kwargs):
         raise RuntimeError("observe_deletions was removed")
 
@@ -396,6 +392,11 @@ class ContinuousQuery:
     def apply_attr_update(self, *args, **kwargs):
         raise RuntimeError(
             "apply_attr_update was removed; use apply_eligibility_flip_batch"
+        )
+
+    def apply_node_added(self, *args, **kwargs):
+        raise RuntimeError(
+            "apply_node_added was removed; use apply_eligibility_flip_batch"
         )
 
     def __repr__(self) -> str:

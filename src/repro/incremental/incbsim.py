@@ -59,12 +59,13 @@ test.
 Both directions are implemented once, as the repair methods the pool
 runs around its shared graph: ``prepare_deleted_edges`` before the edit
 and ``repair_deleted_edges`` after it, ``repair_inserted_edges``, and
-``apply_eligibility_flip_batch`` for attribute changes.  The standalone
-``insert_edge``/``delete_edge``/``apply_batch``/``update_node_attrs``/
-``add_node`` are drivers over them
-(:class:`~repro.incremental.drivers.StandaloneDriver`): a unit update
-is a batch of one, and the distance structures a
-standalone index owns are synced by one helper,
+``apply_eligibility_flip_batch`` for every node event, attribute changes
+and fresh nodes alike; no predicate is evaluated to repair.  The
+standalone ``insert_edge``/``delete_edge``/``apply_batch``/
+``update_node_attrs``/``add_node`` are drivers over them
+(:class:`~repro.incremental.drivers.StandaloneDriver`), which resolve a
+standalone index's flips: a unit update is a batch of one, and the
+distance structures a standalone index owns are synced by one helper,
 :meth:`BoundedSimulationIndex._sync_own_structures`.
 
 ``distance_mode``:
@@ -188,8 +189,9 @@ class BoundedSimulationIndex(StandaloneDriver):
         # A pool-level SharedEligibilityIndex (engine.eligibility): the
         # per-pattern-node eligible sets become leased read-views of one
         # shared member set per distinct predicate.  The substrate
-        # mutates them; attribute churn arrives as resolved flips
-        # (apply_eligibility_flip_batch), never via update_node_attrs.
+        # mutates them, and node events arrive as resolved flips
+        # (apply_eligibility_flip_batch); the standalone drivers refuse
+        # a leased index.
         self._eligibility = eligibility
         self._bounds: Dict[PatternEdge, Bound] = {
             (u, u2): pattern.bound(u, u2) for u, u2 in pattern.edges()
@@ -354,21 +356,14 @@ class BoundedSimulationIndex(StandaloneDriver):
     def _register_node(self, v: Node) -> None:
         """Adopt the layers ``v`` is eligible for but not wired into yet.
 
-        A standalone index evaluates the node's predicates first; a leased
-        index reads membership off the shared sets (the substrate
-        evaluated each distinct predicate once for the whole pool).  The
-        pair nodes enter with no pair edge, through the one inner call of
-        :meth:`_flip_pairs`: a node registered here is new to the graph,
-        so its only edges are the ones being inserted, and
+        Membership is read off the eligible sets, which the pool's
+        substrate or the standalone driver brought up to ``v``'s verdicts
+        before the insertion repair.  The pair nodes enter with no pair
+        edge, through the one inner call of :meth:`_flip_pairs`: a node
+        that is eligible but not wired yet is new to the graph, so its
+        only edges are the ones being inserted, and
         :meth:`repair_inserted_edges` adds the pairs through them.
         """
-        if self._eligibility is None:
-            attrs = self.graph.attrs(v)
-            for u in self.pattern.nodes():
-                if v not in self.eligible[u] and self.pattern.predicate(
-                    u
-                ).satisfied_by(attrs):
-                    self.eligible[u].add(v)
         gained = [
             (u, v)
             for u in self.pattern.nodes()

@@ -14,14 +14,21 @@ that cannot have changed:
   with the exponential worst case the theorem promises;
 - a node whose predicate verdicts flip loses the embeddings mapping a
   lost pattern node to it, and gains those found by a search anchored
-  on it at each gained pattern node.
+  on it at each gained pattern node.  A node an inserted edge brings
+  into the graph is such a node: it gains every pattern node whose
+  predicate it satisfies, so a pattern node no pattern edge touches can
+  map to it.
 
 These are the repair methods the pool drives around its shared graph.
-The standalone ``insert_edge``/``delete_edge``/``apply_batch``/
-``update_node_attrs``/``add_node`` are drivers over them
-(:class:`~repro.incremental.drivers.StandaloneDriver`): a unit update is
-a batch of one.  :class:`LocalizedIsoIndex` only narrows the graph the
-anchored search explores.
+Like the simulation indexes, the index keeps per-pattern-node eligible
+sets (leased from the pool's eligibility substrate, or its own) and
+learns of changed verdicts only as resolved flips.  The standalone
+``insert_edge``/``delete_edge``/``apply_batch``/``update_node_attrs``/
+``add_node`` are drivers over the repair methods
+(:class:`~repro.incremental.drivers.StandaloneDriver`), which resolve a
+standalone index's flips: a unit update is a batch of one.
+:class:`LocalizedIsoIndex` only narrows the graph the anchored search
+explores.
 
 ``IsoIndex`` is the comparison point the experiments use to show why the
 simulation family is the practical choice on evolving graphs.
@@ -29,10 +36,12 @@ simulation family is the practical choice on evolving graphs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..matching.isomorphism import Embedding, iter_embeddings
+from ..matching.relation import MatchRelation
+from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Pattern, PatternError, PatternNode
 from .delta import DeltaLog
 from .drivers import StandaloneDriver
@@ -77,18 +86,19 @@ class IsoIndex(StandaloneDriver):
         self.pattern = pattern
         self.graph = graph
         self.max_embeddings = max_embeddings
-        # A pool-level SharedEligibilityIndex: per-pattern-node predicate
-        # verdicts are read off the shared member sets (one evaluation per
-        # distinct predicate per pool) instead of re-evaluated here, and
-        # attribute churn arrives as resolved flips
-        # (apply_eligibility_flip_batch) rather than update_node_attrs.
+        # A pool-level SharedEligibilityIndex: the eligible sets are its
+        # shared member sets (one evaluation per distinct predicate per
+        # pool), and node events arrive as resolved flips
+        # (apply_eligibility_flip_batch).  A standalone index owns its
+        # sets, and its driver resolves the flips.
         self._eligibility = eligibility
-        self._elig_views: Dict[PatternNode, Any] = {}
         if eligibility is not None:
-            self._elig_views = {
-                u: eligibility.lease(pattern.predicate(u))
+            self.eligible: MatchRelation = {
+                u: eligibility.lease(pattern.predicate(u)).members
                 for u in pattern.nodes()
             }
+        else:
+            self.eligible = candidate_sets(pattern, graph)
         self._embeddings: Dict[EmbKey, Embedding] = {}
         self._by_edge: Dict[EdgeKey, Set[EmbKey]] = {}
         self.delta = DeltaLog()
@@ -233,53 +243,6 @@ class IsoIndex(StandaloneDriver):
                 ):
                     return
 
-    # ------------------------------------------------------------------
-    # Node events
-    # ------------------------------------------------------------------
-    def _verdicts(self, v: Node) -> List[PatternNode]:
-        """Pattern nodes whose predicate ``v`` satisfies — a shared
-        member-set lookup when leased, a predicate evaluation otherwise."""
-        if v not in self.graph:
-            return []
-        if self._eligibility is not None:
-            return [
-                u for u in self.pattern.nodes()
-                if v in self._elig_views[u].members
-            ]
-        attrs = self.graph.attrs(v)
-        return [
-            u for u in self.pattern.nodes()
-            if self.pattern.predicate(u).satisfied_by(attrs)
-        ]
-
-    def _register_node(self, v: Node) -> None:
-        """A fresh node (or one the pool announces): every pattern node it
-        satisfies counts as gained."""
-        self.apply_eligibility_flip_batch([(v, self._verdicts(v), [])])
-
-    def update_node_attrs(self, v: Node, **attrs) -> None:
-        """Change ``v``'s attributes and repair the embedding set: the
-        verdicts before and after the change give the flips, repaired by
-        :meth:`apply_eligibility_flip_batch` as a batch of one event."""
-        if self._eligibility is not None:
-            raise RuntimeError(
-                "a shared-eligibility IsoIndex receives attribute changes "
-                "as resolved flips (apply_eligibility_flip_batch), driven "
-                "by the pool"
-            )
-        before = self._verdicts(v)
-        self.graph.add_node(v, **attrs)
-        after = self._verdicts(v)
-        self.apply_eligibility_flip_batch(
-            [
-                (
-                    v,
-                    [u for u in after if u not in before],
-                    [u for u in before if u not in after],
-                )
-            ]
-        )
-
     def release(self) -> None:
         """Release shared-eligibility leases (pool unregister); idempotent."""
         if self._eligibility is None:
@@ -287,7 +250,6 @@ class IsoIndex(StandaloneDriver):
         for u in self.pattern.nodes():
             self._eligibility.release(self.pattern.predicate(u))
         self._eligibility = None
-        self._elig_views = {}
 
 
 class LocalizedIsoIndex(IsoIndex):

@@ -15,8 +15,9 @@ index's pair graph):
 - ``repair_inserted_edges`` — **IncMatch+**: an insertion propagates only
   from its triggers (Prop. 5.2) — cs edges, and cc edges inside a pattern
   SCC — and from the endpoints the batch registers.
-- ``apply_eligibility_flip_batch`` — attribute changes, resolved to
-  gained/lost pattern nodes: gains adopt, losses demote with the cascade.
+- ``apply_eligibility_flip_batch`` — node events (attribute changes and
+  fresh nodes), resolved to gained/lost pattern nodes: gains adopt,
+  losses demote with the cascade.
 
 Every gain — a trigger, an adopted (pattern node, data node) pair — ends
 in one promotion pass, :meth:`SimulationIndex._promote`, over the area the
@@ -43,9 +44,10 @@ batch, then the deletions are removed and repaired in one demotion
 cascade and the insertions added and repaired in one promotion pass.
 A unit update is a batch of one: ``insert_edge``/``delete_edge`` run
 the same path, and ``apply_batch_naive`` (**IncMatch_n**, the paper's
-naive baseline) feeds the updates one at a time.  ``update_node_attrs``
-(and ``add_node`` on a node already in the graph) re-evaluates one
-node's predicates and repairs the flips.
+naive baseline) feeds the updates one at a time.  ``add_node`` and
+``update_node_attrs`` resolve one node's flips against the index's own
+eligible sets and repair them with ``apply_eligibility_flip_batch``, the
+one entry point of every node event.
 
 The central invariant (checked by the test suite): a predicate-eligible
 node is in ``match(u)`` iff every outgoing pattern edge has support
@@ -117,12 +119,11 @@ class SimulationIndex(StandaloneDriver):
     index *lease* its per-pattern-node eligible sets instead of owning
     private copies: ``self.eligible[u]`` becomes the shared member set of
     ``pattern.predicate(u)``, maintained once per pool however many
-    queries read it.  A leased index never evaluates predicates or
-    mutates the sets itself — the substrate mutates them before the pool
-    invokes the repair entry points, and attribute-driven eligibility
-    changes arrive through :meth:`apply_eligibility_flip_batch` (already
-    resolved to gained/lost pattern nodes) rather than
-    :meth:`update_node_attrs`.
+    queries read it.  No index evaluates predicates to repair: a leased
+    index's sets are mutated by the substrate before the pool invokes the
+    repair entry points, a standalone index's by its driver, and node
+    events arrive through :meth:`apply_eligibility_flip_batch`, already
+    resolved to gained/lost pattern nodes.
 
     ``eligible`` hands in private eligible sets the caller already holds
     (the bounded index's pair-graph layers); the predicates are not
@@ -198,9 +199,9 @@ class SimulationIndex(StandaloneDriver):
         elif eligible is None:
             eligible = candidate_sets(self.pattern, self.graph)
         self.eligible: MatchRelation = eligible
-        # Nodes whose predicates have been evaluated; registering a known
-        # node is a no-op, except that a leased index's add_node re-reads
-        # the shared sets.
+        # Nodes whose eligibility this index has wired: an insertion
+        # endpoint outside it is adopted from the eligible sets before
+        # the batch's bookkeeping runs.
         self._registered = set(self.graph.nodes())
         self.match: MatchRelation = maximum_simulation(
             self.pattern, self.graph, candidates=copy_relation(eligible)
@@ -251,37 +252,21 @@ class SimulationIndex(StandaloneDriver):
     # ------------------------------------------------------------------
     # Node registration and eligibility repair
     # ------------------------------------------------------------------
-    def _register_node(self, v: Node) -> None:
-        """Register a node :meth:`add_node` just added, or one the pool
-        announces to a leased index, and promote from the layers it
-        adopts.  A leased index re-reads the shared sets, so a node it
-        knows adopts only the layers it has not wired yet."""
-        self._registered.discard(v)
-        self._promote(self._adopt_unseen([v]))
-
     def _adopt_unseen(
         self, nodes: Iterable[Node]
     ) -> List[Tuple[PatternNode, Node]]:
         """Wire the eligibility of the nodes not registered yet into
         candt/counters, in one :meth:`_adopt`; returns the adopted pairs.
 
-        A standalone index evaluates each node's predicates once; a leased
-        index reads membership off the shared sets (the substrate
-        evaluated each distinct predicate once for the whole pool).
-        Either way the layers the index has not wired yet are adopted.
+        Membership is read off the eligible sets, which already hold the
+        nodes' verdicts: the pool's substrate or the standalone driver
+        moved them in before the insertion repair.
         """
         pairs: List[Tuple[PatternNode, Node]] = []
         for v in nodes:
             if v in self._registered:
                 continue
             self._registered.add(v)
-            if self._eligibility is None:
-                attrs = self.graph.attrs(v)
-                for u in self.pattern.nodes():
-                    if v not in self.eligible[u] and self.pattern.predicate(
-                        u
-                    ).satisfied_by(attrs):
-                        self.eligible[u].add(v)
             pairs.extend(
                 (u, v)
                 for u in self.pattern.nodes()
@@ -589,12 +574,12 @@ class SimulationIndex(StandaloneDriver):
         """IncMatch+ for edges already added to the graph: one promotion
         pass (:meth:`_promote`) from the batch's seeds.
 
-        Endpoints the index has never evaluated are registered first, in
-        one adoption.  Their counters are computed against the *current*
-        graph (all batch edges included), so their adopted pairs are
-        seeds, and bookkeeping runs only for edges whose endpoints were
-        both registered before; each such edge that hits a Prop. 5.2
-        trigger seeds its tail.
+        Endpoints the index has not registered yet are adopted first,
+        from the eligible sets, in one adoption.  Their counters are
+        computed against the *current* graph (all batch edges included),
+        so their adopted pairs are seeds, and bookkeeping runs only for
+        edges whose endpoints were both registered before; each such
+        edge that hits a Prop. 5.2 trigger seeds its tail.
         """
         edges = list(edges)
         fresh = dict.fromkeys(

@@ -77,6 +77,11 @@ from .selection import cover_endpoint, select_landmarks
 Update = Tuple[Node, Node]
 # landmark -> (its inserted edges, its deleted edges) for one batch
 WorkLists = Dict[Node, Tuple[List[Update], List[Update]]]
+# InsLM adds landmarks and never removes one, so a BatchLM re-selection is
+# due once they outgrow this many times the last selection, and this many
+# at least, so that a tiny graph does not re-select on every insertion.
+RESELECT_FACTOR = 2
+RESELECT_FLOOR = 16
 
 
 def _work_lists(
@@ -153,8 +158,7 @@ class LandmarkIndex:
             self._add(lm)
         # Size of the last from-scratch selection.  ``InsLM`` may add one
         # landmark per insertion, so the live set grows monotonically
-        # between re-selections; budget policies (BatchLM triggers) compare
-        # the live size against this baseline.
+        # between re-selections; :meth:`outgrown` compares against it.
         self.selected_size = len(self._columns)
 
     # ------------------------------------------------------------------
@@ -162,9 +166,6 @@ class LandmarkIndex:
     # ------------------------------------------------------------------
     def landmarks(self) -> List[Node]:
         return list(self._columns)
-
-    def has_landmark(self, v: Node) -> bool:
-        return v in self._columns
 
     def _add(self, v: Node) -> None:
         if v not in self._columns:
@@ -326,6 +327,15 @@ class LandmarkIndex:
         """``BatchLM``: recompute the landmark set and all vectors, to the
         same horizon."""
         self._build(select_landmarks(self._graph))
+
+    def outgrown(self) -> bool:
+        """Is a ``BatchLM`` re-selection (:meth:`rebuild`) due?  Yes once
+        ``InsLM`` has grown the landmarks past ``RESELECT_FACTOR`` times
+        the last selection and past ``RESELECT_FLOOR``.  Correctness holds
+        either way; only space and per-recheck cost grow."""
+        return len(self._columns) > max(
+            RESELECT_FLOOR, RESELECT_FACTOR * self.selected_size
+        )
 
     # ------------------------------------------------------------------
     # Invariants (tests) and introspection for experiments

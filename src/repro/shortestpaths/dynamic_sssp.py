@@ -18,8 +18,8 @@ touching only the affected area.
   distance through a same-batch inserted edge.  Phase 2 relaxes only inside
   the affected set, so every node it lowers is handed to the insertion
   cascade, which carries the decrease to unaffected descendants.
-  :meth:`DynamicSSSP.on_insert` and :meth:`DynamicSSSP.on_delete` are the
-  one-edge case of :meth:`DynamicSSSP.on_batch`.
+  :meth:`DynamicSSSP.on_batch` is the one update entry point; a unit
+  update is a batch of one edge.
 
 A column may stop at a *horizon* ``H``: it then holds exactly the nodes
 within ``H`` hops of its source, at their distances, and nothing past
@@ -137,15 +137,6 @@ class DynamicSSSP:
                         continue
                     nxt.append(w)
             level = nxt
-
-    # -- single-edge updates: the one-edge case of on_batch ---------------
-    def on_insert(self, x: Node, y: Node) -> int:
-        """Repair after edge (x, y) was inserted.  Returns #nodes updated."""
-        return self.on_batch(inserted=((x, y),))
-
-    def on_delete(self, x: Node, y: Node) -> int:
-        """Repair after edge (x, y) was deleted.  Returns #nodes updated."""
-        return self.on_batch(deleted=((x, y),))
 
     # -- deletion: two-phase Ramalingam-Reps ------------------------------
     def _repair(self, seeds: Iterable[Node]) -> Tuple[int, List[Node]]:

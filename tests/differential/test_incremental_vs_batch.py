@@ -20,10 +20,11 @@ from repro.engine import MatcherPool
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.inciso import IsoIndex, LocalizedIsoIndex
 from repro.incremental.incsim import SimulationIndex
+from repro.incremental.types import insert
 from repro.matching.bounded import bounded_match
 from repro.matching.isomorphism import iter_embeddings
 from repro.matching.relation import as_pairs, totalize
-from repro.matching.simulation import maximum_simulation
+from repro.matching.simulation import candidate_sets, maximum_simulation
 
 from tests.strategies import LABELS, small_graphs, small_patterns, update_batches
 
@@ -132,11 +133,14 @@ def _weakly_connected(pattern):
     return len(seen) == len(nodes)
 
 
-def _standalone_index(kind, data, graph):
+def _standalone_index(kind, data, graph, wildcards=False):
     """(index, check) for one standalone index kind; ``check``
-    compares the index with from-scratch recomputation."""
+    compares the index with from-scratch recomputation.  ``wildcards``
+    lets the pattern draw TRUE predicates."""
     if kind.startswith("bounded"):
-        pattern = data.draw(small_patterns(max_nodes=3, labels=DENSE))
+        pattern = data.draw(
+            small_patterns(max_nodes=3, labels=DENSE, wildcards=wildcards)
+        )
         idx = BoundedSimulationIndex(
             pattern, graph, distance_mode=kind.split("-")[1]
         )
@@ -148,7 +152,8 @@ def _standalone_index(kind, data, graph):
         return idx, check
     pattern = data.draw(
         small_patterns(
-            max_nodes=3, labels=DENSE, max_bound=1, allow_star=False
+            max_nodes=3, labels=DENSE, max_bound=1, allow_star=False,
+            wildcards=wildcards,
         )
     )
     if kind == "simulation":
@@ -222,6 +227,46 @@ def test_standalone_entry_points_match_batch(kind, data):
         if next_node in graph:
             next_node += 1
         check()
+
+
+@pytest.mark.parametrize("kind", STANDALONE)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_standalone_node_events_match_batch(kind, data):
+    """Every node event takes the flip path: ``add_node`` and
+    ``update_node_attrs`` on existing and fresh nodes, and edge batches
+    whose insertions bring fresh, attribute-less endpoints into the
+    graph, against patterns that may hold TRUE predicates (the ones such
+    endpoints satisfy).  After every step the index equals from-scratch
+    recomputation, its invariants hold, and its eligible sets are the
+    predicates' verdicts."""
+    graph = data.draw(small_graphs(max_nodes=5, labels=DENSE))
+    idx, check = _standalone_index(kind, data, graph, wildcards=True)
+    next_node = 100
+    for _ in range(STEPS):
+        nodes = sorted(graph.nodes())
+        step = data.draw(st.sampled_from(["add_node", "attrs", "batch"]))
+        if step == "batch":
+            batch = data.draw(update_batches(graph, max_updates=4))
+            endpoints = nodes + [next_node, next_node + 1]
+            for _ in range(data.draw(st.integers(1, 3))):
+                batch.append(
+                    insert(
+                        data.draw(st.sampled_from(endpoints)),
+                        data.draw(st.sampled_from(endpoints)),
+                    )
+                )
+            idx.apply_batch(batch)
+        else:
+            v = data.draw(st.sampled_from(nodes + [next_node]))
+            entry = (
+                idx.add_node if step == "add_node" else idx.update_node_attrs
+            )
+            entry(v, label=data.draw(st.sampled_from(LABELS)))
+        while next_node in graph:
+            next_node += 1
+        check()
+        assert idx.eligible == candidate_sets(idx.pattern, graph)
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,20 @@ from repro.graphs.traversal import (
     edge_legs,
     path_distance,
 )
-from repro.landmarks.selection import LandmarkBudget, select_landmarks
+from repro.landmarks.selection import select_landmarks
+from repro.landmarks.vector import RESELECT_FACTOR, RESELECT_FLOOR
 from repro.patterns.pattern import Pattern
 
 OBSERVERS = ["observe_deleted", "observe_inserted"]
+
+
+def _outgrowing_edges(lm, first):
+    """Uncovered edges between fresh nodes ``first``, ``first + 1``, ...:
+    just enough of them that InsLM, which adds one landmark per edge,
+    grows ``lm`` past its re-selection point."""
+    limit = max(RESELECT_FLOOR, RESELECT_FACTOR * lm.selected_size)
+    need = max(0, limit + 1 - len(lm.landmarks()))
+    return [(first + 2 * i, first + 2 * i + 1) for i in range(need)]
 
 
 def _within(legs, radius):
@@ -289,9 +299,12 @@ class TestMemos:
 
 class TestLandmarkBudget:
     def test_no_landmark_lease_means_no_reselection(self):
-        substrate = SharedDistanceSubstrate(
-            chain(3), lm_budget=LandmarkBudget(slack=1.0, floor=0)
-        )
+        g = chain(3)
+        substrate = SharedDistanceSubstrate(g)
+        edges = [(10 + 2 * i, 11 + 2 * i) for i in range(RESELECT_FLOOR + 1)]
+        for x, y in edges:
+            g.add_edge(x, y)
+        substrate.observe_inserted(edges)
         assert not substrate.enforce_lm_budget()
         assert substrate.rebuild_counters() == {"lm_rebuilds": 0}
 
@@ -310,15 +323,14 @@ class TestLandmarkBudget:
 
     def test_growth_past_the_budget_reselects(self):
         g = chain(3)
-        g.add_node(5)
-        g.add_node(6)
-        substrate = SharedDistanceSubstrate(
-            g, lm_budget=LandmarkBudget(slack=1.0, floor=0)
-        )
+        substrate = SharedDistanceSubstrate(g)
         lm = substrate.lease_landmarks()
-        g.add_edge(5, 6)
-        substrate.observe_inserted([(5, 6)])
-        assert substrate.lm_budget.exceeded(lm)
+        edges = _outgrowing_edges(lm, 10)
+        assert len(edges) == RESELECT_FLOOR  # one landmark selected
+        for x, y in edges:
+            g.add_edge(x, y)
+        substrate.observe_inserted(edges)
+        assert lm.outgrown()
         assert substrate.enforce_lm_budget()
         assert substrate.rebuild_counters() == {"lm_rebuilds": 1}
         # BatchLM re-selects in place: the leased object stays the one
@@ -365,17 +377,15 @@ class TestIntrospection:
 
 
 def test_churn_keeps_structures_legs_and_probes_exact():
-    """Mixed edge batches observed flush by flush, with a tight landmark
-    budget so re-selections happen mid-stream: after every phase the
-    leased landmark vectors, the memoized legs (restricted to
-    the radius asked, and not recomputed for a smaller one) and the
-    memoized probes all answer as a from-scratch BFS does on the current
-    graph."""
+    """Mixed edge batches observed flush by flush, two of which carry
+    enough uncovered edges between fresh nodes that re-selections happen
+    mid-stream: after every phase the leased landmark vectors, the
+    memoized legs (restricted to the radius asked, and not recomputed
+    for a smaller one) and the memoized probes all answer as a
+    from-scratch BFS does on the current graph."""
     rng = random.Random(0xD15)
     graph = synthetic_graph(20, 18, seed=5)
-    substrate = SharedDistanceSubstrate(
-        graph, lm_budget=LandmarkBudget(slack=1.0, floor=0)
-    )
+    substrate = SharedDistanceSubstrate(graph)
     lm = substrate.lease_landmarks()
     nodes = sorted(graph.nodes())
 
@@ -402,7 +412,7 @@ def test_churn_keeps_structures_legs_and_probes_exact():
                     ), (a, k, c)
 
     rebuilds = 0
-    for _ in range(6):
+    for flush in range(6):
         check()  # memos now hold legs and probes of this graph state
         deleted = rng.sample(sorted(graph.edges()), 3)
         for x, y in deleted:
@@ -414,9 +424,14 @@ def test_churn_keeps_structures_legs_and_probes_exact():
             x, y = rng.choice(nodes), rng.choice(nodes)
             if graph.add_edge(x, y):
                 inserted.append((x, y))
+        if flush in (1, 4):
+            for x, y in _outgrowing_edges(lm, 100 * (flush + 1)):
+                graph.add_edge(x, y)
+                inserted.append((x, y))
         substrate.observe_inserted(inserted)
         check()
         rebuilds += substrate.enforce_lm_budget()
-    assert rebuilds and rebuilds == substrate.stats.lm_rebuilds
+    # Exactly the two outgrowing flushes re-selected.
+    assert rebuilds == 2 == substrate.stats.lm_rebuilds
     assert substrate.stats.edge_batches == 12
     assert substrate.stats.structure_batches == 12

@@ -109,11 +109,11 @@ class TestLeaseLifecycle:
         assert idx.entry(pred) is held
         # The holder must still see flips: node 3 loses label B...
         g.add_node(3, label="C")
-        assert idx.observe_attr_change(3) == [(pred, False)]
+        assert idx.observe_events([(3, None, False)]) == [(pred, 3, False)]
         assert held.members == set()
         # ...and gains it back.
         g.add_node(3, label="B")
-        assert idx.observe_attr_change(3) == [(pred, True)]
+        assert idx.observe_events([(3, None, False)]) == [(pred, 3, True)]
         assert held.members == {3}
         idx.check_invariants()
         idx.release(pred)
@@ -132,7 +132,7 @@ class TestUnsatisfiable:
         g.add_node(9, label="A")
         assert idx.observe_node_added(9) == []
         g.add_node(1, label="B")
-        assert idx.observe_attr_change(1) == []
+        assert idx.observe_events([(1, None, False)]) == []
         assert idx.stats.atom_evals == 0
         assert entry.members == set()
         idx.check_invariants()
@@ -175,12 +175,14 @@ class TestObservation:
         conj = parse_predicate("label = B & age > 25")
         ea, ec = idx.lease(pa), idx.lease(conj)
         g.add_node(1, label="B")  # label A -> B, age stays 30
-        flips = dict(idx.observe_attr_change(1))
-        assert flips == {pa: False, conj: True}
+        flips = idx.observe_events([(1, None, False)])
+        assert {p: gained for p, _v, gained in flips} == {
+            pa: False, conj: True
+        }
         assert 1 not in ea.members and 1 in ec.members
         # A no-op merge flips nothing and changes no membership.
         before = (set(ea.members), set(ec.members))
-        assert idx.observe_attr_change(1) == []
+        assert idx.observe_events([(1, None, False)]) == []
         assert (ea.members, ec.members) == before
 
     def test_changed_names_prune_unrelated_predicates(self):
@@ -191,12 +193,12 @@ class TestObservation:
         idx.lease(parse_predicate(""))  # trivial: no attr can flip it
         idx.stats.reset()
         g.add_node(1, weight=3)  # attribute no predicate mentions
-        assert idx.observe_attr_change(1, ["weight"]) == []
+        assert idx.observe_events([(1, ["weight"], False)]) == []
         assert idx.stats.atom_evals == 0
         g.add_node(1, age=10)
-        flips = idx.observe_attr_change(1, ["age"])
+        flips = idx.observe_events([(1, ["age"], False)])
         assert idx.stats.atom_evals == 1  # only the age atom
-        assert flips == [(parse_predicate("age > 25"), False)]
+        assert flips == [(parse_predicate("age > 25"), 1, False)]
 
     def test_one_evaluation_per_distinct_atom_per_event(self):
         g = _graph()
@@ -237,14 +239,12 @@ class TestObservation:
         # Node 3 (label B, age 40) becomes label A: ONE event, BOTH
         # conjunctions gain — one flip each.
         g.add_node(3, label="A")
-        flips = idx.observe_attr_change(3)
-        assert dict(flips) == {pa: True, pc: True}
-        assert len(flips) == 2
+        flips = idx.observe_events([(3, None, False)])
+        assert flips == [(pa, 3, True), (pc, 3, True)]
         # And back: both lose in one event, again exactly once each.
         g.add_node(3, label="B")
-        flips = idx.observe_attr_change(3)
-        assert dict(flips) == {pa: False, pc: False}
-        assert len(flips) == 2
+        flips = idx.observe_events([(3, None, False)])
+        assert flips == [(pa, 3, False), (pc, 3, False)]
         idx.check_invariants()
 
     def test_node_added_listener_order_and_exactly_once(self):

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.engine import MatcherPool
+from repro.engine.eligibility import SharedEligibilityIndex
+from repro.engine.query import ContinuousQuery
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import synthetic_graph
 from repro.incremental.incbsim import BoundedSimulationIndex
 from repro.incremental.types import Update, delete, insert
 from repro.matching.bounded import bounded_match
+from repro.matching.isomorphism import isomorphic_embeddings
 from repro.matching.relation import as_pairs, totalize
 from repro.matching.simulation import maximum_simulation
 from repro.patterns.minimize import canonical_pattern
@@ -256,6 +259,41 @@ class TestRouting:
         # A brand-new, attribute-less endpoint still matches TRUE.
         pool.apply([insert("seed", "novel")])
         assert q.matches()["any"] == {"seed", "novel"}
+
+    def test_fresh_endpoints_reach_queries_only_as_flips(self, monkeypatch):
+        """The flush observes fresh endpoints in its batch and hands their
+        gains over as flips: the per-node observation and the per-query
+        announcement are never called, and the announcement name is a
+        stub."""
+        def per_node(*args, **kwargs):
+            raise AssertionError("a per-node path was called")
+
+        monkeypatch.setattr(
+            SharedEligibilityIndex, "observe_node_added", per_node
+        )
+        monkeypatch.setattr(ContinuousQuery, "apply_node_added", per_node)
+        g = DiGraph()
+        g.add_node("a", label="A")
+        g.add_node("b", label="B")
+        g.add_edge("a", "b")
+        pool = MatcherPool(g)
+        wild = pool.register(
+            Pattern.from_spec({"any": None}, []),
+            semantics="simulation", name="wild",
+        )
+        iso_pattern = Pattern.from_spec(
+            {"x": "label = A", "y": "label = B", "z": None}, [("x", "y", 1)]
+        )
+        iso = pool.register(iso_pattern, semantics="isomorphism", name="iso")
+        pool.apply([insert("n1", "n2")])
+        assert wild.matches()["any"] == {"a", "b", "n1", "n2"}
+        assert len(iso.embeddings()) == 2
+        assert {frozenset(e.items()) for e in iso.embeddings()} == {
+            frozenset(e.items()) for e in isomorphic_embeddings(iso_pattern, g)
+        }
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="apply_node_added"):
+            iso.apply_node_added("n3", {})
 
 
 class TestIntakeValidation:

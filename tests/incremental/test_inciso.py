@@ -1,11 +1,15 @@
 """Tests for incremental subgraph isomorphism (IsoIndex, paper Section 7)."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.graphs.digraph import DiGraph
-from repro.incremental.inciso import IsoIndex
+from repro.incremental.inciso import IsoIndex, LocalizedIsoIndex
 from repro.incremental.types import delete, insert
-from repro.matching.isomorphism import brute_force_embeddings
+from repro.matching.isomorphism import (
+    brute_force_embeddings,
+    isomorphic_embeddings,
+)
 from repro.patterns.pattern import Pattern
 from repro.workloads.updates import mixed_updates
 from tests.strategies import small_graphs, small_patterns
@@ -129,6 +133,41 @@ class TestBatch:
         idx.apply_batch([insert("a", "c"), delete("a", "c")])
         assert idx.count() == 0
         assert_matches_batch(idx)
+
+
+# Pattern specs whose TRUE node ``z`` no pattern edge touches, so an
+# embedding can map it to an attribute-less node an inserted edge brings
+# into the graph without using that edge: (a) ``z`` alone, (b) ``z``
+# beside the component x(A) -> y(B).
+FRESH_ENDPOINT_PATTERNS = {
+    "true-node": ({"z": None}, []),
+    "two-components": (
+        {"x": "label = A", "y": "label = B", "z": None},
+        [("x", "y", 1)],
+    ),
+}
+
+
+class TestFreshEndpoints:
+    """An edge between two fresh nodes gives each the pattern nodes whose
+    predicates it satisfies, as batch recomputation does."""
+
+    @pytest.mark.parametrize("case", sorted(FRESH_ENDPOINT_PATTERNS))
+    @pytest.mark.parametrize("cls", [IsoIndex, LocalizedIsoIndex])
+    def test_edge_between_fresh_nodes(self, cls, case):
+        g = DiGraph()
+        g.add_node("a", label="A")
+        g.add_node("b", label="B")
+        g.add_edge("a", "b")
+        nodes, edges = FRESH_ENDPOINT_PATTERNS[case]
+        p = Pattern.from_spec(nodes, edges)
+        idx = cls(p, g)
+        assert idx.insert_edge("n1", "n2")
+        truth = isomorphic_embeddings(p, g)
+        assert emb_set(idx.embeddings()) == emb_set(truth)
+        # Each fresh node hosts z: one embedding per node for (b), where
+        # x and y keep a and b; z alone also takes a and b.
+        assert len(truth) == (4 if case == "true-node" else 2)
 
 
 @settings(max_examples=25, deadline=None)

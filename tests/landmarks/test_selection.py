@@ -11,12 +11,12 @@ from repro.graphs.generators import (
     star,
     synthetic_graph,
 )
-from repro.landmarks.selection import (
-    LandmarkBudget,
-    cover_endpoint,
-    select_landmarks,
+from repro.landmarks.selection import cover_endpoint, select_landmarks
+from repro.landmarks.vector import (
+    RESELECT_FACTOR,
+    RESELECT_FLOOR,
+    LandmarkIndex,
 )
-from repro.landmarks.vector import LandmarkIndex
 from tests.shapes import SHAPES, shape_graph
 from tests.strategies import small_graphs
 
@@ -138,65 +138,65 @@ def test_inslm_grows_the_cover_batchlm_selects(g):
     lm.check_invariants()
 
 
+def _grow(g, lm, count, tag="n"):
+    """Wire ``count`` uncovered edges between fresh nodes into ``g`` and
+    repair ``lm`` in one InsLM batch: each edge adds one landmark."""
+    edges = [(f"{tag}{i}a", f"{tag}{i}b") for i in range(count)]
+    for x, y in edges:
+        g.add_edge(x, y)
+    lm.apply_batch(inserted=edges)
+
+
 class TestLandmarkBudget:
-    """BatchLM re-selection trigger: bounds InsLM's monotone growth."""
+    """BatchLM re-selection point: it bounds InsLM's monotone growth at
+    ``max(RESELECT_FLOOR, RESELECT_FACTOR * selected_size)`` landmarks."""
 
-    def _index(self, n=6):
-        return LandmarkIndex(cycle_graph(n)), cycle_graph(n)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"slack": 0.5},
-            {"slack": float("nan")},
-            {"slack": float("inf")},
-            {"floor": float("nan")},
-            {"floor": float("inf")},
-            {"floor": -1},
-        ],
-        ids=["sub-one-slack", "nan-slack", "inf-slack", "nan-floor",
-             "inf-floor", "negative-floor"],
-    )
-    def test_rejects_invalid_budget(self, kwargs):
-        # A NaN slack makes the limit ``floor`` (BatchLM on every flush of
-        # a pool past it); a NaN or infinite floor switches the budget off.
-        with pytest.raises(ValueError):
-            LandmarkBudget(**kwargs)
+    def test_constants(self):
+        assert (RESELECT_FACTOR, RESELECT_FLOOR) == (2, 16)
 
     def test_not_exceeded_at_baseline(self):
-        lm, _ = self._index()
-        assert not LandmarkBudget(slack=1.0, floor=0).exceeded(lm)
+        lm = LandmarkIndex(cycle_graph(6))
+        assert not lm.outgrown()
 
     def test_exceeded_after_inslm_growth(self):
         g = cycle_graph(4)
         lm = LandmarkIndex(g)
-        budget = LandmarkBudget(slack=1.0, floor=0)
-        # Wire fresh uncovered node pairs: each InsLM repair may add a
-        # landmark, so the live set outgrows the baseline selection.
-        for i in range(10):
-            a, b = f"n{i}a", f"n{i}b"
-            g.add_node(a)
-            g.add_node(b)
-            g.add_edge(a, b)
-            lm.insert_edge(a, b)
+        _grow(g, lm, RESELECT_FLOOR + 1)
         assert len(lm.landmarks()) > lm.selected_size
-        assert budget.exceeded(lm)
+        assert lm.outgrown()
         lm.rebuild()
         assert lm.selected_size == len(lm.landmarks())
-        assert not budget.exceeded(lm)
+        assert not lm.outgrown()
 
     def test_floor_suppresses_tiny_rebuilds(self):
+        """A small selection: the floor, not twice the selection, is the
+        point, and growth up to it re-selects nothing."""
         g = cycle_graph(4)
         lm = LandmarkIndex(g)
-        g.add_node("x")
-        g.add_node("y")
-        g.add_edge("x", "y")
-        lm.insert_edge("x", "y")
-        assert not LandmarkBudget(slack=1.0, floor=50).exceeded(lm)
+        assert RESELECT_FACTOR * lm.selected_size < RESELECT_FLOOR
+        _grow(g, lm, RESELECT_FLOOR - lm.selected_size)
+        assert len(lm.landmarks()) == RESELECT_FLOOR
+        assert not lm.outgrown()
+        _grow(g, lm, 1, tag="m")
+        assert lm.outgrown()
+
+    def test_factor_bounds_growth_past_the_floor(self):
+        """A selection past half the floor: twice the selection is the
+        point."""
+        g = cycle_graph(12)
+        lm = LandmarkIndex(g)
+        selected = lm.selected_size
+        assert RESELECT_FACTOR * selected > RESELECT_FLOOR
+        _grow(g, lm, (RESELECT_FACTOR - 1) * selected)
+        assert len(lm.landmarks()) == RESELECT_FACTOR * selected
+        assert not lm.outgrown()
+        _grow(g, lm, 1, tag="m")
+        assert lm.outgrown()
 
     def test_pool_flush_triggers_batchlm_reselection(self):
         """Long-lived shared pools: landmark growth is re-selected away at
-        flush once the budget trips, and matches stay correct."""
+        flush once InsLM outgrows the selection, and matches stay
+        correct."""
         from repro.engine import MatcherPool
         from repro.incremental.types import insert
         from repro.matching.bounded import bounded_match
@@ -206,7 +206,7 @@ class TestLandmarkBudget:
         g = cycle_graph(4)
         for v in g.nodes():
             g.add_node(v, label="A")
-        pool = MatcherPool(g, lm_budget=LandmarkBudget(slack=1.0, floor=0))
+        pool = MatcherPool(g)
         p = Pattern.from_spec(
             {"x": "label = A", "y": "label = A"}, [("x", "y", 2)]
         )
@@ -214,13 +214,11 @@ class TestLandmarkBudget:
             p, semantics="bounded", name="q", distance_mode="landmark"
         )
         lm = pool.substrate.landmark_index()
-        grown = False
-        for i in range(12):
+        for i in range(RESELECT_FLOOR + 1):
             pool.apply([insert(f"m{i}a", f"m{i}b")])
-            grown = grown or len(lm.landmarks()) > lm.selected_size
         assert pool.substrate.stats.lm_rebuilds > 0
         # Post-rebuild the live set matches a fresh selection and the
-        # budget holds again.
-        assert not pool.substrate.lm_budget.exceeded(lm)
+        # index is within its re-selection point again.
+        assert not lm.outgrown()
         truth = as_pairs(totalize(bounded_match(p, pool.graph)))
         assert as_pairs(q.matches()) == truth

@@ -301,7 +301,7 @@ class TestWorkBound:
         # A shortcut out of a landmark inside community 0 (the same one
         # for every k), so its own column changes.
         x, y = next(
-            (v, w) for v in range(12) if lm.has_landmark(v)
+            (v, w) for v in range(12) if v in lm.landmarks()
             for w in range(12)
             if v != w and 2 < path_distance(g, v, w) < INF
         )
@@ -414,7 +414,7 @@ def test_queries_exact_on_every_shape_under_churn(shape):
     # cover, so the batch is the same for every index.
     lm = indexes[0]
     dels = sorted(g.edges(), key=repr)[:1]
-    free = [v for v in g.nodes() if not lm.has_landmark(v)]
+    free = [v for v in g.nodes() if v not in lm.landmarks()]
     free += ["fresh0", "fresh1"][: max(0, 2 - len(free))]
     x, y = free[-1], free[0]
     for e in dels:

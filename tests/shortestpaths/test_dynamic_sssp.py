@@ -43,7 +43,7 @@ class TestInsert:
         g = chain(6)
         sssp = DynamicSSSP(g, 0)
         g.add_edge(0, 5)
-        sssp.on_insert(0, 5)
+        sssp.on_batch(inserted=[(0, 5)])
         assert sssp.dist(5) == 1
         assert_exact(sssp, g)
 
@@ -53,7 +53,7 @@ class TestInsert:
         sssp = DynamicSSSP(g, 0)
         assert sssp.dist(10) == INF
         g.add_edge(2, 10)
-        sssp.on_insert(2, 10)
+        sssp.on_batch(inserted=[(2, 10)])
         assert sssp.dist(11) == 4
         assert_exact(sssp, g)
 
@@ -62,7 +62,7 @@ class TestInsert:
         g.add_node("x")
         g.add_edge("x", 1)
         sssp = DynamicSSSP(g, 0)
-        sssp.on_insert("x", 1)
+        sssp.on_batch(inserted=[("x", 1)])
         assert_exact(sssp, g)
 
 
@@ -71,7 +71,7 @@ class TestDelete:
         g = chain(4)
         sssp = DynamicSSSP(g, 0)
         g.remove_edge(1, 2)
-        sssp.on_delete(1, 2)
+        sssp.on_batch(deleted=[(1, 2)])
         assert sssp.dist(2) == INF
         assert sssp.dist(3) == INF
         assert_exact(sssp, g)
@@ -81,7 +81,7 @@ class TestDelete:
         g.add_edge(0, 2)
         sssp = DynamicSSSP(g, 0)
         g.remove_edge(1, 2)
-        sssp.on_delete(1, 2)
+        sssp.on_batch(deleted=[(1, 2)])
         assert sssp.dist(2) == 1
         assert sssp.dist(3) == 2
         assert_exact(sssp, g)
@@ -91,14 +91,14 @@ class TestDelete:
         g.add_edge(0, 2)  # makes (1, 2) non-tight
         sssp = DynamicSSSP(g, 0)
         g.remove_edge(0, 2)
-        sssp.on_delete(0, 2)
+        sssp.on_batch(deleted=[(0, 2)])
         assert_exact(sssp, g)
 
     def test_delete_in_cycle(self):
         g = cycle_graph(5)
         sssp = DynamicSSSP(g, 0)
         g.remove_edge(2, 3)
-        sssp.on_delete(2, 3)
+        sssp.on_batch(deleted=[(2, 3)])
         assert sssp.dist(3) == INF
         assert_exact(sssp, g)
 
@@ -142,7 +142,7 @@ class TestBatch:
         g = synthetic_graph(30, 70, seed=5)
         sssp = DynamicSSSP(g, 3)
         g.add_edge(3, 17)
-        sssp.on_insert(3, 17)
+        sssp.on_batch(inserted=[(3, 17)])
         fresh = DynamicSSSP(g, 3)
         assert sssp.distances() == fresh.distances()
 
@@ -150,7 +150,7 @@ class TestBatch:
         g = chain(6)
         sssp = DynamicSSSP(g, 0)
         g.add_edge(0, 3)
-        sssp.on_insert(0, 3)
+        sssp.on_batch(inserted=[(0, 3)])
         assert sssp.stats.nodes_touched >= 1
         sssp.stats.reset()
         assert sssp.stats.nodes_touched == 0
@@ -173,7 +173,7 @@ class TestHorizon:
         g = chain(8)
         sssp = DynamicSSSP(g, 0, horizon=horizon)
         g.add_edge(0, 3)
-        sssp.on_insert(0, 3)
+        sssp.on_batch(inserted=[(0, 3)])
         assert_exact(sssp, g)
 
     def test_deletion_lifts_nodes_past_the_horizon(self, horizon):
@@ -184,7 +184,7 @@ class TestHorizon:
         sssp = DynamicSSSP(g, 0, horizon=horizon)
         assert_exact(sssp, g)
         g.remove_edge(0, 2)
-        sssp.on_delete(0, 2)
+        sssp.on_batch(deleted=[(0, 2)])
         assert_exact(sssp, g)
 
     def test_phase_two_lowers_through_a_same_batch_insertion(self, horizon):
@@ -201,22 +201,18 @@ class TestHorizon:
 
 class TestSourceOutsideGraph:
     """A column built before its source exists has no entries; the first
-    inserted edge that touches the source puts it at 0, on every path."""
+    inserted edge that touches the source puts it at 0."""
 
     @pytest.mark.parametrize("edge, want", [
         (("src", 1), {"src": 0, 1: 1, 2: 2}),
         ((2, "src"), {"src": 0}),
     ])
-    @pytest.mark.parametrize("path", ["on_insert", "on_batch"])
-    def test_inserted_edge_brings_source_in_at_zero(self, edge, want, path):
+    def test_inserted_edge_brings_source_in_at_zero(self, edge, want):
         g = DiGraph([(1, 2)])
         sssp = DynamicSSSP(g, "src")
         assert sssp.distances() == {}
         g.add_edge(*edge)
-        if path == "on_insert":
-            sssp.on_insert(*edge)
-        else:
-            sssp.on_batch(inserted=[edge])
+        sssp.on_batch(inserted=[edge])
         assert sssp.distances() == want
         assert_exact(sssp, g)
 
@@ -232,11 +228,11 @@ def test_random_unit_updates_stay_exact(g):
         if u.op == "insert":
             if g.add_edge(u.source, u.target):
                 for sssp in columns:
-                    sssp.on_insert(u.source, u.target)
+                    sssp.on_batch(inserted=[(u.source, u.target)])
         else:
             if g.remove_edge(u.source, u.target):
                 for sssp in columns:
-                    sssp.on_delete(u.source, u.target)
+                    sssp.on_batch(deleted=[(u.source, u.target)])
         for sssp in columns:
             assert_exact(sssp, g)
 

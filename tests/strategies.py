@@ -37,13 +37,19 @@ def small_patterns(
     allow_star: bool = True,
     dag: bool = False,
     self_loops: bool = False,
+    wildcards: bool = False,
 ) -> Pattern:
     """A small pattern over the same label alphabet as small_graphs;
-    ``self_loops`` lets it draw pattern edges ``(u, u)``."""
+    ``self_loops`` lets it draw pattern edges ``(u, u)``, and
+    ``wildcards`` TRUE predicates, which attribute-less nodes satisfy."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     p = Pattern()
+    choices = list(labels) + [None] if wildcards else labels
     for u in range(n):
-        p.add_node(u, Predicate.label(draw(st.sampled_from(labels))))
+        label = draw(st.sampled_from(choices))
+        p.add_node(
+            u, Predicate.true() if label is None else Predicate.label(label)
+        )
     possible = [
         (u, w)
         for u in range(n)
