@@ -20,7 +20,11 @@ communities:
 - ``bounded-shared``: ``bounded`` in ``landmark`` mode — every pool query
   leases the pool substrate's ONE landmark index while the naive loop
   maintains one per pattern, so the substrate's landmark-index batches
-  per flush (``upkeep``) stay flat in N (gate ``upkeep_flat``);
+  per flush (``upkeep``) stay flat in N (gate ``upkeep_flat``).  The
+  pool's index keeps its columns only to H = 2 hops, the largest bound
+  its queries read, while each naive index keeps full columns;
+  ``lm_entries`` is the pool index's size after the stream and
+  ``columns_visited`` its column repairs;
 - ``overlap``: N simulation queries over only k << N *distinct*
   predicate sets (query i reuses partition i % k's pattern), driven by a
   mixed stream of attribute flips and edge churn.  The eligibility
@@ -63,7 +67,8 @@ communities:
   from the one shared landmark index, ``upkeep`` its batches).  A probe
   at bound 6 expands through most of the graph, while the landmark
   table answers a suspect with a few entries; its upkeep is paid once
-  per flush for the whole pool, so ``landmark`` must win from N = 2 on
+  per flush for the whole pool (``lm_entries`` and ``columns_visited``,
+  as in ``bounded-shared``), so ``landmark`` must win from N = 2 on
   (gate ``landmark_wins``) wherever the ``bfs`` leg takes
   ``FAR_RACE_FLOOR_MS``.  At ``--tiny`` no row does: that graph's margin
   (0.92-1.40x at N = 2 over ten runs) is inside the host's run-to-run
@@ -536,10 +541,10 @@ def in_flushes(pool, stream):
 
 
 def publish(index, was_total):
-    """What a pool query does with its index's delta on every flush that
-    touches it (``ContinuousQuery.emit_delta``): pop the raw delta and
-    totalize it, materializing every pair when totality flips.  Returns
-    ``((added, removed), now_total)``."""
+    """What the pool's shared plan does with an interned index's delta on
+    every flush that changes it (``SharedPlan.deliver``), for one query:
+    pop the raw delta and totalize it, materializing every pair when
+    totality flips.  Returns ``((added, removed), now_total)``."""
     added, removed = index.pop_match_delta()
     now_total = index.is_total()
     if now_total != was_total:
@@ -633,6 +638,16 @@ ROUTING = {
 DISTANCE_WORK = {
     "distance_checks": lambda pool: pool.stats.distance_checks,
     "leg_nodes": lambda pool: pool.substrate.stats.leg_nodes,
+}
+# The pool's one leased landmark index: its column repairs (a count) and
+# its stored entries after the run (a gauge).
+LANDMARK_WORK = {
+    "columns_visited": (
+        lambda pool: pool.substrate.landmark_index().columns_visited
+    ),
+}
+LANDMARK_SIZE = {
+    "lm_entries": lambda pool: pool.substrate.landmark_index().size_entries(),
 }
 ATOM_WORK = {
     "atom_evals": lambda pool: pool.eligibility.stats.atom_evals,
@@ -737,7 +752,9 @@ def up_to_8(sizes):
 
 
 def bounded(mode, sizes=list, gates=()):
-    """The ``bounded`` scenario in distance mode ``mode``."""
+    """The ``bounded`` scenario in distance mode ``mode``; in ``landmark``
+    mode its pool leg also reads the leased landmark index."""
+    landmark = mode == "landmark"
     return Scenario(
         title=f"distance_mode={mode}",
         stream=partition_updates,
@@ -746,7 +763,11 @@ def bounded(mode, sizes=list, gates=()):
                 "pool_ms",
                 pool_of(bounded_pattern, "bounded", distance_mode=mode),
                 MatcherPool.apply,
-                counts={**ROUTING, **DISTANCE_WORK},
+                counts={
+                    **ROUTING, **DISTANCE_WORK,
+                    **(LANDMARK_WORK if landmark else {}),
+                },
+                gauges=LANDMARK_SIZE if landmark else {},
             ),
             naive(BoundedSimulationIndex, bounded_pattern, distance_mode=mode),
         ),
@@ -921,7 +942,8 @@ SCENARIOS: Dict[str, Scenario] = {
                 "landmark_ms",
                 pool_of(far_pattern, "bounded", distance_mode="landmark"),
                 in_flushes,
-                counts={"upkeep": ROUTING["upkeep"]},
+                counts={"upkeep": ROUTING["upkeep"], **LANDMARK_WORK},
+                gauges=LANDMARK_SIZE,
             ),
         ),
         gates=(

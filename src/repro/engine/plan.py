@@ -18,20 +18,23 @@ every ``simulation`` and ``bounded`` registration goes through it:
 - A join owns one internal :class:`~repro.engine.query.ContinuousQuery`
   over the canonical pattern, built through the same
   :func:`~repro.engine.query.build_index` path as an isomorphism
-  registration, router-registered and repaired in flush phases A-D like
-  any other query; it is marked ``internal`` so it never publishes.
-- Each registered query is a :class:`PlannedQuery` whose index is a
-  :class:`PlanAdapter`: the canonical renaming over the join's index, so
-  N same-shape queries cost one index and each still reads its own
-  correctly-named match sets, deltas, and result graph.
-- ``unregister`` drops the query from its join's consumers; a join with
-  no consumers left detaches and closes its internal query, which
+  registration, which the plan registers with the pool's router, so
+  flush phases A-D repair it like any other query.
+- Each registered query is a :class:`PlannedQuery`.  A join groups its
+  consumers by canonical renaming, and the consumers of one renaming
+  share one :class:`PlanAdapter`, which reads the join's index in their
+  node names: N same-shape queries cost one index.
+- ``unregister`` drops the query from its group; a join with no
+  consumers left leaves the router and closes its internal query, which
   returns every eligibility and substrate lease.
 
 After phase D, :meth:`SharedPlan.deliver` pops the match delta of each
-interned index the flush routed and hands it to that join's consumers,
-which the pool publishes in phase E of the same flush — so one delta per
-join and flush is all the state delivery keeps.
+interned index the flush routed and applies the paper's totalization
+convention (a relation missing some pattern node is the empty match)
+once per join, which keeps its totality as of the last delivery.  It
+builds one ``(added, removed)`` pair of frozensets per renaming group,
+and every consumer of the group publishes that pair unchanged in phase
+E of the same flush.
 
 Isomorphism queries are not interned (their state is per embedding, and
 interning them needs isomorphism-invariant keys); each owns its index.
@@ -39,82 +42,79 @@ interning them needs isomorphism-invariant keys); each owns its index.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from ..graphs.digraph import DiGraph, Node
 from ..matching.relation import MatchRelation, totalize
 from ..patterns.minimize import canonical_pattern
 from ..patterns.pattern import Pattern, PatternNode
+from .feeds import MatchPair
 from .query import ContinuousQuery
 
 # Isomorphism matches are embeddings, not per-node match sets; the pool
 # gives each isomorphism query its own index.
 PLANNABLE_SEMANTICS = ("simulation", "bounded")
 
-# Net (added, removed) match pairs of one flush, in canonical nodes.
-PairDelta = Tuple[AbstractSet[Tuple[int, Node]], AbstractSet[Tuple[int, Node]]]
-_NO_DELTA: PairDelta = (frozenset(), frozenset())
+# The pair a non-total relation publishes: the paper's empty match.
+_NO_DELTA = (frozenset(), frozenset())
 
 
 class SharedJoin:
-    """One interned pattern: an internal query over its canonical form
-    and the planned queries that read it."""
+    """One interned pattern: an internal query over its canonical form,
+    its totality as of the last delivery, and its renaming groups."""
 
-    __slots__ = ("key", "query", "consumers")
+    __slots__ = ("key", "query", "was_total", "groups")
 
     def __init__(self, key: Tuple, query: ContinuousQuery) -> None:
         self.key = key
         self.query = query
-        self.consumers: List["PlannedQuery"] = []
+        self.was_total = query.index.is_total()
+        self.groups: Dict[FrozenSet, PlanAdapter] = {}
 
 
 class PlanAdapter:
-    """The ``index`` facade a planned query carries: reads its
-    :class:`SharedJoin`'s index through the original pattern's canonical
-    renaming.
+    """The ``index`` facade of the planned queries that read one
+    :class:`SharedJoin` under one canonical renaming: match sets, result
+    graph, stats and invariants, in the group's own pattern node names."""
 
-    Exposes the slice of the index interface the engine consumes (match
-    sets, deltas, totality, result graph, stats, invariants) — so
-    :class:`~repro.engine.query.ContinuousQuery`'s delta emission and the
-    CLI/bench plumbing work unchanged.
-    """
+    __slots__ = ("join", "key", "originals", "consumers")
 
-    __slots__ = ("join", "_renaming", "_originals", "delta")
-
-    def __init__(self, join: SharedJoin, renaming: Dict[PatternNode, int]) -> None:
+    def __init__(self, join: SharedJoin, renaming: Mapping[PatternNode, int]) -> None:
         self.join = join
-        self._renaming = dict(renaming)
-        self._originals: Dict[int, List[PatternNode]] = {}
-        for orig, idx in self._renaming.items():
-            self._originals.setdefault(idx, []).append(orig)
-        # The join's delta of the current flush, set by SharedPlan.deliver
-        # and taken by the first pop.
-        self.delta: PairDelta = _NO_DELTA
+        self.key = frozenset(renaming.items())
+        # Canonical node -> the original nodes minimization merged into it.
+        self.originals: Dict[int, List[PatternNode]] = {}
+        for orig, idx in renaming.items():
+            self.originals.setdefault(idx, []).append(orig)
+        self.consumers: List[PlannedQuery] = []
 
     @property
     def stats(self):
         return self.join.query.stats
 
-    def raw_match_sets(self) -> MatchRelation:
-        raw = self.join.query.index.raw_match_sets()
-        return {orig: set(raw[idx]) for orig, idx in self._renaming.items()}
-
     def matches(self) -> MatchRelation:
-        return totalize(self.raw_match_sets())
+        raw = self.join.query.index.raw_match_sets()
+        return totalize({
+            orig: set(raw[idx])
+            for idx, origs in self.originals.items()
+            for orig in origs
+        })
 
-    def is_total(self) -> bool:
-        return self.join.query.index.is_total()
-
-    def pop_match_delta(self) -> Tuple[set, set]:
-        """The join's delta of this flush in the original pattern's node
-        names (a canonical index fans out to every original node
-        minimization merged); a second pop in one flush returns nothing."""
-        (added, removed), self.delta = self.delta, _NO_DELTA
-        originals = self._originals
-        return (
-            {(orig, v) for idx, v in added for orig in originals[idx]},
-            {(orig, v) for idx, v in removed for orig in originals[idx]},
+    def named(self, pairs: Iterable[Tuple[int, Node]]) -> FrozenSet[MatchPair]:
+        """Canonical ``(node, v)`` pairs in the group's node names."""
+        originals = self.originals
+        return frozenset(
+            (orig, v) for idx, v in pairs for orig in originals[idx]
         )
+
+    def named_relation(self, relation: MatchRelation) -> FrozenSet[MatchPair]:
+        """A canonical relation's pairs in the group's node names."""
+        pairs = set()
+        for idx, vs in relation.items():
+            for orig in self.originals[idx]:
+                pairs.update(zip(repeat(orig), vs))
+        return frozenset(pairs)
 
     def result_graph(self) -> DiGraph:
         """The paper's result graph, read off the interned index (it is
@@ -128,12 +128,11 @@ class PlanAdapter:
 class PlannedQuery(ContinuousQuery):
     """A registered query rewritten against the pool's shared plan.
 
-    Its ``index`` is a :class:`PlanAdapter` over an interned
-    :class:`SharedJoin`; it is *not* router-registered — the join's
-    internal query is, and the plan delivers its changes after phase D.
-    ``distance_routed`` reports the internal query's routing class.
-    Delta emission, feeds, and result access inherit from
-    :class:`ContinuousQuery`.
+    Its ``index`` is the :class:`PlanAdapter` of its renaming group.  It
+    is *not* router-registered and carries no routing signature: the
+    join's internal query is routed, and ``distance_routed`` reports that
+    query's routing class.  ``delivered`` is the pair the plan last
+    delivered, which :meth:`~ContinuousQuery.emit_delta` publishes.
     """
 
     planned = True
@@ -146,27 +145,19 @@ class PlannedQuery(ContinuousQuery):
         semantics: str,
         adapter: PlanAdapter,
     ) -> None:
-        self._plan = plan
-        self._adapter = adapter
-        pool = plan.pool
-        super().__init__(
-            name,
-            pattern,
-            pool.graph,
-            semantics=semantics,
-            substrate=pool.substrate,
-            eligibility=pool.eligibility,
-        )
+        self.name = name
+        self.pattern = pattern
+        self.graph = adapter.join.query.graph
+        self.semantics = semantics
+        self.index = adapter
         self.distance_routed = adapter.join.query.distance_routed
-
-    def _build_index(
-        self, pattern, graph, semantics, distance_mode, max_embeddings,
-        substrate, eligibility,
-    ):
-        return self._adapter
+        self.delivered = _NO_DELTA
+        self._plan = plan
+        self._feeds = []
+        self.last_delta = None
 
     def result_graph(self) -> DiGraph:
-        return self._adapter.result_graph()
+        return self.index.result_graph()
 
     def close(self) -> None:
         """Leave the join (called by pool.unregister)."""
@@ -179,11 +170,13 @@ class SharedPlan:
 
     Owned by :class:`~repro.engine.pool.MatcherPool`, which builds every
     ``simulation`` and ``bounded`` registration through
-    :meth:`build_query`.
+    :meth:`build_query`; the plan registers each join's internal query
+    with the pool's ``router``.
     """
 
-    def __init__(self, pool) -> None:
+    def __init__(self, pool, router) -> None:
         self.pool = pool
+        self._router = router
         self._joins: Dict[Tuple, SharedJoin] = {}
         # id(internal query) -> its join, for delivery.
         self._by_query: Dict[int, SharedJoin] = {}
@@ -200,7 +193,11 @@ class SharedPlan:
         return len(self._joins)
 
     def num_leases(self) -> int:
-        return sum(len(join.consumers) for join in self._joins.values())
+        return sum(
+            len(group.consumers)
+            for join in self._joins.values()
+            for group in join.groups.values()
+        )
 
     def views(self) -> List[ContinuousQuery]:
         """The interned internal queries: the plan's share of the pool's
@@ -217,9 +214,10 @@ class SharedPlan:
         semantics: str,
         distance_mode: str,
     ) -> PlannedQuery:
-        """Join ``pattern``'s shape (building its internal index on first
-        use) and wrap it for the registered query.  The index build
-        validates the pattern for the semantics."""
+        """Join ``pattern``'s shape (building and routing its internal
+        index on first use) and add the registered query to its renaming
+        group.  The index build validates the pattern for the
+        semantics."""
         canon = canonical_pattern(pattern)
         key = (
             canon.key,
@@ -237,52 +235,78 @@ class SharedPlan:
                 distance_mode=distance_mode,
                 substrate=pool.substrate,
                 eligibility=pool.eligibility,
-                internal=True,
             )
             self._join_counter += 1
             join = self._joins[key] = SharedJoin(key, internal)
             self._by_query[id(internal)] = join
-            pool._attach_view(internal)
-        query = PlannedQuery(
-            name, pattern, self, semantics, PlanAdapter(join, canon.renaming)
-        )
-        join.consumers.append(query)
+            self._router.register(internal)
+        adapter = PlanAdapter(join, canon.renaming)
+        adapter = join.groups.setdefault(adapter.key, adapter)
+        query = PlannedQuery(name, pattern, self, semantics, adapter)
+        adapter.consumers.append(query)
         return query
 
     def release(self, query: PlannedQuery) -> None:
-        """Drop ``query`` from its join (a repeat is a no-op); the last
-        consumer out detaches and closes the internal query."""
-        join = query.index.join
-        if query not in join.consumers:
+        """Drop ``query`` from its group (a repeat is a no-op); the last
+        consumer out of a join unroutes and closes the internal query."""
+        group = query.index
+        join = group.join
+        if query not in group.consumers:
             return
-        join.consumers.remove(query)
-        if not join.consumers:
+        group.consumers.remove(query)
+        if not group.consumers:
+            del join.groups[group.key]
+        if not join.groups:
             del self._joins[join.key]
             del self._by_query[id(join.query)]
-            self.pool._detach_view(join.query)
+            self._router.unregister(join.query)
+            join.query.close()
 
     # ------------------------------------------------------------------
     # Per-flush delivery
     # ------------------------------------------------------------------
     def deliver(self, routed: Iterable[ContinuousQuery]) -> List[ContinuousQuery]:
-        """Hand each routed interned index's match delta to its join's
-        consumers.
+        """Totalize each routed interned index's match delta once and hand
+        one pair per renaming group to the group's consumers.
 
         Called by the pool after flush phase D with the queries the flush
         routed, when every one of them is repaired; only an interned
-        index a flush routed can have changed.  Returns the planned
-        queries of every join whose relation changed, so the pool
-        publishes their deltas.
+        index a flush routed can have changed, and each one counts as a
+        join repair.  Returns the queries that publish: the routed
+        isomorphism queries, and the planned queries of every join whose
+        raw relation changed.
         """
-        touched: List[ContinuousQuery] = []
+        published: List[ContinuousQuery] = []
         for q in routed:
             join = self._by_query.get(id(q))
-            if join is None:  # an isomorphism query
+            if join is None:  # an isomorphism query builds its own delta
+                published.append(q)
                 continue
-            delta = q.index.pop_match_delta()
-            if not (delta[0] or delta[1]):
+            self.pool.stats.join_repairs += 1
+            added, removed = q.index.pop_match_delta()
+            if not (added or removed):
                 continue
-            for consumer in join.consumers:
-                consumer.index.delta = delta
-            touched.extend(join.consumers)
-        return touched
+            now_total = q.index.is_total()
+            flipped = None
+            if now_total != join.was_total:
+                # Totality flipped: the user-facing relation became the
+                # raw one, or stopped being the raw one before the delta.
+                flipped = q.index.raw_match_sets()  # a copy
+                if not now_total:
+                    for idx, v in added:
+                        flipped[idx].discard(v)
+                    for idx, v in removed:
+                        flipped[idx].add(v)
+            join.was_total = now_total
+            for group in join.groups.values():
+                if flipped is not None:
+                    named = group.named_relation(flipped)
+                    pair = (named, frozenset()) if now_total else (frozenset(), named)
+                elif now_total:
+                    pair = (group.named(added), group.named(removed))
+                else:
+                    pair = _NO_DELTA
+                for consumer in group.consumers:
+                    consumer.delivered = pair
+                published.extend(group.consumers)
+        return published

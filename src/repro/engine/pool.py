@@ -20,8 +20,11 @@ against one evolving graph).  Per flush the pool:
    pre-deletion legs, so deletions are prepared before the edit, and
    deletion routing consults the pre-edit distance structures while
    insertion routing runs after they observe the whole batch);
-4. pops each touched query's match delta and publishes it to the query's
-   change feeds.
+4. publishes each touched query's match delta to the query's change
+   feeds: an isomorphism query builds its own from its embeddings, and
+   the shared plan totalizes each changed interned index's delta once,
+   handing one pair per node renaming to the registered queries that
+   read it.
 
 Every registered query reads one set of pool-level auxiliary structures
 (the "one maintained structure per sub-formula" shape of answering
@@ -42,9 +45,9 @@ routing and repair share.  The match relation
 is shared too: every ``simulation`` and ``bounded`` query reads the one
 interned index of its canonical pattern in the
 :class:`~repro.engine.plan.SharedPlan`, so routing and repair run once
-per distinct pattern shape, and the plan hands each changed index's
-delta to every query reading it before the deltas are published.
-Isomorphism queries own their indexes.
+per distinct pattern shape, and the plan turns each changed index's
+delta into one user-facing pair per node renaming, which every query
+of that spelling publishes.  Isomorphism queries own their indexes.
 
 A pool constructed with ``window=...`` (or fed per-insert ``ttl``
 overrides) is **temporal**: every inserted edge is stamped with a logical
@@ -223,10 +226,11 @@ class MatcherPool:
         # queries and synced exactly once per flush phase below.
         self.eligibility = SharedEligibilityIndex(graph)
         self.substrate = SharedDistanceSubstrate(graph)
-        # The multi-query plan: every simulation and bounded query reads
-        # the one interned index of its pattern shape.
-        self.plan = SharedPlan(self)
         self._router = UpdateRouter(self.substrate, self.stats)
+        # The multi-query plan: every simulation and bounded query reads
+        # the one interned index of its pattern shape, which the plan
+        # registers with the router.
+        self.plan = SharedPlan(self, self._router)
         self._queries: Dict[str, ContinuousQuery] = {}
         self._pending_edges: List[Update] = []
         self._pending_nodes: List[Tuple[Node, Dict[str, Any]]] = []
@@ -373,15 +377,6 @@ class MatcherPool:
             # A planned query leaves its join here; a join with no
             # consumers left is dropped with its interned index.
             query.close()
-
-    def _attach_view(self, query: ContinuousQuery) -> None:
-        """Router-register one of the plan's interned internal queries so
-        the flush phases repair it like any other query."""
-        self._router.register(query)
-
-    def _detach_view(self, query: ContinuousQuery) -> None:
-        self._router.unregister(query)
-        query.close()
 
     def query(self, name: str) -> ContinuousQuery:
         return self._queries[name]
@@ -662,19 +657,13 @@ class MatcherPool:
         # expire_at) and enter the expiry heap.
         self._apply_stamps(net, stamps)
 
-        # ---- Plan delivery: the routed interned indexes are fully
-        # repaired; hand each one's match delta to the planned queries
-        # that read it, so they publish alongside everyone else in phase E.
+        # ---- Phase E: publish match deltas.  The routed interned indexes
+        # are fully repaired; the plan totalizes each one's delta once and
+        # returns every query that publishes (isomorphism queries pass
+        # through it).
         if touched:
-            for q in self.plan.deliver(list(touched.values())):
-                touched[id(q)] = q
-
-        # ---- Phase E: publish match deltas -----------------------------
-        for q in touched.values():
-            if q.internal:
-                self.stats.join_repairs += 1
-                continue
-            report.deltas[q.name] = q.emit_delta(report.seq)
+            for q in self.plan.deliver(touched.values()):
+                report.deltas[q.name] = q.emit_delta(report.seq)
         self.stats.routed_pairs += report.routed
         self.stats.skipped_pairs += report.skipped
         # End-of-flush upkeep: BatchLM re-selection once InsLM has grown

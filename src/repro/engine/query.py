@@ -1,15 +1,23 @@
-"""One registered continuous query of a :class:`~repro.engine.pool.MatcherPool`.
+"""One routed query of a :class:`~repro.engine.pool.MatcherPool`.
 
 A :class:`ContinuousQuery` owns the incremental index for one
-``(pattern, semantics)`` over the pool's shared data graph, carries the
-query's *routing signature* (which updates can possibly touch its
-candidate space: eq-keys, predicates, and per pattern edge its two
-predicates, their shared eligible sets and its bound, which the
-:class:`~repro.engine.router.UpdateRouter` indexes), and turns the
-index's raw promotion/demotion deltas into user-facing
-:class:`~repro.engine.feeds.MatchDelta` events — applying the paper's
-totalization convention (a relation missing some pattern node collapses
-to empty) at the feed boundary.
+``(pattern, semantics)`` over the pool's shared data graph and carries
+its *routing signature* (which updates can possibly touch its candidate
+space: eq-keys, predicates, and per pattern edge its two predicates,
+their shared eligible sets and its bound, which the
+:class:`~repro.engine.router.UpdateRouter` indexes).  It is either an
+isomorphism registration or the internal query of one of the shared
+plan's joins (:mod:`repro.engine.plan`); an internal query never
+publishes.
+
+:meth:`ContinuousQuery.emit_delta` turns a flush's change into one
+user-facing :class:`~repro.engine.feeds.MatchDelta` for every published
+query.  An isomorphism query builds it from its index's embedding
+delta.  A registered ``simulation`` or ``bounded`` query is a
+:class:`~repro.engine.plan.PlannedQuery`, with no index or routing
+signature of its own: it wraps the pair its join's delivery built, where
+the paper's totalization convention (a relation missing some pattern
+node collapses to empty) was applied once per join.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from ..incremental.incbsim import BoundedSimulationIndex
 from ..incremental.inciso import IsoIndex
 from ..incremental.incsim import SimulationIndex
 from ..matching.isomorphism import Embedding
-from ..matching.relation import MatchRelation, as_pairs
+from ..matching.relation import MatchRelation
 from ..matching.result_graph import (
     isomorphism_result_graph,
     simulation_result_graph,
@@ -102,23 +110,14 @@ class ContinuousQuery:
         *,
         substrate,
         eligibility,
-        internal: bool = False,
     ) -> None:
         self.name = name
         self.pattern = pattern
         self.graph = graph
         self.semantics = semantics
-        # Internal queries (the plan's interned indexes) are repaired
-        # like any other query but never emit user-facing deltas.
-        self.internal = internal
-        self.index = self._build_index(
-            pattern,
-            graph,
-            semantics,
-            distance_mode,
-            max_embeddings,
-            substrate,
-            eligibility,
+        self.index = build_index(
+            pattern, graph, semantics, distance_mode, max_embeddings,
+            substrate=substrate, eligibility=eligibility,
         )
         self._feeds: List[ChangeFeed] = []
         self.last_delta: Optional[MatchDelta] = None
@@ -174,31 +173,12 @@ class ContinuousQuery:
             isinstance(self.index, BoundedSimulationIndex)
             and self.index.distance_routed()
         )
-        # --- delta bookkeeping -----------------------------------------
+        # --- delta bookkeeping (isomorphism: pairs per embedding) -------
         if isinstance(self.index, IsoIndex):
-            self._was_total = True  # unused for embeddings
             self._pair_counts: Dict[MatchPair, int] = {}
             for emb in self.index.embeddings():
                 for pair in emb.items():
                     self._pair_counts[pair] = self._pair_counts.get(pair, 0) + 1
-        else:
-            self._was_total = self.index.is_total()
-
-    def _build_index(
-        self, pattern, graph, semantics, distance_mode, max_embeddings,
-        substrate, eligibility,
-    ):
-        """Index construction hook; plan-rewritten subclasses override it
-        to attach a shared-join adapter instead of a private index."""
-        return build_index(
-            pattern,
-            graph,
-            semantics,
-            distance_mode=distance_mode,
-            max_embeddings=max_embeddings,
-            substrate=substrate,
-            eligibility=eligibility,
-        )
 
     # ------------------------------------------------------------------
     # Results
@@ -260,42 +240,21 @@ class ContinuousQuery:
 
     def close(self) -> None:
         """Release shared-substrate leases (called by pool.unregister)."""
-        release = getattr(self.index, "release", None)
-        if release is not None:
-            release()
+        self.index.release()
 
     def emit_delta(self, seq: int) -> MatchDelta:
-        """Pop the index's raw delta, totalize, publish, and return it."""
+        """Publish this flush's delta to the query's feeds and return it:
+        an isomorphism query's from its embeddings, a planned query's the
+        pair :meth:`~repro.engine.plan.SharedPlan.deliver` left it."""
         if isinstance(self.index, IsoIndex):
             delta = self._emit_iso_delta(seq)
         else:
-            delta = self._emit_relation_delta(seq)
+            added, removed = self.delivered
+            delta = MatchDelta(self.name, seq, added=added, removed=removed)
         self.last_delta = delta
         for feed in self._feeds:
             feed.publish(delta)
         return delta
-
-    def _emit_relation_delta(self, seq: int) -> MatchDelta:
-        raw_added, raw_removed = self.index.pop_match_delta()
-        now_total = self.index.is_total()
-        if self._was_total and now_total:
-            added, removed = raw_added, raw_removed
-        elif not self._was_total and not now_total:
-            added, removed = set(), set()
-        else:
-            # Totality flipped: the user-facing relation went from (or to)
-            # empty wholesale.  Reconstruct the other side from the raw
-            # state and the raw delta.
-            after = set(as_pairs(self.index.raw_match_sets()))
-            if now_total:
-                added, removed = after, set()
-            else:
-                before = (after - raw_added) | raw_removed
-                added, removed = set(), before
-        self._was_total = now_total
-        return MatchDelta(
-            self.name, seq, added=frozenset(added), removed=frozenset(removed)
-        )
 
     def _emit_iso_delta(self, seq: int) -> MatchDelta:
         added_embs, removed_embs = self.index.pop_match_delta()

@@ -30,6 +30,8 @@ from __future__ import annotations
 from typing import Iterable, List, Tuple
 
 from ..graphs.digraph import Node
+from ..matching.relation import MatchRelation
+from ..matching.simulation import candidate_sets
 from ..patterns.pattern import PatternNode
 from .types import Update, delete, insert, net_updates
 
@@ -39,8 +41,33 @@ FlipEvent = Tuple[Node, List[PatternNode], List[PatternNode]]
 
 
 class StandaloneDriver:
-    """Unit, batch and node entry points over an index's repair methods;
-    mixed into each incremental index."""
+    """Unit, batch and node entry points over an index's repair methods,
+    and the lease and release of its eligible sets; mixed into each
+    incremental index."""
+
+    def _lease_eligible(self) -> MatchRelation:
+        """The per-pattern-node eligible sets: with a pool's
+        ``_eligibility`` substrate, one leased read-view per pattern-node
+        predicate (pattern nodes with equal predicates alias one set);
+        standalone, the index's own sets, evaluated from the
+        predicates."""
+        if self._eligibility is None:
+            return candidate_sets(self.pattern, self.graph)
+        return {
+            u: self._eligibility.lease(self.pattern.predicate(u)).members
+            for u in self.pattern.nodes()
+        }
+
+    def release(self) -> None:
+        """Release the eligible-set leases (pool unregister); idempotent.
+
+        A released index must not be repaired again: the substrate may
+        drop its sets once the last lease is gone.
+        """
+        if self._eligibility is not None:
+            for u in self.pattern.nodes():
+                self._eligibility.release(self.pattern.predicate(u))
+            self._eligibility = None
 
     def insert_edge(self, v: Node, w: Node) -> bool:
         """Insert data edge (v, w) and repair; returns whether the graph

@@ -109,7 +109,6 @@ from ..graphs.traversal import (
 )
 from ..landmarks.vector import LandmarkIndex
 from ..matching.relation import MatchRelation, totalize
-from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Bound, Pattern, PatternNode
 from ..patterns.predicate import Predicate
 from .drivers import StandaloneDriver
@@ -201,13 +200,7 @@ class BoundedSimulationIndex(StandaloneDriver):
         finite = [b for b in self._bounds.values() if b is not None]
         self._leg_radius: Optional[int] = max(finite) - 1 if finite else None
         self._unbounded = None in self._bounds.values()
-        if eligibility is not None:
-            self.eligible: MatchRelation = {
-                u: eligibility.lease(pattern.predicate(u)).members
-                for u in pattern.nodes()
-            }
-        else:
-            self.eligible = candidate_sets(pattern, graph)
+        self.eligible: MatchRelation = self._lease_eligible()
         self._pair_graph = DiGraph()
         self._inner = SimulationIndex(
             _layered_pattern(pattern),
@@ -606,14 +599,12 @@ class BoundedSimulationIndex(StandaloneDriver):
         return any(b != 1 for b in self._bounds.values())
 
     def release(self) -> None:
-        """Release every substrate lease (pool unregister).
+        """Release every substrate lease (pool unregister): the eligible
+        sets', then the landmark index's.
 
         Idempotent; a released index must not be repaired again.
         """
-        if self._eligibility is not None:
-            for u in self.pattern.nodes():
-                self._eligibility.release(self.pattern.predicate(u))
-            self._eligibility = None
+        super().release()
         if self.substrate is None:
             return
         if self._lm is not None:

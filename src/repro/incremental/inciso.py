@@ -41,7 +41,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from ..graphs.digraph import DiGraph, Node
 from ..matching.isomorphism import Embedding, iter_embeddings
 from ..matching.relation import MatchRelation
-from ..matching.simulation import candidate_sets
 from ..patterns.pattern import Pattern, PatternError, PatternNode
 from .delta import DeltaLog
 from .drivers import StandaloneDriver
@@ -90,19 +89,16 @@ class IsoIndex(StandaloneDriver):
         # shared member sets (one evaluation per distinct predicate per
         # pool), and node events arrive as resolved flips
         # (apply_eligibility_flip_batch).  A standalone index owns its
-        # sets, and its driver resolves the flips.
+        # sets, and its driver resolves the flips.  Every search takes its
+        # candidates from these sets.
         self._eligibility = eligibility
-        if eligibility is not None:
-            self.eligible: MatchRelation = {
-                u: eligibility.lease(pattern.predicate(u)).members
-                for u in pattern.nodes()
-            }
-        else:
-            self.eligible = candidate_sets(pattern, graph)
+        self.eligible: MatchRelation = self._lease_eligible()
         self._embeddings: Dict[EmbKey, Embedding] = {}
         self._by_edge: Dict[EdgeKey, Set[EmbKey]] = {}
         self.delta = DeltaLog()
-        self._store_until_full(iter_embeddings(pattern, graph))
+        self._store_until_full(
+            iter_embeddings(pattern, graph, candidates=self.eligible)
+        )
         # The initial embedding set is state, not change.
         self.delta.clear()
 
@@ -176,14 +172,15 @@ class IsoIndex(StandaloneDriver):
                 return False
         return True
 
-    def _search_space(self, v: Node, w: Node) -> DiGraph:
-        """The graph an anchored search on edge (v, w) explores."""
-        return self.graph
+    def _search_space(self, v: Node, w: Node) -> Tuple[DiGraph, MatchRelation]:
+        """The graph an anchored search on edge (v, w) explores, and its
+        candidates."""
+        return self.graph, self.eligible
 
     def _search_anchored(self, v: Node, w: Node) -> None:
         """Embeddings using edge (v, w): each pattern edge is pinned to it
         in turn and VF2 completes the mapping."""
-        graph = self._search_space(v, w)
+        graph, candidates = self._search_space(v, w)
         for u1, u2 in self.pattern.edges():
             if self._full():
                 return
@@ -196,7 +193,9 @@ class IsoIndex(StandaloneDriver):
                     continue  # injectivity forbids mapping two nodes to one
                 seed = {u1: v, u2: w}
             if not self._store_until_full(
-                iter_embeddings(self.pattern, graph, partial=seed)
+                iter_embeddings(
+                    self.pattern, graph, partial=seed, candidates=candidates
+                )
             ):
                 return
 
@@ -239,17 +238,12 @@ class IsoIndex(StandaloneDriver):
         for v, gained, _lost in events:
             for u in gained:
                 if not self._store_until_full(
-                    iter_embeddings(self.pattern, self.graph, partial={u: v})
+                    iter_embeddings(
+                        self.pattern, self.graph, partial={u: v},
+                        candidates=self.eligible,
+                    )
                 ):
                     return
-
-    def release(self) -> None:
-        """Release shared-eligibility leases (pool unregister); idempotent."""
-        if self._eligibility is None:
-            return
-        for u in self.pattern.nodes():
-            self._eligibility.release(self.pattern.predicate(u))
-        self._eligibility = None
 
 
 class LocalizedIsoIndex(IsoIndex):
@@ -275,7 +269,9 @@ class LocalizedIsoIndex(IsoIndex):
         self.radius = radius
         super().__init__(pattern, graph, max_embeddings=max_embeddings)
 
-    def _search_space(self, v: Node, w: Node) -> DiGraph:
-        return self.graph.subgraph(
-            _undirected_ball(self.graph, (v, w), self.radius)
+    def _search_space(self, v: Node, w: Node) -> Tuple[DiGraph, MatchRelation]:
+        ball = _undirected_ball(self.graph, (v, w), self.radius)
+        return (
+            self.graph.subgraph(ball),
+            {u: members & ball for u, members in self.eligible.items()},
         )

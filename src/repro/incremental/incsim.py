@@ -63,7 +63,7 @@ from ..graphs.digraph import DiGraph, Node
 from ..graphs.scc import condensation, strongly_connected_components
 from ..patterns.pattern import Pattern, PatternError, PatternNode
 from ..matching.relation import MatchRelation, copy_relation, totalize
-from ..matching.simulation import candidate_sets, maximum_simulation
+from ..matching.simulation import maximum_simulation
 from .delta import DeltaLog
 from .drivers import StandaloneDriver
 from .types import Update, net_updates
@@ -185,19 +185,12 @@ class SimulationIndex(StandaloneDriver):
     def _rebuild(self, eligible: Optional[MatchRelation]) -> None:
         """Batch computation of match/candt and all support counters.
 
-        The eligible sets are leased from the shared substrate, taken as
-        handed in (the caller's sets, which the caller keeps moving nodes
-        in and out of), or evaluated from the predicates.
+        The eligible sets are taken as handed in (the caller's sets, which
+        the caller keeps moving nodes in and out of), or leased
+        (:meth:`~repro.incremental.drivers.StandaloneDriver._lease_eligible`).
         """
-        if self._eligibility is not None:
-            # Shared read-views: one leased set per pattern-node predicate
-            # (pattern nodes with equal predicates alias the same object).
-            eligible = {
-                u: self._eligibility.lease(self.pattern.predicate(u)).members
-                for u in self.pattern.nodes()
-            }
-        elif eligible is None:
-            eligible = candidate_sets(self.pattern, self.graph)
+        if eligible is None:
+            eligible = self._lease_eligible()
         self.eligible: MatchRelation = eligible
         # Nodes whose eligibility this index has wired: an insertion
         # endpoint outside it is adopted from the eligible sets before
@@ -655,18 +648,6 @@ class SimulationIndex(StandaloneDriver):
         net = self._drive(updates)
         self.stats.original_updates += len(updates)
         self.stats.reduced_updates += len(net)
-
-    def release(self) -> None:
-        """Release shared-eligibility leases (pool unregister); idempotent.
-
-        A released index must not be driven again — its eligible views
-        may be dropped by the substrate once the last lease is gone.
-        """
-        if self._eligibility is None:
-            return
-        for u in self.pattern.nodes():
-            self._eligibility.release(self.pattern.predicate(u))
-        self._eligibility = None
 
     # ------------------------------------------------------------------
     # Invariant check (used by tests)

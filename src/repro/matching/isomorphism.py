@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..graphs.digraph import DiGraph, Node
 from ..patterns.pattern import Pattern, PatternError, PatternNode
+from .relation import MatchRelation
 from .simulation import candidate_sets
 
 Embedding = Dict[PatternNode, Node]
@@ -63,10 +64,16 @@ def iter_embeddings(
     pattern: Pattern,
     graph: DiGraph,
     partial: Optional[Embedding] = None,
+    candidates: Optional[MatchRelation] = None,
 ) -> Iterator[Embedding]:
-    """Yield every injective embedding extending ``partial`` (default {})."""
+    """Yield every injective embedding extending ``partial`` (default {}).
+
+    ``candidates`` optionally gives each pattern node's predicate-satisfying
+    nodes of ``graph`` (read, never changed); by default they are computed
+    from the predicates.
+    """
     _check_normal(pattern)
-    cands = candidate_sets(pattern, graph)
+    cands = candidate_sets(pattern, graph) if candidates is None else candidates
     partial = dict(partial) if partial else {}
     for u, v in partial.items():
         if v not in cands[u]:

@@ -26,9 +26,11 @@ def test_committed_bench_record_matches_the_code():
     """A full run's sizes (a ``--tiny`` record runs fewer), the scenario
     set, each scenario's distance mode, graph, stream, and
     the routed/skipped counts of the ``simulation`` and ``bounded`` rows
-    at the smallest and largest N (deterministic under every hash seed)
-    recomputed through each scenario's declared pool leg from what the
-    file says it ran."""
+    at the smallest and largest N, and ``bounded-shared``'s landmark
+    index size (``lm_entries``) at the smallest N, so a record measured
+    on another landmark selection fails (all deterministic under every
+    hash seed), recomputed through each scenario's declared pool leg
+    from what the file says it ran."""
     bench = _bench_pool()
     doc = json.loads((ROOT / "BENCH_pool.json").read_text())
     sizes = doc["scenarios"]["simulation"]["sizes"]
@@ -52,3 +54,9 @@ def test_committed_bench_record_matches_the_code():
             recorded = (rows[n]["routed"], rows[n]["skipped"])
             counted = (pool.stats.routed_pairs, pool.stats.skipped_pairs)
             assert counted == recorded, (scenario, n)
+    leg = bench.SCENARIOS["bounded-shared"].legs[0]
+    rows = doc["scenarios"]["bounded-shared"]["results"]
+    row = min(rows, key=lambda r: r["n"])
+    pool = leg.build(graph, updates, row["n"])
+    leg.run(pool, updates)
+    assert leg.gauges["lm_entries"](pool) == row["lm_entries"]

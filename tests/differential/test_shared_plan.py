@@ -10,10 +10,14 @@ deliberately tiny leg vocabulary (3 labels × bounds ``{1, 2, 3, *}``,
 self-loops and duplicate legs included), so distinct registered
 patterns constantly collide on legs — and often on whole-pattern
 fingerprints — exercising the interning, join consumers, and
-multi-consumer delta delivery.  Queries mix bounded and simulation
-semantics (both interned) with occasional isomorphism (which owns its
-index), so interned and per-query indexes coexist in one pool.
-Register/unregister mid-stream exercises join drop and rebuild.
+multi-consumer delta delivery.  A registration is sometimes a twin of a
+live query: an exact copy, which joins that query's renaming group, or
+a copy under other node names, which starts another group of the same
+join, so one flush's totalized delta is delivered to several groups and
+consumers.  Queries mix bounded and simulation semantics (both
+interned) with occasional isomorphism (which owns its index), so
+interned and per-query indexes coexist in one pool.  Register/unregister
+mid-stream exercises join drop and rebuild.
 
 After every flush each query's match relation must equal a from-scratch
 batch recomputation on the current graph, and each simulation or
@@ -79,6 +83,16 @@ def _random_pattern(rng: random.Random, normal: bool = False) -> Pattern:
     return p
 
 
+def _renamed(pattern: Pattern) -> Pattern:
+    """``pattern`` under other node names (its nodes are small ints)."""
+    p = Pattern()
+    for u in pattern.nodes():
+        p.add_node(u + 10, pattern.predicate(u))
+    for u, w in pattern.edges():
+        p.add_edge(u + 10, w + 10, pattern.bound(u, w))
+    return p
+
+
 class _Harness:
     """One differential run: one pool, one op stream, one oracle."""
 
@@ -86,6 +100,7 @@ class _Harness:
         self.rng = random.Random(seed)
         self.pool = MatcherPool(_random_graph(self.rng))
         self.patterns = {}
+        self.modes = {}
         self.feeds = {}
         # name -> the batch relation at the last check, as pairs.
         self.relations = {}
@@ -102,23 +117,37 @@ class _Harness:
         return as_pairs(totalize(bounded_match(pattern, self.pool.graph)))
 
     def register(self) -> None:
+        planned = [n for n in sorted(self.patterns) if n in self.relations]
         roll = self.rng.random()
-        if roll < 0.6:
-            semantics = "bounded"
-            pattern = _random_pattern(self.rng)
-        elif roll < 0.88:
-            semantics = "simulation"
-            pattern = _random_pattern(self.rng, normal=True)
+        if planned and roll < 0.3:
+            # A twin of a live planned query: same join, and the same
+            # renaming group unless its nodes are renamed.
+            twin = self.rng.choice(planned)
+            semantics, pattern = self.patterns[twin]
+            mode = self.modes[twin]
+            pattern = (
+                _renamed(pattern) if self.rng.random() < 0.5
+                else pattern.copy()
+            )
         else:
-            semantics = "isomorphism"
-            pattern = _random_pattern(self.rng, normal=True)
-        mode = self.rng.choice(MODES)
+            roll = self.rng.random()
+            if roll < 0.6:
+                semantics = "bounded"
+                pattern = _random_pattern(self.rng)
+            elif roll < 0.88:
+                semantics = "simulation"
+                pattern = _random_pattern(self.rng, normal=True)
+            else:
+                semantics = "isomorphism"
+                pattern = _random_pattern(self.rng, normal=True)
+            mode = self.rng.choice(MODES)
         name = f"q{self._counter}"
         self._counter += 1
         q = self.pool.register(
             pattern, semantics=semantics, name=name, distance_mode=mode
         )
         self.patterns[name] = (semantics, pattern)
+        self.modes[name] = mode
         self.feeds[name] = q.subscribe()
         if semantics != "isomorphism":
             self.relations[name] = self.truth(semantics, pattern)
@@ -132,6 +161,7 @@ class _Harness:
         name = self.rng.choice(sorted(self.patterns))
         self.pool.unregister(self.pool.query(name))
         del self.patterns[name]
+        del self.modes[name]
         del self.feeds[name]
         self.relations.pop(name, None)
 

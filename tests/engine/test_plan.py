@@ -129,7 +129,7 @@ class TestLifecycle:
         pool = chain_pool()
         q = pool.register(two_leg_pattern(bound=bound), name="q0")
         assert isinstance(q, PlannedQuery)
-        assert q.planned and not q.internal
+        assert q.planned
         # It reports the routing class of the interned query it reads.
         assert q.index.join.query.distance_routed is routed
         assert q.distance_routed is routed
@@ -253,7 +253,7 @@ class TestCorrectness:
 
     def test_late_consumer_reads_only_later_deltas(self):
         """A consumer registered after a flush reads only the deltas of
-        later flushes, and a second pop in one flush returns nothing."""
+        later flushes, and the flush's delivery left nothing to pop."""
         pool = chain_pool()
         p = two_leg_pattern()
         q0 = pool.register(p, name="q0")
@@ -267,7 +267,21 @@ class TestCorrectness:
         # Same structural change; q1's pairs are named by its own nodes.
         assert {v for _, v in d0[0].added} == {v for _, v in d1[0].added}
         assert {u for u, _ in d1[0].added} <= {"u", "v", "w"}
-        assert q0.index.pop_match_delta() == (set(), set())
+        assert q0.index.join.query.index.pop_match_delta() == (set(), set())
+
+    def test_one_renaming_publishes_one_pair(self):
+        """Consumers of one pattern under one renaming publish the very
+        same frozensets, on a plain delta and on a totality flip: the
+        join totalizes and renames once per renaming group."""
+        pool = chain_pool()
+        q0 = pool.register(two_leg_pattern(), name="q0")
+        q1 = pool.register(two_leg_pattern(), name="q1")
+        for edge in (("n1", "n2"), ("n4", "n5")):  # the second empties y
+            pool.apply([delete(*edge)])
+            d0, d1 = q0.last_delta, q1.last_delta
+            assert d0.removed and not d0.added
+            assert d0.added is d1.added and d0.removed is d1.removed
+        assert q0.matches() == totalize(bounded_match(two_leg_pattern(), pool.graph))
 
     def test_invariants_after_stream(self):
         pool = chain_pool()

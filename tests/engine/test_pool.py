@@ -318,7 +318,10 @@ class TestIntakeValidation:
         return (
             {v: dict(pool.graph.attrs(v)) for v in pool.graph.nodes()},
             set(pool.graph.edges()),
-            {p: set(pool.eligibility.entry(p).members) for p in q.predicates},
+            {
+                p: set(pool.eligibility.entry(p).members)
+                for p in map(q.pattern.predicate, q.pattern.nodes())
+            },
             q.matches(),
             pool.pending,
         )

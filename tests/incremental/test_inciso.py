@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from repro.graphs.digraph import DiGraph
 from repro.incremental.inciso import IsoIndex, LocalizedIsoIndex
 from repro.incremental.types import delete, insert
+from repro.matching import isomorphism
 from repro.matching.isomorphism import (
     brute_force_embeddings,
     isomorphic_embeddings,
@@ -188,3 +189,34 @@ def test_random_batches_match_batch(g, p):
     idx = IsoIndex(p, g.copy())
     idx.apply_batch(mixed_updates(g, 4, 4, seed=83))
     assert_matches_batch(idx)
+
+
+class TestSearchCandidates:
+    """Every anchored search takes its candidates from the index's
+    eligible sets, so no repair re-evaluates the predicates over the
+    whole graph (``candidate_sets``)."""
+
+    @pytest.mark.parametrize("op", ["insert_edge", "node_flip"])
+    @pytest.mark.parametrize("cls", [IsoIndex, LocalizedIsoIndex])
+    def test_repair_makes_no_predicate_sweep(self, cls, op, monkeypatch):
+        g = DiGraph()
+        for v, label in enumerate("ABCB"):
+            g.add_node(v, label=label)
+        g.add_edge(0, 1)
+        g.add_edge(2, 3)
+        p = Pattern.normal_from_labels({"x": "A", "y": "B"}, [("x", "y")])
+        idx = cls(p, g)
+        sweeps = []
+        sweep = isomorphism.candidate_sets
+        monkeypatch.setattr(
+            isomorphism, "candidate_sets",
+            lambda *args: sweeps.append(args) or sweep(*args),
+        )
+        if op == "insert_edge":
+            idx.insert_edge(0, 3)
+        else:
+            idx.add_node(2, label="A")  # 2 gains x: a search anchored on it
+        monkeypatch.undo()
+        assert sweeps == []
+        assert idx.count() == 2
+        assert_matches_batch(idx)
